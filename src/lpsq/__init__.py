@@ -63,12 +63,10 @@ from .operators import (
     far_field_majorant,
     g_star,
     g_star_cascade_bound,
-    get_default_method,
     lerner_maximal,
     marcinkiewicz_fw,
     maximal,
     psi_t_apply,
-    set_default_method,
     square_function,
     square_function_at,
     square_function_multi,

@@ -8,8 +8,9 @@ sparse), ``bench``.  Every run merges defaults, an optional JSON config
 and exits nonzero naming the failing item if any check fails.
 
 Identical config + seed produce byte-identical outputs.  LPSQ_THREADS
-controls the worker count for independent campaign items; --oracle forces
-the direct-summation path everywhere.
+controls the worker count for independent campaign items; --oracle (config
+``"oracle": true``) sets the evaluation method to "direct", which every
+operator call of the run receives.  Unknown config keys are errors.
 """
 
 from __future__ import annotations
@@ -83,7 +84,13 @@ DEFAULTS = {
     "weight": "power:0.5",
     "family": None,
     "alphas": [1.0, 2.0, 4.0],
+    "rho": None,
+    "suite": None,
+    "gamma_log": None,
 }
+# config keys that are not settings of their own: the campaign name (config
+# files run by cli_run) and the --oracle switch, which sets cfg["method"]
+_EXTRA_KEYS = {"campaign", "oracle"}
 
 
 def _threads() -> int:
@@ -121,11 +128,30 @@ def _write_summary(out_dir: str, summary: dict) -> str:
     return path
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object of a config file, checked against the known keys."""
+    with open(path) as fh:
+        try:
+            user = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path!r} is not valid JSON: {exc}") from None
+    if not isinstance(user, dict):
+        raise ConfigError(f"{path!r}: the config must be a JSON object")
+    unknown = sorted(set(user) - set(DEFAULTS) - _EXTRA_KEYS)
+    if unknown:
+        raise ConfigError(f"{path!r}: unknown config keys {unknown}")
+    cone = user.get("cone", {})
+    if not isinstance(cone, dict) or set(cone) - set(DEFAULTS["cone"]):
+        raise ConfigError(
+            f"{path!r}: \"cone\" takes only the keys {sorted(DEFAULTS['cone'])}"
+        )
+    return user
+
+
 def _load_config(args) -> dict:
     cfg = dict(DEFAULTS)
     if args.config:
-        with open(args.config) as fh:
-            user = json.load(fh)
+        user = _read_config(args.config)
         cone = dict(cfg["cone"])
         cone.update(user.get("cone", {}))
         cfg.update(user)
@@ -134,6 +160,7 @@ def _load_config(args) -> dict:
         if key in ("config", "campaign", "func") or val is None:
             continue
         cfg["lambda" if key == "lam" else key] = val
+    cfg["method"] = "direct" if cfg.pop("oracle", None) else "auto"
     return cfg
 
 
@@ -154,11 +181,6 @@ def _cone_cfg(cfg, alpha=None):
 def _function(cfg, key="function"):
     n, R, h = _grid_cfg(cfg)
     return parse_function(cfg[key], n, R, h)
-
-
-def _maybe_oracle(cfg):
-    if cfg.get("oracle"):
-        ops.set_default_method("direct")
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +246,14 @@ def _campaign_eval(cfg, out_dir):
         raise ConfigError("bilinear eval needs function2")
     if cfg["op"] == "s":
         cone = _cone_cfg(cfg)
-        out = square_function(k, arg, cone)
+        out = square_function(k, arg, cone, method=cfg["method"])
         name = "square_function"
     elif cfg["op"] == "gstar":
         nn, R, h = _grid_cfg(cfg)
         c = cfg["cone"]
         hs = build_halfspace(nn, h, float(c.get("tmin") or 2 * h),
                              float(c.get("tmax") or 2 * R), int(c.get("q") or 4), R)
-        out = g_star(k, arg, float(cfg["lambda"]), hs)
+        out = g_star(k, arg, float(cfg["lambda"]), hs, method=cfg["method"])
         name = "g_star"
     else:
         raise ConfigError(f"unknown op {cfg['op']!r}")
@@ -275,12 +297,14 @@ def _campaign_sparse(cfg, out_dir):
     f = _function(cfg)
     cone = _cone_cfg(cfg)
     q0 = _root_cube(cfg)
-    fam = sparse_construct(k, f, q0, float(cfg["alpha"]), cone, cfg["gamma"])
+    fam = sparse_construct(k, f, q0, float(cfg["alpha"]), cone, cfg["gamma"],
+                           method=cfg["method"])
     path = os.path.join(out_dir, "sparse_family.json")
     fam.save(path)
     ok, worst, _ = verify_sparse(fam, float(cfg["eta"]))
     s = square_function(k, f, cone if cone.alpha == float(cfg["alpha"])
-                        else cone.with_alpha(float(cfg["alpha"])))
+                        else cone.with_alpha(float(cfg["alpha"])),
+                        method=cfg["method"])
     rhs = sparse_rhs_eval(fam, f, dilate=3)
     (sl,) = [tuple(slice(i0, i1) for i0, i1 in q0.cell_range(f))]
     ratio = s.values[sl] / np.maximum(rhs.values[sl], 1e-300)
@@ -312,7 +336,8 @@ def _campaign_verify(cfg, out_dir):
     if mode == "aperture":
         f = _function(cfg)
         rep = aperture_scaling_check(
-            k, f, [float(a) for a in cfg["alphas"]], "l2", _cone_cfg(cfg, 1.0)
+            k, f, [float(a) for a in cfg["alphas"]], "l2", _cone_cfg(cfg, 1.0),
+            method=cfg["method"],
         )
         _write_csv(os.path.join(out_dir, "verify_aperture.csv"), list(rep.rows()))
         checks = dict(rep.check_items())
@@ -323,11 +348,11 @@ def _campaign_verify(cfg, out_dir):
     if mode == "weak":
         f = _function(cfg)
         cone = _cone_cfg(cfg)
-        s = square_function(k, f, cone)
+        s = square_function(k, f, cone, method=cfg["method"])
         f2 = parse_function(cfg["function"], n, R, h / 2.0)
         cone2 = build_cone(cone.alpha, n, h / 2.0, float(cone.t_levels[0]) / 2,
                            float(cone.t_levels[-1]), cone._q())
-        s2 = square_function(k, f2, cone2)
+        s2 = square_function(k, f2, cone2, method=cfg["method"])
         peak = s.norm_linf()
         rho_grid = cfg["rho_grid"] or list(np.geomspace(peak / 100, peak * 0.99, 16))
         rep = weak_type_profile(s, f.norm_l1(), 1.0, rho_grid,
@@ -360,7 +385,8 @@ def _campaign_verify(cfg, out_dir):
                 -np.abs(f.axis_centers()) / 2.0
             )
             g = f.with_values(vals)
-            return weighted_norm_check(k, g, wv, float(cfg["alpha"]), cone).fitted["ratio"]
+            return weighted_norm_check(k, g, wv, float(cfg["alpha"]), cone,
+                                       method=cfg["method"]).fitted["ratio"]
 
         ratios = [one(i) for i in range(10)]
         med = float(np.median(ratios))
@@ -416,10 +442,10 @@ def _campaign_bench(cfg, out_dir):
     cone = _cone_cfg(cfg)
     rows = []
     t0 = time.perf_counter()
-    ops.psi_t_apply(k, f, 1.0)
+    ops.psi_t_apply(k, f, 1.0, method=cfg["method"])
     rows.append(("psi_t_seconds", time.perf_counter() - t0))
     t0 = time.perf_counter()
-    square_function(k, f, cone)
+    square_function(k, f, cone, method=cfg["method"])
     rows.append(("square_function_seconds", time.perf_counter() - t0))
     t0 = time.perf_counter()
     maximal(f, "hl")
@@ -441,9 +467,7 @@ CAMPAIGNS = {
 
 def cli_run(config_path: str) -> int:
     """Run the campaign named in a config file; returns the exit status."""
-    with open(config_path) as fh:
-        cfg_user = json.load(fh)
-    campaign = cfg_user.get("campaign")
+    campaign = _read_config(config_path).get("campaign")
     if campaign not in CAMPAIGNS:
         raise ConfigError(f"unknown campaign {campaign!r} in {config_path}")
     ns = argparse.Namespace(config=config_path, campaign=campaign, func=None)
@@ -454,7 +478,6 @@ def cli_run(config_path: str) -> int:
 def _execute(campaign: str, cfg: dict) -> int:
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    _maybe_oracle(cfg)
     try:
         items = CAMPAIGNS[campaign](cfg, out_dir)
     except LpsqError as exc:

@@ -570,14 +570,6 @@ def sparse_construct(
     bracket = wd * pd + s2_est
     hn = f.h**f.n
     gmax = int(math.log2(N))
-    abs_sum, _ = _cube_sums(f)
-
-    def mean_abs_3q(cube: Cube) -> float:
-        b3 = cube.box().dilate(3.0)
-        mask = ops._box_mask(f, b3, snap_outward=True)
-        tot = float(np.sum(np.abs(f.values) * mask)) * hn
-        return tot / (3.0 * cube.side) ** f.n
-
     cubes = []
     parent_links = {}
     gamma_used = [1.0 if gamma == "auto" else float(gamma)]
@@ -595,7 +587,7 @@ def sparse_construct(
         pool = dyadic_cube_pool(node, f)
         ms = ops.lerner_maximal(
             k, f.with_values(floc), cone_a, "M_S", pool, method=method,
-            domain=node.box(),
+            domain=node.box(), evaluator=evaluator,
         )
         mtilde = np.maximum(s_vals, ms.values)
         nr = node.cell_range(f)

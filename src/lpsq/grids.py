@@ -239,18 +239,34 @@ def save_csv(gf: GridFunction, path: str) -> None:
                     fh.write(f"{float(x)!r},{float(y)!r},{float(gf.values[i, j])!r}\n")
 
 
+def _csv_spacing(path: str, x: np.ndarray) -> float:
+    """Spacing of cell-center coordinates; raises unless uniform."""
+    if x.size < 2:
+        raise ConfigError(f"{path!r}: need at least two cell centers per axis")
+    steps = np.diff(x)
+    h = float(steps[0])
+    if not h > 0 or np.max(np.abs(steps - h)) > 1e-6 * h:
+        raise ConfigError(
+            f"{path!r}: cell centers are not uniformly spaced "
+            f"(steps between {np.min(steps):g} and {np.max(steps):g})"
+        )
+    return h
+
+
 def load_csv(path: str) -> GridFunction:
     rows = np.genfromtxt(path, delimiter=",", skip_header=1)
     rows = np.atleast_2d(rows)
     if rows.shape[1] == 2:
         x, v = rows[:, 0], rows[:, 1]
-        h = float(x[1] - x[0])
+        h = _csv_spacing(path, x)
         R = float(x[-1] + h / 2.0)
         return GridFunction(1, R, h, v)
     if rows.shape[1] == 3:
         x = np.unique(rows[:, 0])
         N = x.size
-        h = float(x[1] - x[0])
+        h = _csv_spacing(path, x)
+        if rows.shape[0] != N * N:
+            raise ConfigError(f"{path!r}: {rows.shape[0]} rows for a {N}x{N} grid")
         R = float(x[-1] + h / 2.0)
         return GridFunction(2, R, h, rows[:, 2].reshape(N, N))
     raise ConfigError(f"{path!r}: expected 2 or 3 CSV columns")
@@ -265,13 +281,27 @@ def save_binary(gf: GridFunction, path: str) -> None:
 
 
 def load_binary(path: str) -> GridFunction:
+    head = struct.Struct("<i d d")
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _BIN_MAGIC:
             raise ConfigError(f"{path!r} is not a grid-function file")
-        n, R, h = struct.unpack("<i d d", fh.read(struct.calcsize("<i d d")))
-        vals = np.frombuffer(fh.read(), dtype="<f8")
+        raw = fh.read(head.size)
+        if len(raw) != head.size:
+            raise ConfigError(
+                f"{path!r}: truncated header ({len(raw)} of {head.size} bytes)"
+            )
+        n, R, h = head.unpack(raw)
+        data = fh.read()
+    if n not in (1, 2) or not (math.isfinite(R) and R > 0 and math.isfinite(h) and h > 0):
+        raise ConfigError(f"{path!r}: bad header n={n}, R={R}, h={h}")
     N = int(round(2.0 * R / h))
+    if len(data) != 8 * N**n:
+        raise ConfigError(
+            f"{path!r}: {len(data)} value bytes, expected {8 * N**n} for "
+            f"{N}^{n} float64 cells"
+        )
+    vals = np.frombuffer(data, dtype="<f8")
     return GridFunction(n, R, h, vals.reshape((N,) * n))
 
 
@@ -299,15 +329,6 @@ class ConeGrid:
     @property
     def nlevels(self) -> int:
         return len(self.t_levels)
-
-    def total_points(self) -> int:
-        return int(sum(len(o) for o in self.offsets))
-
-    def stencil_radius_cells(self, j: int) -> int:
-        t = float(self.t_levels[j])
-        lim = min(self.alpha * t, self.max_radius)
-        r = int(math.ceil(lim / self.h)) - 1
-        return max(r, 0)
 
     def with_alpha(self, alpha: float) -> "ConeGrid":
         """Same levels and spacing, different aperture."""

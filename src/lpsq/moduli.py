@@ -345,10 +345,6 @@ class SuiteItem:
     ratio: float
 
 
-def _finite_integral(g, a: float, b: float, tol: float) -> float:
-    return _adaptive_simpson(g, a, b, tol)
-
-
 def _halfline_integral(g, tol: float) -> QuadratureResult:
     return _windowed_integral(g, tol)
 

@@ -11,9 +11,19 @@ The output lattice of an operator may be wider than the input box
 (``out_R``); inputs are always treated as zero outside their box, while
 psi_t values are computed honestly wherever the output needs them.
 
-Convolution-kind kernels have an FFT fast path; `set_default_method` or the
-per-call ``method`` argument forces the direct-summation path (the oracle
-gate compares the two).
+Convolution-kind kernels have an FFT fast path; the per-call ``method``
+argument ("auto", "fft" or "direct") forces the direct-summation path (the
+oracle gate compares the two).  `SquareEvaluator` caches the per-level
+kernel spectra of one layout in n = 1 and n = 2; `lerner_maximal` takes a
+caller's evaluator of the same layout (``evaluator=``, as `sparse_construct`
+passes), so the kernels are sampled once per layout.
+
+`lerner_maximal` on a linear convolution kernel in 1-D with resolved method
+"fft" evaluates every pool cube's S(f 1_{3Q}) only on Q: cubes are grouped
+by their cell shape, and each group costs one Toeplitz matmul per level
+(input on 3Q, output on Q +- K_j) followed by window sums.  Every other
+case (``method="direct"``, bilinear pairs, n = 2) runs S once per pool cube;
+that loop is the oracle of the batched path.
 """
 
 from __future__ import annotations
@@ -48,28 +58,13 @@ __all__ = [
     "lerner_maximal",
     "far_field_majorant",
     "marcinkiewicz_fw",
-    "set_default_method",
-    "get_default_method",
     "SquareEvaluator",
 ]
 
-_DEFAULT_METHOD = "auto"
-
-
-def set_default_method(method: str) -> None:
-    """Global evaluation path: "auto", "fft" or "direct"."""
-    global _DEFAULT_METHOD
-    if method not in ("auto", "fft", "direct"):
-        raise ParameterError(f"unknown method {method!r}")
-    _DEFAULT_METHOD = method
-
-
-def get_default_method() -> str:
-    return _DEFAULT_METHOD
-
-
 def _resolve_method(k: KernelSpec, method: str | None) -> str:
-    m = method or _DEFAULT_METHOD
+    m = method or "auto"
+    if m not in ("auto", "fft", "direct"):
+        raise ParameterError(f"unknown method {m!r}")
     if m == "auto":
         return "fft" if k.kind == "convolution" else "direct"
     if m == "fft" and k.kind != "convolution":
@@ -268,11 +263,11 @@ def square_function_multi(
         p = u_ext**2
         meas = base.h**n / t**n * cone.log_weight
         for a in alphas:
-            lim = min(a * t, cone.max_radius) / base.h
-            r = max(int(math.ceil(lim)) - 1, 0)
+            r = _radius_cells(a, t, base.h, cone.max_radius)
             if n == 1:
                 w = _window_sum_1d(p, r, M, K)
             else:
+                lim = min(a * t, cone.max_radius) / base.h
                 w = _window_sum_2d(p, lim, r, M, K)
             acc[a] += meas * w
     return {
@@ -348,12 +343,62 @@ def _psi_t_bilinear_point(k, f1, f2, t, y):
     return float(f1.values[nz1] @ mat @ f2.values[nz2]) * f1.h**2 / t**2
 
 
+@dataclass(frozen=True)
+class _Level:
+    """One cone level on a layout.
+
+    psi_t values are taken on the output lattice padded by K cells (Mx
+    cells per axis) and the window sums run over the strict stencil radius
+    ``lim`` (cells); ``meas`` is (h/t)^n ln r.
+    """
+
+    t: float
+    K: int
+    Mx: int
+    nfft: int
+    lim: float
+    meas: float
+
+
+def _cone_levels(template: GridFunction, cone: ConeGrid, R_out: float) -> list:
+    h = template.h
+    n = template.n
+    N = template.ncells
+    M = int(round(2.0 * R_out / h))
+    out = []
+    for t in cone.t_levels:
+        t = float(t)
+        K = _radius_cells(cone.alpha, t, h, cone.max_radius)
+        Mx = M + 2 * K
+        out.append(_Level(
+            t, K, Mx, 1 << (Mx + N - 2).bit_length(),
+            min(cone.alpha * t, cone.max_radius) / h,
+            (h / t) ** n * cone.log_weight,
+        ))
+    return out
+
+
+def _level_kernel(k, template: GridFunction, R_out: float, lv: _Level) -> np.ndarray:
+    """Profile samples times (h/t)^n at the offsets -(N-1) .. Mx-1 (per axis)
+    from the input cells to the output lattice padded by K."""
+    h = template.h
+    shift = template.R - (R_out + lv.K * h)
+    d = (np.arange(-(template.ncells - 1), lv.Mx) * h + shift) / lv.t
+    scale = (h / lv.t) ** template.n
+    if template.n == 1:
+        return k.profile(d) * scale
+    return k.profile(d[:, None], d[None, :]) * scale
+
+
 class SquareEvaluator:
     """Repeated S_alpha evaluations of masked variants of one grid layout.
 
-    Precomputes the per-level convolution kernels (the expensive
-    transcendental sampling) once; each eval costs two FFTs per level.
-    Falls back to square_function for non-convolution kernels or n = 2.
+    Samples the per-level convolution kernels once (the expensive
+    transcendental sampling) and keeps their spectra, in n = 1 and n = 2,
+    and in n = 1 the samples too; each eval costs one forward FFT per
+    distinct FFT size (the least power of two that holds the linear
+    convolution) and one inverse FFT per level.  Non-convolution kernels and
+    ``method="direct"`` go through square_function on every eval.
     """
 
     def __init__(self, k, template: GridFunction, cone: ConeGrid,
@@ -364,25 +409,41 @@ class SquareEvaluator:
         self.R_out = template.R if out_R is None else float(out_R)
         self.method = method
         meth = _resolve_method(k, method) if k.kind != "bilinear" else "direct"
-        self.fast = k.kind == "convolution" and template.n == 1 and meth == "fft"
+        self.fast = k.kind == "convolution" and meth == "fft"
         if not self.fast:
             return
-        h = template.h
-        N = template.ncells
-        self.M = int(round(2.0 * self.R_out / h))
-        self._levels = []
-        for j, t in enumerate(cone.t_levels):
-            t = float(t)
-            K = _radius_cells(cone.alpha, t, h, cone.max_radius)
-            Mx = self.M + 2 * K
-            shift = template.R - (self.R_out + K * h)
-            m = np.arange(-(N - 1), Mx)
-            kern = k.profile((m * h + shift) / t) * (h / t)
-            L = Mx + N - 1
-            nfft = 1 << (L - 1).bit_length()
-            kf = np.fft.rfft(kern, nfft)
-            meas = h / t * cone.log_weight
-            self._levels.append((t, K, Mx, nfft, kf, meas))
+        n = template.n
+        self.M = int(round(2.0 * self.R_out / template.h))
+        self.levels = _cone_levels(template, cone, self.R_out)
+        kernels = [_level_kernel(k, template, self.R_out, lv) for lv in self.levels]
+        self._spectra = [
+            np.fft.rfftn(kern, (lv.nfft,) * n, axes=range(n))
+            for lv, kern in zip(self.levels, kernels)
+        ]
+        # the batched 1-D Lerner path slices its Toeplitz blocks from the
+        # samples; in 2-D nothing reads them (they cost ~0.6 MB peak RSS)
+        self.kernels = kernels if n == 1 else None
+
+    def level_values(self, values: np.ndarray):
+        """Yield (level, u) per cone level, u = psi_t of the grid function
+        with these values on the output lattice padded by the level's K."""
+        n = self.template.n
+        N = self.template.ncells
+        axes = range(n)
+        vf_cache = {}
+        for lv, kf in zip(self.levels, self._spectra):
+            vf = vf_cache.get(lv.nfft)
+            if vf is None:
+                vf = vf_cache[lv.nfft] = np.fft.rfftn(values, (lv.nfft,) * n, axes=axes)
+            conv = np.fft.irfftn(vf * kf, (lv.nfft,) * n, axes=axes)
+            yield lv, conv[(slice(N - 1, N - 1 + lv.Mx),) * n]
+
+    def cone_sum(self, lv: _Level, p: np.ndarray) -> np.ndarray:
+        """Level lv's share of S^2: its measure times the window sums of p
+        (given on the padded lattice) at each output cell."""
+        if self.template.n == 1:
+            return lv.meas * _window_sum_1d(p, lv.K, self.M, lv.K)
+        return lv.meas * _window_sum_2d(p, lv.lim, lv.K, self.M, lv.K)
 
     def eval_values(self, values: np.ndarray) -> np.ndarray:
         """S_alpha of the grid function with these values; returns values."""
@@ -391,18 +452,9 @@ class SquareEvaluator:
             return square_function(
                 self.k, gf, self.cone, out_R=self.R_out, method=self.method
             ).values
-        N = self.template.ncells
-        acc = np.zeros(self.M)
-        vf_cache = {}
-        for t, K, Mx, nfft, kf, meas in self._levels:
-            vf = vf_cache.get(nfft)
-            if vf is None:
-                vf = np.fft.rfft(values, nfft)
-                vf_cache[nfft] = vf
-            conv = np.fft.irfft(vf * kf, nfft)[N - 1 : N - 1 + Mx]
-            p = conv**2
-            r = K
-            acc += meas * _window_sum_1d(p, r, self.M, K)
+        acc = np.zeros((self.M,) * self.template.n)
+        for lv, u in self.level_values(values):
+            acc += self.cone_sum(lv, u**2)
         return np.sqrt(acc)
 
     def eval(self, gf: GridFunction) -> GridFunction:
@@ -452,8 +504,6 @@ def g_star(
         if n == 1:
             m = np.arange(-K, K + 1)
             wgt = (t / (t + np.abs(m) * base.h)) ** (n * lam)
-            lim = min(halfspace.alpha * t, halfspace.max_radius) / base.h
-            wgt[np.abs(m) >= lim] = 0.0
             acc += meas * signal.fftconvolve(p, wgt, mode="valid")
         else:
             g1 = np.arange(-K, K + 1)
@@ -581,20 +631,118 @@ def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _box_mask(gf: GridFunction, box: Box, snap_outward: bool = False) -> np.ndarray:
-    """Indicator of a box on the cell centers.
+def _box_range(gf: GridFunction, box: Box, snap_outward: bool = False) -> tuple:
+    """Per-axis (start, stop) index ranges of the cells a box selects.
 
-    With ``snap_outward`` every cell whose closed cell-interval meets the box
-    counts (the grid-snapped-outward convention for 3Q dilates).
+    A cell counts when its center lies in [lo, hi) or, with
+    ``snap_outward`` (the convention for 3Q dilates), in
+    [lo - h/2, hi + h/2): for a lattice-aligned box that is the cells inside
+    plus the left neighbour.  Coordinates are taken in cell units and
+    rounded to the lattice within 1e-9 (as `Cube.cell_range`), so one box
+    shape selects the same number of cells wherever it sits; ranges are
+    clipped to the grid.
     """
-    c = gf.axis_centers()
-    eps = gf.h / 2.0 if snap_outward else 0.0
-    masks = []
+    # cell i is selected for lo - pad <= i + 1/2 < hi + pad (cell units)
+    pad = 0.5 if snap_outward else 0.0
+    out = []
     for ax in range(gf.n):
-        masks.append((c >= box.lo[ax] - eps) & (c < box.hi[ax] + eps))
-    if gf.n == 1:
-        return masks[0].astype(float)
-    return (masks[0][:, None] & masks[1][None, :]).astype(float)
+        lo = (box.lo[ax] + gf.R) / gf.h - 0.5 - pad
+        hi = (box.hi[ax] + gf.R) / gf.h - 0.5 + pad
+        i0 = int(math.ceil(lo - 1e-9))
+        i1 = int(math.ceil(hi - 1e-9))
+        out.append((min(max(i0, 0), gf.ncells), min(max(i1, 0), gf.ncells)))
+    return tuple(out)
+
+
+def _box_mask(gf: GridFunction, box: Box, snap_outward: bool = False) -> np.ndarray:
+    """Indicator of the cells `_box_range` selects."""
+    mask = np.zeros(gf.values.shape)
+    mask[tuple(slice(i0, i1) for i0, i1 in _box_range(gf, box, snap_outward))] = 1.0
+    return mask
+
+
+# temporaries of the batched Lerner path hold at most this many doubles
+_LERNER_CHUNK = 1 << 14
+
+
+def _lerner_batched_1d(ev: SquareEvaluator, f: GridFunction, variant: str,
+                       cube_pool: Sequence[Box]) -> np.ndarray:
+    """M_S / N_S of a 1-D convolution kernel, each cube evaluated on Q only.
+
+    psi_t(f 1_{3Q}) on Q +- K_j is T_j @ f[3Q], where the Toeplitz block
+    T_j is a slice of the evaluator's level-j kernel samples and depends
+    only on the cube's shape (cells of 3Q, cells of Q, offset of Q in 3Q);
+    cubes of one shape share T_j and one matmul per level.  N_S uses
+    psi_t(f 1_{outside 3Q}) = psi_t f - psi_t(f 1_{3Q}).  Where f vanishes
+    outside 3Q both variants are exactly 0 on Q.
+    """
+    values = f.values
+    N = f.ncells
+    out = np.full(N, -np.inf)
+    nnz = np.concatenate([[0], np.cumsum(values != 0)])
+    groups: dict = {}
+    for q in cube_pool:
+        ((j0, j1),) = _box_range(f, q)
+        if j1 <= j0:
+            continue
+        ((i0, i1),) = _box_range(f, q.dilate(3.0), snap_outward=True)
+        if nnz[i1] - nnz[i0] == nnz[-1]:
+            out[j0:j1] = np.maximum(out[j0:j1], 0.0)
+            continue
+        groups.setdefault((i1 - i0, j1 - j0, j0 - i0), []).append((i0, j0))
+    # sub-batches keep f[3Q] within the chunk size; its rows are reversed so
+    # that T's rows are forward slices of the kernel samples
+    batches = []
+    for (a, s, d), cubes in groups.items():
+        step = max(1, _LERNER_CHUNK // a)
+        for b0 in range(0, len(cubes), step):
+            i0s, j0s = (np.array(c) for c in zip(*cubes[b0 : b0 + step]))
+            F = values[i0s[None, :] + np.arange(a - 1, -1, -1)[:, None]]
+            batches.append((a, s, d, j0s, F, np.zeros((s, j0s.size))))
+    if not batches:
+        return out
+    s_full2 = np.zeros(N)
+    for (lv, u_full), kern in zip(ev.level_values(values), ev.kernels):
+        K = lv.K
+        if variant == "M_S":
+            s_full2 += ev.cone_sum(lv, u_full**2)
+        for a, s, d, j0s, F, acc in batches:
+            nb = j0s.size
+            # row r of T (output cell j0 - K + r), columns reversed, is
+            # kern[r + d + N - a : r + d + N]
+            rows_T = np.lib.stride_tricks.sliding_window_view(kern, a)
+            off = d + N - a
+            nrows = s + 2 * K
+            step = max(1, _LERNER_CHUNK // max(a, nb))
+            lower = np.zeros((s, nb))
+            upper = np.empty((s, nb))
+            run = np.zeros(nb)
+            for r0 in range(0, nrows, step):
+                r1 = min(nrows, r0 + step)
+                C = np.ascontiguousarray(rows_T[off + r0 : off + r1]) @ F
+                if variant == "N_S":
+                    rows = j0s[None, :] + np.arange(r0, r1)[:, None]
+                    np.subtract(u_full[rows], C, out=C)
+                # in place: prefix sums C[r0+1 .. r1] of U^2 down the rows
+                np.square(C, out=C)
+                np.cumsum(C, axis=0, out=C)
+                C += run
+                run = C[-1]
+                x0, x1 = max(1, r0 + 1), min(s, r1 + 1)
+                if x0 < x1:
+                    lower[x0:x1] = C[x0 - r0 - 1 : x1 - r0 - 1]
+                x0, x1 = max(0, r0 - 2 * K), min(s, r1 - 2 * K)
+                if x0 < x1:
+                    upper[x0:x1] = C[x0 + 2 * K - r0 : x1 + 2 * K - r0]
+            acc += lv.meas * (upper - lower)
+    for a, s, d, j0s, F, acc in batches:
+        for col, j0 in enumerate(j0s):
+            if variant == "M_S":
+                val = np.sqrt(np.abs(s_full2[j0 : j0 + s] - acc[:, col]))
+            else:
+                val = np.sqrt(acc[:, col])
+            out[j0 : j0 + s] = np.maximum(out[j0 : j0 + s], val)
+    return out
 
 
 def lerner_maximal(
@@ -605,6 +753,7 @@ def lerner_maximal(
     cube_pool: Sequence[Box],
     method: str | None = None,
     domain: Box | None = None,
+    evaluator: SquareEvaluator | None = None,
 ) -> GridFunction:
     """M_S / N_S: sup over pool cubes containing x of the localized term.
 
@@ -612,7 +761,11 @@ def lerner_maximal(
     The pool approximates the sup over all cubes; callers should record the
     pool kind alongside results.  With ``domain`` the coverage requirement
     (every point lies in some pool cube) applies only inside that box and
-    the output is zero elsewhere.
+    the output is zero elsewhere.  ``evaluator`` may pass in a
+    `SquareEvaluator` of the same kernel, cone and method on f's layout, so
+    that its kernel samples are reused.  A linear convolution kernel in 1-D
+    with resolved method "fft" takes the batched path
+    (`_lerner_batched_1d`); everything else evaluates S once per pool cube.
     """
     if variant not in ("M_S", "N_S"):
         raise ParameterError(f"unknown variant {variant!r}")
@@ -620,7 +773,43 @@ def lerner_maximal(
         raise CoverageError("empty cube pool")
     pair = _as_pair(f)
     base = pair[0] if pair else f
-    ev = SquareEvaluator(k, base, cone, method=method) if pair is None else None
+    ev = evaluator
+    if evaluator is not None:
+        t = evaluator.template
+        if (pair is not None or evaluator.k is not k or evaluator.cone is not cone
+                or _resolve_method(k, evaluator.method) != _resolve_method(k, method)
+                or (t.n, t.R, t.h, evaluator.R_out) != (base.n, base.R, base.h, base.R)):
+            raise ParameterError("evaluator does not match the kernel, cone, "
+                                 "method or layout of this call")
+    elif pair is None:
+        ev = SquareEvaluator(k, base, cone, method=method)
+    if ev is not None and ev.fast and base.n == 1:
+        out = _lerner_batched_1d(ev, base, variant, cube_pool)
+    else:
+        out = _lerner_pool_loop(k, f, cone, variant, cube_pool, method, ev)
+    if domain is not None:
+        dom = _box_mask(base, domain).astype(bool)
+        if np.any(out[dom] == -np.inf):
+            uncovered = np.argwhere(dom & (out == -np.inf))
+            raise CoverageError(
+                f"{uncovered.shape[0]} domain cells covered by no pool cube, "
+                f"first at index {tuple(uncovered[0])}"
+            )
+        out[~dom] = 0.0
+    elif np.any(~np.isfinite(out)):
+        uncovered = np.argwhere(out == -np.inf)
+        raise CoverageError(
+            f"{uncovered.shape[0]} cells covered by no pool cube, "
+            f"first at index {tuple(uncovered[0])}"
+        )
+    return base.with_values(out)
+
+
+def _lerner_pool_loop(k, f, cone, variant, cube_pool, method, ev) -> np.ndarray:
+    """Sup over the pool of the localized term, one S evaluation per cube
+    (through the evaluator ev of f's layout, or square_function for pairs)."""
+    pair = _as_pair(f)
+    base = pair[0] if pair else f
     if variant == "M_S":
         if pair is None:
             s_base = ev.eval_values(base.values)
@@ -650,22 +839,7 @@ def lerner_maximal(
             val = s_of(outer)
         sel = _box_mask(base, q).astype(bool)
         out[sel] = np.maximum(out[sel], val[sel])
-    if domain is not None:
-        dom = _box_mask(base, domain).astype(bool)
-        if np.any(out[dom] == -np.inf):
-            uncovered = np.argwhere(dom & (out == -np.inf))
-            raise CoverageError(
-                f"{uncovered.shape[0]} domain cells covered by no pool cube, "
-                f"first at index {tuple(uncovered[0])}"
-            )
-        out[~dom] = 0.0
-    elif np.any(~np.isfinite(out)):
-        uncovered = np.argwhere(out == -np.inf)
-        raise CoverageError(
-            f"{uncovered.shape[0]} cells covered by no pool cube, "
-            f"first at index {tuple(uncovered[0])}"
-        )
-    return base.with_values(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from lpsq.cli import cli_run, main
 from lpsq.dyadic import SparseFamily
+from lpsq.errors import ConfigError
 from lpsq.grids import load_binary
 
 
@@ -105,6 +106,23 @@ class TestConfigAndErrors:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["passed"]
 
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"campaign": "dini", "alhpa": 2.0,
+                                 "out_dir": str(tmp_path / "o")}))
+        with pytest.raises(ConfigError, match="alhpa"):
+            cli_run(str(p))
+        # the evaluation method is set by --oracle only
+        p.write_text(json.dumps({"campaign": "dini", "method": "direct",
+                                 "out_dir": str(tmp_path / "o")}))
+        with pytest.raises(ConfigError, match="method"):
+            cli_run(str(p))
+        p.write_text(json.dumps({"campaign": "dini", "alhpa": 2.0,
+                                 "out_dir": str(tmp_path / "o")}))
+        rc = run_main(["--config", str(p), "--out-dir", str(tmp_path / "m"), "dini"])
+        assert rc == 2
+        assert "alhpa" in capsys.readouterr().err
+
     def test_unknown_id_is_config_error(self, tmp_path):
         rc = run_main(["--out-dir", str(tmp_path), "dini", "--modulus", "zzz:9"])
         assert rc == 2
@@ -127,16 +145,25 @@ class TestConfigAndErrors:
             (d2 / "verify_marcinkiewicz.csv").read_bytes()
 
     def test_oracle_flag_forces_direct(self, tmp_path):
-        from lpsq import operators as ops
+        from lpsq.grids import build_cone, parse_function
+        from lpsq.kernels import parse_kernel
+        from lpsq.operators import SquareEvaluator, square_function
 
-        try:
-            rc = run_main(["--oracle", "--out-dir", str(tmp_path), "eval",
-                           "--op", "s", "--kernel", "ex1:kappa=3",
-                           "--function", "gaussian", "--h", "0.25"])
-            assert rc == 0
-            assert ops.get_default_method() == "direct"
-        finally:
-            ops.set_default_method("auto")
+        args = ["eval", "--op", "s", "--kernel", "ex1:kappa=3",
+                "--function", "gaussian", "--h", "0.25"]
+        assert run_main(["--oracle", "--out-dir", str(tmp_path / "o")] + args) == 0
+        k = parse_kernel("ex1:kappa=3", 1)
+        f = parse_function("gaussian", 1, 8.0, 0.25)
+        cone = build_cone(1.0, 1, 0.25, 0.5, 16.0, 4)
+        direct = square_function(k, f, cone, method="direct").values
+        oracle = load_binary(str(tmp_path / "o" / "square_function.bin")).values
+        assert np.array_equal(oracle, direct)
+        # nothing outlives the run: later calls take the FFT path again
+        assert SquareEvaluator(k, f, cone).fast
+        assert run_main(["--out-dir", str(tmp_path / "a")] + args) == 0
+        auto = load_binary(str(tmp_path / "a" / "square_function.bin")).values
+        assert np.array_equal(auto, square_function(k, f, cone).values)
+        assert not np.array_equal(auto, direct)
 
     def test_console_entrypoint(self, tmp_path):
         r = subprocess.run(

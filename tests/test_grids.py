@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpsq.errors import GridError, ParameterError, ResolutionError
+from lpsq.errors import ConfigError, GridError, ParameterError, ResolutionError
 from lpsq.grids import (
     Box,
     GridFunction,
@@ -69,6 +69,28 @@ class TestGridFunction:
         g2 = load_binary(str(p))
         assert np.array_equal(g.values, g2.values)
         assert (g.R, g.h) == (g2.R, g2.h)
+
+    def test_binary_truncated_header_is_config_error(self, tmp_path):
+        g = sample_function(lambda x: np.cos(x), 1, 4.0, 0.5)
+        p = tmp_path / "g.bin"
+        save_binary(g, str(p))
+        p.write_bytes(p.read_bytes()[:10])  # magic plus part of the header
+        with pytest.raises(ConfigError, match="truncated header"):
+            load_binary(str(p))
+
+    def test_binary_truncated_values_is_config_error(self, tmp_path):
+        g = sample_function(lambda x: np.cos(x), 1, 2.0, 0.5)  # 8 cells
+        p = tmp_path / "g.bin"
+        save_binary(g, str(p))
+        p.write_bytes(p.read_bytes()[:-8])  # 7 values left
+        with pytest.raises(ConfigError, match="value bytes"):
+            load_binary(str(p))
+
+    def test_csv_nonuniform_spacing_is_config_error(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("x,value\n-0.75,1.0\n-0.25,2.0\n0.5,3.0\n0.75,4.0\n")
+        with pytest.raises(ConfigError, match="uniformly spaced"):
+            load_csv(str(p))
 
     def test_value_at(self):
         g = sample_function(lambda x: x, 1, 2.0, 0.5)

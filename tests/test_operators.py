@@ -52,6 +52,10 @@ class TestPsiT:
         rel = np.max(np.abs(d.values - f.values)) / np.max(np.abs(d.values))
         assert rel <= 1e-12
 
+    def test_unknown_method_rejected(self, ex1, gauss_grid):
+        with pytest.raises(ParameterError, match="unknown method"):
+            psi_t_apply(ex1, gauss_grid, 0.7, method="fast")
+
     def test_high_resolution_oracle(self, ex1):
         # direct fine-quadrature oracle evaluated at the same physical points
         f = sample_function(lambda x: np.exp(-(x**2)), 1, 8.0, 1.0 / 16)
@@ -399,3 +403,178 @@ class TestMarcinkiewicz:
             rhs = sum(lam**2 * 2 * r for _, r, lam in cubes)
             cs.append(lhs / rhs)
         assert max(cs) / np.median(cs) <= 4.0
+
+
+def _spikes(rng, n, R, h):
+    """8 signed spikes (|a| in [1, 50]) on 0.01 noise."""
+    N = int(round(2 * R / h))
+    vals = 0.01 * rng.standard_normal((N,) * n)
+    for cell, a in zip(rng.integers(0, N, size=(8, n)),
+                       rng.uniform(1, 50, 8) * rng.choice([-1.0, 1.0], 8)):
+        vals[tuple(cell)] += a
+    return GridFunction(n, R, h, vals)
+
+
+class TestBoxRange:
+    def test_one_shape_same_count_everywhere_at_h_tenth(self):
+        from lpsq.operators import _box_range
+
+        g = GridFunction(1, 4.0, 0.1, np.zeros(80))
+        for snap, want in ((False, 5), (True, 6)):
+            counts = set()
+            for m in range(10, 60):  # interior, lattice-aligned boxes
+                lo = -4.0 + 0.1 * m
+                ((i0, i1),) = _box_range(g, Box((lo,), (lo + 0.5,)), snap)
+                counts.add(i1 - i0)
+            assert counts == {want}
+
+    def test_dyadic_h_matches_center_rule(self):
+        from lpsq.operators import _box_mask
+
+        g = GridFunction(1, 4.0, 1.0 / 8, np.zeros(64))
+        c = g.axis_centers()
+        rng = np.random.default_rng(0)
+        boxes = [Box((a,), (a + w,)) for a, w in
+                 zip(rng.integers(-40, 40, 60) / 8.0, rng.integers(1, 24, 60) / 8.0)]
+        boxes += [b.dilate(3.0) for b in boxes]
+        for b in boxes:
+            for snap in (False, True):
+                eps = g.h / 2 if snap else 0.0
+                want = ((c >= b.lo[0] - eps) & (c < b.hi[0] + eps)).astype(float)
+                assert np.array_equal(_box_mask(g, b, snap), want)
+
+
+class TestLernerBatched:
+    """The batched 1-D M_S / N_S path against the per-cube pool loop."""
+
+    @staticmethod
+    def _pair(monkeypatch, k, f, cone, variant, pool, domain=None):
+        from lpsq import operators as ops
+
+        batched = ops._lerner_batched_1d
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_lerner_batched_1d",
+                      lambda *a: calls.append(1) or batched(*a))
+            fast = lerner_maximal(k, f, cone, variant, pool, domain=domain).values
+        assert calls  # the batched path ran
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_lerner_batched_1d",
+                      lambda ev, f, v, pool: ops._lerner_pool_loop(
+                          ev.k, f, ev.cone, v, pool, None, ev))
+            slow = lerner_maximal(k, f, cone, variant, pool, domain=domain).values
+        return fast, slow
+
+    @staticmethod
+    def _close(fast, slow, tol=1e-10):
+        assert np.max(np.abs(fast - slow)) <= tol * max(np.max(np.abs(slow)), 1e-300)
+
+    @pytest.mark.parametrize("chunk", [None, 256])
+    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    def test_dyadic_pool_with_and_without_domain(self, monkeypatch, ex1, chunk,
+                                                 variant):
+        from lpsq import operators as ops
+        from lpsq.dyadic import Cube, dyadic_cube_pool
+
+        if chunk is not None:  # several row chunks and cube sub-batches
+            monkeypatch.setattr(ops, "_LERNER_CHUNK", chunk)
+        rng = np.random.default_rng(11)
+        f = GridFunction(1, 4.0, 1.0 / 16, rng.standard_normal(128))
+        cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
+        root = Cube(1, 1, (0,), "standard", 2 * f.R)
+        pool = dyadic_cube_pool(root, f)
+        self._close(*self._pair(monkeypatch, ex1, f, cone, variant, pool,
+                                domain=root.box()))
+        whole = dyadic_cube_pool(Cube(1, 0, (-1,), "standard", 2 * f.R), f) + \
+            dyadic_cube_pool(Cube(1, 0, (0,), "standard", 2 * f.R), f)
+        self._close(*self._pair(monkeypatch, ex1, f, cone, variant, whole))
+
+    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    def test_arbitrary_boxes(self, monkeypatch, ex1, cone_coarse, gauss_grid,
+                             variant):
+        rng = np.random.default_rng(3)
+        f = gauss_grid.with_values(rng.uniform(-1, 1, gauss_grid.ncells))
+        five = [Box((a,), (a + w,)) for a, w in
+                [(-8.0, 16.0), (-2.0, 2.0), (0.0, 1.0), (-1.0, 3.0), (1.0, 2.0)]]
+        self._close(*self._pair(monkeypatch, ex1, f, cone_coarse, variant, five))
+        # off-lattice boxes, several of one shape, some sticking out of the grid
+        lo = rng.uniform(-9.0, 7.0, 40)
+        odd = [Box((a,), (a + w,)) for a, w in zip(lo, rng.choice([0.3, 1.7], 40))]
+        self._close(*self._pair(monkeypatch, ex1, f, cone_coarse, variant,
+                                five + odd))
+
+    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    def test_exact_zero_where_3q_covers_support(self, ex1, variant):
+        rng = np.random.default_rng(5)
+        c = (np.arange(128) + 0.5) / 16 - 4.0
+        vals = np.where(np.abs(c) < 1.0, rng.standard_normal(128), 0.0)
+        f = GridFunction(1, 4.0, 1.0 / 16, vals)
+        cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
+        q = Box((-0.5,), (0.5,))  # 3Q = [-1.5, 1.5) holds supp f
+        out = lerner_maximal(ex1, f, cone, variant, [q], domain=q)
+        assert np.all(out.values == 0.0)
+
+    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    def test_zero_input(self, ex1, cone_coarse, gauss_grid, variant):
+        from lpsq.dyadic import Cube, dyadic_cube_pool
+
+        z = gauss_grid.with_values(np.zeros(gauss_grid.ncells))
+        root = Cube(1, 1, (0,), "standard", 2 * z.R)
+        out = lerner_maximal(ex1, z, cone_coarse, variant,
+                             dyadic_cube_pool(root, z), domain=root.box())
+        assert np.all(out.values == 0.0)
+
+    def test_matches_direct_oracle(self, ex1):
+        from lpsq.dyadic import Cube, dyadic_cube_pool
+
+        f = _spikes(np.random.default_rng(7), 1, 4.0, 0.25)
+        cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
+        root = Cube(1, 1, (0,), "standard", 2 * f.R)
+        pool = dyadic_cube_pool(root, f)
+        for variant in ("M_S", "N_S"):
+            fast, direct = (lerner_maximal(ex1, f, cone, variant, pool, method=m,
+                                           domain=root.box()).values
+                            for m in ("auto", "direct"))
+            self._close(fast, direct)
+
+    def test_shared_evaluator(self, ex1):
+        from lpsq.dyadic import Cube, dyadic_cube_pool
+
+        k2 = parse_kernel("ex1:kappa=3", 2)
+        for k, f in ((ex1, _spikes(np.random.default_rng(9), 1, 2.0, 1.0 / 16)),
+                     (k2, _spikes(np.random.default_rng(9), 2, 2.0, 0.5))):
+            cone = build_cone(1.0, f.n, f.h, 2 * f.h, 2 * f.R, 4)
+            root = Cube(f.n, 1, (0,) * f.n, "standard", 2 * f.R)
+            pool = dyadic_cube_pool(root, f)
+            masked = f.with_values(f.values * (f.values > 0))
+            for m in (None, "direct"):
+                ev = SquareEvaluator(k, f, cone, method=m)
+                for variant in ("M_S", "N_S"):
+                    own, shared = (lerner_maximal(k, masked, cone, variant, pool,
+                                                  method=m, domain=root.box(),
+                                                  evaluator=e).values
+                                   for e in (None, ev))
+                    assert np.array_equal(own, shared)
+            with pytest.raises(ParameterError, match="evaluator"):
+                lerner_maximal(k, f, cone, "M_S", pool, method="direct",
+                               evaluator=SquareEvaluator(k, f, cone))
+            with pytest.raises(ParameterError, match="evaluator"):
+                lerner_maximal(k, f, cone.with_alpha(2.0), "M_S", pool,
+                               evaluator=SquareEvaluator(k, f, cone))
+
+
+class TestSquareEvaluator2D:
+    def test_matches_square_function_and_direct(self):
+        k = parse_kernel("ex1:kappa=3", 2)
+        f = _spikes(np.random.default_rng(17), 2, 4.0, 0.5)  # 16 x 16
+        cone = build_cone(1.0, 2, f.h, 2 * f.h, 2 * f.R, 4)
+        ev = SquareEvaluator(k, f, cone)
+        assert ev.fast
+        fast = ev.eval_values(f.values)
+        sf = square_function(k, f, cone).values
+        assert np.max(np.abs(fast - sf)) <= 1e-12 * np.max(sf)
+        direct = square_function(k, f, cone, method="direct").values
+        assert np.max(np.abs(fast - direct)) <= 1e-10 * np.max(direct)
+        masked = f.values * (np.arange(16)[:, None] < 8)
+        assert np.max(np.abs(ev.eval_values(masked) - square_function(
+            k, f.with_values(masked), cone).values)) <= 1e-12 * np.max(sf)
