@@ -351,7 +351,8 @@ def _campaign_verify(cfg, out_dir):
         s = square_function(k, f, cone, method=cfg["method"])
         f2 = parse_function(cfg["function"], n, R, h / 2.0)
         cone2 = build_cone(cone.alpha, n, h / 2.0, float(cone.t_levels[0]) / 2,
-                           float(cone.t_levels[-1]), cone._q())
+                           float(cone.t_levels[-1]),
+                           int(round(math.log(2.0) / cone.log_weight)))
         s2 = square_function(k, f2, cone2, method=cfg["method"])
         peak = s.norm_linf()
         rho_grid = cfg["rho_grid"] or list(np.geomspace(peak / 100, peak * 0.99, 16))

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConstructionError,
     ContainmentError,
     GridError,
@@ -414,15 +415,14 @@ class SparseFamily:
 
     def to_json(self) -> dict:
         idx = {c: i for i, c in enumerate(self.cubes)}
+        base = self.root.base
         return {
             "eta": self.eta,
-            "base": self.root.base,
+            "base": base,
             "n": self.root.n,
-            "root": {"generation": self.root.generation, "anchor": list(self.root.anchor)},
+            "root": _cube_to_json(self.root, base),
             "cubes": [
-                {"generation": c.generation, "anchor": list(c.anchor),
-                 "shift": c.shift,
-                 "parent": idx.get(self.parent.get(c), None)}
+                {**_cube_to_json(c, base), "parent": idx.get(self.parent.get(c), None)}
                 for c in self.cubes
             ],
             "meta": self.meta,
@@ -434,24 +434,95 @@ class SparseFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "SparseFamily":
-        n = data["n"]
-        base = data["base"]
-        cubes = [
-            Cube(n, e["generation"], tuple(e["anchor"]), e.get("shift", "standard"), base)
-            for e in data["cubes"]
-        ]
-        root = Cube(n, data["root"]["generation"], tuple(data["root"]["anchor"]),
-                    "standard", base)
+        """Inverse of `to_json`; a missing or ill-typed key is a ConfigError."""
+        n = _json_field(data, "n", int, "family")
+        if n not in (1, 2):
+            raise ConfigError(f"family: n must be 1 or 2, got {n}")
+        base = float(_json_field(data, "base", float, "family"))
+        if not base > 0:
+            raise ConfigError(f"family: base must be positive, got {base}")
+        entries = _json_field(data, "cubes", list, "family")
+        cubes = [_cube_from_json(e, n, base, f"cube {i}") for i, e in enumerate(entries)]
+        root = _cube_from_json(_json_field(data, "root", dict, "family"), n, base, "root")
         parent = {}
-        for c, e in zip(cubes, data["cubes"]):
-            if e.get("parent") is not None:
-                parent[c] = cubes[e["parent"]]
-        return cls(data["eta"], root, cubes, parent, data.get("meta", {}))
+        for i, (c, e) in enumerate(zip(cubes, entries)):
+            p = _json_field(e, "parent", int, f"cube {i}", optional=True)
+            if p is None:
+                continue
+            if not 0 <= p < len(cubes):
+                raise ConfigError(f"cube {i}: parent index {p} out of range")
+            parent[c] = cubes[p]
+        eta = float(_json_field(data, "eta", float, "family"))
+        meta = _json_field(data, "meta", dict, "family", optional=True)
+        return cls(eta, root, cubes, parent, meta or {})
 
     @classmethod
     def load(cls, path: str) -> "SparseFamily":
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path!r} is not valid JSON: {exc}") from None
+        return cls.from_json(data)
+
+
+def _cube_to_json(c: Cube, base: float) -> dict:
+    """Generation, anchor and shift; a shifted cube adds its exact rational
+    lo and side as fraction strings, and its base where it is not the
+    family's."""
+    out = {"generation": c.generation, "anchor": list(c.anchor), "shift": c.shift}
+    if c.lo_frac is not None:
+        out["lo_frac"] = [str(a) for a in c.lo_frac]
+        out["side_frac"] = str(c.side_frac)
+    if c.base != base:
+        out["base"] = c.base
+    return out
+
+
+def _json_field(obj, key: str, kind: type, where: str, optional: bool = False):
+    """obj[key] checked against kind (int: not bool; float: any number)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    val = obj.get(key)
+    if val is None:
+        if optional:
+            return None
+        raise ConfigError(f"{where}: missing key {key!r}")
+    kinds = (int, float) if kind is float else kind
+    if not isinstance(val, kinds) or (kind in (int, float) and isinstance(val, bool)):
+        raise ConfigError(f"{where}: {key!r} must be of type {kind.__name__}, got {val!r}")
+    return val
+
+
+def _fraction(text, where: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ConfigError(f"{where}: expected a fraction string, got {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{where}: bad fraction {text!r}") from exc
+
+
+def _cube_from_json(e, n: int, base: float, where: str) -> Cube:
+    gen = _json_field(e, "generation", int, where)
+    anchor = _json_field(e, "anchor", list, where)
+    shift = _json_field(e, "shift", str, where, optional=True) or "standard"
+    cube_base = _json_field(e, "base", float, where, optional=True)
+    cube_base = base if cube_base is None else float(cube_base)
+    if not all(isinstance(a, int) and not isinstance(a, bool) for a in anchor):
+        raise ConfigError(f"{where}: anchor entries must be integers")
+    if "lo_frac" not in e:
+        if len(anchor) != n:
+            raise ConfigError(f"{where}: anchor needs {n} entries, got {len(anchor)}")
+        return Cube(n, gen, tuple(anchor), shift, cube_base)
+    lo = _json_field(e, "lo_frac", list, where)
+    if len(lo) != n:
+        raise ConfigError(f"{where}: lo_frac needs {n} entries, got {len(lo)}")
+    side = _fraction(_json_field(e, "side_frac", str, where), where)
+    if side <= 0:
+        raise ConfigError(f"{where}: side_frac must be positive")
+    return Cube(n, gen, tuple(anchor), shift, cube_base,
+                lo_frac=tuple(_fraction(a, where) for a in lo), side_frac=side)
 
 
 def verify_sparse(family: SparseFamily, eta: float | None = None):

@@ -332,13 +332,11 @@ class ConeGrid:
 
     def with_alpha(self, alpha: float) -> "ConeGrid":
         """Same levels and spacing, different aperture."""
-        return build_cone(
-            alpha, self.n, self.h, t_min=1.0, t_max=None, q=self._q(),
-            levels=self.t_levels, max_radius=self.max_radius,
+        return ConeGrid(
+            alpha, self.n, self.h, self.t_levels,
+            _level_stencils(alpha, self.n, self.h, self.t_levels, self.max_radius),
+            self.log_weight, self.max_radius,
         )
-
-    def _q(self) -> int:
-        return int(round(math.log(2.0) / self.log_weight))
 
 
 def _stencil(n: int, radius_cells_limit: float) -> np.ndarray:
@@ -352,6 +350,19 @@ def _stencil(n: int, radius_cells_limit: float) -> np.ndarray:
     MX, MY = np.meshgrid(g, g, indexing="ij")
     mask = MX**2 + MY**2 < radius_cells_limit**2
     return np.stack([MX[mask], MY[mask]], axis=-1)
+
+
+def _level_stencils(alpha: float, n: int, h: float, levels: np.ndarray,
+                    max_radius: float) -> tuple:
+    """Per-level offsets |m| < min(alpha t, max_radius) / h; checks alpha."""
+    if alpha < 1.0:
+        raise ParameterError(f"aperture alpha must be >= 1, got {alpha}")
+    if alpha * float(levels[0]) < h:
+        raise ResolutionError(
+            f"alpha*t_min = {alpha * float(levels[0]):g} < h = {h:g}: "
+            "lowest cone level has no nonzero offsets"
+        )
+    return tuple(_stencil(n, min(alpha * float(t), max_radius) / h) for t in levels)
 
 
 def build_cone(
@@ -370,8 +381,6 @@ def build_cone(
     half-space builder so huge apertures do not enumerate offsets past the
     lattice extent).
     """
-    if alpha < 1.0:
-        raise ParameterError(f"aperture alpha must be >= 1, got {alpha}")
     if q < 1:
         raise ParameterError("q (levels per octave) must be >= 1")
     if levels is None:
@@ -382,14 +391,7 @@ def build_cone(
         levels = t_min * r ** (np.arange(L) + 0.5)
     else:
         levels = np.asarray(levels, dtype=float)
-    if alpha * float(levels[0]) < h:
-        raise ResolutionError(
-            f"alpha*t_min = {alpha * float(levels[0]):g} < h = {h:g}: "
-            "lowest cone level has no nonzero offsets"
-        )
-    offs = tuple(
-        _stencil(n, min(alpha * float(t), max_radius) / h) for t in levels
-    )
+    offs = _level_stencils(alpha, n, h, levels, max_radius)
     return ConeGrid(alpha, n, h, levels, offs, math.log(2.0) / q, max_radius)
 
 

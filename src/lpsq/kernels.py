@@ -1,11 +1,13 @@
 """Kernel constructors and numerical verification of their decay/regularity.
 
 Kernels come in three kinds: a convolution profile phi(u), a general linear
-kernel psi(x, y), or a bilinear kernel psi(x, y1, y2).  The size and
-smoothness checks divide the kernel expression by the reference envelope
-(maximal-function factor times modulus factors, constant set to 1) over a
-log-spaced sample plan, so the reported max ratio is the empirically fitted
-size constant.  `fourier_decay_profile` checks the weighted decay of the
+kernel psi(x, y), or a bilinear kernel psi(x, y1, y2).  A bilinear kernel
+that depends only on x - y1 and x - y2 also carries its profile Phi(u, v),
+psi(x, y1, y2) = Phi(x - y1, x - y2), which the bilinear FFT path of
+`operators.psi_t_apply` samples.  The size and smoothness checks divide the
+kernel expression by the reference envelope (maximal-function factor times
+modulus factors, constant set to 1) over a log-spaced sample plan, so the
+reported max ratio is the empirically fitted size constant.  `fourier_decay_profile` checks the weighted decay of the
 transform of a convolution profile on a symmetric grid.
 
 Coordinate convention: callables take one positional array per coordinate,
@@ -50,7 +52,7 @@ class KernelSpec:
     A: float
     w_mod: ModulusOfContinuity
     phi_mod: ModulusOfContinuity
-    profile: Callable | None = None
+    profile: Callable | None = None  # phi(u); bilinear: Phi(x - y1, x - y2)
     psi: Callable | None = None
     name: str = ""
     params: dict = field(default_factory=dict)
@@ -64,6 +66,8 @@ class KernelSpec:
             raise ParameterError("size constant A must be nonnegative")
         if self.kind == "convolution" and self.profile is None:
             raise ParameterError("convolution kernel needs a profile")
+        if self.kind == "linear" and self.profile is not None:
+            raise ParameterError("a linear kernel takes psi, not a profile")
         if self.kind != "convolution" and self.psi is None:
             raise ParameterError(f"{self.kind} kernel needs psi")
 
@@ -173,25 +177,29 @@ def bilinear_example_kernel(kappa: float = 3.0, n: int = 1) -> KernelSpec:
 
     psi(x, y1, y2) = sin(x1-y1_1) (1+s2)^{-n} log^{-kappa}(2+s2) with
     s2 = |x-y1|^2 + |x-y2|^2, so |psi| <= 4^n (1+|x-y1|+|x-y2|)^{-2n}
-    w(1/(1+...)) with the log-type modulus below.
+    w(1/(1+...)) with the log-type modulus below.  It depends on x - y1 and
+    x - y2 only: the profile is Phi(u, v) = psi(x, x - u, x - v).
     """
     if not kappa > 1.0:
         raise ParameterError("bi1 requires kappa > 1")
     m = 2
 
+    def profile(*coords):
+        u = coords[:n]
+        v = coords[n:]
+        s2 = _norm_sq(*u) + _norm_sq(*v)
+        return np.sin(u[0]) / ((1.0 + s2) ** (n * m / 2.0) * np.log(2.0 + s2) ** kappa)
+
     def psi(*coords):
         x = coords[:n]
         y1 = coords[n : 2 * n]
         y2 = coords[2 * n :]
-        s2 = _norm_sq(*[np.asarray(a) - np.asarray(b) for a, b in zip(x, y1)])
-        s2 = s2 + _norm_sq(*[np.asarray(a) - np.asarray(b) for a, b in zip(x, y2)])
-        return np.sin(np.asarray(x[0]) - np.asarray(y1[0])) / (
-            (1.0 + s2) ** (n * m / 2.0) * np.log(2.0 + s2) ** kappa
-        )
+        return profile(*[np.asarray(a) - np.asarray(b) for a, b in zip(x, y1)],
+                       *[np.asarray(a) - np.asarray(b) for a, b in zip(x, y2)])
 
     w = phi = log_modulus(2.0 * kappa)
     return KernelSpec(
-        "bilinear", n, 1.0, w, phi, psi=psi,
+        "bilinear", n, 1.0, w, phi, profile=profile, psi=psi,
         name=f"bi1:kappa={kappa:g}", params={"kappa": kappa},
     )
 
@@ -252,38 +260,22 @@ def _overlap_max(a, s):
 def unit_cube_maximal(*dists):
     """M 1_{Q(0,1)} at per-axis distances |y_i - x_i| (cube maximal).
 
-    1-D closed form min(1, 2/(1+d)); 2-D by a deterministic maximization
-    over candidate square sides (the per-axis optimal placements are
-    independent, so only the side length needs searching).
+    1-D closed form min(1, 2/(1+d)).  In 2-D the per-axis optimal placements
+    are independent, so only the side s of the square needs choosing; with
+    a1 <= a2 the ratio is (s-a1)(s-a2)/s^2 (increasing) up to s = a1 + 2,
+    2 (s-a2)/s^2 (peak at s = 2 a2) up to s = a2 + 2, then 4/s^2, so the
+    maximum is attained in {2, a1 + 2, a2 + 2, 2 max(a1, a2)}.
     """
     if len(dists) == 1:
         d = np.abs(np.asarray(dists[0], dtype=float))
         return np.minimum(1.0, 2.0 / (1.0 + d))
-    d1 = np.abs(np.asarray(dists[0], dtype=float))
-    d2 = np.abs(np.asarray(dists[1], dtype=float))
-    a1 = np.maximum(0.0, d1 - 1.0)
-    a2 = np.maximum(0.0, d2 - 1.0)
-    inside = (a1 == 0.0) & (a2 == 0.0)
-    # candidate sides: breakpoints of the piecewise form, the stationary
-    # point 2 a1 a2 / (a1 + a2) of (s-a1)(s-a2)/s^2, and a safety log grid
-    base = [
-        np.full_like(a1, 2.0),
-        a1 + 2.0,
-        a2 + 2.0,
-        np.maximum(a1, a2) + 1e-9,
-        a1 + a2 + 4.0,
-    ]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        harm = np.where(a1 + a2 > 0, 2.0 * a1 * a2 / np.maximum(a1 + a2, 1e-300), 2.0)
-    base.append(np.maximum(harm, np.maximum(a1, a2) + 1e-9))
-    lo = np.maximum(np.maximum(a1, a2), 1e-3)
-    for frac in np.geomspace(1.0, 8.0, 12):
-        base.append(lo * frac + 2.0 * (frac - 1.0))
-    best = np.zeros_like(a1)
-    for s in base:
-        val = _overlap_max(a1, s) * _overlap_max(a2, s) / s**2
-        best = np.maximum(best, val)
-    return np.where(inside, 1.0, np.minimum(best, 1.0))
+    a1 = np.maximum(0.0, np.abs(np.asarray(dists[0], dtype=float)) - 1.0)
+    a2 = np.maximum(0.0, np.abs(np.asarray(dists[1], dtype=float)) - 1.0)
+    # 2 max(a1, a2) below 2 is never the peak; the floor keeps s > 0
+    sides = (np.full_like(a1, 2.0), a1 + 2.0, a2 + 2.0,
+             np.maximum(2.0 * np.maximum(a1, a2), 2.0))
+    return np.max([_overlap_max(a1, s) * _overlap_max(a2, s) / s**2 for s in sides],
+                  axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -345,10 +345,6 @@ class SuiteItem:
     ratio: float
 
 
-def _halfline_integral(g, tol: float) -> QuadratureResult:
-    return _windowed_integral(g, tol)
-
-
 def dini_inequality_suite(
     w: ModulusOfContinuity,
     alpha: float = 1.0,
@@ -394,7 +390,7 @@ def dini_inequality_suite(
         # w(4 e^v / (1+e^v)) = w(e^{-(lp - v - log 4)})
         return (math.exp(-n * lp) * float(w.at_exp(lp - v - math.log(4.0)))) ** 2
 
-    val = _halfline_integral(lambda u: ga(-u), tol).value + _halfline_integral(ga, tol).value
+    val = _windowed_integral(lambda u: ga(-u), tol).value + _windowed_integral(ga, tol).value
     add("a", math.sqrt(val), dini)
 
     # (b)  int_0^inf [ (t+1)^{-n} w((1+alpha) t) ]^2 dt/t   vs  log(2+alpha) dini^2
@@ -402,7 +398,7 @@ def dini_inequality_suite(
         lp = log1p_exp(v)
         return (math.exp(-n * lp) * float(w.at_exp(-v - math.log(1.0 + alpha)))) ** 2
 
-    val = _halfline_integral(lambda u: gb(-u), tol).value + _halfline_integral(gb, tol).value
+    val = _windowed_integral(lambda u: gb(-u), tol).value + _windowed_integral(gb, tol).value
     add("b", val, la * dini**2)
 
     # (c)  sum_{k>=1} w((1+alpha)/2^{k+1})   vs  log(2+alpha) dini
@@ -412,7 +408,7 @@ def dini_inequality_suite(
     ks = np.arange(1, k_max + 1, dtype=float)
     s = float(np.sum(w((1.0 + alpha) * np.exp2(-(ks + 1.0)))))
     a_tail = (1.0 + alpha) / 2.0 ** (k_max + 1)
-    tail_res = _halfline_integral(
+    tail_res = _windowed_integral(
         lambda u: float(w.at_exp(u - math.log(a_tail))), max(tol, 1e-7)
     )
     if tail_res.diverged or not tail_res.converged:
@@ -420,7 +416,7 @@ def dini_inequality_suite(
     add("c", s + tail_res.value / math.log(2.0), la * dini)
 
     # (d)  int_0^alpha w(t)/t dt   vs  log(2+alpha) dini
-    res = _halfline_integral(lambda u: float(w.at_exp(u - math.log(alpha))), tol)
+    res = _windowed_integral(lambda u: float(w.at_exp(u - math.log(alpha))), tol)
     if res.diverged:
         raise DivergenceError("suite item d diverged", partial=res.value, item="d")
     add("d", res.value, la * dini)
@@ -451,7 +447,7 @@ def dini_inequality_suite(
             return 2.0 * wv
         return 2.0 * math.pi * wv * (1.0 - math.exp(-v))
 
-    res = _halfline_integral(ring_integrand, tol)
+    res = _windowed_integral(ring_integrand, tol)
     if res.diverged or not res.converged:
         raise DivergenceError(
             "suite item ring_sum diverged", partial=res.value, item="ring_sum"
@@ -464,7 +460,7 @@ def dini_inequality_suite(
     # (0, s_max] with s_max = sqrt(n)/(16 n); independent of ell.
     s_max = 2.0 * math.sqrt(n) / (32.0 * n)
     surf = 2.0 if n == 1 else 2.0 * math.pi
-    res = _halfline_integral(lambda u: float(w.at_exp(u - math.log(s_max))), tol)
+    res = _windowed_integral(lambda u: float(w.at_exp(u - math.log(s_max))), tol)
     if res.diverged or not res.converged:
         raise DivergenceError(
             "suite item far_ring diverged", partial=res.value, item="far_ring"

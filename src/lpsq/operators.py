@@ -11,12 +11,19 @@ The output lattice of an operator may be wider than the input box
 (``out_R``); inputs are always treated as zero outside their box, while
 psi_t values are computed honestly wherever the output needs them.
 
-Convolution-kind kernels have an FFT fast path; the per-call ``method``
+Kernels with a profile have an FFT fast path; the per-call ``method``
 argument ("auto", "fft" or "direct") forces the direct-summation path (the
 oracle gate compares the two).  `SquareEvaluator` caches the per-level
 kernel spectra of one layout in n = 1 and n = 2; `lerner_maximal` takes a
 caller's evaluator of the same layout (``evaluator=``, as `sparse_construct`
 passes), so the kernels are sampled once per layout.
+
+A bilinear kernel with profile Phi(x - y1, x - y2) on a pair (f1, f2) in
+1-D: psi_t is the sum over the input offsets d = a - b of the convolutions
+of the kernel diagonals Phi_d with g_d[a] = f1[a] f2[a - d], summed in
+frequency space; the g_d spectra are taken once per FFT length for all cone
+levels (`_psi_t_bilinear_fft`).  The per-output-cell direct sum
+`_psi_t_bilinear` is its oracle.
 
 `lerner_maximal` on a linear convolution kernel in 1-D with resolved method
 "fft" evaluates every pool cube's S(f 1_{3Q}) only on Q: cubes are grouped
@@ -61,14 +68,19 @@ __all__ = [
     "SquareEvaluator",
 ]
 
+# temporaries of the chunked paths (batched Lerner, bilinear FFT) hold at
+# most this many doubles
+_LERNER_CHUNK = 1 << 14
+
+
 def _resolve_method(k: KernelSpec, method: str | None) -> str:
     m = method or "auto"
     if m not in ("auto", "fft", "direct"):
         raise ParameterError(f"unknown method {m!r}")
     if m == "auto":
-        return "fft" if k.kind == "convolution" else "direct"
-    if m == "fft" and k.kind != "convolution":
-        raise ParameterError("fft path only applies to convolution kernels")
+        return "fft" if k.profile is not None else "direct"
+    if m == "fft" and k.profile is None:
+        raise ParameterError("fft path needs a kernel with a profile")
     return m
 
 
@@ -94,6 +106,17 @@ def _as_pair(f):
     return None
 
 
+def _pair_method(k: KernelSpec, pair, method: str | None) -> str:
+    """Resolved method of a bilinear evaluation on a pair of inputs."""
+    if k.kind != "bilinear":
+        raise ParameterError("pair input needs a bilinear kernel")
+    if pair[0].n != k.n:
+        raise GridError("kernel and grid dimensions differ")
+    if k.n != 1:
+        raise ParameterError("bilinear evaluation is implemented for n = 1")
+    return _resolve_method(k, method)
+
+
 def psi_t_apply(
     k: KernelSpec,
     f,
@@ -110,15 +133,14 @@ def psi_t_apply(
         raise ParameterError("t must be positive")
     pair = _as_pair(f)
     if pair is not None:
-        if k.kind != "bilinear":
-            raise ParameterError("pair input needs a bilinear kernel")
+        if _pair_method(k, pair, method) == "fft":
+            return _psi_t_bilinear_fft(k, *pair, [(t, out_R)])[0]
         return _psi_t_bilinear(k, *pair, t, out_R)
     if k.kind == "bilinear":
         raise ParameterError("bilinear kernel needs a pair of inputs")
     if f.n != k.n:
         raise GridError("kernel and grid dimensions differ")
-    meth = _resolve_method(k, method)
-    if meth == "fft":
+    if _resolve_method(k, method) == "fft":
         return _psi_t_conv_fft(k, f, t, out_R)
     return _psi_t_direct(k, f, t, out_R)
 
@@ -163,10 +185,7 @@ def _psi_t_conv_fft(k, f, t, out_R):
 def _psi_t_bilinear(k, f1, f2, t, out_R):
     R_out, M, X = _out_centers(f1, out_R)
     Z = f1.axis_centers()
-    n = f1.n
-    scale = f1.h ** (2 * n) / t ** (2 * n)
-    if n != 1:
-        raise ParameterError("bilinear evaluation is implemented for n = 1")
+    scale = f1.h**2 / t**2
     out = np.empty(M)
     v1 = f1.values
     v2 = f2.values
@@ -182,6 +201,51 @@ def _psi_t_bilinear(k, f1, f2, t, out_R):
         mat = k.psi(xi / t, Z1[:, None] / t, Z2[None, :] / t)
         out[i] = w1 @ mat @ w2
     return GridFunction(1, R_out, f1.h, scale * out)
+
+
+def _psi_t_bilinear_fft(k, f1, f2, levels) -> list:
+    """psi_t(f1, f2) at each (t, out_R) of levels, as a sum over the input
+    offsets d = a - b of the 1-D convolutions Phi_d * g_d.
+
+    Input cells a run over the hull [A0, A0 + L) of supp f1;
+    g_d[a] = f1[a] f2[a - d] and Phi_d[p] = Phi(u_p, u_{p+d}) with
+    u_p = (x_i - z_a) / t at p = i - a.  The d rows go in chunks of
+    `_LERNER_CHUNK` doubles; the g_d spectra of a chunk serve every level of
+    the same FFT length P, and each level takes one irfft.
+    """
+    N, h = f1.ncells, f1.h
+    outs = [_out_centers(f1, out_R)[:2] for _, out_R in levels]
+    nz1 = np.flatnonzero(f1.values)
+    if nz1.size == 0 or not np.any(f2.values):
+        return [GridFunction(1, R_out, h, np.zeros(M)) for R_out, M in outs]
+    A0, L = int(nz1[0]), int(nz1[-1] + 1 - nz1[0])
+    a = np.arange(A0, A0 + L)
+    ds = np.arange(A0 - N + 1, A0 + L)
+    sizes = [1 << (L + M - 2).bit_length() for _, M in outs]
+    accs = [np.zeros(P // 2 + 1, dtype=complex) for P in sizes]
+    for P in sorted(set(sizes)):
+        mine = [j for j, Pj in enumerate(sizes) if Pj == P]
+        step = max(1, _LERNER_CHUNK // P)
+        for r0 in range(0, ds.size, step):
+            d = ds[r0 : r0 + step, None]
+            b = a - d
+            g = np.where((b >= 0) & (b < N), f2.values[np.clip(b, 0, N - 1)], 0.0)
+            g *= f1.values[a]
+            live = np.any(g, axis=1)
+            if not live.any():
+                continue
+            d = d[live]
+            gf = np.fft.rfft(g[live], P)
+            for j in mine:
+                t, (R_out, M) = levels[j][0], outs[j]
+                q = np.arange(-(L - 1), M) - A0  # p - A0
+                shift = f1.R - R_out
+                phi = k.profile((q * h + shift) / t, ((q + d) * h + shift) / t)
+                accs[j] += np.sum(np.fft.rfft(phi, P) * gf, axis=0)
+    return [
+        GridFunction(1, R_out, h, np.fft.irfft(acc, P)[L - 1 : L - 1 + M] * (h / t) ** 2)
+        for acc, P, (t, _), (R_out, M) in zip(accs, sizes, levels, outs)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +289,13 @@ def _psi_levels(k, f, cone: ConeGrid, out_R, method, radii):
     pair = _as_pair(f)
     base = pair[0] if pair else f
     R_out = base.R if out_R is None else float(out_R)
-    for j, t in enumerate(cone.t_levels):
-        K = radii[j]
-        R_ext = R_out + K * base.h
-        u = psi_t_apply(k, f, float(t), out_R=R_ext, method=method)
-        yield j, float(t), u.values, K
+    levels = [(float(t), R_out + K * base.h) for t, K in zip(cone.t_levels, radii)]
+    # one pass over the offset rows serves every level of a bilinear pair
+    us = (_psi_t_bilinear_fft(k, *pair, levels)
+          if pair is not None and _pair_method(k, pair, method) == "fft" else None)
+    for j, (t, R_ext) in enumerate(levels):
+        u = us[j] if us else psi_t_apply(k, f, t, out_R=R_ext, method=method)
+        yield j, t, u.values, radii[j]
 
 
 def square_function_multi(
@@ -408,8 +474,7 @@ class SquareEvaluator:
         self.template = template
         self.R_out = template.R if out_R is None else float(out_R)
         self.method = method
-        meth = _resolve_method(k, method) if k.kind != "bilinear" else "direct"
-        self.fast = k.kind == "convolution" and meth == "fft"
+        self.fast = k.kind == "convolution" and _resolve_method(k, method) == "fft"
         if not self.fast:
             return
         n = template.n
@@ -659,10 +724,6 @@ def _box_mask(gf: GridFunction, box: Box, snap_outward: bool = False) -> np.ndar
     mask = np.zeros(gf.values.shape)
     mask[tuple(slice(i0, i1) for i0, i1 in _box_range(gf, box, snap_outward))] = 1.0
     return mask
-
-
-# temporaries of the batched Lerner path hold at most this many doubles
-_LERNER_CHUNK = 1 << 14
 
 
 def _lerner_batched_1d(ev: SquareEvaluator, f: GridFunction, variant: str,

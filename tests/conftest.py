@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lpsq.grids import build_cone, sample_function
 from lpsq.kernels import parse_kernel
+
+# property tests: no per-example deadline (timings vary on small shared
+# hosts) and derandomized examples, so every run draws the same cases
+settings.register_profile("lpsq", deadline=None, derandomize=True)
+settings.load_profile("lpsq")
 
 
 @pytest.fixture(scope="session")

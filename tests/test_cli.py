@@ -53,6 +53,28 @@ class TestSubcommands:
                        "--R", "4", "--h", "0.125"])
         assert rc == 0
 
+    def test_eval_bilinear_oracle_agrees(self, tmp_path):
+        args = ["eval", "--op", "s", "--kind", "bilinear", "--kernel", "bi1:kappa=3",
+                "--function", "gaussian", "--function2", "hat", "--R", "4", "--h", "0.125"]
+        vals = []
+        for name, extra in (("fft", []), ("direct", ["--oracle"])):
+            out = tmp_path / name
+            assert run_main(["--out-dir", str(out), *extra, *args]) == 0
+            vals.append(np.genfromtxt(out / "square_function.csv", delimiter=",",
+                                      skip_header=1))
+        assert vals[0].shape == vals[1].shape == (64, 2)
+        assert np.array_equal(vals[0][:, 0], vals[1][:, 0])
+        assert np.max(np.abs(vals[0][:, 1] - vals[1][:, 1])) <= 1e-10 * np.max(vals[1][:, 1])
+
+    def test_verify_sparse_bad_family_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"eta": 0.5, "n": 1, "base": 16.0, "cubes": []}))
+        out = tmp_path / "v"
+        rc = run_main(["--out-dir", str(out), "verify", "sparse", "--family", str(bad)])
+        assert rc == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["passed"] and "root" in summary["error"]
+
     def test_cz_campaign(self, tmp_path):
         rc = run_main(["--out-dir", str(tmp_path), "cz", "--function", "box:1",
                        "--rho", "0.5", "--h", "0.0078125"])

@@ -17,7 +17,7 @@ from lpsq.dyadic import (
     sparse_rhs_eval,
     verify_sparse,
 )
-from lpsq.errors import ContainmentError, GridError, ParameterError
+from lpsq.errors import ConfigError, ContainmentError, GridError, ParameterError
 from lpsq.grids import GridFunction, build_cone, sample_function
 from lpsq.kernels import bilinear_example_kernel, parse_kernel
 from lpsq.operators import square_function
@@ -220,6 +220,49 @@ class TestVerifySparse:
         assert fam2.cubes == fam.cubes
         assert fam2.parent[sub] == root
         assert fam2.meta["gamma"] == 4.0
+
+
+    def test_json_roundtrip_shifted(self, tmp_path):
+        for fam_cubes in (shifted_family(1, window=(-2.0, 2.0)),
+                          shifted_family((1, 2), window=(-1.0, 1.0), n=2)):
+            root = max(fam_cubes, key=lambda c: c.side)
+            subs = [c for c in fam_cubes if c is not root and root.contains(c)][:6]
+            fam = SparseFamily(0.5, root, [root] + subs, {c: root for c in subs})
+            p = tmp_path / "shifted.json"
+            fam.save(str(p))
+            fam2 = SparseFamily.load(str(p))
+            assert fam2.root == root
+            assert fam2.cubes == fam.cubes
+            assert all(isinstance(x, Fraction) for c in fam2.cubes for x in c.lo_frac)
+            assert [c.lo for c in fam2.cubes] == [c.lo for c in fam.cubes]
+            assert fam2.parent == fam.parent
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("n"),
+        lambda d: d.pop("cubes"),
+        lambda d: d["root"].pop("generation"),
+        lambda d: d.update(n="1"),
+        lambda d: d.update(n=3),
+        lambda d: d.update(eta=True),
+        lambda d: d.update(base=0.0),
+        lambda d: d.update(cubes={}),
+        lambda d: d["cubes"][1].update(anchor=[1.5]),
+        lambda d: d["cubes"][1].update(anchor=[1, 2]),
+        lambda d: d["cubes"][1].update(parent=7),
+        lambda d: d["cubes"][1].update(parent="0"),
+        lambda d: d["cubes"].append("cube"),
+        lambda d: d["cubes"][1].update(lo_frac=["1/x"], side_frac="1"),
+        lambda d: d["cubes"][1].update(lo_frac=["1/2"], side_frac="-1"),
+        lambda d: d["cubes"][1].update(lo_frac=[0.5], side_frac="1"),
+    ])
+    def test_malformed_json_is_config_error(self, edit):
+        root = Cube(1, 1, (0,), "standard", BASE)
+        sub = Cube(1, 3, (2,), "standard", BASE)
+        data = json.loads(json.dumps(SparseFamily(0.5, root, [root, sub], {sub: root})
+                                     .to_json()))
+        edit(data)
+        with pytest.raises(ConfigError):
+            SparseFamily.from_json(data)
 
 
 @pytest.fixture(scope="module")

@@ -120,6 +120,18 @@ class TestCone:
         for o1, o2 in zip(c1.offsets, c2.offsets):
             assert set(o1.tolist()) <= set(o2.tolist())
 
+    def test_with_alpha_keeps_levels_and_weight(self):
+        for q in (1, 3, 4):
+            c1 = build_cone(1.0, 1, 0.25, 0.5, 8.0, q, max_radius=6.0)
+            c2 = c1.with_alpha(3.0)
+            ref = build_cone(3.0, 1, 0.25, 0.5, 8.0, q, max_radius=6.0)
+            assert c2.t_levels is c1.t_levels
+            assert c2.log_weight == c1.log_weight == ref.log_weight
+            assert (c2.alpha, c2.max_radius) == (3.0, 6.0)
+            assert all(np.array_equal(a, b) for a, b in zip(c2.offsets, ref.offsets))
+        with pytest.raises(ParameterError):
+            c1.with_alpha(0.5)
+
     def test_cardinality(self):
         c = build_cone(4.0, 1, 1.0, 1.0, None, 4, levels=np.array([64.0]))
         count = len(c.offsets[0])
@@ -155,7 +167,7 @@ class TestCone:
             assert reach >= min(2 * 4.0, hs.max_radius) - 0.5
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=5))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_monotone_in_alpha_property(self, a, lvl):
         c1 = build_cone(float(a), 1, 0.5, 1.0, 16.0, 2)
         c2 = build_cone(float(a + 1), 1, 0.5, 1.0, 16.0, 2)

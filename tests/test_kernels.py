@@ -84,6 +84,11 @@ class TestExampleKernels:
         assert k.profile(np.array([0.0]))[0] == pytest.approx(1.0)
         assert k.profile(np.array([5.0]))[0] == 0.0  # zero outside the table
 
+    def test_linear_kernel_rejects_profile(self):
+        with pytest.raises(ParameterError, match="profile"):
+            KernelSpec("linear", 1, 1.0, power_modulus(1.0), power_modulus(1.0),
+                       profile=lambda x: x, psi=lambda x, y: x - y)
+
 
 class TestUnitCubeMaximal:
     def test_1d_closed_form(self):
@@ -104,6 +109,22 @@ class TestUnitCubeMaximal:
         # the library value is a sup over a candidate superset of the brute grid
         assert lib >= best - 1e-12
         assert lib <= best * (1.0 + 5e-3)
+
+    def test_2d_closed_form_vs_side_sweep(self):
+        # the optimum side lies in [a2, a2 + 2] (a2 the larger of d_i - 1,
+        # both clipped at 0); sweep it at step 5e-5 for random distance pairs
+        rng = np.random.default_rng(2024)
+        d = np.vstack([[0.53, 2.12], rng.uniform(0.0, 6.0, (400, 2))])
+        lib = unit_cube_maximal(d[:, 0], d[:, 1])
+        a = np.maximum(0.0, d - 1.0)
+        a2 = a.max(axis=1, keepdims=True)
+        s = a2 + np.linspace(0.0, 2.0, 40001)[1:]
+        o = [np.minimum(np.minimum(s, 2.0), np.maximum(0.0, s - a[:, i : i + 1]))
+             for i in (0, 1)]
+        best = np.max(o[0] * o[1] / s**2, axis=1)
+        assert np.all(lib >= best - 1e-12)
+        assert np.all(lib <= best + 1e-4)
+        assert lib[0] == pytest.approx(2 * 1.12 / 2.24**2, rel=1e-12)
 
     def test_translation_invariance_in_bound(self):
         # the size-condition envelope is translation invariant

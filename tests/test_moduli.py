@@ -100,7 +100,7 @@ class TestExtensionConvention:
 
     @given(st.floats(min_value=1e-9, max_value=1.0),
            st.floats(min_value=1e-9, max_value=1.0))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_monotone_samples(self, t1, t2):
         w = log_modulus(3.0)
         lo, hi = min(t1, t2), max(t1, t2)

@@ -274,7 +274,7 @@ class TestMaximal:
             assert M.values[i, j] == pytest.approx(best, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=63))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_sublinear_property(self, idx):
         rng = np.random.default_rng(123)
         v1 = rng.standard_normal(64)
@@ -578,3 +578,132 @@ class TestSquareEvaluator2D:
         masked = f.values * (np.arange(16)[:, None] < 8)
         assert np.max(np.abs(ev.eval_values(masked) - square_function(
             k, f.with_values(masked), cone).values)) <= 1e-12 * np.max(sf)
+
+
+def _runs(rng, N: int) -> np.ndarray:
+    """Gaussian values with zero runs: a zero prefix or suffix half the time
+    and up to three interior runs."""
+    v = rng.standard_normal(N)
+    for _ in range(rng.integers(0, 4)):
+        i = rng.integers(0, N)
+        v[i : i + rng.integers(1, N // 4 + 2)] = 0.0
+    if rng.random() < 0.5:
+        v[: rng.integers(0, N // 2)] = 0.0
+    if rng.random() < 0.5:
+        v[N - rng.integers(0, N // 2) :] = 0.0
+    return v
+
+
+class TestBilinearFFT:
+    """The offset-diagonal FFT path of bilinear psi_t against the
+    per-output-cell direct sum (method="direct") and square_function_at."""
+
+    @staticmethod
+    def _close(fast, direct):
+        TestLernerBatched._close(fast, direct, tol=1e-12)
+
+    def test_method_handling(self, monkeypatch):
+        from dataclasses import replace
+
+        from lpsq import operators as ops
+
+        k = bilinear_example_kernel(3.0, 1)
+        f = sample_function(lambda x: np.exp(-(x**2)), 1, 2.0, 1.0 / 4)
+        cone = build_cone(1.0, 1, f.h, 2 * f.h, 2.0, 2)
+        for call in (lambda m: psi_t_apply(k, (f, f), 1.0, method=m),
+                     lambda m: square_function(k, (f, f), cone, method=m)):
+            with pytest.raises(ParameterError, match="unknown method"):
+                call("bogus")
+        no_profile = replace(k, profile=None)
+        with pytest.raises(ParameterError, match="profile"):
+            psi_t_apply(no_profile, (f, f), 1.0, method="fft")
+        with pytest.raises(ParameterError, match="profile"):
+            square_function(no_profile, (f, f), cone, method="fft")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("wrong path")
+
+        # "direct" (and "auto" without a profile) takes the oracle path ...
+        monkeypatch.setattr(ops, "_psi_t_bilinear_fft", refuse)
+        direct = square_function(k, (f, f), cone, method="direct").values
+        assert np.array_equal(
+            square_function(no_profile, (f, f), cone).values, direct)
+        direct_u = psi_t_apply(no_profile, (f, f), 0.5).values
+        monkeypatch.undo()
+        # ... and "auto" or "fft" with a profile never calls it
+        monkeypatch.setattr(ops, "_psi_t_bilinear", refuse)
+        self._close(square_function(k, (f, f), cone).values, direct)
+        self._close(psi_t_apply(k, (f, f), 0.5, method="fft").values, direct_u)
+
+    def test_profile_matches_psi(self):
+        k = bilinear_example_kernel(3.0, 1)
+        rng = np.random.default_rng(3)
+        x, y1, y2 = rng.uniform(-5.0, 5.0, (3, 200))
+        assert np.array_equal(k.psi(x, y1, y2), k.profile(x - y1, x - y2))
+
+    @given(st.integers(min_value=8, max_value=64), st.floats(min_value=0.05, max_value=12.0),
+           st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=30)
+    def test_fft_matches_direct_property(self, N, t, pad, seed):
+        k = bilinear_example_kernel(3.0, 1)
+        rng = np.random.default_rng(seed)
+        h = 0.25
+        f1 = GridFunction(1, N * h / 2, h, _runs(rng, N))
+        f2 = GridFunction(1, N * h / 2, h, _runs(rng, N))
+        out_R = f1.R + pad * h
+        fast = psi_t_apply(k, (f1, f2), t, out_R=out_R).values
+        direct = psi_t_apply(k, (f1, f2), t, out_R=out_R, method="direct").values
+        self._close(fast, direct)
+
+    def test_zero_inputs_give_exact_zero(self):
+        k = bilinear_example_kernel(3.0, 1)
+        rng = np.random.default_rng(5)
+        f = GridFunction(1, 4.0, 0.25, rng.standard_normal(32))
+        z = f.with_values(np.zeros(32))
+        for pair in ((f, z), (z, f), (z, z)):
+            out = psi_t_apply(k, pair, 0.7, out_R=5.0)
+            assert out.values.shape == (40,) and np.all(out.values == 0.0)
+        # disjoint supports with no offset pairing still sum exact zeros
+        lo = f.with_values(f.values * (np.arange(32) < 4))
+        cone = build_cone(1.0, 1, f.h, 2 * f.h, 8.0, 2)
+        s = square_function(k, (lo, z), cone).values
+        assert np.all(s == 0.0)
+
+    def test_small_chunk_forces_several_chunks(self, monkeypatch):
+        from lpsq import operators as ops
+
+        k = bilinear_example_kernel(3.0, 1)
+        rng = np.random.default_rng(11)
+        f1 = GridFunction(1, 4.0, 0.125, _runs(rng, 64))
+        f2 = GridFunction(1, 4.0, 0.125, rng.standard_normal(64))
+        cone = build_cone(1.0, 1, f1.h, 2 * f1.h, 8.0, 4)
+        full = square_function(k, (f1, f2), cone, out_R=5.0).values
+        monkeypatch.setattr(ops, "_LERNER_CHUNK", 256)
+        small = square_function(k, (f1, f2), cone, out_R=5.0).values
+        direct = square_function(k, (f1, f2), cone, out_R=5.0, method="direct").values
+        self._close(small, direct)
+        self._close(full, direct)
+        u = psi_t_apply(k, (f1, f2), 3.0, out_R=6.0).values
+        self._close(u, psi_t_apply(k, (f1, f2), 3.0, out_R=6.0, method="direct").values)
+
+    def test_matches_pointwise_oracle(self):
+        k = bilinear_example_kernel(3.0, 1)
+        rng = np.random.default_rng(19)
+        f1 = GridFunction(1, 4.0, 0.25, _runs(rng, 32))
+        f2 = GridFunction(1, 4.0, 0.25, rng.standard_normal(32))
+        cone = build_cone(1.0, 1, f1.h, 2 * f1.h, 8.0, 4)
+        s = square_function(k, (f1, f2), cone).values
+        for i in np.random.default_rng(23).choice(32, 5, replace=False):
+            x = f1.axis_centers()[i]
+            assert s[i] == pytest.approx(square_function_at(k, (f1, f2), x, cone),
+                                         rel=1e-10)
+
+    def test_g_star_pair_matches_direct(self):
+        k = bilinear_example_kernel(3.0, 1)
+        rng = np.random.default_rng(29)
+        f1 = GridFunction(1, 2.0, 0.25, rng.standard_normal(16))
+        f2 = GridFunction(1, 2.0, 0.25, _runs(rng, 16))
+        hs = build_halfspace(1, f1.h, 2 * f1.h, 4.0, 2, f1.R)
+        fast, direct = (g_star(k, (f1, f2), 5.0, hs, method=m).values
+                        for m in ("auto", "direct"))
+        self._close(fast, direct)
