@@ -626,6 +626,8 @@ def sparse_construct(
     from . import operators as ops
     from .moduli import dini_constant
 
+    if isinstance(f, (tuple, list)) or k.kind == "bilinear":
+        raise ParameterError("bilinear sparse families are not implemented")
     N = f.ncells
     _dyadic_root_cells(N)
     cone_a = cone if cone.alpha == alpha else cone.with_alpha(alpha)

@@ -16,7 +16,7 @@ argument ("auto", "fft" or "direct") forces the direct-summation path (the
 oracle gate compares the two).  `SquareEvaluator` caches the per-level
 kernel spectra of one layout in n = 1 and n = 2; `lerner_maximal` takes a
 caller's evaluator of the same layout (``evaluator=``, as `sparse_construct`
-passes), so the kernels are sampled once per layout.
+passes), so the full-grid kernels are sampled once per layout.
 
 A bilinear kernel with profile Phi(x - y1, x - y2) on a pair (f1, f2) in
 1-D: psi_t is the sum over the input offsets d = a - b of the convolutions
@@ -25,12 +25,13 @@ frequency space; the g_d spectra are taken once per FFT length for all cone
 levels (`_psi_t_bilinear_fft`).  The per-output-cell direct sum
 `_psi_t_bilinear` is its oracle.
 
-`lerner_maximal` on a linear convolution kernel in 1-D with resolved method
-"fft" evaluates every pool cube's S(f 1_{3Q}) only on Q: cubes are grouped
-by their cell shape, and each group costs one Toeplitz matmul per level
-(input on 3Q, output on Q +- K_j) followed by window sums.  Every other
-case (``method="direct"``, bilinear pairs, n = 2) runs S once per pool cube;
-that loop is the oracle of the batched path.
+`lerner_maximal` on a linear convolution kernel with resolved method "fft"
+evaluates every pool cube's S(f 1_{3Q}) only on Q: cubes are grouped by
+their cell shape, and each group costs, per level, one Toeplitz matmul in
+1-D or one batched 2-D rfft of the stacked 3Q windows in 2-D (input on
+3Q, output on Q +- K_j), followed by window sums.  ``method="direct"`` and
+bilinear pairs run S once per pool cube; that loop is the oracle of the
+batched paths.
 """
 
 from __future__ import annotations
@@ -264,12 +265,15 @@ def _window_sum_1d(p_ext: np.ndarray, r: int, M: int, K: int) -> np.ndarray:
     i0 = K - r
     return c[i0 + np.arange(M) + 2 * r + 1] - c[i0 + np.arange(M)]
 
-def _window_sum_2d(p_ext: np.ndarray, lim: float, r: int, M: int, K: int) -> np.ndarray:
-    """sum of p_ext over the strict disc |m| < lim around each output cell."""
-    out = np.zeros((M, M))
-    c = np.concatenate(
-        [np.zeros((1, p_ext.shape[1])), np.cumsum(p_ext, axis=0)], axis=0
-    )
+def _window_sum_2d(p_ext: np.ndarray, lim: float, r: int, K: int) -> np.ndarray:
+    """sum of p_ext over the strict disc |m| < lim around each output cell;
+    the last two axes of p_ext are a (rectangular) output padded by K cells
+    on each side, leading axes a batch."""
+    *lead, E1, E2 = p_ext.shape
+    M1, M2 = E1 - 2 * K, E2 - 2 * K
+    out = np.zeros((*lead, M1, M2))
+    c = np.zeros((*lead, E1 + 1, E2))
+    np.cumsum(p_ext, axis=-2, out=c[..., 1:, :])
     for dy in range(-r, r + 1):
         rem = lim * lim - dy * dy
         if rem <= 0:
@@ -277,9 +281,9 @@ def _window_sum_2d(p_ext: np.ndarray, lim: float, r: int, M: int, K: int) -> np.
         rx = int(math.ceil(math.sqrt(rem))) - 1
         if rx < 0:
             continue
-        cols = slice(K + dy, K + dy + M)
+        cols = slice(K + dy, K + dy + M2)
         i0 = K - rx
-        rows = c[i0 + 2 * rx + 1 : i0 + 2 * rx + 1 + M, cols] - c[i0 : i0 + M, cols]
+        rows = c[..., i0 + 2 * rx + 1 : i0 + 2 * rx + 1 + M1, cols] - c[..., i0 : i0 + M1, cols]
         out += rows
     return out
 
@@ -334,7 +338,7 @@ def square_function_multi(
                 w = _window_sum_1d(p, r, M, K)
             else:
                 lim = min(a * t, cone.max_radius) / base.h
-                w = _window_sum_2d(p, lim, r, M, K)
+                w = _window_sum_2d(p, lim, r, K)
             acc[a] += meas * w
     return {
         a: GridFunction(n, R_out, base.h, np.sqrt(acc[a])) for a in alphas
@@ -486,7 +490,7 @@ class SquareEvaluator:
             for lv, kern in zip(self.levels, kernels)
         ]
         # the batched 1-D Lerner path slices its Toeplitz blocks from the
-        # samples; in 2-D nothing reads them (they cost ~0.6 MB peak RSS)
+        # samples; the 2-D one samples its own blocks (these cost ~0.6 MB)
         self.kernels = kernels if n == 1 else None
 
     def level_values(self, values: np.ndarray):
@@ -508,7 +512,7 @@ class SquareEvaluator:
         (given on the padded lattice) at each output cell."""
         if self.template.n == 1:
             return lv.meas * _window_sum_1d(p, lv.K, self.M, lv.K)
-        return lv.meas * _window_sum_2d(p, lv.lim, lv.K, self.M, lv.K)
+        return lv.meas * _window_sum_2d(p, lv.lim, lv.K, lv.K)
 
     def eval_values(self, values: np.ndarray) -> np.ndarray:
         """S_alpha of the grid function with these values; returns values."""
@@ -696,7 +700,8 @@ def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _box_range(gf: GridFunction, box: Box, snap_outward: bool = False) -> tuple:
+def _box_range(gf: GridFunction, box: Box, snap_outward: bool = False,
+               clip: bool = True) -> tuple:
     """Per-axis (start, stop) index ranges of the cells a box selects.
 
     A cell counts when its center lies in [lo, hi) or, with
@@ -705,7 +710,7 @@ def _box_range(gf: GridFunction, box: Box, snap_outward: bool = False) -> tuple:
     plus the left neighbour.  Coordinates are taken in cell units and
     rounded to the lattice within 1e-9 (as `Cube.cell_range`), so one box
     shape selects the same number of cells wherever it sits; ranges are
-    clipped to the grid.
+    clipped to the grid unless ``clip`` is False.
     """
     # cell i is selected for lo - pad <= i + 1/2 < hi + pad (cell units)
     pad = 0.5 if snap_outward else 0.0
@@ -715,7 +720,9 @@ def _box_range(gf: GridFunction, box: Box, snap_outward: bool = False) -> tuple:
         hi = (box.hi[ax] + gf.R) / gf.h - 0.5 + pad
         i0 = int(math.ceil(lo - 1e-9))
         i1 = int(math.ceil(hi - 1e-9))
-        out.append((min(max(i0, 0), gf.ncells), min(max(i1, 0), gf.ncells)))
+        if clip:
+            i0, i1 = min(max(i0, 0), gf.ncells), min(max(i1, 0), gf.ncells)
+        out.append((i0, i1))
     return tuple(out)
 
 
@@ -724,6 +731,57 @@ def _box_mask(gf: GridFunction, box: Box, snap_outward: bool = False) -> np.ndar
     mask = np.zeros(gf.values.shape)
     mask[tuple(slice(i0, i1) for i0, i1 in _box_range(gf, box, snap_outward))] = 1.0
     return mask
+
+
+def _lerner_groups(f: GridFunction, cube_pool: Sequence[Box], out: np.ndarray,
+                   clip: bool) -> dict:
+    """The pool cubes of the batched paths, grouped by shape.
+
+    Keys hold per axis (cells of 3Q, cells of Q, offset of Q in 3Q); values
+    are the (nb, n) start cells of 3Q and of Q of the cubes of that shape.
+    Cubes that select no grid cell are left out; where 3Q holds every
+    nonzero cell of f, both variants are exactly 0 on Q, which is written
+    into out here.  With ``clip`` False the ranges run past the grid, so one
+    box shape has one key wherever it sits.
+    """
+    N = f.ncells
+    # (cube, 3Q or Q, axis, start or stop)
+    r = np.array([(_box_range(f, q.dilate(3.0), snap_outward=True, clip=clip),
+                   _box_range(f, q, clip=clip)) for q in cube_pool])
+    (i0, i1), (j0, j1) = r.transpose(1, 3, 0, 2)
+    live = np.all(np.maximum(j0, 0) < np.minimum(j1, N), axis=1)
+    zero = live.copy()
+    for ax, ix in enumerate(np.nonzero(f.values)):
+        if ix.size:
+            zero &= (i0[:, ax] <= ix.min()) & (ix.max() < i1[:, ax])
+    for c in np.flatnonzero(zero):
+        qin = tuple(slice(max(a, 0), min(b, N)) for a, b in zip(j0[c], j1[c]))
+        out[qin] = np.maximum(out[qin], 0.0)
+    rest = np.flatnonzero(live & ~zero)
+    keys = np.stack([i1 - i0, j1 - j0, j0 - i0], axis=-1)[rest]
+    uniq, inv = np.unique(keys.reshape(rest.size, 3 * f.n), axis=0, return_inverse=True)
+    sels = [rest[inv.ravel() == g] for g in range(len(uniq))]
+    return {tuple(map(tuple, key.reshape(-1, 3).tolist())): (i0[sel], j0[sel])
+            for key, sel in zip(uniq, sels)}
+
+
+def _lerner_sup(out: np.ndarray, s_full2: np.ndarray, variant: str, batches) -> None:
+    """out = max(out, the localized term) on Q within the grid for each
+    cube of the batches (J, acc): J holds the (nb, n) start cells of Q, acc
+    the (nb, cells of Q per axis) S(f 1_{3Q})^2 (M_S) or N_S^2 values."""
+    N = out.shape[0]
+    for J, acc in batches:
+        nb, *s = acc.shape
+        # per axis, the grid index of every entry of acc
+        idx = [J[:, ax].reshape((nb,) + (1,) * len(s)) + local
+               for ax, local in enumerate(np.indices(s))]
+        keep = np.logical_and.reduce([(i >= 0) & (i < N) for i in idx])
+        cells = tuple(i[keep] for i in idx)
+        if variant == "M_S":
+            val = np.sqrt(np.abs(s_full2[cells] - acc[keep]))
+        else:
+            val = np.sqrt(acc[keep])
+        np.maximum.at(out, cells, val)
 
 
 def _lerner_batched_1d(ev: SquareEvaluator, f: GridFunction, variant: str,
@@ -740,24 +798,14 @@ def _lerner_batched_1d(ev: SquareEvaluator, f: GridFunction, variant: str,
     values = f.values
     N = f.ncells
     out = np.full(N, -np.inf)
-    nnz = np.concatenate([[0], np.cumsum(values != 0)])
-    groups: dict = {}
-    for q in cube_pool:
-        ((j0, j1),) = _box_range(f, q)
-        if j1 <= j0:
-            continue
-        ((i0, i1),) = _box_range(f, q.dilate(3.0), snap_outward=True)
-        if nnz[i1] - nnz[i0] == nnz[-1]:
-            out[j0:j1] = np.maximum(out[j0:j1], 0.0)
-            continue
-        groups.setdefault((i1 - i0, j1 - j0, j0 - i0), []).append((i0, j0))
+    groups = _lerner_groups(f, cube_pool, out, clip=True)
     # sub-batches keep f[3Q] within the chunk size; its rows are reversed so
     # that T's rows are forward slices of the kernel samples
     batches = []
-    for (a, s, d), cubes in groups.items():
+    for ((a, s, d),), (I, J) in groups.items():
         step = max(1, _LERNER_CHUNK // a)
-        for b0 in range(0, len(cubes), step):
-            i0s, j0s = (np.array(c) for c in zip(*cubes[b0 : b0 + step]))
+        for b0 in range(0, len(I), step):
+            i0s, j0s = I[b0 : b0 + step, 0], J[b0 : b0 + step, 0]
             F = values[i0s[None, :] + np.arange(a - 1, -1, -1)[:, None]]
             batches.append((a, s, d, j0s, F, np.zeros((s, j0s.size))))
     if not batches:
@@ -796,13 +844,62 @@ def _lerner_batched_1d(ev: SquareEvaluator, f: GridFunction, variant: str,
                 if x0 < x1:
                     upper[x0:x1] = C[x0 + 2 * K - r0 : x1 + 2 * K - r0]
             acc += lv.meas * (upper - lower)
-    for a, s, d, j0s, F, acc in batches:
-        for col, j0 in enumerate(j0s):
-            if variant == "M_S":
-                val = np.sqrt(np.abs(s_full2[j0 : j0 + s] - acc[:, col]))
-            else:
-                val = np.sqrt(acc[:, col])
-            out[j0 : j0 + s] = np.maximum(out[j0 : j0 + s], val)
+    _lerner_sup(out, s_full2, variant,
+                [(j0s[:, None], acc.T) for _, _, _, j0s, _, acc in batches])
+    return out
+
+
+def _lerner_batched_2d(ev: SquareEvaluator, f: GridFunction, variant: str,
+                       cube_pool: Sequence[Box]) -> np.ndarray:
+    """M_S / N_S of a 2-D convolution kernel, each cube evaluated on Q only.
+
+    Cubes are grouped by their unclipped shape; f 1_{3Q} is read from a
+    zero-padded f.  Per level and group, psi_t(f 1_{3Q}) on Q +- K is the
+    linear convolution of the stacked 3Q windows with the profile sampled
+    at the cell offsets from 3Q to Q +- K (one 2-D rfft of it, one batched
+    2-D rfft / irfft per chunk of cubes), then disc window sums run on Q.
+    N_S is as in `_lerner_batched_1d`; cells outside the grid are dropped.
+    """
+    N, h = f.ncells, f.h
+    out = np.full((N, N), -np.inf)
+    groups = _lerner_groups(f, cube_pool, out, clip=False)
+    if not groups:
+        return out
+    # zero pads that hold every 3Q window of f and every Q +- K window of u
+    pf = pu = 0
+    for ((a1, s1, _), (a2, s2, _)), (I, J) in groups.items():
+        pf = max(pf, -I.min(), (I + (a1, a2)).max() - N)
+        pu = max(pu, -J.min(), (J + (s1, s2)).max() - N)
+    windows = np.lib.stride_tricks.sliding_window_view
+    fp = np.pad(f.values, pf)
+    accs = {key: np.zeros((len(I),) + tuple(s for _, s, _ in key))
+            for key, (I, _) in groups.items()}
+    s_full2 = np.zeros((N, N))
+    for lv, u_full in ev.level_values(f.values):
+        K = lv.K
+        if variant == "M_S":
+            s_full2 += ev.cone_sum(lv, u_full**2)
+        else:
+            up = np.pad(u_full, pu)
+        for key, (I, J) in groups.items():
+            (a1, s1, _), (a2, s2, _) = key
+            e1, e2 = (np.arange(d - K - a + 1, d + s + K) * h / lv.t for a, s, d in key)
+            block = ev.k.profile(e1[:, None], e2[None, :]) * (h / lv.t) ** 2
+            P = tuple(1 << (a + s + 2 * K - 2).bit_length() for a, s, _ in key)
+            kf = np.fft.rfftn(block, P, axes=(0, 1))
+            fw = windows(fp, (a1, a2))
+            if variant == "N_S":
+                uw = windows(up, (s1 + 2 * K, s2 + 2 * K))
+            step = max(1, _LERNER_CHUNK // (P[0] * P[1]))
+            for b0 in range(0, len(I), step):
+                Ib, Jb = I[b0 : b0 + step] + pf, J[b0 : b0 + step] + pu
+                wf = np.fft.rfftn(fw[Ib[:, 0], Ib[:, 1]], P, axes=(1, 2))
+                U = np.fft.irfftn(wf * kf, P, axes=(1, 2))[
+                    :, a1 - 1 : a1 + s1 + 2 * K - 1, a2 - 1 : a2 + s2 + 2 * K - 1]
+                if variant == "N_S":
+                    U = uw[Jb[:, 0], Jb[:, 1]] - U
+                accs[key][b0 : b0 + step] += lv.meas * _window_sum_2d(U**2, lv.lim, K, K)
+    _lerner_sup(out, s_full2, variant, [(J, accs[key]) for key, (_, J) in groups.items()])
     return out
 
 
@@ -824,9 +921,10 @@ def lerner_maximal(
     (every point lies in some pool cube) applies only inside that box and
     the output is zero elsewhere.  ``evaluator`` may pass in a
     `SquareEvaluator` of the same kernel, cone and method on f's layout, so
-    that its kernel samples are reused.  A linear convolution kernel in 1-D
-    with resolved method "fft" takes the batched path
-    (`_lerner_batched_1d`); everything else evaluates S once per pool cube.
+    that its kernel samples are reused.  A linear convolution kernel with
+    resolved method "fft" takes the batched path (`_lerner_batched_1d`,
+    `_lerner_batched_2d`); ``method="direct"`` and bilinear pairs evaluate S
+    once per pool cube.
     """
     if variant not in ("M_S", "N_S"):
         raise ParameterError(f"unknown variant {variant!r}")
@@ -844,8 +942,9 @@ def lerner_maximal(
                                  "method or layout of this call")
     elif pair is None:
         ev = SquareEvaluator(k, base, cone, method=method)
-    if ev is not None and ev.fast and base.n == 1:
-        out = _lerner_batched_1d(ev, base, variant, cube_pool)
+    if ev is not None and ev.fast:
+        batched = _lerner_batched_1d if base.n == 1 else _lerner_batched_2d
+        out = batched(ev, base, variant, cube_pool)
     else:
         out = _lerner_pool_loop(k, f, cone, variant, cube_pool, method, ev)
     if domain is not None:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpsq.dyadic import (
     Cube,
@@ -209,6 +211,43 @@ class TestVerifySparse:
         with pytest.raises(ContainmentError):
             verify_sparse(fam)
 
+    @given(st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=2**31),
+           st.sampled_from([0.25, 0.5, 0.75]))
+    @settings(max_examples=60)
+    def test_matches_cell_by_cell_count(self, n, seed, eta):
+        """Worst ratio and verdict against a per-cell count: a cell of Q is
+        covered when a finer family cube holds it (floor-divided anchors)."""
+        rng = np.random.default_rng(seed)
+        g0 = int(rng.integers(0, 3))
+        root = Cube(n, g0, tuple(int(a) for a in rng.integers(-(2**g0) // 2 - 1,
+                                                              2**g0 // 2 + 1, n)),
+                    "standard", BASE)
+        subs = set()
+        for _ in range(int(rng.integers(0, 12))):
+            g = g0 + int(rng.integers(1, 5))
+            off = rng.integers(0, 2 ** (g - g0), n)
+            subs.add(Cube(n, g, tuple(int(a * 2 ** (g - g0) + o)
+                                      for a, o in zip(root.anchor, off)),
+                          "standard", BASE))
+        cubes = [root] + sorted(subs)
+        fam = SparseFamily(eta, root, cubes, {c: root for c in cubes[1:]})
+        G = max(c.generation for c in cubes)
+        ref = 0.0
+        for q in cubes:
+            m = 2 ** (G - q.generation)
+            cells = [tuple(a * m + i for a, i in zip(q.anchor, idx))
+                     for idx in np.ndindex(*(m,) * n)]
+            covered = sum(
+                any(r.generation > q.generation
+                    and all(x // 2 ** (G - r.generation) == a
+                            for x, a in zip(cell, r.anchor))
+                    for r in cubes)
+                for cell in cells)
+            ref = max(ref, covered / len(cells))
+        ok, worst, _ = verify_sparse(fam)
+        assert worst == ref
+        assert ok == (ref <= 1.0 - eta)
+
     def test_json_roundtrip(self, tmp_path):
         root = Cube(1, 1, (0,), "standard", BASE)
         sub = Cube(1, 3, (2,), "standard", BASE)
@@ -311,6 +350,13 @@ class TestSparseConstruct:
         for c, p in fam.parent.items():
             assert p in fam.cubes
             assert p.contains(c)
+
+    def test_bilinear_is_refused(self, sparse_setup):
+        _, f, cone, q0 = sparse_setup
+        bi = bilinear_example_kernel(3.0, 1)
+        for k, arg in ((bi, (f, f)), (bi, f), (parse_kernel("ex1:kappa=3", 1), (f, f))):
+            with pytest.raises(ParameterError, match="bilinear sparse families"):
+                sparse_construct(k, arg, q0, 1.0, cone)
 
 
 class TestSparseRhs:

@@ -451,15 +451,15 @@ class TestLernerBatched:
     def _pair(monkeypatch, k, f, cone, variant, pool, domain=None):
         from lpsq import operators as ops
 
-        batched = ops._lerner_batched_1d
+        name = f"_lerner_batched_{f.n}d"
+        batched = getattr(ops, name)
         calls = []
         with monkeypatch.context() as m:
-            m.setattr(ops, "_lerner_batched_1d",
-                      lambda *a: calls.append(1) or batched(*a))
+            m.setattr(ops, name, lambda *a: calls.append(1) or batched(*a))
             fast = lerner_maximal(k, f, cone, variant, pool, domain=domain).values
         assert calls  # the batched path ran
         with monkeypatch.context() as m:
-            m.setattr(ops, "_lerner_batched_1d",
+            m.setattr(ops, name,
                       lambda ev, f, v, pool: ops._lerner_pool_loop(
                           ev.k, f, ev.cone, v, pool, None, ev))
             slow = lerner_maximal(k, f, cone, variant, pool, domain=domain).values
@@ -563,6 +563,117 @@ class TestLernerBatched:
                                evaluator=SquareEvaluator(k, f, cone))
 
 
+class TestLernerBatched2D:
+    """The batched 2-D M_S / N_S path against the per-cube pool loop."""
+
+    _pair = staticmethod(TestLernerBatched._pair)
+    _close = staticmethod(TestLernerBatched._close)
+
+    @staticmethod
+    def _setup(N, seed, R=4.0):
+        k = parse_kernel("ex1:kappa=3", 2)
+        h = 2 * R / N
+        f = GridFunction(2, R, h, np.random.default_rng(seed).standard_normal((N, N)))
+        return k, f, build_cone(1.0, 2, h, 2 * h, 2 * R, 4)
+
+    @pytest.mark.parametrize("chunk", [None, 256])
+    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    def test_dyadic_pool_with_and_without_domain(self, monkeypatch, chunk, variant):
+        from lpsq import operators as ops
+        from lpsq.dyadic import Cube, dyadic_cube_pool
+
+        if chunk is not None:  # 1-4 cubes per FFT batch, several batches per group
+            monkeypatch.setattr(ops, "_LERNER_CHUNK", chunk)
+        k, f, cone = self._setup(16, 11)
+        root = Cube(2, 1, (0, 0), "standard", 2 * f.R)
+        self._close(*self._pair(monkeypatch, k, f, cone, variant,
+                                dyadic_cube_pool(root, f), domain=root.box()))
+        k, f, cone = self._setup(8, 13)
+        whole = [b for a in ((-1, -1), (-1, 0), (0, -1), (0, 0))
+                 for b in dyadic_cube_pool(Cube(2, 0, a, "standard", 2 * f.R), f)]
+        self._close(*self._pair(monkeypatch, k, f, cone, variant, whole))
+
+    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    def test_arbitrary_boxes(self, monkeypatch, variant):
+        k, f, cone = self._setup(16, 3)
+        fixed = [Box((-2.0, 0.0), (0.0, 1.0)), Box((1.0, -3.0), (2.0, -1.0))]
+        # off-lattice boxes, several of one shape, some sticking out of the
+        # grid: on both sides, then only on the low side
+        rng = np.random.default_rng(3)
+        for cover, lo_range in ((Box((-5.0, -4.5), (5.0, 4.5)), (-5.0, 4.0)),
+                                (Box((-4.0, -4.0), (4.0, 4.0)), (-5.5, 2.5))):
+            lo = rng.uniform(*lo_range, (30, 2))
+            side = rng.choice([0.3, 1.7], (30, 2))
+            odd = [Box(tuple(a), tuple(a + w)) for a, w in zip(lo, side)]
+            self._close(*self._pair(monkeypatch, k, f, cone, variant,
+                                    [cover] + fixed + odd))
+
+    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    def test_exact_zero_where_3q_covers_support(self, variant):
+        k, f, cone = self._setup(16, 5)
+        c = f.axis_centers()
+        inside = (np.abs(c)[:, None] < 1.0) & (np.abs(c)[None, :] < 1.0)
+        f = f.with_values(np.where(inside, f.values, 0.0))
+        q = Box((-0.5, -0.5), (0.5, 0.5))  # 3Q = [-1.5, 1.5)^2 holds supp f
+        out = lerner_maximal(k, f, cone, variant, [q], domain=q)
+        assert np.all(out.values == 0.0)
+
+    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    def test_one_cell_past_3q_is_not_zero(self, monkeypatch, variant):
+        from lpsq.operators import _box_range
+
+        k, f, cone = self._setup(16, 5)
+        q = Box((-0.5, -0.5), (0.5, 0.5))
+        (i0, i1), (j0, j1) = _box_range(f, q.dilate(3.0), snap_outward=True)
+        vals = np.zeros_like(f.values)
+        vals[i0:i1, j0:j1] = f.values[i0:i1, j0:j1]
+        vals[i1, j1 - 1] = 1.0  # the one cell of supp f outside 3Q
+        fast, slow = self._pair(monkeypatch, k, f.with_values(vals), cone, variant,
+                                [q], domain=q)
+        self._close(fast, slow)
+        assert np.max(slow) > 0.0
+
+    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    def test_zero_input(self, variant):
+        from lpsq.dyadic import Cube, dyadic_cube_pool
+
+        k, f, cone = self._setup(16, 0)
+        z = f.with_values(np.zeros_like(f.values))
+        root = Cube(2, 1, (0, 0), "standard", 2 * z.R)
+        out = lerner_maximal(k, z, cone, variant, dyadic_cube_pool(root, z),
+                             domain=root.box())
+        assert np.all(out.values == 0.0)
+
+    def test_matches_direct_oracle(self):
+        from lpsq.dyadic import Cube, dyadic_cube_pool
+
+        k = parse_kernel("ex1:kappa=3", 2)
+        f = _spikes(np.random.default_rng(7), 2, 4.0, 1.0)  # 8 x 8
+        cone = build_cone(1.0, 2, f.h, 2 * f.h, 2 * f.R, 4)
+        root = Cube(2, 1, (0, 0), "standard", 2 * f.R)
+        pool = dyadic_cube_pool(root, f)
+        for variant in ("M_S", "N_S"):
+            fast, direct = (lerner_maximal(k, f, cone, variant, pool, method=m,
+                                           domain=root.box()).values
+                            for m in ("auto", "direct"))
+            self._close(fast, direct)
+
+    def test_sparse_construct_takes_batched_path(self, monkeypatch):
+        from lpsq import operators as ops
+        from lpsq.dyadic import Cube, sparse_construct
+
+        calls = []
+        batched = ops._lerner_batched_2d
+        monkeypatch.setattr(ops, "_lerner_batched_2d",
+                            lambda *a: calls.append(1) or batched(*a))
+        monkeypatch.setattr(ops, "_lerner_pool_loop", None)  # never reached
+        k = parse_kernel("ex1:kappa=3", 2)
+        f = _spikes(np.random.default_rng(1), 2, 4.0, 0.5)
+        cone = build_cone(1.0, 2, f.h, 2 * f.h, 2 * f.R, 4)
+        sparse_construct(k, f, Cube(2, 1, (0, 0), "standard", 2 * f.R), 1.0, cone)
+        assert calls
+
+
 class TestSquareEvaluator2D:
     def test_matches_square_function_and_direct(self):
         k = parse_kernel("ex1:kappa=3", 2)
@@ -592,6 +703,31 @@ def _runs(rng, N: int) -> np.ndarray:
     if rng.random() < 0.5:
         v[N - rng.integers(0, N // 2) :] = 0.0
     return v
+
+
+class TestLinearFFT:
+    """Linear psi_t and S with "auto" (the FFT path) against
+    method="direct", in n = 1 and n = 2."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @given(st.integers(min_value=4, max_value=64), st.floats(min_value=0.05, max_value=12.0),
+           st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=40)
+    def test_fft_matches_direct_property(self, n, N, t, pad, seed):
+        k = parse_kernel("ex1:kappa=3", n)
+        rng = np.random.default_rng(seed)
+        h = 0.25 * n
+        if n == 2:
+            N = 4 + N // 6  # 4 .. 14 cells per axis keep the direct sums short
+        f = GridFunction(n, N * h / 2, h, _runs(rng, N**n).reshape((N,) * n))
+        out_R = f.R + pad * h
+        fast, direct = (psi_t_apply(k, f, t, out_R=out_R, method=m).values
+                        for m in ("auto", "direct"))
+        assert fast.shape == (N + 2 * pad,) * n
+        TestLernerBatched._close(fast, direct)
+        cone = build_cone(1.0, n, h, 2 * h, 2 * f.R, 2)
+        TestLernerBatched._close(*(square_function(k, f, cone, out_R=out_R, method=m).values
+                                   for m in ("auto", "direct")))
 
 
 class TestBilinearFFT:
