@@ -52,13 +52,16 @@ class ModulusOfContinuity:
     arguments to 1, which enforces the extension convention for every
     modulus, including user-supplied callbacks.  ``fn_exp``, when given,
     evaluates w(e^{-u}) directly so deep tails (u beyond exp underflow)
-    stay exact; the built-in constructors supply it.
+    stay exact; the built-in constructors supply it.  `dini_constant`
+    memoizes its results per tol on the modulus (successes only).
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     declared_increasing: bool = True
     fn_exp: Callable[[np.ndarray], np.ndarray] | None = None
+    _dini: dict = field(default_factory=dict, init=False, compare=False,
+                        hash=False, repr=False)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -316,6 +319,8 @@ def dini_constant(w: ModulusOfContinuity, tol: float = 1e-8) -> float:
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
+    if tol in w._dini:
+        return w._dini[tol]
     _check_monotone(w)
     res = dini_integral(w, tol)
     if res.diverged:
@@ -329,7 +334,8 @@ def dini_constant(w: ModulusOfContinuity, tol: float = 1e-8) -> float:
             f"(partial value {res.value:.6g})",
             partial=res.value,
         )
-    return res.value + float(w(1.0))
+    w._dini[tol] = res.value + float(w(1.0))
+    return w._dini[tol]
 
 
 # ---------------------------------------------------------------------------

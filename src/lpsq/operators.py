@@ -26,19 +26,19 @@ levels (`_psi_t_bilinear_fft`).  The per-output-cell direct sum
 `_psi_t_bilinear` is its oracle.
 
 `lerner_maximal` on a linear convolution kernel with resolved method "fft"
-evaluates every pool cube's S(f 1_{3Q}) only on Q: cubes are grouped by
-their cell shape, and each group costs, per level, one Toeplitz matmul in
-1-D or one batched 2-D rfft of the stacked 3Q windows in 2-D (input on
-3Q, output on Q +- K_j), followed by window sums.  ``method="direct"`` and
-bilinear pairs run S once per pool cube; that loop is the oracle of the
-batched paths.
+evaluates every pool cube's S(f 1_{3Q}) only on Q, cubes grouped by their
+cell shape.  M_S on small cubes is one quadratic form in f on 3Q per cube,
+with a level-summed Gram table cached on the `SquareEvaluator`; other
+groups cost, per level, one Toeplitz matmul in 1-D or one batched 2-D rfft
+of the stacked 3Q windows in 2-D (input on 3Q, output on Q +- K_j), then
+window sums.  ``method="direct"`` and bilinear pairs run S once per pool
+cube; that loop is the oracle of the batched paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -265,6 +265,17 @@ def _window_sum_1d(p_ext: np.ndarray, r: int, M: int, K: int) -> np.ndarray:
     i0 = K - r
     return c[i0 + np.arange(M) + 2 * r + 1] - c[i0 + np.arange(M)]
 
+
+def _disc_rows(lim: float, r: int):
+    """Yield (dy, rx): the strict disc |m| < lim (cells) with |m| <= r per
+    axis is the offsets m = (m1, dy) with |m1| <= rx."""
+    for dy in range(-r, r + 1):
+        rem = lim * lim - dy * dy
+        rx = int(math.ceil(math.sqrt(rem))) - 1 if rem > 0 else -1
+        if rx >= 0:
+            yield dy, rx
+
+
 def _window_sum_2d(p_ext: np.ndarray, lim: float, r: int, K: int) -> np.ndarray:
     """sum of p_ext over the strict disc |m| < lim around each output cell;
     the last two axes of p_ext are a (rectangular) output padded by K cells
@@ -274,13 +285,7 @@ def _window_sum_2d(p_ext: np.ndarray, lim: float, r: int, K: int) -> np.ndarray:
     out = np.zeros((*lead, M1, M2))
     c = np.zeros((*lead, E1 + 1, E2))
     np.cumsum(p_ext, axis=-2, out=c[..., 1:, :])
-    for dy in range(-r, r + 1):
-        rem = lim * lim - dy * dy
-        if rem <= 0:
-            continue
-        rx = int(math.ceil(math.sqrt(rem))) - 1
-        if rx < 0:
-            continue
+    for dy, rx in _disc_rows(lim, r):
         cols = slice(K + dy, K + dy + M2)
         i0 = K - rx
         rows = c[..., i0 + 2 * rx + 1 : i0 + 2 * rx + 1 + M1, cols] - c[..., i0 : i0 + M1, cols]
@@ -460,6 +465,34 @@ def _level_kernel(k, template: GridFunction, R_out: float, lv: _Level) -> np.nda
     return k.profile(d[:, None], d[None, :]) * scale
 
 
+def _gram_s_max(levels, n: int, N: int) -> int:
+    """The Q side (cells) up to which the batched M_S takes the Gram form:
+    of 0 and the sides s <= N/4, the one that minimises the modelled
+    multiply-adds of one M_S call on the layout's dyadic pool (the cubes of
+    side l = N, N/2, ... cells and their 3-dilates, (N/l)^n of each).  Per
+    cube (3Q side a = 3s + 1): s^n a^{2n} in the Gram form; per level,
+    (s + 2K) a in the 1-D Toeplitz path, or 2.5 P^n log2 P^n (an rfft /
+    irfft pair) plus the window sums in the 2-D FFT path.  The table costs
+    sum_j |D_j| (4 s_max)^{2n} once."""
+    disc = sum(2 * lv.K + 1 if n == 1 else sum(2 * rx + 1 for _, rx in _disc_rows(lv.lim, lv.K))
+               for lv in levels)
+
+    def per_level(s, a):
+        if n == 1:
+            return sum((s + 2 * lv.K) * a for lv in levels)
+        KP = ((lv.K, 1 << (a + s + 2 * lv.K - 2).bit_length()) for lv in levels)
+        return sum(5 * P * P * math.log2(P) + (s + 2 * K) ** 2 + 2 * (2 * K + 1) * s * s
+                   for K, P in KP)
+
+    shapes = [(s, (N // l) ** n) for l in (N >> g for g in range(N.bit_length()))
+              for s in (l, 3 * l)]
+    costs = [(s, c * s**n * (3 * s + 1) ** (2 * n), c * per_level(s, 3 * s + 1))
+             for s, c in shapes]
+    return min({0} | {s for s, _ in shapes if 4 * s <= N},
+               key=lambda m: (disc * (4 * m) ** (2 * n)
+                              + sum(g if s <= m else t for s, g, t in costs), m))
+
+
 class SquareEvaluator:
     """Repeated S_alpha evaluations of masked variants of one grid layout.
 
@@ -469,6 +502,8 @@ class SquareEvaluator:
     distinct FFT size (the least power of two that holds the linear
     convolution) and one inverse FFT per level.  Non-convolution kernels and
     ``method="direct"`` go through square_function on every eval.
+    It also owns the batched M_S's Gram cutoff ``s_max`` (`_gram_s_max`)
+    and Gram table (`gram_table`); both depend on the layout only.
     """
 
     def __init__(self, k, template: GridFunction, cone: ConeGrid,
@@ -489,9 +524,38 @@ class SquareEvaluator:
             np.fft.rfftn(kern, (lv.nfft,) * n, axes=range(n))
             for lv, kern in zip(self.levels, kernels)
         ]
-        # the batched 1-D Lerner path slices its Toeplitz blocks from the
-        # samples; the 2-D one samples its own blocks (these cost ~0.6 MB)
+        # the 1-D Toeplitz blocks of the batched Lerner path slice the samples;
+        # the other blocks sample their own, so in 2-D these (~0.6 MB) go
         self.kernels = kernels if n == 1 else None
+        self.s_max = _gram_s_max(self.levels, n, template.ncells)
+        self._gram = None
+
+    def gram_table(self):
+        """(A, lo, P): the level-summed Gram table of the M_S form, built on
+        first use.  A[p, q] = sum_j meas_j sum_{m in D_j} k_j(m + p) k_j(m + q)
+        over the offsets p, q in [lo, lo + P)^n (flat, C order), with
+        lo = 1 - 2 s_max and P = 4 s_max; k_j(v) = Phi(v h / t_j) (h / t_j)^n
+        and D_j is the window of `cone_sum`."""
+        if self._gram is None:
+            n, h = self.template.n, self.template.h
+            lo, P = 1 - 2 * self.s_max, 4 * self.s_max
+            A = np.zeros((P**n, P**n))
+            step = max(1, _LERNER_CHUNK // P**n)
+            for lv in self.levels:
+                K = lv.K
+                # B[i] = k_j(i - K + lo) per axis, so that the window of W at
+                # m + K holds k_j(m + p) for every p of the box
+                e = np.arange(lo - K, lo + P + K) * h / lv.t
+                B = self.k.profile(*np.ix_(*(e,) * n)) * (h / lv.t) ** n
+                W = np.lib.stride_tricks.sliding_window_view(B, (P,) * n)
+                rows = [(None, K)] if n == 1 else _disc_rows(lv.lim, K)
+                for dy, rx in rows:
+                    col = W[K - rx : K + rx + 1] if n == 1 else W[K - rx : K + rx + 1, K + dy]
+                    for r0 in range(0, 2 * rx + 1, step):
+                        T = col[r0 : r0 + step].reshape(-1, P**n)
+                        A += lv.meas * (T.T @ T)
+            self._gram = A, lo, P
+        return self._gram
 
     def level_values(self, values: np.ndarray):
         """Yield (level, u) per cone level, u = psi_t of the grid function
@@ -726,6 +790,24 @@ def _box_range(gf: GridFunction, box: Box, snap_outward: bool = False,
     return tuple(out)
 
 
+def _box_ranges(gf: GridFunction, boxes: Sequence[Box], snap_outward: bool = False,
+                clip: bool = True, factor: float | None = None) -> tuple:
+    """`_box_range` of many boxes, dilated first as `Box.dilate(factor)` when
+    a factor is given, by the same float operations: (start, stop) index
+    arrays (nb, n)."""
+    lo = np.array([b.lo for b in boxes], dtype=float)
+    hi = np.array([b.hi for b in boxes], dtype=float)
+    if factor is not None:  # the center -+ factor/2 times the axis-0 side
+        c, half = 0.5 * (lo + hi), factor * 0.5 * (hi[:, :1] - lo[:, :1])
+        lo, hi = c - half, c + half
+    pad = 0.5 if snap_outward else 0.0
+    i0 = np.ceil((lo + gf.R) / gf.h - 0.5 - pad - 1e-9).astype(np.intp)
+    i1 = np.ceil((hi + gf.R) / gf.h - 0.5 + pad - 1e-9).astype(np.intp)
+    if clip:
+        i0, i1 = np.clip(i0, 0, gf.ncells), np.clip(i1, 0, gf.ncells)
+    return i0, i1
+
+
 def _box_mask(gf: GridFunction, box: Box, snap_outward: bool = False) -> np.ndarray:
     """Indicator of the cells `_box_range` selects."""
     mask = np.zeros(gf.values.shape)
@@ -745,10 +827,8 @@ def _lerner_groups(f: GridFunction, cube_pool: Sequence[Box], out: np.ndarray,
     box shape has one key wherever it sits.
     """
     N = f.ncells
-    # (cube, 3Q or Q, axis, start or stop)
-    r = np.array([(_box_range(f, q.dilate(3.0), snap_outward=True, clip=clip),
-                   _box_range(f, q, clip=clip)) for q in cube_pool])
-    (i0, i1), (j0, j1) = r.transpose(1, 3, 0, 2)
+    i0, i1 = _box_ranges(f, cube_pool, snap_outward=True, clip=clip, factor=3.0)
+    j0, j1 = _box_ranges(f, cube_pool, clip=clip)
     live = np.all(np.maximum(j0, 0) < np.minimum(j1, N), axis=1)
     zero = live.copy()
     for ax, ix in enumerate(np.nonzero(f.values)):
@@ -784,32 +864,74 @@ def _lerner_sup(out: np.ndarray, s_full2: np.ndarray, variant: str, batches) -> 
         np.maximum.at(out, cells, val)
 
 
+def _gram_takes(ev: SquareEvaluator, variant: str, key) -> bool:
+    """Whether a group of this shape key takes the Gram form: M_S, Q at most
+    s_max cells per axis and every offset d + e - c inside the table."""
+    lo, hi = 1 - 2 * ev.s_max, 2 * ev.s_max
+    return variant == "M_S" and all(
+        s <= ev.s_max and d - a + 1 >= lo and d + s - 1 <= hi for a, s, d in key)
+
+
+def _gram_form(ev: SquareEvaluator, key, fp: np.ndarray, I: np.ndarray) -> np.ndarray:
+    """S(f 1_{3Q})^2 on Q for the cubes of one shape key, whose 3Q windows
+    of fp start at the cells I (nb, n).
+
+    At x = j0 + e the value is F^T A[p(e, .), p(e, .)] F with F = f on 3Q,
+    p(e, c) = d + e - c per axis and A the evaluator's Gram table; the rows
+    of several e go in one (nb, a^n) @ (a^n, ce a^n) matmul and a row dot.
+    """
+    A, lo, P = ev.gram_table()
+    # r[e, c]: flat table index of the offset p(e, c)
+    r = np.zeros((1, 1), dtype=np.intp)
+    for a, s, d in key:
+        ax = d - lo + np.arange(s)[:, None] - np.arange(a)[None, :]
+        r = (r[:, None, :, None] * P + ax[None, :, None, :]).reshape(r.shape[0] * s, -1)
+    ns, na = r.shape
+    fw = np.lib.stride_tricks.sliding_window_view(fp, tuple(a for a, _, _ in key))
+    out = np.empty((len(I), ns))
+    ce = max(1, _LERNER_CHUNK // (na * na))
+    for e0 in range(0, ns, ce):
+        re = r[e0 : e0 + ce]
+        G = A[re.T[:, :, None], re[None, :, :]].reshape(na, -1)
+        step = max(1, _LERNER_CHUNK // G.shape[1])
+        for b0 in range(0, len(I), step):
+            F = fw[tuple(I[b0 : b0 + step].T)].reshape(-1, na)
+            Y = (F @ G).reshape(len(F), -1, na)
+            out[b0 : b0 + step, e0 : e0 + ce] = np.einsum("bec,bc->be", Y, F)
+    return out.reshape(len(I), *(s for _, s, _ in key))
+
+
 def _lerner_batched_1d(ev: SquareEvaluator, f: GridFunction, variant: str,
                        cube_pool: Sequence[Box]) -> np.ndarray:
     """M_S / N_S of a 1-D convolution kernel, each cube evaluated on Q only.
 
-    psi_t(f 1_{3Q}) on Q +- K_j is T_j @ f[3Q], where the Toeplitz block
-    T_j is a slice of the evaluator's level-j kernel samples and depends
-    only on the cube's shape (cells of 3Q, cells of Q, offset of Q in 3Q);
-    cubes of one shape share T_j and one matmul per level.  N_S uses
-    psi_t(f 1_{outside 3Q}) = psi_t f - psi_t(f 1_{3Q}).  Where f vanishes
-    outside 3Q both variants are exactly 0 on Q.
+    For M_S, cubes whose shape `_gram_takes` are evaluated by `_gram_form`.
+    For the others psi_t(f 1_{3Q}) on Q +- K_j is T_j @ f[3Q], where the
+    Toeplitz block T_j is a slice of the evaluator's level-j kernel samples
+    and depends only on the cube's shape (cells of 3Q, cells of Q, offset of
+    Q in 3Q); cubes of one shape share T_j and one matmul per level.  N_S
+    uses psi_t(f 1_{outside 3Q}) = psi_t f - psi_t(f 1_{3Q}).  Where f
+    vanishes outside 3Q both variants are exactly 0 on Q.
     """
     values = f.values
     N = f.ncells
     out = np.full(N, -np.inf)
     groups = _lerner_groups(f, cube_pool, out, clip=True)
+    if not groups:
+        return out
     # sub-batches keep f[3Q] within the chunk size; its rows are reversed so
     # that T's rows are forward slices of the kernel samples
-    batches = []
-    for ((a, s, d),), (I, J) in groups.items():
+    batches, done = [], []
+    for key, (I, J) in groups.items():
+        if _gram_takes(ev, variant, key):
+            done.append((J, _gram_form(ev, key, values, I)))
+            continue
+        ((a, s, d),) = key
         step = max(1, _LERNER_CHUNK // a)
         for b0 in range(0, len(I), step):
             i0s, j0s = I[b0 : b0 + step, 0], J[b0 : b0 + step, 0]
             F = values[i0s[None, :] + np.arange(a - 1, -1, -1)[:, None]]
             batches.append((a, s, d, j0s, F, np.zeros((s, j0s.size))))
-    if not batches:
-        return out
     s_full2 = np.zeros(N)
     for (lv, u_full), kern in zip(ev.level_values(values), ev.kernels):
         K = lv.K
@@ -845,7 +967,7 @@ def _lerner_batched_1d(ev: SquareEvaluator, f: GridFunction, variant: str,
                     upper[x0:x1] = C[x0 + 2 * K - r0 : x1 + 2 * K - r0]
             acc += lv.meas * (upper - lower)
     _lerner_sup(out, s_full2, variant,
-                [(j0s[:, None], acc.T) for _, _, _, j0s, _, acc in batches])
+                done + [(j0s[:, None], acc.T) for _, _, _, j0s, _, acc in batches])
     return out
 
 
@@ -854,10 +976,11 @@ def _lerner_batched_2d(ev: SquareEvaluator, f: GridFunction, variant: str,
     """M_S / N_S of a 2-D convolution kernel, each cube evaluated on Q only.
 
     Cubes are grouped by their unclipped shape; f 1_{3Q} is read from a
-    zero-padded f.  Per level and group, psi_t(f 1_{3Q}) on Q +- K is the
-    linear convolution of the stacked 3Q windows with the profile sampled
-    at the cell offsets from 3Q to Q +- K (one 2-D rfft of it, one batched
-    2-D rfft / irfft per chunk of cubes), then disc window sums run on Q.
+    zero-padded f.  M_S groups that `_gram_takes` go to `_gram_form`.  Per
+    level and other group, psi_t(f 1_{3Q}) on Q +- K is the linear
+    convolution of the stacked 3Q windows with the profile sampled at the
+    cell offsets from 3Q to Q +- K (one 2-D rfft of it, one batched 2-D
+    rfft / irfft per chunk of cubes), then disc window sums run on Q.
     N_S is as in `_lerner_batched_1d`; cells outside the grid are dropped.
     """
     N, h = f.ncells, f.h
@@ -872,8 +995,9 @@ def _lerner_batched_2d(ev: SquareEvaluator, f: GridFunction, variant: str,
         pu = max(pu, -J.min(), (J + (s1, s2)).max() - N)
     windows = np.lib.stride_tricks.sliding_window_view
     fp = np.pad(f.values, pf)
-    accs = {key: np.zeros((len(I),) + tuple(s for _, s, _ in key))
-            for key, (I, _) in groups.items()}
+    levelled = {key: IJ for key, IJ in groups.items() if not _gram_takes(ev, variant, key)}
+    accs = {key: np.zeros((len(I),) + tuple(s for _, s, _ in key)) if key in levelled
+            else _gram_form(ev, key, fp, I + pf) for key, (I, _) in groups.items()}
     s_full2 = np.zeros((N, N))
     for lv, u_full in ev.level_values(f.values):
         K = lv.K
@@ -881,7 +1005,7 @@ def _lerner_batched_2d(ev: SquareEvaluator, f: GridFunction, variant: str,
             s_full2 += ev.cone_sum(lv, u_full**2)
         else:
             up = np.pad(u_full, pu)
-        for key, (I, J) in groups.items():
+        for key, (I, J) in levelled.items():
             (a1, s1, _), (a2, s2, _) = key
             e1, e2 = (np.arange(d - K - a + 1, d + s + K) * h / lv.t for a, s, d in key)
             block = ev.k.profile(e1[:, None], e2[None, :]) * (h / lv.t) ** 2
@@ -921,10 +1045,11 @@ def lerner_maximal(
     (every point lies in some pool cube) applies only inside that box and
     the output is zero elsewhere.  ``evaluator`` may pass in a
     `SquareEvaluator` of the same kernel, cone and method on f's layout, so
-    that its kernel samples are reused.  A linear convolution kernel with
-    resolved method "fft" takes the batched path (`_lerner_batched_1d`,
-    `_lerner_batched_2d`); ``method="direct"`` and bilinear pairs evaluate S
-    once per pool cube.
+    that its kernel samples and Gram table are reused.  A linear convolution
+    kernel with resolved method "fft" takes the batched path
+    (`_lerner_batched_1d`, `_lerner_batched_2d`, M_S on small cubes by
+    `_gram_form`); ``method="direct"`` and bilinear pairs evaluate S once
+    per pool cube.
     """
     if variant not in ("M_S", "N_S"):
         raise ParameterError(f"unknown variant {variant!r}")
@@ -1007,11 +1132,6 @@ def _lerner_pool_loop(k, f, cone, variant, cube_pool, method, ev) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
-def _dini_cached(mod: ModulusOfContinuity) -> float:
-    return dini_constant(mod, tol=1e-8)
-
-
 def far_field_majorant(
     k: KernelSpec,
     b: GridFunction,
@@ -1041,7 +1161,7 @@ def far_field_majorant(
         raise ParameterError("b must have zero mean on its cube")
     if l1 == 0.0:
         return 0.0
-    wd = _dini_cached(k.w_mod)
+    wd = dini_constant(k.w_mod, 1e-8)
     term1 = k.A * wd / dist**n * float(k.phi_mod(2.0 * math.sqrt(n) * ell / dist)) * l1
     ks = np.arange(1, k_max + 1, dtype=float)
     denom = (2.0**ks * ell + dist) ** n

@@ -177,6 +177,45 @@ class TestCZ:
             assert rho < m <= 4.0 * rho  # 2^n rho with n = 2
         assert d.good.norm_linf() <= 4.0 * rho + 1e-12
 
+    @given(st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=2**31),
+           st.floats(min_value=1.01, max_value=64.0))
+    @settings(max_examples=40)
+    def test_docstring_invariants(self, n, seed, factor):
+        """What the cz_decompose docstring promises, for rho above the floor:
+        disjoint maximal cubes (each parent's |f|-mean <= rho), |f|-means in
+        (rho, 2^n rho], |g| <= 2^n rho, mean-zero b_Q, exact reconstruction."""
+        rng = np.random.default_rng(seed)
+        N = int(rng.choice([8, 16, 32])) if n == 2 else int(rng.choice([64, 256, 1024]))
+        R = BASE / 2
+        vals = rng.standard_normal((N,) * n) * (rng.random((N,) * n) < rng.uniform(0.05, 1))
+        f = GridFunction(n, R, 2 * R / N, vals * np.exp(rng.uniform(-3, 3)))
+        # the side-2R cubes anchored at 0 hold one half (quadrant) of the box each
+        parts = [np.sum(np.abs(f.values[tuple(slice(b * N // 2, (b + 1) * N // 2) for b in c)]))
+                 for c in np.ndindex((2,) * n)]
+        floor = max(parts) * f.h**n / BASE**n
+        rho = factor * floor if floor > 0 else factor
+        d = cz_decompose(f, rho)
+
+        def mean_abs(q):
+            sl = tuple(slice(i0, i1) for i0, i1 in q.cell_range(f))
+            return float(np.sum(np.abs(f.values[sl]))) * f.h**n / q.side**n
+
+        cover = np.zeros(f.values.shape, dtype=int)
+        for q, b in d.bad:
+            sl = tuple(slice(i0, i1) for i0, i1 in q.cell_range(f))
+            cover[sl] += 1
+            assert rho < mean_abs(q) <= 2**n * rho * (1 + 1e-12)
+            assert mean_abs(q.parent()) <= rho
+            l1 = float(np.sum(np.abs(b.values)))
+            assert abs(float(np.sum(b.values))) <= 1e-12 * max(l1, 1e-300)
+            off = np.ones(f.values.shape, dtype=bool)
+            off[sl] = False
+            assert np.all(b.values[off] == 0.0)
+        assert cover.max(initial=0) <= 1
+        assert np.all(np.abs(d.good.values) <= 2**n * rho * (1 + 1e-12))
+        scale = max(float(np.max(np.abs(f.values))), 1.0)
+        assert np.max(np.abs(d.reconstruct() - f.values)) <= 1e-12 * scale
+
     def test_save_load_roundtrip(self, tmp_path):
         f = grid_1d(512, lambda x: np.where((x >= 0) & (x < 1), 4.0, 0.0))
         d = cz_decompose(f, 1.0)

@@ -67,6 +67,42 @@ class TestDiniConstant:
         with pytest.raises(ParameterError):
             dini_constant(power_modulus(1.0), 0.0)
 
+    def test_memo_per_modulus_and_tol(self, monkeypatch):
+        import dataclasses
+
+        from lpsq import moduli
+        from lpsq.dyadic import Cube, sparse_construct
+        from lpsq.grids import GridFunction, build_cone
+        from lpsq.kernels import parse_kernel
+
+        runs = []
+        quad = moduli._windowed_integral
+        monkeypatch.setattr(moduli, "_windowed_integral",
+                            lambda *a, **kw: runs.append(1) or quad(*a, **kw))
+        k = parse_kernel("ex1:kappa=3", 1)
+        f = GridFunction(1, 4.0, 0.25, np.random.default_rng(2).standard_normal(32))
+        cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
+        fams = [sparse_construct(k, f, Cube(1, 1, (0,), "standard", 8.0), 1.0, cone)
+                for _ in range(2)]
+        assert fams[0].cubes == fams[1].cubes
+        assert len(runs) == len({id(k.w_mod), id(k.phi_mod)})
+        # a replaced modulus starts empty and recomputes the same bits;
+        # another tol is computed afresh
+        w = k.w_mod
+        fresh = dataclasses.replace(w)
+        assert fresh._dini == {} and 1e-6 in w._dini
+        assert dini_constant(fresh, 1e-6) == dini_constant(w, 1e-6)
+        before = len(runs)
+        dini_constant(w, 1e-7)
+        assert len(runs) == before + 1
+
+    def test_errors_not_memoized(self):
+        w = ModulusOfContinuity("bad", lambda t: 1.0 - t)
+        for _ in range(2):
+            with pytest.raises(MonotonicityError):
+                dini_constant(w, 1e-8)
+        assert w._dini == {}
+
     def test_monotone_in_modulus(self):
         # w1 <= w2 pointwise => dini(w1) <= dini(w2) + 2 tol
         d1 = dini_constant(power_modulus(1.0), 1e-8)

@@ -444,6 +444,33 @@ class TestBoxRange:
                 assert np.array_equal(_box_mask(g, b, snap), want)
 
 
+    def test_vectorized_ranges_equal_scalar(self):
+        from lpsq.dyadic import Cube, dyadic_cube_pool
+        from lpsq.operators import _box_range, _box_ranges
+
+        rng = np.random.default_rng(4)
+        cases = []
+        for n, N in ((1, 64), (2, 16)):  # dyadic pools at dyadic h
+            g = GridFunction(n, 4.0, 8.0 / N, np.zeros((N,) * n))
+            cases.append((g, dyadic_cube_pool(Cube(n, 1, (0,) * n, "standard", 8.0), g)))
+            g = GridFunction(n, 4.0, 0.1, np.zeros((80,) * n))  # off-lattice at h = 0.1
+            lo = rng.uniform(-5.0, 4.0, (40, n))
+            cases.append((g, [Box(tuple(a), tuple(a + rng.uniform(0.05, 3.0)))
+                              for a in lo]))
+            # on the h = 0.1 lattice, where the 1e-9 rounding decides
+            lo = -4.0 + 0.1 * rng.integers(0, 75, (40, n))
+            cases.append((g, [Box(tuple(a), tuple(a + 0.1 * rng.integers(1, 6)))
+                              for a in lo]))
+        for g, boxes in cases:
+            for snap in (False, True):
+                for clip in (False, True):
+                    for factor in (None, 3.0):
+                        want = np.array([_box_range(g, b if factor is None else b.dilate(factor),
+                                                    snap, clip) for b in boxes])
+                        got = _box_ranges(g, boxes, snap, clip, factor)
+                        assert np.array_equal(np.stack(got, axis=-1), want)
+
+
 class TestLernerBatched:
     """The batched 1-D M_S / N_S path against the per-cube pool loop."""
 
@@ -549,6 +576,9 @@ class TestLernerBatched:
             masked = f.with_values(f.values * (f.values > 0))
             for m in (None, "direct"):
                 ev = SquareEvaluator(k, f, cone, method=m)
+                # a used evaluator (Gram table built) gives the same bits
+                lerner_maximal(k, f, cone, "M_S", dyadic_cube_pool(root.children()[0], f),
+                               method=m, evaluator=ev, domain=root.children()[0].box())
                 for variant in ("M_S", "N_S"):
                     own, shared = (lerner_maximal(k, masked, cone, variant, pool,
                                                   method=m, domain=root.box(),
@@ -672,6 +702,108 @@ class TestLernerBatched2D:
         cone = build_cone(1.0, 2, f.h, 2 * f.h, 2 * f.R, 4)
         sparse_construct(k, f, Cube(2, 1, (0, 0), "standard", 2 * f.R), 1.0, cone)
         assert calls
+
+
+class TestLernerGram:
+    """The level-summed Gram form of the batched M_S against the per-cube
+    pool loop, each branch forced through the evaluator's s_max."""
+
+    @staticmethod
+    def _setup(n, N, seed, R=4.0):
+        k = parse_kernel("ex1:kappa=3", n)
+        h = 2 * R / N
+        f = GridFunction(n, R, h, np.random.default_rng(seed).standard_normal((N,) * n))
+        return k, f, build_cone(1.0, n, h, 2 * h, 2 * R, 4)
+
+    @staticmethod
+    def _forced(monkeypatch, k, f, cone, pool, s_max, domain=None):
+        """M_S with the evaluator's s_max forced, the shape keys that took
+        the Gram form, and the pool-loop oracle."""
+        from lpsq import operators as ops
+
+        ev = SquareEvaluator(k, f, cone)
+        monkeypatch.setattr(ev, "s_max", s_max)
+        keys = []
+        gram = ops._gram_form
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_gram_form", lambda ev, key, *a: keys.append(key) or gram(ev, key, *a))
+            fast = lerner_maximal(k, f, cone, "M_S", pool, domain=domain, evaluator=ev).values
+        with monkeypatch.context() as m:
+            m.setattr(ops, f"_lerner_batched_{f.n}d",
+                      lambda ev, f, v, pool: ops._lerner_pool_loop(
+                          ev.k, f, ev.cone, v, pool, None, ev))
+            slow = lerner_maximal(k, f, cone, "M_S", pool, domain=domain).values
+        return fast, keys, slow
+
+    @pytest.mark.parametrize("chunk", [None, 256])
+    @pytest.mark.parametrize("n, N, large", [(1, 128, 32), (2, 16, 4)])
+    def test_dyadic_pool_both_branches(self, monkeypatch, chunk, n, N, large):
+        from lpsq import operators as ops
+        from lpsq.dyadic import Cube, dyadic_cube_pool
+
+        if chunk is not None:  # several e rows and cube chunks per group
+            monkeypatch.setattr(ops, "_LERNER_CHUNK", chunk)
+        k, f, cone = self._setup(n, N, 11)
+        root = Cube(n, 1, (0,) * n, "standard", 2 * f.R)
+        k, g, g_cone = self._setup(n, N // 2, 13)
+        whole = [b for a in np.ndindex((2,) * n)
+                 for b in dyadic_cube_pool(Cube(n, 0, tuple(x - 1 for x in a), "standard",
+                                                2 * g.R), g)]
+        for f, cone, pool, domain in ((f, cone, dyadic_cube_pool(root, f), root.box()),
+                                      (g, g_cone, whole, None)):
+            for s_max in (0, large):
+                fast, keys, slow = self._forced(monkeypatch, k, f, cone, pool, s_max, domain)
+                TestLernerBatched._close(fast, slow)
+                sides = {s for key in keys for _, s, _ in key}
+                assert {1, 2, 3} <= sides <= set(range(1, large + 1)) if s_max else not keys
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_off_lattice_and_out_of_table_shapes(self, monkeypatch, n):
+        from lpsq.operators import _gram_takes, _lerner_groups
+
+        k, f, cone = self._setup(n, 32 if n == 1 else 16, 3)
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(-5.0, 4.0, (40, n))
+        sides = rng.choice([0.3, 0.7, 1.7], (40, n))
+        odd = [Box(tuple(a), tuple(a + w)) for a, w in zip(lo, sides)]
+        # Q clipped at the grid edge: 3Q reaches past the table's offsets
+        edge = [Box((-4.5,) * n, (-3.5,) * n), Box((3.25,) * n, (4.25,) * n)]
+        pool = [f.box()] + odd + edge
+        fast, keys, slow = self._forced(monkeypatch, k, f, cone, pool, 2)
+        TestLernerBatched._close(fast, slow)
+        assert keys
+        ev = SquareEvaluator(k, f, cone)
+        monkeypatch.setattr(ev, "s_max", 2)
+        groups = _lerner_groups(f, pool, np.full(f.values.shape, -np.inf), clip=n == 1)
+        small = [key for key in groups if max(s for _, s, _ in key) <= 2]
+        assert any(not _gram_takes(ev, "M_S", key) for key in small)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exact_zero(self, monkeypatch, n):
+        k, f, cone = self._setup(n, 32 if n == 1 else 16, 5)
+        c = f.axis_centers()
+        inside = np.all(np.abs(np.stack(np.meshgrid(*(c,) * n, indexing="ij"))) < 1.0, axis=0)
+        g = f.with_values(np.where(inside, f.values, 0.0))
+        q = Box((-0.5,) * n, (0.5,) * n)  # 3Q = [-1.5, 1.5)^n holds supp g
+        z = f.with_values(np.zeros_like(f.values))
+        for h, pool in ((g, [q]), (z, [f.box(), q])):
+            fast, _, _ = self._forced(monkeypatch, k, h, cone, pool, 4, domain=q)
+            assert np.all(fast == 0.0)
+
+    def test_sparse_construct_takes_gram_for_small_cubes(self, monkeypatch):
+        from lpsq import operators as ops
+        from lpsq.dyadic import Cube, sparse_construct
+
+        seen = []
+        gram = ops._gram_form
+        monkeypatch.setattr(ops, "_gram_form", lambda ev, key, *a: seen.append(
+            (ev.s_max, key)) or gram(ev, key, *a))
+        k = parse_kernel("ex1:kappa=3", 2)
+        f = _spikes(np.random.default_rng(1), 2, 4.0, 0.5)  # 16 x 16
+        cone = build_cone(1.0, 2, f.h, 2 * f.h, 2 * f.R, 4)
+        sparse_construct(k, f, Cube(2, 1, (0, 0), "standard", 2 * f.R), 1.0, cone)
+        assert {s_max for s_max, _ in seen} == {3}
+        assert {s for _, key in seen for _, s, _ in key} == {1, 2, 3}
 
 
 class TestSquareEvaluator2D:
