@@ -2,13 +2,12 @@
 
 Subcommands: ``dini``, ``kernel-check``, ``eval``, ``cz``, ``sparse``,
 ``verify`` (weak | aperture | domination | weighted | marcinkiewicz |
-sparse), ``bench``.  Every run merges defaults, an optional JSON config
-(--config) and command-line overrides, executes the campaign, writes
-``summary.json`` plus per-campaign CSV tables into the output directory,
-and exits nonzero naming the failing item if any check fails.
+sparse).  Every run merges defaults, an optional JSON config (--config) and
+command-line overrides, executes the campaign, writes ``summary.json`` plus
+per-campaign CSV tables into the output directory, and exits nonzero naming
+the failing item if any check fails.
 
-Identical config + seed produce byte-identical outputs.  LPSQ_THREADS
-controls the worker count for independent campaign items; --oracle (config
+Identical config + seed produce byte-identical outputs.  --oracle (config
 ``"oracle": true``) sets the evaluation method to "direct", which every
 operator call of the run receives.  Unknown config keys are errors.
 """
@@ -20,12 +19,9 @@ import json
 import math
 import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import operators as ops
 from .dyadic import (
     Cube,
     SparseFamily,
@@ -57,7 +53,7 @@ from .kernels import (
     parse_kernel,
 )
 from .moduli import dini_constant, dini_inequality_suite, parse_modulus
-from .operators import g_star, marcinkiewicz_fw, maximal, square_function
+from .operators import g_star, marcinkiewicz_fw, square_function
 from .weights import WeightVector, apvec_constant
 
 DEFAULTS = {
@@ -91,21 +87,6 @@ DEFAULTS = {
 # config keys that are not settings of their own: the campaign name (config
 # files run by cli_run) and the --oracle switch, which sets cfg["method"]
 _EXTRA_KEYS = {"campaign", "oracle"}
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LPSQ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    nw = _threads()
-    if nw == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=nw) as ex:
-        return list(ex.map(fn, items))
 
 
 def _fmt(v):
@@ -214,15 +195,11 @@ def _campaign_kernel_check(cfg, out_dir):
     plan = SamplePlan(seed=int(cfg["seed"]))
     rows, items = [], []
     gamma = cfg.get("gamma_log")
-
-    def one(mode):
+    for mode in modes:
         if mode == "log_ratio":
-            return mode, kernel_condition_check(
-                k, mode, plan, gamma=float(gamma or 0.5)
-            )
-        return mode, kernel_condition_check(k, mode, plan)
-
-    for mode, rep in _pmap(one, modes):
+            rep = kernel_condition_check(k, mode, plan, gamma=float(gamma or 0.5))
+        else:
+            rep = kernel_condition_check(k, mode, plan)
         rows += [
             (f"{mode}_max_ratio", rep.max_ratio),
             (f"{mode}_growth", rep.growth_ratio),
@@ -436,25 +413,6 @@ def _random_disjoint_cubes(rng, n, R, count):
     return cubes
 
 
-def _campaign_bench(cfg, out_dir):
-    n = int(cfg["n"])
-    k = parse_kernel(cfg["kernel"], n)
-    f = _function(cfg)
-    cone = _cone_cfg(cfg)
-    rows = []
-    t0 = time.perf_counter()
-    ops.psi_t_apply(k, f, 1.0, method=cfg["method"])
-    rows.append(("psi_t_seconds", time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    square_function(k, f, cone, method=cfg["method"])
-    rows.append(("square_function_seconds", time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    maximal(f, "hl")
-    rows.append(("maximal_hl_seconds", time.perf_counter() - t0))
-    _write_csv(os.path.join(out_dir, "bench.csv"), rows)
-    return [{"name": "bench", "pass": True, "value": rows[1][1]}]
-
-
 CAMPAIGNS = {
     "dini": _campaign_dini,
     "kernel-check": _campaign_kernel_check,
@@ -462,7 +420,6 @@ CAMPAIGNS = {
     "cz": _campaign_cz,
     "sparse": _campaign_sparse,
     "verify": _campaign_verify,
-    "bench": _campaign_bench,
 }
 
 
@@ -494,7 +451,6 @@ def _execute(campaign: str, cfg: dict) -> int:
         "items": items,
         "passed": passed,
         "seed": cfg.get("seed"),
-        "threads": _threads(),
     })
     if not passed:
         failing = ", ".join(it["name"] for it in items if not it["pass"])
@@ -559,9 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     p.add_argument("--family")
     p.add_argument("--alphas", type=float, nargs="+")
-
-    p = sub.add_parser("bench", help="timings of core operators")
-    common(p)
     return ap
 
 

@@ -6,15 +6,16 @@ nest exactly inside the anchored dyadic cubes used by the decomposition
 machinery.  Functions are treated as identically zero outside the box.
 
 A ConeGrid discretizes the upper half-space with geometric t-levels
-(log-midpoint placement, ln r weight per level) and per-level offset
-stencils |offset| < alpha * t.
+(log-midpoint placement, ln r weight per level) and a radius rule: level j
+integrates over the offsets |offset| < min(alpha t_j, max_radius), built on
+demand by `ConeGrid.stencil`.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,12 +148,6 @@ class GridFunction:
 
     def box(self) -> Box:
         return Box((-self.R,) * self.n, (self.R,) * self.n)
-
-
-def _require_same_grid(*gfs: GridFunction):
-    for g in gfs[1:]:
-        if not gfs[0].same_grid(g):
-            raise GridError("grid mismatch between operands")
 
 
 def sample_function(fn: Callable, n: int, R: float, h: float) -> GridFunction:
@@ -312,17 +307,17 @@ def load_binary(path: str) -> GridFunction:
 
 @dataclass(frozen=True)
 class ConeGrid:
-    """Geometric t-levels with per-level integer offset stencils.
+    """Geometric t-levels and the radius rule of their offset stencils.
 
-    Offsets are in cells; level j integrates over |y - x| < alpha * t_j.
-    ``log_weight`` is ln(r) with r the level ratio 2^(1/q).
+    Level j integrates over |y - x| < min(alpha t_j, max_radius);
+    `stencil` lists its offsets in cells.  ``log_weight`` is ln(r) with r
+    the level ratio 2^(1/q).
     """
 
     alpha: float
     n: int
     h: float
     t_levels: np.ndarray
-    offsets: tuple
     log_weight: float
     max_radius: float
 
@@ -330,13 +325,15 @@ class ConeGrid:
     def nlevels(self) -> int:
         return len(self.t_levels)
 
+    def stencil(self, j: int) -> np.ndarray:
+        """Integer offsets (cells) of level j."""
+        lim = min(self.alpha * float(self.t_levels[j]), self.max_radius) / self.h
+        return _stencil(self.n, lim)
+
     def with_alpha(self, alpha: float) -> "ConeGrid":
         """Same levels and spacing, different aperture."""
-        return ConeGrid(
-            alpha, self.n, self.h, self.t_levels,
-            _level_stencils(alpha, self.n, self.h, self.t_levels, self.max_radius),
-            self.log_weight, self.max_radius,
-        )
+        _check_aperture(alpha, self.h, self.t_levels)
+        return replace(self, alpha=alpha)
 
 
 def _stencil(n: int, radius_cells_limit: float) -> np.ndarray:
@@ -352,9 +349,8 @@ def _stencil(n: int, radius_cells_limit: float) -> np.ndarray:
     return np.stack([MX[mask], MY[mask]], axis=-1)
 
 
-def _level_stencils(alpha: float, n: int, h: float, levels: np.ndarray,
-                    max_radius: float) -> tuple:
-    """Per-level offsets |m| < min(alpha t, max_radius) / h; checks alpha."""
+def _check_aperture(alpha: float, h: float, levels: np.ndarray) -> None:
+    """alpha >= 1, and the lowest level's stencil reaches past offset 0."""
     if alpha < 1.0:
         raise ParameterError(f"aperture alpha must be >= 1, got {alpha}")
     if alpha * float(levels[0]) < h:
@@ -362,7 +358,6 @@ def _level_stencils(alpha: float, n: int, h: float, levels: np.ndarray,
             f"alpha*t_min = {alpha * float(levels[0]):g} < h = {h:g}: "
             "lowest cone level has no nonzero offsets"
         )
-    return tuple(_stencil(n, min(alpha * float(t), max_radius) / h) for t in levels)
 
 
 def build_cone(
@@ -378,8 +373,8 @@ def build_cone(
     """Cone discretization: levels at log-midpoints of [t_min, t_max].
 
     ``max_radius`` optionally caps the stencil radius (used by the
-    half-space builder so huge apertures do not enumerate offsets past the
-    lattice extent).
+    half-space builder so huge apertures reach no further than the
+    lattice).
     """
     if q < 1:
         raise ParameterError("q (levels per octave) must be >= 1")
@@ -391,8 +386,8 @@ def build_cone(
         levels = t_min * r ** (np.arange(L) + 0.5)
     else:
         levels = np.asarray(levels, dtype=float)
-    offs = _level_stencils(alpha, n, h, levels, max_radius)
-    return ConeGrid(alpha, n, h, levels, offs, math.log(2.0) / q, max_radius)
+    _check_aperture(alpha, h, levels)
+    return ConeGrid(alpha, n, h, levels, math.log(2.0) / q, max_radius)
 
 
 def build_halfspace(

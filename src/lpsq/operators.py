@@ -27,16 +27,17 @@ levels (`_psi_t_bilinear_fft`).  The per-output-cell direct sum
 
 `lerner_maximal` on a linear convolution kernel with resolved method "fft"
 evaluates every pool cube's S(f 1_{3Q}) only on Q, cubes grouped by their
-cell shape.  M_S on small cubes is one quadratic form in f on 3Q per cube,
-with a level-summed Gram table cached on the `SquareEvaluator`; other
-groups cost, per level, one Toeplitz matmul in 1-D or one batched 2-D rfft
-of the stacked 3Q windows in 2-D (input on 3Q, output on Q +- K_j), then
-window sums.  ``method="direct"`` and bilinear pairs run S once per pool
-cube; that loop is the oracle of the batched paths.
+cell shape, in n = 1 and n = 2 alike.  M_S on small cubes is one quadratic
+form in f on 3Q per cube, with a level-summed Gram table cached on the
+`SquareEvaluator`; other groups cost, per level, one batched n-D rfft of
+the stacked 3Q windows (input on 3Q, output on Q +- K_j), then window sums.
+``method="direct"`` and bilinear pairs run S once per pool cube; that loop
+is the oracle of the batched path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -69,8 +70,8 @@ __all__ = [
     "SquareEvaluator",
 ]
 
-# temporaries of the chunked paths (batched Lerner, bilinear FFT) hold at
-# most this many doubles
+# temporaries of the chunked paths (the batched Lerner FFTs and Gram form,
+# the Gram table, the bilinear FFT) hold at most this many doubles
 _LERNER_CHUNK = 1 << 14
 
 
@@ -259,37 +260,46 @@ def _radius_cells(alpha: float, t: float, h: float, max_radius: float) -> int:
     return max(int(math.ceil(lim)) - 1, 0)
 
 
-def _window_sum_1d(p_ext: np.ndarray, r: int, M: int, K: int) -> np.ndarray:
-    """sum of p_ext over [i+K-r, i+K+r] for each output cell i."""
-    c = np.concatenate([[0.0], np.cumsum(p_ext)])
-    i0 = K - r
-    return c[i0 + np.arange(M) + 2 * r + 1] - c[i0 + np.arange(M)]
+def _disc_rows(lim: float, n: int) -> list:
+    """The strict stencil |m| < lim (cells) in n dimensions, the rule of
+    `grids._stencil`, as rows (m', rx): the offsets m = (m1, *m') with
+    |m1| <= rx."""
+    r = max(math.ceil(lim) - 1, 0)
+    rows = []
+    for rest in itertools.product(range(-r, r + 1), repeat=n - 1):
+        rem = lim * lim - sum(d * d for d in rest)
+        if rem > 0:
+            rows.append((rest, int(math.ceil(math.sqrt(rem))) - 1))
+    return rows
 
 
-def _disc_rows(lim: float, r: int):
-    """Yield (dy, rx): the strict disc |m| < lim (cells) with |m| <= r per
-    axis is the offsets m = (m1, dy) with |m1| <= rx."""
-    for dy in range(-r, r + 1):
-        rem = lim * lim - dy * dy
-        rx = int(math.ceil(math.sqrt(rem))) - 1 if rem > 0 else -1
-        if rx >= 0:
-            yield dy, rx
+def _window_rows(lim: float, n: int, K: int) -> list:
+    """The `_disc_rows` of lim as index pairs (hi, lo) into the cumulative
+    sums c, along the first of n axes with a zero prepended, of an array
+    padded by K cells on each side, K at least the stencil radius:
+    c[hi] - c[lo] is one row's window sum at every output cell.  Stops
+    count from the end, so the pairs serve every output size and batch."""
+    rows = []
+    for rest, rx in _disc_rows(lim, n):
+        cols = tuple(slice(K + d, d - K or None) for d in rest)
+        rows.append(((..., slice(K + rx + 1, rx - K or None)) + cols,
+                     (..., slice(K - rx, -(K + rx + 1))) + cols))
+    return rows
 
 
-def _window_sum_2d(p_ext: np.ndarray, lim: float, r: int, K: int) -> np.ndarray:
-    """sum of p_ext over the strict disc |m| < lim around each output cell;
-    the last two axes of p_ext are a (rectangular) output padded by K cells
-    on each side, leading axes a batch."""
-    *lead, E1, E2 = p_ext.shape
-    M1, M2 = E1 - 2 * K, E2 - 2 * K
-    out = np.zeros((*lead, M1, M2))
-    c = np.zeros((*lead, E1 + 1, E2))
-    np.cumsum(p_ext, axis=-2, out=c[..., 1:, :])
-    for dy, rx in _disc_rows(lim, r):
-        cols = slice(K + dy, K + dy + M2)
-        i0 = K - rx
-        rows = c[..., i0 + 2 * rx + 1 : i0 + 2 * rx + 1 + M1, cols] - c[..., i0 : i0 + M1, cols]
-        out += rows
+def _window_sum(p_ext: np.ndarray, rows: list, K: int) -> np.ndarray:
+    """sum of p_ext over a stencil, given by its `_window_rows`, around each
+    output cell; the last n axes of p_ext are a (rectangular) output padded
+    by K cells on each side, leading axes a batch.  One cumulative sum
+    along the first of the n axes; each stencil row is then one difference
+    of it."""
+    n = len(rows[0][0]) - 1
+    lead, E = p_ext.shape[:-n], p_ext.shape[-n:]
+    out = np.zeros(lead + tuple(e - 2 * K for e in E))
+    c = np.zeros(lead + (E[0] + 1,) + E[1:])
+    np.cumsum(p_ext, axis=-n, out=c[(..., slice(1, None)) + (slice(None),) * (n - 1)])
+    for hi, lo in rows:
+        out += c[hi] - c[lo]
     return out
 
 
@@ -338,13 +348,8 @@ def square_function_multi(
         p = u_ext**2
         meas = base.h**n / t**n * cone.log_weight
         for a in alphas:
-            r = _radius_cells(a, t, base.h, cone.max_radius)
-            if n == 1:
-                w = _window_sum_1d(p, r, M, K)
-            else:
-                lim = min(a * t, cone.max_radius) / base.h
-                w = _window_sum_2d(p, lim, r, K)
-            acc[a] += meas * w
+            rows = _window_rows(min(a * t, cone.max_radius) / base.h, n, K)
+            acc[a] += meas * _window_sum(p, rows, K)
     return {
         a: GridFunction(n, R_out, base.h, np.sqrt(acc[a])) for a in alphas
     }
@@ -374,7 +379,7 @@ def square_function_at(k: KernelSpec, f, x, cone: ConeGrid) -> float:
     total = 0.0
     for j, t in enumerate(cone.t_levels):
         t = float(t)
-        offs = cone.offsets[j]
+        offs = cone.stencil(j)
         if n == 1 and pair is None:
             ys = x[0] + offs * base.h
             Z = base.axis_centers()
@@ -424,7 +429,8 @@ class _Level:
 
     psi_t values are taken on the output lattice padded by K cells (Mx
     cells per axis) and the window sums run over the strict stencil radius
-    ``lim`` (cells); ``meas`` is (h/t)^n ln r.
+    ``lim`` (cells), whose `_window_rows` are ``rows``; ``meas`` is
+    (h/t)^n ln r.
     """
 
     t: float
@@ -432,6 +438,7 @@ class _Level:
     Mx: int
     nfft: int
     lim: float
+    rows: list
     meas: float
 
 
@@ -445,9 +452,9 @@ def _cone_levels(template: GridFunction, cone: ConeGrid, R_out: float) -> list:
         t = float(t)
         K = _radius_cells(cone.alpha, t, h, cone.max_radius)
         Mx = M + 2 * K
+        lim = min(cone.alpha * t, cone.max_radius) / h
         out.append(_Level(
-            t, K, Mx, 1 << (Mx + N - 2).bit_length(),
-            min(cone.alpha * t, cone.max_radius) / h,
+            t, K, Mx, 1 << (Mx + N - 2).bit_length(), lim, _window_rows(lim, n, K),
             (h / t) ** n * cone.log_weight,
         ))
     return out
@@ -471,18 +478,14 @@ def _gram_s_max(levels, n: int, N: int) -> int:
     multiply-adds of one M_S call on the layout's dyadic pool (the cubes of
     side l = N, N/2, ... cells and their 3-dilates, (N/l)^n of each).  Per
     cube (3Q side a = 3s + 1): s^n a^{2n} in the Gram form; per level,
-    (s + 2K) a in the 1-D Toeplitz path, or 2.5 P^n log2 P^n (an rfft /
-    irfft pair) plus the window sums in the 2-D FFT path.  The table costs
-    sum_j |D_j| (4 s_max)^{2n} once."""
-    disc = sum(2 * lv.K + 1 if n == 1 else sum(2 * rx + 1 for _, rx in _disc_rows(lv.lim, lv.K))
-               for lv in levels)
+    2.5 P^n log2 P^n (an rfft / irfft pair of FFT side P) plus the window
+    sums in the FFT path.  The table costs sum_j |D_j| (4 s_max)^{2n} once."""
+    disc = sum(2 * rx + 1 for lv in levels for _, rx in _disc_rows(lv.lim, n))
 
     def per_level(s, a):
-        if n == 1:
-            return sum((s + 2 * lv.K) * a for lv in levels)
         KP = ((lv.K, 1 << (a + s + 2 * lv.K - 2).bit_length()) for lv in levels)
-        return sum(5 * P * P * math.log2(P) + (s + 2 * K) ** 2 + 2 * (2 * K + 1) * s * s
-                   for K, P in KP)
+        return sum(2.5 * n * P**n * math.log2(P) + (s + 2 * K) ** n
+                   + 2 * (2 * K + 1) ** (n - 1) * s**n for K, P in KP)
 
     shapes = [(s, (N // l) ** n) for l in (N >> g for g in range(N.bit_length()))
               for s in (l, 3 * l)]
@@ -497,13 +500,15 @@ class SquareEvaluator:
     """Repeated S_alpha evaluations of masked variants of one grid layout.
 
     Samples the per-level convolution kernels once (the expensive
-    transcendental sampling) and keeps their spectra, in n = 1 and n = 2,
-    and in n = 1 the samples too; each eval costs one forward FFT per
-    distinct FFT size (the least power of two that holds the linear
-    convolution) and one inverse FFT per level.  Non-convolution kernels and
-    ``method="direct"`` go through square_function on every eval.
-    It also owns the batched M_S's Gram cutoff ``s_max`` (`_gram_s_max`)
-    and Gram table (`gram_table`); both depend on the layout only.
+    transcendental sampling) and keeps their spectra, in n = 1 and n = 2;
+    each eval costs one forward FFT per distinct FFT size (the least power
+    of two that holds the linear convolution) and one inverse FFT per
+    level.  Non-convolution kernels and ``method="direct"`` go through
+    square_function on every eval.  The batched Lerner path
+    (`_lerner_batched`) takes psi_t f and the S^2 window sums from it
+    (`level_values`, `cone_sum`), and its Gram cutoff ``s_max``
+    (`_gram_s_max`) and Gram table (`gram_table`); both depend on the
+    layout only.
     """
 
     def __init__(self, k, template: GridFunction, cone: ConeGrid,
@@ -519,14 +524,11 @@ class SquareEvaluator:
         n = template.n
         self.M = int(round(2.0 * self.R_out / template.h))
         self.levels = _cone_levels(template, cone, self.R_out)
-        kernels = [_level_kernel(k, template, self.R_out, lv) for lv in self.levels]
         self._spectra = [
-            np.fft.rfftn(kern, (lv.nfft,) * n, axes=range(n))
-            for lv, kern in zip(self.levels, kernels)
+            np.fft.rfftn(_level_kernel(k, template, self.R_out, lv), (lv.nfft,) * n,
+                         axes=range(n))
+            for lv in self.levels
         ]
-        # the 1-D Toeplitz blocks of the batched Lerner path slice the samples;
-        # the other blocks sample their own, so in 2-D these (~0.6 MB) go
-        self.kernels = kernels if n == 1 else None
         self.s_max = _gram_s_max(self.levels, n, template.ncells)
         self._gram = None
 
@@ -548,9 +550,8 @@ class SquareEvaluator:
                 e = np.arange(lo - K, lo + P + K) * h / lv.t
                 B = self.k.profile(*np.ix_(*(e,) * n)) * (h / lv.t) ** n
                 W = np.lib.stride_tricks.sliding_window_view(B, (P,) * n)
-                rows = [(None, K)] if n == 1 else _disc_rows(lv.lim, K)
-                for dy, rx in rows:
-                    col = W[K - rx : K + rx + 1] if n == 1 else W[K - rx : K + rx + 1, K + dy]
+                for rest, rx in _disc_rows(lv.lim, n):
+                    col = W[(slice(K - rx, K + rx + 1),) + tuple(K + d for d in rest)]
                     for r0 in range(0, 2 * rx + 1, step):
                         T = col[r0 : r0 + step].reshape(-1, P**n)
                         A += lv.meas * (T.T @ T)
@@ -574,9 +575,7 @@ class SquareEvaluator:
     def cone_sum(self, lv: _Level, p: np.ndarray) -> np.ndarray:
         """Level lv's share of S^2: its measure times the window sums of p
         (given on the padded lattice) at each output cell."""
-        if self.template.n == 1:
-            return lv.meas * _window_sum_1d(p, lv.K, self.M, lv.K)
-        return lv.meas * _window_sum_2d(p, lv.lim, lv.K, lv.K)
+        return lv.meas * _window_sum(p, lv.rows, lv.K)
 
     def eval_values(self, values: np.ndarray) -> np.ndarray:
         """S_alpha of the grid function with these values; returns values."""
@@ -764,8 +763,7 @@ def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _box_range(gf: GridFunction, box: Box, snap_outward: bool = False,
-               clip: bool = True) -> tuple:
+def _box_range(gf: GridFunction, box: Box, snap_outward: bool = False) -> tuple:
     """Per-axis (start, stop) index ranges of the cells a box selects.
 
     A cell counts when its center lies in [lo, hi) or, with
@@ -773,8 +771,8 @@ def _box_range(gf: GridFunction, box: Box, snap_outward: bool = False,
     [lo - h/2, hi + h/2): for a lattice-aligned box that is the cells inside
     plus the left neighbour.  Coordinates are taken in cell units and
     rounded to the lattice within 1e-9 (as `Cube.cell_range`), so one box
-    shape selects the same number of cells wherever it sits; ranges are
-    clipped to the grid unless ``clip`` is False.
+    shape selects the same number of cells wherever it sits; ranges are not
+    clipped to the grid.
     """
     # cell i is selected for lo - pad <= i + 1/2 < hi + pad (cell units)
     pad = 0.5 if snap_outward else 0.0
@@ -783,15 +781,12 @@ def _box_range(gf: GridFunction, box: Box, snap_outward: bool = False,
         lo = (box.lo[ax] + gf.R) / gf.h - 0.5 - pad
         hi = (box.hi[ax] + gf.R) / gf.h - 0.5 + pad
         i0 = int(math.ceil(lo - 1e-9))
-        i1 = int(math.ceil(hi - 1e-9))
-        if clip:
-            i0, i1 = min(max(i0, 0), gf.ncells), min(max(i1, 0), gf.ncells)
-        out.append((i0, i1))
+        out.append((i0, int(math.ceil(hi - 1e-9))))
     return tuple(out)
 
 
 def _box_ranges(gf: GridFunction, boxes: Sequence[Box], snap_outward: bool = False,
-                clip: bool = True, factor: float | None = None) -> tuple:
+                factor: float | None = None) -> tuple:
     """`_box_range` of many boxes, dilated first as `Box.dilate(factor)` when
     a factor is given, by the same float operations: (start, stop) index
     arrays (nb, n)."""
@@ -803,32 +798,30 @@ def _box_ranges(gf: GridFunction, boxes: Sequence[Box], snap_outward: bool = Fal
     pad = 0.5 if snap_outward else 0.0
     i0 = np.ceil((lo + gf.R) / gf.h - 0.5 - pad - 1e-9).astype(np.intp)
     i1 = np.ceil((hi + gf.R) / gf.h - 0.5 + pad - 1e-9).astype(np.intp)
-    if clip:
-        i0, i1 = np.clip(i0, 0, gf.ncells), np.clip(i1, 0, gf.ncells)
     return i0, i1
 
 
 def _box_mask(gf: GridFunction, box: Box, snap_outward: bool = False) -> np.ndarray:
-    """Indicator of the cells `_box_range` selects."""
+    """Indicator of the grid cells `_box_range` selects."""
     mask = np.zeros(gf.values.shape)
-    mask[tuple(slice(i0, i1) for i0, i1 in _box_range(gf, box, snap_outward))] = 1.0
+    mask[tuple(slice(max(i0, 0), max(i1, 0))
+               for i0, i1 in _box_range(gf, box, snap_outward))] = 1.0
     return mask
 
 
-def _lerner_groups(f: GridFunction, cube_pool: Sequence[Box], out: np.ndarray,
-                   clip: bool) -> dict:
+def _lerner_groups(f: GridFunction, cube_pool: Sequence[Box], out: np.ndarray) -> dict:
     """The pool cubes of the batched paths, grouped by shape.
 
     Keys hold per axis (cells of 3Q, cells of Q, offset of Q in 3Q); values
     are the (nb, n) start cells of 3Q and of Q of the cubes of that shape.
-    Cubes that select no grid cell are left out; where 3Q holds every
+    The ranges run past the grid, so one box shape has one key wherever it
+    sits.  Cubes that select no grid cell are left out; where 3Q holds every
     nonzero cell of f, both variants are exactly 0 on Q, which is written
-    into out here.  With ``clip`` False the ranges run past the grid, so one
-    box shape has one key wherever it sits.
+    into out here.
     """
     N = f.ncells
-    i0, i1 = _box_ranges(f, cube_pool, snap_outward=True, clip=clip, factor=3.0)
-    j0, j1 = _box_ranges(f, cube_pool, clip=clip)
+    i0, i1 = _box_ranges(f, cube_pool, snap_outward=True, factor=3.0)
+    j0, j1 = _box_ranges(f, cube_pool)
     live = np.all(np.maximum(j0, 0) < np.minimum(j1, N), axis=1)
     zero = live.copy()
     for ax, ix in enumerate(np.nonzero(f.values)):
@@ -901,104 +894,37 @@ def _gram_form(ev: SquareEvaluator, key, fp: np.ndarray, I: np.ndarray) -> np.nd
     return out.reshape(len(I), *(s for _, s, _ in key))
 
 
-def _lerner_batched_1d(ev: SquareEvaluator, f: GridFunction, variant: str,
-                       cube_pool: Sequence[Box]) -> np.ndarray:
-    """M_S / N_S of a 1-D convolution kernel, each cube evaluated on Q only.
-
-    For M_S, cubes whose shape `_gram_takes` are evaluated by `_gram_form`.
-    For the others psi_t(f 1_{3Q}) on Q +- K_j is T_j @ f[3Q], where the
-    Toeplitz block T_j is a slice of the evaluator's level-j kernel samples
-    and depends only on the cube's shape (cells of 3Q, cells of Q, offset of
-    Q in 3Q); cubes of one shape share T_j and one matmul per level.  N_S
-    uses psi_t(f 1_{outside 3Q}) = psi_t f - psi_t(f 1_{3Q}).  Where f
-    vanishes outside 3Q both variants are exactly 0 on Q.
-    """
-    values = f.values
-    N = f.ncells
-    out = np.full(N, -np.inf)
-    groups = _lerner_groups(f, cube_pool, out, clip=True)
-    if not groups:
-        return out
-    # sub-batches keep f[3Q] within the chunk size; its rows are reversed so
-    # that T's rows are forward slices of the kernel samples
-    batches, done = [], []
-    for key, (I, J) in groups.items():
-        if _gram_takes(ev, variant, key):
-            done.append((J, _gram_form(ev, key, values, I)))
-            continue
-        ((a, s, d),) = key
-        step = max(1, _LERNER_CHUNK // a)
-        for b0 in range(0, len(I), step):
-            i0s, j0s = I[b0 : b0 + step, 0], J[b0 : b0 + step, 0]
-            F = values[i0s[None, :] + np.arange(a - 1, -1, -1)[:, None]]
-            batches.append((a, s, d, j0s, F, np.zeros((s, j0s.size))))
-    s_full2 = np.zeros(N)
-    for (lv, u_full), kern in zip(ev.level_values(values), ev.kernels):
-        K = lv.K
-        if variant == "M_S":
-            s_full2 += ev.cone_sum(lv, u_full**2)
-        for a, s, d, j0s, F, acc in batches:
-            nb = j0s.size
-            # row r of T (output cell j0 - K + r), columns reversed, is
-            # kern[r + d + N - a : r + d + N]
-            rows_T = np.lib.stride_tricks.sliding_window_view(kern, a)
-            off = d + N - a
-            nrows = s + 2 * K
-            step = max(1, _LERNER_CHUNK // max(a, nb))
-            lower = np.zeros((s, nb))
-            upper = np.empty((s, nb))
-            run = np.zeros(nb)
-            for r0 in range(0, nrows, step):
-                r1 = min(nrows, r0 + step)
-                C = np.ascontiguousarray(rows_T[off + r0 : off + r1]) @ F
-                if variant == "N_S":
-                    rows = j0s[None, :] + np.arange(r0, r1)[:, None]
-                    np.subtract(u_full[rows], C, out=C)
-                # in place: prefix sums C[r0+1 .. r1] of U^2 down the rows
-                np.square(C, out=C)
-                np.cumsum(C, axis=0, out=C)
-                C += run
-                run = C[-1]
-                x0, x1 = max(1, r0 + 1), min(s, r1 + 1)
-                if x0 < x1:
-                    lower[x0:x1] = C[x0 - r0 - 1 : x1 - r0 - 1]
-                x0, x1 = max(0, r0 - 2 * K), min(s, r1 - 2 * K)
-                if x0 < x1:
-                    upper[x0:x1] = C[x0 + 2 * K - r0 : x1 + 2 * K - r0]
-            acc += lv.meas * (upper - lower)
-    _lerner_sup(out, s_full2, variant,
-                done + [(j0s[:, None], acc.T) for _, _, _, j0s, _, acc in batches])
-    return out
-
-
-def _lerner_batched_2d(ev: SquareEvaluator, f: GridFunction, variant: str,
-                       cube_pool: Sequence[Box]) -> np.ndarray:
-    """M_S / N_S of a 2-D convolution kernel, each cube evaluated on Q only.
+def _lerner_batched(ev: SquareEvaluator, f: GridFunction, variant: str,
+                    cube_pool: Sequence[Box]) -> np.ndarray:
+    """M_S / N_S of a convolution kernel, each cube evaluated on Q only.
 
     Cubes are grouped by their unclipped shape; f 1_{3Q} is read from a
     zero-padded f.  M_S groups that `_gram_takes` go to `_gram_form`.  Per
     level and other group, psi_t(f 1_{3Q}) on Q +- K is the linear
     convolution of the stacked 3Q windows with the profile sampled at the
-    cell offsets from 3Q to Q +- K (one 2-D rfft of it, one batched 2-D
-    rfft / irfft per chunk of cubes), then disc window sums run on Q.
-    N_S is as in `_lerner_batched_1d`; cells outside the grid are dropped.
+    cell offsets from 3Q to Q +- K (one n-D rfft of it, one batched n-D
+    rfft / irfft per chunk of cubes), then window sums run on Q.  N_S uses
+    psi_t(f 1_{outside 3Q}) = psi_t f - psi_t(f 1_{3Q}); cells outside the
+    grid are dropped.
     """
-    N, h = f.ncells, f.h
-    out = np.full((N, N), -np.inf)
-    groups = _lerner_groups(f, cube_pool, out, clip=False)
+    n, N, h = f.n, f.ncells, f.h
+    out = np.full((N,) * n, -np.inf)
+    groups = _lerner_groups(f, cube_pool, out)
     if not groups:
         return out
     # zero pads that hold every 3Q window of f and every Q +- K window of u
     pf = pu = 0
-    for ((a1, s1, _), (a2, s2, _)), (I, J) in groups.items():
-        pf = max(pf, -I.min(), (I + (a1, a2)).max() - N)
-        pu = max(pu, -J.min(), (J + (s1, s2)).max() - N)
+    for key, (I, J) in groups.items():
+        a, s, _ = np.array(key).T
+        pf = max(pf, -I.min(), (I + a).max() - N)
+        pu = max(pu, -J.min(), (J + s).max() - N)
     windows = np.lib.stride_tricks.sliding_window_view
     fp = np.pad(f.values, pf)
     levelled = {key: IJ for key, IJ in groups.items() if not _gram_takes(ev, variant, key)}
     accs = {key: np.zeros((len(I),) + tuple(s for _, s, _ in key)) if key in levelled
             else _gram_form(ev, key, fp, I + pf) for key, (I, _) in groups.items()}
-    s_full2 = np.zeros((N, N))
+    axes = tuple(range(1, n + 1))
+    s_full2 = np.zeros((N,) * n)
     for lv, u_full in ev.level_values(f.values):
         K = lv.K
         if variant == "M_S":
@@ -1006,23 +932,22 @@ def _lerner_batched_2d(ev: SquareEvaluator, f: GridFunction, variant: str,
         else:
             up = np.pad(u_full, pu)
         for key, (I, J) in levelled.items():
-            (a1, s1, _), (a2, s2, _) = key
-            e1, e2 = (np.arange(d - K - a + 1, d + s + K) * h / lv.t for a, s, d in key)
-            block = ev.k.profile(e1[:, None], e2[None, :]) * (h / lv.t) ** 2
+            es = (np.arange(d - K - a + 1, d + s + K) * h / lv.t for a, s, d in key)
+            block = ev.k.profile(*np.ix_(*es)) * (h / lv.t) ** n
             P = tuple(1 << (a + s + 2 * K - 2).bit_length() for a, s, _ in key)
-            kf = np.fft.rfftn(block, P, axes=(0, 1))
-            fw = windows(fp, (a1, a2))
+            kf = np.fft.rfftn(block, P, axes=range(n))
+            fw = windows(fp, tuple(a for a, _, _ in key))
             if variant == "N_S":
-                uw = windows(up, (s1 + 2 * K, s2 + 2 * K))
-            step = max(1, _LERNER_CHUNK // (P[0] * P[1]))
+                uw = windows(up, tuple(s + 2 * K for _, s, _ in key))
+            crop = (slice(None),) + tuple(slice(a - 1, a + s + 2 * K - 1) for a, s, _ in key)
+            step = max(1, _LERNER_CHUNK // math.prod(P))
             for b0 in range(0, len(I), step):
                 Ib, Jb = I[b0 : b0 + step] + pf, J[b0 : b0 + step] + pu
-                wf = np.fft.rfftn(fw[Ib[:, 0], Ib[:, 1]], P, axes=(1, 2))
-                U = np.fft.irfftn(wf * kf, P, axes=(1, 2))[
-                    :, a1 - 1 : a1 + s1 + 2 * K - 1, a2 - 1 : a2 + s2 + 2 * K - 1]
+                wf = np.fft.rfftn(fw[tuple(Ib.T)], P, axes=axes)
+                U = np.fft.irfftn(wf * kf, P, axes=axes)[crop]
                 if variant == "N_S":
-                    U = uw[Jb[:, 0], Jb[:, 1]] - U
-                accs[key][b0 : b0 + step] += lv.meas * _window_sum_2d(U**2, lv.lim, K, K)
+                    U = uw[tuple(Jb.T)] - U
+                accs[key][b0 : b0 + step] += lv.meas * _window_sum(U**2, lv.rows, K)
     _lerner_sup(out, s_full2, variant, [(J, accs[key]) for key, (_, J) in groups.items()])
     return out
 
@@ -1045,11 +970,11 @@ def lerner_maximal(
     (every point lies in some pool cube) applies only inside that box and
     the output is zero elsewhere.  ``evaluator`` may pass in a
     `SquareEvaluator` of the same kernel, cone and method on f's layout, so
-    that its kernel samples and Gram table are reused.  A linear convolution
+    that its kernel spectra and Gram table are reused.  A linear convolution
     kernel with resolved method "fft" takes the batched path
-    (`_lerner_batched_1d`, `_lerner_batched_2d`, M_S on small cubes by
-    `_gram_form`); ``method="direct"`` and bilinear pairs evaluate S once
-    per pool cube.
+    (`_lerner_batched`, M_S on small cubes by `_gram_form`), in n = 1 and
+    n = 2; ``method="direct"`` and bilinear pairs evaluate S once per pool
+    cube.
     """
     if variant not in ("M_S", "N_S"):
         raise ParameterError(f"unknown variant {variant!r}")
@@ -1068,8 +993,7 @@ def lerner_maximal(
     elif pair is None:
         ev = SquareEvaluator(k, base, cone, method=method)
     if ev is not None and ev.fast:
-        batched = _lerner_batched_1d if base.n == 1 else _lerner_batched_2d
-        out = batched(ev, base, variant, cube_pool)
+        out = _lerner_batched(ev, base, variant, cube_pool)
     else:
         out = _lerner_pool_loop(k, f, cone, variant, cube_pool, method, ev)
     if domain is not None:

@@ -112,11 +112,6 @@ class TestSubcommands:
                        "--modulus", "power:1", "--h", "0.125"])
         assert rc == 0
 
-    def test_bench(self, tmp_path):
-        rc = run_main(["--out-dir", str(tmp_path), "bench", "--h", "0.25"])
-        assert rc == 0
-        assert (tmp_path / "bench.csv").exists()
-
 
 class TestConfigAndErrors:
     def test_config_file_run(self, tmp_path):

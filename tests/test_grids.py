@@ -112,13 +112,13 @@ class TestBox:
 class TestCone:
     def test_offsets_example(self):
         c = build_cone(1.0, 1, 1.0, 1.0, None, 4, levels=np.array([2.0]))
-        assert list(c.offsets[0]) == [-1, 0, 1]
+        assert list(c.stencil(0)) == [-1, 0, 1]
 
     def test_aperture_monotone(self):
         c1 = build_cone(1.0, 1, 0.25, 0.5, 8.0, 4)
         c2 = c1.with_alpha(2.0)
-        for o1, o2 in zip(c1.offsets, c2.offsets):
-            assert set(o1.tolist()) <= set(o2.tolist())
+        for j in range(c1.nlevels):
+            assert set(c1.stencil(j).tolist()) <= set(c2.stencil(j).tolist())
 
     def test_with_alpha_keeps_levels_and_weight(self):
         for q in (1, 3, 4):
@@ -128,19 +128,20 @@ class TestCone:
             assert c2.t_levels is c1.t_levels
             assert c2.log_weight == c1.log_weight == ref.log_weight
             assert (c2.alpha, c2.max_radius) == (3.0, 6.0)
-            assert all(np.array_equal(a, b) for a, b in zip(c2.offsets, ref.offsets))
+            assert all(np.array_equal(c2.stencil(j), ref.stencil(j))
+                       for j in range(ref.nlevels))
         with pytest.raises(ParameterError):
             c1.with_alpha(0.5)
 
     def test_cardinality(self):
         c = build_cone(4.0, 1, 1.0, 1.0, None, 4, levels=np.array([64.0]))
-        count = len(c.offsets[0])
+        count = len(c.stencil(0))
         assert 256 <= count <= 1024  # within factor 2 of 2 alpha t / h = 512
 
     def test_cardinality_2d(self):
         c = build_cone(2.0, 2, 1.0, 1.0, None, 4, levels=np.array([8.0]))
         target = math.pi * 16.0**2
-        assert target / 2 <= len(c.offsets[0]) <= target * 2
+        assert target / 2 <= len(c.stencil(0)) <= target * 2
 
     def test_resolution_error(self):
         with pytest.raises(ResolutionError):
@@ -154,7 +155,7 @@ class TestCone:
         # sum of counts h^n ln r approximates the truncated cone volume
         h, al = 1.0 / 16, 2.0
         c = build_cone(al, 1, h, 8 * h, 2.0, 4)
-        disc = sum(len(o) * h * c.log_weight for o in c.offsets)
+        disc = sum(len(c.stencil(j)) * h * c.log_weight for j in range(c.nlevels))
         r = 2.0 ** (1.0 / 4)
         t_lo, t_hi = 8 * h, 8 * h * r ** len(c.t_levels)
         exact = 2 * al * (t_hi - t_lo)
@@ -163,7 +164,7 @@ class TestCone:
     def test_halfspace_covers_lattice(self):
         hs = build_halfspace(1, 0.25, 0.5, 8.0, 2, 4.0)
         for j, t in enumerate(hs.t_levels):
-            reach = max(abs(o) for o in hs.offsets[j]) * hs.h
+            reach = max(abs(o) for o in hs.stencil(j)) * hs.h
             assert reach >= min(2 * 4.0, hs.max_radius) - 0.5
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=5))
@@ -172,4 +173,4 @@ class TestCone:
         c1 = build_cone(float(a), 1, 0.5, 1.0, 16.0, 2)
         c2 = build_cone(float(a + 1), 1, 0.5, 1.0, 16.0, 2)
         lvl = min(lvl, c1.nlevels - 1)
-        assert set(c1.offsets[lvl].tolist()) <= set(c2.offsets[lvl].tolist())
+        assert set(c1.stencil(lvl).tolist()) <= set(c2.stencil(lvl).tolist())

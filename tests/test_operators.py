@@ -463,30 +463,29 @@ class TestBoxRange:
                               for a in lo]))
         for g, boxes in cases:
             for snap in (False, True):
-                for clip in (False, True):
-                    for factor in (None, 3.0):
-                        want = np.array([_box_range(g, b if factor is None else b.dilate(factor),
-                                                    snap, clip) for b in boxes])
-                        got = _box_ranges(g, boxes, snap, clip, factor)
-                        assert np.array_equal(np.stack(got, axis=-1), want)
+                for factor in (None, 3.0):
+                    want = np.array([_box_range(g, b if factor is None else b.dilate(factor),
+                                                snap) for b in boxes])
+                    got = _box_ranges(g, boxes, snap, factor)
+                    assert np.array_equal(np.stack(got, axis=-1), want)
 
 
 class TestLernerBatched:
-    """The batched 1-D M_S / N_S path against the per-cube pool loop."""
+    """The batched M_S / N_S path in 1-D against the per-cube pool loop, and
+    what n = 1 and n = 2 share."""
 
     @staticmethod
     def _pair(monkeypatch, k, f, cone, variant, pool, domain=None):
         from lpsq import operators as ops
 
-        name = f"_lerner_batched_{f.n}d"
-        batched = getattr(ops, name)
+        batched = ops._lerner_batched
         calls = []
         with monkeypatch.context() as m:
-            m.setattr(ops, name, lambda *a: calls.append(1) or batched(*a))
+            m.setattr(ops, "_lerner_batched", lambda *a: calls.append(1) or batched(*a))
             fast = lerner_maximal(k, f, cone, variant, pool, domain=domain).values
         assert calls  # the batched path ran
         with monkeypatch.context() as m:
-            m.setattr(ops, name,
+            m.setattr(ops, "_lerner_batched",
                       lambda ev, f, v, pool: ops._lerner_pool_loop(
                           ev.k, f, ev.cone, v, pool, None, ev))
             slow = lerner_maximal(k, f, cone, variant, pool, domain=domain).values
@@ -592,6 +591,22 @@ class TestLernerBatched:
                 lerner_maximal(k, f, cone.with_alpha(2.0), "M_S", pool,
                                evaluator=SquareEvaluator(k, f, cone))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sparse_construct_takes_batched_path(self, monkeypatch, n):
+        from lpsq import operators as ops
+        from lpsq.dyadic import Cube, sparse_construct
+
+        calls = []
+        batched = ops._lerner_batched
+        monkeypatch.setattr(ops, "_lerner_batched",
+                            lambda *a: calls.append(1) or batched(*a))
+        monkeypatch.setattr(ops, "_lerner_pool_loop", None)  # never reached
+        k = parse_kernel("ex1:kappa=3", n)
+        f = _spikes(np.random.default_rng(1), n, 4.0, 0.5 if n == 2 else 1.0 / 16)
+        cone = build_cone(1.0, n, f.h, 2 * f.h, 2 * f.R, 4)
+        sparse_construct(k, f, Cube(n, 1, (0,) * n, "standard", 2 * f.R), 1.0, cone)
+        assert calls
+
 
 class TestLernerBatched2D:
     """The batched 2-D M_S / N_S path against the per-cube pool loop."""
@@ -688,21 +703,6 @@ class TestLernerBatched2D:
                             for m in ("auto", "direct"))
             self._close(fast, direct)
 
-    def test_sparse_construct_takes_batched_path(self, monkeypatch):
-        from lpsq import operators as ops
-        from lpsq.dyadic import Cube, sparse_construct
-
-        calls = []
-        batched = ops._lerner_batched_2d
-        monkeypatch.setattr(ops, "_lerner_batched_2d",
-                            lambda *a: calls.append(1) or batched(*a))
-        monkeypatch.setattr(ops, "_lerner_pool_loop", None)  # never reached
-        k = parse_kernel("ex1:kappa=3", 2)
-        f = _spikes(np.random.default_rng(1), 2, 4.0, 0.5)
-        cone = build_cone(1.0, 2, f.h, 2 * f.h, 2 * f.R, 4)
-        sparse_construct(k, f, Cube(2, 1, (0, 0), "standard", 2 * f.R), 1.0, cone)
-        assert calls
-
 
 class TestLernerGram:
     """The level-summed Gram form of the batched M_S against the per-cube
@@ -729,7 +729,7 @@ class TestLernerGram:
             m.setattr(ops, "_gram_form", lambda ev, key, *a: keys.append(key) or gram(ev, key, *a))
             fast = lerner_maximal(k, f, cone, "M_S", pool, domain=domain, evaluator=ev).values
         with monkeypatch.context() as m:
-            m.setattr(ops, f"_lerner_batched_{f.n}d",
+            m.setattr(ops, "_lerner_batched",
                       lambda ev, f, v, pool: ops._lerner_pool_loop(
                           ev.k, f, ev.cone, v, pool, None, ev))
             slow = lerner_maximal(k, f, cone, "M_S", pool, domain=domain).values
@@ -774,7 +774,7 @@ class TestLernerGram:
         assert keys
         ev = SquareEvaluator(k, f, cone)
         monkeypatch.setattr(ev, "s_max", 2)
-        groups = _lerner_groups(f, pool, np.full(f.values.shape, -np.inf), clip=n == 1)
+        groups = _lerner_groups(f, pool, np.full(f.values.shape, -np.inf))
         small = [key for key in groups if max(s for _, s, _ in key) <= 2]
         assert any(not _gram_takes(ev, "M_S", key) for key in small)
 
@@ -804,6 +804,30 @@ class TestLernerGram:
         sparse_construct(k, f, Cube(2, 1, (0, 0), "standard", 2 * f.R), 1.0, cone)
         assert {s_max for s_max, _ in seen} == {3}
         assert {s for _, key in seen for _, s, _ in key} == {1, 2, 3}
+
+
+class TestWindowSum:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_stencil_brute_force(self, n):
+        """`_window_sum` over the `_window_rows` of lim against a sum over
+        the offsets of `grids._stencil`, the rule of `ConeGrid.stencil`,
+        with a batch axis and K past r."""
+        from lpsq.grids import _stencil
+        from lpsq.operators import _window_rows, _window_sum
+
+        rng = np.random.default_rng(n)
+        M = (7, 5)[:n]
+        for lim in (1.0, 2.0, 2.5, 3.7, 4.0):
+            r = max(math.ceil(lim) - 1, 0)
+            for K in (r, r + 2):
+                p = rng.standard_normal((3,) + tuple(m + 2 * K for m in M))
+                want = np.zeros((3,) + M)
+                for off in _stencil(n, lim).reshape(-1, n):
+                    want += p[(slice(None),) + tuple(
+                        slice(K + o, K + o + m) for o, m in zip(off, M))]
+                got = _window_sum(p, _window_rows(lim, n, K), K)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSquareEvaluator2D:
