@@ -217,10 +217,10 @@ def _campaign_eval(cfg, out_dir):
     n = int(cfg["n"])
     k = parse_kernel(cfg["kernel"], n)
     bilinear = cfg["kind"] == "bilinear"
-    f = _function(cfg)
-    arg = (f, _function(cfg, "function2")) if bilinear else f
     if bilinear and cfg["function2"] is None:
         raise ConfigError("bilinear eval needs function2")
+    f = _function(cfg)
+    arg = (f, _function(cfg, "function2")) if bilinear else f
     if cfg["op"] == "s":
         cone = _cone_cfg(cfg)
         out = square_function(k, arg, cone, method=cfg["method"])

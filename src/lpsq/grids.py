@@ -152,6 +152,10 @@ class GridFunction:
 
 def sample_function(fn: Callable, n: int, R: float, h: float) -> GridFunction:
     """Pointwise evaluation at cell centers; raises on non-finite values."""
+    if not h > 0:
+        raise GridError(f"spacing h={h} must be positive")
+    if not R > 0:
+        raise GridError(f"box half-width R={R} must be positive")
     N = int(round(2.0 * R / h))
     if abs(N * h - 2.0 * R) > 1e-9 * max(1.0, R):
         raise GridError(f"h={h} must divide 2R={2 * R} evenly")

@@ -13,10 +13,24 @@ psi_t values are computed honestly wherever the output needs them.
 
 Kernels with a profile have an FFT fast path; the per-call ``method``
 argument ("auto", "fft" or "direct") forces the direct-summation path (the
-oracle gate compares the two).  `SquareEvaluator` caches the per-level
-kernel spectra of one layout in n = 1 and n = 2; `lerner_maximal` takes a
-caller's evaluator of the same layout (``evaluator=``, as `sparse_construct`
-passes), so the full-grid kernels are sampled once per layout.
+oracle gate compares the two).  Every full-grid linear convolution
+(psi_t, the `SquareEvaluator` levels, g*'s weight sum) is a circular
+convolution by numpy's rfftn / irfftn of one length rule, `_fft_len`: the
+least 2^a 3^b 5^c that holds it.  Two paths keep powers of two: the Lerner
+local-window blocks, on which the Gram cutoff `_gram_s_max` is tuned, and
+the bilinear diagonal sums, whose input spectra serve every level of one
+length, and powers of two leave the levels fewer distinct lengths.
+`scipy.signal` is imported though nothing here calls it: perfbench's span table resolves ``scipy.signal.fftconvolve`` and
+reports a module the program never imported as absent.
+`SquareEvaluator` caches the per-level kernel spectra of one layout in
+n = 1 and n = 2; `lerner_maximal` takes a caller's evaluator of the same
+layout (``evaluator=``, as `sparse_construct` passes), so the full-grid
+kernels are sampled once per layout.
+
+g* sums, per level, the weight times |psi_t f|^2 over the offsets as a
+product of spectra; levels of one stencil radius share one irfftn.  The
+1-D Hardy-Littlewood maximal function is an exact max over all windows,
+in blocks of window starts (`_hl_max_1d`).
 
 A bilinear kernel with profile Phi(x - y1, x - y2) on a pair (f1, f2) in
 1-D: psi_t is the sum over the input offsets d = a - b of the convolutions
@@ -43,7 +57,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import ndimage
+from scipy import signal  # noqa: F401  not called; see the module docstring
 
 from .errors import (
     CoverageError,
@@ -71,7 +86,8 @@ __all__ = [
 ]
 
 # temporaries of the chunked paths (the batched Lerner FFTs and Gram form,
-# the Gram table, the bilinear FFT) hold at most this many doubles
+# the Gram table, the bilinear FFT, the 1-D HL maximal blocks) hold at most
+# this many doubles
 _LERNER_CHUNK = 1 << 14
 
 
@@ -168,20 +184,44 @@ def _psi_t_direct(k, f, t, out_R):
     return GridFunction(2, R_out, f.h, out)
 
 
-def _psi_t_conv_fft(k, f, t, out_R):
-    R_out, M, X = _out_centers(f, out_R)
-    N = f.ncells
-    shift = f.R - R_out  # in_center - out_center offset
-    m = np.arange(-(N - 1), M)
-    scale = f.h**f.n / t**f.n
+def _fft_len(n: int) -> int:
+    """The least 5-smooth integer 2^a 3^b 5^c >= n: the FFT length of every
+    full-grid linear convolution (psi_t, the evaluator's levels, g*'s
+    weight sum)."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 * 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _conv_kernel(k, f: GridFunction, t: float, R_out: float, M: int) -> np.ndarray:
+    """Profile samples times (h/t)^n at the cell offsets -(N-1) .. M-1 (per
+    axis) from the input cells of f to the M-cell output lattice of
+    [-R_out, R_out]^n."""
+    h = f.h
+    d = (np.arange(-(f.ncells - 1), M) * h + (f.R - R_out)) / t
+    scale = (h / t) ** f.n
     if f.n == 1:
-        kern = k.profile((m * f.h + shift) / t) * scale
-        vals = signal.fftconvolve(f.values, kern)[N - 1 : N - 1 + M]
-        return GridFunction(1, R_out, f.h, vals)
-    d = (m * f.h + shift) / t
-    kern = k.profile(d[:, None], d[None, :]) * scale
-    vals = signal.fftconvolve(f.values, kern)[N - 1 : N - 1 + M, N - 1 : N - 1 + M]
-    return GridFunction(2, R_out, f.h, vals)
+        return k.profile(d) * scale
+    return k.profile(d[:, None], d[None, :]) * scale
+
+
+def _psi_t_conv_fft(k, f, t, out_R):
+    """psi_t of a convolution kernel: the linear convolution of f with
+    `_conv_kernel`, as one circular convolution of length `_fft_len`."""
+    R_out, M, _ = _out_centers(f, out_R)
+    N, n = f.ncells, f.n
+    P, axes = (_fft_len(M + N - 1),) * n, tuple(range(n))
+    spec = (np.fft.rfftn(f.values, P, axes=axes)
+            * np.fft.rfftn(_conv_kernel(k, f, t, R_out, M), P, axes=axes))
+    conv = np.fft.irfftn(spec, P, axes=axes)
+    return GridFunction(n, R_out, f.h, conv[(slice(N - 1, N - 1 + M),) * n])
 
 
 def _psi_t_bilinear(k, f1, f2, t, out_R):
@@ -430,7 +470,8 @@ class _Level:
     psi_t values are taken on the output lattice padded by K cells (Mx
     cells per axis) and the window sums run over the strict stencil radius
     ``lim`` (cells), whose `_window_rows` are ``rows``; ``meas`` is
-    (h/t)^n ln r.
+    (h/t)^n ln r and ``nfft`` the `_fft_len` of the linear convolution
+    from the N input cells to the Mx output cells.
     """
 
     t: float
@@ -454,22 +495,10 @@ def _cone_levels(template: GridFunction, cone: ConeGrid, R_out: float) -> list:
         Mx = M + 2 * K
         lim = min(cone.alpha * t, cone.max_radius) / h
         out.append(_Level(
-            t, K, Mx, 1 << (Mx + N - 2).bit_length(), lim, _window_rows(lim, n, K),
+            t, K, Mx, _fft_len(Mx + N - 1), lim, _window_rows(lim, n, K),
             (h / t) ** n * cone.log_weight,
         ))
     return out
-
-
-def _level_kernel(k, template: GridFunction, R_out: float, lv: _Level) -> np.ndarray:
-    """Profile samples times (h/t)^n at the offsets -(N-1) .. Mx-1 (per axis)
-    from the input cells to the output lattice padded by K."""
-    h = template.h
-    shift = template.R - (R_out + lv.K * h)
-    d = (np.arange(-(template.ncells - 1), lv.Mx) * h + shift) / lv.t
-    scale = (h / lv.t) ** template.n
-    if template.n == 1:
-        return k.profile(d) * scale
-    return k.profile(d[:, None], d[None, :]) * scale
 
 
 def _gram_s_max(levels, n: int, N: int) -> int:
@@ -501,9 +530,9 @@ class SquareEvaluator:
 
     Samples the per-level convolution kernels once (the expensive
     transcendental sampling) and keeps their spectra, in n = 1 and n = 2;
-    each eval costs one forward FFT per distinct FFT size (the least power
-    of two that holds the linear convolution) and one inverse FFT per
-    level.  Non-convolution kernels and ``method="direct"`` go through
+    each eval costs one forward FFT per distinct FFT size (`_fft_len` of
+    the linear convolution) and one inverse FFT per level.
+    Non-convolution kernels and ``method="direct"`` go through
     square_function on every eval.  The batched Lerner path
     (`_lerner_batched`) takes psi_t f and the S^2 window sums from it
     (`level_values`, `cone_sum`), and its Gram cutoff ``s_max``
@@ -525,8 +554,8 @@ class SquareEvaluator:
         self.M = int(round(2.0 * self.R_out / template.h))
         self.levels = _cone_levels(template, cone, self.R_out)
         self._spectra = [
-            np.fft.rfftn(_level_kernel(k, template, self.R_out, lv), (lv.nfft,) * n,
-                         axes=range(n))
+            np.fft.rfftn(_conv_kernel(k, template, lv.t, self.R_out + lv.K * template.h,
+                                      lv.Mx), (lv.nfft,) * n, axes=range(n))
             for lv in self.levels
         ]
         self.s_max = _gram_s_max(self.levels, n, template.ncells)
@@ -617,36 +646,46 @@ def g_star(
     """g*_lambda with weight (t/(t+|x-y|))^{n lambda} over the half-space.
 
     ``halfspace`` should be built with `build_halfspace` so each level's
-    stencil covers the lattice.
+    stencil covers the lattice.  Per level, psi_t f on the output lattice
+    padded by K cells (one `psi_t_apply` call), then the weight sum over the
+    offsets |m| <= K (in n = 2 also |m| h < min(alpha t, max_radius)) as a
+    product of spectra of length `_fft_len(M + 2K)`.  The products of levels
+    with the same K are summed in frequency space and take one irfftn.
     """
     _check_lambda(k, lam)
     pair = _as_pair(f)
     base = pair[0] if pair else f
-    n = base.n
+    n, h = base.n, base.h
     R_out = base.R if out_R is None else float(out_R)
-    M = int(round(2.0 * R_out / base.h))
-    acc = np.zeros((M,) * n)
+    M = int(round(2.0 * R_out / h))
+    axes = tuple(range(n))
     radii = [
-        _radius_cells(halfspace.alpha, float(t), base.h, halfspace.max_radius)
+        _radius_cells(halfspace.alpha, float(t), h, halfspace.max_radius)
         for t in halfspace.t_levels
     ]
+    specs = {}  # K -> summed spectrum of the level weight sums
     for j, t, u_ext, K in _psi_levels(k, f, halfspace, R_out, method, radii):
-        p = u_ext**2
-        meas = base.h**n / t**n * halfspace.log_weight
+        P = (_fft_len(M + 2 * K),) * n
+        g1 = np.arange(-K, K + 1)
         if n == 1:
-            m = np.arange(-K, K + 1)
-            wgt = (t / (t + np.abs(m) * base.h)) ** (n * lam)
-            acc += meas * signal.fftconvolve(p, wgt, mode="valid")
+            wgt = (t / (t + np.abs(g1) * h)) ** (n * lam)
         else:
-            g1 = np.arange(-K, K + 1)
             MX, MY = np.meshgrid(g1, g1, indexing="ij")
-            dist = np.hypot(MX, MY) * base.h
+            dist = np.hypot(MX, MY) * h
             wgt = (t / (t + dist)) ** (n * lam)
-            lim = min(halfspace.alpha * t, halfspace.max_radius)
-            wgt[dist >= lim] = 0.0
-            acc += meas * signal.fftconvolve(p, wgt, mode="valid")
+            wgt[dist >= min(halfspace.alpha * t, halfspace.max_radius)] = 0.0
+        meas = h**n / t**n * halfspace.log_weight
+        term = meas * np.fft.rfftn(u_ext**2, P, axes=axes) * np.fft.rfftn(wgt, P, axes=axes)
+        if K in specs:
+            specs[K] += term
+        else:
+            specs[K] = term
+    acc = np.zeros((M,) * n)
+    for K, spec in specs.items():
+        P = (_fft_len(M + 2 * K),) * n
+        acc += np.fft.irfftn(spec, P, axes=axes)[(slice(2 * K, 2 * K + M),) * n]
     acc = np.maximum(acc, 0.0)
-    return GridFunction(n, R_out, base.h, np.sqrt(acc))
+    return GridFunction(n, R_out, h, np.sqrt(acc))
 
 
 def g_star_cascade_bound(
@@ -681,17 +720,38 @@ def g_star_cascade_bound(
 # ---------------------------------------------------------------------------
 
 
-def _right_aligned_max_1d(arr: np.ndarray, L: int) -> np.ndarray:
-    # window [i-L+1, i]: scipy's window is [i - origin - L//2, ...]
-    origin = (L - 1) // 2
-    return ndimage.maximum_filter1d(arr, size=L, mode="constant", cval=-np.inf,
-                                    origin=origin)
+def _hl_max_1d(a: np.ndarray) -> np.ndarray:
+    """The 1-D Hardy-Littlewood maximal function of a >= 0 over grid cubes:
+    out[x] = max over the windows [i, j) containing x of (c[j] - c[i]) /
+    (j - i), c the cumulative sums of a; windows of one cell give a itself.
+
+    Window starts i go in blocks of about `_LERNER_CHUNK` pairs (i, j); per
+    block, a reversed running max over j gives each start's best window
+    ending past x, and a column max takes the best of the block's starts
+    i <= x."""
+    N = a.size
+    c = np.concatenate([[0.0], np.cumsum(a)])
+    out = a.copy()  # L = 1 windows
+    i0 = 0
+    while i0 < N - 1:
+        i1 = min(N - 1, i0 + max(1, _LERNER_CHUNK // (N - i0)))
+        i = np.arange(i0, i1)[:, None]
+        j = np.arange(i0 + 1, N + 1)[None, :]  # column x - i0 holds end j = x + 1
+        L = j - i
+        avg = np.divide(c[j] - c[i], L, out=np.full(L.shape, -np.inf), where=L >= 2)
+        best = np.maximum.accumulate(avg[:, ::-1], axis=1)[:, ::-1]
+        best[L < 1] = -np.inf  # starts i > x
+        np.maximum(out[i0:], best.max(axis=0), out=out[i0:])
+        i0 = i1
+    return out
 
 
 def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) -> GridFunction:
     """Hardy-Littlewood (grid cubes), dyadic (anchored at 0), or powered.
 
-    hl: sup over grid-aligned cubes containing x, sides h..2R;
+    hl: sup over grid-aligned cubes containing x, sides h..2R (in 1-D an
+    exact blocked max over all windows, `_hl_max_1d`; in 2-D one
+    maximum filter per side);
     dyadic: sup over the dyadic lattice anchored at coordinate 0;
     powered: M[|f|^kappa]^{1/kappa}.
     """
@@ -703,15 +763,10 @@ def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) ->
     a = np.abs(f.values)
     N = f.ncells
     if variant == "hl":
-        out = a.copy()  # L = 1 windows
         if f.n == 1:
-            c = np.concatenate([[0.0], np.cumsum(a)])
-            for L in range(2, N + 1):
-                avg = (c[L:] - c[:-L]) / L
-                pad = np.full(N, -np.inf)
-                pad[: avg.size] = avg
-                out = np.maximum(out, _right_aligned_max_1d(pad, L))
+            out = _hl_max_1d(a)
         else:
+            out = a.copy()  # L = 1 windows
             c = np.zeros((N + 1, N + 1))
             c[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
             for L in range(2, N + 1):

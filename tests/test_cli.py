@@ -144,6 +144,24 @@ class TestConfigAndErrors:
         rc = run_main(["--out-dir", str(tmp_path), "dini", "--modulus", "zzz:9"])
         assert rc == 2
 
+    def test_bilinear_eval_without_function2_exits_2(self, tmp_path, capsys):
+        rc = run_main(["--out-dir", str(tmp_path), "eval", "--kind", "bilinear",
+                       "--kernel", "bi1:kappa=3", "--h", "0.25"])
+        assert rc == 2
+        assert "function2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, bad", [
+        (["eval", "--h", "0"], "h=0.0"),
+        (["cz", "--h", "0"], "h=0.0"),
+        (["eval", "--n", "2", "--h", "0"], "h=0.0"),
+        (["eval", "--R", "-1"], "R=-1.0"),
+    ])
+    def test_nonpositive_grid_exits_2(self, tmp_path, capsys, args, bad):
+        rc = run_main(["--out-dir", str(tmp_path), *args])
+        assert rc == 2
+        assert bad in capsys.readouterr().err
+        assert bad in json.loads((tmp_path / "summary.json").read_text())["error"]
+
     def test_campaign_failure_nonzero_named(self, tmp_path, capsys):
         # a constant kernel fails the size-condition stability check
         rc = run_main(["--out-dir", str(tmp_path), "cz", "--function", "box:1",

@@ -42,6 +42,12 @@ class TestGridFunction:
         with pytest.raises(GridError):
             sample_function(lambda x: x, 1, 1.0, 0.3)
 
+    @pytest.mark.parametrize("R, h, bad", [(2.0, 0.0, "h=0.0"), (2.0, -0.5, "h=-0.5"),
+                                           (-1.0, 0.5, "R=-1.0"), (0.0, 0.5, "R=0.0")])
+    def test_nonpositive_spacing_or_extent_rejected(self, R, h, bad):
+        with pytest.raises(GridError, match=bad):
+            sample_function(lambda x: x, 1, R, h)
+
     def test_norms_2d(self):
         g = sample_function(lambda x, y: np.exp(-(x**2) - y**2), 2, 6.0, 1.0 / 8)
         assert g.norm_l1() == pytest.approx(math.pi, abs=1e-5)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -999,3 +1000,105 @@ class TestBilinearFFT:
         fast, direct = (g_star(k, (f1, f2), 5.0, hs, method=m).values
                         for m in ("auto", "direct"))
         self._close(fast, direct)
+
+
+def _g_star_by_loops(k, f, lam, hs, out_R):
+    """g* as a sum over the offsets m, |m| <= K per level (in n = 2 also
+    |m| h < min(alpha t, max_radius)), of the weight times |psi_t f|^2 at
+    x + m, psi_t by direct summation on the output lattice padded by K."""
+    base = f[0] if isinstance(f, tuple) else f
+    n, h = base.n, base.h
+    M = int(round(2.0 * out_R / h))
+    acc = np.zeros((M,) * n)
+    for t in map(float, hs.t_levels):
+        lim = min(hs.alpha * t, hs.max_radius)
+        K = max(math.ceil(lim / h) - 1, 0)
+        u = psi_t_apply(k, f, t, out_R=out_R + K * h, method="direct").values
+        meas = h**n / t**n * hs.log_weight
+        for m in itertools.product(range(-K, K + 1), repeat=n):
+            dist = float(np.hypot(*m) if n == 2 else abs(m[0])) * h
+            if n == 2 and dist >= lim:
+                continue
+            w = (t / (t + dist)) ** (n * lam)
+            acc += meas * w * u[tuple(slice(K + d, K + d + M) for d in m)] ** 2
+    return np.sqrt(acc)
+
+
+class TestGStarGate:
+    """g_star (psi_t by FFT, the weight sum in frequency space) against
+    direct psi_t with the weight summed by loops over the offsets; the
+    cascade bound dominates it on the same inputs."""
+
+    @pytest.mark.parametrize("case", ["1d", "2d", "bi1"])
+    @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=3),
+           st.booleans(), st.floats(min_value=4.5, max_value=8.0),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=15)
+    def test_matches_offset_loops(self, case, N, pad, halfspace, lam, seed):
+        n = 2 if case == "2d" else 1
+        rng = np.random.default_rng(seed)
+        h = 0.5
+        if n == 2:
+            N = 2 + N // 4  # 2 .. 8 cells per axis keep the direct sums short
+        R = N * h / 2
+        vals = [_runs(rng, N**n).reshape((N,) * n) for _ in range(2)]
+        fs = [GridFunction(n, R, h, v) for v in vals]
+        if case == "bi1":
+            k, f = bilinear_example_kernel(3.0, 1), (fs[0], fs[1])
+        else:
+            k, f = parse_kernel("ex1:kappa=3", n), fs[0]
+        if halfspace:
+            hs = build_halfspace(n, h, 2 * h, 2 * R, 2, R)
+        else:  # a cone capped as the half-space: the levels' K differ
+            hs = build_cone(1.0 + rng.uniform(0.0, 2.0), n, h, 2 * h, 4 * R, 2,
+                            max_radius=2 * R * math.sqrt(n) + h)
+        out_R = R + pad * h
+        gs = g_star(k, f, lam, hs, out_R=out_R).values
+        assert gs.shape == (N + 2 * pad,) * n
+        TestLernerBatched._close(gs, _g_star_by_loops(k, f, lam, hs, out_R))
+        cascade, _ = g_star_cascade_bound(k, f, lam, hs, n_terms=9, out_R=out_R)
+        ratio = gs / np.maximum(cascade.values, 1e-300)
+        assert np.max(ratio) <= 1.0 + 1e-10
+
+
+def _hl_input(rng, N: int, kind: str) -> np.ndarray:
+    """Constant input, or noise or zeros with zero runs and signed spikes."""
+    if kind == "const":
+        return np.full(N, rng.uniform(-3.0, 3.0))
+    v = rng.standard_normal(N) if kind == "noise" else np.zeros(N)
+    for _ in range(rng.integers(0, 4)):
+        i = rng.integers(0, N)
+        v[i : i + rng.integers(1, N // 4 + 2)] = 0.0
+    cells = rng.integers(0, N, size=rng.integers(0, 5))
+    v[cells] += rng.uniform(1.0, 50.0, cells.size) * rng.choice([-1.0, 1.0], cells.size)
+    return v
+
+
+class TestMaximalHL1D:
+    """The blocked 1-D Hardy-Littlewood maximal function against a loop
+    over every window [i, j), bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [None, 40])
+    @given(st.integers(min_value=1, max_value=96),
+           st.sampled_from(["const", "noise", "spikes"]),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=40)
+    def test_equals_window_loop(self, chunk, N, kind, seed):
+        from lpsq import operators as ops
+
+        rng = np.random.default_rng(seed)
+        g = GridFunction(1, N / 16, 1.0 / 8, _hl_input(rng, N, kind))
+        a = np.abs(g.values)
+        c = np.concatenate([[0.0], np.cumsum(a)])
+        brute = a.copy()  # windows of one cell
+        for i in range(N):
+            for j in range(i + 2, N + 1):
+                brute[i:j] = np.maximum(brute[i:j], (c[j] - c[i]) / (j - i))
+        with pytest.MonkeyPatch.context() as m:
+            if chunk:
+                m.setattr(ops, "_LERNER_CHUNK", chunk)
+            hl = maximal(g, "hl").values
+        assert np.array_equal(hl, brute)
+        for kappa in (1.0, 1.5, 3.0):
+            powered = maximal(g, "powered", kappa=kappa).values
+            assert np.all(powered >= hl * (1.0 - 1e-12))
