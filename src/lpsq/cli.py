@@ -245,7 +245,7 @@ def _campaign_eval(cfg, out_dir):
 
 def _campaign_cz(cfg, out_dir):
     f = _function(cfg)
-    rho = float(cfg.get("rho") or 1.0)
+    rho = 1.0 if cfg.get("rho") is None else float(cfg["rho"])
     d = cz_decompose(f, rho)
     d.save(os.path.join(out_dir, "cz"))
     resid = float(np.max(np.abs(d.reconstruct() - f.values))) if f.values.size else 0.0
@@ -274,7 +274,13 @@ def _campaign_sparse(cfg, out_dir):
     f = _function(cfg)
     cone = _cone_cfg(cfg)
     q0 = _root_cube(cfg)
-    fam = sparse_construct(k, f, q0, float(cfg["alpha"]), cone, cfg["gamma"],
+    gamma = cfg["gamma"]
+    if gamma != "auto":
+        try:
+            gamma = float(gamma)
+        except (TypeError, ValueError):
+            raise ConfigError(f"gamma must be 'auto' or a number, got {gamma!r}") from None
+    fam = sparse_construct(k, f, q0, float(cfg["alpha"]), cone, gamma,
                            method=cfg["method"])
     path = os.path.join(out_dir, "sparse_family.json")
     fam.save(path)

@@ -529,9 +529,12 @@ def verify_sparse(family: SparseFamily, eta: float | None = None):
     """Exact lattice check of |union of strict subcubes| <= (1-eta)|Q|.
 
     Returns (ok, worst_ratio, worst_cube).  Cell counting happens at the
-    finest generation present in the family.
+    finest generation present in the family.  eta must lie in (0, 1]
+    (`ParameterError` otherwise).
     """
     eta = family.eta if eta is None else eta
+    if not 0 < eta <= 1:
+        raise ParameterError(f"eta must lie in (0, 1], got {eta}")
     root = family.root
     gmax = max(c.generation for c in family.cubes)
     unit = root.generation  # cells counted relative to root at gmax
@@ -621,13 +624,22 @@ def sparse_construct(
     maximal dyadic subcubes with |cell E share| > 2^{-n-1} are selected, the
     recursion continues on their (deduplicated, maximal) parents.  In auto
     mode gamma doubles per node until |E| <= 2^{-2n-2}|P| cells, which
-    forces 1/2-sparseness of the output combinatorially.
+    forces 1/2-sparseness of the output combinatorially.  gamma is "auto"
+    or a finite positive number (the starting value); anything else is a
+    `ParameterError`.
     """
     from . import operators as ops
     from .moduli import dini_constant
 
     if isinstance(f, (tuple, list)) or k.kind == "bilinear":
         raise ParameterError("bilinear sparse families are not implemented")
+    if gamma != "auto":
+        try:
+            gamma = float(gamma)
+        except (TypeError, ValueError):
+            raise ParameterError(f"gamma must be 'auto' or a number, got {gamma!r}") from None
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ParameterError(f"gamma must be finite and positive, got {gamma}")
     N = f.ncells
     _dyadic_root_cells(N)
     cone_a = cone if cone.alpha == alpha else cone.with_alpha(alpha)
@@ -645,7 +657,7 @@ def sparse_construct(
     gmax = int(math.log2(N))
     cubes = []
     parent_links = {}
-    gamma_used = [1.0 if gamma == "auto" else float(gamma)]
+    gamma_used = [1.0 if gamma == "auto" else gamma]
 
     def recurse(node: Cube, g_val: float, depth: int):
         cubes.append(node)

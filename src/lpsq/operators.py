@@ -43,8 +43,9 @@ levels (`_psi_t_bilinear_fft`).  The per-output-cell direct sum
 evaluates every pool cube's S(f 1_{3Q}) only on Q, cubes grouped by their
 cell shape, in n = 1 and n = 2 alike.  M_S on small cubes is one quadratic
 form in f on 3Q per cube, with a level-summed Gram table cached on the
-`SquareEvaluator`; other groups cost, per level, one batched n-D rfft of
-the stacked 3Q windows (input on 3Q, output on Q +- K_j), then window sums.
+`SquareEvaluator`; other groups cost, per FFT length and chunk of cubes,
+one batched n-D rfft of the stacked 3Q windows, shared by the levels of
+that length, and per level one irfft (output on Q +- K_j) and window sums.
 ``method="direct"`` and bilinear pairs run S once per pool cube; that loop
 is the oracle of the batched path.
 """
@@ -535,9 +536,11 @@ class SquareEvaluator:
     Non-convolution kernels and ``method="direct"`` go through
     square_function on every eval.  The batched Lerner path
     (`_lerner_batched`) takes psi_t f and the S^2 window sums from it
-    (`level_values`, `cone_sum`), and its Gram cutoff ``s_max``
-    (`_gram_s_max`) and Gram table (`gram_table`); both depend on the
-    layout only.
+    (`level_values`, `cone_sum`), the levels, and its Gram cutoff
+    ``s_max`` (`_gram_s_max`) and Gram table (`gram_table`, built from one
+    buffer of rows); these depend on the layout only.  The Lerner profile
+    blocks and their spectra depend on the pool's cube shapes and live for
+    one call.
     """
 
     def __init__(self, k, template: GridFunction, cone: ConeGrid,
@@ -566,24 +569,35 @@ class SquareEvaluator:
         first use.  A[p, q] = sum_j meas_j sum_{m in D_j} k_j(m + p) k_j(m + q)
         over the offsets p, q in [lo, lo + P)^n (flat, C order), with
         lo = 1 - 2 s_max and P = 4 s_max; k_j(v) = Phi(v h / t_j) (h / t_j)^n
-        and D_j is the window of `cone_sum`."""
+        and D_j is the window of `cone_sum`.
+
+        The rows k_j(m + .) sqrt(meas_j), of every level j and offset m in
+        D_j, fill one buffer of about `_LERNER_CHUNK` doubles; each full
+        buffer adds buf^T buf to A."""
         if self._gram is None:
             n, h = self.template.n, self.template.h
             lo, P = 1 - 2 * self.s_max, 4 * self.s_max
             A = np.zeros((P**n, P**n))
-            step = max(1, _LERNER_CHUNK // P**n)
+            buf = np.empty((max(1, _LERNER_CHUNK // P**n), P**n))
+            used = 0
             for lv in self.levels:
                 K = lv.K
-                # B[i] = k_j(i - K + lo) per axis, so that the window of W at
-                # m + K holds k_j(m + p) for every p of the box
+                # B[i] = k_j(i - K + lo) sqrt(meas_j) per axis, so that the
+                # window of W at m + K holds the row of offset m
                 e = np.arange(lo - K, lo + P + K) * h / lv.t
-                B = self.k.profile(*np.ix_(*(e,) * n)) * (h / lv.t) ** n
+                B = self.k.profile(*np.ix_(*(e,) * n)) * ((h / lv.t) ** n * math.sqrt(lv.meas))
                 W = np.lib.stride_tricks.sliding_window_view(B, (P,) * n)
                 for rest, rx in _disc_rows(lv.lim, n):
                     col = W[(slice(K - rx, K + rx + 1),) + tuple(K + d for d in rest)]
-                    for r0 in range(0, 2 * rx + 1, step):
-                        T = col[r0 : r0 + step].reshape(-1, P**n)
-                        A += lv.meas * (T.T @ T)
+                    r0 = 0
+                    while r0 < len(col):
+                        rows = col[r0 : r0 + len(buf) - used]
+                        buf[used : used + len(rows)].reshape(rows.shape)[...] = rows
+                        used, r0 = used + len(rows), r0 + len(rows)
+                        if used == len(buf):
+                            A += buf.T @ buf
+                            used = 0
+            A += buf[:used].T @ buf[:used]
             self._gram = A, lo, P
         return self._gram
 
@@ -954,13 +968,19 @@ def _lerner_batched(ev: SquareEvaluator, f: GridFunction, variant: str,
     """M_S / N_S of a convolution kernel, each cube evaluated on Q only.
 
     Cubes are grouped by their unclipped shape; f 1_{3Q} is read from a
-    zero-padded f.  M_S groups that `_gram_takes` go to `_gram_form`.  Per
-    level and other group, psi_t(f 1_{3Q}) on Q +- K is the linear
-    convolution of the stacked 3Q windows with the profile sampled at the
-    cell offsets from 3Q to Q +- K (one n-D rfft of it, one batched n-D
-    rfft / irfft per chunk of cubes), then window sums run on Q.  N_S uses
-    psi_t(f 1_{outside 3Q}) = psi_t f - psi_t(f 1_{3Q}); cells outside the
-    grid are dropped.
+    zero-padded f.  M_S groups that `_gram_takes` go to `_gram_form`.  For
+    every other group, psi_t(f 1_{3Q}) on Q +- K_j is the linear
+    convolution of the stacked 3Q windows with level j's profile block,
+    sampled at the cell offsets from 3Q to Q +- K_j; window sums then run
+    on Q.  The loops run group -> FFT length P -> chunk of cubes -> level:
+    the levels of one group are taken in runs of consecutive levels with
+    one P (the power of two of a + s + 2K - 1 per axis), each run costs
+    one n-D rfft per level block and, per chunk, one batched n-D rfft of
+    the windows and one irfft per level, and each cube's terms are added
+    in level order.  Each level's profile is sampled once per call, on the
+    union of the groups' offset ranges; a block is a slice of it.  N_S
+    uses psi_t(f 1_{outside 3Q}) = psi_t f - psi_t(f 1_{3Q}); cells outside
+    the grid are dropped.
     """
     n, N, h = f.n, f.ncells, f.h
     out = np.full((N,) * n, -np.inf)
@@ -978,31 +998,45 @@ def _lerner_batched(ev: SquareEvaluator, f: GridFunction, variant: str,
     levelled = {key: IJ for key, IJ in groups.items() if not _gram_takes(ev, variant, key)}
     accs = {key: np.zeros((len(I),) + tuple(s for _, s, _ in key)) if key in levelled
             else _gram_form(ev, key, fp, I + pf) for key, (I, _) in groups.items()}
-    axes = tuple(range(1, n + 1))
     s_full2 = np.zeros((N,) * n)
+    ups = []  # N_S: psi_t f per level, padded
     for lv, u_full in ev.level_values(f.values):
-        K = lv.K
         if variant == "M_S":
             s_full2 += ev.cone_sum(lv, u_full**2)
-        else:
-            up = np.pad(u_full, pu)
-        for key, (I, J) in levelled.items():
-            es = (np.arange(d - K - a + 1, d + s + K) * h / lv.t for a, s, d in key)
-            block = ev.k.profile(*np.ix_(*es)) * (h / lv.t) ** n
-            P = tuple(1 << (a + s + 2 * K - 2).bit_length() for a, s, _ in key)
-            kf = np.fft.rfftn(block, P, axes=range(n))
-            fw = windows(fp, tuple(a for a, _, _ in key))
-            if variant == "N_S":
-                uw = windows(up, tuple(s + 2 * K for _, s, _ in key))
-            crop = (slice(None),) + tuple(slice(a - 1, a + s + 2 * K - 1) for a, s, _ in key)
+        ups.append(np.pad(u_full, pu) if variant == "N_S" else None)
+    if levelled:
+        # per axis, the union [lo, hi) of the groups' offsets d - a + 1 .. d + s - 1
+        keys = np.array(list(levelled))
+        lo = (keys[..., 2] - keys[..., 0] + 1).min(axis=0)
+        hi = (keys[..., 2] + keys[..., 1]).max(axis=0)
+        profs = []
+        for lv in ev.levels:
+            es = (np.arange(l - lv.K, u + lv.K) * h / lv.t for l, u in zip(lo, hi))
+            profs.append(ev.k.profile(*np.ix_(*es)) * (h / lv.t) ** n)
+    axes = tuple(range(1, n + 1))
+    for key, (I, J) in levelled.items():
+        fw = windows(fp, tuple(a for a, _, _ in key))
+        Ps = [tuple(1 << (a + s + 2 * lv.K - 2).bit_length() for a, s, _ in key)
+              for lv in ev.levels]
+        for P, run in itertools.groupby(zip(Ps, ev.levels, profs, ups), lambda item: item[0]):
+            plan = []
+            for _, lv, prof, up in run:
+                K = lv.K
+                block = prof[tuple(slice(d - a + 1 - l, d + s + 2 * K - l)
+                                   for (a, s, d), l in zip(key, lo))]
+                crop = (slice(None),) + tuple(slice(a - 1, a + s + 2 * K - 1)
+                                              for a, s, _ in key)
+                uw = None if up is None else windows(up, tuple(s + 2 * K for _, s, _ in key))
+                plan.append((lv, np.fft.rfftn(block, P, axes=range(n)), crop, uw))
             step = max(1, _LERNER_CHUNK // math.prod(P))
             for b0 in range(0, len(I), step):
-                Ib, Jb = I[b0 : b0 + step] + pf, J[b0 : b0 + step] + pu
-                wf = np.fft.rfftn(fw[tuple(Ib.T)], P, axes=axes)
-                U = np.fft.irfftn(wf * kf, P, axes=axes)[crop]
-                if variant == "N_S":
-                    U = uw[tuple(Jb.T)] - U
-                accs[key][b0 : b0 + step] += lv.meas * _window_sum(U**2, lv.rows, K)
+                wf = np.fft.rfftn(fw[tuple((I[b0 : b0 + step] + pf).T)], P, axes=axes)
+                Jb = tuple((J[b0 : b0 + step] + pu).T)
+                for lv, kf, crop, uw in plan:
+                    U = np.fft.irfftn(wf * kf, P, axes=axes)[crop]
+                    if uw is not None:
+                        U = uw[Jb] - U
+                    accs[key][b0 : b0 + step] += lv.meas * _window_sum(U**2, lv.rows, lv.K)
     _lerner_sup(out, s_full2, variant, [(J, accs[key]) for key, (_, J) in groups.items()])
     return out
 

@@ -162,6 +162,28 @@ class TestConfigAndErrors:
         assert bad in capsys.readouterr().err
         assert bad in json.loads((tmp_path / "summary.json").read_text())["error"]
 
+    @pytest.mark.parametrize("gamma, named", [
+        ("-1", "finite and positive"), ("0", "finite and positive"),
+        ("nan", "finite and positive"), ("abc", "'abc'"),
+    ])
+    def test_bad_gamma_exits_2(self, tmp_path, capsys, gamma, named):
+        rc = run_main(["--out-dir", str(tmp_path), "sparse", "--R", "2", "--h", "0.25",
+                       "--gamma", gamma])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert "gamma" in json.loads((tmp_path / "summary.json").read_text())["error"]
+
+    def test_cz_rho_zero_exits_2(self, tmp_path, capsys):
+        rc = run_main(["--out-dir", str(tmp_path), "cz", "--rho", "0", "--h", "0.125"])
+        assert rc == 2
+        assert "rho must be positive" in capsys.readouterr().err
+
+    def test_eta_outside_unit_interval_exits_2(self, tmp_path, capsys):
+        rc = run_main(["--out-dir", str(tmp_path), "sparse", "--R", "2", "--h", "0.25",
+                       "--eta", "2"])
+        assert rc == 2
+        assert "eta must lie in (0, 1]" in capsys.readouterr().err
+
     def test_campaign_failure_nonzero_named(self, tmp_path, capsys):
         # a constant kernel fails the size-condition stability check
         rc = run_main(["--out-dir", str(tmp_path), "cz", "--function", "box:1",

@@ -243,6 +243,17 @@ class TestVerifySparse:
         ok, worst, wc = verify_sparse(fam)
         assert not ok and worst == 1.0 and wc == root
 
+    def test_eta_outside_unit_interval_rejected(self):
+        root = Cube(1, 1, (0,), "standard", BASE)
+        sub = Cube(1, 3, (0,), "standard", BASE)
+        fam = SparseFamily(0.5, root, [root, sub], {sub: root})
+        for eta in (0.0, -0.5, 1.5, 2.0, math.nan):
+            with pytest.raises(ParameterError, match="eta"):
+                verify_sparse(fam, eta)
+        with pytest.raises(ParameterError, match="eta"):
+            verify_sparse(SparseFamily(2.0, root, [root, sub], {sub: root}))
+        assert verify_sparse(fam, 1.0)[0] is False  # worst 0.25 > 1 - 1
+
     def test_outside_root_rejected(self):
         root = Cube(1, 1, (0,), "standard", BASE)
         stray = Cube(1, 1, (-1,), "standard", BASE)
@@ -389,6 +400,12 @@ class TestSparseConstruct:
         for c, p in fam.parent.items():
             assert p in fam.cubes
             assert p.contains(c)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf, "abc", None])
+    def test_bad_gamma_is_parameter_error(self, sparse_setup, gamma):
+        k, f, cone, q0 = sparse_setup
+        with pytest.raises(ParameterError, match="gamma"):
+            sparse_construct(k, f, q0, 1.0, cone, gamma=gamma)
 
     def test_bilinear_is_refused(self, sparse_setup):
         _, f, cone, q0 = sparse_setup

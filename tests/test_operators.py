@@ -609,6 +609,55 @@ class TestLernerBatched:
         assert calls
 
 
+class TestLernerPlan:
+    """The transforms and profile samples of one batched Lerner call, with
+    every group on the FFT path (s_max forced to 0) and a small chunk."""
+
+    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    @pytest.mark.parametrize("n, N", [(1, 128), (2, 16)])
+    def test_one_window_transform_per_length_and_chunk(self, monkeypatch, n, N, variant):
+        from dataclasses import replace
+
+        from lpsq import operators as ops
+        from lpsq.dyadic import Cube, dyadic_cube_pool
+
+        chunk = 512
+        monkeypatch.setattr(ops, "_LERNER_CHUNK", chunk)
+        k0, f, cone = TestLernerGram._setup(n, N, 21)
+        profiles = []
+        k = replace(k0, profile=lambda *a: profiles.append(1) or k0.profile(*a))
+        root = Cube(n, 1, (0,) * n, "standard", 2 * f.R)
+        pool = dyadic_cube_pool(root, f)
+        ev = SquareEvaluator(k, f, cone)
+        monkeypatch.setattr(ev, "s_max", 0)
+        # per shape key: one window rfftn per (FFT length, chunk of cubes),
+        # one block rfftn per level; level_values: one per distinct length
+        windows = 0
+        groups = ops._lerner_groups(f, pool, np.full(f.values.shape, -np.inf))
+        for key, (I, _) in groups.items():
+            Ps = [tuple(1 << (a + s + 2 * lv.K - 2).bit_length() for a, s, _ in key)
+                  for lv in ev.levels]
+            assert Ps == sorted(Ps) and len(set(Ps)) < len(Ps)
+            windows += sum(-(-len(I) // max(1, chunk // math.prod(P))) for P in set(Ps))
+        blocks = len(groups) * len(ev.levels) + len({lv.nfft for lv in ev.levels})
+        ndims, rfftn = [], np.fft.rfftn
+        profiles.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "rfftn", lambda x, *a, **kw: ndims.append(np.ndim(x))
+                      or rfftn(x, *a, **kw))
+            fast = lerner_maximal(k, f, cone, variant, pool, domain=root.box(),
+                                  evaluator=ev).values
+        assert (ndims.count(n + 1), ndims.count(n), len(ndims)) == (
+            windows, blocks, windows + blocks)
+        assert len(profiles) == len(ev.levels)
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_lerner_batched",
+                      lambda ev, f, v, pool: ops._lerner_pool_loop(
+                          ev.k, f, ev.cone, v, pool, None, ev))
+            slow = lerner_maximal(k0, f, cone, variant, pool, domain=root.box()).values
+        TestLernerBatched._close(fast, slow)
+
+
 class TestLernerBatched2D:
     """The batched 2-D M_S / N_S path against the per-cube pool loop."""
 
@@ -790,6 +839,31 @@ class TestLernerGram:
         for h, pool in ((g, [q]), (z, [f.box(), q])):
             fast, _, _ = self._forced(monkeypatch, k, h, cone, pool, 4, domain=q)
             assert np.all(fast == 0.0)
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("s_max", [1, 2])
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+    def test_gram_table_matches_explicit_sums(self, monkeypatch, n, N, s_max, rows):
+        """A[p, q] = sum_j meas_j sum_{m in D_j} k_j(m + p) k_j(m + q), with
+        D_j the level's `ConeGrid.stencil`, summed offset by offset."""
+        from lpsq import operators as ops
+
+        k, f, cone = self._setup(n, N, 0)
+        if rows is not None:  # a 7-row buffer: stencil rows straddle its flushes
+            monkeypatch.setattr(ops, "_LERNER_CHUNK", rows * (4 * s_max) ** n)
+        ev = SquareEvaluator(k, f, cone)
+        monkeypatch.setattr(ev, "s_max", s_max)
+        A, lo, P = ev.gram_table()
+        assert (lo, P) == (1 - 2 * s_max, 4 * s_max)
+        p = np.stack(np.meshgrid(*(np.arange(lo, lo + P),) * n, indexing="ij"),
+                     axis=-1).reshape(-1, n)
+        want = np.zeros((P**n, P**n))
+        for j, t in enumerate(cone.t_levels):
+            scale = (f.h / t) ** n
+            for m in cone.stencil(j).reshape(-1, n):
+                kv = k.profile(*((m + p) * f.h / t).T) * scale
+                want += scale * cone.log_weight * np.outer(kv, kv)
+        assert np.max(np.abs(A - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_sparse_construct_takes_gram_for_small_cubes(self, monkeypatch):
         from lpsq import operators as ops
