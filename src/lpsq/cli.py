@@ -84,6 +84,13 @@ DEFAULTS = {
     "suite": None,
     "gamma_log": None,
 }
+# the numeric settings and the conversion the campaigns apply to each; the
+# cone's keys are checked as "cone.<key>", every entry of "alphas" as a float
+_NUMERIC = {
+    "n": int, "seed": int, "R": float, "h": float, "alpha": float, "lambda": float,
+    "tol": float, "eta": float, "rho": float, "p": float, "gamma_log": float,
+}
+_CONE_NUMERIC = {"tmin": float, "tmax": float, "q": int}
 # config keys that are not settings of their own: the campaign name (config
 # files run by cli_run) and the --oracle switch, which sets cfg["method"]
 _EXTRA_KEYS = {"campaign", "oracle"}
@@ -142,7 +149,27 @@ def _load_config(args) -> dict:
             continue
         cfg["lambda" if key == "lam" else key] = val
     cfg["method"] = "direct" if cfg.pop("oracle", None) else "auto"
+    _check_numbers(cfg)
     return cfg
+
+
+def _check_numbers(cfg: dict) -> None:
+    """ConfigError naming the key and the value for a numeric setting that
+    its conversion refuses; values are left as given, so accepted values run
+    exactly as before."""
+    alphas = cfg["alphas"]
+    if not isinstance(alphas, list):
+        raise ConfigError(f"config key 'alphas': {alphas!r} is not a list of numbers")
+    checks = [(key, cfg[key], kind) for key, kind in _NUMERIC.items()]
+    checks += [(f"cone.{key}", cfg["cone"][key], kind) for key, kind in _CONE_NUMERIC.items()]
+    checks += [("alphas", a, float) for a in alphas]
+    for key, val, kind in checks:
+        if val is None:
+            continue
+        try:
+            kind(val)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"config key {key!r}: {val!r} is not {kind.__name__}") from None
 
 
 def _grid_cfg(cfg):

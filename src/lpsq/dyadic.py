@@ -6,6 +6,13 @@ cubes are single grid cells.  Cell counting is exact: every cube maps to an
 integer index range, and all measure comparisons (CZ selection, sparseness,
 stopping ratios) are integer arithmetic.
 
+The tree is walked one generation at a time, as whole arrays and in n = 1
+and 2 alike (`_generations`): the sums over all cubes of a generation are
+the block sums of one prefix table (`grids.box_sums`).  The CZ selection
+and the sparse share selection are one stopping-time walk
+(`_stopping_cubes`) with different stopping rules, and `dyadic_cube_pool`
+lists the cubes of every generation.
+
 Shifted one-dimensional families are generated from the arithmetic
 generators {[3j+k-1, 3j+k)} by closing under the adjacent-double/half rule
 inside a window, with exact rational endpoints.
@@ -13,6 +20,8 @@ inside a window, with exact rational endpoints.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import os
@@ -30,7 +39,9 @@ from .errors import (
     LpsqError,
     ParameterError,
 )
-from .grids import Box, ConeGrid, GridFunction, save_binary, load_binary
+from .grids import (
+    Box, ConeGrid, GridFunction, box_sums, load_binary, prefix_sums, save_binary,
+)
 
 __all__ = [
     "Cube",
@@ -102,18 +113,11 @@ class Cube:
     def children(self) -> list:
         if self.shift != "standard":
             raise ParameterError("children() is for standard dyadic cubes")
-        out = []
-        if self.n == 1:
-            for da in range(2):
-                out.append(Cube(1, self.generation + 1, (2 * self.anchor[0] + da,),
-                                "standard", self.base))
-        else:
-            for da in range(2):
-                for db in range(2):
-                    out.append(Cube(2, self.generation + 1,
-                                    (2 * self.anchor[0] + da, 2 * self.anchor[1] + db),
-                                    "standard", self.base))
-        return out
+        return [
+            Cube(self.n, self.generation + 1,
+                 tuple(2 * a + d for a, d in zip(self.anchor, ds)), "standard", self.base)
+            for ds in itertools.product((0, 1), repeat=self.n)
+        ]
 
     def contains(self, other: "Cube") -> bool:
         return all(
@@ -143,8 +147,56 @@ class Cube:
 
 
 def _dyadic_root_cells(N: int) -> None:
-    if N & (N - 1):
-        raise GridError("dyadic machinery needs a power-of-two cell count")
+    if N < 2 or N & (N - 1):
+        raise GridError("dyadic machinery needs a power-of-two cell count >= 2")
+
+
+def _generations(gf: GridFunction, g: int, lo, hi):
+    """The dyadic generations g, g + 1, ... down to single cells, as arrays.
+
+    Starts from the generation-g cubes with anchors in [lo, hi) per axis.
+    Per generation it yields g, the anchors (per axis) of the cubes that
+    meet the box, and their cell edges per axis, clipped to the box (one
+    more edge than anchors): on generation g >= 1 blocks of N / 2^g cells.
+    """
+    N = gf.ncells
+    while 2**g <= N:
+        m = max(1, 2 ** (g - 1))  # the box holds the anchors [-m, m)
+        anchors = [np.arange(max(a, -m), min(b, m)) for a, b in zip(lo, hi)]
+        if any(A.size == 0 for A in anchors):
+            return
+        edges = [np.clip(np.append(A, A[-1] + 1) * (N / 2**g) + N // 2, 0, N)
+                 .astype(np.intp) for A in anchors]
+        yield g, anchors, edges
+        lo, hi, g = [2 * a for a in lo], [2 * b for b in hi], g + 1
+
+
+def _stopping_cubes(gf: GridFunction, table: np.ndarray, g: int, lo, hi, stop) -> list:
+    """The maximal dyadic cubes below the start cubes on which stop holds.
+
+    Walks `_generations` from generation g with the block sums of the
+    `prefix_sums` table: a cube is picked where stop(g, sums, cells) holds
+    and no ancestor was picked.  The walk goes on below the cubes that are
+    neither picked nor empty (sum 0), and ends when none is left.  Returns
+    (cube, cell slices) pairs in generation order, anchors lexicographic.
+    """
+    out = []
+    live, prev = True, None
+    for g, anchors, edges in _generations(gf, g, lo, hi):
+        if prev is not None:  # each cube inherits its parent's state
+            live = live[np.ix_(*[(A >> 1) - P[0] for A, P in zip(anchors, prev)])]
+        sums = box_sums(table[np.ix_(*edges)], 1)
+        cells = functools.reduce(np.multiply, np.ix_(*[np.diff(e) for e in edges]))
+        pick = live & stop(g, sums, cells)
+        for idx in zip(*np.nonzero(pick)):
+            cube = Cube(gf.n, g, tuple(int(A[i]) for A, i in zip(anchors, idx)),
+                        "standard", 2.0 * gf.R)
+            out.append((cube, tuple(slice(e[i], e[i + 1]) for e, i in zip(edges, idx))))
+        live = live & ~pick & (sums > 0)
+        if not live.any():
+            break
+        prev = anchors
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -292,106 +344,38 @@ class CZDecomposition:
         return cls(manifest["rho"], good, bad)
 
 
-def _cube_sums(gf: GridFunction):
-    """Prefix sums of |f| and f for O(1) cube sums."""
-    a = np.abs(gf.values)
-    s = gf.values
-    if gf.n == 1:
-        ca = np.concatenate([[0.0], np.cumsum(a)])
-        cs = np.concatenate([[0.0], np.cumsum(s)])
-
-        def abs_sum(r):
-            (i0, i1), = r
-            return ca[i1] - ca[i0]
-
-        def sig_sum(r):
-            (i0, i1), = r
-            return cs[i1] - cs[i0]
-
-        return abs_sum, sig_sum
-    N = gf.ncells
-    ca = np.zeros((N + 1, N + 1))
-    cs = np.zeros((N + 1, N + 1))
-    ca[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
-    cs[1:, 1:] = np.cumsum(np.cumsum(s, axis=0), axis=1)
-
-    def abs_sum(r):
-        (i0, i1), (j0, j1) = r
-        return ca[i1, j1] - ca[i0, j1] - ca[i1, j0] + ca[i0, j0]
-
-    def sig_sum(r):
-        (i0, i1), (j0, j1) = r
-        return cs[i1, j1] - cs[i0, j1] - cs[i1, j0] + cs[i0, j0]
-
-    return abs_sum, sig_sum
-
-
 def cz_decompose(f: GridFunction, rho: float) -> CZDecomposition:
     """Maximal dyadic cubes with mean of |f| in (rho, 2^n rho].
 
-    Descends the anchored lattice from cubes big enough that their mean is
-    forced below rho ( f is zero outside its box), selecting a cube as soon
-    as its |f|-mean exceeds rho; g equals f off the cubes and the signed
-    cube mean on each, b_j the mean-zero remainders.
+    Walks the anchored lattice one generation at a time from the 2^n
+    generation-1 cubes that tile the box (`_stopping_cubes`): the |f|-means
+    of all live cubes of a generation are box sums of one prefix table, a
+    live cube is selected where its mean exceeds rho, and the cubes neither
+    selected nor empty stay live for the next generation.  g equals f off
+    the cubes and the signed cube mean on each, b_j the mean-zero
+    remainders.  Cubes come sorted: by generation, then anchor.
     """
     if rho <= 0:
         raise ParameterError("rho must be positive")
-    N = f.ncells
+    n, N = f.n, f.ncells
     _dyadic_root_cells(N)
-    abs_sum, _ = _cube_sums(f)
-    hn = f.h**f.n
+    c = prefix_sums(np.abs(f.values))
+    hn = f.h**n
     base = 2.0 * f.R
-
-    def mean_abs(cube: Cube) -> float:
-        inside = cube.cell_range(f)
-        return abs_sum(inside) * hn / cube.side**f.n
-
-    # the anchored cubes of side 2R straddle the box; if the selection would
-    # have to pick one, the decomposition is not representable on this grid
-    if f.n == 1:
-        super_cubes = [Cube(1, 0, (a,), "standard", base) for a in (-1, 0)]
-        roots = [Cube(1, 1, (a,), "standard", base) for a in (-1, 0)]
-    else:
-        super_cubes = [
-            Cube(2, 0, (a, b), "standard", base) for a in (-1, 0) for b in (-1, 0)
-        ]
-        roots = [
-            Cube(2, 1, (a, b), "standard", base) for a in (-1, 0) for b in (-1, 0)
-        ]
-    floor_heights = [mean_abs(c) for c in super_cubes]
-    if max(floor_heights) > rho:
+    # each anchored side-2R cube holds one generation-1 cube and straddles
+    # the box; if the selection would have to pick one, the decomposition is
+    # not representable on this grid
+    floor = box_sums(c[(slice(None, None, N // 2),) * n], 1) * hn / base**n
+    if floor.max() > rho:
         raise ParameterError(
-            f"rho = {rho:g} is below the resolvable height {max(floor_heights):g} "
+            f"rho = {rho:g} is below the resolvable height {floor.max():g} "
             "for this box; the selection would need cubes beyond the sampled domain"
         )
-    gmax = int(math.log2(N))  # single-cell generation
-    selected: list[Cube] = []
-    stack = []
-    for c in roots:
-        if c.ncells_inside(f) == 0:
-            continue
-        m = mean_abs(c)
-        if m > rho:
-            selected.append(c)
-        elif m > 0.0:
-            stack.append(c)
-    while stack:
-        cube = stack.pop()
-        if cube.generation >= gmax:
-            continue
-        for ch in cube.children():
-            if ch.ncells_inside(f) == 0:
-                continue
-            m = mean_abs(ch)
-            if m > rho:
-                selected.append(ch)
-            elif m > 0.0 and ch.generation < gmax:
-                stack.append(ch)
+    picked = _stopping_cubes(f, c, 1, (-1,) * n, (1,) * n,
+                             lambda g, sums, _: sums * hn / (base * 2.0 ** (-g)) ** n > rho)
     good_vals = f.values.copy()
     bad = []
-    for q in sorted(selected):
-        r = q.cell_range(f)
-        sl = tuple(slice(i0, i1) for i0, i1 in r)
+    for q, sl in picked:
         mean_signed = float(np.mean(f.values[sl]))
         bvals = np.zeros_like(f.values)
         bvals[sl] = f.values[sl] - mean_signed
@@ -555,26 +539,12 @@ def verify_sparse(family: SparseFamily, eta: float | None = None):
     spans = {c: cell_span(c) for c in family.cubes}
     for q in family.cubes:
         qs = spans[q]
-        size = 2 ** (gmax - q.generation)
-        if q.n == 1:
-            mask = np.zeros(size, dtype=bool)
-            for r in family.cubes:
-                if r is q or not _span_inside(spans[r], qs) or r.generation <= q.generation:
-                    continue
-                (a0, a1), = spans[r]
-                mask[a0 - qs[0][0] : a1 - qs[0][0]] = True
-            covered = int(mask.sum())
-            total = size
-        else:
-            mask = np.zeros((size, size), dtype=bool)
-            for r in family.cubes:
-                if r is q or not _span_inside(spans[r], qs) or r.generation <= q.generation:
-                    continue
-                (a0, a1), (b0, b1) = spans[r]
-                mask[a0 - qs[0][0] : a1 - qs[0][0], b0 - qs[1][0] : b1 - qs[1][0]] = True
-            covered = int(mask.sum())
-            total = size * size
-        ratio = covered / total
+        mask = np.zeros((2 ** (gmax - q.generation),) * q.n, dtype=bool)
+        for r in family.cubes:
+            if r is q or not _span_inside(spans[r], qs) or r.generation <= q.generation:
+                continue
+            mask[tuple(slice(a0 - o0, a1 - o0) for (a0, a1), (o0, _) in zip(spans[r], qs))] = True
+        ratio = int(mask.sum()) / mask.size
         if ratio > worst:
             worst = ratio
             worst_cube = q
@@ -585,26 +555,37 @@ def _span_inside(inner, outer) -> bool:
     return all(o0 <= i0 and i1 <= o1 for (i0, i1), (o0, o1) in zip(inner, outer))
 
 
-def dyadic_cube_pool(
-    root: Cube, gf: GridFunction, min_cells: int = 1, include_dilates: bool = True
-) -> list:
-    """All dyadic subcubes of root (down to min_cells per side) as boxes,
-    plus their 3-dilates clipped to nothing (dilates kept as-is)."""
-    gmax = int(math.log2(gf.ncells))
+def dyadic_cube_pool(root: Cube, gf: GridFunction) -> list:
+    """Every dyadic subcube of root that meets gf's box, down to single
+    cells, as a Box, each followed by its 3-dilate (which may reach past the
+    box).  Built one generation at a time from anchor arrays
+    (`_generations`), with the float operations of `Cube.lo` / `Cube.hi`
+    and `Box.dilate`; the order is by generation."""
+    _dyadic_root_cells(gf.ncells)
+    if root.shift != "standard" or root.base != 2.0 * gf.R:
+        raise GridError(f"{root} is not a cube of the dyadic lattice of base 2R = {2.0 * gf.R}")
     out = []
-    stack = [root]
-    while stack:
-        c = stack.pop()
-        r = c.cell_range(gf)
-        cells = min(i1 - i0 for i0, i1 in r)
-        if cells < min_cells:
-            continue
-        out.append(c.box())
-        if include_dilates:
-            out.append(c.box().dilate(3.0))
-        if c.generation < gmax and cells > min_cells:
-            stack.extend(c.children())
+    for g, anchors, _ in _generations(gf, root.generation, root.anchor,
+                                      [a + 1 for a in root.anchor]):
+        side = root.base * 2.0 ** (-g)
+        lo = np.stack(np.meshgrid(*anchors, indexing="ij"), axis=-1).reshape(-1, gf.n) * side
+        hi = lo + side
+        c, half = 0.5 * (lo + hi), 3.0 * 0.5 * (hi[:, :1] - lo[:, :1])
+        for a, b, da, db in zip(lo.tolist(), hi.tolist(), (c - half).tolist(),
+                                (c + half).tolist()):
+            out += [Box(tuple(a), tuple(b)), Box(tuple(da), tuple(db))]
     return out
+
+
+def _share_cubes(gf: GridFunction, e_mask: np.ndarray, node: Cube) -> list:
+    """The maximal strict dyadic subcubes of node in which the cells of
+    e_mask have a share above 2^{-n-1}, from an integer prefix table."""
+    picked = _stopping_cubes(
+        gf, prefix_sums(e_mask), node.generation + 1,
+        [2 * a for a in node.anchor], [2 * a + 2 for a in node.anchor],
+        lambda g, cnt, cells: cnt * 2 ** (gf.n + 1) > cells,
+    )
+    return [c for c, _ in picked]
 
 
 def sparse_construct(
@@ -621,8 +602,9 @@ def sparse_construct(
 
     At each node P the level set E is where max(S_alpha f', M_S f') exceeds
     sqrt(gamma) * (dini(w) dini(phi) + s2) * <|f'|>_{3P} with f' = f 1_{3P};
-    maximal dyadic subcubes with |cell E share| > 2^{-n-1} are selected, the
-    recursion continues on their (deduplicated, maximal) parents.  In auto
+    maximal dyadic subcubes with |cell E share| > 2^{-n-1} are selected by
+    one generation walk (`_share_cubes`), the recursion continues on their
+    (deduplicated, maximal) parents.  In auto
     mode gamma doubles per node until |E| <= 2^{-2n-2}|P| cells, which
     forces 1/2-sparseness of the output combinatorially.  gamma is "auto"
     or a finite positive number (the starting value); anything else is a
@@ -697,23 +679,7 @@ def sparse_construct(
         gamma_used[0] = max(gamma_used[0], cur)
         if ne == 0:
             return
-        # maximal dyadic subcubes with strict cell-share > 2^{-n-1}
-        e_sum, _ = _cube_sums(f.with_values(e_mask.astype(float)))
-        share_thr = Fraction(1, 2 ** (f.n + 1))
-        sel = []
-        stack = [ch for ch in node.children()]
-        while stack:
-            c = stack.pop()
-            cr = c.cell_range(f)
-            cnt = int(round(e_sum(cr)))
-            cells = c.ncells_inside(f)
-            if cells == 0 or cnt == 0:
-                continue
-            if Fraction(cnt, cells) > share_thr:
-                sel.append(c)
-            elif c.generation < gmax:
-                stack.extend(c.children())
-        parents = {c.parent() for c in sel}
+        parents = {c.parent() for c in _share_cubes(f, e_mask, node)}
         parents = [
             p for p in parents
             if not any(q is not p and q.contains(p) for q in parents)

@@ -13,6 +13,7 @@ demand by `ConeGrid.stencil`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -34,6 +35,8 @@ __all__ = [
     "load_csv",
     "save_binary",
     "load_binary",
+    "prefix_sums",
+    "box_sums",
 ]
 
 _BIN_MAGIC = b"LPGF"
@@ -148,6 +151,39 @@ class GridFunction:
 
     def box(self) -> Box:
         return Box((-self.R,) * self.n, (self.R,) * self.n)
+
+
+def prefix_sums(a: np.ndarray) -> np.ndarray:
+    """Cumulative sums of a along the axes 0, 1, ... in order, with a zero
+    prepended on each axis: c[i, j] is the sum of a[:i, :j].  A boolean or
+    integer array gives an exact integer table."""
+    s = a
+    for ax in range(a.ndim):
+        s = np.cumsum(s, axis=ax)
+    c = np.zeros(tuple(d + 1 for d in a.shape), dtype=s.dtype)
+    c[(slice(1, None),) * a.ndim] = s
+    return c
+
+
+def box_sums(c: np.ndarray, L: int) -> np.ndarray:
+    """The sums over every box of side L cells from a `prefix_sums` table c,
+    by inclusion-exclusion: out[i, j] is the sum over [i, i + L) x [j, j + L).
+
+    The corners go in the order ((c11 - c01) - c10) + c00 (axis 0 varying
+    fastest), so the block sums of a subsampled table, box_sums(c[::b, ::b],
+    1), are the same floats as the per-block differences of c."""
+    out = None
+    for corner in itertools.product((1, 0), repeat=c.ndim):
+        corner = corner[::-1]
+        term = c[tuple(slice(L, None) if hi else slice(None, d - L)
+                       for hi, d in zip(corner, c.shape))]
+        if out is None:
+            out = term
+        elif (c.ndim - sum(corner)) % 2:
+            out = out - term
+        else:
+            out = out + term
+    return out
 
 
 def sample_function(fn: Callable, n: int, R: float, h: float) -> GridFunction:

@@ -68,7 +68,7 @@ from .errors import (
     GridError,
     ParameterError,
 )
-from .grids import Box, ConeGrid, GridFunction
+from .grids import Box, ConeGrid, GridFunction, box_sums, prefix_sums
 from .kernels import KernelSpec, unit_cube_maximal
 from .moduli import ModulusOfContinuity, dini_constant
 
@@ -716,8 +716,13 @@ def g_star_cascade_bound(
     Apertures share the half-space's levels and stencil cap, so the bound
     g* <= cascade holds discretely (the ring at distance ~2^k t carries
     weight <= 2^{-k n lambda}).  Returns (cascade GridFunction, terms dict).
+    The half-space must cap its stencils (`build_halfspace`): with an
+    infinite ``max_radius`` the aperture 2^n_terms would pad each level by
+    about 2^n_terms t / h cells, so that is a `ParameterError`.
     """
     _check_lambda(k, lam)
+    if not math.isfinite(halfspace.max_radius):
+        raise ParameterError("cascade needs a capped half-space, see build_halfspace")
     pair = _as_pair(f)
     base = pair[0] if pair else f
     n = base.n
@@ -764,9 +769,11 @@ def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) ->
     """Hardy-Littlewood (grid cubes), dyadic (anchored at 0), or powered.
 
     hl: sup over grid-aligned cubes containing x, sides h..2R (in 1-D an
-    exact blocked max over all windows, `_hl_max_1d`; in 2-D one
-    maximum filter per side);
-    dyadic: sup over the dyadic lattice anchored at coordinate 0;
+    exact blocked max over all windows, `_hl_max_1d`; in 2-D the box means
+    of one prefix table and one maximum filter per side);
+    dyadic: sup over the dyadic lattice anchored at coordinate 0, one
+    generation at a time: the block means of a (2^g, N / 2^g)-per-axis
+    reshape, repeated back onto the cells, in n = 1 and 2 alike;
     powered: M[|f|^kappa]^{1/kappa}.
     """
     if variant == "powered":
@@ -781,14 +788,10 @@ def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) ->
             out = _hl_max_1d(a)
         else:
             out = a.copy()  # L = 1 windows
-            c = np.zeros((N + 1, N + 1))
-            c[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
+            c = prefix_sums(a)
             for L in range(2, N + 1):
-                s = (
-                    c[L:, L:] - c[:-L, L:] - c[L:, :-L] + c[:-L, :-L]
-                ) / (L * L)
                 pad = np.full((N, N), -np.inf)
-                pad[: s.shape[0], : s.shape[1]] = s
+                pad[: N - L + 1, : N - L + 1] = box_sums(c, L) / (L * L)
                 origin = (L - 1) // 2
                 mx = ndimage.maximum_filter(
                     pad, size=(L, L), mode="constant", cval=-np.inf,
@@ -797,32 +800,18 @@ def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) ->
                 out = np.maximum(out, mx)
         return f.with_values(out)
     if variant == "dyadic":
-        out = np.zeros_like(a)
-        gmax = int(math.log2(N)) if (N & (N - 1)) == 0 else None
-        if gmax is None:
+        if N & (N - 1):
             raise GridError("dyadic maximal needs a power-of-two cell count")
-        # generations with side <= box: blocks aligned to index 0
-        for g in range(1, gmax + 1):
-            blk = N // 2**g if 2**g <= N else None
-            if blk is None or blk == 0:
-                break
-            if f.n == 1:
-                means = a.reshape(2**g, blk).mean(axis=1)
-                out = np.maximum(out, np.repeat(means, blk))
-            else:
-                means = a.reshape(2**g, blk, 2**g, blk).mean(axis=(1, 3))
-                out = np.maximum(out, np.kron(means, np.ones((blk, blk))))
-        # cubes larger than the box: each half/quadrant sits inside the
-        # side-2R cube with that sign pattern; larger cubes only dilute
-        if f.n == 1:
-            out[: N // 2] = np.maximum(out[: N // 2], a[: N // 2].sum() / N)
-            out[N // 2 :] = np.maximum(out[N // 2 :], a[N // 2 :].sum() / N)
-        else:
-            for si, sj in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                rows = slice(si * N // 2, (si + 1) * N // 2)
-                cols = slice(sj * N // 2, (sj + 1) * N // 2)
-                q = a[rows, cols].sum() / (N * N)
-                out[rows, cols] = np.maximum(out[rows, cols], q)
+        # generation g: blocks of N / 2^g cells aligned to index 0.  Single
+        # cells are the last generation; a side-2R cube holds one block of
+        # generation 1 and has its mean over 2^n, so it never raises the max
+        out = a.copy()
+        for g in range(1, N.bit_length() - 1):
+            blk = N >> g
+            means = a.reshape((2**g, blk) * f.n).mean(axis=tuple(range(1, 2 * f.n, 2)))
+            for ax in range(f.n):
+                means = means.repeat(blk, axis=ax)
+            out = np.maximum(out, means)
         return f.with_values(out)
     raise ParameterError(f"unknown maximal variant {variant!r}")
 
@@ -832,8 +821,11 @@ def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _box_range(gf: GridFunction, box: Box, snap_outward: bool = False) -> tuple:
-    """Per-axis (start, stop) index ranges of the cells a box selects.
+def _box_ranges(gf: GridFunction, boxes: Sequence[Box], snap_outward: bool = False,
+                factor: float | None = None) -> tuple:
+    """Per-axis (start, stop) index ranges of the cells each box selects, as
+    (nb, n) arrays; boxes are dilated first as `Box.dilate(factor)` when a
+    factor is given, by the same float operations.
 
     A cell counts when its center lies in [lo, hi) or, with
     ``snap_outward`` (the convention for 3Q dilates), in
@@ -843,27 +835,12 @@ def _box_range(gf: GridFunction, box: Box, snap_outward: bool = False) -> tuple:
     shape selects the same number of cells wherever it sits; ranges are not
     clipped to the grid.
     """
-    # cell i is selected for lo - pad <= i + 1/2 < hi + pad (cell units)
-    pad = 0.5 if snap_outward else 0.0
-    out = []
-    for ax in range(gf.n):
-        lo = (box.lo[ax] + gf.R) / gf.h - 0.5 - pad
-        hi = (box.hi[ax] + gf.R) / gf.h - 0.5 + pad
-        i0 = int(math.ceil(lo - 1e-9))
-        out.append((i0, int(math.ceil(hi - 1e-9))))
-    return tuple(out)
-
-
-def _box_ranges(gf: GridFunction, boxes: Sequence[Box], snap_outward: bool = False,
-                factor: float | None = None) -> tuple:
-    """`_box_range` of many boxes, dilated first as `Box.dilate(factor)` when
-    a factor is given, by the same float operations: (start, stop) index
-    arrays (nb, n)."""
     lo = np.array([b.lo for b in boxes], dtype=float)
     hi = np.array([b.hi for b in boxes], dtype=float)
     if factor is not None:  # the center -+ factor/2 times the axis-0 side
         c, half = 0.5 * (lo + hi), factor * 0.5 * (hi[:, :1] - lo[:, :1])
         lo, hi = c - half, c + half
+    # cell i is selected for lo - pad <= i + 1/2 < hi + pad (cell units)
     pad = 0.5 if snap_outward else 0.0
     i0 = np.ceil((lo + gf.R) / gf.h - 0.5 - pad - 1e-9).astype(np.intp)
     i1 = np.ceil((hi + gf.R) / gf.h - 0.5 + pad - 1e-9).astype(np.intp)
@@ -871,10 +848,10 @@ def _box_ranges(gf: GridFunction, boxes: Sequence[Box], snap_outward: bool = Fal
 
 
 def _box_mask(gf: GridFunction, box: Box, snap_outward: bool = False) -> np.ndarray:
-    """Indicator of the grid cells `_box_range` selects."""
+    """Indicator of the grid cells `_box_ranges` selects for one box."""
+    i0, i1 = _box_ranges(gf, [box], snap_outward)
     mask = np.zeros(gf.values.shape)
-    mask[tuple(slice(max(i0, 0), max(i1, 0))
-               for i0, i1 in _box_range(gf, box, snap_outward))] = 1.0
+    mask[tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(i0[0], i1[0]))] = 1.0
     return mask
 
 

@@ -2,8 +2,9 @@
 
 For m weights w_i and exponents p_i the joint constant is the sup over a
 cube pool of (avg_Q nu) * prod_j (avg_Q w_j^{1-p_j'})^{p/p_j'} with
-nu = prod w_i^{p/p_i} and 1/p = sum 1/p_i.  The pool defaults to every
-grid-aligned cube with side >= 4h, enumerated with prefix sums.
+nu = prod w_i^{p/p_i} and 1/p = sum 1/p_i.  The pool is every grid-aligned
+cube with side >= 4h; the averages over all cubes of one side are the box
+sums of one prefix table.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grids import GridFunction
+from .grids import GridFunction, box_sums, prefix_sums
 
 __all__ = ["WeightVector", "apvec_constant"]
 
@@ -54,28 +55,11 @@ class WeightVector:
         return self.weights[0].with_values(vals)
 
 
-def _all_cube_averages(arrs, h, n, min_side_cells):
-    """Yields (side_cells, list of average-arrays over all positions)."""
-    N = arrs[0].shape[0]
-    if n == 1:
-        cs = [np.concatenate([[0.0], np.cumsum(a)]) for a in arrs]
-        for L in range(min_side_cells, N + 1):
-            yield L, [(c[L:] - c[:-L]) / L for c in cs]
-    else:
-        cs = []
-        for a in arrs:
-            c = np.zeros((N + 1, N + 1))
-            c[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
-            cs.append(c)
-        for L in range(min_side_cells, N + 1):
-            outs = [
-                (c[L:, L:] - c[:-L, L:] - c[L:, :-L] + c[:-L, :-L]) / (L * L)
-                for c in cs
-            ]
-            yield L, outs
+# the smallest cube side (in cells) of the pool
+_MIN_SIDE_CELLS = 4
 
 
-def apvec_constant(wv: WeightVector, min_side_cells: int = 4) -> float:
+def apvec_constant(wv: WeightVector) -> float:
     """sup over grid cubes of the joint weight-constant product."""
     base = wv.weights[0]
     p = wv.p
@@ -88,12 +72,12 @@ def apvec_constant(wv: WeightVector, min_side_cells: int = 4) -> float:
         powers.append(p / pprime)
     if not np.all([np.all(np.isfinite(d)) for d in duals]):
         raise ParameterError("w^{1-p'} overflows on the grid")
+    cs = [prefix_sums(a) for a in [nu] + duals]
     best = 0.0
-    for L, avgs in _all_cube_averages([nu] + duals, base.h, base.n, min_side_cells):
-        prod = avgs[0].copy()
+    for L in range(_MIN_SIDE_CELLS, base.ncells + 1):
+        avgs = [box_sums(c, L) / L**base.n for c in cs]
+        prod = avgs[0]
         for d_avg, pw in zip(avgs[1:], powers):
             prod = prod * d_avg**pw
-        m = float(np.max(prod))
-        if m > best:
-            best = m
+        best = max(best, float(np.max(prod)))
     return best

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -139,6 +140,29 @@ class TestConfigAndErrors:
         rc = run_main(["--config", str(p), "--out-dir", str(tmp_path / "m"), "dini"])
         assert rc == 2
         assert "alhpa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("campaign, edit, named", [
+        ("cz", {"rho": "abc"}, "'rho': 'abc'"),
+        ("sparse", {"eta": "x"}, "'eta': 'x'"),
+        ("eval", {"h": "x"}, "'h': 'x'"),
+        ("dini", {"tol": [1]}, "'tol': [1]"),
+        ("dini", {"n": "1.5"}, "'n': '1.5'"),
+        ("dini", {"seed": 1e400}, "'seed': inf"),
+        ("dini", {"alphas": [1.0, "two"]}, "'alphas': 'two'"),
+        ("dini", {"alphas": 2.0}, "'alphas'"),
+        ("dini", {"cone": {"q": "four"}}, "'cone.q': 'four'"),
+        ("dini", {"cone": {"tmin": "small"}}, "'cone.tmin': 'small'"),
+    ], ids=["cz-rho", "sparse-eta", "eval-h", "tol-list", "n-text", "seed-inf",
+            "alphas-entry", "alphas-scalar", "cone-q", "cone-tmin"])
+    def test_bad_number_in_config_exits_2(self, tmp_path, capsys, campaign, edit, named):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"campaign": campaign, "out_dir": str(tmp_path / "o"),
+                                 **edit}))
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            cli_run(str(p))
+        rc = run_main(["--config", str(p), "--out-dir", str(tmp_path / "m"), campaign])
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
     def test_unknown_id_is_config_error(self, tmp_path):
         rc = run_main(["--out-dir", str(tmp_path), "dini", "--modulus", "zzz:9"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -20,7 +21,7 @@ from lpsq.dyadic import (
     verify_sparse,
 )
 from lpsq.errors import ConfigError, ContainmentError, GridError, ParameterError
-from lpsq.grids import GridFunction, build_cone, sample_function
+from lpsq.grids import GridFunction, box_sums, build_cone, sample_function
 from lpsq.kernels import bilinear_example_kernel, parse_kernel
 from lpsq.operators import square_function
 
@@ -450,3 +451,248 @@ class TestCubePool:
         assert root.box() in pool
         assert root.box().dilate(3.0) in pool
         assert min(sides) == g.h
+
+
+# ---------------------------------------------------------------------------
+# the generation walk against per-cube descents
+# ---------------------------------------------------------------------------
+
+
+def _block_sum(c, r):
+    """The sum over the cell ranges r from a prefix table c, term by term as
+    the per-cube descents computed it."""
+    if len(r) == 1:
+        (i0, i1), = r
+        return c[i1] - c[i0]
+    (i0, i1), (j0, j1) = r
+    return c[i1, j1] - c[i0, j1] - c[i1, j0] + c[i0, j0]
+
+
+def _prefix(a):
+    """The prefix table as the per-cube descents built it, in 1-D and 2-D."""
+    c = np.zeros(tuple(d + 1 for d in a.shape))
+    if a.ndim == 1:
+        c[1:] = np.cumsum(a)
+    else:
+        c[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
+    return c
+
+
+def _cz_by_stack(f, rho):
+    """CZ selection by a stack descent over `Cube.children`, one cube at a
+    time: (sorted cubes, good values, bad values)."""
+    n, N = f.n, f.ncells
+    c = _prefix(np.abs(f.values))
+    hn = f.h**n
+    base = 2.0 * f.R
+
+    def mean_abs(cube):
+        return _block_sum(c, cube.cell_range(f)) * hn / cube.side**n
+
+    supers = [Cube(n, 0, a, "standard", base) for a in itertools.product((-1, 0), repeat=n)]
+    floor = max(mean_abs(q) for q in supers)
+    if floor > rho:
+        return None
+    gmax = int(math.log2(N))
+    selected, stack = [], []
+    for q in (Cube(n, 1, a, "standard", base) for a in itertools.product((-1, 0), repeat=n)):
+        m = mean_abs(q)
+        if m > rho:
+            selected.append(q)
+        elif m > 0.0:
+            stack.append(q)
+    while stack:
+        cube = stack.pop()
+        if cube.generation >= gmax:
+            continue
+        for ch in cube.children():
+            m = mean_abs(ch)
+            if m > rho:
+                selected.append(ch)
+            elif m > 0.0 and ch.generation < gmax:
+                stack.append(ch)
+    good = f.values.copy()
+    bad = []
+    for q in sorted(selected):
+        sl = tuple(slice(i0, i1) for i0, i1 in q.cell_range(f))
+        mean_signed = float(np.mean(f.values[sl]))
+        b = np.zeros_like(f.values)
+        b[sl] = f.values[sl] - mean_signed
+        good[sl] = mean_signed
+        bad.append(b)
+    return sorted(selected), good, bad
+
+
+def _all_cubes(f, gen_from=1):
+    """Every dyadic cube from generation gen_from down to single cells that
+    meets f's box."""
+    n, base = f.n, 2.0 * f.R
+    gmax = int(math.log2(f.ncells))
+    out = []
+    for g in range(gen_from, gmax + 1):
+        m = max(1, 2 ** (g - 1))
+        out += [Cube(n, g, a, "standard", base)
+                for a in itertools.product(range(-m, m), repeat=n)]
+    return out
+
+
+def _walk_input(rng, n, N, kind):
+    """Noise, zeros or small integers, with zero runs and signed spikes."""
+    shape = (N,) * n
+    if kind == "noise":
+        v = rng.standard_normal(shape)
+    elif kind == "ints":
+        v = rng.integers(-3, 4, shape).astype(float)
+    else:
+        v = np.zeros(shape)
+    for _ in range(rng.integers(0, 4)):  # zero runs
+        i = rng.integers(0, N)
+        v[i:i + rng.integers(1, N // 2 + 2)] = 0.0
+    cells = rng.integers(0, N, size=(rng.integers(0, 5), n))
+    for cell in cells:
+        v[tuple(cell)] += rng.uniform(1.0, 50.0) * rng.choice([-1.0, 1.0])
+    return v
+
+
+class TestGenerationWalk:
+    """CZ, the share selection, the cube pool and the dyadic maximal
+    function walk the tree one generation at a time; each is gated here by
+    a per-cube descent over `Cube.children`."""
+
+    @given(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=6),
+           st.sampled_from(["noise", "ints", "zeros"]),
+           st.sampled_from([1.01, 1.5, 2.0, 4.0, 9.0, 64.0, "tie"]),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=120)
+    def test_cz_equals_stack_descent(self, n, log_n, kind, fac, seed):
+        N = 2 ** min(log_n, 5 if n == 2 else 6)
+        rng = np.random.default_rng(seed)
+        f = GridFunction(n, 2.0, 4.0 / N, _walk_input(rng, n, N, kind))
+        c = _prefix(np.abs(f.values))
+        hn, base = f.h**n, 2.0 * f.R
+        floor = max(_block_sum(c, Cube(n, 0, a, "standard", base).cell_range(f)) * hn
+                    / base**n for a in itertools.product((-1, 0), repeat=n))
+        means = {q: _block_sum(c, q.cell_range(f)) * hn / q.side**n for q in _all_cubes(f)}
+        if fac == "tie":  # rho equal to the mean of some cube
+            above = sorted(m for m in means.values() if m > floor)
+            rho = above[rng.integers(len(above))] if above else 1.0
+        else:
+            rho = fac * floor if floor > 0 else fac
+        want = _cz_by_stack(f, rho)
+        if want is None:
+            with pytest.raises(ParameterError, match="resolvable"):
+                cz_decompose(f, rho)
+            return
+        d = cz_decompose(f, rho)
+        cubes, good, bad = want
+        assert [q for q, _ in d.bad] == cubes
+        assert np.array_equal(d.good.values, good)
+        assert all(np.array_equal(b.values, w) for (_, b), w in zip(d.bad, bad))
+        # every cube with mean above rho lies in a selected cube
+        for q, m in means.items():
+            if m > rho:
+                assert any(s.contains(q) for s in cubes), q
+
+    @given(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=6),
+           st.floats(min_value=0.02, max_value=0.9),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=120)
+    def test_share_selection_equals_per_cube_loop(self, n, log_n, density, seed):
+        from lpsq.dyadic import _share_cubes
+
+        N = 2 ** min(log_n, 5 if n == 2 else 6)
+        rng = np.random.default_rng(seed)
+        f = GridFunction(n, 2.0, 4.0 / N, np.zeros((N,) * n))
+        gmax = int(math.log2(N))
+        g0 = int(rng.integers(0, gmax))  # generation 0 straddles the box
+        m = max(1, 2 ** (g0 - 1))
+        node = Cube(n, g0, tuple(int(a) for a in rng.integers(-m, m, n)), "standard", 2 * f.R)
+        e_mask = rng.random((N,) * n) < density
+        for _ in range(rng.integers(0, 3)):  # empty runs
+            i = rng.integers(0, N)
+            e_mask[i:i + rng.integers(1, N // 2 + 2)] = False
+        c = _prefix(e_mask.astype(float))
+        sel, stack = [], list(node.children())
+        while stack:
+            q = stack.pop()
+            cnt, cells = int(round(_block_sum(c, q.cell_range(f)))), q.ncells_inside(f)
+            if cells == 0 or cnt == 0:
+                continue
+            if Fraction(cnt, cells) > Fraction(1, 2 ** (n + 1)):
+                sel.append(q)
+            elif q.generation < gmax:
+                stack.extend(q.children())
+        assert sorted(_share_cubes(f, e_mask, node)) == sorted(sel)
+
+    @pytest.mark.parametrize("n, N", [(1, 2), (1, 64), (2, 2), (2, 16)])
+    def test_pool_equals_children_walk(self, n, N):
+        from collections import Counter
+
+        f = GridFunction(n, 2.0, 4.0 / N, np.zeros((N,) * n))
+        base = 2 * f.R
+        gmax = int(math.log2(N))
+        roots = [Cube(n, 1, (0,) * n, "standard", base), Cube(n, 1, (-1,) * n, "standard", base),
+                 Cube(n, gmax, (1,) * n, "standard", base), Cube(n, 0, (-1,) * n, "standard", base),
+                 Cube(n, 1, (1,) * n, "standard", base)]  # the last lies outside the box
+        if gmax >= 3:
+            roots.append(Cube(n, 3, (-2,) * n, "standard", base))  # a sub-node
+        for root in roots:
+            want, stack = [], [root]
+            while stack:
+                q = stack.pop()
+                if q.ncells_inside(f) == 0:
+                    continue
+                want += [q.box(), q.box().dilate(3.0)]
+                if q.generation < gmax:
+                    stack.extend(q.children())
+            assert Counter(dyadic_cube_pool(root, f)) == Counter(want), root
+
+    def test_pool_refuses_other_lattices(self):
+        f = GridFunction(1, 2.0, 0.25, np.zeros(16))
+        for root in (Cube(1, 1, (0,), "standard", 8.0),
+                     shifted_family(1, (0, 0), (-1.0, 1.0))[0]):
+            with pytest.raises(GridError):
+                dyadic_cube_pool(root, f)
+
+    @given(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=5),
+           st.sampled_from(["noise", "ints", "zeros"]),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=60)
+    def test_dyadic_maximal_equals_brute_force(self, n, log_n, kind, seed):
+        from lpsq.operators import maximal
+
+        N = 2 ** log_n
+        rng = np.random.default_rng(seed)
+        f = GridFunction(n, 2.0, 4.0 / N, _walk_input(rng, n, N, kind))
+        a = np.abs(f.values)
+        brute = a.copy()  # single cells; the side-2R cubes below
+        for q in _all_cubes(f, gen_from=0):
+            sl = tuple(slice(i0, i1) for i0, i1 in q.cell_range(f))
+            if a[sl].size:
+                brute[sl] = np.maximum(brute[sl], a[sl].sum() * f.h**n / q.side**n)
+        got = maximal(f, "dyadic").values
+        assert np.allclose(got, brute, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 64)])
+    def test_walk_stops_when_no_cube_is_live(self, monkeypatch, n, N):
+        """Below the selected cubes and the empty ones nothing is summed: a
+        single spike is picked at generation 3, and the walk ends there."""
+        from lpsq import dyadic
+
+        calls = []
+
+        def counted(c, L):
+            calls.append(c.shape)
+            return box_sums(c, L)
+
+        monkeypatch.setattr(dyadic, "box_sums", counted)
+        vals = np.zeros((N,) * n)
+        vals[(N // 3,) * n] = 5.0
+        f = GridFunction(n, 2.0, 4.0 / N, vals)
+        floor = 5.0 * f.h**n / (2 * f.R) ** n
+        d = cz_decompose(f, 1.5 * 4**n * floor)
+        assert [q.generation for q, _ in d.bad] == [3]
+        assert len(calls) == 1 + 3  # the floor check, generations 1 to 3
+        calls.clear()
+        cz_decompose(f.with_values(np.zeros_like(vals)), 1.0)
+        assert len(calls) == 1 + 1

@@ -209,6 +209,26 @@ class TestGStar:
         ratio = gs.values / np.maximum(cascade.values, 1e-300)
         assert np.max(ratio) <= 1.0 + 1e-10
 
+    def test_cascade_refuses_uncapped_cone(self, monkeypatch):
+        """An uncapped cone would pad each level by ~2^n_terms t / h cells
+        (about 2 GB at 2-D N = 8); the refusal comes before any psi_t work."""
+        import tracemalloc
+
+        from lpsq import operators as ops
+
+        k = parse_kernel("ex1:kappa=3", 2)
+        f = sample_function(lambda x, y: np.exp(-(x**2) - y**2), 2, 2.0, 0.5)
+        cone = build_cone(1.0, 2, f.h, 2 * f.h, 2 * f.R, 4)
+        monkeypatch.setattr(ops, "square_function_multi", None)  # must not be reached
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="capped half-space"):
+                g_star_cascade_bound(k, f, 5.0, cone)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestMaximal:
     def test_constant(self):
@@ -418,16 +438,16 @@ def _spikes(rng, n, R, h):
 
 class TestBoxRange:
     def test_one_shape_same_count_everywhere_at_h_tenth(self):
-        from lpsq.operators import _box_range
+        from lpsq.operators import _box_ranges
 
         g = GridFunction(1, 4.0, 0.1, np.zeros(80))
         for snap, want in ((False, 5), (True, 6)):
-            counts = set()
+            boxes = []
             for m in range(10, 60):  # interior, lattice-aligned boxes
                 lo = -4.0 + 0.1 * m
-                ((i0, i1),) = _box_range(g, Box((lo,), (lo + 0.5,)), snap)
-                counts.add(i1 - i0)
-            assert counts == {want}
+                boxes.append(Box((lo,), (lo + 0.5,)))
+            i0, i1 = _box_ranges(g, boxes, snap)
+            assert set((i1 - i0)[:, 0].tolist()) == {want}
 
     def test_dyadic_h_matches_center_rule(self):
         from lpsq.operators import _box_mask
@@ -443,32 +463,6 @@ class TestBoxRange:
                 eps = g.h / 2 if snap else 0.0
                 want = ((c >= b.lo[0] - eps) & (c < b.hi[0] + eps)).astype(float)
                 assert np.array_equal(_box_mask(g, b, snap), want)
-
-
-    def test_vectorized_ranges_equal_scalar(self):
-        from lpsq.dyadic import Cube, dyadic_cube_pool
-        from lpsq.operators import _box_range, _box_ranges
-
-        rng = np.random.default_rng(4)
-        cases = []
-        for n, N in ((1, 64), (2, 16)):  # dyadic pools at dyadic h
-            g = GridFunction(n, 4.0, 8.0 / N, np.zeros((N,) * n))
-            cases.append((g, dyadic_cube_pool(Cube(n, 1, (0,) * n, "standard", 8.0), g)))
-            g = GridFunction(n, 4.0, 0.1, np.zeros((80,) * n))  # off-lattice at h = 0.1
-            lo = rng.uniform(-5.0, 4.0, (40, n))
-            cases.append((g, [Box(tuple(a), tuple(a + rng.uniform(0.05, 3.0)))
-                              for a in lo]))
-            # on the h = 0.1 lattice, where the 1e-9 rounding decides
-            lo = -4.0 + 0.1 * rng.integers(0, 75, (40, n))
-            cases.append((g, [Box(tuple(a), tuple(a + 0.1 * rng.integers(1, 6)))
-                              for a in lo]))
-        for g, boxes in cases:
-            for snap in (False, True):
-                for factor in (None, 3.0):
-                    want = np.array([_box_range(g, b if factor is None else b.dilate(factor),
-                                                snap) for b in boxes])
-                    got = _box_ranges(g, boxes, snap, factor)
-                    assert np.array_equal(np.stack(got, axis=-1), want)
 
 
 class TestLernerBatched:
@@ -715,11 +709,11 @@ class TestLernerBatched2D:
 
     @pytest.mark.parametrize("variant", ["M_S", "N_S"])
     def test_one_cell_past_3q_is_not_zero(self, monkeypatch, variant):
-        from lpsq.operators import _box_range
+        from lpsq.operators import _box_ranges
 
         k, f, cone = self._setup(16, 5)
         q = Box((-0.5, -0.5), (0.5, 0.5))
-        (i0, i1), (j0, j1) = _box_range(f, q.dilate(3.0), snap_outward=True)
+        (i0, j0), (i1, j1) = (r[0] for r in _box_ranges(f, [q], True, 3.0))
         vals = np.zeros_like(f.values)
         vals[i0:i1, j0:j1] = f.values[i0:i1, j0:j1]
         vals[i1, j1 - 1] = 1.0  # the one cell of supp f outside 3Q
