@@ -26,7 +26,6 @@ from .dyadic import (
     Cube,
     SparseFamily,
     cz_decompose,
-    shifted_family,
     sparse_construct,
     sparse_rhs_eval,
     verify_sparse,
@@ -48,7 +47,6 @@ from .harness import (
 )
 from .kernels import (
     SamplePlan,
-    fourier_decay_profile,
     kernel_condition_check,
     parse_kernel,
 )

@@ -11,7 +11,9 @@ and 2 alike (`_generations`): the sums over all cubes of a generation are
 the block sums of one prefix table (`grids.box_sums`).  The CZ selection
 and the sparse share selection are one stopping-time walk
 (`_stopping_cubes`) with different stopping rules, and `dyadic_cube_pool`
-lists the cubes of every generation.
+lists the cubes of every generation.  `sparse_construct` drops from that
+pool, as corner arrays and before any `Box` is built, the boxes whose M_S
+term cannot change its level set.
 
 Shifted one-dimensional families are generated from the arithmetic
 generators {[3j+k-1, 3j+k)} by closing under the adjacent-double/half rule
@@ -40,7 +42,8 @@ from .errors import (
     ParameterError,
 )
 from .grids import (
-    Box, ConeGrid, GridFunction, box_sums, load_binary, prefix_sums, save_binary,
+    Box, ConeGrid, GridFunction, box_sums, load_binary, prefix_sums, range_sums,
+    save_binary,
 )
 
 __all__ = [
@@ -561,20 +564,31 @@ def dyadic_cube_pool(root: Cube, gf: GridFunction) -> list:
     box).  Built one generation at a time from anchor arrays
     (`_generations`), with the float operations of `Cube.lo` / `Cube.hi`
     and `Box.dilate`; the order is by generation."""
+    return _boxes(*_pool_corners(root, gf))
+
+
+def _pool_corners(root: Cube, gf: GridFunction) -> tuple:
+    """The (nb, n) arrays lo, hi of the boxes of `dyadic_cube_pool`."""
     _dyadic_root_cells(gf.ncells)
     if root.shift != "standard" or root.base != 2.0 * gf.R:
         raise GridError(f"{root} is not a cube of the dyadic lattice of base 2R = {2.0 * gf.R}")
-    out = []
+    los, his = [], []
     for g, anchors, _ in _generations(gf, root.generation, root.anchor,
                                       [a + 1 for a in root.anchor]):
         side = root.base * 2.0 ** (-g)
         lo = np.stack(np.meshgrid(*anchors, indexing="ij"), axis=-1).reshape(-1, gf.n) * side
         hi = lo + side
         c, half = 0.5 * (lo + hi), 3.0 * 0.5 * (hi[:, :1] - lo[:, :1])
-        for a, b, da, db in zip(lo.tolist(), hi.tolist(), (c - half).tolist(),
-                                (c + half).tolist()):
-            out += [Box(tuple(a), tuple(b)), Box(tuple(da), tuple(db))]
-    return out
+        # each cube followed by its 3-dilate
+        los.append(np.stack([lo, c - half], axis=1).reshape(-1, gf.n))
+        his.append(np.stack([hi, c + half], axis=1).reshape(-1, gf.n))
+    if not los:
+        return np.empty((0, gf.n)), np.empty((0, gf.n))
+    return np.concatenate(los), np.concatenate(his)
+
+
+def _boxes(lo: np.ndarray, hi: np.ndarray) -> list:
+    return [Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def _share_cubes(gf: GridFunction, e_mask: np.ndarray, node: Cube) -> list:
@@ -586,6 +600,27 @@ def _share_cubes(gf: GridFunction, e_mask: np.ndarray, node: Cube) -> list:
         lambda g, cnt, cells: cnt * 2 ** (gf.n + 1) > cells,
     )
     return [c for c, _ in picked]
+
+
+# relative roundoff margin of the Lerner pool pruning in sparse_construct
+_PRUNE_DELTA = 1e-6
+
+
+def _lerner_keep(f: GridFunction, floc: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 gain: float, thr0: float) -> np.ndarray:
+    """Which boxes B = [lo, hi) of a node's pool can change its level set,
+    as a boolean array: those with c ||g||_1 > (1 - delta) thr0 and
+    c ||h||_1 > (sqrt 2 - 1)(1 - delta) thr0, where g = floc on the 3B
+    cells, h = floc - g and c = gain (see `sparse_construct`)."""
+    from . import operators as ops
+
+    N = f.ncells
+    i0, i1 = ops._corner_ranges(f, lo, hi, snap_outward=True, factor=3.0)
+    table = prefix_sums(np.abs(floc))
+    g1 = range_sums(table, np.clip(i0, 0, N), np.clip(i1, 0, N))
+    h1 = table[(-1,) * f.n] - g1
+    cut = (1.0 - _PRUNE_DELTA) * thr0
+    return (gain * g1 > cut) & (gain * h1 > (math.sqrt(2.0) - 1.0) * cut)
 
 
 def sparse_construct(
@@ -601,20 +636,42 @@ def sparse_construct(
     """Iterative stopping-time sparse family for S_alpha on the root cube.
 
     At each node P the level set E is where max(S_alpha f', M_S f') exceeds
-    sqrt(gamma) * (dini(w) dini(phi) + s2) * <|f'|>_{3P} with f' = f 1_{3P};
-    maximal dyadic subcubes with |cell E share| > 2^{-n-1} are selected by
-    one generation walk (`_share_cubes`), the recursion continues on their
-    (deduplicated, maximal) parents.  In auto
+    thr = sqrt(gamma) * (dini(w) dini(phi) + s2) * <|f'|>_{3P} with
+    f' = f 1_{3P}; maximal dyadic subcubes with |cell E share| > 2^{-n-1}
+    are selected by one generation walk (`_share_cubes`), the recursion
+    continues on their (deduplicated, maximal) parents.  In auto
     mode gamma doubles per node until |E| <= 2^{-2n-2}|P| cells, which
     forces 1/2-sparseness of the output combinatorially.  gamma is "auto"
-    or a finite positive number (the starting value); anything else is a
+    or a finite positive number (the starting value), and gamma_budget (the
+    doublings allowed per node) an int >= 1; anything else is a
     `ParameterError`.
+
+    M_S runs over the node's `dyadic_cube_pool` less the boxes whose term
+    cannot change E for any thr >= thr0, the first thr of the node (the
+    one of its starting gamma).  For a pool box B let g = f' 1_{3B},
+    h = f' - g and c the evaluator's ``l1_gain`` (S u <= c ||u||_1 for
+    every u, ||u||_1 the plain sum of |u| over the cells).  B's term is
+    sqrt(|S f'^2 - S g^2|), and B is dropped when
+      - c ||g||_1 <= (1 - delta) thr0: then S g <= thr, so the term is at
+        most S f' where S f' >= S g and at most S g <= thr elsewhere; or
+      - c ||h||_1 <= (sqrt 2 - 1)(1 - delta) thr0: since
+        |S f'^2 - S g^2| <= S h (2 S f' + S h), the term is at most thr
+        wherever S f' <= thr, and elsewhere S f' alone puts x in E.
+    delta = `_PRUNE_DELTA` covers roundoff; both norms come from one prefix
+    table of |f'| over the 3B cells of `operators._corner_ranges`.  The
+    node's own box always stays, as the cover that `lerner_maximal`'s
+    domain check needs; its term is exactly 0, since 3P holds f'.  Pruning
+    needs the evaluator's fast path: other kernels and ``method="direct"``
+    keep the full pool.  Where 3P covers the grid, f' is f and S f' is the
+    S f taken for s2.
     """
     from . import operators as ops
     from .moduli import dini_constant
 
     if isinstance(f, (tuple, list)) or k.kind == "bilinear":
         raise ParameterError("bilinear sparse families are not implemented")
+    if isinstance(gamma_budget, bool) or not isinstance(gamma_budget, int) or gamma_budget < 1:
+        raise ParameterError(f"gamma_budget must be an int >= 1, got {gamma_budget!r}")
     if gamma != "auto":
         try:
             gamma = float(gamma)
@@ -633,7 +690,7 @@ def sparse_construct(
         s_all = evaluator.eval_values(f.values)
         s2_est = f.with_values(s_all).norm_l2() / l2
     else:
-        s2_est = 1.0
+        s_all, s2_est = None, 1.0
     bracket = wd * pd + s2_est
     hn = f.h**f.n
     gmax = int(math.log2(N))
@@ -650,10 +707,16 @@ def sparse_construct(
         if not np.any(floc):
             return
         avg3 = float(np.sum(np.abs(floc))) * hn / (3.0 * node.side) ** f.n
-        s_vals = evaluator.eval_values(floc)
-        pool = dyadic_cube_pool(node, f)
+        # where 3P covers the grid, f' is f
+        s_vals = s_all if mask3.all() else evaluator.eval_values(floc)
+        lo, hi = _pool_corners(node, f)
+        if evaluator.fast:
+            kept = _lerner_keep(f, floc, lo, hi, evaluator.l1_gain,
+                                math.sqrt(g_val) * bracket * avg3)
+            kept[:1] = True  # the node's own box, the cover
+            lo, hi = lo[kept], hi[kept]
         ms = ops.lerner_maximal(
-            k, f.with_values(floc), cone_a, "M_S", pool, method=method,
+            k, f.with_values(floc), cone_a, "M_S", _boxes(lo, hi), method=method,
             domain=node.box(), evaluator=evaluator,
         )
         mtilde = np.maximum(s_vals, ms.values)

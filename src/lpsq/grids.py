@@ -37,6 +37,7 @@ __all__ = [
     "load_binary",
     "prefix_sums",
     "box_sums",
+    "range_sums",
 ]
 
 _BIN_MAGIC = b"LPGF"
@@ -183,6 +184,18 @@ def box_sums(c: np.ndarray, L: int) -> np.ndarray:
             out = out - term
         else:
             out = out + term
+    return out
+
+
+def range_sums(c: np.ndarray, i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
+    """The sums over the boxes [i0[b], i1[b]) (per axis; (nb, n) index
+    arrays within the table's range) from a `prefix_sums` table c, by
+    inclusion-exclusion with the corners in the order of `box_sums`."""
+    out = np.zeros(len(i0), dtype=c.dtype)
+    for corner in itertools.product((1, 0), repeat=c.ndim):
+        corner = corner[::-1]
+        term = c[tuple((i1 if hi else i0)[:, ax] for ax, hi in enumerate(corner))]
+        out = out - term if (c.ndim - sum(corner)) % 2 else out + term
     return out
 
 

@@ -20,8 +20,9 @@ least 2^a 3^b 5^c that holds it.  Two paths keep powers of two: the Lerner
 local-window blocks, on which the Gram cutoff `_gram_s_max` is tuned, and
 the bilinear diagonal sums, whose input spectra serve every level of one
 length, and powers of two leave the levels fewer distinct lengths.
-`scipy.signal` is imported though nothing here calls it: perfbench's span table resolves ``scipy.signal.fftconvolve`` and
-reports a module the program never imported as absent.
+`scipy.signal` is imported though nothing here calls it: perfbench's span
+table resolves ``scipy.signal.fftconvolve`` and reports a module the
+program never imported as absent.
 `SquareEvaluator` caches the per-level kernel spectra of one layout in
 n = 1 and n = 2; `lerner_maximal` takes a caller's evaluator of the same
 layout (``evaluator=``, as `sparse_construct` passes), so the full-grid
@@ -541,6 +542,11 @@ class SquareEvaluator:
     buffer of rows); these depend on the layout only.  The Lerner profile
     blocks and their spectra depend on the pool's cube shapes and live for
     one call.
+
+    On the fast path, ``l1_gain`` is a c with S g <= c sum |g| for every g
+    on the layout: c^2 = sum_j meas_j |D_j| max |k_j|^2, the max over the
+    level's own kernel samples (offsets up to N - 1 + K_j cells per axis),
+    since each psi_t value is at most max |k_j| sum |g|.
     """
 
     def __init__(self, k, template: GridFunction, cone: ConeGrid,
@@ -556,11 +562,14 @@ class SquareEvaluator:
         n = template.n
         self.M = int(round(2.0 * self.R_out / template.h))
         self.levels = _cone_levels(template, cone, self.R_out)
-        self._spectra = [
-            np.fft.rfftn(_conv_kernel(k, template, lv.t, self.R_out + lv.K * template.h,
-                                      lv.Mx), (lv.nfft,) * n, axes=range(n))
-            for lv in self.levels
-        ]
+        self._spectra = []
+        gain2 = 0.0
+        for lv in self.levels:
+            kern = _conv_kernel(k, template, lv.t, self.R_out + lv.K * template.h, lv.Mx)
+            self._spectra.append(np.fft.rfftn(kern, (lv.nfft,) * n, axes=range(n)))
+            disc = sum(2 * rx + 1 for _, rx in _disc_rows(lv.lim, n))
+            gain2 += lv.meas * disc * float(np.max(np.abs(kern))) ** 2
+        self.l1_gain = math.sqrt(gain2)
         self.s_max = _gram_s_max(self.levels, n, template.ncells)
         self._gram = None
 
@@ -824,8 +833,17 @@ def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) ->
 def _box_ranges(gf: GridFunction, boxes: Sequence[Box], snap_outward: bool = False,
                 factor: float | None = None) -> tuple:
     """Per-axis (start, stop) index ranges of the cells each box selects, as
-    (nb, n) arrays; boxes are dilated first as `Box.dilate(factor)` when a
-    factor is given, by the same float operations.
+    (nb, n) arrays: `_corner_ranges` of the boxes' corners."""
+    return _corner_ranges(gf, np.array([b.lo for b in boxes], dtype=float),
+                          np.array([b.hi for b in boxes], dtype=float), snap_outward, factor)
+
+
+def _corner_ranges(gf: GridFunction, lo: np.ndarray, hi: np.ndarray,
+                   snap_outward: bool = False, factor: float | None = None) -> tuple:
+    """Per-axis (start, stop) index ranges of the cells each box [lo, hi)
+    selects, lo and hi (nb, n) arrays, as (nb, n) arrays; boxes are dilated
+    first as `Box.dilate(factor)` when a factor is given, by the same float
+    operations.
 
     A cell counts when its center lies in [lo, hi) or, with
     ``snap_outward`` (the convention for 3Q dilates), in
@@ -835,8 +853,6 @@ def _box_ranges(gf: GridFunction, boxes: Sequence[Box], snap_outward: bool = Fal
     shape selects the same number of cells wherever it sits; ranges are not
     clipped to the grid.
     """
-    lo = np.array([b.lo for b in boxes], dtype=float)
-    hi = np.array([b.hi for b in boxes], dtype=float)
     if factor is not None:  # the center -+ factor/2 times the axis-0 side
         c, half = 0.5 * (lo + hi), factor * 0.5 * (hi[:, :1] - lo[:, :1])
         lo, hi = c - half, c + half

@@ -408,6 +408,12 @@ class TestSparseConstruct:
         with pytest.raises(ParameterError, match="gamma"):
             sparse_construct(k, f, q0, 1.0, cone, gamma=gamma)
 
+    @pytest.mark.parametrize("budget", [0, -1, 1.5, "3", None, True])
+    def test_bad_gamma_budget_is_parameter_error(self, sparse_setup, budget):
+        k, f, cone, q0 = sparse_setup
+        with pytest.raises(ParameterError, match="gamma_budget"):
+            sparse_construct(k, f, q0, 1.0, cone, gamma_budget=budget)
+
     def test_bilinear_is_refused(self, sparse_setup):
         _, f, cone, q0 = sparse_setup
         bi = bilinear_example_kernel(3.0, 1)
@@ -696,3 +702,159 @@ class TestGenerationWalk:
         calls.clear()
         cz_decompose(f.with_values(np.zeros_like(vals)), 1.0)
         assert len(calls) == 1 + 1
+
+
+# ---------------------------------------------------------------------------
+# the pruned Lerner pool of sparse_construct
+# ---------------------------------------------------------------------------
+
+
+def _prune_input(rng, n, N, kind):
+    """Signed spikes, noise, or noise with zero runs."""
+    shape = (N,) * n
+    if kind == "spike":
+        v = np.zeros(shape)
+        for cell in rng.integers(0, N, size=(rng.integers(1, 6), n)):
+            v[tuple(cell)] += rng.uniform(0.1, 50.0) * rng.choice([-1.0, 1.0])
+        return v
+    v = rng.standard_normal(shape)
+    if kind == "zero-run":
+        for _ in range(rng.integers(1, 4)):
+            i = rng.integers(0, N)
+            v[i:i + rng.integers(1, N // 2 + 2)] = 0.0
+    return v
+
+
+def _family_key(fam):
+    return [(c.generation, c.anchor) for c in fam.cubes], dict(fam.parent), fam.meta
+
+
+def _pool_sizes(monkeypatch):
+    """Record the pool size of every lerner_maximal call."""
+    from lpsq import operators
+
+    sizes, inner = [], operators.lerner_maximal
+
+    def counted(k, f, cone, variant, cube_pool, *args, **kwargs):
+        sizes.append(len(cube_pool))
+        return inner(k, f, cone, variant, cube_pool, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "lerner_maximal", counted)
+    return sizes
+
+
+def _keep_all(f, floc, lo, hi, gain, thr0):
+    return np.ones(len(lo), dtype=bool)
+
+
+class TestLernerPoolPruning:
+    """sparse_construct drops the pool boxes whose M_S term cannot change the
+    level set; the families must equal those of the full pool, and the two
+    bounds the rule rests on must hold for the evaluator's S."""
+
+    def _construct(self, n, N, vals, gamma):
+        R = 4.0
+        h = 2 * R / N
+        k = parse_kernel("ex1:kappa=3", n)
+        f = GridFunction(n, R, h, vals)
+        cone = build_cone(1.0, n, h, 2 * h, 2 * R, 4)
+        return sparse_construct(k, f, Cube(n, 1, (0,) * n, "standard", 2 * R), 1.0, cone, gamma)
+
+    def _both(self, n, N, vals, gamma):
+        from unittest import mock
+
+        from lpsq import dyadic
+
+        pruned = self._construct(n, N, vals, gamma)
+        with mock.patch.object(dyadic, "_lerner_keep", _keep_all):
+            full = self._construct(n, N, vals, gamma)
+        return _family_key(pruned), _family_key(full)
+
+    @given(st.integers(min_value=1, max_value=2), st.sampled_from(["spike", "noise", "zero-run"]),
+           st.sampled_from(["auto", 0.5, 3.0]), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=16)
+    def test_pruned_family_equals_full_pool(self, n, kind, gamma, seed):
+        N = 128 if n == 1 else 16
+        vals = _prune_input(np.random.default_rng(seed), n, N, kind)
+        pruned, full = self._both(n, N, vals, gamma)
+        assert pruned == full
+
+    @pytest.mark.parametrize("N, cells, amps, gamma", [
+        # a dipole; the family changes when c is halved
+        (128, [101, 102], [-0.92, 1.0], 2.84),
+        # the family changes when the sqrt 2 - 1 factor is dropped
+        (256, [162, 163, 164, 165, 166], [-0.07, -0.13, -0.03, 1.14, -0.49], 12.85),
+    ])
+    def test_sharp_cases_equal_full_pool(self, monkeypatch, N, cells, amps, gamma):
+        """Inputs found by search where a box that the rule only just keeps
+        is the one that puts a cell in E, at a gamma where the doubling loop
+        stops on its first threshold: a weaker bound changes the family."""
+        vals = np.zeros(N)
+        vals[cells] = amps
+        sizes = _pool_sizes(monkeypatch)
+        pruned, full = self._both(1, N, vals, gamma)
+        assert pruned == full
+        n_pruned = sum(sizes[: len(sizes) // 2])
+        assert n_pruned < sum(sizes[len(sizes) // 2:])
+
+    @pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
+    def test_pruning_needs_the_fast_path(self, monkeypatch, n, N):
+        """method="direct" keeps the full pool."""
+        vals = _prune_input(np.random.default_rng(3), n, N, "spike")
+        sizes = _pool_sizes(monkeypatch)
+        R, h = 4.0, 8.0 / N
+        k = parse_kernel("ex1:kappa=3", n)
+        cone = build_cone(1.0, n, h, 2 * h, 2 * R, 4)
+        f = GridFunction(n, R, h, vals)
+        root = Cube(n, 1, (0,) * n, "standard", 2 * R)
+        sparse_construct(k, f, root, 1.0, cone, method="direct")
+        assert sizes[0] == len(dyadic_cube_pool(root, f))
+        sizes.clear()
+        sparse_construct(k, f, root, 1.0, cone)
+        assert sizes[0] < len(dyadic_cube_pool(root, f))
+
+    @given(st.integers(min_value=1, max_value=2), st.sampled_from(["spike", "noise", "zero-run"]),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=24)
+    def test_bounds_of_the_rule(self, n, kind, seed):
+        """S g <= c ||g||_1 and |S f^2 - S g^2| <= S h (2 S f + S h) with
+        g = f on a random box, h = f - g, for the evaluator and for the
+        direct-summation square function."""
+        from lpsq.operators import SquareEvaluator
+
+        N = 32 if n == 1 else 8
+        R, h = 4.0, 8.0 / N
+        rng = np.random.default_rng(seed)
+        k = parse_kernel("ex1:kappa=3", n)
+        cone = build_cone(1.0, n, h, 2 * h, 2 * R, 4)
+        f = GridFunction(n, R, h, _prune_input(rng, n, N, kind))
+        ev = SquareEvaluator(k, f, cone)
+        lo = rng.integers(0, N, n)
+        box = tuple(slice(a, a + rng.integers(1, N - a + 1)) for a in lo)
+        g = np.zeros_like(f.values)
+        g[box] = f.values[box]
+        hv = f.values - g
+        c, l1 = ev.l1_gain, float(np.abs(g).sum())
+        tol = 1e-12 * c * float(np.abs(f.values).sum())
+        direct = lambda v: square_function(k, f.with_values(v), cone, method="direct").values
+        for S in (ev.eval_values, direct):
+            sf, sg, sh = S(f.values), S(g), S(hv)
+            assert np.all(sg <= c * l1 + tol)
+            assert np.all(np.abs(sf**2 - sg**2) <= sh * (2 * sf + sh) * (1 + 1e-9) + tol * tol)
+
+    def test_root_takes_s_f_once(self, monkeypatch):
+        """Where the root's 3-dilate covers the grid, S f' is the S f taken
+        for the bracket: no two evaluations see the same input."""
+        from lpsq.operators import SquareEvaluator
+
+        seen, inner = [], SquareEvaluator.eval_values
+
+        def recorded(self, values):
+            seen.append(np.array(values))
+            return inner(self, values)
+
+        monkeypatch.setattr(SquareEvaluator, "eval_values", recorded)
+        vals = _prune_input(np.random.default_rng(0), 1, 128, "spike")
+        self._construct(1, 128, vals, "auto")
+        assert seen and np.array_equal(seen[0], vals)
+        assert not any(np.array_equal(a, b) for a, b in itertools.combinations(seen, 2))

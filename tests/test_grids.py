@@ -14,6 +14,8 @@ from lpsq.grids import (
     load_binary,
     load_csv,
     parse_function,
+    prefix_sums,
+    range_sums,
     sample_function,
     save_binary,
     save_csv,
@@ -113,6 +115,17 @@ class TestBox:
         b = Box((0.0, 0.0), (1.0, 1.0))
         assert b.contains_point((0.5, 0.0))
         assert not b.contains_point((1.0, 0.5))  # right-open
+
+
+class TestRangeSums:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equal_to_slice_sums(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.integers(-9, 10, (12,) * n)
+        i0 = rng.integers(0, 13, (40, n))
+        i1 = np.maximum(i0, rng.integers(0, 13, (40, n)))
+        want = [a[tuple(slice(p, q) for p, q in zip(lo, hi))].sum() for lo, hi in zip(i0, i1)]
+        assert range_sums(prefix_sums(a), i0, i1).tolist() == want
 
 
 class TestCone:
