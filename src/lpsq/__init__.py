@@ -60,7 +60,6 @@ from .kernels import (
 )
 from .operators import (
     SquareEvaluator,
-    far_field_majorant,
     g_star,
     g_star_cascade_bound,
     lerner_maximal,

@@ -663,7 +663,11 @@ def sparse_construct(
     domain check needs; its term is exactly 0, since 3P holds f'.  Pruning
     needs the evaluator's fast path: other kernels and ``method="direct"``
     keep the full pool.  Where 3P covers the grid, f' is f and S f' is the
-    S f taken for s2.
+    S f taken for s2; M_S takes S f'^2 back from the evaluator
+    (`SquareEvaluator.square_sum`), so each node computes S f' once.  The
+    evaluator is the one `SquareEvaluator.of` keeps on k: constructions on
+    one kernel object and layout build it once and share its kernel
+    spectra, Gram table and Lerner block spectra.
     """
     from . import operators as ops
     from .moduli import dini_constant
@@ -682,7 +686,7 @@ def sparse_construct(
     N = f.ncells
     _dyadic_root_cells(N)
     cone_a = cone if cone.alpha == alpha else cone.with_alpha(alpha)
-    evaluator = ops.SquareEvaluator(k, f, cone_a, method=method)
+    evaluator = ops.SquareEvaluator.of(k, f, cone_a, method=method)
     wd = dini_constant(k.w_mod, 1e-6)
     pd = dini_constant(k.phi_mod, 1e-6)
     l2 = f.norm_l2()
@@ -717,7 +721,7 @@ def sparse_construct(
             lo, hi = lo[kept], hi[kept]
         ms = ops.lerner_maximal(
             k, f.with_values(floc), cone_a, "M_S", _boxes(lo, hi), method=method,
-            domain=node.box(), evaluator=evaluator,
+            domain=node.box(),
         )
         mtilde = np.maximum(s_vals, ms.values)
         nr = node.cell_range(f)

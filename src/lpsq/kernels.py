@@ -56,6 +56,10 @@ class KernelSpec:
     psi: Callable | None = None
     name: str = ""
     params: dict = field(default_factory=dict)
+    # the Lerner plan of the last fast-path layout this kernel evaluated:
+    # layout key -> `operators.SquareEvaluator` (see `SquareEvaluator.of`)
+    _evaluator: dict = field(default_factory=dict, init=False, compare=False,
+                             hash=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("convolution", "linear", "bilinear"):

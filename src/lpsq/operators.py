@@ -23,10 +23,13 @@ length, and powers of two leave the levels fewer distinct lengths.
 `scipy.signal` is imported though nothing here calls it: perfbench's span
 table resolves ``scipy.signal.fftconvolve`` and reports a module the
 program never imported as absent.
-`SquareEvaluator` caches the per-level kernel spectra of one layout in
-n = 1 and n = 2; `lerner_maximal` takes a caller's evaluator of the same
-layout (``evaluator=``, as `sparse_construct` passes), so the full-grid
-kernels are sampled once per layout.
+`SquareEvaluator` holds the per-level kernel spectra of one layout in
+n = 1 and n = 2 and, once used, its Gram table and the Lerner block
+spectra of every cube shape it has seen.  `SquareEvaluator.of` keeps the
+evaluator of the last fast-path layout on the kernel object (no state is
+process-global), and `lerner_maximal` and `sparse_construct` take theirs
+from it, so a layout's kernels are sampled and transformed once per
+kernel object.
 
 g* sums, per level, the weight times |psi_t f|^2 over the offsets as a
 product of spectra; levels of one stencil radius share one irfftn.  The
@@ -65,13 +68,12 @@ from scipy import signal  # noqa: F401  not called; see the module docstring
 from .errors import (
     CoverageError,
     DisjointnessError,
-    GeometryError,
     GridError,
     ParameterError,
 )
 from .grids import Box, ConeGrid, GridFunction, box_sums, prefix_sums
 from .kernels import KernelSpec, unit_cube_maximal
-from .moduli import ModulusOfContinuity, dini_constant
+from .moduli import ModulusOfContinuity
 
 __all__ = [
     "psi_t_apply",
@@ -82,7 +84,6 @@ __all__ = [
     "g_star_cascade_bound",
     "maximal",
     "lerner_maximal",
-    "far_field_majorant",
     "marcinkiewicz_fw",
     "SquareEvaluator",
 ]
@@ -315,14 +316,15 @@ def _disc_rows(lim: float, n: int) -> list:
     return rows
 
 
-def _window_rows(lim: float, n: int, K: int) -> list:
-    """The `_disc_rows` of lim as index pairs (hi, lo) into the cumulative
-    sums c, along the first of n axes with a zero prepended, of an array
-    padded by K cells on each side, K at least the stencil radius:
-    c[hi] - c[lo] is one row's window sum at every output cell.  Stops
-    count from the end, so the pairs serve every output size and batch."""
+def _window_rows(disc: list, K: int) -> list:
+    """The stencil rows ``disc`` (`_disc_rows`) as index pairs (hi, lo)
+    into the cumulative sums c, along the first of n axes with a zero
+    prepended, of an array padded by K cells on each side, K at least the
+    stencil radius: c[hi] - c[lo] is one row's window sum at every output
+    cell.  Stops count from the end, so the pairs serve every output size
+    and batch."""
     rows = []
-    for rest, rx in _disc_rows(lim, n):
+    for rest, rx in disc:
         cols = tuple(slice(K + d, d - K or None) for d in rest)
         rows.append(((..., slice(K + rx + 1, rx - K or None)) + cols,
                      (..., slice(K - rx, -(K + rx + 1))) + cols))
@@ -390,7 +392,7 @@ def square_function_multi(
         p = u_ext**2
         meas = base.h**n / t**n * cone.log_weight
         for a in alphas:
-            rows = _window_rows(min(a * t, cone.max_radius) / base.h, n, K)
+            rows = _window_rows(_disc_rows(min(a * t, cone.max_radius) / base.h, n), K)
             acc[a] += meas * _window_sum(p, rows, K)
     return {
         a: GridFunction(n, R_out, base.h, np.sqrt(acc[a])) for a in alphas
@@ -470,17 +472,19 @@ class _Level:
     """One cone level on a layout.
 
     psi_t values are taken on the output lattice padded by K cells (Mx
-    cells per axis) and the window sums run over the strict stencil radius
-    ``lim`` (cells), whose `_window_rows` are ``rows``; ``meas`` is
-    (h/t)^n ln r and ``nfft`` the `_fft_len` of the linear convolution
-    from the N input cells to the Mx output cells.
+    cells per axis) and the window sums run over the strict stencil of
+    radius min(alpha t, max_radius) / h cells, whose `_disc_rows` are
+    ``disc`` (``size`` offsets) and whose `_window_rows` are ``rows``;
+    ``meas`` is (h/t)^n ln r and ``nfft`` the `_fft_len` of the linear
+    convolution from the N input cells to the Mx output cells.
     """
 
     t: float
     K: int
     Mx: int
     nfft: int
-    lim: float
+    disc: list
+    size: int
     rows: list
     meas: float
 
@@ -495,10 +499,10 @@ def _cone_levels(template: GridFunction, cone: ConeGrid, R_out: float) -> list:
         t = float(t)
         K = _radius_cells(cone.alpha, t, h, cone.max_radius)
         Mx = M + 2 * K
-        lim = min(cone.alpha * t, cone.max_radius) / h
+        disc = _disc_rows(min(cone.alpha * t, cone.max_radius) / h, n)
         out.append(_Level(
-            t, K, Mx, _fft_len(Mx + N - 1), lim, _window_rows(lim, n, K),
-            (h / t) ** n * cone.log_weight,
+            t, K, Mx, _fft_len(Mx + N - 1), disc, sum(2 * rx + 1 for _, rx in disc),
+            _window_rows(disc, K), (h / t) ** n * cone.log_weight,
         ))
     return out
 
@@ -511,7 +515,7 @@ def _gram_s_max(levels, n: int, N: int) -> int:
     cube (3Q side a = 3s + 1): s^n a^{2n} in the Gram form; per level,
     2.5 P^n log2 P^n (an rfft / irfft pair of FFT side P) plus the window
     sums in the FFT path.  The table costs sum_j |D_j| (4 s_max)^{2n} once."""
-    disc = sum(2 * rx + 1 for lv in levels for _, rx in _disc_rows(lv.lim, n))
+    disc = sum(lv.size for lv in levels)
 
     def per_level(s, a):
         KP = ((lv.K, 1 << (a + s + 2 * lv.K - 2).bit_length()) for lv in levels)
@@ -535,13 +539,19 @@ class SquareEvaluator:
     each eval costs one forward FFT per distinct FFT size (`_fft_len` of
     the linear convolution) and one inverse FFT per level.
     Non-convolution kernels and ``method="direct"`` go through
-    square_function on every eval.  The batched Lerner path
-    (`_lerner_batched`) takes psi_t f and the S^2 window sums from it
-    (`level_values`, `cone_sum`), the levels, and its Gram cutoff
+    square_function on every eval.  The constructor refuses a cone whose
+    spacing, or a kernel whose dimension, differs from the template's
+    (`GridError`, as square_function).
+
+    The batched Lerner path (`_lerner_batched`) takes from it psi_t f and
+    S f^2 (`level_values`, `square_sum`), the levels, the Gram cutoff
     ``s_max`` (`_gram_s_max`) and Gram table (`gram_table`, built from one
-    buffer of rows); these depend on the layout only.  The Lerner profile
-    blocks and their spectra depend on the pool's cube shapes and live for
-    one call.
+    buffer of rows on first use) and the per-shape level block spectra
+    (`lerner_plans`, built once per cube shape).  Levels, table and block
+    spectra depend on the layout only and live as long as the evaluator;
+    `of` keeps the evaluator of a layout on the kernel object.  The last
+    S f^2 is held with a copy of its f, so M_S of the f whose S the caller
+    has just taken reuses it.
 
     On the fast path, ``l1_gain`` is a c with S g <= c sum |g| for every g
     on the layout: c^2 = sum_j meas_j |D_j| max |k_j|^2, the max over the
@@ -551,6 +561,10 @@ class SquareEvaluator:
 
     def __init__(self, k, template: GridFunction, cone: ConeGrid,
                  out_R: float | None = None, method: str | None = None):
+        if template.h != cone.h:
+            raise GridError("cone and grid spacing differ")
+        if template.n != k.n:
+            raise GridError("kernel and grid dimensions differ")
         self.k = k
         self.cone = cone
         self.template = template
@@ -567,11 +581,33 @@ class SquareEvaluator:
         for lv in self.levels:
             kern = _conv_kernel(k, template, lv.t, self.R_out + lv.K * template.h, lv.Mx)
             self._spectra.append(np.fft.rfftn(kern, (lv.nfft,) * n, axes=range(n)))
-            disc = sum(2 * rx + 1 for _, rx in _disc_rows(lv.lim, n))
-            gain2 += lv.meas * disc * float(np.max(np.abs(kern))) ** 2
+            gain2 += lv.meas * lv.size * float(np.max(np.abs(kern))) ** 2
         self.l1_gain = math.sqrt(gain2)
         self.s_max = _gram_s_max(self.levels, n, template.ncells)
         self._gram = None
+        self._plans = {}
+        self._held = None
+
+    @classmethod
+    def of(cls, k, template: GridFunction, cone: ConeGrid,
+           out_R: float | None = None, method: str | None = None) -> SquareEvaluator:
+        """The evaluator of this layout: the one held on k if it has the
+        same cone values (alpha, n, h, log_weight, max_radius, t_levels),
+        template n, R and h, output radius and resolved method, else a new
+        one.  k holds one evaluator, the last fast-path one built here, so
+        a `ConeGrid.with_alpha` copy of equal values finds it and no state
+        outlives the kernel object."""
+        R_out = template.R if out_R is None else float(out_R)
+        key = (cone.alpha, cone.n, cone.h, cone.log_weight, cone.max_radius,
+               np.asarray(cone.t_levels, dtype=float).tobytes(),
+               template.n, template.R, template.h, R_out, _resolve_method(k, method))
+        ev = k._evaluator.get(key)
+        if ev is None:
+            ev = cls(k, template, cone, out_R, method)
+            if ev.fast:
+                k._evaluator.clear()
+                k._evaluator[key] = ev
+        return ev
 
     def gram_table(self):
         """(A, lo, P): the level-summed Gram table of the M_S form, built on
@@ -596,7 +632,7 @@ class SquareEvaluator:
                 e = np.arange(lo - K, lo + P + K) * h / lv.t
                 B = self.k.profile(*np.ix_(*(e,) * n)) * ((h / lv.t) ** n * math.sqrt(lv.meas))
                 W = np.lib.stride_tricks.sliding_window_view(B, (P,) * n)
-                for rest, rx in _disc_rows(lv.lim, n):
+                for rest, rx in lv.disc:
                     col = W[(slice(K - rx, K + rx + 1),) + tuple(K + d for d in rest)]
                     r0 = 0
                     while r0 < len(col):
@@ -609,6 +645,43 @@ class SquareEvaluator:
             A += buf[:used].T @ buf[:used]
             self._gram = A, lo, P
         return self._gram
+
+    def lerner_plans(self, keys) -> list:
+        """Per shape key of `_lerner_batched` (as `_lerner_groups`), its
+        level plan: the runs (P, [(j, spectrum, crop)]) of consecutive
+        levels j of one FFT length P, per axis the power of two of
+        a + s + 2 K_j - 1.  The spectrum is the n-D rfft at P of level j's
+        profile block, sampled at the cell offsets d - a + 1 - K_j ..
+        d + s - 1 + K_j from 3Q to Q +- K_j, and crop the slice of a
+        batched irfft that holds Q +- K_j.
+
+        Plans are built on first sight of a key and kept: the keys not seen
+        before share one profile sample per level, on the union of their
+        offset ranges, and each block is a slice of it."""
+        new = [key for key in keys if key not in self._plans]
+        if new:
+            n, h = self.template.n, self.template.h
+            arr = np.array(new)
+            lo = (arr[..., 2] - arr[..., 0] + 1).min(axis=0)
+            hi = (arr[..., 2] + arr[..., 1]).max(axis=0)
+            runs = {key: [] for key in new}
+            for j, lv in enumerate(self.levels):
+                K = lv.K
+                es = (np.arange(l - K, u + K) * h / lv.t for l, u in zip(lo, hi))
+                prof = self.k.profile(*np.ix_(*es)) * (h / lv.t) ** n
+                for key, plan in runs.items():
+                    P = tuple(1 << (a + s + 2 * K - 2).bit_length() for a, s, _ in key)
+                    block = prof[tuple(slice(d - a + 1 - l, d + s + 2 * K - l)
+                                       for (a, s, d), l in zip(key, lo))]
+                    crop = (slice(None),) + tuple(slice(a - 1, a + s + 2 * K - 1)
+                                                  for a, s, _ in key)
+                    entry = (j, np.fft.rfftn(block, P, axes=range(n)), crop)
+                    if plan and plan[-1][0] == P:
+                        plan[-1][1].append(entry)
+                    else:
+                        plan.append((P, [entry]))
+            self._plans.update(runs)
+        return [self._plans[key] for key in keys]
 
     def level_values(self, values: np.ndarray):
         """Yield (level, u) per cone level, u = psi_t of the grid function
@@ -629,6 +702,23 @@ class SquareEvaluator:
         (given on the padded lattice) at each output cell."""
         return lv.meas * _window_sum(p, lv.rows, lv.K)
 
+    def square_sum(self, values: np.ndarray) -> np.ndarray:
+        """S_alpha^2 of the grid function with these values (fast path):
+        the `cone_sum`s of the levels, added in level order, read-only.  The
+        result is held with a copy of the values and returned again, not
+        recomputed, for equal values.  Equal is `np.array_equal`, which
+        takes -0.0 for 0.0; the two inputs give psi_t values that differ at
+        most in the signs of zeros, so their S^2 are the same bits."""
+        held = self._held
+        if held is not None and np.array_equal(held[0], values):
+            return held[1]
+        acc = np.zeros((self.M,) * self.template.n)
+        for lv, u in self.level_values(values):
+            acc += self.cone_sum(lv, u**2)
+        acc.setflags(write=False)
+        self._held = (np.array(values, dtype=float), acc)
+        return acc
+
     def eval_values(self, values: np.ndarray) -> np.ndarray:
         """S_alpha of the grid function with these values; returns values."""
         if not self.fast:
@@ -636,10 +726,7 @@ class SquareEvaluator:
             return square_function(
                 self.k, gf, self.cone, out_R=self.R_out, method=self.method
             ).values
-        acc = np.zeros((self.M,) * self.template.n)
-        for lv, u in self.level_values(values):
-            acc += self.cone_sum(lv, u**2)
-        return np.sqrt(acc)
+        return np.sqrt(self.square_sum(values))
 
     def eval(self, gf: GridFunction) -> GridFunction:
         return GridFunction(
@@ -965,17 +1052,17 @@ def _lerner_batched(ev: SquareEvaluator, f: GridFunction, variant: str,
     every other group, psi_t(f 1_{3Q}) on Q +- K_j is the linear
     convolution of the stacked 3Q windows with level j's profile block,
     sampled at the cell offsets from 3Q to Q +- K_j; window sums then run
-    on Q.  The loops run group -> FFT length P -> chunk of cubes -> level:
-    the levels of one group are taken in runs of consecutive levels with
-    one P (the power of two of a + s + 2K - 1 per axis), each run costs
-    one n-D rfft per level block and, per chunk, one batched n-D rfft of
-    the windows and one irfft per level, and each cube's terms are added
-    in level order.  Each level's profile is sampled once per call, on the
-    union of the groups' offset ranges; a block is a slice of it.  N_S
+    on Q.  The block spectra come from the evaluator's `lerner_plans`,
+    which keeps them per shape key, so a shape seen by an earlier call on
+    the layout costs no profile sample and no block transform.  The loops
+    run group -> FFT length P -> chunk of cubes -> level: per run of
+    consecutive levels of one P and chunk, one batched n-D rfft of the
+    windows and one irfft per level, and each cube's terms are added in
+    level order.  M_S takes S f^2 from `SquareEvaluator.square_sum`; N_S
     uses psi_t(f 1_{outside 3Q}) = psi_t f - psi_t(f 1_{3Q}); cells outside
     the grid are dropped.
     """
-    n, N, h = f.n, f.ncells, f.h
+    n, N = f.n, f.ncells
     out = np.full((N,) * n, -np.inf)
     groups = _lerner_groups(f, cube_pool, out)
     if not groups:
@@ -991,41 +1078,23 @@ def _lerner_batched(ev: SquareEvaluator, f: GridFunction, variant: str,
     levelled = {key: IJ for key, IJ in groups.items() if not _gram_takes(ev, variant, key)}
     accs = {key: np.zeros((len(I),) + tuple(s for _, s, _ in key)) if key in levelled
             else _gram_form(ev, key, fp, I + pf) for key, (I, _) in groups.items()}
-    s_full2 = np.zeros((N,) * n)
-    ups = []  # N_S: psi_t f per level, padded
-    for lv, u_full in ev.level_values(f.values):
-        if variant == "M_S":
-            s_full2 += ev.cone_sum(lv, u_full**2)
-        ups.append(np.pad(u_full, pu) if variant == "N_S" else None)
-    if levelled:
-        # per axis, the union [lo, hi) of the groups' offsets d - a + 1 .. d + s - 1
-        keys = np.array(list(levelled))
-        lo = (keys[..., 2] - keys[..., 0] + 1).min(axis=0)
-        hi = (keys[..., 2] + keys[..., 1]).max(axis=0)
-        profs = []
-        for lv in ev.levels:
-            es = (np.arange(l - lv.K, u + lv.K) * h / lv.t for l, u in zip(lo, hi))
-            profs.append(ev.k.profile(*np.ix_(*es)) * (h / lv.t) ** n)
+    if variant == "M_S":
+        s_full2, ups = ev.square_sum(f.values), [None] * len(ev.levels)
+    else:  # psi_t f per level, padded
+        s_full2, ups = None, [np.pad(u, pu) for _, u in ev.level_values(f.values)]
     axes = tuple(range(1, n + 1))
-    for key, (I, J) in levelled.items():
+    for (key, (I, J)), plan in zip(levelled.items(), ev.lerner_plans(list(levelled))):
         fw = windows(fp, tuple(a for a, _, _ in key))
-        Ps = [tuple(1 << (a + s + 2 * lv.K - 2).bit_length() for a, s, _ in key)
-              for lv in ev.levels]
-        for P, run in itertools.groupby(zip(Ps, ev.levels, profs, ups), lambda item: item[0]):
-            plan = []
-            for _, lv, prof, up in run:
-                K = lv.K
-                block = prof[tuple(slice(d - a + 1 - l, d + s + 2 * K - l)
-                                   for (a, s, d), l in zip(key, lo))]
-                crop = (slice(None),) + tuple(slice(a - 1, a + s + 2 * K - 1)
-                                              for a, s, _ in key)
-                uw = None if up is None else windows(up, tuple(s + 2 * K for _, s, _ in key))
-                plan.append((lv, np.fft.rfftn(block, P, axes=range(n)), crop, uw))
+        for P, run in plan:
+            uws = [None if ups[j] is None
+                   else windows(ups[j], tuple(s + 2 * ev.levels[j].K for _, s, _ in key))
+                   for j, _, _ in run]
             step = max(1, _LERNER_CHUNK // math.prod(P))
             for b0 in range(0, len(I), step):
                 wf = np.fft.rfftn(fw[tuple((I[b0 : b0 + step] + pf).T)], P, axes=axes)
                 Jb = tuple((J[b0 : b0 + step] + pu).T)
-                for lv, kf, crop, uw in plan:
+                for (j, kf, crop), uw in zip(run, uws):
+                    lv = ev.levels[j]
                     U = np.fft.irfftn(wf * kf, P, axes=axes)[crop]
                     if uw is not None:
                         U = uw[Jb] - U
@@ -1042,7 +1111,6 @@ def lerner_maximal(
     cube_pool: Sequence[Box],
     method: str | None = None,
     domain: Box | None = None,
-    evaluator: SquareEvaluator | None = None,
 ) -> GridFunction:
     """M_S / N_S: sup over pool cubes containing x of the localized term.
 
@@ -1050,13 +1118,12 @@ def lerner_maximal(
     The pool approximates the sup over all cubes; callers should record the
     pool kind alongside results.  With ``domain`` the coverage requirement
     (every point lies in some pool cube) applies only inside that box and
-    the output is zero elsewhere.  ``evaluator`` may pass in a
-    `SquareEvaluator` of the same kernel, cone and method on f's layout, so
-    that its kernel spectra and Gram table are reused.  A linear convolution
-    kernel with resolved method "fft" takes the batched path
-    (`_lerner_batched`, M_S on small cubes by `_gram_form`), in n = 1 and
-    n = 2; ``method="direct"`` and bilinear pairs evaluate S once per pool
-    cube.
+    the output is zero elsewhere.  A linear convolution kernel with
+    resolved method "fft" takes the batched path (`_lerner_batched`, M_S on
+    small cubes by `_gram_form`), in n = 1 and n = 2, through the
+    evaluator `SquareEvaluator.of` keeps on k, so that repeated calls on
+    one layout share its kernel spectra, Gram table and block spectra;
+    ``method="direct"`` and bilinear pairs evaluate S once per pool cube.
     """
     if variant not in ("M_S", "N_S"):
         raise ParameterError(f"unknown variant {variant!r}")
@@ -1064,16 +1131,7 @@ def lerner_maximal(
         raise CoverageError("empty cube pool")
     pair = _as_pair(f)
     base = pair[0] if pair else f
-    ev = evaluator
-    if evaluator is not None:
-        t = evaluator.template
-        if (pair is not None or evaluator.k is not k or evaluator.cone is not cone
-                or _resolve_method(k, evaluator.method) != _resolve_method(k, method)
-                or (t.n, t.R, t.h, evaluator.R_out) != (base.n, base.R, base.h, base.R)):
-            raise ParameterError("evaluator does not match the kernel, cone, "
-                                 "method or layout of this call")
-    elif pair is None:
-        ev = SquareEvaluator(k, base, cone, method=method)
+    ev = None if pair is not None else SquareEvaluator.of(k, base, cone, method=method)
     if ev is not None and ev.fast:
         out = _lerner_batched(ev, base, variant, cube_pool)
     else:
@@ -1134,54 +1192,8 @@ def _lerner_pool_loop(k, f, cone, variant, cube_pool, method, ev) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# far-field majorant and Marcinkiewicz function
+# Marcinkiewicz function
 # ---------------------------------------------------------------------------
-
-
-def far_field_majorant(
-    k: KernelSpec,
-    b: GridFunction,
-    cube: Box,
-    x,
-    k_max: int = 48,
-) -> float:
-    """Two-term far-field bound on S_1 of a mean-zero cube-supported bump.
-
-    modulus-weighted near term: A dini(w) |x-c|^{-n} phi(2 sqrt(n) l / |x-c|)
-    times ||b||_1, plus the ring sum over k of A 2^{-kn/2}
-    (2^k l + |x-c|)^{-n} w(2^{k+2} l / (2^k l + |x-c|)) ||b||_1, truncated at
-    ``k_max`` with the monotone geometric tail added.
-    """
-    n = b.n
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    c = np.asarray(cube.center, dtype=float)
-    ell = cube.side
-    dist = float(np.linalg.norm(x - c))
-    if dist <= 64.0 * n * ell:
-        raise GeometryError(
-            f"|x - c(Q)| = {dist:g} must exceed 64 n l(Q) = {64 * n * ell:g}"
-        )
-    l1 = b.norm_l1()
-    mean = float(np.sum(b.values)) * b.h**n
-    if l1 > 0 and abs(mean) > 1e-10 * l1:
-        raise ParameterError("b must have zero mean on its cube")
-    if l1 == 0.0:
-        return 0.0
-    wd = dini_constant(k.w_mod, 1e-8)
-    term1 = k.A * wd / dist**n * float(k.phi_mod(2.0 * math.sqrt(n) * ell / dist)) * l1
-    ks = np.arange(1, k_max + 1, dtype=float)
-    denom = (2.0**ks * ell + dist) ** n
-    ring = float(
-        np.sum(2.0 ** (-ks * n / 2.0) / denom
-               * k.w_mod(2.0 ** (ks + 2.0) * ell / (2.0**ks * ell + dist)))
-    )
-    tail = (
-        float(k.w_mod(1.0))
-        / dist**n
-        * 2.0 ** (-(k_max + 1) * n / 2.0)
-        / (1.0 - 2.0 ** (-n / 2.0))
-    )
-    return term1 + k.A * (ring + tail) * l1
 
 
 def marcinkiewicz_fw(

@@ -858,3 +858,114 @@ class TestLernerPoolPruning:
         self._construct(1, 128, vals, "auto")
         assert seen and np.array_equal(seen[0], vals)
         assert not any(np.array_equal(a, b) for a, b in itertools.combinations(seen, 2))
+
+
+class TestSparsePlanReuse:
+    """sparse_construct takes its evaluator from `SquareEvaluator.of`, which
+    keeps one layout plan on the kernel object: constructions on one layout
+    build it once, and their families are the bits of a fresh kernel's."""
+
+    # seeds of 3- and 2-node families
+    DEEP = {1: 0, 2: 3}
+
+    @staticmethod
+    def _layout(n):
+        N, R = (128 if n == 1 else 16), 4.0
+        h = 2 * R / N
+        return (N, R, h, build_cone(1.0, n, h, 2 * h, 2 * R, 4),
+                Cube(n, 1, (0,) * n, "standard", 2 * R))
+
+    @classmethod
+    def _input(cls, n, seed):
+        """8 signed spikes (|a| in [1, 50]) on 0.01 noise."""
+        N, R, h, _, _ = cls._layout(n)
+        rng = np.random.default_rng(seed)
+        vals = 0.01 * rng.standard_normal((N,) * n)
+        for cell, a in zip(rng.integers(0, N, size=(8, n)),
+                           rng.uniform(1, 50, 8) * rng.choice([-1.0, 1.0], 8)):
+            vals[tuple(cell)] += a
+        return GridFunction(n, R, h, vals)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_second_construction_builds_nothing(self, monkeypatch, n):
+        """No evaluator, profile sample or Gram table on the second
+        construction of an input, after a construction of another input."""
+        from dataclasses import replace
+
+        from lpsq.operators import SquareEvaluator
+
+        *_, cone, q0 = self._layout(n)
+        k0 = parse_kernel("ex1:kappa=3", n)
+        inits, grams, profiles = [], [], []
+        k = replace(k0, profile=lambda *a: profiles.append(1) or k0.profile(*a))
+        init, gram = SquareEvaluator.__init__, SquareEvaluator.gram_table
+        monkeypatch.setattr(SquareEvaluator, "__init__", lambda self, *a, **kw:
+                            inits.append(1) or init(self, *a, **kw))
+        monkeypatch.setattr(SquareEvaluator, "gram_table", lambda self:
+                            grams.append(self._gram is None) or gram(self))
+        fs = [self._input(n, self.DEEP[n]), self._input(n, 4)]
+        first = [sparse_construct(k, f, q0, 1.0, cone) for f in fs]
+        assert len(inits) == 1 and profiles and grams.count(True) <= 1
+        for seen in (inits, grams, profiles):
+            seen.clear()
+        again = sparse_construct(k, fs[0], q0, 1.0, cone.with_alpha(1.0))
+        assert (inits, profiles, grams.count(True)) == ([], [], 0)
+        assert _family_key(again) == _family_key(first[0])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_other_cone_layout_or_method_gets_a_new_evaluator(self, n):
+        from lpsq.operators import SquareEvaluator
+
+        N, R, h, cone, _ = self._layout(n)
+        k = parse_kernel("ex1:kappa=3", n)
+        f = GridFunction(n, R, h, np.zeros((N,) * n))
+        ev = SquareEvaluator.of(k, f, cone)
+        assert ev.fast
+        assert SquareEvaluator.of(k, f.with_values(np.ones((N,) * n)), cone.with_alpha(1.0),
+                                  method="fft") is ev
+        wide = GridFunction(n, 2 * R, h, np.zeros((2 * N,) * n))
+        for other in (lambda: SquareEvaluator.of(k, f, cone.with_alpha(2.0)),
+                      lambda: SquareEvaluator.of(k, f, build_cone(1.0, n, h, 2 * h, 2 * R, 2)),
+                      lambda: SquareEvaluator.of(k, f, build_cone(1.0, n, h, h, 2 * R, 4)),
+                      lambda: SquareEvaluator.of(k, wide, build_cone(1.0, n, h, 2 * h, 4 * R, 4)),
+                      lambda: SquareEvaluator.of(k, f, cone, out_R=R + h),
+                      lambda: SquareEvaluator.of(k, f, cone, method="direct")):
+            assert other() is not ev
+            ev = SquareEvaluator.of(k, f, cone)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_warm_families_equal_fresh_kernel(self, n):
+        *_, cone, q0 = self._layout(n)
+        warm = parse_kernel("ex1:kappa=3", n)
+        for seed in range(6):
+            f = self._input(n, seed)
+            fams = [sparse_construct(kk, f, q0, 1.0, cone)
+                    for kk in (warm, parse_kernel("ex1:kappa=3", n))]
+            assert _family_key(fams[0]) == _family_key(fams[1])
+            assert np.array_equal(*(sparse_rhs_eval(fam, f, 3).values for fam in fams))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_node_takes_s_f_once(self, monkeypatch, n):
+        """M_S at a node takes S f'^2 from the S f' the node has just
+        evaluated: no psi_t f' is taken inside `_lerner_batched`."""
+        from lpsq import operators as ops
+
+        inside, levels, calls = [False], [], []
+        batched, level_values = ops._lerner_batched, ops.SquareEvaluator.level_values
+
+        def recorded(*a):
+            inside[0] = True
+            calls.append(1)
+            try:
+                return batched(*a)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(ops, "_lerner_batched", recorded)
+        monkeypatch.setattr(ops.SquareEvaluator, "level_values", lambda self, v:
+                            levels.append(inside[0]) or level_values(self, v))
+        *_, cone, q0 = self._layout(n)
+        f = self._input(n, self.DEEP[n])
+        fam = sparse_construct(parse_kernel("ex1:kappa=3", n), f, q0, 1.0, cone)
+        assert len(fam.cubes) > 1 and len(calls) > 1
+        assert levels and not any(levels)

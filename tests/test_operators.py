@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lpsq.errors import (
     DisjointnessError,
-    GeometryError,
     GridError,
     ParameterError,
 )
@@ -17,7 +16,6 @@ from lpsq.kernels import bilinear_example_kernel, parse_kernel
 from lpsq.moduli import power_modulus
 from lpsq.operators import (
     SquareEvaluator,
-    far_field_majorant,
     g_star,
     g_star_cascade_bound,
     lerner_maximal,
@@ -344,51 +342,6 @@ class TestLernerMaximal:
             lerner_maximal(ex1, gauss_grid, cone_coarse, "M_S", pool)
 
 
-@pytest.fixture(scope="module")
-def haar():
-    f = sample_function(lambda x: np.zeros_like(x), 1, 4.0, 1.0 / 16)
-    c = f.axis_centers()
-    v = np.zeros_like(c)
-    v[(c >= 0) & (c < 0.5)] = 1.0
-    v[(c >= 0.5) & (c < 1.0)] = -1.0
-    return f.with_values(v)
-
-
-class TestFarField:
-
-    def test_zero_b(self, ex1, haar):
-        z = haar.with_values(np.zeros_like(haar.values))
-        assert far_field_majorant(ex1, z, Box((0.0,), (1.0,)), 200.0) == 0.0
-
-    def test_homogeneous(self, ex1, haar):
-        q = Box((0.0,), (1.0,))
-        m1 = far_field_majorant(ex1, haar, q, 200.0)
-        m2 = far_field_majorant(ex1, haar.with_values(2 * haar.values), q, 200.0)
-        assert m2 == pytest.approx(2.0 * m1, rel=1e-12)
-
-    def test_distance_precondition(self, ex1, haar):
-        with pytest.raises(GeometryError):
-            far_field_majorant(ex1, haar, Box((0.0,), (1.0,)), 10.0)
-
-    def test_mean_zero_required(self, ex1, haar):
-        bad = haar.with_values(np.abs(haar.values))
-        with pytest.raises(ParameterError):
-            far_field_majorant(ex1, bad, Box((0.0,), (1.0,)), 200.0)
-
-    def test_majorant_dominates_s1(self, ex1, haar):
-        # S_1 b at far points by direct evaluation; fitted C = max ratio
-        q = Box((0.0,), (1.0,))
-        cone = build_cone(1.0, 1, haar.h, 2 * haar.h, 4096.0, 4)
-        cs = []
-        for x in (150.0, 200.0, 400.0, 800.0):
-            s = square_function_at(ex1, haar, np.array([x]), cone)
-            m = far_field_majorant(ex1, haar, q, x)
-            assert math.isfinite(m) and m > 0
-            cs.append(s / m)
-        assert max(cs) < 1.0  # the majorant indeed dominates
-        assert max(cs) / min(cs) <= 4.0  # log-loose bound; see decisions ledger
-
-
 class TestMarcinkiewicz:
     def test_empty(self):
         w = power_modulus(1.0)
@@ -558,33 +511,28 @@ class TestLernerBatched:
                             for m in ("auto", "direct"))
             self._close(fast, direct)
 
-    def test_shared_evaluator(self, ex1):
+    def test_shared_evaluator(self):
+        """M_S / N_S through a kernel whose layout plan is warm (Gram table
+        and the block spectra of other shapes built by an earlier call) are
+        the bits of a freshly parsed kernel's."""
         from lpsq.dyadic import Cube, dyadic_cube_pool
 
-        k2 = parse_kernel("ex1:kappa=3", 2)
-        for k, f in ((ex1, _spikes(np.random.default_rng(9), 1, 2.0, 1.0 / 16)),
-                     (k2, _spikes(np.random.default_rng(9), 2, 2.0, 0.5))):
+        for n, f in ((1, _spikes(np.random.default_rng(9), 1, 2.0, 1.0 / 16)),
+                     (2, _spikes(np.random.default_rng(9), 2, 2.0, 0.5))):
+            k = parse_kernel("ex1:kappa=3", n)
             cone = build_cone(1.0, f.n, f.h, 2 * f.h, 2 * f.R, 4)
             root = Cube(f.n, 1, (0,) * f.n, "standard", 2 * f.R)
             pool = dyadic_cube_pool(root, f)
             masked = f.with_values(f.values * (f.values > 0))
+            child = root.children()[0]
             for m in (None, "direct"):
-                ev = SquareEvaluator(k, f, cone, method=m)
-                # a used evaluator (Gram table built) gives the same bits
-                lerner_maximal(k, f, cone, "M_S", dyadic_cube_pool(root.children()[0], f),
-                               method=m, evaluator=ev, domain=root.children()[0].box())
+                lerner_maximal(k, f, cone, "M_S", dyadic_cube_pool(child, f),
+                               method=m, domain=child.box())
                 for variant in ("M_S", "N_S"):
-                    own, shared = (lerner_maximal(k, masked, cone, variant, pool,
-                                                  method=m, domain=root.box(),
-                                                  evaluator=e).values
-                                   for e in (None, ev))
-                    assert np.array_equal(own, shared)
-            with pytest.raises(ParameterError, match="evaluator"):
-                lerner_maximal(k, f, cone, "M_S", pool, method="direct",
-                               evaluator=SquareEvaluator(k, f, cone))
-            with pytest.raises(ParameterError, match="evaluator"):
-                lerner_maximal(k, f, cone.with_alpha(2.0), "M_S", pool,
-                               evaluator=SquareEvaluator(k, f, cone))
+                    warm, fresh = (lerner_maximal(kk, masked, cone, variant, pool,
+                                                  method=m, domain=root.box()).values
+                                   for kk in (k, parse_kernel("ex1:kappa=3", n)))
+                    assert np.array_equal(warm, fresh)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_sparse_construct_takes_batched_path(self, monkeypatch, n):
@@ -622,7 +570,7 @@ class TestLernerPlan:
         k = replace(k0, profile=lambda *a: profiles.append(1) or k0.profile(*a))
         root = Cube(n, 1, (0,) * n, "standard", 2 * f.R)
         pool = dyadic_cube_pool(root, f)
-        ev = SquareEvaluator(k, f, cone)
+        ev = SquareEvaluator.of(k, f, cone)
         monkeypatch.setattr(ev, "s_max", 0)
         # per shape key: one window rfftn per (FFT length, chunk of cubes),
         # one block rfftn per level; level_values: one per distinct length
@@ -639,11 +587,21 @@ class TestLernerPlan:
         with monkeypatch.context() as m:
             m.setattr(np.fft, "rfftn", lambda x, *a, **kw: ndims.append(np.ndim(x))
                       or rfftn(x, *a, **kw))
-            fast = lerner_maximal(k, f, cone, variant, pool, domain=root.box(),
-                                  evaluator=ev).values
+            fast = lerner_maximal(k, f, cone, variant, pool, domain=root.box()).values
         assert (ndims.count(n + 1), ndims.count(n), len(ndims)) == (
             windows, blocks, windows + blocks)
         assert len(profiles) == len(ev.levels)
+        # warm: no profile sample and no block transform; N_S transforms f
+        # once per distinct length, M_S takes the S f^2 just held
+        ndims.clear()
+        profiles.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "rfftn", lambda x, *a, **kw: ndims.append(np.ndim(x))
+                      or rfftn(x, *a, **kw))
+            again = lerner_maximal(k, f, cone, variant, pool, domain=root.box()).values
+        own = len({lv.nfft for lv in ev.levels}) if variant == "N_S" else 0
+        assert (ndims.count(n + 1), len(ndims), len(profiles)) == (windows, windows + own, 0)
+        assert np.array_equal(again, fast)
         with monkeypatch.context() as m:
             m.setattr(ops, "_lerner_batched",
                       lambda ev, f, v, pool: ops._lerner_pool_loop(
@@ -763,15 +721,18 @@ class TestLernerGram:
     def _forced(monkeypatch, k, f, cone, pool, s_max, domain=None):
         """M_S with the evaluator's s_max forced, the shape keys that took
         the Gram form, and the pool-loop oracle."""
+        from dataclasses import replace
+
         from lpsq import operators as ops
 
-        ev = SquareEvaluator(k, f, cone)
+        k = replace(k)  # a kernel object of its own, so the plan is cold
+        ev = SquareEvaluator.of(k, f, cone)
         monkeypatch.setattr(ev, "s_max", s_max)
         keys = []
         gram = ops._gram_form
         with monkeypatch.context() as m:
             m.setattr(ops, "_gram_form", lambda ev, key, *a: keys.append(key) or gram(ev, key, *a))
-            fast = lerner_maximal(k, f, cone, "M_S", pool, domain=domain, evaluator=ev).values
+            fast = lerner_maximal(k, f, cone, "M_S", pool, domain=domain).values
         with monkeypatch.context() as m:
             m.setattr(ops, "_lerner_batched",
                       lambda ev, f, v, pool: ops._lerner_pool_loop(
@@ -882,7 +843,7 @@ class TestWindowSum:
         the offsets of `grids._stencil`, the rule of `ConeGrid.stencil`,
         with a batch axis and K past r."""
         from lpsq.grids import _stencil
-        from lpsq.operators import _window_rows, _window_sum
+        from lpsq.operators import _disc_rows, _window_rows, _window_sum
 
         rng = np.random.default_rng(n)
         M = (7, 5)[:n]
@@ -894,9 +855,36 @@ class TestWindowSum:
                 for off in _stencil(n, lim).reshape(-1, n):
                     want += p[(slice(None),) + tuple(
                         slice(K + o, K + o + m) for o, m in zip(off, M))]
-                got = _window_sum(p, _window_rows(lim, n, K), K)
+                got = _window_sum(p, _window_rows(_disc_rows(lim, n), K), K)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestEvaluatorLayout:
+    def test_cone_spacing_and_kernel_dimension_are_checked(self):
+        """The evaluator refuses the layouts square_function refuses, and so
+        do its callers on every method."""
+        from lpsq.dyadic import Cube, dyadic_cube_pool, sparse_construct
+
+        k = parse_kernel("ex1:kappa=3", 1)
+        f = _spikes(np.random.default_rng(4), 1, 4.0, 1.0 / 32)
+        coarse = build_cone(1.0, 1, 1.0 / 16, 1.0 / 8, 8.0, 4)  # h = 1/16
+        root = Cube(1, 1, (0,), "standard", 2 * f.R)
+        pool = dyadic_cube_pool(root, f)
+        for m in (None, "direct"):
+            for call in (lambda: SquareEvaluator(k, f, coarse, method=m),
+                         lambda: SquareEvaluator.of(k, f, coarse, method=m),
+                         lambda: lerner_maximal(k, f, coarse, "M_S", pool, method=m,
+                                                domain=root.box()),
+                         lambda: sparse_construct(k, f, root, 1.0, coarse, method=m)):
+                with pytest.raises(GridError, match="spacing"):
+                    call()
+            k2 = parse_kernel("ex1:kappa=3", 2)
+            cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
+            with pytest.raises(GridError, match="dimensions"):
+                SquareEvaluator(k2, f, cone, method=m)
+            with pytest.raises(GridError, match="dimensions"):
+                lerner_maximal(k2, f, cone, "N_S", pool, method=m, domain=root.box())
 
 
 class TestSquareEvaluator2D:
