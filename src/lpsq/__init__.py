@@ -2,9 +2,9 @@
 
 Numerical library and CLI: Dini-constant quadratures, example kernels with
 size/smoothness verification, discretized square functions and g*,
-Calderon-Zygmund decomposition, shifted dyadic grids, sparse-family
-construction with pointwise domination checks, and weighted-bound
-campaigns.
+Calderon-Zygmund decomposition on the dyadic lattice, sparse-family
+construction over its cubes and their 3-dilates with pointwise domination
+checks, and weighted-bound campaigns.
 """
 
 from .errors import (
@@ -53,7 +53,6 @@ from .kernels import (
     SamplePlan,
     bilinear_example_kernel,
     example_kernel,
-    fourier_decay_profile,
     kernel_condition_check,
     parse_kernel,
     unit_cube_maximal,
@@ -76,8 +75,6 @@ from .dyadic import (
     SparseFamily,
     cz_decompose,
     dyadic_cube_pool,
-    shifted_cover,
-    shifted_family,
     sparse_construct,
     sparse_rhs_eval,
     verify_sparse,

@@ -32,7 +32,6 @@ from .dyadic import (
 )
 from .errors import ConfigError, LpsqError
 from .grids import (
-    GridFunction,
     build_cone,
     build_halfspace,
     parse_function,
@@ -40,7 +39,6 @@ from .grids import (
     save_csv,
 )
 from .harness import (
-    FitReport,
     aperture_scaling_check,
     weak_type_profile,
     weighted_norm_check,

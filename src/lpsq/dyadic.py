@@ -1,10 +1,11 @@
-"""Dyadic cubes, shifted grids, Calderon-Zygmund decomposition, sparse families.
+"""Dyadic cubes, Calderon-Zygmund decomposition, sparse families.
 
 The dyadic lattice is anchored at coordinate 0 with base side 2R (the box
 width), so generation g cubes have side 2R * 2^-g and generation log2(N)
 cubes are single grid cells.  Cell counting is exact: every cube maps to an
 integer index range, and all measure comparisons (CZ selection, sparseness,
-stopping ratios) are integer arithmetic.
+stopping ratios) are integer arithmetic.  This one lattice is the only kind
+of cube: the sparse bound runs over its cubes and their 3-dilates.
 
 The tree is walked one generation at a time, as whole arrays and in n = 1
 and 2 alike (`_generations`): the sums over all cubes of a generation are
@@ -14,10 +15,6 @@ and the sparse share selection are one stopping-time walk
 lists the cubes of every generation.  `sparse_construct` drops from that
 pool, as corner arrays and before any `Box` is built, the boxes whose M_S
 term cannot change its level set.
-
-Shifted one-dimensional families are generated from the arithmetic
-generators {[3j+k-1, 3j+k)} by closing under the adjacent-double/half rule
-inside a window, with exact rational endpoints.
 """
 
 from __future__ import annotations
@@ -28,30 +25,27 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
+from . import operators as ops
 from .errors import (
     ConfigError,
     ConstructionError,
     ContainmentError,
     GridError,
-    LpsqError,
     ParameterError,
 )
 from .grids import (
     Box, ConeGrid, GridFunction, box_sums, load_binary, prefix_sums, range_sums,
     save_binary,
 )
+from .moduli import dini_constant
 
 __all__ = [
     "Cube",
     "CZDecomposition",
     "SparseFamily",
-    "shifted_family",
-    "shifted_cover",
     "cz_decompose",
     "sparse_construct",
     "verify_sparse",
@@ -62,12 +56,12 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class Cube:
-    """Dyadic or shifted cube; generation counts halvings from the base side.
+    """Cube of the dyadic lattice of base side ``base``.
 
-    For standard cubes the base is the root side (2R) and ``anchor`` indexes
-    the cube in units of its own side.  Shifted family members carry exact
-    rational ``lo``/``side`` instead (anchor-by-side does not stay integral
-    under the adjacency closure); both expose the same float geometry.
+    ``generation`` counts halvings from the base side and ``anchor`` indexes
+    the cube in units of its own side.  ``shift`` names the lattice; only
+    "standard" exists (any other value is a `ParameterError`), and family
+    files record it.
     """
 
     n: int
@@ -75,19 +69,17 @@ class Cube:
     anchor: tuple = ()
     shift: str = "standard"
     base: float = 2.0
-    lo_frac: tuple = None
-    side_frac: Fraction = None
+
+    def __post_init__(self):
+        if self.shift != "standard":
+            raise ParameterError(f"unknown lattice {self.shift!r}; only 'standard' exists")
 
     @property
     def side(self) -> float:
-        if self.side_frac is not None:
-            return float(self.side_frac)
         return self.base * 2.0 ** (-self.generation)
 
     @property
     def lo(self) -> tuple:
-        if self.lo_frac is not None:
-            return tuple(float(a) for a in self.lo_frac)
         s = self.side
         return tuple(a * s for a in self.anchor)
 
@@ -105,17 +97,10 @@ class Cube:
         return Box(self.lo, self.hi)
 
     def parent(self) -> "Cube":
-        if self.shift != "standard":
-            raise ParameterError("parent() is for standard dyadic cubes")
-        return Cube(
-            self.n, self.generation - 1,
-            tuple(a >> 1 if a >= 0 else -((-a + 1) >> 1) for a in self.anchor),
-            "standard", self.base,
-        )
+        return Cube(self.n, self.generation - 1, tuple(a >> 1 for a in self.anchor),
+                    "standard", self.base)
 
     def children(self) -> list:
-        if self.shift != "standard":
-            raise ParameterError("children() is for standard dyadic cubes")
         return [
             Cube(self.n, self.generation + 1,
                  tuple(2 * a + d for a, d in zip(self.anchor, ds)), "standard", self.base)
@@ -200,106 +185,6 @@ def _stopping_cubes(gf: GridFunction, table: np.ndarray, g: int, lo, hi, stop) -
             break
         prev = anchors
     return out
-
-
-# ---------------------------------------------------------------------------
-# shifted grids
-# ---------------------------------------------------------------------------
-
-
-def shifted_family(
-    k: int | tuple,
-    gen_range: tuple = (-2, 2),
-    window: tuple = (-8.0, 8.0),
-    n: int = 1,
-    max_iter: int = 200_000,
-) -> list:
-    """Closure of the shifted generators inside a window.
-
-    1-D: minimal family containing the side-1 intervals [3j+k-1, 3j+k) and
-    closed under "adjacent interval of double or half side sharing exactly
-    one closure point", restricted to sides 2^-g for g in gen_range and to
-    intervals meeting the window.  n = 2 takes k = (k1, k2) and forms
-    products with equal sides.
-
-    Generations follow the side = 2^-g convention here (base 1), so
-    gen_range = (-2, 2) means sides 4 down to 1/4.
-    """
-    if n == 2:
-        k1, k2 = k
-        fam1 = shifted_family(k1, gen_range, window, 1, max_iter)
-        fam2 = shifted_family(k2, gen_range, window, 1, max_iter)
-        by_side1: dict = {}
-        for c in fam1:
-            by_side1.setdefault(c.side_frac, []).append(c)
-        out = []
-        for c in fam2:
-            for c1 in by_side1.get(c.side_frac, ()):
-                out.append(
-                    Cube(2, c.generation, (), f"k={k1},{k2}", 1.0,
-                         lo_frac=(c1.lo_frac[0], c.lo_frac[0]),
-                         side_frac=c.side_frac)
-                )
-        return out
-    if k not in (1, 2, 3):
-        raise ParameterError("shift id k must be in {1, 2, 3}")
-    g_lo, g_hi = gen_range
-    win_lo = Fraction(window[0]).limit_denominator(10**9)
-    win_hi = Fraction(window[1]).limit_denominator(10**9)
-
-    def meets(lo: Fraction, side: Fraction) -> bool:
-        return lo <= win_hi and lo + side > win_lo
-
-    seed = []
-    j = math.floor(float(win_lo)) // 3 - 2
-    while 3 * j + k - 1 <= float(win_hi) + 1:
-        lo = Fraction(3 * j + k - 1)
-        if meets(lo, Fraction(1)) and g_lo <= 0 <= g_hi:
-            seed.append((lo, Fraction(1)))
-        j += 1
-    family = set(seed)
-    work = list(seed)
-    iters = 0
-    while work:
-        iters += 1
-        if iters > max_iter:
-            raise ConstructionError(
-                f"shifted-family closure did not reach a fixpoint in {max_iter} steps"
-            )
-        lo, side = work.pop()
-        hi = lo + side
-        for new_side in (2 * side, side / 2):
-            g = -_log2_frac(new_side)
-            if not g_lo <= g <= g_hi:
-                continue
-            for cand_lo in (hi, lo - new_side):
-                cand = (cand_lo, new_side)
-                if meets(*cand) and cand not in family:
-                    family.add(cand)
-                    work.append(cand)
-    out = [
-        Cube(1, -_log2_frac(side), (), f"k={k}", 1.0, lo_frac=(lo,), side_frac=side)
-        for lo, side in sorted(family)
-    ]
-    return out
-
-
-def _log2_frac(x: Fraction) -> int:
-    num, den = x.numerator, x.denominator
-    if num & (num - 1) or den & (den - 1):
-        raise ParameterError(f"side {x} is not a power of two")
-    return num.bit_length() - den.bit_length()
-
-
-def shifted_cover(lo: float, hi: float, families: dict) -> Cube | None:
-    """Smallest member (over all provided families) containing [lo, hi]."""
-    best = None
-    for fam in families.values():
-        for c in fam:
-            if c.lo[0] <= lo and hi <= c.hi[0]:
-                if best is None or c.side < best.side:
-                    best = c
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +339,9 @@ class SparseFamily:
 
 
 def _cube_to_json(c: Cube, base: float) -> dict:
-    """Generation, anchor and shift; a shifted cube adds its exact rational
-    lo and side as fraction strings, and its base where it is not the
-    family's."""
+    """Generation, anchor and shift, plus the cube's base where it is not
+    the family's."""
     out = {"generation": c.generation, "anchor": list(c.anchor), "shift": c.shift}
-    if c.lo_frac is not None:
-        out["lo_frac"] = [str(a) for a in c.lo_frac]
-        out["side_frac"] = str(c.side_frac)
     if c.base != base:
         out["base"] = c.base
     return out
@@ -481,13 +362,7 @@ def _json_field(obj, key: str, kind: type, where: str, optional: bool = False):
     return val
 
 
-def _fraction(text, where: str) -> Fraction:
-    if not isinstance(text, str):
-        raise ConfigError(f"{where}: expected a fraction string, got {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{where}: bad fraction {text!r}") from exc
+_CUBE_KEYS = frozenset({"generation", "anchor", "shift", "base", "parent"})
 
 
 def _cube_from_json(e, n: int, base: float, where: str) -> Cube:
@@ -496,20 +371,16 @@ def _cube_from_json(e, n: int, base: float, where: str) -> Cube:
     shift = _json_field(e, "shift", str, where, optional=True) or "standard"
     cube_base = _json_field(e, "base", float, where, optional=True)
     cube_base = base if cube_base is None else float(cube_base)
+    unknown = sorted(set(e) - _CUBE_KEYS)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    if shift != "standard":
+        raise ConfigError(f"{where}: unknown lattice {shift!r}; only 'standard' exists")
     if not all(isinstance(a, int) and not isinstance(a, bool) for a in anchor):
         raise ConfigError(f"{where}: anchor entries must be integers")
-    if "lo_frac" not in e:
-        if len(anchor) != n:
-            raise ConfigError(f"{where}: anchor needs {n} entries, got {len(anchor)}")
-        return Cube(n, gen, tuple(anchor), shift, cube_base)
-    lo = _json_field(e, "lo_frac", list, where)
-    if len(lo) != n:
-        raise ConfigError(f"{where}: lo_frac needs {n} entries, got {len(lo)}")
-    side = _fraction(_json_field(e, "side_frac", str, where), where)
-    if side <= 0:
-        raise ConfigError(f"{where}: side_frac must be positive")
-    return Cube(n, gen, tuple(anchor), shift, cube_base,
-                lo_frac=tuple(_fraction(a, where) for a in lo), side_frac=side)
+    if len(anchor) != n:
+        raise ConfigError(f"{where}: anchor needs {n} entries, got {len(anchor)}")
+    return Cube(n, gen, tuple(anchor), shift, cube_base)
 
 
 def verify_sparse(family: SparseFamily, eta: float | None = None):
@@ -570,7 +441,7 @@ def dyadic_cube_pool(root: Cube, gf: GridFunction) -> list:
 def _pool_corners(root: Cube, gf: GridFunction) -> tuple:
     """The (nb, n) arrays lo, hi of the boxes of `dyadic_cube_pool`."""
     _dyadic_root_cells(gf.ncells)
-    if root.shift != "standard" or root.base != 2.0 * gf.R:
+    if root.base != 2.0 * gf.R:
         raise GridError(f"{root} is not a cube of the dyadic lattice of base 2R = {2.0 * gf.R}")
     los, his = [], []
     for g, anchors, _ in _generations(gf, root.generation, root.anchor,
@@ -612,8 +483,6 @@ def _lerner_keep(f: GridFunction, floc: np.ndarray, lo: np.ndarray, hi: np.ndarr
     as a boolean array: those with c ||g||_1 > (1 - delta) thr0 and
     c ||h||_1 > (sqrt 2 - 1)(1 - delta) thr0, where g = floc on the 3B
     cells, h = floc - g and c = gain (see `sparse_construct`)."""
-    from . import operators as ops
-
     N = f.ncells
     i0, i1 = ops._corner_ranges(f, lo, hi, snap_outward=True, factor=3.0)
     table = prefix_sums(np.abs(floc))
@@ -669,9 +538,6 @@ def sparse_construct(
     one kernel object and layout build it once and share its kernel
     spectra, Gram table and Lerner block spectra.
     """
-    from . import operators as ops
-    from .moduli import dini_constant
-
     if isinstance(f, (tuple, list)) or k.kind == "bilinear":
         raise ParameterError("bilinear sparse families are not implemented")
     if isinstance(gamma_budget, bool) or not isinstance(gamma_budget, int) or gamma_budget < 1:
@@ -777,8 +643,6 @@ def sparse_rhs_eval(family: SparseFamily, f, dilate: int = 3) -> GridFunction:
     base = fs[0]
     hn = base.h**base.n
     acc = np.zeros_like(base.values)
-    from . import operators as ops
-
     for c in family.cubes:
         prod = 1.0
         for gf in fs:

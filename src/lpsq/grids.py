@@ -17,7 +17,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

@@ -10,7 +10,6 @@ recomputed from the report alone.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,24 +117,20 @@ def aperture_scaling_check(
     tol: float = 0.05,
     rho_grid=None,
     method: str | None = None,
-    pad_cover: bool = True,
 ) -> FitReport:
     """L2: ||S_a f||_2^2 / ||S_1 f||_2^2 against a^n; weak: log-log slope.
 
     For the L2 identity the output lattice is padded by alpha_max * t_max
-    so every cone section is fully counted (``pad_cover``).
+    (at most the cone's max_radius), so every cone section is fully counted.
     """
     base = f[0] if isinstance(f, (tuple, list)) else f
     if cone is None:
         cone = build_cone(1.0, base.n, base.h, 2 * base.h, 2 * base.R, 4)
     alphas = [float(a) for a in alphas]
     want = sorted(set(alphas) | {1.0})
-    out_R = base.R
-    if pad_cover:
-        t_max = float(cone.t_levels[-1])
-        pad = min(max(want) * t_max, cone.max_radius)
-        cells = int(math.ceil(pad / base.h))
-        out_R = base.R + cells * base.h
+    t_max = float(cone.t_levels[-1])
+    pad = min(max(want) * t_max, cone.max_radius)
+    out_R = base.R + int(math.ceil(pad / base.h)) * base.h
     ss = square_function_multi(k, f, cone, want, out_R=out_R, method=method)
     rep = FitReport(f"aperture_{norm}", details={"alphas": alphas, "out_R": out_R})
     if norm == "l2":

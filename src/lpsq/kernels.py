@@ -7,8 +7,7 @@ psi(x, y1, y2) = Phi(x - y1, x - y2), which the bilinear FFT path of
 `operators.psi_t_apply` samples.  The size and smoothness checks divide the
 kernel expression by the reference envelope (maximal-function factor times
 modulus factors, constant set to 1) over a log-spaced sample plan, so the
-reported max ratio is the empirically fitted size constant.  `fourier_decay_profile` checks the weighted decay of the
-transform of a convolution profile on a symmetric grid.
+reported max ratio is the empirically fitted size constant.
 
 Coordinate convention: callables take one positional array per coordinate,
 so a 1-D profile is phi(x), a 2-D one phi(x1, x2), a 1-D bilinear kernel
@@ -19,16 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, ParameterError, ResolutionError
+from .errors import ConfigError, GeometryError, ParameterError
 from .moduli import (
     ModulusOfContinuity,
     log_modulus,
     logsplit_moduli,
-    parse_modulus,
     power_modulus,
 )
 
@@ -41,7 +39,6 @@ __all__ = [
     "parse_kernel",
     "unit_cube_maximal",
     "kernel_condition_check",
-    "fourier_decay_profile",
 ]
 
 
@@ -98,7 +95,6 @@ class ConditionReport:
     growth_ratio: float | None = None
     ratio_infinite: bool = False
     threshold: float | None = None
-    extra: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +446,6 @@ def kernel_condition_check(
     gamma: float | None = None,
     threshold: float | None = None,
     extend_check: bool = True,
-    growth_limit: float = 1.2,
     samples: tuple | None = None,
 ) -> ConditionReport:
     """Fitted constant for one kernel condition over a sample plan.
@@ -458,7 +453,7 @@ def kernel_condition_check(
     mode: ``size``, ``smooth_x``, ``smooth_y`` or ``log_ratio``.  Reports
     max |kernel expression| / reference envelope (A = 1).  With
     ``extend_check`` the plan is rerun with a 10x larger range and the
-    growth of the max flags an unbounded ratio.
+    growth of the max beyond 1.2x flags an unbounded ratio.
 
     ``samples`` optionally supplies explicit (x, y, h) arrays for the smooth
     modes; these are validated against |h| < |x-y|/2 and a GeometryError is
@@ -494,68 +489,6 @@ def kernel_condition_check(
             mr, loc = mr_ext, loc_ext
     flagged = bool(
         (threshold is not None and mr > threshold)
-        or (growth is not None and growth > growth_limit)
+        or (growth is not None and growth > 1.2)
     )
     return ConditionReport(mr, loc, cnt, flagged, growth, rinf, threshold)
-
-
-# ---------------------------------------------------------------------------
-# Fourier decay
-# ---------------------------------------------------------------------------
-
-
-def fourier_decay_profile(
-    k: KernelSpec,
-    l: int,
-    n_points: int = 2**14,
-    spacing: float = 0.25,
-    threshold: float | None = None,
-    kappa: float | None = None,
-) -> ConditionReport:
-    """Max over frequency bins of |F(xi)| (1+|xi|^l) log^{kappa-1}(2+1/|xi|).
-
-    The profile is sampled on a symmetric grid of ``n_points`` cells at
-    ``spacing`` (the half-width endpoint sample is replaced by the even
-    part so an odd profile transforms to exactly zero at xi = 0).  The
-    computation is repeated with the domain doubled at fixed spacing; a
-    growth of the weighted max beyond 2x raises ResolutionError.
-    """
-    if k.kind != "convolution" or k.n != 1:
-        raise ParameterError("fourier_decay_profile needs a 1-D convolution kernel")
-    if kappa is None:
-        kappa = float(k.params.get("kappa", 2.0))
-
-    def weighted_max(N):
-        h = spacing
-        j = np.arange(N)
-        x = (j - N / 2) * h
-        v = np.asarray(k.profile(x), dtype=float)
-        v[0] = 0.5 * (k.profile(np.array([-N / 2 * h]))[0] + k.profile(np.array([N / 2 * h]))[0])
-        spec = np.fft.fft(v)
-        mfreq = np.fft.fftfreq(N, d=h)  # cycles per unit length
-        xi = 2.0 * math.pi * mfreq
-        phase = np.exp(1j * xi * (N / 2) * h)
-        F = h / math.sqrt(2.0 * math.pi) * phase * spec
-        mag = np.abs(F)
-        zero_val = mag[0]
-        nz = xi != 0.0
-        weight = (1.0 + np.abs(xi[nz]) ** l) * np.log(2.0 + 1.0 / np.abs(xi[nz])) ** (
-            kappa - 1.0
-        )
-        wm = mag[nz] * weight
-        i = int(np.argmax(wm))
-        return float(np.max(wm)), float(zero_val), float(xi[nz][i])
-
-    m1, z1, xi1 = weighted_max(n_points)
-    m2, z2, xi2 = weighted_max(2 * n_points)
-    growth = m2 / m1 if m1 > 0 else 1.0
-    if growth > 2.0 or growth < 0.5:
-        raise ResolutionError(
-            f"weighted transform max changed {growth:.2f}x between {n_points} and "
-            f"{2 * n_points} points; refine the spacing"
-        )
-    flagged = bool(threshold is not None and m2 > threshold)
-    return ConditionReport(
-        m2, (xi2,), 3 * n_points, flagged, growth,
-        threshold=threshold, extra={"zero_value": max(z1, z2)},
-    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class ModulusOfContinuity:
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    declared_increasing: bool = True
     fn_exp: Callable[[np.ndarray], np.ndarray] | None = None
     _dini: dict = field(default_factory=dict, init=False, compare=False,
                         hash=False, repr=False)
@@ -355,7 +354,6 @@ def dini_inequality_suite(
     w: ModulusOfContinuity,
     alpha: float = 1.0,
     n: int = 1,
-    ell: float = 1.0,
     m_shift: int = 2,
     tol: float = 1e-8,
 ) -> dict[str, SuiteItem]:
@@ -367,7 +365,8 @@ def dini_inequality_suite(
 
     All integrals are reduced to one-dimensional u-substituted forms; the
     ring sum collapses to a k-independent radial integral times an exact
-    geometric factor, so its tail is exact.
+    geometric factor, so its tail is exact.  The ring and far-ring items
+    do not depend on the cube side ell, so it is not a parameter.
     """
     if alpha < 1.0:
         raise ParameterError("alpha must be >= 1")
@@ -473,5 +472,4 @@ def dini_inequality_suite(
         )
     add("far_ring", surf * res.value, dini)
 
-    del ell  # scale-invariant; kept in the signature for interface parity
     return out

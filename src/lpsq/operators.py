@@ -728,11 +728,6 @@ class SquareEvaluator:
             ).values
         return np.sqrt(self.square_sum(values))
 
-    def eval(self, gf: GridFunction) -> GridFunction:
-        return GridFunction(
-            self.template.n, self.R_out, self.template.h, self.eval_values(gf.values)
-        )
-
 
 # ---------------------------------------------------------------------------
 # g* and its cascade bound

@@ -14,8 +14,6 @@ from lpsq.dyadic import (
     SparseFamily,
     cz_decompose,
     dyadic_cube_pool,
-    shifted_cover,
-    shifted_family,
     sparse_construct,
     sparse_rhs_eval,
     verify_sparse,
@@ -68,43 +66,9 @@ class TestCube:
         with pytest.raises(GridError):
             q.cell_range(g)
 
-
-class TestShiftedFamily:
-    def test_generators_k1(self):
-        fam = shifted_family(1, (0, 0), (-3.0, 3.0))
-        los = sorted(float(c.lo[0]) for c in fam)
-        assert los == [-3.0, 0.0, 3.0]
-
-    def test_generator_offsets_mod3(self):
-        # the side-1 arithmetic generators of the three families differ mod 3
-        for k in (1, 2, 3):
-            fam = shifted_family(k, (0, 0), (-6.0, 6.0))
-            offs = {int(c.lo_frac[0]) % 3 for c in fam}
-            assert offs == {(k - 1) % 3}
-
-    def test_closure_adds_adjacent_doubles(self):
-        fam = shifted_family(1, (-1, 0), (-8.0, 8.0))
-        intervals = {(c.lo_frac[0], c.side_frac) for c in fam}
-        # [3j+1, 3j+3) arises from the side-1 generator sharing one endpoint
-        assert (Fraction(1), Fraction(2)) in intervals
-
-    def test_covering_property(self):
-        fams = {k: shifted_family(k, (-2, 3), (-9.0, 9.0)) for k in (1, 2, 3)}
-        h = Fraction(1, 8)
-        for Lm in range(1, 9):
-            L = Lm * h
-            a = Fraction(-8)
-            while a + L <= 8:
-                best = shifted_cover(float(a), float(a + L), fams)
-                assert best is not None and best.side <= 6.0, (float(a), float(L))
-                a += 4 * h  # stride 1/2 keeps the loop quick; lengths vary
-        # full exhaustive pass happens in the acceptance suite
-
-    def test_product_family_2d(self):
-        fam = shifted_family((1, 2), (0, 1), (-4.0, 4.0), n=2)
-        assert fam and all(c.n == 2 for c in fam)
-        sides = {float(c.side) for c in fam}
-        assert sides <= {1.0, 0.5}
+    def test_other_lattice_is_parameter_error(self):
+        with pytest.raises(ParameterError):
+            Cube(1, 1, (0,), "k=1", 8.0)
 
 
 class TestCZ:
@@ -311,21 +275,24 @@ class TestVerifySparse:
         assert fam2.parent[sub] == root
         assert fam2.meta["gamma"] == 4.0
 
-
-    def test_json_roundtrip_shifted(self, tmp_path):
-        for fam_cubes in (shifted_family(1, window=(-2.0, 2.0)),
-                          shifted_family((1, 2), window=(-1.0, 1.0), n=2)):
-            root = max(fam_cubes, key=lambda c: c.side)
-            subs = [c for c in fam_cubes if c is not root and root.contains(c)][:6]
-            fam = SparseFamily(0.5, root, [root] + subs, {c: root for c in subs})
-            p = tmp_path / "shifted.json"
-            fam.save(str(p))
-            fam2 = SparseFamily.load(str(p))
-            assert fam2.root == root
-            assert fam2.cubes == fam.cubes
-            assert all(isinstance(x, Fraction) for c in fam2.cubes for x in c.lo_frac)
-            assert [c.lo for c in fam2.cubes] == [c.lo for c in fam.cubes]
-            assert fam2.parent == fam.parent
+    def test_json_format(self):
+        root = Cube(1, 1, (0,), "standard", BASE)
+        sub = Cube(1, 3, (2,), "standard", BASE)
+        fam = SparseFamily(0.5, root, [root, sub], {sub: root}, {"gamma": 4.0})
+        data = {
+            "eta": 0.5,
+            "base": 16.0,
+            "n": 1,
+            "root": {"generation": 1, "anchor": [0], "shift": "standard"},
+            "cubes": [
+                {"generation": 1, "anchor": [0], "shift": "standard", "parent": None},
+                {"generation": 3, "anchor": [2], "shift": "standard", "parent": 0},
+            ],
+            "meta": {"gamma": 4.0},
+        }
+        assert fam.to_json() == data
+        fam2 = SparseFamily.from_json(data)
+        assert (fam2.root, fam2.cubes, fam2.parent) == (root, [root, sub], {sub: root})
 
     @pytest.mark.parametrize("edit", [
         lambda d: d.pop("n"),
@@ -344,6 +311,10 @@ class TestVerifySparse:
         lambda d: d["cubes"][1].update(lo_frac=["1/x"], side_frac="1"),
         lambda d: d["cubes"][1].update(lo_frac=["1/2"], side_frac="-1"),
         lambda d: d["cubes"][1].update(lo_frac=[0.5], side_frac="1"),
+        lambda d: d["cubes"][1].update(shift="k=1"),
+        lambda d: d["root"].update(shift="k=1"),
+        lambda d: d["cubes"][1].update(side=2.0),
+        lambda d: d["root"].update(lo=[0.0]),
     ])
     def test_malformed_json_is_config_error(self, edit):
         root = Cube(1, 1, (0,), "standard", BASE)
@@ -655,10 +626,8 @@ class TestGenerationWalk:
 
     def test_pool_refuses_other_lattices(self):
         f = GridFunction(1, 2.0, 0.25, np.zeros(16))
-        for root in (Cube(1, 1, (0,), "standard", 8.0),
-                     shifted_family(1, (0, 0), (-1.0, 1.0))[0]):
-            with pytest.raises(GridError):
-                dyadic_cube_pool(root, f)
+        with pytest.raises(GridError):
+            dyadic_cube_pool(Cube(1, 1, (0,), "standard", 8.0), f)
 
     @given(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=5),
            st.sampled_from(["noise", "ints", "zeros"]),

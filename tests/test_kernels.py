@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lpsq.errors import ConfigError, GeometryError, ParameterError, ResolutionError
+from lpsq.errors import ConfigError, GeometryError, ParameterError
 from lpsq.kernels import (
     KernelSpec,
     SamplePlan,
     bilinear_example_kernel,
     example_kernel,
-    fourier_decay_profile,
     kernel_condition_check,
     parse_kernel,
     unit_cube_maximal,
@@ -217,36 +216,3 @@ class TestConditionChecks:
         rep = kernel_condition_check(k, "size", plan)
         assert math.isfinite(rep.max_ratio)
         assert rep.growth_ratio <= 1.2
-
-
-class TestFourierDecay:
-    def test_ex1_zero_frequency_vanishes(self):
-        k = parse_kernel("ex1:kappa=2", 1)
-        rep = fourier_decay_profile(k, l=2, n_points=2**12, spacing=0.25)
-        assert rep.extra["zero_value"] <= 1e-8
-
-    def test_ex1_stable_across_refinement(self):
-        k = parse_kernel("ex1:kappa=2", 1)
-        rep = fourier_decay_profile(k, l=2, n_points=2**13, spacing=0.25)
-        assert math.isfinite(rep.max_ratio)
-        assert 0.5 <= rep.growth_ratio <= 2.0
-        assert not rep.flagged
-
-    def test_box_profile_flagged(self):
-        # sinc decay ~ 1/|xi| fails the (1+|xi|^2) weighting
-        k1 = parse_kernel("ex1:kappa=2", 1)
-        box = KernelSpec(
-            "convolution", 1, 1.0, k1.w_mod, k1.phi_mod,
-            profile=lambda x: np.where(np.abs(x) <= 1.0, 0.5, 0.0),
-            name="box", params={"kappa": 2.0},
-        )
-        ref = fourier_decay_profile(k1, l=2, n_points=2**12, spacing=1.0 / 16)
-        rep = fourier_decay_profile(box, l=2, n_points=2**12, spacing=1.0 / 16,
-                                    threshold=10.0 * ref.max_ratio)
-        assert rep.flagged
-        assert rep.max_ratio > 10.0 * ref.max_ratio
-
-    def test_rejects_non_convolution(self):
-        k = bilinear_example_kernel(3.0, 1)
-        with pytest.raises(ParameterError):
-            fourier_decay_profile(k, l=2)
