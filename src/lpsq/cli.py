@@ -308,9 +308,7 @@ def _campaign_sparse(cfg, out_dir):
     path = os.path.join(out_dir, "sparse_family.json")
     fam.save(path)
     ok, worst, _ = verify_sparse(fam, float(cfg["eta"]))
-    s = square_function(k, f, cone if cone.alpha == float(cfg["alpha"])
-                        else cone.with_alpha(float(cfg["alpha"])),
-                        method=cfg["method"])
+    s = square_function(k, f, cone, method=cfg["method"])
     rhs = sparse_rhs_eval(fam, f, dilate=3)
     (sl,) = [tuple(slice(i0, i1) for i0, i1 in q0.cell_range(f))]
     ratio = s.values[sl] / np.maximum(rhs.values[sl], 1e-300)

@@ -292,9 +292,9 @@ class SparseFamily:
             "eta": self.eta,
             "base": base,
             "n": self.root.n,
-            "root": _cube_to_json(self.root, base),
+            "root": _cube_to_json(self.root),
             "cubes": [
-                {**_cube_to_json(c, base), "parent": idx.get(self.parent.get(c), None)}
+                {**_cube_to_json(c), "parent": idx.get(self.parent.get(c), None)}
                 for c in self.cubes
             ],
             "meta": self.meta,
@@ -338,13 +338,9 @@ class SparseFamily:
         return cls.from_json(data)
 
 
-def _cube_to_json(c: Cube, base: float) -> dict:
-    """Generation, anchor and shift, plus the cube's base where it is not
-    the family's."""
-    out = {"generation": c.generation, "anchor": list(c.anchor), "shift": c.shift}
-    if c.base != base:
-        out["base"] = c.base
-    return out
+def _cube_to_json(c: Cube) -> dict:
+    """Generation, anchor and shift; every cube lies on the family's base."""
+    return {"generation": c.generation, "anchor": list(c.anchor), "shift": c.shift}
 
 
 def _json_field(obj, key: str, kind: type, where: str, optional: bool = False):
@@ -362,15 +358,13 @@ def _json_field(obj, key: str, kind: type, where: str, optional: bool = False):
     return val
 
 
-_CUBE_KEYS = frozenset({"generation", "anchor", "shift", "base", "parent"})
+_CUBE_KEYS = frozenset({"generation", "anchor", "shift", "parent"})
 
 
 def _cube_from_json(e, n: int, base: float, where: str) -> Cube:
     gen = _json_field(e, "generation", int, where)
     anchor = _json_field(e, "anchor", list, where)
     shift = _json_field(e, "shift", str, where, optional=True) or "standard"
-    cube_base = _json_field(e, "base", float, where, optional=True)
-    cube_base = base if cube_base is None else float(cube_base)
     unknown = sorted(set(e) - _CUBE_KEYS)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
@@ -380,7 +374,7 @@ def _cube_from_json(e, n: int, base: float, where: str) -> Cube:
         raise ConfigError(f"{where}: anchor entries must be integers")
     if len(anchor) != n:
         raise ConfigError(f"{where}: anchor needs {n} entries, got {len(anchor)}")
-    return Cube(n, gen, tuple(anchor), shift, cube_base)
+    return Cube(n, gen, tuple(anchor), shift, base)
 
 
 def verify_sparse(family: SparseFamily, eta: float | None = None):
@@ -568,7 +562,7 @@ def sparse_construct(
     parent_links = {}
     gamma_used = [1.0 if gamma == "auto" else gamma]
 
-    def recurse(node: Cube, g_val: float, depth: int):
+    def recurse(node: Cube, g_val: float):
         cubes.append(node)
         if node.generation >= gmax:
             return
@@ -619,9 +613,9 @@ def sparse_construct(
         ]
         for p in sorted(parents):
             parent_links[p] = node
-            recurse(p, cur, depth + 1)
+            recurse(p, cur)
 
-    recurse(q0, gamma_used[0], 0)
+    recurse(q0, gamma_used[0])
     return SparseFamily(
         0.5, q0, cubes, parent_links,
         meta={

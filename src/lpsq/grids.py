@@ -69,10 +69,6 @@ class Box:
             tuple(ci + factor * 0.5 * self.side for ci in c),
         )
 
-    def contains_point(self, x) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return all(lo <= xi < hi for lo, xi, hi in zip(self.lo, x, self.hi))
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -139,16 +135,6 @@ class GridFunction:
             and abs(self.R - other.R) < 1e-12
             and abs(self.h - other.h) < 1e-12
         )
-
-    def index_of(self, x) -> tuple:
-        """Cell index containing point x (x inside the box)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.floor((x + self.R) / self.h).astype(int)
-        idx = np.clip(idx, 0, self.ncells - 1)
-        return tuple(int(i) for i in idx)
-
-    def value_at(self, x) -> float:
-        return float(self.values[self.index_of(x)])
 
     def box(self) -> Box:
         return Box((-self.R,) * self.n, (self.R,) * self.n)
@@ -374,10 +360,6 @@ class ConeGrid:
     log_weight: float
     max_radius: float
 
-    @property
-    def nlevels(self) -> int:
-        return len(self.t_levels)
-
     def stencil(self, j: int) -> np.ndarray:
         """Integer offsets (cells) of level j."""
         lim = min(self.alpha * float(self.t_levels[j]), self.max_radius) / self.h
@@ -418,9 +400,8 @@ def build_cone(
     n: int,
     h: float,
     t_min: float,
-    t_max: float | None,
+    t_max: float,
     q: int = 4,
-    levels: np.ndarray | None = None,
     max_radius: float = math.inf,
 ) -> ConeGrid:
     """Cone discretization: levels at log-midpoints of [t_min, t_max].
@@ -431,14 +412,11 @@ def build_cone(
     """
     if q < 1:
         raise ParameterError("q (levels per octave) must be >= 1")
-    if levels is None:
-        if t_min <= 0 or t_max is None or t_max < t_min:
-            raise ParameterError("need 0 < t_min <= t_max")
-        L = max(1, int(round(q * math.log2(t_max / t_min))))
-        r = 2.0 ** (1.0 / q)
-        levels = t_min * r ** (np.arange(L) + 0.5)
-    else:
-        levels = np.asarray(levels, dtype=float)
+    if t_min <= 0 or t_max < t_min:
+        raise ParameterError("need 0 < t_min <= t_max")
+    L = max(1, int(round(q * math.log2(t_max / t_min))))
+    r = 2.0 ** (1.0 / q)
+    levels = t_min * r ** (np.arange(L) + 0.5)
     _check_aperture(alpha, h, levels)
     return ConeGrid(alpha, n, h, levels, math.log(2.0) / q, max_radius)
 

@@ -94,7 +94,6 @@ class ConditionReport:
     flagged: bool
     growth_ratio: float | None = None
     ratio_infinite: bool = False
-    threshold: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +443,6 @@ def kernel_condition_check(
     mode: str,
     plan: SamplePlan | None = None,
     gamma: float | None = None,
-    threshold: float | None = None,
     extend_check: bool = True,
     samples: tuple | None = None,
 ) -> ConditionReport:
@@ -472,8 +470,7 @@ def kernel_condition_check(
             ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
         i = int(np.argmax(ratio))
         return ConditionReport(
-            float(ratio[i]), (float(r[i]), float(habs[i])), int(ratio.size),
-            flagged=bool(threshold and ratio[i] > threshold), threshold=threshold,
+            float(ratio[i]), (float(r[i]), float(habs[i])), int(ratio.size), False
         )
 
     mr, loc, cnt, rinf = _max_ratio_once(k, mode, plan, gamma, plan.r_max)
@@ -487,8 +484,5 @@ def kernel_condition_check(
         rinf = rinf or rinf2
         if mr_ext > mr:
             mr, loc = mr_ext, loc_ext
-    flagged = bool(
-        (threshold is not None and mr > threshold)
-        or (growth is not None and growth > 1.2)
-    )
-    return ConditionReport(mr, loc, cnt, flagged, growth, rinf, threshold)
+    flagged = growth is not None and growth > 1.2
+    return ConditionReport(mr, loc, cnt, flagged, growth, rinf)

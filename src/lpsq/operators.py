@@ -4,8 +4,8 @@ psi_t is the t-dilated kernel integral (midpoint rule on the input grid);
 the square function integrates |psi_t f|^2 over the discrete cone
 (h^n / t^n times ln r per stored point), g* uses the polynomially weighted
 full half-space, and the maximal-operator family (Hardy-Littlewood, dyadic,
-powered, and the two square-function localizations) runs over grid-aligned
-cube pools.
+powered, and the localized square-function operator M_S of the sparse
+construction) runs over grid-aligned cube pools.
 
 The output lattice of an operator may be wider than the input box
 (``out_R``); inputs are always treated as zero outside their box, while
@@ -43,10 +43,12 @@ frequency space; the g_d spectra are taken once per FFT length for all cone
 levels (`_psi_t_bilinear_fft`).  The per-output-cell direct sum
 `_psi_t_bilinear` is its oracle.
 
-`lerner_maximal` on a linear convolution kernel with resolved method "fft"
-evaluates every pool cube's S(f 1_{3Q}) only on Q, cubes grouped by their
-cell shape, in n = 1 and n = 2 alike.  M_S on small cubes is one quadratic
-form in f on 3Q per cube, with a level-summed Gram table cached on the
+`lerner_maximal` computes M_S f(x), the sup over the pool cubes Q
+containing x of |S f^2 - S(f 1_{3Q})^2|^{1/2}.  On a linear convolution
+kernel with resolved method "fft" it evaluates every pool cube's
+S(f 1_{3Q}) only on Q, cubes grouped by their cell shape, in n = 1 and
+n = 2 alike.  Small cubes take one quadratic form in f on 3Q per cube,
+with a level-summed Gram table cached on the
 `SquareEvaluator`; other groups cost, per FFT length and chunk of cubes,
 one batched n-D rfft of the stacked 3Q windows, shared by the levels of
 that length, and per level one irfft (output on Q +- K_j) and window sums.
@@ -543,8 +545,8 @@ class SquareEvaluator:
     spacing, or a kernel whose dimension, differs from the template's
     (`GridError`, as square_function).
 
-    The batched Lerner path (`_lerner_batched`) takes from it psi_t f and
-    S f^2 (`level_values`, `square_sum`), the levels, the Gram cutoff
+    The batched Lerner path (`_lerner_batched`) takes from it S f^2
+    (`square_sum`), the level window sums (`cone_sum`), the Gram cutoff
     ``s_max`` (`_gram_s_max`) and Gram table (`gram_table`, built from one
     buffer of rows on first use) and the per-shape level block spectra
     (`lerner_plans`, built once per cube shape).  Levels, table and block
@@ -960,8 +962,8 @@ def _lerner_groups(f: GridFunction, cube_pool: Sequence[Box], out: np.ndarray) -
     are the (nb, n) start cells of 3Q and of Q of the cubes of that shape.
     The ranges run past the grid, so one box shape has one key wherever it
     sits.  Cubes that select no grid cell are left out; where 3Q holds every
-    nonzero cell of f, both variants are exactly 0 on Q, which is written
-    into out here.
+    nonzero cell of f, M_S is exactly 0 on Q, which is written into out
+    here.
     """
     N = f.ncells
     i0, i1 = _box_ranges(f, cube_pool, snap_outward=True, factor=3.0)
@@ -982,10 +984,10 @@ def _lerner_groups(f: GridFunction, cube_pool: Sequence[Box], out: np.ndarray) -
             for key, sel in zip(uniq, sels)}
 
 
-def _lerner_sup(out: np.ndarray, s_full2: np.ndarray, variant: str, batches) -> None:
-    """out = max(out, the localized term) on Q within the grid for each
-    cube of the batches (J, acc): J holds the (nb, n) start cells of Q, acc
-    the (nb, cells of Q per axis) S(f 1_{3Q})^2 (M_S) or N_S^2 values."""
+def _lerner_sup(out: np.ndarray, s_full2: np.ndarray, batches) -> None:
+    """out = max(out, sqrt(|S f^2 - S(f 1_{3Q})^2|)) on Q within the grid for
+    each cube of the batches (J, acc): J holds the (nb, n) start cells of Q,
+    acc the (nb, cells of Q per axis) S(f 1_{3Q})^2 values."""
     N = out.shape[0]
     for J, acc in batches:
         nb, *s = acc.shape
@@ -994,19 +996,14 @@ def _lerner_sup(out: np.ndarray, s_full2: np.ndarray, variant: str, batches) -> 
                for ax, local in enumerate(np.indices(s))]
         keep = np.logical_and.reduce([(i >= 0) & (i < N) for i in idx])
         cells = tuple(i[keep] for i in idx)
-        if variant == "M_S":
-            val = np.sqrt(np.abs(s_full2[cells] - acc[keep]))
-        else:
-            val = np.sqrt(acc[keep])
-        np.maximum.at(out, cells, val)
+        np.maximum.at(out, cells, np.sqrt(np.abs(s_full2[cells] - acc[keep])))
 
 
-def _gram_takes(ev: SquareEvaluator, variant: str, key) -> bool:
-    """Whether a group of this shape key takes the Gram form: M_S, Q at most
+def _gram_takes(ev: SquareEvaluator, key) -> bool:
+    """Whether a group of this shape key takes the Gram form: Q at most
     s_max cells per axis and every offset d + e - c inside the table."""
     lo, hi = 1 - 2 * ev.s_max, 2 * ev.s_max
-    return variant == "M_S" and all(
-        s <= ev.s_max and d - a + 1 >= lo and d + s - 1 <= hi for a, s, d in key)
+    return all(s <= ev.s_max and d - a + 1 >= lo and d + s - 1 <= hi for a, s, d in key)
 
 
 def _gram_form(ev: SquareEvaluator, key, fp: np.ndarray, I: np.ndarray) -> np.ndarray:
@@ -1038,63 +1035,51 @@ def _gram_form(ev: SquareEvaluator, key, fp: np.ndarray, I: np.ndarray) -> np.nd
     return out.reshape(len(I), *(s for _, s, _ in key))
 
 
-def _lerner_batched(ev: SquareEvaluator, f: GridFunction, variant: str,
+def _lerner_batched(ev: SquareEvaluator, f: GridFunction,
                     cube_pool: Sequence[Box]) -> np.ndarray:
-    """M_S / N_S of a convolution kernel, each cube evaluated on Q only.
+    """M_S of a convolution kernel, each cube's S(f 1_{3Q})^2 evaluated on
+    Q only.
 
     Cubes are grouped by their unclipped shape; f 1_{3Q} is read from a
-    zero-padded f.  M_S groups that `_gram_takes` go to `_gram_form`.  For
+    zero-padded f.  Groups that `_gram_takes` go to `_gram_form`.  For
     every other group, psi_t(f 1_{3Q}) on Q +- K_j is the linear
     convolution of the stacked 3Q windows with level j's profile block,
-    sampled at the cell offsets from 3Q to Q +- K_j; window sums then run
-    on Q.  The block spectra come from the evaluator's `lerner_plans`,
-    which keeps them per shape key, so a shape seen by an earlier call on
-    the layout costs no profile sample and no block transform.  The loops
-    run group -> FFT length P -> chunk of cubes -> level: per run of
-    consecutive levels of one P and chunk, one batched n-D rfft of the
-    windows and one irfft per level, and each cube's terms are added in
-    level order.  M_S takes S f^2 from `SquareEvaluator.square_sum`; N_S
-    uses psi_t(f 1_{outside 3Q}) = psi_t f - psi_t(f 1_{3Q}); cells outside
-    the grid are dropped.
+    sampled at the cell offsets from 3Q to Q +- K_j; `SquareEvaluator.cone_sum`
+    then takes the window sums on Q.  The block spectra come from the
+    evaluator's `lerner_plans`, which keeps them per shape key, so a shape
+    seen by an earlier call on the layout costs no profile sample and no
+    block transform.  The loops run group -> FFT length P -> chunk of
+    cubes -> level: per run of consecutive levels of one P and chunk, one
+    batched n-D rfft of the windows and one irfft per level, and each
+    cube's terms are added in level order.  S f^2 comes from
+    `SquareEvaluator.square_sum`; cells outside the grid are dropped.
     """
     n, N = f.n, f.ncells
     out = np.full((N,) * n, -np.inf)
     groups = _lerner_groups(f, cube_pool, out)
     if not groups:
         return out
-    # zero pads that hold every 3Q window of f and every Q +- K window of u
-    pf = pu = 0
-    for key, (I, J) in groups.items():
-        a, s, _ = np.array(key).T
+    # a zero pad that holds every 3Q window of f
+    pf = 0
+    for key, (I, _) in groups.items():
+        a = np.array(key)[:, 0]
         pf = max(pf, -I.min(), (I + a).max() - N)
-        pu = max(pu, -J.min(), (J + s).max() - N)
-    windows = np.lib.stride_tricks.sliding_window_view
     fp = np.pad(f.values, pf)
-    levelled = {key: IJ for key, IJ in groups.items() if not _gram_takes(ev, variant, key)}
+    levelled = {key: I for key, (I, _) in groups.items() if not _gram_takes(ev, key)}
     accs = {key: np.zeros((len(I),) + tuple(s for _, s, _ in key)) if key in levelled
             else _gram_form(ev, key, fp, I + pf) for key, (I, _) in groups.items()}
-    if variant == "M_S":
-        s_full2, ups = ev.square_sum(f.values), [None] * len(ev.levels)
-    else:  # psi_t f per level, padded
-        s_full2, ups = None, [np.pad(u, pu) for _, u in ev.level_values(f.values)]
     axes = tuple(range(1, n + 1))
-    for (key, (I, J)), plan in zip(levelled.items(), ev.lerner_plans(list(levelled))):
-        fw = windows(fp, tuple(a for a, _, _ in key))
+    for (key, I), plan in zip(levelled.items(), ev.lerner_plans(list(levelled))):
+        fw = np.lib.stride_tricks.sliding_window_view(fp, tuple(a for a, _, _ in key))
         for P, run in plan:
-            uws = [None if ups[j] is None
-                   else windows(ups[j], tuple(s + 2 * ev.levels[j].K for _, s, _ in key))
-                   for j, _, _ in run]
             step = max(1, _LERNER_CHUNK // math.prod(P))
             for b0 in range(0, len(I), step):
                 wf = np.fft.rfftn(fw[tuple((I[b0 : b0 + step] + pf).T)], P, axes=axes)
-                Jb = tuple((J[b0 : b0 + step] + pu).T)
-                for (j, kf, crop), uw in zip(run, uws):
-                    lv = ev.levels[j]
+                for j, kf, crop in run:
                     U = np.fft.irfftn(wf * kf, P, axes=axes)[crop]
-                    if uw is not None:
-                        U = uw[Jb] - U
-                    accs[key][b0 : b0 + step] += lv.meas * _window_sum(U**2, lv.rows, lv.K)
-    _lerner_sup(out, s_full2, variant, [(J, accs[key]) for key, (_, J) in groups.items()])
+                    accs[key][b0 : b0 + step] += ev.cone_sum(ev.levels[j], U**2)
+    _lerner_sup(out, ev.square_sum(f.values),
+                [(J, accs[key]) for key, (_, J) in groups.items()])
     return out
 
 
@@ -1107,81 +1092,60 @@ def lerner_maximal(
     method: str | None = None,
     domain: Box | None = None,
 ) -> GridFunction:
-    """M_S / N_S: sup over pool cubes containing x of the localized term.
+    """M_S f(x): the sup over the pool cubes Q containing x of
+    sqrt(|S f(x)^2 - S(f 1_{3Q})(x)^2|).
 
-    M_S: sqrt(|S f(x)^2 - S(f 1_{3Q})(x)^2|);  N_S: S(f 1_{R^n \\ 3Q})(x).
-    The pool approximates the sup over all cubes; callers should record the
-    pool kind alongside results.  With ``domain`` the coverage requirement
-    (every point lies in some pool cube) applies only inside that box and
-    the output is zero elsewhere.  A linear convolution kernel with
-    resolved method "fft" takes the batched path (`_lerner_batched`, M_S on
-    small cubes by `_gram_form`), in n = 1 and n = 2, through the
-    evaluator `SquareEvaluator.of` keeps on k, so that repeated calls on
-    one layout share its kernel spectra, Gram table and block spectra;
+    ``variant`` must be "M_S", the one localized operator, else
+    `ParameterError`.  The pool approximates the sup over all cubes;
+    callers should record the pool kind alongside results.  Every cell of
+    ``domain`` (default: f's own box) must lie in some pool cube, else
+    `CoverageError`; the output is zero outside it.  A linear convolution
+    kernel with resolved method "fft" takes the batched path
+    (`_lerner_batched`), in n = 1 and n = 2, through the evaluator
+    `SquareEvaluator.of` keeps on k, so that repeated calls on one layout
+    share its kernel spectra, Gram table and block spectra;
     ``method="direct"`` and bilinear pairs evaluate S once per pool cube.
     """
-    if variant not in ("M_S", "N_S"):
-        raise ParameterError(f"unknown variant {variant!r}")
+    if variant != "M_S":
+        raise ParameterError(f"unknown variant {variant!r}; M_S is the one localized operator")
     if not cube_pool:
         raise CoverageError("empty cube pool")
     pair = _as_pair(f)
     base = pair[0] if pair else f
     ev = None if pair is not None else SquareEvaluator.of(k, base, cone, method=method)
     if ev is not None and ev.fast:
-        out = _lerner_batched(ev, base, variant, cube_pool)
+        out = _lerner_batched(ev, base, cube_pool)
     else:
-        out = _lerner_pool_loop(k, f, cone, variant, cube_pool, method, ev)
-    if domain is not None:
-        dom = _box_mask(base, domain).astype(bool)
-        if np.any(out[dom] == -np.inf):
-            uncovered = np.argwhere(dom & (out == -np.inf))
-            raise CoverageError(
-                f"{uncovered.shape[0]} domain cells covered by no pool cube, "
-                f"first at index {tuple(uncovered[0])}"
-            )
-        out[~dom] = 0.0
-    elif np.any(~np.isfinite(out)):
-        uncovered = np.argwhere(out == -np.inf)
+        out = _lerner_pool_loop(k, f, cone, cube_pool, method, ev)
+    dom = _box_mask(base, base.box() if domain is None else domain).astype(bool)
+    uncovered = np.argwhere(dom & (out == -np.inf))
+    if uncovered.size:
         raise CoverageError(
-            f"{uncovered.shape[0]} cells covered by no pool cube, "
+            f"{uncovered.shape[0]} domain cells covered by no pool cube, "
             f"first at index {tuple(uncovered[0])}"
         )
+    out[~dom] = 0.0
     return base.with_values(out)
 
 
-def _lerner_pool_loop(k, f, cone, variant, cube_pool, method, ev) -> np.ndarray:
-    """Sup over the pool of the localized term, one S evaluation per cube
-    (through the evaluator ev of f's layout, or square_function for pairs)."""
+def _lerner_pool_loop(k, f, cone, cube_pool, method, ev) -> np.ndarray:
+    """M_S with one S(f 1_{3Q}) evaluation per pool cube, through the
+    evaluator ev of f's layout, or square_function for pairs."""
     pair = _as_pair(f)
-    base = pair[0] if pair else f
-    if variant == "M_S":
-        if pair is None:
-            s_base = ev.eval_values(base.values)
-        else:
-            s_base = square_function(k, f, cone, method=method).values
-    out = np.full(base.values.shape, -np.inf)
+    fs = pair or (f,)
 
-    def s_of(masked):
+    def s_of(values):
         if pair is None:
-            return ev.eval_values(masked)
-        m1 = pair[0].with_values(masked[0])
-        m2 = pair[1].with_values(masked[1])
-        return square_function(k, (m1, m2), cone, method=method).values
+            return ev.eval_values(values[0])
+        masked = tuple(g.with_values(v) for g, v in zip(fs, values))
+        return square_function(k, masked, cone, method=method).values
 
+    s_full2 = s_of([g.values for g in fs]) ** 2
+    out = np.full(fs[0].values.shape, -np.inf)
     for q in cube_pool:
-        mask3 = _box_mask(base, q.dilate(3.0), snap_outward=True)
-        if pair is None:
-            inner = base.values * mask3
-            outer = base.values * (1.0 - mask3)
-        else:
-            inner = (pair[0].values * mask3, pair[1].values * mask3)
-            outer = (pair[0].values * (1.0 - mask3), pair[1].values * (1.0 - mask3))
-        if variant == "M_S":
-            s_in = s_of(inner)
-            val = np.sqrt(np.abs(s_base**2 - s_in**2))
-        else:
-            val = s_of(outer)
-        sel = _box_mask(base, q).astype(bool)
+        mask3 = _box_mask(fs[0], q.dilate(3.0), snap_outward=True)
+        val = np.sqrt(np.abs(s_full2 - s_of([g.values * mask3 for g in fs]) ** 2))
+        sel = _box_mask(fs[0], q).astype(bool)
         out[sel] = np.maximum(out[sel], val[sel])
     return out
 

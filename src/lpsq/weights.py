@@ -56,7 +56,7 @@ class WeightVector:
 
 
 # the smallest cube side (in cells) of the pool
-_MIN_SIDE_CELLS = 4
+_LEAST_SIDE_CELLS = 4
 
 
 def apvec_constant(wv: WeightVector) -> float:
@@ -74,7 +74,7 @@ def apvec_constant(wv: WeightVector) -> float:
         raise ParameterError("w^{1-p'} overflows on the grid")
     cs = [prefix_sums(a) for a in [nu] + duals]
     best = 0.0
-    for L in range(_MIN_SIDE_CELLS, base.ncells + 1):
+    for L in range(_LEAST_SIDE_CELLS, base.ncells + 1):
         avgs = [box_sums(c, L) / L**base.n for c in cs]
         prod = avgs[0]
         for d_avg, pw in zip(avgs[1:], powers):

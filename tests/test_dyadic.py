@@ -315,6 +315,10 @@ class TestVerifySparse:
         lambda d: d["root"].update(shift="k=1"),
         lambda d: d["cubes"][1].update(side=2.0),
         lambda d: d["root"].update(lo=[0.0]),
+        # a cube lies on the family's base; verify_sparse places it there
+        lambda d: d["cubes"][1].update(base=3.0),
+        lambda d: d["cubes"][1].update(base=0.0),
+        lambda d: d["root"].update(base=BASE),
     ])
     def test_malformed_json_is_config_error(self, edit):
         root = Cube(1, 1, (0,), "standard", BASE)

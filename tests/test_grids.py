@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lpsq.errors import ConfigError, GridError, ParameterError, ResolutionError
 from lpsq.grids import (
     Box,
+    ConeGrid,
     GridFunction,
     build_cone,
     build_halfspace,
@@ -102,7 +103,8 @@ class TestGridFunction:
 
     def test_value_at(self):
         g = sample_function(lambda x: x, 1, 2.0, 0.5)
-        assert g.value_at(0.3) == pytest.approx(0.25)  # cell center of [0.25, 0.75)
+        # the cell of [0.25, 0.75) holds 0.3 and is sampled at its center
+        assert g.values[int((0.3 + g.R) // g.h)] == pytest.approx(0.25)
 
 
 class TestBox:
@@ -112,9 +114,12 @@ class TestBox:
         assert d.lo == (-1.0,) and d.hi == (2.0,)
 
     def test_contains(self):
-        b = Box((0.0, 0.0), (1.0, 1.0))
-        assert b.contains_point((0.5, 0.0))
-        assert not b.contains_point((1.0, 0.5))  # right-open
+        """A box holds the cells whose centers lie in [lo, hi): right-open."""
+        from lpsq.operators import _box_mask
+
+        g = GridFunction(2, 1.0, 0.5, np.zeros((4, 4)))  # centers -0.75 .. 0.75
+        mask = _box_mask(g, Box((-0.25, -0.75), (0.75, 0.25)))
+        assert mask.tolist() == [[0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]]
 
 
 class TestRangeSums:
@@ -128,15 +133,20 @@ class TestRangeSums:
         assert range_sums(prefix_sums(a), i0, i1).tolist() == want
 
 
+def _one_level(alpha: float, n: int, t: float) -> ConeGrid:
+    """A cone of one level t on the unit lattice."""
+    return ConeGrid(alpha, n, 1.0, np.array([t]), math.log(2.0) / 4, math.inf)
+
+
 class TestCone:
     def test_offsets_example(self):
-        c = build_cone(1.0, 1, 1.0, 1.0, None, 4, levels=np.array([2.0]))
+        c = _one_level(1.0, 1, 2.0)
         assert list(c.stencil(0)) == [-1, 0, 1]
 
     def test_aperture_monotone(self):
         c1 = build_cone(1.0, 1, 0.25, 0.5, 8.0, 4)
         c2 = c1.with_alpha(2.0)
-        for j in range(c1.nlevels):
+        for j in range(len(c1.t_levels)):
             assert set(c1.stencil(j).tolist()) <= set(c2.stencil(j).tolist())
 
     def test_with_alpha_keeps_levels_and_weight(self):
@@ -148,17 +158,17 @@ class TestCone:
             assert c2.log_weight == c1.log_weight == ref.log_weight
             assert (c2.alpha, c2.max_radius) == (3.0, 6.0)
             assert all(np.array_equal(c2.stencil(j), ref.stencil(j))
-                       for j in range(ref.nlevels))
+                       for j in range(len(ref.t_levels)))
         with pytest.raises(ParameterError):
             c1.with_alpha(0.5)
 
     def test_cardinality(self):
-        c = build_cone(4.0, 1, 1.0, 1.0, None, 4, levels=np.array([64.0]))
+        c = _one_level(4.0, 1, 64.0)
         count = len(c.stencil(0))
         assert 256 <= count <= 1024  # within factor 2 of 2 alpha t / h = 512
 
     def test_cardinality_2d(self):
-        c = build_cone(2.0, 2, 1.0, 1.0, None, 4, levels=np.array([8.0]))
+        c = _one_level(2.0, 2, 8.0)
         target = math.pi * 16.0**2
         assert target / 2 <= len(c.stencil(0)) <= target * 2
 
@@ -174,7 +184,7 @@ class TestCone:
         # sum of counts h^n ln r approximates the truncated cone volume
         h, al = 1.0 / 16, 2.0
         c = build_cone(al, 1, h, 8 * h, 2.0, 4)
-        disc = sum(len(c.stencil(j)) * h * c.log_weight for j in range(c.nlevels))
+        disc = sum(len(c.stencil(j)) * h * c.log_weight for j in range(len(c.t_levels)))
         r = 2.0 ** (1.0 / 4)
         t_lo, t_hi = 8 * h, 8 * h * r ** len(c.t_levels)
         exact = 2 * al * (t_hi - t_lo)
@@ -191,5 +201,5 @@ class TestCone:
     def test_monotone_in_alpha_property(self, a, lvl):
         c1 = build_cone(float(a), 1, 0.5, 1.0, 16.0, 2)
         c2 = build_cone(float(a + 1), 1, 0.5, 1.0, 16.0, 2)
-        lvl = min(lvl, c1.nlevels - 1)
+        lvl = min(lvl, len(c1.t_levels) - 1)
         assert set(c1.stencil(lvl).tolist()) <= set(c2.stencil(lvl).tolist())

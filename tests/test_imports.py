@@ -1,9 +1,17 @@
-"""Every module-level import in src/lpsq is used by its module.
+"""Every module-level import in src/lpsq is used by its module, and every
+definition in src/lpsq is reached by the package or the benchmark.
 
 A name counts as used when the module loads it anywhere (code or
 annotation, quoted annotations included) or lists it in ``__all__``.  The
 relative imports of a package ``__init__`` are its exports.  Import lines
 marked ``# noqa`` are skipped.
+
+A module-level function or class, or a method other than a dunder, is
+reached when some file of src/lpsq or perfbench names it: as a name, as an
+attribute, or as a dotted part of a string constant outside ``__all__``
+(perfbench's span table names its targets as strings).  ``__all__`` and
+the package ``__init__``'s re-exports do not count, so a name only tests
+call is unreached.
 """
 
 import ast
@@ -11,7 +19,14 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lpsq"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lpsq"
+
+# definitions no file in src/lpsq or perfbench reaches, kept on purpose
+UNREACHED_OK = {
+    "cli_run": "entry point for running a config file, called by users",
+    "log_dini_integral": "the log-Dini constant the Dini-dependence sweep reports",
+}
 
 
 def _module_imports(body):
@@ -79,3 +94,68 @@ def test_checker_finds_an_unused_import(tmp_path):
                  "from math import pi\n\n"
                  "def f(x: 'Sequence') -> float:\n    return pi\n")
     assert _unused_imports(p) == ["mod.py:1: os"]
+
+
+def _definitions(tree):
+    """(line, name) of the module-level functions and classes and of the
+    non-dunder methods of module-level classes."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, funcs + (ast.ClassDef,)):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, funcs) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.lineno, item.name
+
+
+def _references(tree) -> set:
+    """Names, attributes and the dotted parts of string constants outside
+    ``__all__``."""
+    exported = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported.update(map(id, ast.walk(node.value)))
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in exported):
+            refs.update(node.value.split("."))
+    return refs
+
+
+def _unreached_definitions(sources, readers, allowed=()) -> list:
+    """The definitions in the files ``sources`` that no file of ``readers``
+    names, other than ``allowed``."""
+    refs = set().union(*(_references(ast.parse(p.read_text())) for p in readers))
+    return [f"{p.name}:{line}: {name}" for p in sources
+            for line, name in _definitions(ast.parse(p.read_text()))
+            if name not in refs and name not in allowed]
+
+
+def test_every_definition_is_reached():
+    sources = sorted(SRC.glob("*.py"))
+    readers = sources + sorted((ROOT / "perfbench").glob("*.py"))
+    assert _unreached_definitions(sources, readers, UNREACHED_OK) == []
+
+
+def test_checker_finds_an_unreached_definition(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text("__all__ = ['unused', 'Used']\n\n"
+                 "def unused():\n    pass\n\n"
+                 "def by_string():\n    pass\n\n"
+                 "def kept():\n    pass\n\n"
+                 "class Used:\n"
+                 "    def __init__(self):\n        self.helper()\n\n"
+                 "    def helper(self):\n        pass\n\n"
+                 "    def orphan(self):\n        pass\n\n"
+                 "TARGETS = ['mod.by_string']\n"
+                 "x = Used()\n")
+    assert _unreached_definitions([p], [p], {"kept"}) == [
+        "mod.py:3: unused", "mod.py:19: orphan"]

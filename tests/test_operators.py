@@ -28,6 +28,11 @@ from lpsq.operators import (
 )
 
 
+def _cell(g: GridFunction, x) -> tuple:
+    """Index of the cell of g that holds the point x."""
+    return tuple(int(i) for i in np.floor((np.atleast_1d(x) + g.R) / g.h))
+
+
 @pytest.fixture(scope="module")
 def hat():
     return sample_function(lambda x: np.maximum(0.0, 1.0 - np.abs(x)), 1, 4.0, 1.0 / 16)
@@ -71,7 +76,7 @@ class TestPsiT:
         assert abs(at_zero) <= 1e-15
         assert abs(oracle(0.0)) <= 1e-15
         for xq in (1.03125, -2.46875):
-            i = f.index_of(xq)[0]
+            i = _cell(f, xq)[0]
             xc = float(f.axis_centers()[i])
             assert u.values[i] == pytest.approx(oracle(xc), rel=1e-4)
 
@@ -115,7 +120,7 @@ class TestSquareFunction:
         cone = build_cone(1.0, 1, hat.h, 0.5, 2.0, 1)
         S = square_function(ex1, hat, cone)
         for x in (-1.03, 0.53125, 2.2):
-            i = hat.index_of(x)[0]
+            i = _cell(hat, x)[0]
             xc = hat.axis_centers()[i]
             direct = square_function_at(ex1, hat, np.array([xc]), cone)
             assert S.values[i] == pytest.approx(direct, abs=1e-10)
@@ -167,7 +172,7 @@ class TestSquareFunction:
         f = sample_function(lambda x, y: np.exp(-(x**2) - y**2), 2, 2.0, 1.0 / 4)
         cone = build_cone(1.0, 2, f.h, 1.0, 2.0, 1)
         s = square_function(k, f, cone)
-        i, j = f.index_of((0.375, -0.625))
+        i, j = _cell(f, (0.375, -0.625))
         c = f.axis_centers()
         direct = square_function_at(k, f, np.array([c[i], c[j]]), cone)
         assert s.values[i, j] == pytest.approx(direct, abs=1e-10)
@@ -237,18 +242,18 @@ class TestMaximal:
         g = sample_function(lambda x: ((x >= 0) & (x < 1)).astype(float), 1, 8.0,
                             1.0 / 16)
         M = maximal(g, "hl")
-        x2 = g.index_of(2.0)[0]
+        x2 = _cell(g, 2.0)[0]
         assert M.values[x2] == pytest.approx(0.5, abs=g.h)
-        x6 = g.index_of(6.0)[0]
+        x6 = _cell(g, 6.0)[0]
         assert M.values[x6] == pytest.approx(1.0 / 6.0, abs=g.h)
 
     def test_dyadic_indicator(self):
         g = sample_function(lambda x: ((x >= 0) & (x < 1)).astype(float), 1, 8.0,
                             1.0 / 16)
         D = maximal(g, "dyadic")
-        x15 = g.index_of(1.5)[0]
+        x15 = _cell(g, 1.5)[0]
         assert D.values[x15] == pytest.approx(0.5)  # best cube [0, 2)
-        x3 = g.index_of(3.0)[0]
+        x3 = _cell(g, 3.0)[0]
         assert D.values[x3] == pytest.approx(0.25)  # best cube [0, 4)
 
     def test_hl_vs_brute(self):
@@ -260,7 +265,7 @@ class TestMaximal:
         c = np.concatenate([[0.0], np.cumsum(a)])
         N = g.ncells
         for x in (-3.2, -1.0, 0.05, 1.7, 3.9):
-            xi = g.index_of(x)[0]
+            xi = _cell(g, x)[0]
             best = 0.0
             for L in range(1, N + 1):
                 for p in range(max(0, xi - L + 1), min(xi, N - L) + 1):
@@ -308,31 +313,48 @@ class TestMaximal:
 class TestLernerMaximal:
     def test_zero(self, ex1, cone_coarse, gauss_grid):
         z = gauss_grid.with_values(np.zeros_like(gauss_grid.values))
-        pool = [gauss_grid.box()]
-        for variant in ("M_S", "N_S"):
-            out = lerner_maximal(ex1, z, cone_coarse, variant, pool)
-            assert np.all(out.values == 0.0)
-
-    def test_single_cube_ns_zero(self, ex1):
-        f = sample_function(lambda x: np.exp(-4 * x**2), 1, 4.0, 1.0 / 16)
-        cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 2)
-        q = Box((-2.0,), (2.0,))  # 3Q = [-6, 6) covers supp f up to tails
-        ns = lerner_maximal(ex1, f, cone, "N_S", [f.box(), q])
-        sel = np.abs(f.axis_centers()) < 2.0
-        # f has Gaussian tails; 3Q covers the box except |x| > 6
-        tail_mass = float(np.sum(np.abs(f.values[np.abs(f.axis_centers()) >= 6.0])))
-        assert tail_mass == 0.0 or np.max(ns.values[sel]) <= 1e-12
+        out = lerner_maximal(ex1, z, cone_coarse, "M_S", [gauss_grid.box()])
+        assert np.all(out.values == 0.0)
 
     def test_ms_arithmetic_bound(self, ex1, cone_coarse, gauss_grid):
+        """M_S <= 2 sqrt(N_S (N_S + S)), N_S f(x) the sup over the pool
+        cubes Q containing x of S(f 1_{outside 3Q})(x)."""
+        from lpsq.operators import _box_mask
+
         rng = np.random.default_rng(3)
         f = gauss_grid.with_values(rng.uniform(-1, 1, gauss_grid.ncells))
         pool = [Box((a,), (a + w,)) for a, w in
                 [(-8.0, 16.0), (-2.0, 2.0), (0.0, 1.0), (-1.0, 3.0), (1.0, 2.0)]]
         ms = lerner_maximal(ex1, f, cone_coarse, "M_S", pool)
-        ns = lerner_maximal(ex1, f, cone_coarse, "N_S", pool)
+        ns = np.full(f.ncells, -np.inf)
+        for q in pool:
+            outside = 1.0 - _box_mask(f, q.dilate(3.0), snap_outward=True)
+            s_out = square_function(ex1, f.with_values(f.values * outside), cone_coarse)
+            sel = _box_mask(f, q).astype(bool)
+            ns[sel] = np.maximum(ns[sel], s_out.values[sel])
         s = square_function(ex1, f, cone_coarse)
-        bound = 2.0 * np.sqrt(ns.values * (ns.values + s.values))
+        bound = 2.0 * np.sqrt(ns * (ns + s.values))
         assert np.max(ms.values - bound) <= 1e-9
+
+    def test_other_variant_is_parameter_error(self, ex1, cone_coarse, gauss_grid):
+        for variant in ("N_S", "m_s", None):
+            with pytest.raises(ParameterError, match="M_S"):
+                lerner_maximal(ex1, gauss_grid, cone_coarse, variant, [gauss_grid.box()])
+
+    def test_domain_defaults_to_own_box(self, ex1, cone_coarse, gauss_grid):
+        """domain=None is f's box: the same bits, and the same coverage rule."""
+        from lpsq.errors import CoverageError
+
+        rng = np.random.default_rng(4)
+        f = gauss_grid.with_values(rng.uniform(-1, 1, gauss_grid.ncells))
+        pool = [f.box(), Box((-2.0,), (2.0,)), Box((0.0,), (1.0,))]
+        for m in (None, "direct"):
+            own, boxed = (lerner_maximal(ex1, f, cone_coarse, "M_S", pool, method=m,
+                                         domain=d).values for d in (None, f.box()))
+            assert np.array_equal(own, boxed)
+        for d in (None, f.box()):
+            with pytest.raises(CoverageError, match="domain cells"):
+                lerner_maximal(ex1, f, cone_coarse, "M_S", pool[1:], domain=d)
 
     def test_coverage_error(self, ex1, cone_coarse, gauss_grid):
         from lpsq.errors import CoverageError
@@ -419,7 +441,7 @@ class TestBoxRange:
 
 
 class TestLernerBatched:
-    """The batched M_S / N_S path in 1-D against the per-cube pool loop, and
+    """The batched M_S path in 1-D against the per-cube pool loop, and
     what n = 1 and n = 2 share."""
 
     @staticmethod
@@ -434,8 +456,8 @@ class TestLernerBatched:
         assert calls  # the batched path ran
         with monkeypatch.context() as m:
             m.setattr(ops, "_lerner_batched",
-                      lambda ev, f, v, pool: ops._lerner_pool_loop(
-                          ev.k, f, ev.cone, v, pool, None, ev))
+                      lambda ev, f, pool: ops._lerner_pool_loop(
+                          ev.k, f, ev.cone, pool, None, ev))
             slow = lerner_maximal(k, f, cone, variant, pool, domain=domain).values
         return fast, slow
 
@@ -444,7 +466,7 @@ class TestLernerBatched:
         assert np.max(np.abs(fast - slow)) <= tol * max(np.max(np.abs(slow)), 1e-300)
 
     @pytest.mark.parametrize("chunk", [None, 256])
-    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    @pytest.mark.parametrize("variant", ["M_S"])
     def test_dyadic_pool_with_and_without_domain(self, monkeypatch, ex1, chunk,
                                                  variant):
         from lpsq import operators as ops
@@ -463,7 +485,7 @@ class TestLernerBatched:
             dyadic_cube_pool(Cube(1, 0, (0,), "standard", 2 * f.R), f)
         self._close(*self._pair(monkeypatch, ex1, f, cone, variant, whole))
 
-    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    @pytest.mark.parametrize("variant", ["M_S"])
     def test_arbitrary_boxes(self, monkeypatch, ex1, cone_coarse, gauss_grid,
                              variant):
         rng = np.random.default_rng(3)
@@ -477,7 +499,7 @@ class TestLernerBatched:
         self._close(*self._pair(monkeypatch, ex1, f, cone_coarse, variant,
                                 five + odd))
 
-    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    @pytest.mark.parametrize("variant", ["M_S"])
     def test_exact_zero_where_3q_covers_support(self, ex1, variant):
         rng = np.random.default_rng(5)
         c = (np.arange(128) + 0.5) / 16 - 4.0
@@ -488,7 +510,7 @@ class TestLernerBatched:
         out = lerner_maximal(ex1, f, cone, variant, [q], domain=q)
         assert np.all(out.values == 0.0)
 
-    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    @pytest.mark.parametrize("variant", ["M_S"])
     def test_zero_input(self, ex1, cone_coarse, gauss_grid, variant):
         from lpsq.dyadic import Cube, dyadic_cube_pool
 
@@ -505,14 +527,13 @@ class TestLernerBatched:
         cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
         root = Cube(1, 1, (0,), "standard", 2 * f.R)
         pool = dyadic_cube_pool(root, f)
-        for variant in ("M_S", "N_S"):
-            fast, direct = (lerner_maximal(ex1, f, cone, variant, pool, method=m,
-                                           domain=root.box()).values
-                            for m in ("auto", "direct"))
-            self._close(fast, direct)
+        fast, direct = (lerner_maximal(ex1, f, cone, "M_S", pool, method=m,
+                                       domain=root.box()).values
+                        for m in ("auto", "direct"))
+        self._close(fast, direct)
 
     def test_shared_evaluator(self):
-        """M_S / N_S through a kernel whose layout plan is warm (Gram table
+        """M_S through a kernel whose layout plan is warm (Gram table
         and the block spectra of other shapes built by an earlier call) are
         the bits of a freshly parsed kernel's."""
         from lpsq.dyadic import Cube, dyadic_cube_pool
@@ -528,11 +549,10 @@ class TestLernerBatched:
             for m in (None, "direct"):
                 lerner_maximal(k, f, cone, "M_S", dyadic_cube_pool(child, f),
                                method=m, domain=child.box())
-                for variant in ("M_S", "N_S"):
-                    warm, fresh = (lerner_maximal(kk, masked, cone, variant, pool,
-                                                  method=m, domain=root.box()).values
-                                   for kk in (k, parse_kernel("ex1:kappa=3", n)))
-                    assert np.array_equal(warm, fresh)
+                warm, fresh = (lerner_maximal(kk, masked, cone, "M_S", pool,
+                                              method=m, domain=root.box()).values
+                               for kk in (k, parse_kernel("ex1:kappa=3", n)))
+                assert np.array_equal(warm, fresh)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_sparse_construct_takes_batched_path(self, monkeypatch, n):
@@ -555,7 +575,7 @@ class TestLernerPlan:
     """The transforms and profile samples of one batched Lerner call, with
     every group on the FFT path (s_max forced to 0) and a small chunk."""
 
-    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    @pytest.mark.parametrize("variant", ["M_S"])
     @pytest.mark.parametrize("n, N", [(1, 128), (2, 16)])
     def test_one_window_transform_per_length_and_chunk(self, monkeypatch, n, N, variant):
         from dataclasses import replace
@@ -591,27 +611,26 @@ class TestLernerPlan:
         assert (ndims.count(n + 1), ndims.count(n), len(ndims)) == (
             windows, blocks, windows + blocks)
         assert len(profiles) == len(ev.levels)
-        # warm: no profile sample and no block transform; N_S transforms f
-        # once per distinct length, M_S takes the S f^2 just held
+        # warm: no profile sample and no block transform, and the S f^2
+        # just held is taken again
         ndims.clear()
         profiles.clear()
         with monkeypatch.context() as m:
             m.setattr(np.fft, "rfftn", lambda x, *a, **kw: ndims.append(np.ndim(x))
                       or rfftn(x, *a, **kw))
             again = lerner_maximal(k, f, cone, variant, pool, domain=root.box()).values
-        own = len({lv.nfft for lv in ev.levels}) if variant == "N_S" else 0
-        assert (ndims.count(n + 1), len(ndims), len(profiles)) == (windows, windows + own, 0)
+        assert (ndims.count(n + 1), len(ndims), len(profiles)) == (windows, windows, 0)
         assert np.array_equal(again, fast)
         with monkeypatch.context() as m:
             m.setattr(ops, "_lerner_batched",
-                      lambda ev, f, v, pool: ops._lerner_pool_loop(
-                          ev.k, f, ev.cone, v, pool, None, ev))
+                      lambda ev, f, pool: ops._lerner_pool_loop(
+                          ev.k, f, ev.cone, pool, None, ev))
             slow = lerner_maximal(k0, f, cone, variant, pool, domain=root.box()).values
         TestLernerBatched._close(fast, slow)
 
 
 class TestLernerBatched2D:
-    """The batched 2-D M_S / N_S path against the per-cube pool loop."""
+    """The batched 2-D M_S path against the per-cube pool loop."""
 
     _pair = staticmethod(TestLernerBatched._pair)
     _close = staticmethod(TestLernerBatched._close)
@@ -624,7 +643,7 @@ class TestLernerBatched2D:
         return k, f, build_cone(1.0, 2, h, 2 * h, 2 * R, 4)
 
     @pytest.mark.parametrize("chunk", [None, 256])
-    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    @pytest.mark.parametrize("variant", ["M_S"])
     def test_dyadic_pool_with_and_without_domain(self, monkeypatch, chunk, variant):
         from lpsq import operators as ops
         from lpsq.dyadic import Cube, dyadic_cube_pool
@@ -640,7 +659,7 @@ class TestLernerBatched2D:
                  for b in dyadic_cube_pool(Cube(2, 0, a, "standard", 2 * f.R), f)]
         self._close(*self._pair(monkeypatch, k, f, cone, variant, whole))
 
-    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    @pytest.mark.parametrize("variant", ["M_S"])
     def test_arbitrary_boxes(self, monkeypatch, variant):
         k, f, cone = self._setup(16, 3)
         fixed = [Box((-2.0, 0.0), (0.0, 1.0)), Box((1.0, -3.0), (2.0, -1.0))]
@@ -655,7 +674,7 @@ class TestLernerBatched2D:
             self._close(*self._pair(monkeypatch, k, f, cone, variant,
                                     [cover] + fixed + odd))
 
-    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    @pytest.mark.parametrize("variant", ["M_S"])
     def test_exact_zero_where_3q_covers_support(self, variant):
         k, f, cone = self._setup(16, 5)
         c = f.axis_centers()
@@ -665,7 +684,7 @@ class TestLernerBatched2D:
         out = lerner_maximal(k, f, cone, variant, [q], domain=q)
         assert np.all(out.values == 0.0)
 
-    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    @pytest.mark.parametrize("variant", ["M_S"])
     def test_one_cell_past_3q_is_not_zero(self, monkeypatch, variant):
         from lpsq.operators import _box_ranges
 
@@ -680,7 +699,7 @@ class TestLernerBatched2D:
         self._close(fast, slow)
         assert np.max(slow) > 0.0
 
-    @pytest.mark.parametrize("variant", ["M_S", "N_S"])
+    @pytest.mark.parametrize("variant", ["M_S"])
     def test_zero_input(self, variant):
         from lpsq.dyadic import Cube, dyadic_cube_pool
 
@@ -699,11 +718,10 @@ class TestLernerBatched2D:
         cone = build_cone(1.0, 2, f.h, 2 * f.h, 2 * f.R, 4)
         root = Cube(2, 1, (0, 0), "standard", 2 * f.R)
         pool = dyadic_cube_pool(root, f)
-        for variant in ("M_S", "N_S"):
-            fast, direct = (lerner_maximal(k, f, cone, variant, pool, method=m,
-                                           domain=root.box()).values
-                            for m in ("auto", "direct"))
-            self._close(fast, direct)
+        fast, direct = (lerner_maximal(k, f, cone, "M_S", pool, method=m,
+                                       domain=root.box()).values
+                        for m in ("auto", "direct"))
+        self._close(fast, direct)
 
 
 class TestLernerGram:
@@ -735,8 +753,8 @@ class TestLernerGram:
             fast = lerner_maximal(k, f, cone, "M_S", pool, domain=domain).values
         with monkeypatch.context() as m:
             m.setattr(ops, "_lerner_batched",
-                      lambda ev, f, v, pool: ops._lerner_pool_loop(
-                          ev.k, f, ev.cone, v, pool, None, ev))
+                      lambda ev, f, pool: ops._lerner_pool_loop(
+                          ev.k, f, ev.cone, pool, None, ev))
             slow = lerner_maximal(k, f, cone, "M_S", pool, domain=domain).values
         return fast, keys, slow
 
@@ -781,7 +799,7 @@ class TestLernerGram:
         monkeypatch.setattr(ev, "s_max", 2)
         groups = _lerner_groups(f, pool, np.full(f.values.shape, -np.inf))
         small = [key for key in groups if max(s for _, s, _ in key) <= 2]
-        assert any(not _gram_takes(ev, "M_S", key) for key in small)
+        assert any(not _gram_takes(ev, key) for key in small)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_exact_zero(self, monkeypatch, n):
@@ -884,7 +902,7 @@ class TestEvaluatorLayout:
             with pytest.raises(GridError, match="dimensions"):
                 SquareEvaluator(k2, f, cone, method=m)
             with pytest.raises(GridError, match="dimensions"):
-                lerner_maximal(k2, f, cone, "N_S", pool, method=m, domain=root.box())
+                lerner_maximal(k2, f, cone, "M_S", pool, method=m, domain=root.box())
 
 
 class TestSquareEvaluator2D:
