@@ -14,7 +14,6 @@ from .errors import (
     CoverageError,
     DisjointnessError,
     DivergenceError,
-    GeometryError,
     GridError,
     LpsqError,
     MonotonicityError,

@@ -216,13 +216,10 @@ def _campaign_kernel_check(cfg, out_dir):
     k = parse_kernel(cfg["kernel"], n)
     modes = [cfg["mode"]] if cfg["mode"] else ["size", "smooth_x", "smooth_y"]
     plan = SamplePlan(seed=int(cfg["seed"]))
+    gamma = float(cfg.get("gamma_log") or 0.5)  # read by log_ratio only
     rows, items = [], []
-    gamma = cfg.get("gamma_log")
     for mode in modes:
-        if mode == "log_ratio":
-            rep = kernel_condition_check(k, mode, plan, gamma=float(gamma or 0.5))
-        else:
-            rep = kernel_condition_check(k, mode, plan)
+        rep = kernel_condition_check(k, mode, plan, gamma)
         rows += [
             (f"{mode}_max_ratio", rep.max_ratio),
             (f"{mode}_growth", rep.growth_ratio),
@@ -297,13 +294,7 @@ def _campaign_sparse(cfg, out_dir):
     f = _function(cfg)
     cone = _cone_cfg(cfg)
     q0 = _root_cube(cfg)
-    gamma = cfg["gamma"]
-    if gamma != "auto":
-        try:
-            gamma = float(gamma)
-        except (TypeError, ValueError):
-            raise ConfigError(f"gamma must be 'auto' or a number, got {gamma!r}") from None
-    fam = sparse_construct(k, f, q0, float(cfg["alpha"]), cone, gamma,
+    fam = sparse_construct(k, f, q0, float(cfg["alpha"]), cone, cfg["gamma"],
                            method=cfg["method"])
     path = os.path.join(out_dir, "sparse_family.json")
     fam.save(path)

@@ -34,10 +34,6 @@ class ParameterError(LpsqError):
     """A constructor or operator parameter violates its stated constraint."""
 
 
-class GeometryError(LpsqError):
-    """A sample or point violates the geometric precondition of a check."""
-
-
 class GridError(LpsqError):
     """Grid shape/spacing mismatch between operands."""
 

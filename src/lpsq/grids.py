@@ -386,7 +386,7 @@ def _stencil(n: int, radius_cells_limit: float) -> np.ndarray:
 
 def _check_aperture(alpha: float, h: float, levels: np.ndarray) -> None:
     """alpha >= 1, and the lowest level's stencil reaches past offset 0."""
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ParameterError(f"aperture alpha must be >= 1, got {alpha}")
     if alpha * float(levels[0]) < h:
         raise ResolutionError(
@@ -412,7 +412,7 @@ def build_cone(
     """
     if q < 1:
         raise ParameterError("q (levels per octave) must be >= 1")
-    if t_min <= 0 or t_max < t_min:
+    if not 0 < t_min <= t_max:
         raise ParameterError("need 0 < t_min <= t_max")
     L = max(1, int(round(q * math.log2(t_max / t_min))))
     r = 2.0 ** (1.0 / q)

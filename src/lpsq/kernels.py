@@ -4,10 +4,14 @@ Kernels come in three kinds: a convolution profile phi(u), a general linear
 kernel psi(x, y), or a bilinear kernel psi(x, y1, y2).  A bilinear kernel
 that depends only on x - y1 and x - y2 also carries its profile Phi(u, v),
 psi(x, y1, y2) = Phi(x - y1, x - y2), which the bilinear FFT path of
-`operators.psi_t_apply` samples.  The size and smoothness checks divide the
-kernel expression by the reference envelope (maximal-function factor times
-modulus factors, constant set to 1) over a log-spaced sample plan, so the
-reported max ratio is the empirically fitted size constant.
+`operators.psi_t_apply` samples.
+
+`kernel_condition_check` is one sampler for every kind: a geometry per kind
+yields blocks of log-spaced sample points (y = x - r e, or y_i = x - r_i e_i)
+with their separation, increment reach and size envelope (maximal-function
+factor times modulus factor, constant 1), and one loop divides the kernel, or
+its increment as x or the first y moves, by the envelope.  The max ratio is
+the empirically fitted constant A.
 
 Coordinate convention: callables take one positional array per coordinate,
 so a 1-D profile is phi(x), a 2-D one phi(x1, x2), a 1-D bilinear kernel
@@ -22,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, ParameterError
+from .errors import ConfigError, ParameterError
 from .moduli import (
     ModulusOfContinuity,
     log_modulus,
@@ -52,7 +56,6 @@ class KernelSpec:
     profile: Callable | None = None  # phi(u); bilinear: Phi(x - y1, x - y2)
     psi: Callable | None = None
     name: str = ""
-    params: dict = field(default_factory=dict)
     # the Lerner plan of the last fast-path layout this kernel evaluated:
     # layout key -> `operators.SquareEvaluator` (see `SquareEvaluator.of`)
     _evaluator: dict = field(default_factory=dict, init=False, compare=False,
@@ -89,11 +92,9 @@ class KernelSpec:
 @dataclass
 class ConditionReport:
     max_ratio: float
-    argmax_location: tuple
     samples_checked: int
     flagged: bool
-    growth_ratio: float | None = None
-    ratio_infinite: bool = False
+    growth_ratio: float
 
 
 # ---------------------------------------------------------------------------
@@ -145,29 +146,19 @@ def example_kernel(kernel_id: str, params: dict, n: int) -> KernelSpec:
         if not kappa > 1.0:
             raise ParameterError("ex1 requires kappa > 1")
         w = phi = log_modulus(kappa)
-        return KernelSpec(
-            "convolution", n, 1.0, w, phi,
-            profile=_sin_log_profile(kappa, n),
-            name=f"ex1:kappa={kappa:g}", params={"kappa": kappa},
-        )
+        return KernelSpec("convolution", n, 1.0, w, phi, profile=_sin_log_profile(kappa, n),
+                          name=f"ex1:kappa={kappa:g}")
     if kernel_id == "ex2":
         beta = float(params.get("beta", 0.0))
         w, phi = logsplit_moduli(kappa, beta)  # enforces the strict parameter set
-        return KernelSpec(
-            "convolution", n, 1.0, w, phi,
-            profile=_sin_log_profile(kappa, n),
-            name=f"ex2:kappa={kappa:g},beta={beta:g}",
-            params={"kappa": kappa, "beta": beta},
-        )
+        return KernelSpec("convolution", n, 1.0, w, phi, profile=_sin_log_profile(kappa, n),
+                          name=f"ex2:kappa={kappa:g},beta={beta:g}")
     if kernel_id == "ex3":
         if not kappa > 2.0:
             raise ParameterError("ex3 requires kappa > 2")
         w = phi = log_modulus(kappa)
-        return KernelSpec(
-            "convolution", n, 1.0, w, phi,
-            profile=_deriv_log_profile(kappa, n),
-            name=f"ex3:kappa={kappa:g}", params={"kappa": kappa},
-        )
+        return KernelSpec("convolution", n, 1.0, w, phi, profile=_deriv_log_profile(kappa, n),
+                          name=f"ex3:kappa={kappa:g}")
     raise ConfigError(f"unknown example kernel id {kernel_id!r}")
 
 
@@ -176,8 +167,11 @@ def bilinear_example_kernel(kappa: float = 3.0, n: int = 1) -> KernelSpec:
 
     psi(x, y1, y2) = sin(x1-y1_1) (1+s2)^{-n} log^{-kappa}(2+s2) with
     s2 = |x-y1|^2 + |x-y2|^2, so |psi| <= 4^n (1+|x-y1|+|x-y2|)^{-2n}
-    w(1/(1+...)) with the log-type modulus below.  It depends on x - y1 and
-    x - y2 only: the profile is Phi(u, v) = psi(x, x - u, x - v).
+    w(1/(1+...)) with w = phi = log^{-kappa/2}(2+1/t), split as for ex1: the
+    smoothness envelope carries w phi ~ log^{-kappa}, the decay of the
+    increments.  Needs kappa > 1 for integrability; the moduli are Dini only
+    for kappa > 2.  It depends on x - y1 and x - y2 only: the profile is
+    Phi(u, v) = psi(x, x - u, x - v).
     """
     if not kappa > 1.0:
         raise ParameterError("bi1 requires kappa > 1")
@@ -196,11 +190,9 @@ def bilinear_example_kernel(kappa: float = 3.0, n: int = 1) -> KernelSpec:
         return profile(*[np.asarray(a) - np.asarray(b) for a, b in zip(x, y1)],
                        *[np.asarray(a) - np.asarray(b) for a, b in zip(x, y2)])
 
-    w = phi = log_modulus(2.0 * kappa)
-    return KernelSpec(
-        "bilinear", n, 1.0, w, phi, profile=profile, psi=psi,
-        name=f"bi1:kappa={kappa:g}", params={"kappa": kappa},
-    )
+    w = phi = log_modulus(kappa)
+    return KernelSpec("bilinear", n, 1.0, w, phi, profile=profile, psi=psi,
+                      name=f"bi1:kappa={kappa:g}")
 
 
 def _csv_profile_kernel(path: str, n: int, w: ModulusOfContinuity | None) -> KernelSpec:
@@ -214,10 +206,7 @@ def _csv_profile_kernel(path: str, n: int, w: ModulusOfContinuity | None) -> Ker
     xs, vs = xs[order], vs[order]
     profile = lambda x: np.interp(x, xs, vs, left=0.0, right=0.0)
     mod = w or power_modulus(1.0)
-    return KernelSpec(
-        "convolution", 1, 1.0, mod, mod, profile=profile,
-        name=f"csv:{path}", params={"kappa": 2.0},
-    )
+    return KernelSpec("convolution", 1, 1.0, mod, mod, profile=profile, name=f"csv:{path}")
 
 
 def parse_kernel(spec: str, n: int, w: ModulusOfContinuity | None = None,
@@ -294,8 +283,8 @@ class SamplePlan:
     n_base: int = 4
     seed: int = 0
 
-    def radii(self, r_max=None):
-        return np.geomspace(self.r_min, r_max or self.r_max, self.n_r)
+    def radii(self, r_max):
+        return np.geomspace(self.r_min, r_max, self.n_r)
 
     def h_fracs(self):
         return np.geomspace(1e-3, 0.9, self.n_h)
@@ -310,132 +299,73 @@ class SamplePlan:
         return rng.uniform(-2.0, 2.0, size=(self.n_base, n))
 
 
-def _envelope_linear(k: KernelSpec, x, y, r):
-    dists = [np.abs(np.asarray(yc) - np.asarray(xc)) for xc, yc in zip(
-        np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0))]
-    return unit_cube_maximal(*dists) * k.w_mod(1.0 / (1.0 + r))
+def _linear_blocks(k: KernelSpec, bases, dirs, rs):
+    """Per (base, direction): x = b, y = b - r e at the radii r."""
+    for b in bases:
+        for e in dirs:
+            y = b - rs[:, None] * e
+            x = np.broadcast_to(b, y.shape)
+            dists = np.moveaxis(np.abs(y - x), -1, 0)
+            yield (x, y), rs, rs, unit_cube_maximal(*dists) * k.w_mod(1.0 / (1.0 + rs))
 
 
-def _eval_two_point(k: KernelSpec, x, y):
-    coords = tuple(np.moveaxis(x, -1, 0)) + tuple(np.moveaxis(y, -1, 0))
-    return k.two_point(*coords)
+def _bilinear_blocks(k: KernelSpec, bases, dirs, rs):
+    """Per (base, direction pair): x = b, y_i = b - r_i e_i on the radius grid
+    r1 x r2; the separation is r1 + r2, the increment reach max(r1, r2)."""
+    r1, r2 = rs[:, None], rs[None, :]
+    rsum = r1 + r2
+    env = (1.0 + rsum) ** (-k.n * k.m) * k.w_mod(1.0 / (1.0 + rsum))
+    for b in bases:
+        for e1 in dirs:
+            for e2 in dirs:
+                y1, y2 = np.broadcast_arrays(b - r1[..., None] * e1, b - r2[..., None] * e2)
+                yield (np.broadcast_to(b, y1.shape), y1, y2), rsum, np.maximum(r1, r2), env
 
 
-def _eval_bilinear(k: KernelSpec, x, y1, y2):
-    coords = (
-        tuple(np.moveaxis(x, -1, 0))
-        + tuple(np.moveaxis(y1, -1, 0))
-        + tuple(np.moveaxis(y2, -1, 0))
-    )
-    return k.psi(*coords)
+def _evaluate(k: KernelSpec, points):
+    coords = tuple(c for p in points for c in np.moveaxis(p, -1, 0))
+    return k.psi(*coords) if k.kind == "bilinear" else k.two_point(*coords)
 
 
-def _max_ratio_once(k, mode, plan, gamma, r_max):
+_MOVED = {"size": None, "smooth_x": 0, "smooth_y": 1}
+
+
+def _max_ratio_once(k, mode, plan, r_max):
+    """(max ratio, sample count) of one mode at radii up to r_max.
+
+    smooth_x moves x and smooth_y the first y, by h e with e the first plan
+    direction and |h| = hf * reach / 2 for each h fraction hf.
+    """
     rng = np.random.default_rng(plan.seed)
-    n = k.n
-    bases = plan.bases(n, rng)
-    dirs = plan.directions(n, rng)
-    rs = plan.radii(r_max)
-    num_list, den_list, locs = [], [], []
-
-    if mode == "log_ratio":
-        if gamma is None or not 0.0 < gamma <= 1.0:
-            raise ParameterError("log_ratio mode needs gamma in (0, 1]")
-        r = rs[:, None]
-        hfrac = plan.h_fracs()[None, :]
-        habs = hfrac * r / 2.0
-        q = (
-            np.minimum(1.0, habs**gamma)
-            / np.log(2.0 + r)
-            * np.log(2.0 + (1.0 + r) / habs)
-        )
-        idx = np.unravel_index(np.argmax(q), q.shape)
-        return (
-            float(q[idx]),
-            (float(r[idx[0], 0]), float(habs[idx])),
-            int(q.size),
-            False,
-        )
-
-    if k.kind == "bilinear":
-        for b in bases:
-            for e1 in dirs:
-                for e2 in dirs:
-                    r1 = rs[:, None]
-                    r2 = rs[None, :]
-                    x = np.broadcast_to(b, r1.shape + (n,)) * np.ones(r2.shape)[..., None]
-                    y1 = b - r1[..., None] * e1
-                    y2 = b - r2[..., None] * e2
-                    y1, y2 = np.broadcast_arrays(y1, y2)
-                    x = np.broadcast_to(b, y1.shape).copy()
-                    rsum = r1 + r2 + np.zeros_like(r1 * r2)
-                    den = (1.0 + rsum) ** (-n * k.m) * k.w_mod(1.0 / (1.0 + rsum))
-                    if mode == "size":
-                        num = np.abs(_eval_bilinear(k, x, y1, y2))
-                    else:
-                        rmax_pair = np.maximum(r1, r2) + np.zeros_like(rsum)
-                        for hf in plan.h_fracs():
-                            habs = hf * rmax_pair / 2.0
-                            hvec = habs[..., None] * dirs[0]
-                            if mode == "smooth_x":
-                                num = np.abs(
-                                    _eval_bilinear(k, x, y1, y2)
-                                    - _eval_bilinear(k, x + hvec, y1, y2)
-                                )
-                            elif mode == "smooth_y":
-                                num = np.abs(
-                                    _eval_bilinear(k, x, y1, y2)
-                                    - _eval_bilinear(k, x, y1 + hvec, y2)
-                                )
-                            else:
-                                raise ParameterError(f"unknown mode {mode!r}")
-                            d = den * k.phi_mod(habs / (1.0 + rsum))
-                            num_list.append(num.ravel())
-                            den_list.append(d.ravel())
-                            locs.append(np.stack([rsum, habs], -1).reshape(-1, 2))
-                        continue
-                    num_list.append(num.ravel())
-                    den_list.append(den.ravel())
-                    locs.append(np.stack([r1 + 0 * r2, r2 + 0 * r1], -1).reshape(-1, 2))
-    else:
-        for b in bases:
-            for e in dirs:
-                y = b - rs[:, None] * e
-                x = np.broadcast_to(b, y.shape).copy()
-                den0 = _envelope_linear(k, x, y, rs)
-                if mode == "size":
-                    num = np.abs(_eval_two_point(k, x, y))
-                    num_list.append(num)
-                    den_list.append(den0)
-                    locs.append(np.stack([rs, 0 * rs], -1))
-                elif mode in ("smooth_x", "smooth_y"):
-                    for hf in plan.h_fracs():
-                        habs = hf * rs / 2.0
-                        hvec = habs[:, None] * dirs[0]
-                        if mode == "smooth_x":
-                            num = np.abs(
-                                _eval_two_point(k, x, y) - _eval_two_point(k, x + hvec, y)
-                            )
-                        else:
-                            num = np.abs(
-                                _eval_two_point(k, x, y) - _eval_two_point(k, x, y + hvec)
-                            )
-                        d = den0 * k.phi_mod(habs / (1.0 + rs))
-                        num_list.append(num)
-                        den_list.append(d)
-                        locs.append(np.stack([rs, habs], -1))
-                else:
-                    raise ParameterError(f"unknown mode {mode!r}")
-
-    num = np.concatenate(num_list)
-    den = np.concatenate(den_list)
-    loc = np.concatenate(locs)
-    inf_mask = (den == 0.0) & (num > 0.0)
-    ratio_infinite = bool(np.any(inf_mask))
+    bases = plan.bases(k.n, rng)
+    dirs = plan.directions(k.n, rng)
+    blocks = _bilinear_blocks if k.kind == "bilinear" else _linear_blocks
+    moved = _MOVED[mode]
+    nums, dens = [], []
+    for points, r, reach, env in blocks(k, bases, dirs, plan.radii(r_max)):
+        val = _evaluate(k, points)
+        if moved is None:
+            nums.append(np.abs(val).ravel())
+            dens.append(env.ravel())
+            continue
+        for hf in plan.h_fracs():
+            habs = hf * reach / 2.0
+            step = list(points)
+            step[moved] = points[moved] + habs[..., None] * dirs[0]
+            nums.append(np.abs(val - _evaluate(k, step)).ravel())
+            dens.append((env * k.phi_mod(habs / (1.0 + r))).ravel())
+    num, den = np.concatenate(nums), np.concatenate(dens)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(den > 0.0, num / np.where(den > 0, den, 1.0), 0.0)
-    i = int(np.argmax(ratio))
-    return float(ratio[i]), tuple(float(v) for v in loc[i]), int(ratio.size), ratio_infinite
+    return float(np.max(ratio)), int(ratio.size)
+
+
+def _log_ratio_once(plan, gamma, r_max):
+    """(max, count) of min(1, |h|^gamma) log(2 + (1+r)/|h|) / log(2 + r)."""
+    r = plan.radii(r_max)[:, None]
+    habs = plan.h_fracs()[None, :] * r / 2.0
+    q = np.minimum(1.0, habs**gamma) / np.log(2.0 + r) * np.log(2.0 + (1.0 + r) / habs)
+    return float(np.max(q)), int(q.size)
 
 
 def kernel_condition_check(
@@ -443,46 +373,25 @@ def kernel_condition_check(
     mode: str,
     plan: SamplePlan | None = None,
     gamma: float | None = None,
-    extend_check: bool = True,
-    samples: tuple | None = None,
 ) -> ConditionReport:
     """Fitted constant for one kernel condition over a sample plan.
 
-    mode: ``size``, ``smooth_x``, ``smooth_y`` or ``log_ratio``.  Reports
-    max |kernel expression| / reference envelope (A = 1).  With
-    ``extend_check`` the plan is rerun with a 10x larger range and the
-    growth of the max beyond 1.2x flags an unbounded ratio.
-
-    ``samples`` optionally supplies explicit (x, y, h) arrays for the smooth
-    modes; these are validated against |h| < |x-y|/2 and a GeometryError is
-    raised on violation.
+    mode: ``size``, ``smooth_x``, ``smooth_y`` or ``log_ratio`` (which needs
+    gamma in (0, 1] and does not read the kernel).  Reports the max of
+    |kernel expression| / reference envelope (A = 1) over the plan and over
+    the plan rerun with a 10x larger radius range; a growth of the max
+    beyond 1.2x between the two flags an unbounded ratio.
     """
     plan = plan or SamplePlan()
-    if samples is not None:
-        x, y, h = (np.asarray(a, dtype=float) for a in samples)
-        r = np.linalg.norm(x - y, axis=-1)
-        habs = np.linalg.norm(h, axis=-1)
-        if np.any(habs >= r / 2.0):
-            raise GeometryError("sample violates |h| < |x-y|/2")
-        num = np.abs(_eval_two_point(k, x, y) - _eval_two_point(k, x + h, y))
-        den = _envelope_linear(k, x, y, r) * k.phi_mod(habs / (1.0 + r))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-        i = int(np.argmax(ratio))
-        return ConditionReport(
-            float(ratio[i]), (float(r[i]), float(habs[i])), int(ratio.size), False
-        )
-
-    mr, loc, cnt, rinf = _max_ratio_once(k, mode, plan, gamma, plan.r_max)
-    growth = None
-    if extend_check:
-        mr_ext, loc_ext, cnt2, rinf2 = _max_ratio_once(
-            k, mode, plan, gamma, plan.r_max * 10.0
-        )
-        growth = mr_ext / mr if mr > 0 else (math.inf if mr_ext > 0 else 1.0)
-        cnt += cnt2
-        rinf = rinf or rinf2
-        if mr_ext > mr:
-            mr, loc = mr_ext, loc_ext
-    flagged = growth is not None and growth > 1.2
-    return ConditionReport(mr, loc, cnt, flagged, growth, rinf)
+    if mode == "log_ratio":
+        if gamma is None or not 0.0 < gamma <= 1.0:
+            raise ParameterError("log_ratio mode needs gamma in (0, 1]")
+        once = lambda r_max: _log_ratio_once(plan, gamma, r_max)
+    elif mode in _MOVED:
+        once = lambda r_max: _max_ratio_once(k, mode, plan, r_max)
+    else:
+        raise ParameterError(f"unknown mode {mode!r}")
+    mr, cnt = once(plan.r_max)
+    mr_ext, cnt_ext = once(plan.r_max * 10.0)
+    growth = mr_ext / mr if mr > 0 else (math.inf if mr_ext > 0 else 1.0)
+    return ConditionReport(max(mr, mr_ext), cnt + cnt_ext, growth > 1.2, growth)

@@ -237,7 +237,6 @@ class QuadratureResult:
     converged: bool
     diverged: bool
     levels: list[float] = field(default_factory=list)  # value at U0 * 2^k
-    tail_estimate: float = 0.0
 
     def __float__(self):
         return self.value
@@ -272,7 +271,7 @@ def _windowed_integral(
             tail = 0.0
             if ratio is not None and 0.0 < ratio < 0.95:
                 tail = inc * ratio / (1.0 - ratio)
-            return QuadratureResult(total + tail, True, False, levels, tail)
+            return QuadratureResult(total + tail, True, False, levels)
         prev_inc = inc
     # budget exhausted: divergence is judged on the final two doublings
     diverged = (

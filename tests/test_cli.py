@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -196,6 +197,18 @@ class TestConfigAndErrors:
         assert rc == 2
         assert named in capsys.readouterr().err
         assert "gamma" in json.loads((tmp_path / "summary.json").read_text())["error"]
+
+    @pytest.mark.parametrize("config, args, named", [
+        ({"cone": {"tmin": math.nan}}, ["sparse"], "need 0 < t_min <= t_max"),
+        ({"cone": {"tmax": math.nan}}, ["sparse"], "need 0 < t_min <= t_max"),
+        ({}, ["eval", "--alpha", "nan"], "alpha must be >= 1, got nan"),
+    ], ids=["cone-tmin", "cone-tmax", "alpha"])
+    def test_nan_cone_parameter_exits_2(self, tmp_path, capsys, config, args, named):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"campaign": args[0], **config}))  # json writes NaN
+        rc = run_main(["--config", str(p), "--out-dir", str(tmp_path / "o"), *args])
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
     def test_cz_rho_zero_exits_2(self, tmp_path, capsys):
         rc = run_main(["--out-dir", str(tmp_path), "cz", "--rho", "0", "--h", "0.125"])

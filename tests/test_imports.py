@@ -12,6 +12,10 @@ attribute, or as a dotted part of a string constant outside ``__all__``
 (perfbench's span table names its targets as strings).  ``__all__`` and
 the package ``__init__``'s re-exports do not count, so a name only tests
 call is unreached.
+
+A field of a ``@dataclass`` in src/lpsq is read when some file of src/lpsq
+or perfbench loads it as an attribute or names it as a dotted part of a
+string constant.
 """
 
 import ast
@@ -26,6 +30,11 @@ SRC = ROOT / "src" / "lpsq"
 UNREACHED_OK = {
     "cli_run": "entry point for running a config file, called by users",
     "log_dini_integral": "the log-Dini constant the Dini-dependence sweep reports",
+}
+
+# dataclass fields no file in src/lpsq or perfbench reads, kept on purpose
+UNREAD_OK = {
+    "FitReport.details": "test_harness reads its degenerate flag",
 }
 
 
@@ -159,3 +168,51 @@ def test_checker_finds_an_unreached_definition(tmp_path):
                  "x = Used()\n")
     assert _unreached_definitions([p], [p], {"kept"}) == [
         "mod.py:3: unused", "mod.py:19: orphan"]
+
+
+def _dataclass_fields(tree):
+    """(line, class.field) of the annotated fields of module-level @dataclass classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield item.lineno, f"{node.name}.{item.target.id}"
+
+
+def _reads(tree) -> set:
+    """Attributes loaded and the dotted parts of string constants."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.update(node.value.split("."))
+    return reads
+
+
+def _unread_fields(sources, readers, allowed=()) -> list:
+    """The dataclass fields in the files ``sources`` that no file of
+    ``readers`` reads, other than ``allowed``."""
+    reads = set().union(*(_reads(ast.parse(p.read_text())) for p in readers))
+    return [f"{p.name}:{line}: {name}" for p in sources
+            for line, name in _dataclass_fields(ast.parse(p.read_text()))
+            if name.split(".")[1] not in reads and name not in allowed]
+
+
+def test_every_dataclass_field_is_read():
+    sources = sorted(SRC.glob("*.py"))
+    readers = sources + sorted((ROOT / "perfbench").glob("*.py"))
+    assert _unread_fields(sources, readers, UNREAD_OK) == []
+
+
+def test_checker_finds_an_unread_field(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text("from dataclasses import dataclass\n\n"
+                 "@dataclass\nclass R:\n"
+                 "    read: int\n    written: int\n    named: int = 0\n    kept: int = 0\n\n"
+                 "@dataclass(frozen=True)\nclass S:\n    gone: float = 0.0\n\n"
+                 "class Plain:\n    ignored: int = 0\n\n"
+                 "r = R(1, 2)\nr.written = 3\nprint(r.read, getattr(r, 'named'))\n")
+    assert _unread_fields([p], [p], {"R.kept"}) == ["mod.py:6: R.written", "mod.py:12: S.gone"]
