@@ -1,15 +1,23 @@
 """Command-line verification campaigns.
 
-Subcommands: ``dini``, ``kernel-check``, ``eval``, ``cz``, ``sparse``,
-``verify`` (weak | aperture | domination | weighted | marcinkiewicz |
-sparse).  Every run merges defaults, an optional JSON config (--config) and
-command-line overrides, executes the campaign, writes ``summary.json`` plus
-per-campaign CSV tables into the output directory, and exits nonzero naming
-the failing item if any check fails.
+Subcommands: ``dini`` (--suite adds the inequality suite), ``kernel-check``
+(--mode size | smooth_x | smooth_y; all three by default), ``eval`` (--op s |
+gstar, --kind linear | bilinear), ``cz``, ``sparse`` and ``verify`` (weak |
+aperture | weighted | marcinkiewicz | sparse).  Every run writes
+``summary.json`` plus per-campaign CSV tables into the output directory and
+exits 0 when every check passes, 1 naming the failing items, and 2 on a
+config or parameter error.
+
+`SCHEMA` is the one table of settings: each key's type and default.
+`_load_config` resolves a run's settings once, in the order defaults, JSON
+config (--config), command-line flags, checks each value's type and its
+choices (a ConfigError names the key) and fills the defaults that depend on
+other keys: the cone's t_min = 2h and t_max = 2R, only where unset.  Ranges
+are checked by the library calls.  Unknown config keys are errors.
 
 Identical config + seed produce byte-identical outputs.  --oracle (config
 ``"oracle": true``) sets the evaluation method to "direct", which every
-operator call of the run receives.  Unknown config keys are errors.
+operator call of the run receives.
 """
 
 from __future__ import annotations
@@ -52,44 +60,43 @@ from .moduli import dini_constant, dini_inequality_suite, parse_modulus
 from .operators import g_star, marcinkiewicz_fw, square_function
 from .weights import WeightVector, apvec_constant
 
-DEFAULTS = {
-    "n": 1,
-    "R": 8.0,
-    "h": 1.0 / 16,
-    "alpha": 1.0,
-    "lambda": 3.0,
-    "kernel": "ex1:kappa=3",
-    "modulus": "power:1",
-    "function": "gaussian",
-    "function2": None,
-    "cone": {"tmin": None, "tmax": None, "q": 4},
-    "rho_grid": None,
-    "seed": 0,
-    "tol": 1e-8,
-    "out_dir": "out",
-    "gamma": "auto",
-    "mode": None,
-    "eta": 0.5,
-    "op": "s",
-    "kind": "linear",
-    "p": 2.0,
-    "weight": "power:0.5",
-    "family": None,
-    "alphas": [1.0, 2.0, 4.0],
-    "rho": None,
-    "suite": None,
-    "gamma_log": None,
+_CHECK_MODES = ("size", "smooth_x", "smooth_y")
+_VERIFY_MODES = ("weak", "aperture", "weighted", "marcinkiewicz", "sparse")
+
+# key -> (type, default).  A type is a Python type (an int passes as a
+# float), a tuple of types, a set of string choices, [type] for a nonempty
+# list of that type, or a dict: the schema of a JSON object.  A key whose
+# default is None may be null.
+SCHEMA = {
+    "campaign": (str, None),  # the campaign a config file runs (cli_run)
+    "out_dir": (str, "out"),
+    "oracle": (bool, False),
+    "n": (int, 1),
+    "R": (float, 8.0),
+    "h": (float, 1.0 / 16),
+    "alpha": (float, 1.0),
+    "lambda": (float, 3.0),
+    "kernel": (str, "ex1:kappa=3"),
+    "modulus": (str, "power:1"),
+    "function": (str, "gaussian"),
+    "function2": (str, None),
+    # tmin and tmax left null are 2h and 2R
+    "cone": ({"tmin": (float, None), "tmax": (float, None), "q": (int, 4)}, {}),
+    "rho_grid": ([float], None),
+    "seed": (int, 0),
+    "tol": (float, 1e-8),
+    "gamma": ((str, float), "auto"),
+    "mode": (set(_CHECK_MODES + _VERIFY_MODES), None),
+    "eta": (float, 0.5),
+    "op": ({"s", "gstar"}, "s"),
+    "kind": ({"linear", "bilinear"}, "linear"),
+    "p": (float, 2.0),
+    "weight": (str, "power:0.5"),
+    "family": (str, None),
+    "alphas": ([float], [1.0, 2.0, 4.0]),
+    "rho": (float, 1.0),
+    "suite": (bool, False),
 }
-# the numeric settings and the conversion the campaigns apply to each; the
-# cone's keys are checked as "cone.<key>", every entry of "alphas" as a float
-_NUMERIC = {
-    "n": int, "seed": int, "R": float, "h": float, "alpha": float, "lambda": float,
-    "tol": float, "eta": float, "rho": float, "p": float, "gamma_log": float,
-}
-_CONE_NUMERIC = {"tmin": float, "tmax": float, "q": int}
-# config keys that are not settings of their own: the campaign name (config
-# files run by cli_run) and the --oracle switch, which sets cfg["method"]
-_EXTRA_KEYS = {"campaign", "oracle"}
 
 
 def _fmt(v):
@@ -113,7 +120,7 @@ def _write_summary(out_dir: str, summary: dict) -> str:
 
 
 def _read_config(path: str) -> dict:
-    """The JSON object of a config file, checked against the known keys."""
+    """The JSON object of a config file."""
     with open(path) as fh:
         try:
             user = json.load(fh)
@@ -121,70 +128,74 @@ def _read_config(path: str) -> dict:
             raise ConfigError(f"{path!r} is not valid JSON: {exc}") from None
     if not isinstance(user, dict):
         raise ConfigError(f"{path!r}: the config must be a JSON object")
-    unknown = sorted(set(user) - set(DEFAULTS) - _EXTRA_KEYS)
-    if unknown:
-        raise ConfigError(f"{path!r}: unknown config keys {unknown}")
-    cone = user.get("cone", {})
-    if not isinstance(cone, dict) or set(cone) - set(DEFAULTS["cone"]):
-        raise ConfigError(
-            f"{path!r}: \"cone\" takes only the keys {sorted(DEFAULTS['cone'])}"
-        )
     return user
 
 
+def _kind_name(kind) -> str:
+    if isinstance(kind, dict):
+        return "an object"
+    if isinstance(kind, list):
+        return f"a nonempty list of {kind[0].__name__}"
+    if isinstance(kind, set):
+        return f"one of {sorted(kind)}"
+    if isinstance(kind, tuple):
+        return " or ".join(t.__name__ for t in kind)
+    return kind.__name__
+
+
+def _typed(key: str, val, kind, nullable: bool = False):
+    """val checked against a SCHEMA type, or a ConfigError naming the key."""
+    if val is None and nullable:
+        return None
+    if isinstance(kind, dict):
+        if isinstance(val, dict):
+            return _resolve(kind, val, f"{key}.")
+    elif isinstance(kind, list):
+        if isinstance(val, list) and val:
+            return [_typed(key, v, kind[0]) for v in val]
+    elif isinstance(kind, set):
+        if isinstance(val, str) and val in kind:
+            return val
+    else:
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if type(val) in kinds:
+            return val
+        if float in kinds and type(val) is int and abs(val) <= sys.float_info.max:
+            return float(val)
+    raise ConfigError(f"config key {key!r}: {val!r} is not {_kind_name(kind)}")
+
+
+def _resolve(schema: dict, given: dict, prefix: str = "") -> dict:
+    """Every key of the schema, typed, from the given values or its default."""
+    unknown = sorted(set(given) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown config keys {[prefix + key for key in unknown]}")
+    return {key: _typed(prefix + key, given.get(key, default), kind, default is None)
+            for key, (kind, default) in schema.items()}
+
+
 def _load_config(args) -> dict:
-    cfg = dict(DEFAULTS)
-    if args.config:
-        user = _read_config(args.config)
-        cone = dict(cfg["cone"])
-        cone.update(user.get("cone", {}))
-        cfg.update(user)
-        cfg["cone"] = cone
-    for key, val in vars(args).items():
-        if key in ("config", "campaign", "func") or val is None:
-            continue
-        cfg["lambda" if key == "lam" else key] = val
-    cfg["method"] = "direct" if cfg.pop("oracle", None) else "auto"
-    _check_numbers(cfg)
+    """The settings of a run: defaults, then the config file, then the flags."""
+    given = _read_config(args.config) if args.config else {}
+    given.update((key, val) for key, val in vars(args).items()
+                 if key in SCHEMA and val is not None)
+    cfg = _resolve(SCHEMA, given)
+    cone = cfg["cone"]
+    if cone["tmin"] is None:
+        cone["tmin"] = 2 * cfg["h"]
+    if cone["tmax"] is None:
+        cone["tmax"] = 2 * cfg["R"]
+    cfg["method"] = "direct" if cfg.pop("oracle") else "auto"
     return cfg
 
 
-def _check_numbers(cfg: dict) -> None:
-    """ConfigError naming the key and the value for a numeric setting that
-    its conversion refuses; values are left as given, so accepted values run
-    exactly as before."""
-    alphas = cfg["alphas"]
-    if not isinstance(alphas, list):
-        raise ConfigError(f"config key 'alphas': {alphas!r} is not a list of numbers")
-    checks = [(key, cfg[key], kind) for key, kind in _NUMERIC.items()]
-    checks += [(f"cone.{key}", cfg["cone"][key], kind) for key, kind in _CONE_NUMERIC.items()]
-    checks += [("alphas", a, float) for a in alphas]
-    for key, val, kind in checks:
-        if val is None:
-            continue
-        try:
-            kind(val)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"config key {key!r}: {val!r} is not {kind.__name__}") from None
-
-
-def _grid_cfg(cfg):
-    n, R, h = int(cfg["n"]), float(cfg["R"]), float(cfg["h"])
-    return n, R, h
-
-
-def _cone_cfg(cfg, alpha=None):
-    n, R, h = _grid_cfg(cfg)
+def _cone_cfg(cfg, alpha):
     c = cfg["cone"]
-    tmin = c.get("tmin") or 2 * h
-    tmax = c.get("tmax") or 2 * R
-    q = int(c.get("q") or 4)
-    return build_cone(float(alpha or cfg["alpha"]), n, h, float(tmin), float(tmax), q)
+    return build_cone(alpha, cfg["n"], cfg["h"], c["tmin"], c["tmax"], c["q"])
 
 
 def _function(cfg, key="function"):
-    n, R, h = _grid_cfg(cfg)
-    return parse_function(cfg[key], n, R, h)
+    return parse_function(cfg[key], cfg["n"], cfg["R"], cfg["h"])
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +205,12 @@ def _function(cfg, key="function"):
 
 def _campaign_dini(cfg, out_dir):
     mod = parse_modulus(cfg["modulus"])
-    val = dini_constant(mod, float(cfg["tol"]))
+    val = dini_constant(mod, cfg["tol"])
     print(repr(round(val, 9)))
     rows = [("dini_constant", val)]
     items = [{"name": "dini_finite", "pass": math.isfinite(val), "value": val}]
-    if cfg.get("suite"):
-        suite = dini_inequality_suite(mod, float(cfg["alpha"]), int(cfg["n"]))
+    if cfg["suite"]:
+        suite = dini_inequality_suite(mod, cfg["alpha"], cfg["n"])
         for name, item in suite.items():
             rows.append((f"suite_{name}_lhs", item.lhs))
             rows.append((f"suite_{name}_ratio", item.ratio))
@@ -212,14 +223,12 @@ def _campaign_dini(cfg, out_dir):
 
 
 def _campaign_kernel_check(cfg, out_dir):
-    n = int(cfg["n"])
-    k = parse_kernel(cfg["kernel"], n)
-    modes = [cfg["mode"]] if cfg["mode"] else ["size", "smooth_x", "smooth_y"]
-    plan = SamplePlan(seed=int(cfg["seed"]))
-    gamma = float(cfg.get("gamma_log") or 0.5)  # read by log_ratio only
+    k = parse_kernel(cfg["kernel"], cfg["n"])
+    modes = _CHECK_MODES if cfg["mode"] is None else [cfg["mode"]]
+    plan = SamplePlan(seed=cfg["seed"])
     rows, items = [], []
     for mode in modes:
-        rep = kernel_condition_check(k, mode, plan, gamma)
+        rep = kernel_condition_check(k, mode, plan)
         rows += [
             (f"{mode}_max_ratio", rep.max_ratio),
             (f"{mode}_growth", rep.growth_ratio),
@@ -234,26 +243,20 @@ def _campaign_kernel_check(cfg, out_dir):
 
 
 def _campaign_eval(cfg, out_dir):
-    n = int(cfg["n"])
-    k = parse_kernel(cfg["kernel"], n)
+    k = parse_kernel(cfg["kernel"], cfg["n"])
     bilinear = cfg["kind"] == "bilinear"
     if bilinear and cfg["function2"] is None:
         raise ConfigError("bilinear eval needs function2")
     f = _function(cfg)
     arg = (f, _function(cfg, "function2")) if bilinear else f
     if cfg["op"] == "s":
-        cone = _cone_cfg(cfg)
-        out = square_function(k, arg, cone, method=cfg["method"])
+        out = square_function(k, arg, _cone_cfg(cfg, cfg["alpha"]), method=cfg["method"])
         name = "square_function"
-    elif cfg["op"] == "gstar":
-        nn, R, h = _grid_cfg(cfg)
-        c = cfg["cone"]
-        hs = build_halfspace(nn, h, float(c.get("tmin") or 2 * h),
-                             float(c.get("tmax") or 2 * R), int(c.get("q") or 4), R)
-        out = g_star(k, arg, float(cfg["lambda"]), hs, method=cfg["method"])
-        name = "g_star"
     else:
-        raise ConfigError(f"unknown op {cfg['op']!r}")
+        c = cfg["cone"]
+        hs = build_halfspace(cfg["n"], cfg["h"], c["tmin"], c["tmax"], c["q"], cfg["R"])
+        out = g_star(k, arg, cfg["lambda"], hs, method=cfg["method"])
+        name = "g_star"
     save_binary(out, os.path.join(out_dir, f"{name}.bin"))
     save_csv(out, os.path.join(out_dir, f"{name}.csv"))
     rows = [
@@ -265,7 +268,7 @@ def _campaign_eval(cfg, out_dir):
 
 def _campaign_cz(cfg, out_dir):
     f = _function(cfg)
-    rho = 1.0 if cfg.get("rho") is None else float(cfg["rho"])
+    rho = cfg["rho"]
     d = cz_decompose(f, rho)
     d.save(os.path.join(out_dir, "cz"))
     resid = float(np.max(np.abs(d.reconstruct() - f.values))) if f.values.size else 0.0
@@ -282,23 +285,17 @@ def _campaign_cz(cfg, out_dir):
     return items
 
 
-def _root_cube(cfg) -> Cube:
-    n, R, h = _grid_cfg(cfg)
-    anchor = (0,) * n
-    return Cube(n, 1, anchor, "standard", 2.0 * R)
-
-
 def _campaign_sparse(cfg, out_dir):
-    n, R, h = _grid_cfg(cfg)
+    n = cfg["n"]
     k = parse_kernel(cfg["kernel"], n)
     f = _function(cfg)
-    cone = _cone_cfg(cfg)
-    q0 = _root_cube(cfg)
-    fam = sparse_construct(k, f, q0, float(cfg["alpha"]), cone, cfg["gamma"],
+    cone = _cone_cfg(cfg, cfg["alpha"])
+    q0 = Cube(n, 1, (0,) * n, "standard", 2.0 * cfg["R"])
+    fam = sparse_construct(k, f, q0, cfg["alpha"], cone, cfg["gamma"],
                            method=cfg["method"])
     path = os.path.join(out_dir, "sparse_family.json")
     fam.save(path)
-    ok, worst, _ = verify_sparse(fam, float(cfg["eta"]))
+    ok, worst, _ = verify_sparse(fam, cfg["eta"])
     s = square_function(k, f, cone, method=cfg["method"])
     rhs = sparse_rhs_eval(fam, f, dilate=3)
     (sl,) = [tuple(slice(i0, i1) for i0, i1 in q0.cell_range(f))]
@@ -322,16 +319,16 @@ def _campaign_verify(cfg, out_dir):
         if not cfg["family"]:
             raise ConfigError("verify sparse needs --family")
         fam = SparseFamily.load(cfg["family"])
-        ok, worst, worst_cube = verify_sparse(fam, float(cfg["eta"]))
+        ok, worst, worst_cube = verify_sparse(fam, cfg["eta"])
         _write_csv(os.path.join(out_dir, "verify_sparse.csv"),
                    [("worst_ratio", worst), ("ok", int(ok))])
         return [{"name": "sparse_eta", "pass": ok, "value": worst}]
-    n, R, h = _grid_cfg(cfg)
+    n, R, h = cfg["n"], cfg["R"], cfg["h"]
     k = parse_kernel(cfg["kernel"], n)
     if mode == "aperture":
         f = _function(cfg)
         rep = aperture_scaling_check(
-            k, f, [float(a) for a in cfg["alphas"]], "l2", _cone_cfg(cfg, 1.0),
+            k, f, cfg["alphas"], "l2", _cone_cfg(cfg, 1.0),
             method=cfg["method"],
         )
         _write_csv(os.path.join(out_dir, "verify_aperture.csv"), list(rep.rows()))
@@ -342,7 +339,7 @@ def _campaign_verify(cfg, out_dir):
         ]
     if mode == "weak":
         f = _function(cfg)
-        cone = _cone_cfg(cfg)
+        cone = _cone_cfg(cfg, cfg["alpha"])
         s = square_function(k, f, cone, method=cfg["method"])
         f2 = parse_function(cfg["function"], n, R, h / 2.0)
         cone2 = build_cone(cone.alpha, n, h / 2.0, float(cone.t_levels[0]) / 2,
@@ -350,7 +347,9 @@ def _campaign_verify(cfg, out_dir):
                            int(round(math.log(2.0) / cone.log_weight)))
         s2 = square_function(k, f2, cone2, method=cfg["method"])
         peak = s.norm_linf()
-        rho_grid = cfg["rho_grid"] or list(np.geomspace(peak / 100, peak * 0.99, 16))
+        rho_grid = cfg["rho_grid"]
+        if rho_grid is None:
+            rho_grid = list(np.geomspace(peak / 100, peak * 0.99, 16))
         rep = weak_type_profile(s, f.norm_l1(), 1.0, rho_grid,
                                 refined=(s2, f2.norm_l1()))
         _write_csv(os.path.join(out_dir, "verify_weak.csv"), list(rep.rows()))
@@ -360,28 +359,30 @@ def _campaign_verify(cfg, out_dir):
             {"name": "weak_stability", "pass": rep.fitted["stability"] <= 2.0,
              "value": rep.fitted["stability"]},
         ]
-    if mode == "domination":
-        return _campaign_sparse(cfg, out_dir)
     if mode == "weighted":
         if n != 1:
             raise ConfigError("weighted verify is 1-D")
         f = _function(cfg)
-        if not cfg["weight"].startswith("power:"):
-            raise ConfigError("weighted verify takes a power:a weight id")
-        expo = float(cfg["weight"].split(":")[1])
+        head, _, arg = cfg["weight"].partition(":")
+        try:
+            expo = float(arg) if head == "power" else None
+        except ValueError:
+            expo = None
+        if expo is None:
+            raise ConfigError(f"weighted verify takes a power:a weight id, not {arg!r}")
         from .grids import sample_function
 
         wgrid = sample_function(lambda x: np.abs(x) ** expo + 1e-12, 1, R, h)
-        wv = WeightVector([wgrid], [float(cfg["p"])])
-        rng = np.random.default_rng(int(cfg["seed"]))
-        cone = _cone_cfg(cfg)
+        wv = WeightVector([wgrid], [cfg["p"]])
+        rng = np.random.default_rng(cfg["seed"])
+        cone = _cone_cfg(cfg, cfg["alpha"])
 
         def one(i):
             vals = rng.standard_normal(f.ncells) * np.exp(
                 -np.abs(f.axis_centers()) / 2.0
             )
             g = f.with_values(vals)
-            return weighted_norm_check(k, g, wv, float(cfg["alpha"]), cone,
+            return weighted_norm_check(k, g, wv, cfg["alpha"], cone,
                                        method=cfg["method"]).fitted["ratio"]
 
         ratios = [one(i) for i in range(10)]
@@ -393,7 +394,7 @@ def _campaign_verify(cfg, out_dir):
         _write_csv(os.path.join(out_dir, "verify_weighted.csv"), rows)
         return [{"name": "weighted_spread", "pass": spread <= 4.0, "value": spread}]
     if mode == "marcinkiewicz":
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(cfg["seed"])
         w = parse_modulus(cfg["modulus"])
         f = _function(cfg)
 
@@ -443,23 +444,21 @@ CAMPAIGNS = {
 
 def cli_run(config_path: str) -> int:
     """Run the campaign named in a config file; returns the exit status."""
-    campaign = _read_config(config_path).get("campaign")
-    if campaign not in CAMPAIGNS:
-        raise ConfigError(f"unknown campaign {campaign!r} in {config_path}")
-    ns = argparse.Namespace(config=config_path, campaign=campaign, func=None)
-    cfg = _load_config(ns)
-    return _execute(campaign, cfg)
+    cfg = _load_config(argparse.Namespace(config=config_path))
+    if cfg["campaign"] not in CAMPAIGNS:
+        raise ConfigError(f"unknown campaign {cfg['campaign']!r} in {config_path}")
+    return _execute(cfg)
 
 
-def _execute(campaign: str, cfg: dict) -> int:
-    out_dir = cfg["out_dir"]
+def _execute(cfg: dict) -> int:
+    campaign, out_dir = cfg["campaign"], cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     try:
         items = CAMPAIGNS[campaign](cfg, out_dir)
     except LpsqError as exc:
         _write_summary(out_dir, {
             "campaign": campaign, "error": str(exc), "passed": False,
-            "seed": cfg.get("seed"),
+            "seed": cfg["seed"],
         })
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -468,7 +467,7 @@ def _execute(campaign: str, cfg: dict) -> int:
         "campaign": campaign,
         "items": items,
         "passed": passed,
-        "seed": cfg.get("seed"),
+        "seed": cfg["seed"],
     })
     if not passed:
         failing = ", ".join(it["name"] for it in items if not it["pass"])
@@ -489,22 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="campaign", required=True)
 
     def common(p):
-        p.add_argument("--kernel")
-        p.add_argument("--modulus")
-        p.add_argument("--function")
-        p.add_argument("--function2")
-        p.add_argument("--n", type=int)
-        p.add_argument("--R", type=float)
-        p.add_argument("--h", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--lam", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
+        for key in ("kernel", "modulus", "function", "function2", "n", "R", "h",
+                    "alpha", "seed", "tol", "eta", "rho", "p", "weight"):
+            p.add_argument(f"--{key}", type=SCHEMA[key][0])
+        p.add_argument("--lam", dest="lambda", type=float)
         p.add_argument("--gamma")
-        p.add_argument("--eta", type=float)
-        p.add_argument("--rho", type=float)
-        p.add_argument("--p", type=float)
-        p.add_argument("--weight")
 
     p = sub.add_parser("dini", help="Dini constant of a modulus")
     common(p)
@@ -512,13 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-check", help="size/smoothness condition ratios")
     common(p)
-    p.add_argument("--mode", choices=["size", "smooth_x", "smooth_y", "log_ratio"])
-    p.add_argument("--gamma-log", dest="gamma_log", type=float)
+    p.add_argument("--mode", choices=_CHECK_MODES)
 
     p = sub.add_parser("eval", help="evaluate an operator to grid files")
     common(p)
-    p.add_argument("--op", choices=["s", "gstar"])
-    p.add_argument("--kind", choices=["linear", "bilinear"])
+    p.add_argument("--op", choices=sorted(SCHEMA["op"][0]))
+    p.add_argument("--kind", choices=sorted(SCHEMA["kind"][0]))
 
     p = sub.add_parser("cz", help="Calderon-Zygmund decomposition")
     common(p)
@@ -528,9 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verification campaigns")
     common(p)
-    p.add_argument("mode", choices=[
-        "weak", "aperture", "domination", "weighted", "marcinkiewicz", "sparse",
-    ])
+    p.add_argument("mode", choices=_VERIFY_MODES)
     p.add_argument("--family")
     p.add_argument("--alphas", type=float, nargs="+")
     return ap
@@ -540,8 +525,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return _execute(args.campaign, cfg)
+        return _execute(_load_config(args))
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

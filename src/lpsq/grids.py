@@ -425,6 +425,8 @@ def build_halfspace(
     n: int, h: float, t_min: float, t_max: float, q: int, extent: float
 ) -> ConeGrid:
     """Cone covering the whole lattice at every level (for g*-type sums)."""
+    if not 0 < t_min <= t_max:
+        raise ParameterError("need 0 < t_min <= t_max")
     diam = 2.0 * extent * math.sqrt(n)
     alpha = max(1.0, diam / t_min)
     return build_cone(alpha, n, h, t_min, t_max, q, max_radius=diam + h)

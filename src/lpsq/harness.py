@@ -83,8 +83,8 @@ def weak_type_profile(
     report then carries the stability ratio between the two sups.
     """
     rho_grid = np.asarray(rho_grid, dtype=float)
-    if np.any(rho_grid <= 0) or np.any(np.diff(rho_grid) <= 0):
-        raise ParameterError("rho grid must be positive and increasing")
+    if rho_grid.size == 0 or np.any(rho_grid <= 0) or np.any(np.diff(rho_grid) <= 0):
+        raise ParameterError("rho grid must be nonempty, positive and increasing")
     vals = np.array(
         [r**exponent * lattice_superlevel_measure(sf, r) / f_norm for r in rho_grid]
     )
@@ -127,6 +127,8 @@ def aperture_scaling_check(
     if cone is None:
         cone = build_cone(1.0, base.n, base.h, 2 * base.h, 2 * base.R, 4)
     alphas = [float(a) for a in alphas]
+    if not alphas:
+        raise ParameterError("aperture scaling needs at least one alpha")
     want = sorted(set(alphas) | {1.0})
     t_max = float(cone.t_levels[-1])
     pad = min(max(want) * t_max, cone.max_radius)

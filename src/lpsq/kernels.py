@@ -360,38 +360,20 @@ def _max_ratio_once(k, mode, plan, r_max):
     return float(np.max(ratio)), int(ratio.size)
 
 
-def _log_ratio_once(plan, gamma, r_max):
-    """(max, count) of min(1, |h|^gamma) log(2 + (1+r)/|h|) / log(2 + r)."""
-    r = plan.radii(r_max)[:, None]
-    habs = plan.h_fracs()[None, :] * r / 2.0
-    q = np.minimum(1.0, habs**gamma) / np.log(2.0 + r) * np.log(2.0 + (1.0 + r) / habs)
-    return float(np.max(q)), int(q.size)
-
-
 def kernel_condition_check(
-    k: KernelSpec,
-    mode: str,
-    plan: SamplePlan | None = None,
-    gamma: float | None = None,
+    k: KernelSpec, mode: str, plan: SamplePlan | None = None
 ) -> ConditionReport:
     """Fitted constant for one kernel condition over a sample plan.
 
-    mode: ``size``, ``smooth_x``, ``smooth_y`` or ``log_ratio`` (which needs
-    gamma in (0, 1] and does not read the kernel).  Reports the max of
+    mode: ``size``, ``smooth_x`` or ``smooth_y``.  Reports the max of
     |kernel expression| / reference envelope (A = 1) over the plan and over
     the plan rerun with a 10x larger radius range; a growth of the max
     beyond 1.2x between the two flags an unbounded ratio.
     """
-    plan = plan or SamplePlan()
-    if mode == "log_ratio":
-        if gamma is None or not 0.0 < gamma <= 1.0:
-            raise ParameterError("log_ratio mode needs gamma in (0, 1]")
-        once = lambda r_max: _log_ratio_once(plan, gamma, r_max)
-    elif mode in _MOVED:
-        once = lambda r_max: _max_ratio_once(k, mode, plan, r_max)
-    else:
+    if mode not in _MOVED:
         raise ParameterError(f"unknown mode {mode!r}")
-    mr, cnt = once(plan.r_max)
-    mr_ext, cnt_ext = once(plan.r_max * 10.0)
+    plan = plan or SamplePlan()
+    mr, cnt = _max_ratio_once(k, mode, plan, plan.r_max)
+    mr_ext, cnt_ext = _max_ratio_once(k, mode, plan, plan.r_max * 10.0)
     growth = mr_ext / mr if mr > 0 else (math.inf if mr_ext > 0 else 1.0)
     return ConditionReport(max(mr, mr_ext), cnt + cnt_ext, growth > 1.2, growth)

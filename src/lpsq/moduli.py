@@ -349,6 +349,14 @@ class SuiteItem:
     ratio: float
 
 
+def _log_ratio_max(r_max: float) -> float:
+    """max of min(1, h^{1/2}) log(2 + (1+r)/h) / log(2 + r) over 48 log-spaced
+    r in [1e-2, r_max] and h = c r / 2 for 10 log-spaced c in [1e-3, 0.9]."""
+    r = np.geomspace(1e-2, r_max, 48)[:, None]
+    h = np.geomspace(1e-3, 0.9, 10)[None, :] * r / 2.0
+    return float(np.max(np.minimum(1.0, h**0.5) / np.log(2.0 + r) * np.log(2.0 + (1.0 + r) / h)))
+
+
 def dini_inequality_suite(
     w: ModulusOfContinuity,
     alpha: float = 1.0,
@@ -358,9 +366,12 @@ def dini_inequality_suite(
 ) -> dict[str, SuiteItem]:
     """Numerically evaluate the auxiliary Dini estimates as fitted ratios.
 
-    Items (a)-(e) plus the ring sum and the far-ring integral.  Each entry
-    reports the truncated left-hand side, the reference right-hand side
-    (the known bound with implicit constant 1), and lhs/reference.
+    Items (a)-(e) plus the ring sum, the far-ring integral and the log
+    ratio.  Each entry reports the truncated left-hand side, the reference
+    right-hand side (the known bound with implicit constant 1), and
+    lhs/reference.  The log ratio (`_log_ratio_max`, reference 1) reads no
+    modulus; a growth of its max beyond 1.2x as the radius range goes from
+    1e3 to 1e4 is a DivergenceError.
 
     All integrals are reduced to one-dimensional u-substituted forms; the
     ring sum collapses to a k-independent radial integral times an exact
@@ -471,4 +482,9 @@ def dini_inequality_suite(
         )
     add("far_ring", surf * res.value, dini)
 
+    lr, lr_ext = _log_ratio_max(1e3), _log_ratio_max(1e4)
+    if lr_ext / lr > 1.2:
+        raise DivergenceError("suite item log_ratio diverged", partial=lr_ext,
+                              item="log_ratio")
+    add("log_ratio", max(lr, lr_ext), 1.0)
     return out

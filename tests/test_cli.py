@@ -13,6 +13,9 @@ from lpsq.dyadic import SparseFamily
 from lpsq.errors import ConfigError
 from lpsq.grids import load_binary
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+from workloads import CAMPAIGNS as CLI_CAMPAIGNS  # noqa: E402
+
 
 def run_main(args):
     return main(args)
@@ -153,8 +156,24 @@ class TestConfigAndErrors:
         ("dini", {"alphas": 2.0}, "'alphas'"),
         ("dini", {"cone": {"q": "four"}}, "'cone.q': 'four'"),
         ("dini", {"cone": {"tmin": "small"}}, "'cone.tmin': 'small'"),
+        ("eval", {"kernel": 5}, "'kernel': 5 is not str"),
+        ("eval", {"function": None}, "'function': None is not str"),
+        ("cz", {"weight": 3}, "'weight': 3 is not str"),
+        ("dini", {"rho_grid": ["x"]}, "'rho_grid': 'x' is not float"),
+        ("dini", {"rho_grid": 5}, "'rho_grid': 5 is not a nonempty list"),
+        ("dini", {"n": 1.5}, "'n': 1.5 is not int"),
+        ("dini", {"n": True}, "'n': True is not int"),
+        ("dini", {"seed": 2.7}, "'seed': 2.7 is not int"),
+        ("dini", {"cone": {"q": 4.5}}, "'cone.q': 4.5 is not int"),
+        ("dini", {"oracle": "false"}, "'oracle': 'false' is not bool"),
+        ("eval", {"kind": "trilinear"}, "'kind': 'trilinear' is not one of"),
+        ("dini", {"alphas": []}, "'alphas': [] is not a nonempty list"),
+        ("kernel-check", {"gamma_log": 0}, "unknown config keys ['gamma_log']"),
     ], ids=["cz-rho", "sparse-eta", "eval-h", "tol-list", "n-text", "seed-inf",
-            "alphas-entry", "alphas-scalar", "cone-q", "cone-tmin"])
+            "alphas-entry", "alphas-scalar", "cone-q", "cone-tmin", "kernel-int",
+            "function-null", "weight-int", "rho-grid-entry", "rho-grid-scalar",
+            "n-float", "n-bool", "seed-float", "cone-q-float", "oracle-text",
+            "kind-choice", "alphas-empty", "gamma-log"])
     def test_bad_number_in_config_exits_2(self, tmp_path, capsys, campaign, edit, named):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"campaign": campaign, "out_dir": str(tmp_path / "o"),
@@ -210,6 +229,37 @@ class TestConfigAndErrors:
         assert rc == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, args, named", [
+        ({"cone": {"tmin": 0}}, ["sparse"], "need 0 < t_min <= t_max"),
+        ({"cone": {"q": 0}}, ["sparse"], "q (levels per octave) must be >= 1"),
+        ({"cone": {"tmin": 0}}, ["eval", "--op", "gstar"], "need 0 < t_min <= t_max"),
+        ({"rho_grid": []}, ["verify", "weak"], "'rho_grid': [] is not a nonempty list"),
+    ], ids=["cone-tmin", "cone-q", "gstar-tmin", "rho-grid"])
+    def test_explicit_value_is_not_replaced_by_default(self, tmp_path, capsys, config,
+                                                       args, named):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        rc = run_main(["--config", str(p), "--out-dir", str(tmp_path / "o"), *args,
+                       "--R", "2", "--h", "0.25"])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["kernel-check", "--mode", "log_ratio"],
+        ["kernel-check", "--gamma-log", "0"],
+        ["verify", "domination"],
+    ], ids=["log-ratio-mode", "gamma-log", "domination"])
+    def test_removed_options_exit_2(self, tmp_path, args):
+        with pytest.raises(SystemExit) as exc:
+            run_main(["--out-dir", str(tmp_path), *args])
+        assert exc.value.code == 2
+
+    def test_weighted_weight_id_exits_2(self, tmp_path, capsys):
+        rc = run_main(["--out-dir", str(tmp_path), "verify", "weighted",
+                       "--weight", "power:x", "--h", "0.25"])
+        assert rc == 2
+        assert "power:a weight id, not 'x'" in capsys.readouterr().err
+
     def test_cz_rho_zero_exits_2(self, tmp_path, capsys):
         rc = run_main(["--out-dir", str(tmp_path), "cz", "--rho", "0", "--h", "0.125"])
         assert rc == 2
@@ -237,6 +287,22 @@ class TestConfigAndErrors:
         assert run_main(["--out-dir", str(d2)] + args) == 0
         assert (d1 / "verify_marcinkiewicz.csv").read_bytes() == \
             (d2 / "verify_marcinkiewicz.csv").read_bytes()
+
+    @pytest.mark.parametrize("slug", list(CLI_CAMPAIGNS))
+    def test_campaign_outputs_deterministic(self, tmp_path, slug):
+        # every campaign the benchmark runs, at a coarse grid
+        args = CLI_CAMPAIGNS[slug] + ["--h", "0.25", "--seed", "3"]
+        if slug == "verify-sparse":
+            fam = tmp_path / "fam"
+            assert run_main(["--out-dir", str(fam), "sparse", "--h", "0.25"]) == 0
+            args += ["--family", str(fam / "sparse_family.json")]
+        outs = []
+        for d in (tmp_path / "a", tmp_path / "b"):
+            assert run_main(["--out-dir", str(d)] + args) == 0
+            outs.append({str(f.relative_to(d)): f.read_bytes() for f in d.rglob("*")
+                         if f.name == "summary.json" or f.suffix == ".csv"})
+        assert len(outs[0]) >= 2
+        assert outs[0] == outs[1]
 
     def test_oracle_flag_forces_direct(self, tmp_path):
         from lpsq.grids import build_cone, parse_function

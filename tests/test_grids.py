@@ -190,6 +190,11 @@ class TestCone:
         exact = 2 * al * (t_hi - t_lo)
         assert disc == pytest.approx(exact, rel=0.10)
 
+    @pytest.mark.parametrize("t_min", [0.0, -1.0, math.nan])
+    def test_halfspace_bad_t_min(self, t_min):
+        with pytest.raises(ParameterError, match="need 0 < t_min <= t_max"):
+            build_halfspace(1, 0.25, t_min, 8.0, 2, 4.0)
+
     def test_halfspace_covers_lattice(self):
         hs = build_halfspace(1, 0.25, 0.5, 8.0, 2, 4.0)
         for j, t in enumerate(hs.t_levels):

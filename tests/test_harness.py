@@ -59,11 +59,23 @@ class TestWeakTypeProfile:
         with pytest.raises(ParameterError):
             weak_type_profile(gauss_grid, 1.0, 1.0, [1.0, 0.5])
 
+    def test_empty_rho_grid(self, gauss_grid):
+        from lpsq.errors import ParameterError
+
+        with pytest.raises(ParameterError, match="nonempty"):
+            weak_type_profile(gauss_grid, 1.0, 1.0, [])
+
 
 class TestApertureScaling:
     def test_l2_alpha1_is_one(self, ex1, gauss_grid):
         rep = aperture_scaling_check(ex1, gauss_grid, [1.0], "l2")
         assert rep.fitted["ratio_alpha_1"] == pytest.approx(1.0)
+
+    def test_no_alphas(self, ex1, gauss_grid):
+        from lpsq.errors import ParameterError
+
+        with pytest.raises(ParameterError, match="at least one alpha"):
+            aperture_scaling_check(ex1, gauss_grid, [], "l2")
 
     def test_l2_alpha4(self, ex1, gauss_grid):
         rep = aperture_scaling_check(ex1, gauss_grid, [4.0], "l2")

@@ -175,18 +175,6 @@ class TestConditionChecks:
         assert math.isfinite(rep.max_ratio)
         assert rep.growth_ratio <= 1.2
 
-    def test_log_ratio_bounded(self):
-        k = parse_kernel("ex1:kappa=3", 1)
-        plan = SamplePlan(n_r=64, n_h=16)
-        rep = kernel_condition_check(k, "log_ratio", plan, gamma=0.5)
-        assert math.isfinite(rep.max_ratio)
-        assert rep.growth_ratio <= 1.2
-
-    def test_log_ratio_needs_gamma(self):
-        k = parse_kernel("ex1:kappa=3", 1)
-        with pytest.raises(ParameterError):
-            kernel_condition_check(k, "log_ratio")
-
     def test_bilinear_size_stable(self):
         k = bilinear_example_kernel(3.0, 1)
         plan = SamplePlan(n_r=16, n_h=6, n_base=2)

@@ -11,8 +11,10 @@ from lpsq.errors import (
     MonotonicityError,
     ParameterError,
 )
+from lpsq import moduli
 from lpsq.moduli import (
     ModulusOfContinuity,
+    _log_ratio_max,
     dini_constant,
     dini_inequality_suite,
     dini_integral,
@@ -194,6 +196,22 @@ class TestSuite:
     def test_bad_alpha(self):
         with pytest.raises(ParameterError):
             dini_inequality_suite(power_modulus(1.0), alpha=0.5)
+
+    def test_log_ratio_bounded(self):
+        # min(1, h^{1/2}) log(2 + (1+r)/h) <= C log(2 + r), whatever the modulus
+        items = [dini_inequality_suite(w)["log_ratio"]
+                 for w in (power_modulus(1.0), log_modulus(3.0))]
+        assert items[0] == items[1]
+        assert items[0].reference == 1.0
+        assert 1.0 < items[0].ratio < 1.2
+        assert _log_ratio_max(1e4) <= 1.2 * _log_ratio_max(1e3)
+
+    def test_log_ratio_growth_diverges(self, monkeypatch):
+        # a max that grows past 1.2x with the radius range is unbounded
+        monkeypatch.setattr(moduli, "_log_ratio_max", lambda r_max: r_max)
+        with pytest.raises(DivergenceError) as err:
+            dini_inequality_suite(power_modulus(1.0))
+        assert err.value.item == "log_ratio"
 
 
 class TestParse:
