@@ -43,6 +43,7 @@ from .grids import (
     build_cone,
     build_halfspace,
     parse_function,
+    read_json,
     save_binary,
     save_csv,
 )
@@ -121,11 +122,7 @@ def _write_summary(out_dir: str, summary: dict) -> str:
 
 def _read_config(path: str) -> dict:
     """The JSON object of a config file."""
-    with open(path) as fh:
-        try:
-            user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path!r} is not valid JSON: {exc}") from None
+    user = read_json(path)
     if not isinstance(user, dict):
         raise ConfigError(f"{path!r}: the config must be a JSON object")
     return user
@@ -208,7 +205,8 @@ def _campaign_dini(cfg, out_dir):
     val = dini_constant(mod, cfg["tol"])
     print(repr(round(val, 9)))
     rows = [("dini_constant", val)]
-    items = [{"name": "dini_finite", "pass": math.isfinite(val), "value": val}]
+    items = [{"name": "dini_finite", "pass": math.isfinite(val), "value": val,
+              "path": mod.dini_path}]
     if cfg["suite"]:
         suite = dini_inequality_suite(mod, cfg["alpha"], cfg["n"])
         for name, item in suite.items():
@@ -450,18 +448,23 @@ def cli_run(config_path: str) -> int:
     return _execute(cfg)
 
 
+def _error_exit(out_dir: str, campaign: str, seed, exc: LpsqError) -> int:
+    """Write the error summary and return exit status 2."""
+    os.makedirs(out_dir, exist_ok=True)
+    _write_summary(out_dir, {
+        "campaign": campaign, "error": str(exc), "passed": False, "seed": seed,
+    })
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _execute(cfg: dict) -> int:
     campaign, out_dir = cfg["campaign"], cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     try:
         items = CAMPAIGNS[campaign](cfg, out_dir)
     except LpsqError as exc:
-        _write_summary(out_dir, {
-            "campaign": campaign, "error": str(exc), "passed": False,
-            "seed": cfg["seed"],
-        })
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error_exit(out_dir, campaign, cfg["seed"], exc)
     passed = all(it["pass"] for it in items)
     _write_summary(out_dir, {
         "campaign": campaign,
@@ -522,11 +525,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _execute(_load_config(args))
-    except (ConfigError, FileNotFoundError) as exc:
+        cfg = _load_config(args)
+    except ConfigError as exc:
+        # the settings did not load: the summary goes to the flags' out dir
+        return _error_exit(args.out_dir or SCHEMA["out_dir"][1], args.campaign,
+                           args.seed, exc)
+    try:
+        return _execute(cfg)
+    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

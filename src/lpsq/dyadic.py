@@ -38,7 +38,7 @@ from .errors import (
 )
 from .grids import (
     Box, ConeGrid, GridFunction, box_sums, load_binary, prefix_sums, range_sums,
-    save_binary,
+    read_json, save_binary,
 )
 from .moduli import dini_constant
 
@@ -330,12 +330,7 @@ class SparseFamily:
 
     @classmethod
     def load(cls, path: str) -> "SparseFamily":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path!r} is not valid JSON: {exc}") from None
-        return cls.from_json(data)
+        return cls.from_json(read_json(path))
 
 
 def _cube_to_json(c: Cube) -> dict:

@@ -14,6 +14,7 @@ demand by `ConeGrid.stencil`.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -337,6 +338,18 @@ def load_binary(path: str) -> GridFunction:
         )
     vals = np.frombuffer(data, dtype="<f8")
     return GridFunction(n, R, h, vals.reshape((N,) * n))
+
+
+def read_json(path: str):
+    """The JSON value in a file; a file that cannot be read (missing, a
+    directory, no permission) or parsed is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path!r} is not valid JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

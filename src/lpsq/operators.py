@@ -333,20 +333,32 @@ def _window_rows(disc: list, K: int) -> list:
     return rows
 
 
-def _window_sum(p_ext: np.ndarray, rows: list, K: int) -> np.ndarray:
-    """sum of p_ext over a stencil, given by its `_window_rows`, around each
-    output cell; the last n axes of p_ext are a (rectangular) output padded
-    by K cells on each side, leading axes a batch.  One cumulative sum
-    along the first of the n axes; each stencil row is then one difference
-    of it."""
-    n = len(rows[0][0]) - 1
+def _row_cumsum(p_ext: np.ndarray, n: int) -> np.ndarray:
+    """The cumulative sums of p_ext along the first of its last n axes, with
+    a zero prepended: the table that `_window_rows` index."""
     lead, E = p_ext.shape[:-n], p_ext.shape[-n:]
-    out = np.zeros(lead + tuple(e - 2 * K for e in E))
     c = np.zeros(lead + (E[0] + 1,) + E[1:])
     np.cumsum(p_ext, axis=-n, out=c[(..., slice(1, None)) + (slice(None),) * (n - 1)])
+    return c
+
+
+def _row_differences(c: np.ndarray, rows: list) -> np.ndarray:
+    """The window sums of a stencil, given by its `_window_rows`, from the
+    `_row_cumsum` table c: one difference per stencil row."""
+    out = np.zeros(c[rows[0][0]].shape)
     for hi, lo in rows:
         out += c[hi] - c[lo]
     return out
+
+
+def _window_sum(p_ext: np.ndarray, rows: list) -> np.ndarray:
+    """sum of p_ext over a stencil, given by its `_window_rows`, around each
+    output cell; the last n axes of p_ext are a (rectangular) output padded
+    by K cells on each side, leading axes a batch.  One cumulative sum
+    along the first of the n axes (`_row_cumsum`); each stencil row is then
+    one difference of it (`_row_differences`).  Stencils padded by the same
+    K can share the cumulative sum."""
+    return _row_differences(_row_cumsum(p_ext, len(rows[0][0]) - 1), rows)
 
 
 def _psi_levels(k, f, cone: ConeGrid, out_R, method, radii):
@@ -391,11 +403,11 @@ def square_function_multi(
         for t in cone.t_levels
     ]
     for j, t, u_ext, K in _psi_levels(k, f, cone, R_out, method, radii):
-        p = u_ext**2
+        c = _row_cumsum(u_ext**2, n)  # all apertures pad by the same K
         meas = base.h**n / t**n * cone.log_weight
         for a in alphas:
             rows = _window_rows(_disc_rows(min(a * t, cone.max_radius) / base.h, n), K)
-            acc[a] += meas * _window_sum(p, rows, K)
+            acc[a] += meas * _row_differences(c, rows)
     return {
         a: GridFunction(n, R_out, base.h, np.sqrt(acc[a])) for a in alphas
     }
@@ -702,7 +714,7 @@ class SquareEvaluator:
     def cone_sum(self, lv: _Level, p: np.ndarray) -> np.ndarray:
         """Level lv's share of S^2: its measure times the window sums of p
         (given on the padded lattice) at each output cell."""
-        return lv.meas * _window_sum(p, lv.rows, lv.K)
+        return lv.meas * _window_sum(p, lv.rows)
 
     def square_sum(self, values: np.ndarray) -> np.ndarray:
         """S_alpha^2 of the grid function with these values (fast path):

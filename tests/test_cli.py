@@ -37,6 +37,28 @@ class TestSubcommands:
         names = {it["name"] for it in summary["items"]}
         assert "suite_c" in names and summary["passed"]
 
+    def test_dini_summary_records_path(self, tmp_path):
+        csv_path = tmp_path / "w.csv"
+        ts = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 64)])  # w(t) = t
+        csv_path.write_text("\n".join(f"{t},{t}" for t in ts))
+        for modulus, path in (("log:3", "exact_tail"), (f"csv:{csv_path}", "windowed")):
+            out = tmp_path / path
+            assert run_main(["--out-dir", str(out), "dini", "--modulus", modulus]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["items"][0]["path"] == path
+
+    @pytest.mark.parametrize("args", [
+        ["sparse", "--kernel", "ex1:kappa=2.2", "--h", "0.125"],
+        ["dini", "--suite", "--modulus", "log:2.2"],
+    ], ids=["sparse", "dini-suite"])
+    def test_dini_not_log_dini_range_runs(self, tmp_path, args):
+        """kappa = 2.2 is Dini but not log-Dini: the paper's new range."""
+        outs = []
+        for d in (tmp_path / "a", tmp_path / "b"):
+            assert run_main(["--out-dir", str(d)] + args) == 0
+            outs.append({f.name: f.read_bytes() for f in sorted(d.iterdir())})
+        assert outs[0] == outs[1]
+
     def test_kernel_check(self, tmp_path):
         rc = run_main(["--out-dir", str(tmp_path), "kernel-check",
                        "--kernel", "ex1:kappa=3", "--mode", "size"])
@@ -79,6 +101,28 @@ class TestSubcommands:
         assert rc == 2
         summary = json.loads((out / "summary.json").read_text())
         assert not summary["passed"] and "root" in summary["error"]
+
+    @pytest.mark.parametrize("family", ["missing.json", "."],
+                             ids=["missing-file", "directory"])
+    def test_verify_sparse_unreadable_family_exits_2(self, tmp_path, capsys, family):
+        out = tmp_path / "v"
+        rc = run_main(["--out-dir", str(out), "verify", "sparse",
+                       "--family", str(tmp_path / family)])
+        assert rc == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["passed"] and "cannot read" in summary["error"]
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = run_main(["--config", str(tmp_path), "--out-dir", str(out), "dini"])
+        assert rc == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["passed"] and "cannot read" in summary["error"]
+        assert summary["campaign"] == "dini"
+        assert "cannot read" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="cannot read"):
+            cli_run(str(tmp_path))
 
     def test_cz_campaign(self, tmp_path):
         rc = run_main(["--out-dir", str(tmp_path), "cz", "--function", "box:1",

@@ -78,9 +78,9 @@ class TestDiniConstant:
         from lpsq.kernels import parse_kernel
 
         runs = []
-        quad = moduli._windowed_integral
-        monkeypatch.setattr(moduli, "_windowed_integral",
-                            lambda *a, **kw: runs.append(1) or quad(*a, **kw))
+        body = moduli._simpson_body
+        monkeypatch.setattr(moduli, "_simpson_body",
+                            lambda *a, **kw: runs.append(1) or body(*a, **kw))
         k = parse_kernel("ex1:kappa=3", 1)
         f = GridFunction(1, 4.0, 0.25, np.random.default_rng(2).standard_normal(32))
         cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
@@ -124,6 +124,144 @@ class TestLogDini:
     def test_kappa3_plain_dini_still_finite(self):
         res = dini_integral(log_modulus(3.0), 1e-8)
         assert res.converged and not res.diverged
+
+
+class TestExactTails:
+    """Closed-form tails of the built-in moduli: exact constants and verdicts."""
+
+    # Dini constant of log:kappa, integral plus w(1), from mpmath on [0, 60]
+    # with 61 breakpoints plus the tail 60^{1-p}/(p-1) (error below 2e-26)
+    REFERENCE = {2.05: 41.4880801415189, 2.2: 11.4611605560798,
+                 2.5: 5.41026975865664, 3.0: 3.33317417752173,
+                 4.0: 2.20222001946358, 8.0: 1.19084643274464}
+
+    @pytest.mark.parametrize("kappa", sorted(REFERENCE))
+    def test_log_constant_matches_reference(self, kappa):
+        w = log_modulus(kappa)
+        assert w.dini_path == "exact_tail"
+        assert dini_constant(w, 1e-8) == pytest.approx(self.REFERENCE[kappa], abs=1e-9)
+
+    @pytest.mark.parametrize("kappa", [2.05, 2.2, 3.0, 4.5, 8.0])
+    def test_mpmath_oracle(self, kappa):
+        # finite body plus the exact tail, never quad to infinity
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        p = mp.mpf(kappa) / 2
+        g = lambda u: mp.log(2 + mp.exp(u)) ** (-p)
+        U = mp.mpf(60)
+        body = mp.quad(g, mp.linspace(0, U, 61))
+        tail = U ** (1 - p) / (p - 1)  # |error| <= 2 e^{-60} 60^{-p}
+        oracle = float(body + tail + mp.log(3) ** (-p))
+        assert dini_constant(log_modulus(kappa), 1e-8) == pytest.approx(oracle, abs=1e-9)
+        if kappa > 4.0:  # the log-Dini integral, exact tail U^{2-p}/(p-2)
+            body = mp.quad(lambda u: u * g(u), mp.linspace(0, U, 61))
+            oracle = float(body + U ** (2 - p) / (p - 2))
+            res = log_dini_integral(log_modulus(kappa), 1e-8)
+            assert res.converged and res.value == pytest.approx(oracle, abs=1e-8)
+
+    def test_logsplit_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        for w, q in zip(logsplit_moduli(3.0, 1.4), (1.6, 1.4)):
+            q = mp.mpf(q)
+            g = lambda u: mp.log(1 + mp.exp(u)) ** (-q)
+            body = mp.quad(g, mp.linspace(0, 60, 61))
+            oracle = float(body + mp.mpf(60) ** (1 - q) / (q - 1) + mp.log(2) ** (-q))
+            assert dini_constant(w, 1e-8) == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5, 0.3, 0.1])
+    def test_power_is_exact(self, delta):
+        assert dini_constant(power_modulus(delta), 1e-8) == 1.0 / delta + 1.0
+        res = log_dini_integral(power_modulus(delta))
+        assert res.converged and res.value == pytest.approx(1.0 / delta**2, rel=1e-15)
+
+    def test_log_dini_verdicts(self):
+        res = log_dini_integral(log_modulus(4.0))
+        assert res.diverged and not res.converged
+        res = log_dini_integral(log_modulus(4.5))
+        assert res.converged and not res.diverged
+        assert res.value == pytest.approx(3.9177785944053, abs=1e-8)
+        res = log_dini_integral(log_modulus(3.0))
+        assert res.diverged and not res.converged
+
+    @pytest.mark.parametrize("kappa", [2.0, 1.9, 1.2])
+    def test_dini_at_kappa_le_2_diverges(self, kappa):
+        with pytest.raises(DivergenceError) as exc:
+            dini_constant(log_modulus(kappa), 1e-6)
+        assert math.isfinite(exc.value.partial)
+
+    def test_levels_are_truncated_values(self):
+        # levels[k] is the integral over [0, 8 * 2^k]; past the body cut it
+        # is the body plus the closed-form piece, and the growth of a
+        # divergent tail is its exact one: int_X^{2X} u^{-1} du = log 2
+        res = dini_integral(log_modulus(2.0), 1e-8, max_doublings=30)
+        assert res.diverged and len(res.levels) == 31
+        steps = np.diff(res.levels[3:])
+        assert np.allclose(steps, math.log(2.0), atol=1e-12)
+        w = log_modulus(3.0)
+        res = dini_integral(w, 1e-8)
+        assert res.levels == sorted(res.levels) and res.levels[-1] < res.value
+        assert res.value + float(w(1.0)) == pytest.approx(3.33317417752173, abs=1e-9)
+
+    def test_fresh_modulus_is_fast(self):
+        import time
+
+        for kappa in sorted(self.REFERENCE):
+            w = log_modulus(kappa)
+            t0 = time.perf_counter()
+            dini_constant(w, 1e-8)
+            assert time.perf_counter() - t0 < 0.05  # about 1 ms; 2 ms target
+
+    def test_table_modulus_keeps_windowed_path(self, tmp_path):
+        path = tmp_path / "w.csv"
+        ts = np.geomspace(1e-4, 1.0, 64)
+        path.write_text("\n".join(f"{t},{t}" for t in ts))
+        w = table_modulus(str(path))
+        assert w.tail is None and w.dini_path == "windowed"
+
+    def test_suite_root_verdict_is_exact(self):
+        # e: the root of log:3 is log:1.5 (not Dini), of log:8 log:4 (Dini)
+        assert dini_inequality_suite(log_modulus(3.0), m_shift=2)["e"].reference == math.inf
+        rep = dini_inequality_suite(log_modulus(8.0), m_shift=2)["e"]
+        assert rep.reference == pytest.approx(self.REFERENCE[4.0] ** 2, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_suite_shifted_integrals_match_windowed(self, n):
+        """Items c, d, ring_sum and far_ring on the exact path against the
+        windowed engine on the same modulus without its tail law."""
+        import dataclasses
+
+        w = log_modulus(4.0)
+        bare = dataclasses.replace(w, tail=None)
+        exact = dini_inequality_suite(w, alpha=2.0, n=n)
+        windowed = dini_inequality_suite(bare, alpha=2.0, n=n)
+        for name in ("c", "d", "ring_sum", "far_ring"):
+            assert exact[name].lhs == pytest.approx(windowed[name].lhs, rel=1e-6)
+
+    def test_kappa_2_2_suite_runs(self):
+        rep = dini_inequality_suite(log_modulus(2.2), alpha=2.0, n=2)
+        assert all(math.isfinite(i.ratio) for i in rep.values())
+        assert rep["d"].lhs < rep["d"].reference
+
+
+class TestNoAdaptiveQuadrature:
+    def test_sparse_construct_fresh_kernel(self, monkeypatch):
+        """A sparse construction on a freshly parsed ex1 kernel takes its
+        Dini constants from the closed-form tails: no adaptive Simpson."""
+        from lpsq.dyadic import Cube, sparse_construct
+        from lpsq.grids import GridFunction, build_cone
+        from lpsq.kernels import parse_kernel
+
+        calls = []
+        simpson = moduli._adaptive_simpson
+        monkeypatch.setattr(moduli, "_adaptive_simpson",
+                            lambda *a, **kw: calls.append(1) or simpson(*a, **kw))
+        k = parse_kernel("ex1:kappa=3", 1)
+        f = GridFunction(1, 4.0, 0.25, np.random.default_rng(5).standard_normal(32))
+        cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
+        sparse_construct(k, f, Cube(1, 1, (0,), "standard", 8.0), 1.0, cone)
+        assert 1e-6 in k.w_mod._dini
+        assert calls == []
 
 
 class TestExtensionConvention:

@@ -873,7 +873,7 @@ class TestWindowSum:
                 for off in _stencil(n, lim).reshape(-1, n):
                     want += p[(slice(None),) + tuple(
                         slice(K + o, K + o + m) for o, m in zip(off, M))]
-                got = _window_sum(p, _window_rows(_disc_rows(lim, n), K), K)
+                got = _window_sum(p, _window_rows(_disc_rows(lim, n), K))
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
