@@ -532,11 +532,7 @@ def main(argv=None) -> int:
         # the settings did not load: the summary goes to the flags' out dir
         return _error_exit(args.out_dir or SCHEMA["out_dir"][1], args.campaign,
                            args.seed, exc)
-    try:
-        return _execute(cfg)
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    return _execute(cfg)
 
 
 if __name__ == "__main__":

@@ -289,7 +289,7 @@ def _csv_spacing(path: str, x: np.ndarray) -> float:
 
 
 def load_csv(path: str) -> GridFunction:
-    rows = np.genfromtxt(path, delimiter=",", skip_header=1)
+    rows = np.genfromtxt(read_text(path).splitlines(), delimiter=",", skip_header=1)
     rows = np.atleast_2d(rows)
     if rows.shape[1] == 2:
         x, v = rows[:, 0], rows[:, 1]
@@ -340,14 +340,25 @@ def load_binary(path: str) -> GridFunction:
     return GridFunction(n, R, h, vals.reshape((N,) * n))
 
 
-def read_json(path: str):
-    """The JSON value in a file; a file that cannot be read (missing, a
-    directory, no permission) or parsed is a ConfigError."""
+def read_text(path: str) -> str:
+    """The text of a file named by a config or id; a file that cannot be
+    read (missing, a directory, no permission) or decoded is a
+    ConfigError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path!r}: not text ({exc.reason})") from None
+
+
+def read_json(path: str):
+    """The JSON value in a file (`read_text`); one that does not parse is a
+    ConfigError."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
     except ValueError as exc:
         raise ConfigError(f"{path!r} is not valid JSON: {exc}") from None
 

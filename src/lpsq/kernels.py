@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ParameterError
+from .grids import read_text
 from .moduli import (
     ModulusOfContinuity,
     log_modulus,
@@ -198,7 +199,7 @@ def bilinear_example_kernel(kappa: float = 3.0, n: int = 1) -> KernelSpec:
 def _csv_profile_kernel(path: str, n: int, w: ModulusOfContinuity | None) -> KernelSpec:
     if n != 1:
         raise ConfigError("CSV convolution profiles are 1-D")
-    rows = np.genfromtxt(path, delimiter=",")
+    rows = np.genfromtxt(read_text(path).splitlines(), delimiter=",")
     rows = rows[~np.isnan(rows).any(axis=1)]
     xs = rows[:, 0]
     vs = rows[:, 1]

@@ -44,6 +44,7 @@ from .errors import (
     ParameterError,
     QuadratureBudgetError,
 )
+from .grids import read_text
 
 __all__ = [
     "ModulusOfContinuity",
@@ -266,12 +267,11 @@ def logsplit_moduli(kappa: float, beta: float):
 def table_modulus(path: str, name: str | None = None) -> ModulusOfContinuity:
     """Modulus interpolated linearly from a two-column CSV (t, w(t))."""
     ts, vs = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            ts.append(float(row[0]))
-            vs.append(float(row[1]))
+    for row in csv.reader(read_text(path).splitlines()):
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        ts.append(float(row[0]))
+        vs.append(float(row[1]))
     order = np.argsort(ts)
     ts = np.asarray(ts, dtype=float)[order]
     vs = np.asarray(vs, dtype=float)[order]

@@ -58,6 +58,7 @@ is the oracle of the batched path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -545,6 +546,17 @@ def _gram_s_max(levels, n: int, N: int) -> int:
                               + sum(g if s <= m else t for s, g, t in costs), m))
 
 
+def _far_gain(gamma: np.ndarray) -> np.ndarray:
+    """far[l] = max{gamma(v) : |v|_inf >= l} for l = 0, 1, ..., the offsets
+    v (cells) centred in gamma's array: the max of each shell |v|_inf = l,
+    then the running max from the outermost shell in."""
+    shell = functools.reduce(np.maximum, np.ix_(*[np.abs(np.arange(m) - m // 2)
+                                                  for m in gamma.shape]))
+    far = np.zeros(shell.max() + 1)
+    np.maximum.at(far, shell.ravel(), gamma.ravel())
+    return np.maximum.accumulate(far[::-1])[::-1]
+
+
 class SquareEvaluator:
     """Repeated S_alpha evaluations of masked variants of one grid layout.
 
@@ -567,10 +579,16 @@ class SquareEvaluator:
     S f^2 is held with a copy of its f, so M_S of the f whose S the caller
     has just taken reuses it.
 
-    On the fast path, ``l1_gain`` is a c with S g <= c sum |g| for every g
-    on the layout: c^2 = sum_j meas_j |D_j| max |k_j|^2, the max over the
-    level's own kernel samples (offsets up to N - 1 + K_j cells per axis),
-    since each psi_t value is at most max |k_j| sum |g|.
+    On the fast path, ``far_gain`` bounds S through the point-mass profile
+    Gamma of S: Gamma(v)^2 = sum_j meas_j sum_{m in D_j} k_j(v + m)^2 is
+    (S delta_y)^2 at an output cell x with x - y = v cells, taken by one
+    `_window_sum` of k_j^2 per level over the level's own kernel samples,
+    which hold every output-minus-input offset of the layout.  S is an l^2
+    sum of linear functionals of g, so Minkowski's inequality gives
+    S g(x) <= sum_y |g(y)| Gamma(x - y).  The evaluator keeps only
+    far_gain[l] = max{Gamma(v) : |v|_inf >= l} (`_far_gain`): S g <=
+    far_gain[0] sum |g| everywhere, and S g(x) <= sum_y |g(y)|
+    far_gain[|x - y|_inf], which shrinks as the mass of g moves away from x.
     """
 
     def __init__(self, k, template: GridFunction, cone: ConeGrid,
@@ -591,12 +609,12 @@ class SquareEvaluator:
         self.M = int(round(2.0 * self.R_out / template.h))
         self.levels = _cone_levels(template, cone, self.R_out)
         self._spectra = []
-        gain2 = 0.0
+        gamma2 = 0.0
         for lv in self.levels:
             kern = _conv_kernel(k, template, lv.t, self.R_out + lv.K * template.h, lv.Mx)
             self._spectra.append(np.fft.rfftn(kern, (lv.nfft,) * n, axes=range(n)))
-            gain2 += lv.meas * lv.size * float(np.max(np.abs(kern))) ** 2
-        self.l1_gain = math.sqrt(gain2)
+            gamma2 = gamma2 + lv.meas * _window_sum(kern**2, lv.rows)
+        self.far_gain = _far_gain(np.sqrt(np.maximum(gamma2, 0.0)))
         self.s_max = _gram_s_max(self.levels, n, template.ncells)
         self._gram = None
         self._plans = {}

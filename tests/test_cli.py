@@ -113,6 +113,21 @@ class TestSubcommands:
         assert not summary["passed"] and "cannot read" in summary["error"]
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", ["missing.csv", "."], ids=["missing-file", "directory"])
+    @pytest.mark.parametrize("campaign, flag", [
+        ("dini", "--modulus"), ("eval", "--function"), ("kernel-check", "--kernel"),
+    ])
+    def test_unreadable_csv_id_exits_2(self, tmp_path, capsys, campaign, flag, path):
+        """A ``csv:`` id naming a missing file or a directory is a
+        ConfigError: exit 2, with the error in summary.json."""
+        out = tmp_path / "o"
+        rc = run_main(["--out-dir", str(out), campaign, flag, f"csv:{tmp_path / path}"])
+        assert rc == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["passed"] and "cannot read" in summary["error"]
+        assert summary["campaign"] == campaign
+        assert "cannot read" in capsys.readouterr().err
+
     def test_config_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = run_main(["--config", str(tmp_path), "--out-dir", str(out), "dini"])

@@ -770,6 +770,113 @@ class TestLernerPoolPruning:
         n_pruned = sum(sizes[: len(sizes) // 2])
         assert n_pruned < sum(sizes[len(sizes) // 2:])
 
+    @pytest.mark.parametrize("halved, N, cells, amps, gamma", [
+        # a dipole; the family changes when far_gain[0] is halved
+        ("near", 128, [102, 103], [-1.36, 1.34], 2.8),
+        # the family changes when far_gain[l] is halved for every l >= 1
+        ("far", 128, [114, 115], [0.84, -1.34], 3.67),
+    ])
+    def test_sharp_cases_of_the_far_gain(self, monkeypatch, halved, N, cells, amps, gamma):
+        """Inputs found by search where the rule on a halved ``far_gain``
+        table changes the family: the rule's bounds are used with no slack
+        to spare, and the true table still gives the full pool's family."""
+        from unittest import mock
+
+        from lpsq import dyadic
+
+        vals = np.zeros(N)
+        vals[cells] = amps
+        sizes = _pool_sizes(monkeypatch)
+        pruned, full = self._both(1, N, vals, gamma)
+        assert pruned == full
+        assert sum(sizes[: len(sizes) // 2]) < sum(sizes[len(sizes) // 2:])
+        keep = dyadic._lerner_keep
+
+        def weaker(f, floc, lo, hi, gain, thr0):
+            gain = gain.copy()
+            gain[slice(0, 1) if halved == "near" else slice(1, None)] /= 2.0
+            return keep(f, floc, lo, hi, gain, thr0)
+
+        with mock.patch.object(dyadic, "_lerner_keep", weaker):
+            assert _family_key(self._construct(1, N, vals, gamma)) != full
+
+    @given(st.integers(min_value=1, max_value=2), st.sampled_from(["spike", "noise", "zero-run"]),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=24)
+    def test_far_field_bound(self, n, kind, seed):
+        """`_far_field` is the sum over the cells y outside 3B of
+        |f(y)| far_gain[d(y, B)], and bounds S h on B's cells, h = f off 3B,
+        for the evaluator and for the direct-summation square function; 3B
+        and B are random boxes that may reach past the grid."""
+        from lpsq.dyadic import _far_field
+        from lpsq.operators import SquareEvaluator
+
+        N = 32 if n == 1 else 8
+        R, h = 4.0, 8.0 / N
+        rng = np.random.default_rng(seed)
+        k = parse_kernel("ex1:kappa=3", n)
+        cone = build_cone(1.0, n, h, 2 * h, 2 * R, 4)
+        f = GridFunction(n, R, h, _prune_input(rng, n, N, kind))
+        if not np.any(f.values):
+            return
+        ev = SquareEvaluator(k, f, cone)
+        gain = ev.far_gain
+        j0 = rng.integers(-2, N, (6, n))
+        j1 = j0 + rng.integers(1, N // 2, (6, n))
+        i0 = j0 - rng.integers(0, N // 2, (6, n))
+        i1 = j1 + rng.integers(0, N // 2, (6, n))
+        H = _far_field(np.abs(f.values), gain, i0, i1, j0, j1)
+        y = np.indices(f.values.shape).reshape(n, -1).T
+        a = np.abs(f.values).ravel()
+        direct = lambda v: square_function(k, f.with_values(v), cone, method="direct").values
+        for b in range(6):
+            out3 = np.any((y < i0[b]) | (y >= i1[b]), axis=1)
+            d = np.max(np.maximum(np.maximum(j0[b] - y, y - (j1[b] - 1)), 0), axis=1)
+            want = float(np.sum(a[out3] * gain[np.minimum(d[out3], len(gain) - 1)]))
+            assert abs(H[b] - want) <= 1e-12 * gain[0] * a.sum()
+            hv = np.where(out3.reshape(f.values.shape), f.values, 0.0)
+            qb = tuple(slice(max(lo, 0), max(hi, 0)) for lo, hi in zip(j0[b], j1[b]))
+            for S in (ev.eval_values, direct):
+                assert np.all(S(hv)[qb] <= H[b] * (1 + 1e-9) + 1e-12 * gain[0] * a.sum())
+
+    @pytest.mark.parametrize("kind", ["spike", "noise", "zero-run"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_kept_set_within_the_l1_rule(self, n, kind):
+        """Every box the rule keeps is kept by the l^1 rule on
+        c^2 = sum_j meas_j |D_j| max |k_j|^2, recomputed here from the
+        evaluator's levels, at thresholds on either side of its cuts; over
+        six inputs the rule drops some box the l^1 rule keeps."""
+        from lpsq import operators as ops
+        from lpsq.dyadic import _PRUNE_DELTA, _lerner_keep, _pool_corners
+
+        N = 64 if n == 1 else 16
+        R, h = 4.0, 8.0 / N
+        k = parse_kernel("ex1:kappa=3", n)
+        cone = build_cone(1.0, n, h, 2 * h, 2 * R, 4)
+        root = Cube(n, 1, (0,) * n, "standard", 2 * R)
+        dropped = 0
+        for seed in range(6):
+            f = GridFunction(n, R, h, _prune_input(np.random.default_rng(seed), n, N, kind))
+            ev = ops.SquareEvaluator(k, f, cone)
+            c = math.sqrt(sum(
+                lv.meas * lv.size
+                * np.max(np.abs(ops._conv_kernel(k, f, lv.t, R + lv.K * h, lv.Mx))) ** 2
+                for lv in ev.levels))
+            assert ev.far_gain[0] <= c
+            i0, i1 = ops._box_ranges(f, dyadic_cube_pool(root, f), snap_outward=True,
+                                     factor=3.0)
+            a = np.abs(f.values)
+            g1 = np.array([a[tuple(slice(max(p, 0), max(q, 0)) for p, q in zip(b0, b1))].sum()
+                           for b0, b1 in zip(i0, i1)])
+            h1 = a.sum() - g1
+            for thr0 in c * a.sum() * np.geomspace(1e-3, 1.0, 7):
+                cut = (1.0 - _PRUNE_DELTA) * thr0
+                old = (c * g1 > cut) & (c * h1 > (math.sqrt(2.0) - 1.0) * cut)
+                new = _lerner_keep(f, f.values, *_pool_corners(root, f), ev.far_gain, thr0)
+                assert not np.any(new & ~old)
+                dropped += int(np.sum(old & ~new))
+        assert dropped
+
     @pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
     def test_pruning_needs_the_fast_path(self, monkeypatch, n, N):
         """method="direct" keeps the full pool."""
@@ -807,7 +914,7 @@ class TestLernerPoolPruning:
         g = np.zeros_like(f.values)
         g[box] = f.values[box]
         hv = f.values - g
-        c, l1 = ev.l1_gain, float(np.abs(g).sum())
+        c, l1 = ev.far_gain[0], float(np.abs(g).sum())
         tol = 1e-12 * c * float(np.abs(f.values).sum())
         direct = lambda v: square_function(k, f.with_values(v), cone, method="direct").values
         for S in (ev.eval_values, direct):

@@ -839,6 +839,10 @@ class TestLernerGram:
         assert np.max(np.abs(A - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_sparse_construct_takes_gram_for_small_cubes(self, monkeypatch):
+        """Gram dispatch inside sparse_construct, on the full pool: the
+        pruning is kept out, since on this input it drops every box small
+        enough for the Gram form."""
+        from lpsq import dyadic
         from lpsq import operators as ops
         from lpsq.dyadic import Cube, sparse_construct
 
@@ -846,6 +850,8 @@ class TestLernerGram:
         gram = ops._gram_form
         monkeypatch.setattr(ops, "_gram_form", lambda ev, key, *a: seen.append(
             (ev.s_max, key)) or gram(ev, key, *a))
+        monkeypatch.setattr(dyadic, "_lerner_keep", lambda f, floc, lo, hi, gain, thr0:
+                            np.ones(len(lo), dtype=bool))
         k = parse_kernel("ex1:kappa=3", 2)
         f = _spikes(np.random.default_rng(1), 2, 4.0, 0.5)  # 16 x 16
         cone = build_cone(1.0, 2, f.h, 2 * f.h, 2 * f.R, 4)
@@ -920,6 +926,66 @@ class TestSquareEvaluator2D:
         masked = f.values * (np.arange(16)[:, None] < 8)
         assert np.max(np.abs(ev.eval_values(masked) - square_function(
             k, f.with_values(masked), cone).values)) <= 1e-12 * np.max(sf)
+
+
+
+class TestPointMassProfile:
+    """Gamma, the profile behind the evaluator's ``far_gain``, is S of a unit
+    point mass: Gamma(x - y) = S delta_y(x)."""
+
+    @staticmethod
+    def _profile(monkeypatch, k, f, cone, out_R):
+        """The evaluator and the Gamma its constructor passes to `_far_gain`."""
+        from lpsq import operators as ops
+
+        seen, inner = [], ops._far_gain
+        monkeypatch.setattr(ops, "_far_gain", lambda g: seen.append(g) or inner(g))
+        ev = SquareEvaluator(k, f, cone, out_R=out_R)
+        assert len(seen) == 1
+        return ev, seen[0]
+
+    @pytest.mark.parametrize("pad", [0, 3])
+    @pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
+    def test_equals_s_of_a_delta_at_the_corners(self, monkeypatch, n, N, pad):
+        """At each of the 2^n corner cells y, S delta_y on the output lattice
+        (pad cells wider than the box per side) is the window of Gamma at the
+        offsets x - y, for the evaluator and for direct summation."""
+        R = 4.0
+        h = 2 * R / N
+        k = parse_kernel("ex1:kappa=3", n)
+        f = GridFunction(n, R, h, np.zeros((N,) * n))
+        cone = build_cone(1.0, n, h, 2 * h, 2 * R, 4)
+        out_R = R + pad * h
+        ev, gamma = self._profile(monkeypatch, k, f, cone, out_R)
+        M = N + 2 * pad
+        assert gamma.shape == (2 * (N - 1 + pad) + 1,) * n
+        tol = 1e-12 * gamma.max()
+        for corner in itertools.product((0, N - 1), repeat=n):
+            delta = np.zeros((N,) * n)
+            delta[corner] = 1.0
+            # output cell o sits o - pad - y cells from the input cell y
+            want = gamma[tuple(slice(N - 1 - y, N - 1 - y + M) for y in corner)]
+            direct = square_function(k, f.with_values(delta), cone, out_R=out_R,
+                                     method="direct").values
+            for got in (ev.eval_values(delta), direct):
+                assert np.max(np.abs(got - want)) <= tol
+
+    @pytest.mark.parametrize("n, N", [(1, 16), (2, 6)])
+    def test_far_gain_is_the_max_beyond_each_distance(self, monkeypatch, n, N):
+        from lpsq import operators as ops
+
+        R = 3.0
+        h = 2 * R / N
+        k = parse_kernel("ex1:kappa=3", n)
+        f = GridFunction(n, R, h, np.zeros((N,) * n))
+        ev, gamma = self._profile(monkeypatch, k, f, build_cone(1.0, n, h, 2 * h, 2 * R, 4),
+                                  R + h)
+        # a random profile has shells whose maxima rise outward
+        rough = np.random.default_rng(n).random(gamma.shape)
+        for prof, want_far in ((gamma, ev.far_gain), (rough, ops._far_gain(rough))):
+            dist = np.max(np.abs(np.indices(prof.shape) - N), axis=0)  # offsets -N .. N
+            assert want_far.tolist() == [prof[dist >= d].max() for d in range(N + 1)]
+        assert np.all(np.diff(ev.far_gain) <= 0) and ev.far_gain[-1] > 0
 
 
 def _runs(rng, N: int) -> np.ndarray:
