@@ -205,8 +205,7 @@ def _campaign_dini(cfg, out_dir):
     val = dini_constant(mod, cfg["tol"])
     print(repr(round(val, 9)))
     rows = [("dini_constant", val)]
-    items = [{"name": "dini_finite", "pass": math.isfinite(val), "value": val,
-              "path": mod.dini_path}]
+    items = [{"name": "dini_finite", "pass": math.isfinite(val), "value": val}]
     if cfg["suite"]:
         suite = dini_inequality_suite(mod, cfg["alpha"], cfg["n"])
         for name, item in suite.items():

@@ -199,7 +199,13 @@ def bilinear_example_kernel(kappa: float = 3.0, n: int = 1) -> KernelSpec:
 def _csv_profile_kernel(path: str, n: int, w: ModulusOfContinuity | None) -> KernelSpec:
     if n != 1:
         raise ConfigError("CSV convolution profiles are 1-D")
-    rows = np.genfromtxt(read_text(path).splitlines(), delimiter=",")
+    bad = ConfigError(f"kernel profile {path!r}: rows must be two numbers (x, k(x))")
+    try:
+        rows = np.genfromtxt(read_text(path).splitlines(), delimiter=",", ndmin=2)
+    except ValueError:
+        raise bad from None
+    if rows.shape[1] != 2:
+        raise bad
     rows = rows[~np.isnan(rows).any(axis=1)]
     xs = rows[:, 0]
     vs = rows[:, 1]

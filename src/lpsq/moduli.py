@@ -8,24 +8,25 @@ extended constantly past 1.  The central quantity is
 computed after the substitution t = e^{-u}, which removes the 1/t
 singularity exactly:  integral_0^1 w(t)/t dt = integral_0^inf w(e^{-u}) du.
 
-Each built-in modulus carries its tail law, w(e^{-v}) in closed form up to
-a bracketed error, and its integrals past a cut U come from it:
+Every modulus carries its tail law, w(e^{-v}) in closed form up to a
+bracketed error for v >= start, and its integrals past a cut come from it:
 
-- ``power:delta`` is e^{-delta v} exactly, so its integrals are exact.
+- ``power:delta`` is e^{-delta v} exactly, from v = 0.
 - ``log:kappa`` is (v + eps)^{-p} with p = kappa/2 and 0 < eps <= 2 e^{-v},
-  and the ``logsplit`` pair is (v + eps)^{-q} with 0 < eps <= e^{-v}.  Past
-  U the integrand lies between (v + eps_max(U))^{-p} and v^{-p}, whose
-  integrals agree to about e^{-U} relative.
+  and the ``logsplit`` pair is (v + eps)^{-q} with 0 < eps <= e^{-v}, from
+  v = 0.  Past U the integrand lies between (v + eps_max(U))^{-p} and
+  v^{-p}, whose integrals agree to about e^{-U} relative.
+- a ``csv:`` table, linear between its knots, is c + beta t below its least
+  positive knot t_lo, so c + beta e^{-v} exactly from v = log(1/t_lo).
 
-An integral of such a modulus is one composite Simpson rule on the body
-[0, U], U = 40 (one vectorised evaluation), plus the bracketed tail; the
-body is empty where the bracket alone meets the tolerance, as for the power
-modulus.  The verdicts come from the exponent: (v + eps)^{-p} is Dini iff
-p > 1 and log-Dini iff p > 2.  The same path takes the shifted Dini
-integrals of the inequality suite (items c, d, the ring sum and the far
-ring).  Table moduli and user callbacks have no tail law: they use the
-windowed engine, adaptive Simpson on doubling windows with heuristic
-convergence and divergence tests.
+There is one quadrature engine, `dini_integral`: a composite Simpson rule
+on the body [v0, U], U = max(v0 + 40, start) (one vectorised evaluation),
+plus the closed-form bracket of the tail law past U; the body is empty
+where the bracket alone meets the tolerance, as for the power modulus.
+The verdicts are the law's, hence exact: (v + eps)^{-p} is Dini iff p > 1
+and log-Dini iff p > 2, and a table is Dini iff c = w(0+) = 0.  With a
+bounded increasing weight the same engine takes every integral of the
+inequality suite.
 """
 
 from __future__ import annotations
@@ -79,15 +80,22 @@ def _pow_integral(p: float, a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class ExpTail:
-    """Tail law w(e^{-v}) = e^{-rate v}, exact: the power modulus t^rate."""
+    """Tail law w(e^{-v}) = floor + scale e^{-rate v} for v >= start, exact:
+    the power modulus t^rate, and a table (rate 1), c + beta t below its
+    least positive knot.  Dini and log-Dini iff the floor is 0; the
+    integrals of a law with a floor diverge, so they are never taken."""
 
     rate: float
+    scale: float = 1.0
+    floor: float = 0.0
+    start: float = 0.0
 
     def finite(self, log_weight: bool) -> bool:
-        return True
+        return self.floor == 0.0
 
     def integral(self, a: float, b: float, log_weight: bool = False):
-        """(lo, hi) = integral_a^b w(e^{-v}) dv, times v when log_weight."""
+        """(lo, hi) = integral_a^b w(e^{-v}) dv, times v when log_weight;
+        start <= a <= b <= inf, no floor."""
         r = self.rate
 
         def minus_primitive(v):
@@ -96,17 +104,18 @@ class ExpTail:
             e = math.exp(-r * v)
             return (v / r + 1.0 / r**2) * e if log_weight else e / r
 
-        val = minus_primitive(a) - minus_primitive(b)
+        val = self.scale * (minus_primitive(a) - minus_primitive(b))
         return val, val
 
-    def root(self, m: int) -> "ExpTail":
-        """The law of w^{1/m}."""
-        return ExpTail(self.rate / m)
+    def power(self, q: float) -> "ExpTail":
+        """The law of w^q (with a floor, only its divergent verdict holds)."""
+        return ExpTail(self.rate * q, self.scale**q, self.floor**q, self.start)
 
 
 @dataclass(frozen=True)
 class LogTail:
-    """Tail law w(e^{-v}) = (v + eps(v))^{-p} with 0 < eps(v) <= c e^{-v}.
+    """Tail law w(e^{-v}) = (v + eps(v))^{-p} with 0 < eps(v) <= c e^{-v},
+    for v >= 0.
 
     On v >= a, (v + c e^{-a})^{-p} <= w(e^{-v}) <= v^{-p}, and both ends
     integrate in closed form.  Dini iff p > 1, log-Dini iff p > 2.
@@ -114,6 +123,7 @@ class LogTail:
 
     p: float
     c: float
+    start = 0.0
 
     def finite(self, log_weight: bool) -> bool:
         return self.p > (2.0 if log_weight else 1.0)
@@ -133,9 +143,9 @@ class LogTail:
             lo = _pow_integral(p, a + d, b + d)
         return lo, hi
 
-    def root(self, m: int) -> "LogTail":
-        """The law of w^{1/m}."""
-        return LogTail(self.p / m, self.c)
+    def power(self, q: float) -> "LogTail":
+        """The law of w^q."""
+        return LogTail(self.p * q, self.c)
 
 
 @dataclass(frozen=True)
@@ -143,19 +153,20 @@ class ModulusOfContinuity:
     """Nonnegative increasing function on (0,1], constant past 1.
 
     ``fn`` is only ever evaluated on (0, 1]; __call__ clamps larger
-    arguments to 1, which enforces the extension convention for every
-    modulus, including user-supplied callbacks.  ``fn_exp``, when given,
-    evaluates w(e^{-u}) directly so deep tails (u beyond exp underflow)
-    stay exact; the built-in constructors supply it, and with it ``tail``,
-    the closed-form law of w(e^{-v}) that the Dini integrals use past
-    their cut.  `dini_constant` memoizes its results per tol on the modulus
-    (successes only).
+    arguments to 1, which enforces the extension convention.  ``fn_exp``
+    evaluates w(e^{-u}) for u >= 0 directly, so deep tails (u beyond exp
+    underflow) stay exact, and ``tail`` is the closed-form law of w(e^{-v})
+    that the Dini integrals use past their cut.  ``kinks`` are the v > 0
+    where w(e^{-v}) is not smooth (a table's knots), at which the
+    quadrature body is split.  `dini_constant` memoizes its results per tol
+    on the modulus (successes only).
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    fn_exp: Callable[[np.ndarray], np.ndarray] | None = None
-    tail: ExpTail | LogTail | None = None
+    fn_exp: Callable[[np.ndarray], np.ndarray]
+    tail: ExpTail | LogTail
+    kinks: tuple = ()
     _dini: dict = field(default_factory=dict, init=False, compare=False,
                         hash=False, repr=False)
 
@@ -170,22 +181,20 @@ class ModulusOfContinuity:
 
     def at_exp(self, u):
         """w(e^{-u}); u may be any real, u <= 0 gives w(1)."""
-        u = np.asarray(u, dtype=float)
-        if self.fn_exp is not None:
-            out = np.asarray(self.fn_exp(np.maximum(u, 0.0)), dtype=float)
-        else:
-            t = np.exp(-np.minimum(u, 700.0))
-            t = np.maximum(t, 1e-300)
-            out = np.asarray(self.fn(np.minimum(t, 1.0)), dtype=float)
+        out = np.asarray(self.fn_exp(np.maximum(u, 0.0)), dtype=float)
         if out.ndim == 0:
             return float(out)
         return out
 
-    @property
-    def dini_path(self) -> str:
-        """How the Dini integrals of this modulus are taken: "exact_tail"
-        (body rule plus the closed-form tail) or "windowed"."""
-        return "windowed" if self.tail is None else "exact_tail"
+    def power(self, q: float) -> "ModulusOfContinuity":
+        """w^q, with the law of w^q as its tail."""
+        return ModulusOfContinuity(
+            f"{self.name}^{q:g}",
+            lambda t: np.asarray(self.fn(t)) ** q,
+            lambda u: np.asarray(self.fn_exp(u)) ** q,
+            self.tail.power(q),
+            self.kinks,
+        )
 
 
 def _check_monotone(w: ModulusOfContinuity, samples: int = 256) -> None:
@@ -265,21 +274,46 @@ def logsplit_moduli(kappa: float, beta: float):
 
 
 def table_modulus(path: str, name: str | None = None) -> ModulusOfContinuity:
-    """Modulus interpolated linearly from a two-column CSV (t, w(t))."""
-    ts, vs = [], []
-    for row in csv.reader(read_text(path).splitlines()):
+    """Modulus interpolated linearly from a two-column CSV (t, w(t)).
+
+    Knots need t > 0, but for a leading (0, w(0+)) row.  Below its least
+    positive knot t_lo the table is c + beta t, with c = w(0+) (the first
+    value, and beta = 0, when there is no t = 0 row), so its tail law is
+    c + beta e^{-v} from v = log(1/t_lo).  It is increasing iff its knot
+    values do not decrease, which is checked exactly.
+    """
+    name = name or f"csv:{path}"
+    rows = []
+    for line, row in enumerate(csv.reader(read_text(path).splitlines()), 1):
         if not row or row[0].lstrip().startswith("#"):
             continue
-        ts.append(float(row[0]))
-        vs.append(float(row[1]))
-    order = np.argsort(ts)
-    ts = np.asarray(ts, dtype=float)[order]
-    vs = np.asarray(vs, dtype=float)[order]
-    if ts.size < 2:
+        try:
+            t, v = map(float, row)
+        except ValueError:
+            raise ConfigError(
+                f"table modulus {path!r} line {line}: expected two numbers, got {row}"
+            ) from None
+        rows.append((t, v))
+    if len(rows) < 2:
         raise ConfigError(f"table modulus {path!r} needs at least two rows")
-    m = ModulusOfContinuity(name or f"csv:{path}", lambda t: np.interp(t, ts, vs))
-    _check_monotone(m)
-    return m
+    ts, vs = np.array(sorted(rows)).T
+    if not np.isfinite([ts, vs]).all() or ts[0] < 0.0 or np.any(ts[1:] <= 0.0):
+        raise ConfigError(f"table modulus {path!r}: knots need finite values and "
+                          f"t > 0, but for a leading (0, w(0+)) row")
+    if vs[0] < 0.0:
+        raise MonotonicityError(f"modulus {name!r} takes negative values")
+    dv = np.diff(vs)
+    if np.any(dv < 0.0):
+        i = int(np.argmin(dv))
+        raise MonotonicityError(
+            f"modulus {name!r} decreases between t={ts[i]:.6g} and t={ts[i + 1]:.6g}"
+        )
+    k = int(ts[0] == 0.0)  # the least positive knot
+    law = ExpTail(1.0, float((vs[k] - vs[0]) / ts[k]), float(vs[0]),
+                  max(-math.log(ts[k]), 0.0))
+    return ModulusOfContinuity(name, lambda t: np.interp(t, ts, vs),
+                               lambda u: np.interp(np.exp(-u), ts, vs), law,
+                               tuple(-np.log(ts[(ts > 0.0) & (ts < 1.0)])))
 
 
 def parse_modulus(spec: str) -> ModulusOfContinuity:
@@ -310,87 +344,17 @@ def parse_modulus(spec: str) -> ModulusOfContinuity:
 # ---------------------------------------------------------------------------
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> float:
-    """Adaptive Simpson with Richardson correction on [a, b]."""
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, eps / 2.0, depth - 1) + recurse(
-            xm, x2, f1, fr, f2, right, eps / 2.0, depth - 1
-        )
-
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
-
-
 @dataclass
 class QuadratureResult:
-    """Windowed-quadrature outcome with the per-doubling truncated values."""
+    """Outcome of `dini_integral`: the value, or on divergence the integral
+    through the body cut."""
 
     value: float
     converged: bool
     diverged: bool
-    levels: list[float] = field(default_factory=list)  # value at U0 * 2^k
 
     def __float__(self):
         return self.value
-
-
-def _windowed_integral(
-    g: Callable[[float], float],
-    tol: float,
-    u0: float = 8.0,
-    max_doublings: int = 60,
-    grow_limit: float = 1.5,
-) -> QuadratureResult:
-    """integral_0^inf g(u) du by adaptive Simpson on doubling windows.
-
-    Stops when the monotone window bound and geometric tail extrapolation
-    both fall below tol/10.  Flags divergence when the truncated value grows
-    by more than ``grow_limit`` between the last two doublings.
-    """
-    total = _adaptive_simpson(g, 0.0, u0, tol / 4.0)
-    levels = [total]
-    u = u0
-    prev_inc = None
-    for _ in range(max_doublings):
-        inc = _adaptive_simpson(g, u, 2.0 * u, tol / 8.0)
-        u *= 2.0
-        total += inc
-        levels.append(total)
-        # monotone bound for the next window: |g| decreasing => g(u) * u
-        window_bound = abs(g(u)) * u
-        ratio = inc / prev_inc if prev_inc not in (None, 0.0) else None
-        if window_bound < tol / 10.0 or abs(inc) < tol / 20.0:
-            tail = 0.0
-            if ratio is not None and 0.0 < ratio < 0.95:
-                tail = inc * ratio / (1.0 - ratio)
-            return QuadratureResult(total + tail, True, False, levels)
-        prev_inc = inc
-    # budget exhausted: divergence is judged on the final two doublings
-    diverged = (
-        len(levels) >= 3
-        and levels[-3] > 0
-        and levels[-2] > 0
-        and levels[-1] > grow_limit * levels[-2]
-        and levels[-2] > grow_limit * levels[-3]
-    )
-    return QuadratureResult(total, False, diverged, levels)
 
 
 _CUT = 40.0  # length of the body [v0, v0 + _CUT] in v = log(1/t)
@@ -398,131 +362,89 @@ _PANELS = 4000  # Simpson panels on the body: 8,001 points
 _MAX_PANELS = 64000
 
 
-def _simpson_body(g, a: float, b: float, tol: float):
-    """Composite Simpson on [a, b] for a vectorised g: (panel integrals,
-    error estimate).  The estimate is |S_h - S_2h| / 15 from the same
-    samples; the panels double, up to _MAX_PANELS, while it exceeds tol."""
+def _simpson_body(g, a: float, b: float, tol: float, kinks=()):
+    """Composite Simpson on [a, b] for a vectorised g, split at its kinks
+    in (a, b) into smooth pieces: (panel integrals, error estimate).  A
+    piece of length L gets an even number of panels, about m L / (b - a),
+    and m panels in all; the estimate is |S_h - S_2h| / 15 from the same
+    samples, and m doubles, up to _MAX_PANELS, while it exceeds tol."""
+    edges = np.array([a, *sorted(k for k in kinks if a < k < b), b])
     m = _PANELS
     while True:
-        y = np.asarray(g(np.linspace(a, b, 2 * m + 1)), dtype=float)
-        h = (b - a) / (2 * m)
+        counts = 2 * np.maximum(np.rint(m * np.diff(edges) / (2.0 * (b - a))), 1).astype(int)
+        x = np.concatenate([np.linspace(e0, e1, 2 * c + 1)[:-1]
+                            for e0, e1, c in zip(edges, edges[1:], counts)] + [[b]])
+        y = np.asarray(g(x), dtype=float)
+        h = np.repeat(np.diff(edges) / (2 * counts), counts)
         panels = h / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])
-        coarse = 2.0 * h / 3.0 * (y[:-4:4] + 4.0 * y[2:-2:4] + y[4::4])
+        coarse = 2.0 * h[::2] / 3.0 * (y[:-4:4] + 4.0 * y[2:-2:4] + y[4::4])
         err = abs(float(panels.sum()) - float(coarse.sum())) / 15.0
         if err <= tol or m >= _MAX_PANELS:
             return panels, err
         m *= 2
 
 
-def _tail_integral(
-    w: ModulusOfContinuity,
-    tol: float,
-    s: float = 0.0,
-    log_weight: bool = False,
-    damped: bool = False,
-    doublings: int = 0,
-) -> QuadratureResult:
-    """integral_0^inf F(u) w(e^{-(u - s)}) du for a modulus with a tail law,
-    with F(u) = 1, u (log_weight, s = 0 only) or 1 - e^{-u} (damped).
-
-    In v = u - s the part v < 0 is w(1) integral_0^s F, in closed form; the
-    body [v0, U] from v0 = max(-s, 0) is one `_simpson_body`, and past U the
-    tail law's bracket, times the range of F there, gives the rest.  U is
-    v0 itself where that bracket already meets tol, else v0 + _CUT.  The
-    verdict is the law's: a divergent tail is ``diverged``, whatever the
-    truncated values.  ``levels`` are the truncated values at
-    v0 + 8 * 2^k, up to the first past U when the integral is finite and
-    for k <= ``doublings`` when it diverges.
-    """
-    law = w.tail
-    finite = law.finite(log_weight)
-    v0 = max(-s, 0.0)
-    head = 0.0
-    if s > 0.0:
-        head = float(w(1.0)) * (s + math.expm1(-s) if damped else s)
-
-    def bracket(a, b):
-        lo, hi = law.integral(a, b, log_weight)
-        return (-math.expm1(-(a + s)) * lo if damped else lo), hi
-
-    cut, err, edges, cum = v0, 0.0, None, None
-    lo, hi = bracket(v0, math.inf) if finite else (0.0, math.inf)
-    if hi - lo > tol / 4.0:
-        cut = v0 + _CUT
-        if log_weight:
-            g = lambda v: v * w.at_exp(v)
-        elif damped:
-            g = lambda v: -np.expm1(-(v + s)) * w.at_exp(v)
-        else:
-            g = w.at_exp
-        panels, err = _simpson_body(g, v0, cut, tol / 2.0)
-        edges = np.linspace(v0, cut, panels.size + 1)
-        cum = np.concatenate([[0.0], np.cumsum(panels)])
-
-    def truncated(x):
-        val = head
-        if cum is not None:
-            val += float(np.interp(min(x, cut), edges, cum))
-        if x > cut:
-            val += 0.5 * sum(bracket(cut, x))
-        return val
-
-    levels = []
-    for k in range(doublings + 1):
-        x = v0 + 8.0 * 2.0**k
-        levels.append(truncated(x))
-        if finite and x >= cut:
-            break
-    if not finite:
-        return QuadratureResult(levels[-1], False, True, levels)
-    lo, hi = bracket(cut, math.inf)
-    return QuadratureResult(truncated(math.inf), err + 0.5 * (hi - lo) <= tol, False,
-                            levels)
-
-
 def dini_integral(
     w: ModulusOfContinuity,
     tol: float = 1e-8,
     log_weight: bool = False,
-    max_doublings: int = 60,
+    v0: float = 0.0,
+    weight: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> QuadratureResult:
-    """Truncated integral_0^1 w(t)/t dt, optionally with the log(1/t) weight.
+    """integral_{v0}^inf F(v) w(e^{-v}) dv for v0 >= 0, with F = 1, v
+    (log_weight) or ``weight``, a vectorised increasing function with
+    values in (0, 1].  With F = 1 this is the Dini integral of w on
+    (0, e^{-v0}] in v = log(1/t), and with F = v its log-Dini integral.
 
-    In the u = log(1/t) variable this is integral_0^inf w(e^{-u}) du
-    (times u when log_weight).  A modulus with a tail law takes the body
-    rule plus its closed-form tail (`_tail_integral`), and its verdict is
-    exact; any other the windowed engine.  The result carries the
-    per-doubling truncated values at 8 * 2^k so callers can witness
-    divergence directly.
+    The body [v0, U] is one `_simpson_body`, and past U the tail law's
+    bracket, its lower end times weight(U), gives the rest.  U is v0
+    itself where the law holds from v0 and that bracket already meets tol,
+    else max(v0 + _CUT, start).  The verdict is the law's: a divergent
+    tail is ``diverged``, and ``value`` is then the integral through U.
     """
-    if w.tail is not None:
-        return _tail_integral(w, tol, log_weight=log_weight, doublings=max_doublings)
-    if log_weight:
-        g = lambda u: u * float(w.at_exp(u))
-    else:
-        g = lambda u: float(w.at_exp(u))
-    return _windowed_integral(g, tol, max_doublings=max_doublings)
+    law = w.tail
+    finite = law.finite(log_weight)
+
+    def bracket(a):
+        lo, hi = law.integral(a, math.inf, log_weight)
+        return (lo if weight is None else float(weight(a)) * lo), hi
+
+    cut, err, body = v0, 0.0, 0.0
+    lo, hi = bracket(v0) if finite and v0 >= law.start else (0.0, math.inf)
+    if hi - lo > tol / 4.0:
+        cut = max(v0 + _CUT, law.start)
+        if log_weight:
+            g = lambda v: v * w.at_exp(v)
+        elif weight is None:
+            g = w.at_exp
+        else:
+            g = lambda v: weight(v) * w.at_exp(v)
+        panels, err = _simpson_body(g, v0, cut, tol / 2.0, w.kinks)
+        body = float(np.cumsum(panels)[-1])
+    if not finite:
+        return QuadratureResult(body, False, True)
+    lo, hi = bracket(cut)
+    return QuadratureResult(body + 0.5 * (lo + hi), err + 0.5 * (hi - lo) <= tol, False)
 
 
-def log_dini_integral(w: ModulusOfContinuity, tol: float = 1e-8, **kw) -> QuadratureResult:
-    return dini_integral(w, tol, log_weight=True, **kw)
+def log_dini_integral(w: ModulusOfContinuity, tol: float = 1e-8) -> QuadratureResult:
+    return dini_integral(w, tol, log_weight=True)
 
 
 def dini_constant(w: ModulusOfContinuity, tol: float = 1e-8) -> float:
     """integral_0^1 w(t)/t dt + w(1), with absolute error <= tol.
 
-    For the built-in moduli the integral is a composite Simpson body on
-    [0, 40] in u = log(1/t) plus the closed-form tail past it, whose
-    bracket is far below tol; the power modulus t^delta gives 1/delta + 1
-    exactly.  Their verdict comes from the exponent: log^{-p}-type decay
-    is Dini iff p > 1, so ``log:kappa`` is Dini iff kappa > 2.  Table
-    moduli and callbacks take the windowed engine (`dini_integral`).
+    The integral is a composite Simpson body on [0, U] in u = log(1/t),
+    U = 40 or the start of a table's tail law, plus the closed-form tail
+    past it (`dini_integral`), whose bracket is far below tol; the power
+    modulus t^delta gives 1/delta + 1 exactly.  The verdict comes from the
+    tail law: log^{-p}-type decay is Dini iff p > 1, so ``log:kappa`` is
+    Dini iff kappa > 2, and a table iff w(0+) = 0.
 
     Raises MonotonicityError on a failed increasing spot-check,
-    DivergenceError when the integral diverges (by the exponent, or for
-    the windowed engine when the truncated integral keeps growing), and
-    QuadratureBudgetError (carrying the partial value) when the tolerance
-    is not met within the refinement budget.
+    DivergenceError when the tail law diverges (carrying the integral
+    through the body cut), and QuadratureBudgetError (carrying the partial
+    value) when the tolerance is not met within the refinement budget.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
@@ -543,18 +465,6 @@ def dini_constant(w: ModulusOfContinuity, tol: float = 1e-8) -> float:
         )
     w._dini[tol] = res.value + float(w(1.0))
     return w._dini[tol]
-
-
-def _shifted_dini(w: ModulusOfContinuity, s: float, tol: float,
-                  damped: bool = False) -> QuadratureResult:
-    """integral_0^inf F(u) w(e^{-(u - s)}) du, F = 1 or 1 - e^{-u} (damped):
-    the Dini integral of w on (0, e^s], for the suite items."""
-    if w.tail is not None:
-        return _tail_integral(w, tol, s, damped=damped)
-    if damped:
-        return _windowed_integral(
-            lambda u: float(w.at_exp(u - s)) * (1.0 - math.exp(-u)), tol)
-    return _windowed_integral(lambda u: float(w.at_exp(u - s)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +504,12 @@ def dini_inequality_suite(
     modulus; a growth of its max beyond 1.2x as the radius range goes from
     1e3 to 1e4 is a DivergenceError.
 
-    All integrals are reduced to one-dimensional u-substituted forms; the
-    ring sum collapses to a k-independent radial integral times an exact
-    geometric factor, so its tail is exact.  The ring and far-ring items
-    do not depend on the cube side ell, so it is not a parameter.
+    Every integral is restated in u = log(1/s) for the argument s of w:
+    the part where s >= 1 (w = w(1)) is closed-form, the rest one
+    `dini_integral` with a bounded increasing weight.  The ring sum
+    collapses to a k-independent radial integral times an exact geometric
+    factor.  The ring and far-ring items do not depend on the cube side
+    ell, so it is not a parameter.
     """
     if alpha < 1.0:
         raise ParameterError("alpha must be >= 1")
@@ -608,6 +520,7 @@ def dini_inequality_suite(
 
     dini = dini_constant(w, tol=max(min(tol, 1e-6), 1e-8))
     la = math.log(2.0 + alpha)
+    w1 = float(w(1.0))
     out: dict[str, SuiteItem] = {}
 
     def add(name, lhs, ref):
@@ -615,26 +528,28 @@ def dini_inequality_suite(
             raise DivergenceError(f"suite item {name} diverged", partial=lhs, item=name)
         out[name] = SuiteItem(name, lhs, ref, lhs / ref if ref > 0 else math.inf)
 
+    def integral(name, mod=w, tol=tol, **kw):
+        res = dini_integral(mod, tol, **kw)
+        if res.diverged or not res.converged:
+            raise DivergenceError(f"suite item {name} diverged", partial=res.value,
+                                  item=name)
+        return res.value
+
+    def h_tail(t0):
+        """integral_{t0}^inf (1+t)^{-2n} dt/t"""
+        return math.log1p(1.0 / t0) - sum(1.0 / (k * (1.0 + t0) ** k) for k in range(1, 2 * n))
+
     # (a)  ( int_0^inf [ (1+t)^{-n} w(4t/(t+1)) ]^2 dt/t )^{1/2}   vs  dini
-    # substitute t = e^v, v over R; evaluated in log space so deep tails
-    # (where e^v under/overflows) stay exact.
-    def log1p_exp(v):
-        return math.log1p(math.exp(v)) if v < 30 else v + math.log1p(math.exp(-v))
-
-    def ga(v):
-        lp = log1p_exp(v)
-        # w(4 e^v / (1+e^v)) = w(e^{-(lp - v - log 4)})
-        return (math.exp(-n * lp) * float(w.at_exp(lp - v - math.log(4.0)))) ** 2
-
-    val = _windowed_integral(lambda u: ga(-u), tol).value + _windowed_integral(ga, tol).value
+    # s = 4t/(1+t) = e^{-u} on t < 1/3:  (1 - s/4)^{2n-1} w(s)^2 ds/s
+    sq = w.power(2.0)
+    val = w1**2 * h_tail(1.0 / 3.0) + integral(
+        "a", sq, weight=lambda u: (1.0 - np.exp(-u) / 4.0) ** (2 * n - 1))
     add("a", math.sqrt(val), dini)
 
     # (b)  int_0^inf [ (t+1)^{-n} w((1+alpha) t) ]^2 dt/t   vs  log(2+alpha) dini^2
-    def gb(v):
-        lp = log1p_exp(v)
-        return (math.exp(-n * lp) * float(w.at_exp(-v - math.log(1.0 + alpha)))) ** 2
-
-    val = _windowed_integral(lambda u: gb(-u), tol).value + _windowed_integral(gb, tol).value
+    # s = (1+alpha) t = e^{-u} on t < 1/(1+alpha):  (1 + s/(1+alpha))^{-2n} w(s)^2 ds/s
+    val = w1**2 * h_tail(1.0 / (1.0 + alpha)) + integral(
+        "b", sq, weight=lambda u: (1.0 + np.exp(-u) / (1.0 + alpha)) ** (-2 * n))
     add("b", val, la * dini**2)
 
     # (c)  sum_{k>=1} w((1+alpha)/2^{k+1})   vs  log(2+alpha) dini
@@ -644,57 +559,40 @@ def dini_inequality_suite(
     ks = np.arange(1, k_max + 1, dtype=float)
     s = float(np.sum(w((1.0 + alpha) * np.exp2(-(ks + 1.0)))))
     a_tail = (1.0 + alpha) / 2.0 ** (k_max + 1)
-    tail_res = _shifted_dini(w, math.log(a_tail), max(tol, 1e-7))
-    if tail_res.diverged or not tail_res.converged:
-        raise DivergenceError("suite item c: tail bound fails", partial=s, item="c")
-    add("c", s + tail_res.value / math.log(2.0), la * dini)
+    rest = integral("c", tol=max(tol, 1e-7), v0=-math.log(a_tail))
+    add("c", s + rest / math.log(2.0), la * dini)
 
     # (d)  int_0^alpha w(t)/t dt   vs  log(2+alpha) dini
-    res = _shifted_dini(w, math.log(alpha), tol)
-    if res.diverged:
-        raise DivergenceError("suite item d diverged", partial=res.value, item="d")
-    add("d", res.value, la * dini)
+    add("d", w1 * math.log(alpha) + integral("d"), la * dini)
 
     # (e)  dini(w)  vs  dini(w^{1/m})^m; the root may fail the Dini
     # condition (then the inequality is trivial and the reference is inf).
     # The root of a tail law is a tail law (log:kappa -> log:kappa/m), so
-    # that verdict is exact for the built-in moduli.
-    root = ModulusOfContinuity(
-        f"{w.name}^(1/{m_shift})",
-        lambda t: np.asarray(w.fn(t)) ** (1.0 / m_shift),
-        fn_exp=None if w.fn_exp is None
-        else (lambda u: np.asarray(w.fn_exp(u)) ** (1.0 / m_shift)),
-        tail=None if w.tail is None else w.tail.root(m_shift),
-    )
-    root_res = dini_integral(root, tol=min(tol, 1e-8), max_doublings=40)
-    if root_res.converged and not root_res.diverged:
-        ref_e = (root_res.value + float(root(1.0))) ** m_shift
-    else:
-        ref_e = math.inf
+    # that verdict is exact.
+    root = w.power(1.0 / m_shift)
+    root_res = dini_integral(root, tol=min(tol, 1e-8))
+    ref_e = (root_res.value + float(root(1.0))) ** m_shift if root_res.converged else math.inf
     out["e"] = SuiteItem("e", dini, ref_e, dini / ref_e if math.isfinite(ref_e) else 0.0)
 
     # ring sum: sum_k 2^{-kn/2} J_n(m), J scale-invariant in ell and k.
     # n=1: J = 2 int_0^inf w(2^m e^{-v}) dv
     # n=2: J = 2 pi int_0^inf w(2^m e^{-v}) (1 - e^{-v}) dv
+    # w = w(1) on v < sm = m log 2; past it v = sm + u
     surf = 2.0 if n == 1 else 2.0 * math.pi
-    res = _shifted_dini(w, m_shift * math.log(2.0), tol, damped=n == 2)
-    if res.diverged or not res.converged:
-        raise DivergenceError(
-            "suite item ring_sum diverged", partial=res.value, item="ring_sum"
-        )
+    sm = m_shift * math.log(2.0)
+    if n == 1:
+        val = w1 * sm + integral("ring_sum")
+    else:
+        val = w1 * (sm + math.expm1(-sm)) + integral(
+            "ring_sum", weight=lambda u: -np.expm1(-(u + sm)))
     geo = 2.0 ** (-n / 2.0) / (1.0 - 2.0 ** (-n / 2.0))
-    add("ring_sum", geo * surf * res.value, dini)
+    add("ring_sum", geo * surf * val, dini)
 
     # far ring: int_{|x-c|>32 n ell} |x-c|^{-n} w(2 sqrt(n) ell / |x-c|) dx
     # radialized and substituted s = 2 sqrt(n) ell / r: a w-Dini integral on
     # (0, s_max] with s_max = sqrt(n)/(16 n); independent of ell.
     s_max = 2.0 * math.sqrt(n) / (32.0 * n)
-    res = _shifted_dini(w, math.log(s_max), tol)
-    if res.diverged or not res.converged:
-        raise DivergenceError(
-            "suite item far_ring diverged", partial=res.value, item="far_ring"
-        )
-    add("far_ring", surf * res.value, dini)
+    add("far_ring", surf * integral("far_ring", v0=-math.log(s_max)), dini)
 
     lr, lr_ext = _log_ratio_max(1e3), _log_ratio_max(1e4)
     if lr_ext / lr > 1.2:

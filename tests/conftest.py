@@ -38,8 +38,9 @@ def cone_coarse(gauss_grid):
 def exp_substituted_quad(w_of_u, split: float = 10.0, upper: float = 60.0):
     """Independent reference for integral_0^inf f(u) du.
 
-    Plain quad near 0 plus an exponential substitution for the tail; used
-    as the quadrature oracle against the windowed Simpson engine.
+    Plain scipy quad near 0 plus an exponential substitution for the tail;
+    an oracle for the Dini constants of the body-plus-tail engine that
+    needs no mpmath.
     """
     from scipy.integrate import quad
 

@@ -37,15 +37,23 @@ class TestSubcommands:
         names = {it["name"] for it in summary["items"]}
         assert "suite_c" in names and summary["passed"]
 
-    def test_dini_summary_records_path(self, tmp_path):
-        csv_path = tmp_path / "w.csv"
-        ts = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 64)])  # w(t) = t
-        csv_path.write_text("\n".join(f"{t},{t}" for t in ts))
-        for modulus, path in (("log:3", "exact_tail"), (f"csv:{csv_path}", "windowed")):
-            out = tmp_path / path
-            assert run_main(["--out-dir", str(out), "dini", "--modulus", modulus]) == 0
-            summary = json.loads((out / "summary.json").read_text())
-            assert summary["items"][0]["path"] == path
+    def test_dini_table_modulus_verdicts(self, tmp_path, capsys):
+        """w(t) = t on a table with a (0, 0) row: the constant is the exact
+        segment sum, 2; over a positive floor the table is not Dini."""
+        ts = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 64)])
+        dini_path, floored = tmp_path / "w.csv", tmp_path / "f.csv"
+        dini_path.write_text("\n".join(f"{t},{t}" for t in ts))
+        floored.write_text("\n".join(f"{t},{max(t, 1e-3)}" for t in ts))
+        out = tmp_path / "dini"
+        assert run_main(["--out-dir", str(out), "dini", "--modulus", f"csv:{dini_path}"]) == 0
+        assert capsys.readouterr().out.strip() == "2.0"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["items"] == [{"name": "dini_finite", "pass": True,
+                                     "value": pytest.approx(2.0, abs=1e-10)}]
+        out = tmp_path / "floored"
+        assert run_main(["--out-dir", str(out), "dini", "--modulus", f"csv:{floored}"]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["passed"] and "diverges" in summary["error"]
 
     @pytest.mark.parametrize("args", [
         ["sparse", "--kernel", "ex1:kappa=2.2", "--h", "0.125"],
@@ -127,6 +135,21 @@ class TestSubcommands:
         assert not summary["passed"] and "cannot read" in summary["error"]
         assert summary["campaign"] == campaign
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("campaign, flag", [
+        ("dini", "--modulus"), ("kernel-check", "--kernel"),
+    ])
+    def test_malformed_csv_id_exits_2(self, tmp_path, capsys, campaign, flag):
+        """A ``csv:`` table with a one-column row is a ConfigError: exit 2,
+        with the error in summary.json."""
+        path, out = tmp_path / "bad.csv", tmp_path / "o"
+        path.write_text("0.1\n0.5,0.5\n1,1\n")
+        rc = run_main(["--out-dir", str(out), campaign, flag, f"csv:{path}"])
+        assert rc == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["passed"] and "two numbers" in summary["error"]
+        assert summary["campaign"] == campaign
+        assert "two numbers" in capsys.readouterr().err
 
     def test_config_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -13,6 +13,7 @@ from lpsq.errors import (
 )
 from lpsq import moduli
 from lpsq.moduli import (
+    ExpTail,
     ModulusOfContinuity,
     _log_ratio_max,
     dini_constant,
@@ -27,6 +28,18 @@ from lpsq.moduli import (
 )
 
 from conftest import exp_substituted_quad
+
+
+def _decreasing():
+    """1 - t, with its exact law 1 - e^{-v}: fails the increasing check."""
+    return ModulusOfContinuity("bad", lambda t: 1.0 - t, lambda u: -np.expm1(-u),
+                               ExpTail(1.0, -1.0, 1.0))
+
+
+def _write_table(tmp_path, rows, name="w.csv"):
+    path = tmp_path / name
+    path.write_text("\n".join(",".join(map(str, row)) for row in rows))
+    return str(path)
 
 
 class TestDiniConstant:
@@ -55,13 +68,15 @@ class TestDiniConstant:
         assert dini_constant(w, 1e-8) == pytest.approx(oracle, abs=1e-6)
 
     def test_constant_modulus_diverges(self):
-        w = ModulusOfContinuity("const", lambda t: np.ones_like(np.asarray(t)))
+        # law 1 + 0 e^{-v}: a floor, so divergent; partial is int_0^40 1 du
+        w = ModulusOfContinuity("const", lambda t: np.ones_like(np.asarray(t)),
+                                lambda u: np.ones_like(u), ExpTail(1.0, 0.0, 1.0))
         with pytest.raises(DivergenceError) as exc:
             dini_constant(w, 1e-8)
-        assert exc.value.partial is not None
+        assert exc.value.partial == pytest.approx(40.0, rel=1e-12)
 
     def test_non_monotone_rejected(self):
-        w = ModulusOfContinuity("bad", lambda t: 1.0 - t)
+        w = _decreasing()
         with pytest.raises(MonotonicityError):
             dini_constant(w, 1e-8)
 
@@ -99,7 +114,7 @@ class TestDiniConstant:
         assert len(runs) == before + 1
 
     def test_errors_not_memoized(self):
-        w = ModulusOfContinuity("bad", lambda t: 1.0 - t)
+        w = _decreasing()
         for _ in range(2):
             with pytest.raises(MonotonicityError):
                 dini_constant(w, 1e-8)
@@ -114,12 +129,15 @@ class TestDiniConstant:
 
 class TestLogDini:
     def test_kappa3_grows_without_bound(self):
-        # the log-weighted integral at kappa=3: finite Dini but log-Dini fails
-        res = log_dini_integral(log_modulus(3.0), 1e-8, max_doublings=24)
-        assert res.diverged or not res.converged
-        lv = res.levels
-        assert len(lv) >= 3
-        assert lv[-1] / lv[-3] >= 1.8  # keeps growing over two doublings
+        # the log-weighted integral at kappa=3: finite Dini but log-Dini
+        # fails; the partial value is the integral through the body cut
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        res = log_dini_integral(log_modulus(3.0), 1e-8)
+        assert res.diverged and not res.converged
+        oracle = mp.quad(lambda u: u * mp.log(2 + mp.exp(u)) ** mp.mpf(-1.5),
+                         mp.linspace(0, 40, 41))
+        assert res.value == pytest.approx(float(oracle), abs=1e-9)
 
     def test_kappa3_plain_dini_still_finite(self):
         res = dini_integral(log_modulus(3.0), 1e-8)
@@ -138,7 +156,6 @@ class TestExactTails:
     @pytest.mark.parametrize("kappa", sorted(REFERENCE))
     def test_log_constant_matches_reference(self, kappa):
         w = log_modulus(kappa)
-        assert w.dini_path == "exact_tail"
         assert dini_constant(w, 1e-8) == pytest.approx(self.REFERENCE[kappa], abs=1e-9)
 
     @pytest.mark.parametrize("kappa", [2.05, 2.2, 3.0, 4.5, 8.0])
@@ -190,18 +207,14 @@ class TestExactTails:
             dini_constant(log_modulus(kappa), 1e-6)
         assert math.isfinite(exc.value.partial)
 
-    def test_levels_are_truncated_values(self):
-        # levels[k] is the integral over [0, 8 * 2^k]; past the body cut it
-        # is the body plus the closed-form piece, and the growth of a
-        # divergent tail is its exact one: int_X^{2X} u^{-1} du = log 2
-        res = dini_integral(log_modulus(2.0), 1e-8, max_doublings=30)
-        assert res.diverged and len(res.levels) == 31
-        steps = np.diff(res.levels[3:])
-        assert np.allclose(steps, math.log(2.0), atol=1e-12)
-        w = log_modulus(3.0)
-        res = dini_integral(w, 1e-8)
-        assert res.levels == sorted(res.levels) and res.levels[-1] < res.value
-        assert res.value + float(w(1.0)) == pytest.approx(3.33317417752173, abs=1e-9)
+    def test_partial_is_truncated_integral(self):
+        # a divergent tail law: the value is the integral over [0, 40]
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        res = dini_integral(log_modulus(2.0), 1e-8)
+        assert res.diverged and not res.converged
+        oracle = mp.quad(lambda u: 1 / mp.log(2 + mp.exp(u)), mp.linspace(0, 40, 41))
+        assert res.value == pytest.approx(float(oracle), abs=1e-9)
 
     def test_fresh_modulus_is_fast(self):
         import time
@@ -212,12 +225,51 @@ class TestExactTails:
             dini_constant(w, 1e-8)
             assert time.perf_counter() - t0 < 0.05  # about 1 ms; 2 ms target
 
-    def test_table_modulus_keeps_windowed_path(self, tmp_path):
-        path = tmp_path / "w.csv"
-        ts = np.geomspace(1e-4, 1.0, 64)
-        path.write_text("\n".join(f"{t},{t}" for t in ts))
-        w = table_modulus(str(path))
-        assert w.tail is None and w.dini_path == "windowed"
+    def test_table_constant_is_segment_sum(self, tmp_path):
+        """sqrt(t) on 64 knots over a (1e-12, 0) floor: the Dini constant of
+        the interpolant is sum_i a_i log(t_i+1/t_i) + b_i (t_i+1 - t_i),
+        with w = a_i + b_i t on each segment, plus w(1)."""
+        ts = np.concatenate([[1e-12], np.geomspace(1e-10, 1.0, 64)])
+        vs = np.concatenate([[0.0], np.sqrt(ts[1:])])
+        w = table_modulus(_write_table(tmp_path, zip(ts, vs)))
+        b = np.diff(vs) / np.diff(ts)
+        a = vs[:-1] - b * ts[:-1]
+        exact = float(np.sum(a * np.log(ts[1:] / ts[:-1]) + b * np.diff(ts))) + 1.0
+        assert dini_constant(w, 1e-8) == pytest.approx(exact, abs=1e-10)
+        assert log_dini_integral(w).converged
+        # the same table over a (1e-12, 1e-6) floor is not Dini, nor log-Dini
+        vs[0] = 1e-6
+        floored = table_modulus(_write_table(tmp_path, zip(ts, vs), "f.csv"))
+        with pytest.raises(DivergenceError):
+            dini_constant(floored)
+        assert log_dini_integral(floored).diverged
+
+    def test_table_with_zero_row_is_linear_below(self, tmp_path):
+        # (0, 0) then w(t) = t: the law is e^{-v} from log(1e4) on, exact
+        ts = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 64)])
+        w = table_modulus(_write_table(tmp_path, zip(ts, ts)))
+        assert w.tail == ExpTail(1.0, 1.0, 0.0, -math.log(1e-4))
+        assert dini_constant(w, 1e-8) == pytest.approx(2.0, abs=1e-10)
+        assert w.at_exp(800.0) == 0.0 and w.at_exp(-1.0) == 1.0
+
+    def test_table_rejects_bad_rows(self, tmp_path):
+        for rows in ([(0.1,), (0.5, 0.5), (1, 1)], [(0, 0), (1, 1, 2)],
+                     [("x", 0), (1, 1)], [(1, 1)]):
+            with pytest.raises(ConfigError):
+                table_modulus(_write_table(tmp_path, rows))
+        # finite knots, and t <= 0 only for one leading (0, w(0+)) row
+        for rows in ([(-0.1, 0), (1, 1)], [(0, 0), (0, 0.1), (1, 1)],
+                     [("nan", 0), (1, 1)], [(0.5, "inf"), (1, 1)]):
+            with pytest.raises(ConfigError, match="t > 0"):
+                table_modulus(_write_table(tmp_path, rows))
+
+    def test_table_monotonicity_is_exact(self, tmp_path):
+        # a dip between two samples of any geometric spot-check
+        rows = [(0, 0), (0.5, 1), (0.5001, 0.2), (0.5002, 1), (1, 1)]
+        with pytest.raises(MonotonicityError, match="t=0.5 and t=0.5001"):
+            table_modulus(_write_table(tmp_path, rows))
+        with pytest.raises(MonotonicityError, match="negative"):
+            table_modulus(_write_table(tmp_path, [(0, -1), (1, 1)]))
 
     def test_suite_root_verdict_is_exact(self):
         # e: the root of log:3 is log:1.5 (not Dini), of log:8 log:4 (Dini)
@@ -226,17 +278,34 @@ class TestExactTails:
         assert rep.reference == pytest.approx(self.REFERENCE[4.0] ** 2, abs=1e-8)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_suite_shifted_integrals_match_windowed(self, n):
-        """Items c, d, ring_sum and far_ring on the exact path against the
-        windowed engine on the same modulus without its tail law."""
-        import dataclasses
+    def test_suite_shifted_integrals_match_mpmath(self, n):
+        """Items c, d, ring_sum and far_ring of log:4 (w = log^{-2}(2 + 1/t))
+        against mpmath on their integrands in v = log(1/t): a finite body
+        plus the exact tail int_V^inf v^{-2} dv = 1/V (error below e^{-V})."""
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        alpha, m = 2, 2
+        w = lambda t: mp.log(2 + 1 / min(t, mp.mpf(1))) ** -2
 
-        w = log_modulus(4.0)
-        bare = dataclasses.replace(w, tail=None)
-        exact = dini_inequality_suite(w, alpha=2.0, n=n)
-        windowed = dini_inequality_suite(bare, alpha=2.0, n=n)
-        for name in ("c", "d", "ring_sum", "far_ring"):
-            assert exact[name].lhs == pytest.approx(windowed[name].lhs, rel=1e-6)
+        def dini_from(v0, F=lambda v: 1):  # int_{v0}^inf F(v) w(e^{-v}) dv, F -> 1
+            V = v0 + 60
+            return mp.quad(lambda v: F(v) * w(mp.exp(-v)), mp.linspace(v0, V, 61)) + 1 / V
+
+        rep = dini_inequality_suite(log_modulus(4.0), alpha=alpha, n=n)
+        a_tail = mp.mpf(1 + alpha) / 2**201
+        c = (sum(w((1 + alpha) / mp.mpf(2) ** (k + 1)) for k in range(1, 201))
+             + dini_from(-mp.log(a_tail)) / mp.log(2))
+        d = w(1) * mp.log(alpha) + dini_from(0)
+        surf = 2 if n == 1 else 2 * mp.pi
+        sm = m * mp.log(2)  # w(2^m e^{-v}) = w(1) for v < sm
+        F = (lambda v: 1) if n == 1 else (lambda v: -mp.expm1(-v))
+        ring = (mp.quad(lambda v: F(v) * w(1), [0, sm])
+                + dini_from(0, lambda u: F(u + sm)))
+        geo = 2 ** (-mp.mpf(n) / 2) / (1 - 2 ** (-mp.mpf(n) / 2))
+        far = surf * dini_from(-mp.log(2 * mp.sqrt(n) / (32 * n)))
+        for name, oracle in (("c", c), ("d", d), ("ring_sum", geo * surf * ring),
+                             ("far_ring", far)):
+            assert rep[name].lhs == pytest.approx(float(oracle), rel=1e-10), name
 
     def test_kappa_2_2_suite_runs(self):
         rep = dini_inequality_suite(log_modulus(2.2), alpha=2.0, n=2)
@@ -245,23 +314,32 @@ class TestExactTails:
 
 
 class TestNoAdaptiveQuadrature:
-    def test_sparse_construct_fresh_kernel(self, monkeypatch):
-        """A sparse construction on a freshly parsed ex1 kernel takes its
-        Dini constants from the closed-form tails: no adaptive Simpson."""
+    """Every integral is one vectorised body evaluation plus a closed-form
+    tail: the modulus is sampled by a handful of `at_exp` calls."""
+
+    @pytest.fixture
+    def at_exp_calls(self, monkeypatch):
+        calls = []
+        at_exp = ModulusOfContinuity.at_exp
+        monkeypatch.setattr(ModulusOfContinuity, "at_exp",
+                            lambda self, u: calls.append(np.size(u)) or at_exp(self, u))
+        return calls
+
+    def test_sparse_construct_fresh_kernel(self, at_exp_calls):
         from lpsq.dyadic import Cube, sparse_construct
         from lpsq.grids import GridFunction, build_cone
         from lpsq.kernels import parse_kernel
 
-        calls = []
-        simpson = moduli._adaptive_simpson
-        monkeypatch.setattr(moduli, "_adaptive_simpson",
-                            lambda *a, **kw: calls.append(1) or simpson(*a, **kw))
         k = parse_kernel("ex1:kappa=3", 1)
         f = GridFunction(1, 4.0, 0.25, np.random.default_rng(5).standard_normal(32))
         cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
         sparse_construct(k, f, Cube(1, 1, (0,), "standard", 8.0), 1.0, cone)
         assert 1e-6 in k.w_mod._dini
-        assert calls == []
+        assert at_exp_calls == [8001]  # w = phi: one body of 8,001 points
+
+    def test_suite_log3_n2(self, at_exp_calls):
+        dini_inequality_suite(log_modulus(3.0), n=2)
+        assert len(at_exp_calls) <= 20
 
 
 class TestExtensionConvention:
@@ -302,13 +380,40 @@ class TestSuite:
         # int_0^{1/3} 16t/(1+t)^4 dt + int_{1/3}^inf dt/(t(1+t)^2) = log 4 - 1/3
         rep = dini_inequality_suite(power_modulus(1.0), alpha=1.0, n=1)
         assert rep["a"].lhs == pytest.approx(math.sqrt(math.log(4.0) - 1.0 / 3.0),
-                                             abs=1e-6)
+                                             abs=1e-9)
 
     def test_item_b_linear_closed_form(self):
         # alpha=1: 4 int_0^{1/2} t/(1+t)^2 dt + int_{1/2}^inf dt/(t(1+t)^2)
         ref = 4.0 * (math.log(1.5) + 2.0 / 3.0 - 1.0) + (math.log(3.0) - 2.0 / 3.0)
         rep = dini_inequality_suite(power_modulus(1.0), alpha=1.0, n=1)
-        assert rep["b"].lhs == pytest.approx(ref, abs=1e-6)
+        assert rep["b"].lhs == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("spec", ["log:2.2", "log:8", "power:0.5"])
+    def test_items_a_b_match_mpmath(self, spec, n):
+        """Items a and b in their own variable t against mpmath: on
+        t < t0, where the argument of w is below 1, t = e^{-u} and a
+        finite body plus the exact tail; past t0 w = w(1) and quad to inf."""
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        alpha, U = 2, 60
+        head, _, arg = spec.partition(":")
+        x = mp.mpf(arg)
+        w = ((lambda s: mp.log(2 + 1 / s) ** (-x / 2)) if head == "log"
+             else (lambda s: s**x))
+        rep = dini_inequality_suite(parse_modulus(spec), alpha=alpha, n=n)
+        # (name, argument of w, where it reaches 1, log of its limit ratio to t)
+        for name, arg_of, t0, c in (
+                ("a", lambda t: 4 * t / (1 + t), mp.mpf(1) / 3, mp.log(4)),
+                ("b", lambda t: (1 + alpha) * t, mp.mpf(1) / (1 + alpha), mp.log(1 + alpha))):
+            g = lambda u: ((1 + mp.exp(-u)) ** -n * w(arg_of(mp.exp(-u)))) ** 2
+            body = mp.quad(g, mp.linspace(-mp.log(t0), U, 61))
+            # past U, g = (u - c + O(e^{-u}))^{-x} for log, O(e^{-2 x u}) for power
+            tail = (U - c) ** (1 - x) / (x - 1) if head == "log" else 0
+            outer = w(1) ** 2 * mp.quad(lambda t: (1 + t) ** (-2 * n) / t, [t0, 1, mp.inf])
+            val = body + tail + outer
+            want = float(mp.sqrt(val) if name == "a" else val)
+            assert rep[name].lhs == pytest.approx(want, abs=1e-9), name
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_item_e_inequality_all_moduli(self, m):
