@@ -394,6 +394,19 @@ class ConeGrid:
         _check_aperture(alpha, self.h, self.t_levels)
         return replace(self, alpha=alpha)
 
+    def apertures(self, alphas) -> list:
+        """The apertures of an S_alpha list on these levels, as floats: at
+        least one, each finite and reaching past offset 0 at the lowest
+        level (`_check_reach`); apertures below 1 are allowed."""
+        alphas = [float(a) for a in alphas]
+        if not alphas:
+            raise ParameterError("S_alpha needs at least one alpha")
+        for a in alphas:
+            if not math.isfinite(a):
+                raise ParameterError(f"aperture alpha must be finite, got {a}")
+            _check_reach(a, self.h, self.t_levels)
+        return alphas
+
 
 def _stencil(n: int, radius_cells_limit: float) -> np.ndarray:
     """Integer offsets m with |m| < radius_cells_limit (strict, Euclidean)."""
@@ -412,6 +425,11 @@ def _check_aperture(alpha: float, h: float, levels: np.ndarray) -> None:
     """alpha >= 1, and the lowest level's stencil reaches past offset 0."""
     if not alpha >= 1.0:
         raise ParameterError(f"aperture alpha must be >= 1, got {alpha}")
+    _check_reach(alpha, h, levels)
+
+
+def _check_reach(alpha: float, h: float, levels: np.ndarray) -> None:
+    """The lowest level's stencil reaches past offset 0: alpha t_min >= h."""
     if alpha * float(levels[0]) < h:
         raise ResolutionError(
             f"alpha*t_min = {alpha * float(levels[0]):g} < h = {h:g}: "

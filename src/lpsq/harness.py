@@ -126,9 +126,7 @@ def aperture_scaling_check(
     base = f[0] if isinstance(f, (tuple, list)) else f
     if cone is None:
         cone = build_cone(1.0, base.n, base.h, 2 * base.h, 2 * base.R, 4)
-    alphas = [float(a) for a in alphas]
-    if not alphas:
-        raise ParameterError("aperture scaling needs at least one alpha")
+    alphas = cone.apertures(alphas)
     want = sorted(set(alphas) | {1.0})
     t_max = float(cone.t_levels[-1])
     pad = min(max(want) * t_max, cone.max_radius)

@@ -33,8 +33,9 @@ kernel object.
 
 g* sums, per level, the weight times |psi_t f|^2 over the offsets as a
 product of spectra; levels of one stencil radius share one irfftn.  The
-1-D Hardy-Littlewood maximal function is an exact max over all windows,
-in blocks of window starts (`_hl_max_1d`).
+1-D Hardy-Littlewood maximal function is the exact max over all windows,
+found as the bridge between two persistent hull chains of the prefix sums
+in O(N log N) (`_hl_max_1d`).
 
 A bilinear kernel with profile Phi(x - y1, x - y2) on a pair (f1, f2) in
 1-D: psi_t is the sum over the input offsets d = a - b of the convolutions
@@ -92,8 +93,7 @@ __all__ = [
 ]
 
 # temporaries of the chunked paths (the batched Lerner FFTs and Gram form,
-# the Gram table, the bilinear FFT, the 1-D HL maximal blocks) hold at most
-# this many doubles
+# the Gram table, the bilinear FFT) hold at most this many doubles
 _LERNER_CHUNK = 1 << 14
 
 
@@ -388,7 +388,8 @@ def square_function_multi(
 
     The cone supplies the t-levels, spacing and stencil cap; stencil radii
     per aperture are rebuilt from |offset| < alpha * t so every aperture
-    sees the same discretization otherwise.
+    sees the same discretization otherwise.  The list must pass
+    `ConeGrid.apertures`.
     """
     pair = _as_pair(f)
     base = pair[0] if pair else f
@@ -397,7 +398,7 @@ def square_function_multi(
     n = base.n
     R_out = base.R if out_R is None else float(out_R)
     M = int(round(2.0 * R_out / base.h))
-    alphas = list(alphas)
+    alphas = cone.apertures(alphas)
     acc = {a: np.zeros((M,) * n) for a in alphas}
     radii = [
         max(_radius_cells(a, float(t), base.h, cone.max_radius) for a in alphas)
@@ -768,8 +769,9 @@ class SquareEvaluator:
 
 def _check_lambda(k: KernelSpec, lam: float):
     least = 2.0 * k.m
-    if lam <= least:
-        raise ParameterError(f"lambda must exceed {least} for this kernel kind")
+    if not (math.isfinite(lam) and lam > least):
+        raise ParameterError(
+            f"lambda must be finite and exceed {least} for this kernel kind, got {lam}")
 
 
 def g_star(
@@ -844,6 +846,8 @@ def g_star_cascade_bound(
     about 2^n_terms t / h cells, so that is a `ParameterError`.
     """
     _check_lambda(k, lam)
+    if not isinstance(n_terms, (int, np.integer)) or n_terms < 1:
+        raise ParameterError(f"cascade n_terms must be an int >= 1, got {n_terms!r}")
     if not math.isfinite(halfspace.max_radius):
         raise ParameterError("cascade needs a capped half-space, see build_halfspace")
     pair = _as_pair(f)
@@ -862,46 +866,111 @@ def g_star_cascade_bound(
 # ---------------------------------------------------------------------------
 
 
+def _hull_chains(c: list) -> tuple:
+    """Persistent hull chains of the points P_k = (k, c[k]), k = 0..N, by
+    one monotone-chain stack pass each way: prv[k] is the vertex before k on
+    the lower hull of P_0..P_k and nxt[k] the vertex after k on the upper
+    hull of P_k..P_N (chain ends loop to themselves).  Collinear middle
+    points are dropped, so every turn is strict."""
+    N = len(c) - 1
+    prv, nxt = [0] * (N + 1), [0] * (N + 1)
+    for out, ks in ((prv, range(N + 1)), (nxt, range(N, -1, -1))):
+        q = ks[0]  # the last vertex of the hull so far
+        out[q] = q
+        st = [q]
+        for k in ks[1:]:
+            ck, cq = c[k], c[q]
+            # pop q while it is not strictly beyond the chord from the
+            # vertex under it to P_k (below it for prv, above for nxt)
+            while len(st) > 1:
+                p = st[-2]
+                if (cq - c[p]) * (k - q) < (ck - cq) * (q - p):
+                    break
+                st.pop()
+                q, cq = p, c[p]
+            out[k] = q
+            st.append(k)
+            q = k
+    return np.array(prv), np.array(nxt)
+
+
+def _tangent(c: np.ndarray, lifts: list, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Walk each chain from v while a step raises the slope of the segment
+    to P_q; the vertex where the walk stops.  lifts[b] is the chain step
+    taken 2^b times.  Along a hull chain seen from a point beyond its end,
+    the raising steps come first, so the walk is a descent over the lifts.
+    A step u -> w raises the slope iff (c_u - c_w)(q - u) > (c_q - c_u)(u - w),
+    on either side of q; at a chain end w = u both sides are 0."""
+    step, cq = lifts[0], c[q]
+
+    def raises(u):
+        w = step[u]
+        cu = c[u]
+        return (cu - c[w]) * (q - u) > (cq - cu) * (u - w)
+
+    for up in reversed(lifts):
+        u = up[v]
+        v = np.where(raises(u), u, v)
+    return np.where(raises(v), step[v], v)
+
+
 def _hl_max_1d(a: np.ndarray) -> np.ndarray:
     """The 1-D Hardy-Littlewood maximal function of a >= 0 over grid cubes:
     out[x] = max over the windows [i, j) containing x of (c[j] - c[i]) /
     (j - i), c the cumulative sums of a; windows of one cell give a itself.
 
-    Window starts i go in blocks of about `_LERNER_CHUNK` pairs (i, j); per
-    block, a reversed running max over j gives each start's best window
-    ending past x, and a column max takes the best of the block's starts
-    i <= x."""
+    That is the largest slope from a point P_i = (i, c[i]), i <= x, to a
+    point P_j, j > x, reached as the bridge of `maximal`'s lemma between
+    the lower chain of x and the upper chain of x + 1 (`_hull_chains`).
+    From (x, x + 1), each round takes the best start for j, then the best
+    end for that start (`_tangent`); a cell leaves once its round does not
+    strictly raise the slope, since its pair is then a bridge.  Every
+    comparison is by cross-multiplication.  A rounded product that compares
+    greater implies the exact one, so each kept round strictly raises the
+    exact ratio of the computed sums and the loop ends; no input tried took
+    more than three raising rounds.
+    """
     N = a.size
     c = np.concatenate([[0.0], np.cumsum(a)])
-    out = a.copy()  # L = 1 windows
-    i0 = 0
-    while i0 < N - 1:
-        i1 = min(N - 1, i0 + max(1, _LERNER_CHUNK // (N - i0)))
-        i = np.arange(i0, i1)[:, None]
-        j = np.arange(i0 + 1, N + 1)[None, :]  # column x - i0 holds end j = x + 1
-        L = j - i
-        avg = np.divide(c[j] - c[i], L, out=np.full(L.shape, -np.inf), where=L >= 2)
-        best = np.maximum.accumulate(avg[:, ::-1], axis=1)[:, ::-1]
-        best[L < 1] = -np.inf  # starts i > x
-        np.maximum(out[i0:], best.max(axis=0), out=out[i0:])
-        i0 = i1
-    return out
+    prv, nxt = _hull_chains(c.tolist())
+    lo, up = [prv], [nxt]
+    for _ in range(N.bit_length() - 1):  # 2^bits - 1 >= N steps
+        lo.append(lo[-1][lo[-1]])
+        up.append(up[-1][up[-1]])
+    x = np.arange(N)
+    i, j = x.copy(), x + 1
+    act = x  # the cells whose last round raised the slope
+    while act.size:
+        i2 = _tangent(c, lo, act, j[act])
+        j2 = _tangent(c, up, act + 1, i2)
+        ia, ja = i[act], j[act]
+        better = (c[j2] - c[i2]) * (ja - ia) > (c[ja] - c[ia]) * (j2 - i2)
+        act = act[better]
+        i[act], j[act] = i2[better], j2[better]
+    return np.maximum(a, (c[j] - c[i]) / (j - i))
 
 
 def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) -> GridFunction:
     """Hardy-Littlewood (grid cubes), dyadic (anchored at 0), or powered.
 
-    hl: sup over grid-aligned cubes containing x, sides h..2R (in 1-D an
-    exact blocked max over all windows, `_hl_max_1d`; in 2-D the box means
-    of one prefix table and one maximum filter per side);
+    hl: sup over grid-aligned cubes containing x, sides h..2R.  In 1-D the
+    exact max over all windows, `_hl_max_1d`: with c the prefix sums, the
+    best window through x is the steepest segment from the lower hull of
+    (i, c_i), i <= x, to the upper hull of (j, c_j), j > x.  Bridge lemma: a
+    pair in which each end is the other's tangent point is that segment, as
+    every prefix point lies on or above its line and every suffix point on
+    or below.  Alternating pointer-doubling tangent searches along the two
+    persistent hull chains reach such a pair for all x at once, O(N log N)
+    per round.  In 2-D the box means of one prefix table and one maximum
+    filter per side;
     dyadic: sup over the dyadic lattice anchored at coordinate 0, one
     generation at a time: the block means of a (2^g, N / 2^g)-per-axis
     reshape, repeated back onto the cells, in n = 1 and 2 alike;
     powered: M[|f|^kappa]^{1/kappa}.
     """
     if variant == "powered":
-        if kappa is None or kappa <= 0:
-            raise ParameterError("powered maximal needs kappa > 0")
+        if kappa is None or not (math.isfinite(kappa) and kappa > 0):
+            raise ParameterError(f"powered maximal needs a finite kappa > 0, got {kappa}")
         inner = maximal(f.with_values(np.abs(f.values) ** kappa), "hl")
         return f.with_values(inner.values ** (1.0 / kappa))
     a = np.abs(f.values)

@@ -189,6 +189,31 @@ class TestSubcommands:
         names = {it["name"] for it in summary["items"]}
         assert {"ratio_alpha_1", "ratio_alpha_2", "ratio_alpha_4"} <= names
 
+    @pytest.mark.parametrize("alphas, named", [
+        (["0"], "lowest cone level has no nonzero offsets"),
+        (["nan"], "alpha must be finite, got nan"),
+        (["1", "inf"], "alpha must be finite, got inf"),
+        (["-1"], "lowest cone level has no nonzero offsets"),
+    ], ids=["zero", "nan", "inf", "negative"])
+    def test_verify_aperture_bad_alphas_exit_2(self, tmp_path, capsys, alphas, named):
+        rc = run_main(["--out-dir", str(tmp_path), "verify", "aperture",
+                       "--alphas", *alphas, "--h", "0.0625"])
+        assert rc == 2
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert not summary["passed"] and named in summary["error"]
+        assert named in capsys.readouterr().err
+
+    def test_verify_aperture_below_one_passes(self, tmp_path):
+        rc = run_main(["--out-dir", str(tmp_path), "verify", "aperture",
+                       "--alphas", "0.5", "--h", "0.0625"])
+        assert rc == 0
+
+    def test_gstar_nan_lambda_exits_2(self, tmp_path, capsys):
+        rc = run_main(["--out-dir", str(tmp_path), "eval", "--op", "gstar",
+                       "--lam", "nan", "--R", "2", "--h", "0.25"])
+        assert rc == 2
+        assert "lambda must be finite" in capsys.readouterr().err
+
     def test_verify_weak(self, tmp_path):
         rc = run_main(["--out-dir", str(tmp_path), "verify", "weak",
                        "--h", "0.125"])
@@ -303,7 +328,8 @@ class TestConfigAndErrors:
         ({"cone": {"tmin": math.nan}}, ["sparse"], "need 0 < t_min <= t_max"),
         ({"cone": {"tmax": math.nan}}, ["sparse"], "need 0 < t_min <= t_max"),
         ({}, ["eval", "--alpha", "nan"], "alpha must be >= 1, got nan"),
-    ], ids=["cone-tmin", "cone-tmax", "alpha"])
+        ({}, ["eval", "--alpha", "inf"], "alpha must be finite, got inf"),
+    ], ids=["cone-tmin", "cone-tmax", "alpha", "alpha-inf"])
     def test_nan_cone_parameter_exits_2(self, tmp_path, capsys, config, args, named):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"campaign": args[0], **config}))  # json writes NaN

@@ -10,6 +10,7 @@ from lpsq.errors import (
     DisjointnessError,
     GridError,
     ParameterError,
+    ResolutionError,
 )
 from lpsq.grids import Box, GridFunction, build_cone, build_halfspace, sample_function
 from lpsq.kernels import bilinear_example_kernel, parse_kernel
@@ -146,6 +147,15 @@ class TestSquareFunction:
         ratio = ss[4.0].norm_l2() ** 2 / ss[1.0].norm_l2() ** 2
         assert ratio == pytest.approx(4.0, rel=0.05)
 
+    @pytest.mark.parametrize("alphas, err", [
+        ([], ParameterError), ([math.nan], ParameterError),
+        ([1.0, math.inf], ParameterError), ([0.0], ResolutionError),
+        ([-1.0], ResolutionError),
+    ], ids=["empty", "nan", "inf", "zero", "negative"])
+    def test_refuses_bad_aperture_lists(self, ex1, gauss_grid, cone_coarse, alphas, err):
+        with pytest.raises(err):
+            square_function_multi(ex1, gauss_grid, cone_coarse, alphas)
+
     def test_evaluator_matches_square_function(self, ex1, gauss_grid, cone_coarse):
         ev = SquareEvaluator(ex1, gauss_grid, cone_coarse)
         v1 = ev.eval_values(gauss_grid.values)
@@ -191,6 +201,20 @@ class TestGStar:
         k2 = bilinear_example_kernel(3.0, 1)
         with pytest.raises(ParameterError):
             g_star(k2, (gauss_grid, gauss_grid), 3.0, hs)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_lambda_must_be_finite(self, ex1, gauss_grid, lam):
+        hs = build_halfspace(1, gauss_grid.h, 2 * gauss_grid.h, 4.0, 2, gauss_grid.R)
+        with pytest.raises(ParameterError, match="lambda"):
+            g_star(ex1, gauss_grid, lam, hs)
+        with pytest.raises(ParameterError, match="lambda"):
+            g_star_cascade_bound(ex1, gauss_grid, lam, hs)
+
+    @pytest.mark.parametrize("n_terms", [0, -1, 2.5])
+    def test_cascade_n_terms_is_a_positive_int(self, ex1, gauss_grid, n_terms):
+        hs = build_halfspace(1, gauss_grid.h, 2 * gauss_grid.h, 4.0, 2, gauss_grid.R)
+        with pytest.raises(ParameterError, match="n_terms"):
+            g_star_cascade_bound(ex1, gauss_grid, 3.0, hs, n_terms=n_terms)
 
     def test_cone_lower_bound(self, ex1, gauss_grid):
         lam = 3.0
@@ -282,6 +306,12 @@ class TestMaximal:
         M2 = maximal(g, "powered", kappa=2.0)
         M1 = maximal(g, "hl")
         assert np.all(M2.values >= M1.values - 1e-14)  # kappa=2 dominates kappa=1
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0, None])
+    def test_powered_kappa_must_be_finite_and_positive(self, kappa):
+        g = sample_function(lambda x: ((x >= 0) & (x < 1)).astype(float), 1, 4.0, 0.25)
+        with pytest.raises(ParameterError, match="kappa"):
+            maximal(g, "powered", kappa=kappa)
 
     def test_2d_hl_vs_brute(self):
         g = sample_function(lambda x, y: np.exp(-((x - 0.3) ** 2) - 2 * y**2), 2,
@@ -1214,31 +1244,83 @@ def _hl_input(rng, N: int, kind: str) -> np.ndarray:
     return v
 
 
-class TestMaximalHL1D:
-    """The blocked 1-D Hardy-Littlewood maximal function against a loop
-    over every window [i, j), bit for bit."""
+def _window_loop(a: np.ndarray) -> np.ndarray:
+    """The max over every window [i, j) through each cell, by a loop."""
+    N = a.size
+    c = np.concatenate([[0.0], np.cumsum(a)])
+    out = a.copy()  # windows of one cell
+    for i in range(N):
+        for j in range(i + 2, N + 1):
+            out[i:j] = np.maximum(out[i:j], (c[j] - c[i]) / (j - i))
+    return out
 
-    @pytest.mark.parametrize("chunk", [None, 40])
+
+class TestMaximalHL1D:
+    """The hull-bridge 1-D Hardy-Littlewood maximal function against a loop
+    over every window [i, j).  Bit for bit on integer-valued inputs, where
+    the prefix sums and every comparison are exact.  Within 4 eps ||a||_1
+    per cell on float inputs: the loop takes a float max over O(N^2)
+    averages that tie to roundoff, and is itself accurate only to that
+    scale."""
+
+    @staticmethod
+    def _hl(v: np.ndarray, exact: bool) -> np.ndarray:
+        a = np.abs(v)
+        hl = maximal(GridFunction(1, v.size / 16, 1.0 / 8, v), "hl").values
+        loop = _window_loop(a)
+        if exact:
+            assert np.array_equal(hl, loop)
+        else:
+            assert np.all(np.abs(hl - loop) <= 4 * np.finfo(float).eps * a.sum())
+        assert np.all(hl >= a)
+        return hl
+
     @given(st.integers(min_value=1, max_value=96),
            st.sampled_from(["const", "noise", "spikes"]),
            st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40)
-    def test_equals_window_loop(self, chunk, N, kind, seed):
-        from lpsq import operators as ops
-
-        rng = np.random.default_rng(seed)
-        g = GridFunction(1, N / 16, 1.0 / 8, _hl_input(rng, N, kind))
-        a = np.abs(g.values)
-        c = np.concatenate([[0.0], np.cumsum(a)])
-        brute = a.copy()  # windows of one cell
-        for i in range(N):
-            for j in range(i + 2, N + 1):
-                brute[i:j] = np.maximum(brute[i:j], (c[j] - c[i]) / (j - i))
-        with pytest.MonkeyPatch.context() as m:
-            if chunk:
-                m.setattr(ops, "_LERNER_CHUNK", chunk)
-            hl = maximal(g, "hl").values
-        assert np.array_equal(hl, brute)
+    def test_float_inputs_within_roundoff_of_window_loop(self, N, kind, seed):
+        v = _hl_input(np.random.default_rng(seed), N, kind)
+        hl = self._hl(v, exact=False)
+        g = GridFunction(1, N / 16, 1.0 / 8, v)
         for kappa in (1.0, 1.5, 3.0):
             powered = maximal(g, "powered", kappa=kappa).values
             assert np.all(powered >= hl * (1.0 - 1e-12))
+
+    @given(st.integers(min_value=1, max_value=96),
+           st.sampled_from(["const", "noise", "spikes"]),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=40)
+    def test_integer_inputs_equal_window_loop(self, N, kind, seed):
+        self._hl(np.round(_hl_input(np.random.default_rng(seed), N, kind)), exact=True)
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 64])
+    def test_constant(self, N):
+        assert np.all(self._hl(np.full(N, 3.0), exact=True) == 3.0)
+        self._hl(np.full(N, -0.7), exact=False)
+
+    @pytest.mark.parametrize("N", [2, 17, 40])
+    def test_geometric_every_point_a_hull_vertex(self, N):
+        up = 2.0 ** np.arange(N)  # powers of two: c and the products stay exact
+        self._hl(up, exact=True)
+        self._hl(up[::-1].copy(), exact=True)
+        self._hl(1.1 ** np.arange(N), exact=False)
+        self._hl(1.1 ** -np.arange(N), exact=False)
+
+    def test_zero_runs(self):
+        self._hl(np.array([0, 0, 5, 0, 0, 0, 3, 0, 0, 1, 0, 0, 0, 0, 9, 0.0]), exact=True)
+
+    def test_single_spike(self):
+        v = np.zeros(32)
+        v[11] = -7.0
+        hl = self._hl(v, exact=True)
+        assert np.array_equal(hl, 7.0 / (np.abs(np.arange(32) - 11) + 1))
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_every_small_integer_input(self, N):
+        for v in itertools.product(range(-2, 4), repeat=N):
+            self._hl(np.array(v, dtype=float), exact=True)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 50])
+    def test_zero_input_gives_exact_zero(self, N):
+        assert np.all(self._hl(np.zeros(N), exact=True) == 0.0)
