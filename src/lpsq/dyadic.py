@@ -243,8 +243,8 @@ def cz_decompose(f: GridFunction, rho: float) -> CZDecomposition:
     the cubes and the signed cube mean on each, b_j the mean-zero
     remainders.  Cubes come sorted: by generation, then anchor.
     """
-    if rho <= 0:
-        raise ParameterError("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ParameterError(f"rho must be positive and finite, got {rho}")
     n, N = f.n, f.ncells
     _dyadic_root_cells(N)
     c = prefix_sums(np.abs(f.values))

@@ -83,8 +83,9 @@ def weak_type_profile(
     report then carries the stability ratio between the two sups.
     """
     rho_grid = np.asarray(rho_grid, dtype=float)
-    if rho_grid.size == 0 or np.any(rho_grid <= 0) or np.any(np.diff(rho_grid) <= 0):
-        raise ParameterError("rho grid must be nonempty, positive and increasing")
+    if (rho_grid.size == 0 or not np.all(np.isfinite(rho_grid)) or np.any(rho_grid <= 0)
+            or np.any(np.diff(rho_grid) <= 0)):
+        raise ParameterError("rho grid must be nonempty, finite, positive and increasing")
     vals = np.array(
         [r**exponent * lattice_superlevel_measure(sf, r) / f_norm for r in rho_grid]
     )

@@ -373,6 +373,25 @@ class TestConfigAndErrors:
         assert rc == 2
         assert "rho must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_cz_non_finite_rho_exits_2(self, tmp_path, capsys, rho):
+        rc = run_main(["--out-dir", str(tmp_path), "cz", "--rho", rho, "--h", "0.125"])
+        assert rc == 2
+        assert "rho must be positive and finite" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert not summary["passed"] and "rho" in summary["error"]
+
+    @pytest.mark.parametrize("grid", [[0.5, math.nan], [math.inf]], ids=["nan", "inf"])
+    def test_verify_weak_non_finite_rho_grid_exits_2(self, tmp_path, capsys, grid):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"rho_grid": grid}))  # json writes NaN and Infinity
+        rc = run_main(["--config", str(p), "--out-dir", str(tmp_path / "o"), "verify", "weak",
+                       "--R", "2", "--h", "0.25"])
+        assert rc == 2
+        assert "rho grid must be nonempty, finite" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert not summary["passed"] and "rho grid" in summary["error"]
+
     def test_eta_outside_unit_interval_exits_2(self, tmp_path, capsys):
         rc = run_main(["--out-dir", str(tmp_path), "sparse", "--R", "2", "--h", "0.25",
                        "--eta", "2"])

@@ -88,6 +88,12 @@ class TestCZ:
         assert d.bad == []
         assert np.array_equal(d.good.values, f.values)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        f = grid_1d(1024, lambda x: np.where((x >= 0) & (x < 1), 4.0, 0.0))
+        with pytest.raises(ParameterError, match="rho must be positive and finite"):
+            cz_decompose(f, rho)
+
     def test_rho_below_floor_rejected(self):
         f = grid_1d(1024, lambda x: np.where((x >= 0) & (x < 1), 4.0, 0.0))
         with pytest.raises(ParameterError):

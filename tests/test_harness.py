@@ -59,6 +59,14 @@ class TestWeakTypeProfile:
         with pytest.raises(ParameterError):
             weak_type_profile(gauss_grid, 1.0, 1.0, [1.0, 0.5])
 
+    @pytest.mark.parametrize("grid", [[0.5, math.nan], [math.inf], [0.5, math.inf]],
+                             ids=["nan", "inf", "inf-last"])
+    def test_non_finite_rho_grid(self, gauss_grid, grid):
+        from lpsq.errors import ParameterError
+
+        with pytest.raises(ParameterError, match="finite"):
+            weak_type_profile(gauss_grid, 1.0, 1.0, grid)
+
     def test_empty_rho_grid(self, gauss_grid):
         from lpsq.errors import ParameterError
 

@@ -1,6 +1,9 @@
 """Every module-level import in src/lpsq is used by its module, and every
 definition in src/lpsq is reached by the package or the benchmark.
 
+No module of src/lpsq imports scipy at module level, and the CLI campaigns
+load none of the scipy submodules whose import took ~0.7 s a process.
+
 A name counts as used when the module loads it anywhere (code or
 annotation, quoted annotations included) or lists it in ``__all__``.  The
 relative imports of a package ``__init__`` are its exports.  Import lines
@@ -19,7 +22,11 @@ string constant.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,20 +45,27 @@ UNREAD_OK = {
 }
 
 
-def _module_imports(body):
-    """(line, bound name, relative) of the imports outside function and class bodies."""
+def _import_nodes(body):
+    """The import statements outside function and class bodies."""
     for node in body:
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                yield node.lineno, a.asname or a.name.split(".")[0], False
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for a in node.names:
-                yield node.lineno, a.asname or a.name, node.level > 0
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
         elif isinstance(node, (ast.If, ast.Try)):
             for block in (node.body, getattr(node, "orelse", []),
                           getattr(node, "finalbody", []),
                           *[h.body for h in getattr(node, "handlers", [])]):
-                yield from _module_imports(block)
+                yield from _import_nodes(block)
+
+
+def _module_imports(body):
+    """(line, bound name, relative) of the imports outside function and class bodies."""
+    for node in _import_nodes(body):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield node.lineno, a.asname or a.name.split(".")[0], False
+        elif node.module != "__future__":
+            for a in node.names:
+                yield node.lineno, a.asname or a.name, node.level > 0
 
 
 def _used_names(tree) -> set:
@@ -103,6 +117,65 @@ def test_checker_finds_an_unused_import(tmp_path):
                  "from math import pi\n\n"
                  "def f(x: 'Sequence') -> float:\n    return pi\n")
     assert _unused_imports(p) == ["mod.py:1: os"]
+
+
+def _scipy_imports(body):
+    """(line, module) of the scipy imports outside function and class bodies."""
+    for node in _import_nodes(body):
+        mods = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                else [node.module] if node.level == 0 else [])
+        yield from ((node.lineno, m) for m in mods if m.split(".")[0] == "scipy")
+
+
+def test_no_module_level_scipy_import():
+    found = [f"{p.name}:{line}: {mod}" for p in sorted(SRC.glob("*.py"))
+             for line, mod in _scipy_imports(ast.parse(p.read_text()).body)]
+    assert found == []
+
+
+def test_checker_finds_a_scipy_import(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text("import scipy.signal\nfrom scipy import ndimage\nimport scipyx\n"
+                 "if True:\n    from scipy.stats import norm\n\n"
+                 "def f():\n    import scipy\n")
+    assert list(_scipy_imports(ast.parse(p.read_text()).body)) == [
+        (1, "scipy.signal"), (2, "scipy"), (5, "scipy.stats")]
+
+
+# run in a fresh interpreter: the modules every campaign's process loads
+_CAMPAIGNS_CHILD = """
+import json, os, sys
+import lpsq.cli
+
+out, campaigns = sys.argv[1], json.loads(sys.argv[2])
+for i, args in enumerate(campaigns):
+    args = [a.replace("{out}", out) for a in args]
+    assert lpsq.cli.main(["--out-dir", os.path.join(out, str(i)), *args]) == 0, args
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_campaigns_load_no_heavy_scipy_module(tmp_path):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import CAMPAIGNS
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    # every campaign of the cli workload; the first writes the family
+    family = os.path.join("{out}", "0", "sparse_family.json")
+    campaigns = [["sparse", "--R", "2", "--h", "0.25"]] + [
+        args + (["--family", family] if args[:2] == ["verify", "sparse"] else [])
+        for args in CAMPAIGNS.values()]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", _CAMPAIGNS_CHILD, str(tmp_path),
+                        json.dumps(campaigns)],
+                       capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    heavy = [m for m in json.loads(r.stdout.splitlines()[-1])
+             if m.startswith(("scipy.ndimage", "scipy.signal.", "scipy.stats",
+                              "scipy.integrate"))]
+    assert heavy == []
 
 
 def _definitions(tree):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from lpsq.kernels import bilinear_example_kernel, parse_kernel
 from lpsq.moduli import power_modulus
 from lpsq.operators import (
     SquareEvaluator,
+    _window_max,
     g_star,
     g_star_cascade_bound,
     lerner_maximal,
@@ -312,6 +314,31 @@ class TestMaximal:
         g = sample_function(lambda x: ((x >= 0) & (x < 1)).astype(float), 1, 4.0, 0.25)
         with pytest.raises(ParameterError, match="kappa"):
             maximal(g, "powered", kappa=kappa)
+
+    @staticmethod
+    def _gaussian(n, h):
+        """exp(-|x|^2) on [-2, 2)^n: its cells lie below the peak 1."""
+        return sample_function(lambda *x: np.exp(-sum(xi**2 for xi in x)), n, 2.0, h)
+
+    @pytest.mark.parametrize("n, h, kappa", [(1, 0.25, 1e6), (2, 0.5, 1e4)])
+    def test_powered_large_kappa_does_not_underflow(self, n, h, kappa):
+        g = self._gaussian(n, h)
+        assert np.all(maximal(g, "powered", kappa=kappa).values >= np.abs(g.values))
+
+    @pytest.mark.parametrize("n, h", [(1, 0.25), (2, 0.5)])
+    @pytest.mark.parametrize("kappa", [1.0, 1.5, 3.0])
+    def test_powered_equals_unscaled_form(self, n, h, kappa):
+        g = self._gaussian(n, h)
+        g = g.with_values(-3.7 * g.values)
+        unscaled = maximal(g.with_values(np.abs(g.values) ** kappa), "hl").values ** (1 / kappa)
+        assert np.allclose(maximal(g, "powered", kappa=kappa).values, unscaled,
+                           rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_powered_of_zero_is_exact_zero(self, n):
+        g = self._gaussian(n, 0.5)
+        zero = g.with_values(np.zeros_like(g.values))
+        assert np.all(maximal(zero, "powered", kappa=3.0).values == 0.0)
 
     def test_2d_hl_vs_brute(self):
         g = sample_function(lambda x, y: np.exp(-((x - 0.3) ** 2) - 2 * y**2), 2,
@@ -1253,6 +1280,44 @@ def _window_loop(a: np.ndarray) -> np.ndarray:
         for j in range(i + 2, N + 1):
             out[i:j] = np.maximum(out[i:j], (c[j] - c[i]) / (j - i))
     return out
+
+
+class TestWindowMax:
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=4),
+           st.sampled_from([0, 1]), st.integers(min_value=0, max_value=2**31), st.data())
+    @settings(max_examples=60)
+    def test_equals_sliding_window_max(self, length, width, axis, seed, data):
+        L = data.draw(st.integers(min_value=1, max_value=length))
+        rng = np.random.default_rng(seed)
+        shape = (length, width) if axis == 0 else (width, length)
+        m = np.round(rng.standard_normal(shape), 1)  # ties included
+        m[rng.random(shape) < 0.3] = -np.inf  # as the padding cells
+        ref = sliding_window_view(m, L, axis=axis).max(-1)
+        assert np.array_equal(_window_max(m, L, axis), ref)
+
+
+def _window_loop_2d(a: np.ndarray) -> np.ndarray:
+    """The max over every square window through each cell, by a loop."""
+    N = a.shape[0]
+    out = a.copy()
+    for L in range(2, N + 1):
+        for p in range(N - L + 1):
+            for q in range(N - L + 1):
+                win = out[p : p + L, q : q + L]
+                np.maximum(win, a[p : p + L, q : q + L].sum() / L**2, out=win)
+    return out
+
+
+class TestMaximalHL2D:
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 12])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_window_loop(self, N, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((N, N)) * (rng.random((N, N)) < 0.5)
+        v[rng.integers(0, N, 2), rng.integers(0, N, 2)] += 20.0
+        hl = maximal(GridFunction(2, N / 16, 1.0 / 8, v), "hl").values
+        assert np.allclose(hl, _window_loop_2d(np.abs(v)), rtol=0.0, atol=1e-12)
+        assert np.all(hl >= np.abs(v))
 
 
 class TestMaximalHL1D:
