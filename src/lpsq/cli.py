@@ -339,9 +339,8 @@ def _campaign_verify(cfg, out_dir):
         cone = _cone_cfg(cfg, cfg["alpha"])
         s = square_function(k, f, cone, method=cfg["method"])
         f2 = parse_function(cfg["function"], n, R, h / 2.0)
-        cone2 = build_cone(cone.alpha, n, h / 2.0, float(cone.t_levels[0]) / 2,
-                           float(cone.t_levels[-1]),
-                           int(round(math.log(2.0) / cone.log_weight)))
+        c = cfg["cone"]  # the config's rule from tmin/2 keeps the original levels
+        cone2 = build_cone(cfg["alpha"], n, h / 2.0, c["tmin"] / 2, c["tmax"], c["q"])
         s2 = square_function(k, f2, cone2, method=cfg["method"])
         peak = s.norm_linf()
         rho_grid = cfg["rho_grid"]
@@ -379,8 +378,7 @@ def _campaign_verify(cfg, out_dir):
                 -np.abs(f.axis_centers()) / 2.0
             )
             g = f.with_values(vals)
-            return weighted_norm_check(k, g, wv, cfg["alpha"], cone,
-                                       method=cfg["method"]).fitted["ratio"]
+            return weighted_norm_check(k, g, wv, cone, method=cfg["method"]).fitted["ratio"]
 
         ratios = [one(i) for i in range(10)]
         med = float(np.median(ratios))

@@ -37,8 +37,8 @@ from .errors import (
     ParameterError,
 )
 from .grids import (
-    Box, ConeGrid, GridFunction, box_sums, load_binary, prefix_sums, range_sums,
-    read_json, save_binary,
+    Box, ConeGrid, GridFunction, box_sums, prefix_sums, range_sums, read_json,
+    save_binary,
 )
 from .moduli import dini_constant
 
@@ -217,19 +217,6 @@ class CZDecomposition:
             )
         with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=1)
-
-    @classmethod
-    def load(cls, dirpath: str) -> "CZDecomposition":
-        with open(os.path.join(dirpath, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        good = load_binary(os.path.join(dirpath, "good.bin"))
-        bad = []
-        for entry in manifest["bad"]:
-            b = load_binary(os.path.join(dirpath, entry["file"]))
-            q = Cube(good.n, entry["generation"], tuple(entry["anchor"]),
-                     "standard", entry["base"])
-            bad.append((q, b))
-        return cls(manifest["rho"], good, bad)
 
 
 def cz_decompose(f: GridFunction, rho: float) -> CZDecomposition:
@@ -586,13 +573,13 @@ def sparse_construct(
     bracket, is below about 1e5; at the roots of those layouts it is
     4-650.  The node's own box always stays, as the cover that
     `lerner_maximal`'s domain check needs; its term is exactly 0, since 3P
-    holds f'.  Pruning needs the evaluator's fast path: other kernels and
-    ``method="direct"`` keep the full pool.  Where 3P covers the grid, f'
-    is f and S f' is the S f taken for s2; M_S takes S f'^2 back from the
-    evaluator (`SquareEvaluator.square_sum`), so each node computes S f'
-    once.  The evaluator is the one `SquareEvaluator.of` keeps on k:
-    constructions on one kernel object and layout build it once and share
-    its kernel spectra, Gram table and Lerner block spectra.
+    holds f'.  S and the pruning come from the evaluator that
+    `SquareEvaluator.of` keeps on k, shared by constructions on one kernel
+    object and layout; off its fast path (general linear kernels,
+    ``method="direct"``) there is none: S is a `square_function` call and
+    M_S runs over the full pool.  Where 3P covers the grid, f' is f and
+    S f' is the S f taken for s2; M_S takes S f'^2 back from the evaluator
+    (`SquareEvaluator.square_sum`), so each node computes S f' once.
     """
     if isinstance(f, (tuple, list)) or k.kind == "bilinear":
         raise ParameterError("bilinear sparse families are not implemented")
@@ -609,11 +596,13 @@ def sparse_construct(
     _dyadic_root_cells(N)
     cone_a = cone if cone.alpha == alpha else cone.with_alpha(alpha)
     evaluator = ops.SquareEvaluator.of(k, f, cone_a, method=method)
+    s_of = (evaluator.eval_values if evaluator is not None else
+            lambda v: ops.square_function(k, f.with_values(v), cone_a, method=method).values)
     wd = dini_constant(k.w_mod, 1e-6)
     pd = dini_constant(k.phi_mod, 1e-6)
     l2 = f.norm_l2()
     if l2 > 0:
-        s_all = evaluator.eval_values(f.values)
+        s_all = s_of(f.values)
         s2_est = f.with_values(s_all).norm_l2() / l2
     else:
         s_all, s2_est = None, 1.0
@@ -634,9 +623,9 @@ def sparse_construct(
             return
         avg3 = float(np.sum(np.abs(floc))) * hn / (3.0 * node.side) ** f.n
         # where 3P covers the grid, f' is f
-        s_vals = s_all if mask3.all() else evaluator.eval_values(floc)
+        s_vals = s_all if mask3.all() else s_of(floc)
         lo, hi = _pool_corners(node, f)
-        if evaluator.fast:
+        if evaluator is not None:
             kept = _lerner_keep(f, floc, lo, hi, evaluator.far_gain,
                                 math.sqrt(g_val) * bracket * avg3)
             kept[:1] = True  # the node's own box, the cover

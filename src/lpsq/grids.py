@@ -224,11 +224,14 @@ def parse_function(spec: str, n: int, R: float, h: float) -> GridFunction:
     """Named analytic functions and CSV inputs for configs.
 
     ``gaussian[:sigma]``, ``bump:width``, ``hat[:width]``, ``box:halfwidth``,
-    ``const:c``, ``csv:path``.
+    ``const:c``, ``csv:path``, ``bin:path`` (a `save_binary` file, such as
+    the grid outputs of ``eval`` and ``cz``).
     """
     head, _, arg = spec.partition(":")
     if head == "csv":
         return load_csv(arg)
+    if head == "bin":
+        return load_binary(arg)
     if head == "gaussian":
         s = float(arg) if arg else 1.0
         fn = lambda r: np.exp(-((r / s) ** 2))
@@ -302,8 +305,17 @@ def load_csv(path: str) -> GridFunction:
         h = _csv_spacing(path, x)
         if rows.shape[0] != N * N:
             raise ConfigError(f"{path!r}: {rows.shape[0]} rows for a {N}x{N} grid")
+        # each value goes to the cell of its (x, y), in any row order
+        j = np.minimum(np.searchsorted(x, rows[:, 1] - h / 2.0), N - 1)
+        if not np.all(np.abs(rows[:, 1] - x[j]) <= 1e-6 * h):
+            raise ConfigError(f"{path!r}: y values do not lie on the x cell centers")
+        cell = np.searchsorted(x, rows[:, 0]) * N + j
+        if np.unique(cell).size != cell.size:
+            raise ConfigError(f"{path!r}: a cell is listed twice")
+        vals = np.empty(N * N)
+        vals[cell] = rows[:, 2]
         R = float(x[-1] + h / 2.0)
-        return GridFunction(2, R, h, rows[:, 2].reshape(N, N))
+        return GridFunction(2, R, h, vals.reshape(N, N))
     raise ConfigError(f"{path!r}: expected 2 or 3 CSV columns")
 
 
@@ -316,18 +328,20 @@ def save_binary(gf: GridFunction, path: str) -> None:
 
 
 def load_binary(path: str) -> GridFunction:
+    """The grid function of a `save_binary` file; a file that cannot be
+    read or does not hold one is a ConfigError."""
     head = struct.Struct("<i d d")
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BIN_MAGIC:
-            raise ConfigError(f"{path!r} is not a grid-function file")
-        raw = fh.read(head.size)
-        if len(raw) != head.size:
-            raise ConfigError(
-                f"{path!r}: truncated header ({len(raw)} of {head.size} bytes)"
-            )
-        n, R, h = head.unpack(raw)
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc.strerror}") from None
+    if blob[:4] != _BIN_MAGIC:
+        raise ConfigError(f"{path!r} is not a grid-function file")
+    raw, data = blob[4 : 4 + head.size], blob[4 + head.size :]
+    if len(raw) != head.size:
+        raise ConfigError(f"{path!r}: truncated header ({len(raw)} of {head.size} bytes)")
+    n, R, h = head.unpack(raw)
     if n not in (1, 2) or not (math.isfinite(R) and R > 0 and math.isfinite(h) and h > 0):
         raise ConfigError(f"{path!r}: bad header n={n}, R={R}, h={h}")
     N = int(round(2.0 * R / h))

@@ -167,18 +167,13 @@ def weighted_norm_check(
     k: KernelSpec,
     f,
     wv: WeightVector,
-    alpha: float,
     cone: ConeGrid,
     method: str | None = None,
 ) -> FitReport:
-    """||S_alpha f||_{L^p(nu)} / prod ||f_i||_{L^{p_i}(w_i)} (finiteness only)."""
+    """||S_alpha f||_{L^p(nu)} / prod ||f_i||_{L^{p_i}(w_i)} (finiteness
+    only), alpha the cone's."""
     fs = list(f) if isinstance(f, (tuple, list)) else [f]
-    base = fs[0]
-    s = square_function(
-        k, f if len(fs) > 1 else fs[0],
-        cone if cone.alpha == alpha else cone.with_alpha(alpha),
-        method=method,
-    )
+    s = square_function(k, f if len(fs) > 1 else fs[0], cone, method=method)
     nu = wv.nu()
     p = wv.p
     if s.same_grid(nu):
@@ -192,7 +187,7 @@ def weighted_norm_check(
     rep = FitReport(
         "weighted_norm",
         fitted={"ratio": ratio, "lhs": lhs, "rhs": rhs},
-        details={"p": p, "alpha": alpha},
+        details={"p": p, "alpha": cone.alpha},
     )
     rep.tolerances["ratio"] = (None, None)
     return rep

@@ -196,7 +196,7 @@ def bilinear_example_kernel(kappa: float = 3.0, n: int = 1) -> KernelSpec:
                       name=f"bi1:kappa={kappa:g}")
 
 
-def _csv_profile_kernel(path: str, n: int, w: ModulusOfContinuity | None) -> KernelSpec:
+def _csv_profile_kernel(path: str, n: int) -> KernelSpec:
     if n != 1:
         raise ConfigError("CSV convolution profiles are 1-D")
     bad = ConfigError(f"kernel profile {path!r}: rows must be two numbers (x, k(x))")
@@ -212,17 +212,16 @@ def _csv_profile_kernel(path: str, n: int, w: ModulusOfContinuity | None) -> Ker
     order = np.argsort(xs)
     xs, vs = xs[order], vs[order]
     profile = lambda x: np.interp(x, xs, vs, left=0.0, right=0.0)
-    mod = w or power_modulus(1.0)
+    mod = power_modulus(1.0)
     return KernelSpec("convolution", 1, 1.0, mod, mod, profile=profile, name=f"csv:{path}")
 
 
-def parse_kernel(spec: str, n: int, w: ModulusOfContinuity | None = None,
-                 phi: ModulusOfContinuity | None = None) -> KernelSpec:
+def parse_kernel(spec: str, n: int) -> KernelSpec:
     """Kernel from a config id: ``ex1:kappa=3``, ``ex2:kappa=3,beta=1.5``,
-    ``ex3:kappa=3``, ``bi1:kappa=3``, ``csv:path``."""
+    ``ex3:kappa=3``, ``bi1:kappa=3``, ``csv:path`` (1-D, ``power:1`` moduli)."""
     head, _, arg = spec.partition(":")
     if head == "csv":
-        return _csv_profile_kernel(arg, n, w)
+        return _csv_profile_kernel(arg, n)
     params = {}
     if arg:
         for piece in arg.split(","):

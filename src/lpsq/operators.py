@@ -3,9 +3,9 @@
 psi_t is the t-dilated kernel integral (midpoint rule on the input grid);
 the square function integrates |psi_t f|^2 over the discrete cone
 (h^n / t^n times ln r per stored point), g* uses the polynomially weighted
-full half-space, and the maximal-operator family (Hardy-Littlewood, dyadic,
-powered, and the localized square-function operator M_S of the sparse
-construction) runs over grid-aligned cube pools.
+full half-space, and the maximal operators (Hardy-Littlewood and dyadic,
+and the localized square-function operator M_S of the sparse construction)
+run over grid-aligned cubes.
 
 The output lattice of an operator may be wider than the input box
 (``out_R``); inputs are always treated as zero outside their box, while
@@ -26,13 +26,13 @@ imported as absent, so `scipy.signal` is registered in ``sys.modules``
 through `importlib.util.LazyLoader`: finding its spec imports only the
 top-level `scipy` package, and the module's own code runs when one of its
 attributes is first read, which no lpsq code does.
-`SquareEvaluator` holds the per-level kernel spectra of one layout in
-n = 1 and n = 2 and, once used, its Gram table and the Lerner block
-spectra of every cube shape it has seen.  `SquareEvaluator.of` keeps the
-evaluator of the last fast-path layout on the kernel object (no state is
-process-global), and `lerner_maximal` and `sparse_construct` take theirs
-from it, so a layout's kernels are sampled and transformed once per
-kernel object.
+`SquareEvaluator` is the FFT fast path of S on one layout (a convolution
+kernel, method "fft"): its per-level kernel spectra in n = 1 and n = 2 and,
+once used, its Gram table and the Lerner block spectra of every cube shape
+it has seen.  `SquareEvaluator.of` keeps the evaluator of the last layout
+on the kernel object (no state is process-global), or returns None off the
+fast path; `lerner_maximal` and `sparse_construct` take theirs from it, so
+a layout's kernels are sampled and transformed once per kernel object.
 
 g* sums, per level, the weight times |psi_t f|^2 over the offsets as a
 product of spectra; levels of one stencil radius share one irfftn.  The
@@ -57,8 +57,8 @@ with a level-summed Gram table cached on the
 `SquareEvaluator`; other groups cost, per FFT length and chunk of cubes,
 one batched n-D rfft of the stacked 3Q windows, shared by the levels of
 that length, and per level one irfft (output on Q +- K_j) and window sums.
-``method="direct"`` and bilinear pairs run S once per pool cube; that loop
-is the oracle of the batched path.
+``method="direct"``, general linear kernels and bilinear pairs run S once
+per pool cube; that loop is the oracle of the batched path.
 """
 
 from __future__ import annotations
@@ -471,10 +471,6 @@ def square_function_at(k: KernelSpec, f, x, cone: ConeGrid) -> float:
 def _psi_t_point(k, f, t, y):
     Z = f.axis_centers()
     nz = np.nonzero(f.values)
-    if f.n == 1:
-        zz = Z[nz[0]]
-        vals = k.two_point(np.full_like(zz, y[0]) / t, zz / t)
-        return float(np.sum(vals * f.values[nz])) * f.h / t
     zz1 = Z[nz[0]]
     zz2 = Z[nz[1]]
     vals = k.two_point(
@@ -515,16 +511,15 @@ class _Level:
     meas: float
 
 
-def _cone_levels(template: GridFunction, cone: ConeGrid, R_out: float) -> list:
+def _cone_levels(template: GridFunction, cone: ConeGrid) -> list:
     h = template.h
     n = template.n
     N = template.ncells
-    M = int(round(2.0 * R_out / h))
     out = []
     for t in cone.t_levels:
         t = float(t)
         K = _radius_cells(cone.alpha, t, h, cone.max_radius)
-        Mx = M + 2 * K
+        Mx = N + 2 * K
         disc = _disc_rows(min(cone.alpha * t, cone.max_radius) / h, n)
         out.append(_Level(
             t, K, Mx, _fft_len(Mx + N - 1), disc, sum(2 * rx + 1 for _, rx in disc),
@@ -569,16 +564,16 @@ def _far_gain(gamma: np.ndarray) -> np.ndarray:
 
 
 class SquareEvaluator:
-    """Repeated S_alpha evaluations of masked variants of one grid layout.
+    """Repeated S_alpha evaluations of masked variants of one grid layout,
+    on its own lattice: the FFT fast path of a convolution kernel, only.
 
     Samples the per-level convolution kernels once (the expensive
     transcendental sampling) and keeps their spectra, in n = 1 and n = 2;
     each eval costs one forward FFT per distinct FFT size (`_fft_len` of
-    the linear convolution) and one inverse FFT per level.
-    Non-convolution kernels and ``method="direct"`` go through
-    square_function on every eval.  The constructor refuses a cone whose
-    spacing, or a kernel whose dimension, differs from the template's
-    (`GridError`, as square_function).
+    the linear convolution) and one inverse FFT per level.  The constructor
+    refuses a cone whose spacing, or a kernel whose dimension, differs from
+    the template's (`GridError`, as square_function), and any other kernel
+    or method (`ParameterError`), for which `of` returns None.
 
     The batched Lerner path (`_lerner_batched`) takes from it S f^2
     (`square_sum`), the level window sums (`cone_sum`), the Gram cutoff
@@ -590,8 +585,8 @@ class SquareEvaluator:
     S f^2 is held with a copy of its f, so M_S of the f whose S the caller
     has just taken reuses it.
 
-    On the fast path, ``far_gain`` bounds S through the point-mass profile
-    Gamma of S: Gamma(v)^2 = sum_j meas_j sum_{m in D_j} k_j(v + m)^2 is
+    ``far_gain`` bounds S through the point-mass profile Gamma of S:
+    Gamma(v)^2 = sum_j meas_j sum_{m in D_j} k_j(v + m)^2 is
     (S delta_y)^2 at an output cell x with x - y = v cells, taken by one
     `_window_sum` of k_j^2 per level over the level's own kernel samples,
     which hold every output-minus-input offset of the layout.  S is an l^2
@@ -603,26 +598,21 @@ class SquareEvaluator:
     """
 
     def __init__(self, k, template: GridFunction, cone: ConeGrid,
-                 out_R: float | None = None, method: str | None = None):
+                 method: str | None = None):
         if template.h != cone.h:
             raise GridError("cone and grid spacing differ")
         if template.n != k.n:
             raise GridError("kernel and grid dimensions differ")
+        if k.kind != "convolution" or _resolve_method(k, method) != "fft":
+            raise ParameterError("the evaluator takes a convolution kernel on the fft path")
         self.k = k
-        self.cone = cone
         self.template = template
-        self.R_out = template.R if out_R is None else float(out_R)
-        self.method = method
-        self.fast = k.kind == "convolution" and _resolve_method(k, method) == "fft"
-        if not self.fast:
-            return
         n = template.n
-        self.M = int(round(2.0 * self.R_out / template.h))
-        self.levels = _cone_levels(template, cone, self.R_out)
+        self.levels = _cone_levels(template, cone)
         self._spectra = []
         gamma2 = 0.0
         for lv in self.levels:
-            kern = _conv_kernel(k, template, lv.t, self.R_out + lv.K * template.h, lv.Mx)
+            kern = _conv_kernel(k, template, lv.t, template.R + lv.K * template.h, lv.Mx)
             self._spectra.append(np.fft.rfftn(kern, (lv.nfft,) * n, axes=range(n)))
             gamma2 = gamma2 + lv.meas * _window_sum(kern**2, lv.rows)
         self.far_gain = _far_gain(np.sqrt(np.maximum(gamma2, 0.0)))
@@ -633,23 +623,23 @@ class SquareEvaluator:
 
     @classmethod
     def of(cls, k, template: GridFunction, cone: ConeGrid,
-           out_R: float | None = None, method: str | None = None) -> SquareEvaluator:
-        """The evaluator of this layout: the one held on k if it has the
-        same cone values (alpha, n, h, log_weight, max_radius, t_levels),
-        template n, R and h, output radius and resolved method, else a new
-        one.  k holds one evaluator, the last fast-path one built here, so
-        a `ConeGrid.with_alpha` copy of equal values finds it and no state
+           method: str | None = None) -> SquareEvaluator | None:
+        """The evaluator of this layout, or None off the fast path: the one
+        held on k if it has the same cone values (alpha, n, h, log_weight,
+        max_radius, t_levels) and template n, R and h, else a new one.  k
+        holds one evaluator, the last one built here, so a
+        `ConeGrid.with_alpha` copy of equal values finds it and no state
         outlives the kernel object."""
-        R_out = template.R if out_R is None else float(out_R)
+        if k.kind != "convolution" or _resolve_method(k, method) != "fft":
+            return None
         key = (cone.alpha, cone.n, cone.h, cone.log_weight, cone.max_radius,
                np.asarray(cone.t_levels, dtype=float).tobytes(),
-               template.n, template.R, template.h, R_out, _resolve_method(k, method))
+               template.n, template.R, template.h)
         ev = k._evaluator.get(key)
         if ev is None:
-            ev = cls(k, template, cone, out_R, method)
-            if ev.fast:
-                k._evaluator.clear()
-                k._evaluator[key] = ev
+            ev = cls(k, template, cone, method)
+            k._evaluator.clear()
+            k._evaluator[key] = ev
         return ev
 
     def gram_table(self):
@@ -755,7 +745,7 @@ class SquareEvaluator:
         held = self._held
         if held is not None and np.array_equal(held[0], values):
             return held[1]
-        acc = np.zeros((self.M,) * self.template.n)
+        acc = np.zeros((self.template.ncells,) * self.template.n)
         for lv, u in self.level_values(values):
             acc += self.cone_sum(lv, u**2)
         acc.setflags(write=False)
@@ -764,11 +754,6 @@ class SquareEvaluator:
 
     def eval_values(self, values: np.ndarray) -> np.ndarray:
         """S_alpha of the grid function with these values; returns values."""
-        if not self.fast:
-            gf = self.template.with_values(values)
-            return square_function(
-                self.k, gf, self.cone, out_R=self.R_out, method=self.method
-            ).values
         return np.sqrt(self.square_sum(values))
 
 
@@ -978,8 +963,8 @@ def _window_max(m: np.ndarray, L: int, axis: int) -> np.ndarray:
     return np.moveaxis(m, 0, axis)
 
 
-def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) -> GridFunction:
-    """Hardy-Littlewood (grid cubes), dyadic (anchored at 0), or powered.
+def maximal(f: GridFunction, variant: str = "hl") -> GridFunction:
+    """Hardy-Littlewood (grid cubes) or dyadic (anchored at 0) maximal of |f|.
 
     hl: sup over grid-aligned cubes containing x, sides h..2R.  In 1-D the
     exact max over all windows, `_hl_max_1d`: with c the prefix sums, the
@@ -995,19 +980,8 @@ def maximal(f: GridFunction, variant: str = "hl", kappa: float | None = None) ->
     of the means padded with L - 1 cells of -inf on each side;
     dyadic: sup over the dyadic lattice anchored at coordinate 0, one
     generation at a time: the block means of a (2^g, N / 2^g)-per-axis
-    reshape, repeated back onto the cells, in n = 1 and 2 alike;
-    powered: M[|f|^kappa]^{1/kappa}, taken of |f| / max |f| and scaled
-    back, so a large kappa does not underflow.
+    reshape, repeated back onto the cells, in n = 1 and 2 alike.
     """
-    if variant == "powered":
-        if kappa is None or not (math.isfinite(kappa) and kappa > 0):
-            raise ParameterError(f"powered maximal needs a finite kappa > 0, got {kappa}")
-        a = np.abs(f.values)
-        top = a.max()
-        if top == 0.0:
-            return f.with_values(np.zeros_like(a))
-        inner = maximal(f.with_values((a / top) ** kappa), "hl")
-        return f.with_values(top * inner.values ** (1.0 / kappa))
     a = np.abs(f.values)
     N = f.ncells
     if variant == "hl":
@@ -1237,8 +1211,8 @@ def lerner_maximal(
     kernel with resolved method "fft" takes the batched path
     (`_lerner_batched`), in n = 1 and n = 2, through the evaluator
     `SquareEvaluator.of` keeps on k, so that repeated calls on one layout
-    share its kernel spectra, Gram table and block spectra;
-    ``method="direct"`` and bilinear pairs evaluate S once per pool cube.
+    share its kernel spectra, Gram table and block spectra.  Anything else
+    takes `_lerner_pool_loop`, one S per pool cube.
     """
     if variant != "M_S":
         raise ParameterError(f"unknown variant {variant!r}; M_S is the one localized operator")
@@ -1247,10 +1221,8 @@ def lerner_maximal(
     pair = _as_pair(f)
     base = pair[0] if pair else f
     ev = None if pair is not None else SquareEvaluator.of(k, base, cone, method=method)
-    if ev is not None and ev.fast:
-        out = _lerner_batched(ev, base, cube_pool)
-    else:
-        out = _lerner_pool_loop(k, f, cone, cube_pool, method, ev)
+    out = (_lerner_batched(ev, base, cube_pool) if ev is not None
+           else _lerner_pool_loop(k, f, cone, cube_pool, method))
     dom = _box_mask(base, base.box() if domain is None else domain).astype(bool)
     uncovered = np.argwhere(dom & (out == -np.inf))
     if uncovered.size:
@@ -1262,17 +1234,15 @@ def lerner_maximal(
     return base.with_values(out)
 
 
-def _lerner_pool_loop(k, f, cone, cube_pool, method, ev) -> np.ndarray:
-    """M_S with one S(f 1_{3Q}) evaluation per pool cube, through the
-    evaluator ev of f's layout, or square_function for pairs."""
+def _lerner_pool_loop(k, f, cone, cube_pool, method) -> np.ndarray:
+    """M_S with one `square_function` call per pool cube, for a single
+    input and a pair alike: the oracle of `_lerner_batched`."""
     pair = _as_pair(f)
     fs = pair or (f,)
 
     def s_of(values):
-        if pair is None:
-            return ev.eval_values(values[0])
         masked = tuple(g.with_values(v) for g, v in zip(fs, values))
-        return square_function(k, masked, cone, method=method).values
+        return square_function(k, masked if pair else masked[0], cone, method=method).values
 
     s_full2 = s_of([g.values for g in fs]) ** 2
     out = np.full(fs[0].values.shape, -np.inf)

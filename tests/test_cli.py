@@ -136,6 +136,27 @@ class TestSubcommands:
         assert summary["campaign"] == campaign
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", ["missing.bin", "."], ids=["missing-file", "directory"])
+    def test_unreadable_bin_function_exits_2(self, tmp_path, capsys, path):
+        out = tmp_path / "o"
+        rc = run_main(["--out-dir", str(out), "eval", "--function", f"bin:{tmp_path / path}"])
+        assert rc == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["passed"] and "cannot read" in summary["error"]
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_2d_csv_function_off_the_lattice_exits_2(self, tmp_path, capsys):
+        """A 2-D CSV whose y column is not on the x cell centers is a
+        ConfigError: exit 2, with the error in summary.json."""
+        path, out = tmp_path / "f.csv", tmp_path / "o"
+        c = [-0.75, -0.25, 0.25, 0.75]
+        path.write_text("x,y,value\n" + "".join(f"{x},{y + 0.1},1.0\n" for x in c for y in c))
+        rc = run_main(["--out-dir", str(out), "eval", "--n", "2", "--function", f"csv:{path}"])
+        assert rc == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["passed"] and "do not lie on" in summary["error"]
+        assert "do not lie on" in capsys.readouterr().err
+
     @pytest.mark.parametrize("campaign, flag", [
         ("dini", "--modulus"), ("kernel-check", "--kernel"),
     ])
@@ -218,6 +239,20 @@ class TestSubcommands:
         rc = run_main(["--out-dir", str(tmp_path), "verify", "weak",
                        "--h", "0.125"])
         assert rc == 0
+
+    def test_verify_weak_refines_the_original_levels(self, tmp_path, monkeypatch):
+        """The h/2 run takes the config's cone rule from tmin/2: its levels
+        are one octave (q levels) below the original ones, then those."""
+        import lpsq.cli
+
+        cones, inner = [], lpsq.cli.square_function
+        monkeypatch.setattr(lpsq.cli, "square_function",
+                            lambda k, f, cone, **kw: cones.append(cone) or inner(k, f, cone, **kw))
+        assert run_main(["--out-dir", str(tmp_path), "verify", "weak"]) == 0
+        coarse, fine = (c.t_levels for c in cones)
+        assert cones[1].h == cones[0].h / 2
+        assert len(fine) == len(coarse) + 4
+        assert np.allclose(fine[4:], coarse, rtol=1e-12, atol=0.0)
 
     def test_verify_marcinkiewicz(self, tmp_path):
         rc = run_main(["--out-dir", str(tmp_path), "verify", "marcinkiewicz",
@@ -446,7 +481,7 @@ class TestConfigAndErrors:
         oracle = load_binary(str(tmp_path / "o" / "square_function.bin")).values
         assert np.array_equal(oracle, direct)
         # nothing outlives the run: later calls take the FFT path again
-        assert SquareEvaluator(k, f, cone).fast
+        assert SquareEvaluator.of(k, f, cone) is not None
         assert run_main(["--out-dir", str(tmp_path / "a")] + args) == 0
         auto = load_binary(str(tmp_path / "a" / "square_function.bin")).values
         assert np.array_equal(auto, square_function(k, f, cone).values)

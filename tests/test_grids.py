@@ -95,6 +95,41 @@ class TestGridFunction:
         with pytest.raises(ConfigError, match="value bytes"):
             load_binary(str(p))
 
+    @pytest.mark.parametrize("path", ["missing.bin", "."], ids=["missing-file", "directory"])
+    def test_binary_unreadable_is_config_error(self, tmp_path, path):
+        with pytest.raises(ConfigError, match=f"cannot read .*{path}"):
+            load_binary(str(tmp_path / path))
+
+    def test_bin_function_id(self, tmp_path):
+        g = sample_function(lambda x, y: np.cos(x) * y, 2, 2.0, 0.25)
+        p = tmp_path / "g.bin"
+        save_binary(g, str(p))
+        g2 = parse_function(f"bin:{p}", 2, 2.0, 0.25)
+        assert np.array_equal(g.values, g2.values) and (g.R, g.h) == (g2.R, g2.h)
+
+    @staticmethod
+    def _csv_2d(path, rows):
+        path.write_text("x,y,value\n" + "".join(f"{x!r},{y!r},{v!r}\n" for x, y, v in rows))
+
+    def test_csv_2d_rows_in_any_order(self, tmp_path):
+        """A y-major file (x varying fastest) of x + 10 y loads by its (x, y)."""
+        g = sample_function(lambda x, y: x + 10 * y, 2, 2.0, 0.5)
+        c = g.axis_centers()
+        p = tmp_path / "g.csv"
+        self._csv_2d(p, [(float(x), float(y), float(x + 10 * y)) for y in c for x in c])
+        assert np.array_equal(load_csv(str(p)).values, g.values)
+
+    @pytest.mark.parametrize("shift, named", [(0.25, "do not lie on"), (0.0, "listed twice")])
+    def test_csv_2d_off_lattice_or_repeated_cell_is_config_error(self, tmp_path, shift, named):
+        c = sample_function(lambda x, y: x, 2, 2.0, 0.5).axis_centers()
+        rows = [(float(x), float(y) + shift, 1.0) for x in c for y in c]
+        if not shift:
+            rows[1] = rows[0]
+        p = tmp_path / "g.csv"
+        self._csv_2d(p, rows)
+        with pytest.raises(ConfigError, match=named):
+            load_csv(str(p))
+
     def test_csv_nonuniform_spacing_is_config_error(self, tmp_path):
         p = tmp_path / "g.csv"
         p.write_text("x,value\n-0.75,1.0\n-0.25,2.0\n0.5,3.0\n0.75,4.0\n")

@@ -102,13 +102,13 @@ class TestWeightedNorm:
                             gauss_grid.h)
         wv = WeightVector([w], [2.0])
         z = gauss_grid.with_values(np.zeros_like(gauss_grid.values))
-        rep = weighted_norm_check(ex1, z, wv, 1.0, cone_coarse)
+        rep = weighted_norm_check(ex1, z, wv, cone_coarse)
         assert rep.fitted["ratio"] == 0.0
 
     def test_unweighted_reduces_to_lp(self, ex1, gauss_grid, cone_coarse):
         one = sample_function(lambda x: np.ones_like(x), 1, gauss_grid.R, gauss_grid.h)
         wv = WeightVector([one], [2.0])
-        rep = weighted_norm_check(ex1, gauss_grid, wv, 1.0, cone_coarse)
+        rep = weighted_norm_check(ex1, gauss_grid, wv, cone_coarse)
         s = square_function(ex1, gauss_grid, cone_coarse)
         assert rep.fitted["ratio"] == pytest.approx(
             s.norm_l2() / gauss_grid.norm_l2(), rel=1e-12
@@ -126,14 +126,14 @@ class TestWeightedNorm:
                 rng.standard_normal(gauss_grid.ncells)
                 * np.exp(-np.abs(gauss_grid.axis_centers()) / 2.0)
             )
-            ratios.append(weighted_norm_check(ex1, g, wv, 1.0, cone_coarse).fitted["ratio"])
+            ratios.append(weighted_norm_check(ex1, g, wv, cone_coarse).fitted["ratio"])
         assert max(ratios) <= 4.0 * float(np.median(ratios))
 
     def test_bilinear_weighted(self, cone_coarse, gauss_grid):
         k = bilinear_example_kernel(3.0, 1)
         one = sample_function(lambda x: np.ones_like(x), 1, gauss_grid.R, gauss_grid.h)
         wv = WeightVector([one, one], [2.0, 2.0])
-        rep = weighted_norm_check(k, (gauss_grid, gauss_grid), wv, 1.0, cone_coarse)
+        rep = weighted_norm_check(k, (gauss_grid, gauss_grid), wv, cone_coarse)
         assert math.isfinite(rep.fitted["ratio"]) and rep.fitted["ratio"] > 0
 
 

@@ -19,6 +19,10 @@ call is unreached.
 A field of a ``@dataclass`` in src/lpsq is read when some file of src/lpsq
 or perfbench loads it as an attribute or names it as a dotted part of a
 string constant.
+
+Files are read only by `grids.read_text` and `grids.load_binary`, which
+turn an unreadable file into a ConfigError: no other function of src/lpsq
+calls ``open`` in a read mode, and none calls ``json.load``.
 """
 
 import ast
@@ -289,3 +293,51 @@ def test_checker_finds_an_unread_field(tmp_path):
                  "class Plain:\n    ignored: int = 0\n\n"
                  "r = R(1, 2)\nr.written = 3\nprint(r.read, getattr(r, 'named'))\n")
     assert _unread_fields([p], [p], {"R.kept"}) == ["mod.py:6: R.written", "mod.py:12: S.gone"]
+
+
+# the functions that may read a file: text files, and grid-function files
+FILE_READERS = {("grids.py", "read_text"), ("grids.py", "load_binary")}
+
+
+def _file_reads(path: pathlib.Path) -> list:
+    """The reads of a file in a module outside `FILE_READERS`: each
+    ``open`` call whose mode is not a constant holding w, a or x, and each
+    ``json.load`` call, named by the innermost enclosing function."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef)) else func
+            if isinstance(child, ast.Call):
+                fn = child.func
+                mode = (child.args[1] if len(child.args) > 1 else
+                        next((k.value for k in child.keywords if k.arg == "mode"), None))
+                if isinstance(fn, ast.Name) and fn.id == "open":
+                    if not (isinstance(mode, ast.Constant) and set("wax") & set(mode.value)):
+                        found.append((child.lineno, func))
+                elif (isinstance(fn, ast.Attribute) and fn.attr == "load"
+                      and isinstance(fn.value, ast.Name) and fn.value.id == "json"):
+                    found.append((child.lineno, func))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return [f"{path.name}:{line}: {func}" for line, func in found
+            if (path.name, func) not in FILE_READERS]
+
+
+def test_files_are_read_only_by_the_grids_readers():
+    assert [r for p in sorted(SRC.glob("*.py")) for r in _file_reads(p)] == []
+
+
+def test_checker_finds_a_file_read(tmp_path):
+    p = tmp_path / "grids.py"
+    p.write_text("import json\n\n"
+                 "def read_text(path):\n    with open(path) as fh:\n        return fh.read()\n\n"
+                 "def save(path):\n    with open(path, 'w') as fh:\n        fh.write('x')\n"
+                 "    open(path, mode='ab').close()\n\n"
+                 "class C:\n    def load(self, path):\n        with open(path, 'rb') as fh:\n"
+                 "            return json.load(fh)\n\n"
+                 "data = open('x', mode='r').read()\n")
+    assert _file_reads(p) == ["grids.py:14: load", "grids.py:15: load",
+                              "grids.py:17: <module>"]

@@ -14,7 +14,7 @@ from lpsq.errors import (
     ResolutionError,
 )
 from lpsq.grids import Box, GridFunction, build_cone, build_halfspace, sample_function
-from lpsq.kernels import bilinear_example_kernel, parse_kernel
+from lpsq.kernels import KernelSpec, bilinear_example_kernel, parse_kernel
 from lpsq.moduli import power_modulus
 from lpsq.operators import (
     SquareEvaluator,
@@ -304,41 +304,10 @@ class TestMaximal:
         assert np.all(maximal(g, "hl").values >= np.abs(g.values) - 1e-14)
 
     def test_powered(self):
+        """maximal has no "powered" variant: a ParameterError."""
         g = sample_function(lambda x: ((x >= 0) & (x < 1)).astype(float), 1, 4.0, 0.25)
-        M2 = maximal(g, "powered", kappa=2.0)
-        M1 = maximal(g, "hl")
-        assert np.all(M2.values >= M1.values - 1e-14)  # kappa=2 dominates kappa=1
-
-    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0, None])
-    def test_powered_kappa_must_be_finite_and_positive(self, kappa):
-        g = sample_function(lambda x: ((x >= 0) & (x < 1)).astype(float), 1, 4.0, 0.25)
-        with pytest.raises(ParameterError, match="kappa"):
-            maximal(g, "powered", kappa=kappa)
-
-    @staticmethod
-    def _gaussian(n, h):
-        """exp(-|x|^2) on [-2, 2)^n: its cells lie below the peak 1."""
-        return sample_function(lambda *x: np.exp(-sum(xi**2 for xi in x)), n, 2.0, h)
-
-    @pytest.mark.parametrize("n, h, kappa", [(1, 0.25, 1e6), (2, 0.5, 1e4)])
-    def test_powered_large_kappa_does_not_underflow(self, n, h, kappa):
-        g = self._gaussian(n, h)
-        assert np.all(maximal(g, "powered", kappa=kappa).values >= np.abs(g.values))
-
-    @pytest.mark.parametrize("n, h", [(1, 0.25), (2, 0.5)])
-    @pytest.mark.parametrize("kappa", [1.0, 1.5, 3.0])
-    def test_powered_equals_unscaled_form(self, n, h, kappa):
-        g = self._gaussian(n, h)
-        g = g.with_values(-3.7 * g.values)
-        unscaled = maximal(g.with_values(np.abs(g.values) ** kappa), "hl").values ** (1 / kappa)
-        assert np.allclose(maximal(g, "powered", kappa=kappa).values, unscaled,
-                           rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_powered_of_zero_is_exact_zero(self, n):
-        g = self._gaussian(n, 0.5)
-        zero = g.with_values(np.zeros_like(g.values))
-        assert np.all(maximal(zero, "powered", kappa=3.0).values == 0.0)
+        with pytest.raises(ParameterError, match="unknown maximal variant"):
+            maximal(g, "powered")
 
     def test_2d_hl_vs_brute(self):
         g = sample_function(lambda x, y: np.exp(-((x - 0.3) ** 2) - 2 * y**2), 2,
@@ -514,7 +483,7 @@ class TestLernerBatched:
         with monkeypatch.context() as m:
             m.setattr(ops, "_lerner_batched",
                       lambda ev, f, pool: ops._lerner_pool_loop(
-                          ev.k, f, ev.cone, pool, None, ev))
+                          ev.k, f, cone, pool, None))
             slow = lerner_maximal(k, f, cone, variant, pool, domain=domain).values
         return fast, slow
 
@@ -681,7 +650,7 @@ class TestLernerPlan:
         with monkeypatch.context() as m:
             m.setattr(ops, "_lerner_batched",
                       lambda ev, f, pool: ops._lerner_pool_loop(
-                          ev.k, f, ev.cone, pool, None, ev))
+                          ev.k, f, cone, pool, None))
             slow = lerner_maximal(k0, f, cone, variant, pool, domain=root.box()).values
         TestLernerBatched._close(fast, slow)
 
@@ -811,7 +780,7 @@ class TestLernerGram:
         with monkeypatch.context() as m:
             m.setattr(ops, "_lerner_batched",
                       lambda ev, f, pool: ops._lerner_pool_loop(
-                          ev.k, f, ev.cone, pool, None, ev))
+                          ev.k, f, cone, pool, None))
             slow = lerner_maximal(k, f, cone, "M_S", pool, domain=domain).values
         return fast, keys, slow
 
@@ -944,7 +913,8 @@ class TestWindowSum:
 class TestEvaluatorLayout:
     def test_cone_spacing_and_kernel_dimension_are_checked(self):
         """The evaluator refuses the layouts square_function refuses, and so
-        do its callers on every method."""
+        do its callers on every method (off the fast path `of` builds
+        nothing, and the callers' square_function refuses them)."""
         from lpsq.dyadic import Cube, dyadic_cube_pool, sparse_construct
 
         k = parse_kernel("ex1:kappa=3", 1)
@@ -952,9 +922,10 @@ class TestEvaluatorLayout:
         coarse = build_cone(1.0, 1, 1.0 / 16, 1.0 / 8, 8.0, 4)  # h = 1/16
         root = Cube(1, 1, (0,), "standard", 2 * f.R)
         pool = dyadic_cube_pool(root, f)
+        with pytest.raises(GridError, match="spacing"):
+            SquareEvaluator.of(k, f, coarse)
         for m in (None, "direct"):
             for call in (lambda: SquareEvaluator(k, f, coarse, method=m),
-                         lambda: SquareEvaluator.of(k, f, coarse, method=m),
                          lambda: lerner_maximal(k, f, coarse, "M_S", pool, method=m,
                                                 domain=root.box()),
                          lambda: sparse_construct(k, f, root, 1.0, coarse, method=m)):
@@ -967,6 +938,24 @@ class TestEvaluatorLayout:
             with pytest.raises(GridError, match="dimensions"):
                 lerner_maximal(k2, f, cone, "M_S", pool, method=m, domain=root.box())
 
+    @pytest.mark.parametrize("case", ["direct", "bilinear", "linear"])
+    def test_no_evaluator_off_the_fast_path(self, case):
+        """`of` returns None, and the constructor refuses, for the direct
+        method, a bilinear kernel and a general linear kernel."""
+        k = parse_kernel("ex1:kappa=3", 1)
+        method = "direct" if case == "direct" else None
+        if case == "bilinear":
+            k = bilinear_example_kernel(3.0, 1)
+        elif case == "linear":
+            k = KernelSpec("linear", 1, k.A, k.w_mod, k.phi_mod,
+                           psi=lambda x, y, p=k.profile: p(x - y))
+        f = _spikes(np.random.default_rng(4), 1, 4.0, 1.0 / 4)
+        cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
+        assert SquareEvaluator.of(k, f, cone, method=method) is None
+        with pytest.raises(ParameterError, match="fft path"):
+            SquareEvaluator(k, f, cone, method=method)
+        assert not k._evaluator
+
 
 class TestSquareEvaluator2D:
     def test_matches_square_function_and_direct(self):
@@ -974,7 +963,6 @@ class TestSquareEvaluator2D:
         f = _spikes(np.random.default_rng(17), 2, 4.0, 0.5)  # 16 x 16
         cone = build_cone(1.0, 2, f.h, 2 * f.h, 2 * f.R, 4)
         ev = SquareEvaluator(k, f, cone)
-        assert ev.fast
         fast = ev.eval_values(f.values)
         sf = square_function(k, f, cone).values
         assert np.max(np.abs(fast - sf)) <= 1e-12 * np.max(sf)
@@ -991,40 +979,42 @@ class TestPointMassProfile:
     point mass: Gamma(x - y) = S delta_y(x)."""
 
     @staticmethod
-    def _profile(monkeypatch, k, f, cone, out_R):
+    def _profile(monkeypatch, k, f, cone):
         """The evaluator and the Gamma its constructor passes to `_far_gain`."""
         from lpsq import operators as ops
 
         seen, inner = [], ops._far_gain
         monkeypatch.setattr(ops, "_far_gain", lambda g: seen.append(g) or inner(g))
-        ev = SquareEvaluator(k, f, cone, out_R=out_R)
+        ev = SquareEvaluator(k, f, cone)
         assert len(seen) == 1
         return ev, seen[0]
 
     @pytest.mark.parametrize("pad", [0, 3])
     @pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
     def test_equals_s_of_a_delta_at_the_corners(self, monkeypatch, n, N, pad):
-        """At each of the 2^n corner cells y, S delta_y on the output lattice
-        (pad cells wider than the box per side) is the window of Gamma at the
-        offsets x - y, for the evaluator and for direct summation."""
+        """At each of the 2^n corner cells y of the box, S delta_y on the
+        output lattice pad cells wider than the box per side is the window
+        of Gamma at the offsets x - y: by direct summation, and by the
+        evaluator of the box widened by pad cells, whose lattice that is."""
         R = 4.0
         h = 2 * R / N
         k = parse_kernel("ex1:kappa=3", n)
         f = GridFunction(n, R, h, np.zeros((N,) * n))
         cone = build_cone(1.0, n, h, 2 * h, 2 * R, 4)
         out_R = R + pad * h
-        ev, gamma = self._profile(monkeypatch, k, f, cone, out_R)
         M = N + 2 * pad
-        assert gamma.shape == (2 * (N - 1 + pad) + 1,) * n
+        ev, gamma = self._profile(monkeypatch, k, GridFunction(n, out_R, h, np.zeros((M,) * n)),
+                                  cone)
+        assert gamma.shape == (2 * M - 1,) * n
         tol = 1e-12 * gamma.max()
         for corner in itertools.product((0, N - 1), repeat=n):
             delta = np.zeros((N,) * n)
             delta[corner] = 1.0
             # output cell o sits o - pad - y cells from the input cell y
-            want = gamma[tuple(slice(N - 1 - y, N - 1 - y + M) for y in corner)]
+            want = gamma[tuple(slice(M - 1 - pad - y, 2 * M - 1 - pad - y) for y in corner)]
             direct = square_function(k, f.with_values(delta), cone, out_R=out_R,
                                      method="direct").values
-            for got in (ev.eval_values(delta), direct):
+            for got in (ev.eval_values(np.pad(delta, pad)), direct):
                 assert np.max(np.abs(got - want)) <= tol
 
     @pytest.mark.parametrize("n, N", [(1, 16), (2, 6)])
@@ -1035,13 +1025,12 @@ class TestPointMassProfile:
         h = 2 * R / N
         k = parse_kernel("ex1:kappa=3", n)
         f = GridFunction(n, R, h, np.zeros((N,) * n))
-        ev, gamma = self._profile(monkeypatch, k, f, build_cone(1.0, n, h, 2 * h, 2 * R, 4),
-                                  R + h)
+        ev, gamma = self._profile(monkeypatch, k, f, build_cone(1.0, n, h, 2 * h, 2 * R, 4))
         # a random profile has shells whose maxima rise outward
         rough = np.random.default_rng(n).random(gamma.shape)
         for prof, want_far in ((gamma, ev.far_gain), (rough, ops._far_gain(rough))):
-            dist = np.max(np.abs(np.indices(prof.shape) - N), axis=0)  # offsets -N .. N
-            assert want_far.tolist() == [prof[dist >= d].max() for d in range(N + 1)]
+            dist = np.max(np.abs(np.indices(prof.shape) - (N - 1)), axis=0)  # |offsets| < N
+            assert want_far.tolist() == [prof[dist >= d].max() for d in range(N)]
         assert np.all(np.diff(ev.far_gain) <= 0) and ev.far_gain[-1] > 0
 
 
@@ -1346,11 +1335,7 @@ class TestMaximalHL1D:
     @settings(max_examples=40)
     def test_float_inputs_within_roundoff_of_window_loop(self, N, kind, seed):
         v = _hl_input(np.random.default_rng(seed), N, kind)
-        hl = self._hl(v, exact=False)
-        g = GridFunction(1, N / 16, 1.0 / 8, v)
-        for kappa in (1.0, 1.5, 3.0):
-            powered = maximal(g, "powered", kappa=kappa).values
-            assert np.all(powered >= hl * (1.0 - 1e-12))
+        self._hl(v, exact=False)
 
     @given(st.integers(min_value=1, max_value=96),
            st.sampled_from(["const", "noise", "spikes"]),
