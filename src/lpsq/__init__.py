@@ -26,7 +26,6 @@ from .moduli import (
     dini_constant,
     dini_inequality_suite,
     dini_integral,
-    log_dini_integral,
     log_modulus,
     logsplit_moduli,
     parse_modulus,

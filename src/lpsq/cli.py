@@ -8,6 +8,11 @@ aperture | weighted | marcinkiewicz | sparse).  Every run writes
 exits 0 when every check passes, 1 naming the failing items, and 2 on a
 config or parameter error.
 
+``verify weak`` re-samples ``--function`` at h/2, so it needs an analytic
+id (a ``csv:`` or ``bin:`` file is a ConfigError); ``verify weighted`` does
+not read ``--function``: its ten random inputs are drawn on the weight's
+lattice of the run's R and h.
+
 `SCHEMA` is the one table of settings: each key's type and default.
 `_load_config` resolves a run's settings once, in the order defaults, JSON
 config (--config), command-line flags, checks each value's type and its
@@ -44,6 +49,7 @@ from .grids import (
     build_halfspace,
     parse_function,
     read_json,
+    sample_function,
     save_binary,
     save_csv,
 )
@@ -335,6 +341,10 @@ def _campaign_verify(cfg, out_dir):
             for key, val in sorted(rep.fitted.items())
         ]
     if mode == "weak":
+        if cfg["function"].partition(":")[0] in ("csv", "bin"):
+            raise ConfigError(
+                "verify weak re-samples its input at h/2, so it needs an analytic "
+                f"--function id, not the file {cfg['function']!r}")
         f = _function(cfg)
         cone = _cone_cfg(cfg, cfg["alpha"])
         s = square_function(k, f, cone, method=cfg["method"])
@@ -358,7 +368,6 @@ def _campaign_verify(cfg, out_dir):
     if mode == "weighted":
         if n != 1:
             raise ConfigError("weighted verify is 1-D")
-        f = _function(cfg)
         head, _, arg = cfg["weight"].partition(":")
         try:
             expo = float(arg) if head == "power" else None
@@ -366,18 +375,16 @@ def _campaign_verify(cfg, out_dir):
             expo = None
         if expo is None:
             raise ConfigError(f"weighted verify takes a power:a weight id, not {arg!r}")
-        from .grids import sample_function
-
         wgrid = sample_function(lambda x: np.abs(x) ** expo + 1e-12, 1, R, h)
         wv = WeightVector([wgrid], [cfg["p"]])
         rng = np.random.default_rng(cfg["seed"])
         cone = _cone_cfg(cfg, cfg["alpha"])
 
         def one(i):
-            vals = rng.standard_normal(f.ncells) * np.exp(
-                -np.abs(f.axis_centers()) / 2.0
+            vals = rng.standard_normal(wgrid.ncells) * np.exp(
+                -np.abs(wgrid.axis_centers()) / 2.0
             )
-            g = f.with_values(vals)
+            g = wgrid.with_values(vals)
             return weighted_norm_check(k, g, wv, cone, method=cfg["method"]).fitted["ratio"]
 
         ratios = [one(i) for i in range(10)]

@@ -108,10 +108,10 @@ class Cube:
         ]
 
     def contains(self, other: "Cube") -> bool:
-        return all(
-            sl <= ol and oh <= sh + 1e-12 * max(1.0, abs(sh))
-            for sl, ol, oh, sh in zip(self.lo, other.lo, other.hi, self.hi)
-        )
+        """Whether other, a cube of this lattice, is this cube or lies in
+        it: its anchors d = other.generation - generation parents up."""
+        d = other.generation - self.generation
+        return d >= 0 and tuple(a >> d for a in other.anchor) == self.anchor
 
     def cell_range(self, gf: GridFunction) -> tuple:
         """Per-axis (start, stop) cell index ranges on gf's lattice; exact."""
@@ -345,6 +345,8 @@ _CUBE_KEYS = frozenset({"generation", "anchor", "shift", "parent"})
 
 def _cube_from_json(e, n: int, base: float, where: str) -> Cube:
     gen = _json_field(e, "generation", int, where)
+    if not 0 <= gen <= 64:
+        raise ConfigError(f"{where}: generation must lie in [0, 64], got {gen}")
     anchor = _json_field(e, "anchor", list, where)
     shift = _json_field(e, "shift", str, where, optional=True) or "standard"
     unknown = sorted(set(e) - _CUBE_KEYS)
@@ -362,47 +364,37 @@ def _cube_from_json(e, n: int, base: float, where: str) -> Cube:
 def verify_sparse(family: SparseFamily, eta: float | None = None):
     """Exact lattice check of |union of strict subcubes| <= (1-eta)|Q|.
 
-    Returns (ok, worst_ratio, worst_cube).  Cell counting happens at the
-    finest generation present in the family.  eta must lie in (0, 1]
-    (`ParameterError` otherwise).
+    Returns (ok, worst_ratio, worst_cube).  Dyadic cubes nest or are
+    disjoint, so Q's strict subcubes cover the cells of its maximal ones r
+    (no strict ancestor of r below Q is in the family): a share of
+    sum_r 2^{n (gmax - g_r)} / 2^{n (gmax - g_Q)}, in integers at any depth.
+    A cube outside the root is a `ContainmentError`; eta must lie in
+    (0, 1] (`ParameterError` otherwise).
     """
     eta = family.eta if eta is None else eta
     if not 0 < eta <= 1:
         raise ParameterError(f"eta must lie in (0, 1], got {eta}")
     root = family.root
-    gmax = max(c.generation for c in family.cubes)
-    unit = root.generation  # cells counted relative to root at gmax
-    cells_per_side = 2 ** (gmax - unit)
-
-    def cell_span(c: Cube):
+    for c in family.cubes:
         if not root.contains(c):
             raise ContainmentError(f"{c} lies outside the root {root}")
-        scale = 2 ** (gmax - c.generation)
-        out = []
-        for ax in range(c.n):
-            a0 = c.anchor[ax] * scale - root.anchor[ax] * cells_per_side
-            out.append((a0, a0 + scale))
-        return out
-
+    gmax = max(c.generation for c in family.cubes)
     worst = 0.0
     worst_cube = None
-    spans = {c: cell_span(c) for c in family.cubes}
     for q in family.cubes:
-        qs = spans[q]
-        mask = np.zeros((2 ** (gmax - q.generation),) * q.n, dtype=bool)
-        for r in family.cubes:
-            if r is q or not _span_inside(spans[r], qs) or r.generation <= q.generation:
-                continue
-            mask[tuple(slice(a0 - o0, a1 - o0) for (a0, a1), (o0, _) in zip(spans[r], qs))] = True
-        ratio = int(mask.sum()) / mask.size
+        subs = {r for r in family.cubes if r.generation > q.generation and q.contains(r)}
+        cells = 0
+        for r in subs:
+            p = r.parent()
+            while p.generation > q.generation and p not in subs:
+                p = p.parent()
+            if p.generation == q.generation:  # no strict ancestor in subs
+                cells += 2 ** (q.n * (gmax - r.generation))
+        ratio = cells / 2 ** (q.n * (gmax - q.generation))
         if ratio > worst:
             worst = ratio
             worst_cube = q
     return worst <= (1.0 - eta) + 1e-12, worst, worst_cube
-
-
-def _span_inside(inner, outer) -> bool:
-    return all(o0 <= i0 and i1 <= o1 for (i0, i1), (o0, o1) in zip(inner, outer))
 
 
 def dyadic_cube_pool(root: Cube, gf: GridFunction) -> list:
@@ -518,6 +510,10 @@ def _far_field(a: np.ndarray, gain: np.ndarray, i0: np.ndarray, i1: np.ndarray,
     return out
 
 
+# the gamma doublings sparse_construct allows per node
+_GAMMA_BUDGET = 60
+
+
 def sparse_construct(
     k,
     f: GridFunction,
@@ -525,7 +521,6 @@ def sparse_construct(
     alpha: float,
     cone: ConeGrid,
     gamma="auto",
-    gamma_budget: int = 60,
     method: str | None = None,
 ) -> SparseFamily:
     """Iterative stopping-time sparse family for S_alpha on the root cube.
@@ -537,9 +532,9 @@ def sparse_construct(
     continues on their (deduplicated, maximal) parents.  In auto
     mode gamma doubles per node until |E| <= 2^{-2n-2}|P| cells, which
     forces 1/2-sparseness of the output combinatorially.  gamma is "auto"
-    or a finite positive number (the starting value), and gamma_budget (the
-    doublings allowed per node) an int >= 1; anything else is a
-    `ParameterError`.
+    or a finite positive number (the starting value), anything else a
+    `ParameterError`.  A node that needs more than `_GAMMA_BUDGET`
+    doublings is a `ConstructionError` carrying the residual |E|.
 
     M_S runs over the node's `dyadic_cube_pool` less the boxes whose term
     cannot change E for any thr >= thr0, the first thr of the node (the
@@ -583,8 +578,6 @@ def sparse_construct(
     """
     if isinstance(f, (tuple, list)) or k.kind == "bilinear":
         raise ParameterError("bilinear sparse families are not implemented")
-    if isinstance(gamma_budget, bool) or not isinstance(gamma_budget, int) or gamma_budget < 1:
-        raise ParameterError(f"gamma_budget must be an int >= 1, got {gamma_budget!r}")
     if gamma != "auto":
         try:
             gamma = float(gamma)
@@ -640,7 +633,7 @@ def sparse_construct(
         node_cells = node.ncells_inside(f)
         target = node_cells // 2 ** (2 * f.n + 2)
         cur = g_val
-        for _ in range(gamma_budget):
+        for _ in range(_GAMMA_BUDGET):
             thr = math.sqrt(cur) * bracket * avg3
             e_mask = np.zeros_like(f.values, dtype=bool)
             e_mask[nsl] = mtilde[nsl] > thr

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
-from .grids import ConeGrid, GridFunction, build_cone
+from .errors import GridError, ParameterError
+from .grids import ConeGrid, GridFunction
 from .kernels import KernelSpec
 from .operators import square_function, square_function_multi
 from .weights import WeightVector
@@ -36,7 +36,6 @@ class FitReport:
     fitted: dict = field(default_factory=dict)
     samples: list = field(default_factory=list)  # rows of (label, value)
     tolerances: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -94,7 +93,6 @@ def weak_type_profile(
         "weak_type_profile",
         fitted={"sup": float(vals[i]), "argmax_rho": float(rho_grid[i])},
         samples=[(f"rho={r:g}", float(v)) for r, v in zip(rho_grid, vals)],
-        details={"exponent": exponent, "degenerate": bool(np.all(vals == 0.0))},
     )
     rep.tolerances["sup"] = (None, None)  # finiteness
     if refined is not None:
@@ -109,42 +107,42 @@ def weak_type_profile(
     return rep
 
 
+# relative tolerance of the L2 aperture identity
+_APERTURE_TOL = 0.05
+
+
 def aperture_scaling_check(
     k: KernelSpec,
     f,
     alphas,
-    norm: str = "l2",
-    cone: ConeGrid | None = None,
-    tol: float = 0.05,
-    rho_grid=None,
+    norm: str,
+    cone: ConeGrid,
     method: str | None = None,
 ) -> FitReport:
-    """L2: ||S_a f||_2^2 / ||S_1 f||_2^2 against a^n; weak: log-log slope.
-
-    For the L2 identity the output lattice is padded by alpha_max * t_max
-    (at most the cone's max_radius), so every cone section is fully counted.
+    """norm "l2": ||S_a f||_2^2 / ||S_1 f||_2^2 against a^n (`_APERTURE_TOL`
+    relative); "weak": the log-log slope of the weak sups over 24 heights
+    from peak/200 to the peak, the max of S_a f over the apertures.  The
+    output lattice is padded by alpha_max * t_max (at most the cone's
+    max_radius), so every cone section is fully counted.
     """
     base = f[0] if isinstance(f, (tuple, list)) else f
-    if cone is None:
-        cone = build_cone(1.0, base.n, base.h, 2 * base.h, 2 * base.R, 4)
     alphas = cone.apertures(alphas)
     want = sorted(set(alphas) | {1.0})
     t_max = float(cone.t_levels[-1])
     pad = min(max(want) * t_max, cone.max_radius)
     out_R = base.R + int(math.ceil(pad / base.h)) * base.h
     ss = square_function_multi(k, f, cone, want, out_R=out_R, method=method)
-    rep = FitReport(f"aperture_{norm}", details={"alphas": alphas, "out_R": out_R})
+    rep = FitReport(f"aperture_{norm}")
     if norm == "l2":
         n1 = ss[1.0].norm_l2() ** 2
         for a in alphas:
             ratio = ss[a].norm_l2() ** 2 / n1
             rep.fitted[f"ratio_alpha_{a:g}"] = ratio
-            rep.tolerances[f"ratio_alpha_{a:g}"] = (a**base.n, tol * a**base.n)
+            rep.tolerances[f"ratio_alpha_{a:g}"] = (a**base.n, _APERTURE_TOL * a**base.n)
         return rep
     if norm == "weak":
-        if rho_grid is None:
-            peak = max(ss[a].norm_linf() for a in alphas)
-            rho_grid = np.geomspace(peak / 200.0, peak, 24)
+        peak = max(ss[a].norm_linf() for a in alphas)
+        rho_grid = np.geomspace(peak / 200.0, peak, 24)
         fnorm = base.norm_l1() if not isinstance(f, (tuple, list)) else (
             f[0].norm_l1() * f[1].norm_l1()
         )
@@ -171,36 +169,21 @@ def weighted_norm_check(
     method: str | None = None,
 ) -> FitReport:
     """||S_alpha f||_{L^p(nu)} / prod ||f_i||_{L^{p_i}(w_i)} (finiteness
-    only), alpha the cone's."""
+    only), alpha the cone's.  S is on f's lattice, so every input must be
+    on the weights' grid (`GridError` otherwise, before S is taken)."""
     fs = list(f) if isinstance(f, (tuple, list)) else [f]
-    s = square_function(k, f if len(fs) > 1 else fs[0], cone, method=method)
     nu = wv.nu()
-    p = wv.p
-    if s.same_grid(nu):
-        lhs = s.norm_lp(p, weight=nu.values)
-    else:
-        lhs = _weighted_norm_mismatched(s, nu, p)
+    if not all(gf.same_grid(nu) for gf in fs):
+        raise GridError("weighted norm: inputs and weights are on different grids")
+    s = square_function(k, f if len(fs) > 1 else fs[0], cone, method=method)
+    lhs = s.norm_lp(wv.p, weight=nu.values)
     rhs = 1.0
     for gf, w, pi in zip(fs, wv.weights, wv.exponents):
         rhs *= gf.norm_lp(pi, weight=w.values)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
-    rep = FitReport(
-        "weighted_norm",
-        fitted={"ratio": ratio, "lhs": lhs, "rhs": rhs},
-        details={"p": p, "alpha": cone.alpha},
-    )
+    rep = FitReport("weighted_norm", fitted={"ratio": ratio, "lhs": lhs, "rhs": rhs})
     rep.tolerances["ratio"] = (None, None)
     return rep
-
-
-def _weighted_norm_mismatched(s: GridFunction, nu: GridFunction, p: float) -> float:
-    # operator output may live on a padded lattice; weight applies on the box
-    if s.ncells < nu.ncells:
-        raise ParameterError("weight grid exceeds the operator output grid")
-    extra = (s.ncells - nu.ncells) // 2
-    sl = (slice(extra, extra + nu.ncells),) * s.n
-    dens = np.abs(s.values[sl]) ** p * nu.values
-    return float((s.h**s.n * np.sum(dens)) ** (1.0 / p))
 
 
 def kolmogorov_check(

@@ -56,7 +56,6 @@ __all__ = [
     "parse_modulus",
     "dini_constant",
     "dini_integral",
-    "log_dini_integral",
     "dini_inequality_suite",
     "SuiteItem",
 ]
@@ -197,9 +196,9 @@ class ModulusOfContinuity:
         )
 
 
-def _check_monotone(w: ModulusOfContinuity, samples: int = 256) -> None:
-    """Spot-check monotonicity on geometric sample points in (0, 1]."""
-    t = np.geomspace(1e-12, 1.0, samples)
+def _check_monotone(w: ModulusOfContinuity) -> None:
+    """Spot-check monotonicity on 256 geometric sample points in (0, 1]."""
+    t = np.geomspace(1e-12, 1.0, 256)
     v = w(t)
     if np.any(v < -1e-15):
         raise MonotonicityError(f"modulus {w.name!r} takes negative values")
@@ -273,8 +272,8 @@ def logsplit_moduli(kappa: float, beta: float):
     return w, phi
 
 
-def table_modulus(path: str, name: str | None = None) -> ModulusOfContinuity:
-    """Modulus interpolated linearly from a two-column CSV (t, w(t)).
+def table_modulus(path: str) -> ModulusOfContinuity:
+    """Modulus ``csv:<path>``, linear between the rows (t, w(t)) of a CSV.
 
     Knots need t > 0, but for a leading (0, w(0+)) row.  Below its least
     positive knot t_lo the table is c + beta t, with c = w(0+) (the first
@@ -282,7 +281,7 @@ def table_modulus(path: str, name: str | None = None) -> ModulusOfContinuity:
     c + beta e^{-v} from v = log(1/t_lo).  It is increasing iff its knot
     values do not decrease, which is checked exactly.
     """
-    name = name or f"csv:{path}"
+    name = f"csv:{path}"
     rows = []
     for line, row in enumerate(csv.reader(read_text(path).splitlines()), 1):
         if not row or row[0].lstrip().startswith("#"):
@@ -427,10 +426,6 @@ def dini_integral(
     return QuadratureResult(body + 0.5 * (lo + hi), err + 0.5 * (hi - lo) <= tol, False)
 
 
-def log_dini_integral(w: ModulusOfContinuity, tol: float = 1e-8) -> QuadratureResult:
-    return dini_integral(w, tol, log_weight=True)
-
-
 def dini_constant(w: ModulusOfContinuity, tol: float = 1e-8) -> float:
     """integral_0^1 w(t)/t dt + w(1), with absolute error <= tol.
 
@@ -492,8 +487,6 @@ def dini_inequality_suite(
     w: ModulusOfContinuity,
     alpha: float = 1.0,
     n: int = 1,
-    m_shift: int = 2,
-    tol: float = 1e-8,
 ) -> dict[str, SuiteItem]:
     """Numerically evaluate the auxiliary Dini estimates as fitted ratios.
 
@@ -509,16 +502,15 @@ def dini_inequality_suite(
     `dini_integral` with a bounded increasing weight.  The ring sum
     collapses to a k-independent radial integral times an exact geometric
     factor.  The ring and far-ring items do not depend on the cube side
-    ell, so it is not a parameter.
+    ell, so it is not a parameter.  Integrals meet tol 1e-8 (item (c)'s
+    tail 1e-7).
     """
     if alpha < 1.0:
         raise ParameterError("alpha must be >= 1")
     if n not in (1, 2):
         raise ParameterError("dimension must be 1 or 2")
-    if m_shift < 1:
-        raise ParameterError("m_shift must be a positive integer")
 
-    dini = dini_constant(w, tol=max(min(tol, 1e-6), 1e-8))
+    dini = dini_constant(w)
     la = math.log(2.0 + alpha)
     w1 = float(w(1.0))
     out: dict[str, SuiteItem] = {}
@@ -528,7 +520,7 @@ def dini_inequality_suite(
             raise DivergenceError(f"suite item {name} diverged", partial=lhs, item=name)
         out[name] = SuiteItem(name, lhs, ref, lhs / ref if ref > 0 else math.inf)
 
-    def integral(name, mod=w, tol=tol, **kw):
+    def integral(name, mod=w, tol=1e-8, **kw):
         res = dini_integral(mod, tol, **kw)
         if res.diverged or not res.converged:
             raise DivergenceError(f"suite item {name} diverged", partial=res.value,
@@ -559,27 +551,27 @@ def dini_inequality_suite(
     ks = np.arange(1, k_max + 1, dtype=float)
     s = float(np.sum(w((1.0 + alpha) * np.exp2(-(ks + 1.0)))))
     a_tail = (1.0 + alpha) / 2.0 ** (k_max + 1)
-    rest = integral("c", tol=max(tol, 1e-7), v0=-math.log(a_tail))
+    rest = integral("c", tol=1e-7, v0=-math.log(a_tail))
     add("c", s + rest / math.log(2.0), la * dini)
 
     # (d)  int_0^alpha w(t)/t dt   vs  log(2+alpha) dini
     add("d", w1 * math.log(alpha) + integral("d"), la * dini)
 
-    # (e)  dini(w)  vs  dini(w^{1/m})^m; the root may fail the Dini
+    # (e)  dini(w)  vs  dini(w^{1/m})^m, m = 2; the root may fail the Dini
     # condition (then the inequality is trivial and the reference is inf).
     # The root of a tail law is a tail law (log:kappa -> log:kappa/m), so
     # that verdict is exact.
-    root = w.power(1.0 / m_shift)
-    root_res = dini_integral(root, tol=min(tol, 1e-8))
-    ref_e = (root_res.value + float(root(1.0))) ** m_shift if root_res.converged else math.inf
+    root = w.power(0.5)
+    root_res = dini_integral(root)
+    ref_e = (root_res.value + float(root(1.0))) ** 2 if root_res.converged else math.inf
     out["e"] = SuiteItem("e", dini, ref_e, dini / ref_e if math.isfinite(ref_e) else 0.0)
 
-    # ring sum: sum_k 2^{-kn/2} J_n(m), J scale-invariant in ell and k.
+    # ring sum: sum_k 2^{-kn/2} J_n(m), m = 2, J scale-invariant in ell and k.
     # n=1: J = 2 int_0^inf w(2^m e^{-v}) dv
     # n=2: J = 2 pi int_0^inf w(2^m e^{-v}) (1 - e^{-v}) dv
     # w = w(1) on v < sm = m log 2; past it v = sm + u
     surf = 2.0 if n == 1 else 2.0 * math.pi
-    sm = m_shift * math.log(2.0)
+    sm = 2 * math.log(2.0)
     if n == 1:
         val = w1 * sm + integral("ring_sum")
     else:

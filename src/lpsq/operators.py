@@ -7,19 +7,20 @@ full half-space, and the maximal operators (Hardy-Littlewood and dyadic,
 and the localized square-function operator M_S of the sparse construction)
 run over grid-aligned cubes.
 
-The output lattice of an operator may be wider than the input box
-(``out_R``); inputs are always treated as zero outside their box, while
-psi_t values are computed honestly wherever the output needs them.
+The output lattice of psi_t and `square_function_multi` may be wider than
+the input box (``out_R``); inputs are always treated as zero outside their
+box, while psi_t values are computed honestly wherever the output needs them.
 
-Kernels with a profile have an FFT fast path; the per-call ``method``
-argument ("auto", "fft" or "direct") forces the direct-summation path (the
-oracle gate compares the two).  Every full-grid linear convolution
-(psi_t, the `SquareEvaluator` levels, g*'s weight sum) is a circular
-convolution by numpy's rfftn / irfftn of one length rule, `_fft_len`: the
-least 2^a 3^b 5^c that holds it.  Two paths keep powers of two: the Lerner
-local-window blocks, on which the Gram cutoff `_gram_s_max` is tuned, and
-the bilinear diagonal sums, whose input spectra serve every level of one
-length, and powers of two leave the levels fewer distinct lengths.
+Kernels with a profile have an FFT fast path, which the per-call ``method``
+"auto" takes; "direct" forces the direct-summation path (the oracle gate
+compares the two), and any other method is a `ParameterError`.  Every
+full-grid linear convolution (psi_t, the `SquareEvaluator` levels, g*'s
+weight sum) is a circular convolution by numpy's rfftn / irfftn of one
+length rule, `_fft_len`: the least 2^a 3^b 5^c that holds it.  Two paths
+keep powers of two: the Lerner local-window blocks, on which the Gram
+cutoff `_gram_s_max` is tuned, and the bilinear diagonal sums, whose input
+spectra serve every level of one length, and powers of two leave the
+levels fewer distinct lengths.
 Nothing here calls scipy.  perfbench's span table pins
 ``scipy.signal.fftconvolve`` and reports a module the program never
 imported as absent, so `scipy.signal` is registered in ``sys.modules``
@@ -27,7 +28,7 @@ through `importlib.util.LazyLoader`: finding its spec imports only the
 top-level `scipy` package, and the module's own code runs when one of its
 attributes is first read, which no lpsq code does.
 `SquareEvaluator` is the FFT fast path of S on one layout (a convolution
-kernel, method "fft"): its per-level kernel spectra in n = 1 and n = 2 and,
+kernel, method "auto"): its per-level kernel spectra in n = 1 and n = 2 and,
 once used, its Gram table and the Lerner block spectra of every cube shape
 it has seen.  `SquareEvaluator.of` keeps the evaluator of the last layout
 on the kernel object (no state is process-global), or returns None off the
@@ -50,7 +51,7 @@ levels (`_psi_t_bilinear_fft`).  The per-output-cell direct sum
 
 `lerner_maximal` computes M_S f(x), the sup over the pool cubes Q
 containing x of |S f^2 - S(f 1_{3Q})^2|^{1/2}.  On a linear convolution
-kernel with resolved method "fft" it evaluates every pool cube's
+kernel with method "auto" it evaluates every pool cube's
 S(f 1_{3Q}) only on Q, cubes grouped by their cell shape, in n = 1 and
 n = 2 alike.  Small cubes take one quadratic form in f on 3Q per cube,
 with a level-summed Gram table cached on the
@@ -109,13 +110,9 @@ _LERNER_CHUNK = 1 << 14
 
 def _resolve_method(k: KernelSpec, method: str | None) -> str:
     m = method or "auto"
-    if m not in ("auto", "fft", "direct"):
+    if m not in ("auto", "direct"):
         raise ParameterError(f"unknown method {m!r}")
-    if m == "auto":
-        return "fft" if k.profile is not None else "direct"
-    if m == "fft" and k.profile is None:
-        raise ParameterError("fft path needs a kernel with a profile")
-    return m
+    return "fft" if m == "auto" and k.profile is not None else "direct"
 
 
 def _out_centers(f: GridFunction, out_R: float | None):
@@ -372,11 +369,11 @@ def _window_sum(p_ext: np.ndarray, rows: list) -> np.ndarray:
     return _row_differences(_row_cumsum(p_ext, len(rows[0][0]) - 1), rows)
 
 
-def _psi_levels(k, f, cone: ConeGrid, out_R, method, radii):
-    """Yield (j, t, u_ext values, K_j) with u on the out lattice padded by K_j."""
+def _psi_levels(k, f, cone: ConeGrid, R_out: float, method, radii):
+    """Yield (j, t, u_ext values, K_j) with u on the lattice of half-width
+    R_out padded by K_j."""
     pair = _as_pair(f)
     base = pair[0] if pair else f
-    R_out = base.R if out_R is None else float(out_R)
     levels = [(float(t), R_out + K * base.h) for t, K in zip(cone.t_levels, radii)]
     # one pass over the offset rows serves every level of a bilinear pair
     us = (_psi_t_bilinear_fft(k, *pair, levels)
@@ -429,11 +426,11 @@ def square_function(
     k: KernelSpec,
     f,
     cone: ConeGrid,
-    out_R: float | None = None,
     method: str | None = None,
 ) -> GridFunction:
-    """S_{alpha,psi} f on the output lattice (alpha from the cone)."""
-    return square_function_multi(k, f, cone, [cone.alpha], out_R, method)[cone.alpha]
+    """S_{alpha,psi} f on f's lattice (alpha from the cone); a padded output
+    is `square_function_multi`'s ``out_R``."""
+    return square_function_multi(k, f, cone, [cone.alpha], method=method)[cone.alpha]
 
 
 def square_function_at(k: KernelSpec, f, x, cone: ConeGrid) -> float:
@@ -572,8 +569,9 @@ class SquareEvaluator:
     each eval costs one forward FFT per distinct FFT size (`_fft_len` of
     the linear convolution) and one inverse FFT per level.  The constructor
     refuses a cone whose spacing, or a kernel whose dimension, differs from
-    the template's (`GridError`, as square_function), and any other kernel
-    or method (`ParameterError`), for which `of` returns None.
+    the template's (`GridError`, as square_function), and any other kind of
+    kernel (`ParameterError`); `of` returns None for those and for method
+    "direct".
 
     The batched Lerner path (`_lerner_batched`) takes from it S f^2
     (`square_sum`), the level window sums (`cone_sum`), the Gram cutoff
@@ -597,14 +595,13 @@ class SquareEvaluator:
     far_gain[|x - y|_inf], which shrinks as the mass of g moves away from x.
     """
 
-    def __init__(self, k, template: GridFunction, cone: ConeGrid,
-                 method: str | None = None):
+    def __init__(self, k, template: GridFunction, cone: ConeGrid):
         if template.h != cone.h:
             raise GridError("cone and grid spacing differ")
         if template.n != k.n:
             raise GridError("kernel and grid dimensions differ")
-        if k.kind != "convolution" or _resolve_method(k, method) != "fft":
-            raise ParameterError("the evaluator takes a convolution kernel on the fft path")
+        if k.kind != "convolution":
+            raise ParameterError("the evaluator takes a convolution kernel")
         self.k = k
         self.template = template
         n = template.n
@@ -637,7 +634,7 @@ class SquareEvaluator:
                template.n, template.R, template.h)
         ev = k._evaluator.get(key)
         if ev is None:
-            ev = cls(k, template, cone, method)
+            ev = cls(k, template, cone)
             k._evaluator.clear()
             k._evaluator[key] = ev
         return ev
@@ -774,13 +771,13 @@ def g_star(
     f,
     lam: float,
     halfspace: ConeGrid,
-    out_R: float | None = None,
     method: str | None = None,
 ) -> GridFunction:
-    """g*_lambda with weight (t/(t+|x-y|))^{n lambda} over the half-space.
+    """g*_lambda with weight (t/(t+|x-y|))^{n lambda} over the half-space,
+    on f's lattice.
 
     ``halfspace`` should be built with `build_halfspace` so each level's
-    stencil covers the lattice.  Per level, psi_t f on the output lattice
+    stencil covers the lattice.  Per level, psi_t f on f's lattice
     padded by K cells (one `psi_t_apply` call), then the weight sum over the
     offsets |m| <= K (in n = 2 also |m| h < min(alpha t, max_radius)) as a
     product of spectra of length `_fft_len(M + 2K)`.  The products of levels
@@ -789,16 +786,14 @@ def g_star(
     _check_lambda(k, lam)
     pair = _as_pair(f)
     base = pair[0] if pair else f
-    n, h = base.n, base.h
-    R_out = base.R if out_R is None else float(out_R)
-    M = int(round(2.0 * R_out / h))
+    n, h, M = base.n, base.h, base.ncells
     axes = tuple(range(n))
     radii = [
         _radius_cells(halfspace.alpha, float(t), h, halfspace.max_radius)
         for t in halfspace.t_levels
     ]
     specs = {}  # K -> summed spectrum of the level weight sums
-    for j, t, u_ext, K in _psi_levels(k, f, halfspace, R_out, method, radii):
+    for j, t, u_ext, K in _psi_levels(k, f, halfspace, base.R, method, radii):
         P = (_fft_len(M + 2 * K),) * n
         g1 = np.arange(-K, K + 1)
         if n == 1:
@@ -819,7 +814,11 @@ def g_star(
         P = (_fft_len(M + 2 * K),) * n
         acc += np.fft.irfftn(spec, P, axes=axes)[(slice(2 * K, 2 * K + M),) * n]
     acc = np.maximum(acc, 0.0)
-    return GridFunction(n, R_out, h, np.sqrt(acc))
+    return base.with_values(np.sqrt(acc))
+
+
+# the apertures 2, 4, ..., 2^_CASCADE_TERMS of the cascade bound
+_CASCADE_TERMS = 9
 
 
 def g_star_cascade_bound(
@@ -827,33 +826,30 @@ def g_star_cascade_bound(
     f,
     lam: float,
     halfspace: ConeGrid,
-    n_terms: int = 9,
-    out_R: float | None = None,
     method: str | None = None,
 ):
-    """The cascade sum_k 2^{-k lambda n / 2} S_{2^{k+1}} f, k = 0..n_terms-1.
+    """The cascade sum_k 2^{-k lambda n / 2} S_{2^{k+1}} f on f's lattice,
+    k = 0 .. `_CASCADE_TERMS` - 1.
 
     Apertures share the half-space's levels and stencil cap, so the bound
     g* <= cascade holds discretely (the ring at distance ~2^k t carries
     weight <= 2^{-k n lambda}).  Returns (cascade GridFunction, terms dict).
     The half-space must cap its stencils (`build_halfspace`): with an
-    infinite ``max_radius`` the aperture 2^n_terms would pad each level by
-    about 2^n_terms t / h cells, so that is a `ParameterError`.
+    infinite ``max_radius`` the aperture 2^9 would pad each level by about
+    2^9 t / h cells, so that is a `ParameterError`.
     """
     _check_lambda(k, lam)
-    if not isinstance(n_terms, (int, np.integer)) or n_terms < 1:
-        raise ParameterError(f"cascade n_terms must be an int >= 1, got {n_terms!r}")
     if not math.isfinite(halfspace.max_radius):
         raise ParameterError("cascade needs a capped half-space, see build_halfspace")
     pair = _as_pair(f)
     base = pair[0] if pair else f
     n = base.n
-    alphas = [2.0 ** (i + 1) for i in range(n_terms)]
-    terms = square_function_multi(k, f, halfspace, alphas, out_R, method)
+    alphas = [2.0 ** (i + 1) for i in range(_CASCADE_TERMS)]
+    terms = square_function_multi(k, f, halfspace, alphas, method=method)
     vals = sum(
         2.0 ** (-i * lam * n / 2.0) * terms[a].values for i, a in enumerate(alphas)
     )
-    return GridFunction(n, terms[alphas[0]].R, base.h, vals), terms
+    return base.with_values(vals), terms
 
 
 # ---------------------------------------------------------------------------
@@ -1208,7 +1204,7 @@ def lerner_maximal(
     callers should record the pool kind alongside results.  Every cell of
     ``domain`` (default: f's own box) must lie in some pool cube, else
     `CoverageError`; the output is zero outside it.  A linear convolution
-    kernel with resolved method "fft" takes the batched path
+    kernel with method "auto" takes the batched path
     (`_lerner_batched`), in n = 1 and n = 2, through the evaluator
     `SquareEvaluator.of` keeps on k, so that repeated calls on one layout
     share its kernel spectra, Gram table and block spectra.  Anything else
@@ -1262,14 +1258,13 @@ def _lerner_pool_loop(k, f, cone, cube_pool, method) -> np.ndarray:
 def marcinkiewicz_fw(
     w: ModulusOfContinuity,
     cubes: Sequence[tuple],
-    x=None,
-    grid: GridFunction | None = None,
-):
-    """Generalized Marcinkiewicz function of disjoint weighted cubes.
+    grid: GridFunction,
+) -> GridFunction:
+    """Generalized Marcinkiewicz function of disjoint weighted cubes on the
+    cell centers of ``grid``.
 
     ``cubes`` is a sequence of (center, half_side, weight) with weight >= 0;
     the value at x is sum_k weight_k M1_{Q(c_k, r_k)}(x) w(r_k/(r_k+|x-c_k|)).
-    Evaluates at a single point ``x`` or on all centers of ``grid``.
     """
     parsed = []
     for c, r, lam in cubes:
@@ -1285,26 +1280,14 @@ def marcinkiewicz_fw(
             cj, rj, _ = parsed[j]
             if np.all(np.abs(ci - cj) < ri + rj):
                 raise DisjointnessError(f"cubes {i} and {j} overlap")
-    if grid is not None:
-        pts = grid.centers()
-        if grid.n == 1:
-            pts = pts[:, None]
-        shape = grid.values.shape
-    else:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        shape = pts.shape[:-1]
+    pts = grid.centers().reshape(-1, grid.n)
     total = np.zeros(pts.shape[:-1])
     for c, r, lam in parsed:
         if lam == 0.0:
             continue
         d = np.abs(pts - c) / r
-        env = unit_cube_maximal(*[d[..., ax] for ax in range(d.shape[-1])])
+        env = unit_cube_maximal(*d.T)
         dist = np.linalg.norm(pts - c, axis=-1)
         total += lam * env * w(r / (r + dist))
-    total = total.reshape(shape)
-    if grid is not None:
-        return grid.with_values(total)
-    if total.shape == ():
-        return float(total)
-    return total
+    return grid.with_values(total.reshape(grid.values.shape))
 

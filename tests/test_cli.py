@@ -254,6 +254,85 @@ class TestSubcommands:
         assert len(fine) == len(coarse) + 4
         assert np.allclose(fine[4:], coarse, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("kind", ["csv", "bin"])
+    def test_verify_weak_refuses_a_file_input(self, tmp_path, capsys, kind):
+        """The campaign re-samples --function at h/2, which a file cannot be:
+        even one saved at the run's own R and h exits 2 naming that."""
+        from lpsq.grids import parse_function, save_binary, save_csv
+
+        path = tmp_path / f"f.{kind}"
+        (save_csv if kind == "csv" else save_binary)(
+            parse_function("gaussian", 1, 8.0, 0.125), str(path))
+        out = tmp_path / "o"
+        rc = run_main(["--out-dir", str(out), "verify", "weak", "--h", "0.125",
+                       "--function", f"{kind}:{path}"])
+        assert rc == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["passed"] and "re-samples its input at h/2" in summary["error"]
+        assert "analytic" in capsys.readouterr().err
+
+    def test_verify_weighted_reads_no_function(self, tmp_path):
+        """The ten inputs are drawn on the weight's lattice: a file on a
+        wider box gives the default run's CSV."""
+        from lpsq.grids import sample_function, save_binary
+
+        path = tmp_path / "wide.bin"
+        save_binary(sample_function(lambda x: np.exp(-(x**2)), 1, 16.0, 1.0 / 16), str(path))
+        csvs = []
+        for name, extra in (("default", []), ("file", ["--function", f"bin:{path}"])):
+            out = tmp_path / name
+            assert run_main(["--out-dir", str(out), "verify", "weighted", *extra]) == 0
+            csvs.append((out / "verify_weighted.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_verify_sparse_deep_family(self, tmp_path):
+        """A cube 61 generations below the root is counted exactly: its
+        share of the root is 2^-61, with no dense mask of 2^61 cells."""
+        fam = tmp_path / "deep.json"
+        fam.write_text(json.dumps({
+            "eta": 0.5, "n": 1, "base": 16.0,
+            "root": {"generation": 1, "anchor": [0]},
+            "cubes": [{"generation": 1, "anchor": [0]},
+                      {"generation": 62, "anchor": [5], "parent": 0}]}))
+        out = tmp_path / "v"
+        rc = run_main(["--out-dir", str(out), "verify", "sparse", "--family", str(fam)])
+        assert rc == 0
+        rows = (out / "verify_sparse.csv").read_text().splitlines()
+        assert rows[1] == f"worst_ratio,{2.0 ** -61!r}"
+
+    def test_verify_sparse_generation_out_of_range_exits_2(self, tmp_path, capsys):
+        fam = tmp_path / "deep.json"
+        fam.write_text(json.dumps({
+            "eta": 0.5, "n": 1, "base": 16.0,
+            "root": {"generation": 1, "anchor": [0]},
+            "cubes": [{"generation": 1, "anchor": [0]},
+                      {"generation": 65, "anchor": [5], "parent": 0}]}))
+        out = tmp_path / "v"
+        rc = run_main(["--out-dir", str(out), "verify", "sparse", "--family", str(fam)])
+        assert rc == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["passed"] and "generation must lie in [0, 64]" in summary["error"]
+        assert "generation" in capsys.readouterr().err
+
+    def test_sparse_gamma_budget_exhausted_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A node that needs more gamma doublings than the budget is a
+        ConstructionError: exit 2, with the error in summary.json."""
+        from lpsq import dyadic
+        from lpsq.grids import sample_function, save_binary
+
+        monkeypatch.setattr(dyadic, "_GAMMA_BUDGET", 1)
+        v = np.zeros(256)
+        v[[40, 100, 101, 200]] = [5.0, -3.0, 4.0, 2.0]
+        path = tmp_path / "spikes.bin"
+        save_binary(sample_function(lambda x: np.zeros_like(x), 1, 8.0, 1.0 / 16)
+                    .with_values(v), str(path))
+        out = tmp_path / "o"
+        rc = run_main(["--out-dir", str(out), "sparse", "--function", f"bin:{path}"])
+        assert rc == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["passed"] and "budget exhausted" in summary["error"]
+        assert "residual" in capsys.readouterr().err
+
     def test_verify_marcinkiewicz(self, tmp_path):
         rc = run_main(["--out-dir", str(tmp_path), "verify", "marcinkiewicz",
                        "--modulus", "power:1", "--h", "0.125"])

@@ -17,7 +17,9 @@ from lpsq.dyadic import (
     sparse_rhs_eval,
     verify_sparse,
 )
-from lpsq.errors import ConfigError, ContainmentError, GridError, ParameterError
+from lpsq.errors import (
+    ConfigError, ConstructionError, ContainmentError, GridError, ParameterError,
+)
 from lpsq.grids import (
     GridFunction, box_sums, build_cone, load_binary, read_json, sample_function,
 )
@@ -276,6 +278,62 @@ class TestVerifySparse:
         assert worst == ref
         assert ok == (ref <= 1.0 - eta)
 
+    @staticmethod
+    def _mask_count(fam):
+        """The worst ratio and cube by painting, per cube Q, a dense mask of
+        Q's cells at the finest generation with the cell span of every finer
+        family cube inside Q: the oracle of the exact count."""
+        G = max(c.generation for c in fam.cubes)
+        worst, worst_cube = 0.0, None
+        for q in fam.cubes:
+            m = 2 ** (G - q.generation)
+            mask = np.zeros((m,) * q.n, dtype=bool)
+            for r in fam.cubes:
+                s = 2 ** (G - r.generation)
+                lo = [a * s - b * m for a, b in zip(r.anchor, q.anchor)]
+                if r.generation > q.generation and all(0 <= x <= m - s for x in lo):
+                    mask[tuple(slice(x, x + s) for x in lo)] = True
+            ratio = int(mask.sum()) / mask.size
+            if ratio > worst:
+                worst, worst_cube = ratio, q
+        return worst, worst_cube
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_mask_count(self, seed):
+        """Seeded random families of depth <= 8 below the root, nested and
+        repeated cubes included: worst ratio and cube equal the mask's."""
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 2
+        root = Cube(n, 1, (0,) * n, "standard", BASE)
+        cubes = [root]
+        for _ in range(int(rng.integers(1, 40))):
+            g = int(rng.integers(2, 10))
+            cubes.append(Cube(n, g, tuple(int(a) for a in rng.integers(0, 2 ** (g - 1), n)),
+                              "standard", BASE))
+        cubes += cubes[1:4]
+        fam = SparseFamily(0.5, root, cubes, {})
+        assert verify_sparse(fam)[1:] == self._mask_count(fam)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_families_match_the_mask_count(self, seed):
+        k, f, cone, q0 = _spike_setup()
+        rng = np.random.default_rng(seed)
+        spikes = np.zeros(f.ncells)
+        spikes[rng.integers(0, f.ncells, 8)] = rng.uniform(-5.0, 5.0, 8)
+        for g in (f, f.with_values(spikes)):
+            fam = sparse_construct(k, g, q0, 1.0, cone)
+            assert len(fam.cubes) > 1
+            assert verify_sparse(fam)[1:] == self._mask_count(fam)
+
+    def test_deep_family_is_counted_exactly(self):
+        """A cube 61 generations below the root: its share is 2^-61, with no
+        dense mask of the root's cells (2^61 of them)."""
+        for n in (1, 2):
+            root = Cube(n, 1, (0,) * n, "standard", BASE)
+            deep = Cube(n, 62, (5,) * n, "standard", BASE)
+            ok, worst, wc = verify_sparse(SparseFamily(0.5, root, [root, deep], {deep: root}))
+            assert ok and worst == 2.0 ** (-61 * n) and wc == root
+
     def test_json_roundtrip(self, tmp_path):
         root = Cube(1, 1, (0,), "standard", BASE)
         sub = Cube(1, 3, (2,), "standard", BASE)
@@ -332,6 +390,9 @@ class TestVerifySparse:
         lambda d: d["cubes"][1].update(base=3.0),
         lambda d: d["cubes"][1].update(base=0.0),
         lambda d: d["root"].update(base=BASE),
+        lambda d: d["cubes"][1].update(generation=65),
+        lambda d: d["cubes"][1].update(generation=-1),
+        lambda d: d["root"].update(generation=10**9),
     ])
     def test_malformed_json_is_config_error(self, edit):
         root = Cube(1, 1, (0,), "standard", BASE)
@@ -341,6 +402,16 @@ class TestVerifySparse:
         edit(data)
         with pytest.raises(ConfigError):
             SparseFamily.from_json(data)
+
+
+def _spike_setup():
+    """Four signed spikes on a 256-cell 1-D grid, with its cone and root."""
+    k = parse_kernel("ex1:kappa=3", 1)
+    f = sample_function(lambda x: np.zeros_like(x), 1, 8.0, 1.0 / 16)
+    v = np.zeros(f.ncells)
+    v[[40, 100, 101, 200]] = [5.0, -3.0, 4.0, 2.0]
+    cone = build_cone(1.0, 1, f.h, 2 * f.h, 16.0, 4)
+    return k, f.with_values(v), cone, Cube(1, 1, (0,), "standard", 16.0)
 
 
 @pytest.fixture(scope="module")
@@ -396,11 +467,17 @@ class TestSparseConstruct:
         with pytest.raises(ParameterError, match="gamma"):
             sparse_construct(k, f, q0, 1.0, cone, gamma=gamma)
 
-    @pytest.mark.parametrize("budget", [0, -1, 1.5, "3", None, True])
-    def test_bad_gamma_budget_is_parameter_error(self, sparse_setup, budget):
-        k, f, cone, q0 = sparse_setup
-        with pytest.raises(ParameterError, match="gamma_budget"):
-            sparse_construct(k, f, q0, 1.0, cone, gamma_budget=budget)
+    def test_exhausted_gamma_budget_is_construction_error(self, monkeypatch):
+        """A node whose level set needs more doublings than `_GAMMA_BUDGET`
+        stops the construction with the residual |E| in measure."""
+        from lpsq import dyadic
+
+        monkeypatch.setattr(dyadic, "_GAMMA_BUDGET", 1)
+        k, f, cone, q0 = _spike_setup()
+        with pytest.raises(ConstructionError, match="budget exhausted") as exc:
+            sparse_construct(k, f, q0, 1.0, cone)
+        cells = int(str(exc.value).split("|E| = ")[1].split()[0])
+        assert cells > 0 and exc.value.residual == cells * f.h
 
     def test_bilinear_is_refused(self, sparse_setup):
         _, f, cone, q0 = sparse_setup
@@ -1015,7 +1092,7 @@ class TestSparsePlanReuse:
         ev = SquareEvaluator.of(k, f, cone)
         assert ev is not None
         assert SquareEvaluator.of(k, f.with_values(np.ones((N,) * n)), cone.with_alpha(1.0),
-                                  method="fft") is ev
+                                  method="auto") is ev
         wide = GridFunction(n, 2 * R, h, np.zeros((2 * N,) * n))
         for other in (lambda: SquareEvaluator.of(k, f, cone.with_alpha(2.0)),
                       lambda: SquareEvaluator.of(k, f, build_cone(1.0, n, h, 2 * h, 2 * R, 2)),

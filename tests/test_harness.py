@@ -37,7 +37,7 @@ class TestWeakTypeProfile:
         z = gauss_grid.with_values(np.zeros_like(gauss_grid.values))
         rep = weak_type_profile(z, 1.0, 1.0, [0.1, 1.0])
         assert rep.fitted["sup"] == 0.0
-        assert rep.details["degenerate"]
+        assert [v for _, v in rep.samples] == [0.0, 0.0]
 
     def test_scaling_invariance(self, ex1, gauss_grid, cone_coarse):
         s = square_function(ex1, gauss_grid, cone_coarse)
@@ -75,23 +75,24 @@ class TestWeakTypeProfile:
 
 
 class TestApertureScaling:
-    def test_l2_alpha1_is_one(self, ex1, gauss_grid):
-        rep = aperture_scaling_check(ex1, gauss_grid, [1.0], "l2")
+    def test_l2_alpha1_is_one(self, ex1, gauss_grid, cone_default):
+        rep = aperture_scaling_check(ex1, gauss_grid, [1.0], "l2", cone_default)
         assert rep.fitted["ratio_alpha_1"] == pytest.approx(1.0)
 
-    def test_no_alphas(self, ex1, gauss_grid):
+    def test_no_alphas(self, ex1, gauss_grid, cone_default):
         from lpsq.errors import ParameterError
 
         with pytest.raises(ParameterError, match="at least one alpha"):
-            aperture_scaling_check(ex1, gauss_grid, [], "l2")
+            aperture_scaling_check(ex1, gauss_grid, [], "l2", cone_default)
 
-    def test_l2_alpha4(self, ex1, gauss_grid):
-        rep = aperture_scaling_check(ex1, gauss_grid, [4.0], "l2")
+    def test_l2_alpha4(self, ex1, gauss_grid, cone_default):
+        rep = aperture_scaling_check(ex1, gauss_grid, [4.0], "l2", cone_default)
         assert rep.fitted["ratio_alpha_4"] == pytest.approx(4.0, rel=0.05)
         assert rep.passed
 
-    def test_weak_exponent_bounded(self, ex1, gauss_grid):
-        rep = aperture_scaling_check(ex1, gauss_grid, [1.0, 2.0, 4.0, 8.0], "weak")
+    def test_weak_exponent_bounded(self, ex1, gauss_grid, cone_default):
+        rep = aperture_scaling_check(ex1, gauss_grid, [1.0, 2.0, 4.0, 8.0], "weak",
+                                     cone_default)
         assert rep.fitted["exponent"] <= 1.5
         assert rep.passed
 
@@ -135,6 +136,22 @@ class TestWeightedNorm:
         wv = WeightVector([one, one], [2.0, 2.0])
         rep = weighted_norm_check(k, (gauss_grid, gauss_grid), wv, cone_coarse)
         assert math.isfinite(rep.fitted["ratio"]) and rep.fitted["ratio"] > 0
+
+    @pytest.mark.parametrize("R, h", [(16.0, 1.0 / 16), (8.0, 1.0 / 32)],
+                             ids=["wider-box", "finer-spacing"])
+    def test_input_off_the_weights_grid_is_grid_error(self, ex1, gauss_grid, R, h):
+        """S is on f's lattice, so an input on another grid than the
+        weights' is refused before S is taken."""
+        from lpsq.errors import GridError
+
+        one = sample_function(lambda x: np.ones_like(x), 1, gauss_grid.R, gauss_grid.h)
+        g = sample_function(lambda x: np.exp(-(x**2)), 1, R, h)
+        cone = build_cone(1.0, 1, h, 2 * h, 2 * R, 2)
+        with pytest.raises(GridError, match="different grids"):
+            weighted_norm_check(ex1, g, WeightVector([one], [2.0]), cone)
+        k = bilinear_example_kernel(3.0, 1)
+        with pytest.raises(GridError, match="different grids"):
+            weighted_norm_check(k, (g, g), WeightVector([one, one], [2.0, 2.0]), cone)
 
 
 class TestKolmogorov:

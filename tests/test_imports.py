@@ -20,6 +20,13 @@ A field of a ``@dataclass`` in src/lpsq is read when some file of src/lpsq
 or perfbench loads it as an attribute or names it as a dotted part of a
 string constant.
 
+A defaulted parameter of a module-level function, or of a method of a
+module-level class (``__init__`` the only dunder), is set when some call in
+a file of src/lpsq or perfbench passes it: by keyword, by position, or by
+``*`` / ``**``.  Callees match by name: ``f(...)`` and ``x.f(...)`` call
+every definition named f, ``C(...)`` calls ``C.__init__``, and so does
+``cls(...)`` in a classmethod of C.  An option only tests set is unset.
+
 Files are read only by `grids.read_text` and `grids.load_binary`, which
 turn an unreadable file into a ConfigError: no other function of src/lpsq
 calls ``open`` in a read mode, and none calls ``json.load``.
@@ -40,13 +47,14 @@ SRC = ROOT / "src" / "lpsq"
 # definitions no file in src/lpsq or perfbench reaches, kept on purpose
 UNREACHED_OK = {
     "cli_run": "entry point for running a config file, called by users",
-    "log_dini_integral": "the log-Dini constant the Dini-dependence sweep reports",
 }
 
 # dataclass fields no file in src/lpsq or perfbench reads, kept on purpose
-UNREAD_OK = {
-    "FitReport.details": "test_harness reads its degenerate flag",
-}
+UNREAD_OK = {}
+
+# defaulted parameters ("def(param)") no call in src/lpsq or perfbench
+# passes, kept on purpose
+UNSET_OK = {}
 
 
 def _import_nodes(body):
@@ -341,3 +349,113 @@ def test_checker_finds_a_file_read(tmp_path):
                  "data = open('x', mode='r').read()\n")
     assert _file_reads(p) == ["grids.py:14: load", "grids.py:15: load",
                               "grids.py:17: <module>"]
+
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _callables(tree):
+    """(def, label, callee name, leading parameters a call does not pass)
+    of the module-level functions and of the methods of module-level
+    classes, ``__init__`` the only dunder: a method's callee is its name,
+    or its class for ``__init__``, and a call passes neither its self nor
+    its cls."""
+    for node in tree.body:
+        if isinstance(node, _FUNCS):
+            yield node, node.name, node.name, 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _FUNCS) and (item.name == "__init__" or not (
+                        item.name.startswith("__") and item.name.endswith("__"))):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield (item, f"{node.name}.{item.name}",
+                           node.name if item.name == "__init__" else item.name,
+                           0 if static else 1)
+
+
+def _signatures(tree):
+    """(line, label, callee name, positional names, defaulted names) of the
+    `_callables` with a defaulted parameter."""
+    for fn, label, callee, skip in _callables(tree):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        defaulted = [p.arg for p in pos[len(pos) - len(a.defaults):]] if a.defaults else []
+        defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        if defaulted:
+            yield fn.lineno, label, callee, [p.arg for p in pos][skip:], defaulted
+
+
+def _calls(tree):
+    """(callee name, call) of every call to a name or an attribute, with
+    ``cls(...)`` in a classmethod named by its class."""
+    out = []
+
+    def visit(node, cls_name, in_classmethod):
+        for child in ast.iter_child_nodes(node):
+            c, cm = cls_name, in_classmethod
+            if isinstance(child, ast.ClassDef):
+                c = child.name
+            elif isinstance(child, _FUNCS):
+                cm = any(getattr(d, "id", None) == "classmethod" for d in child.decorator_list)
+            if isinstance(child, ast.Call):
+                fn = child.func
+                name = (fn.id if isinstance(fn, ast.Name)
+                        else fn.attr if isinstance(fn, ast.Attribute) else None)
+                if name == "cls" and cm:
+                    name = c
+                if name is not None:
+                    out.append((name, child))
+            visit(child, c, cm)
+
+    visit(tree, None, False)
+    return out
+
+
+def _passes(call, positional, param) -> bool:
+    """Whether the call passes param, positional the callee's positional
+    parameter names."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return param in positional and (positional.index(param) < len(call.args) or any(
+        isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unset_defaults(sources, readers, allowed=()) -> list:
+    """The defaulted parameters in the files ``sources`` that no call in a
+    file of ``readers`` passes, other than ``allowed``."""
+    calls = {}
+    for p in readers:
+        for name, call in _calls(ast.parse(p.read_text())):
+            calls.setdefault(name, []).append(call)
+    out = []
+    for p in sources:
+        for line, label, callee, positional, defaulted in _signatures(ast.parse(p.read_text())):
+            for param in defaulted:
+                if (f"{label}({param})" not in allowed and not any(
+                        _passes(c, positional, param) for c in calls.get(callee, []))):
+                    out.append(f"{p.name}:{line}: {label}({param})")
+    return out
+
+
+def test_every_defaulted_parameter_is_set():
+    sources = sorted(SRC.glob("*.py"))
+    readers = sources + sorted((ROOT / "perfbench").glob("*.py"))
+    assert _unset_defaults(sources, readers, UNSET_OK) == []
+
+
+def test_checker_finds_an_unset_default(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text("def f(a, b=1, c=2, *, d=3, e=4, kept=0):\n    pass\n\n"
+                 "def g(x=0, y=0):\n    pass\n\n"
+                 "class C:\n"
+                 "    def __init__(self, u=0, v=0):\n        pass\n\n"
+                 "    @classmethod\n    def make(cls, w=0):\n        return cls(1)\n\n"
+                 "    @staticmethod\n    def s(z=0):\n        pass\n\n"
+                 "    def __call__(self, q=0):\n        pass\n\n"
+                 "f(0, 1, d=2)\n"
+                 "g(*[1])\n"
+                 "C.s(1)\n"
+                 "C().make(**{})\n")
+    assert _unset_defaults([p], [p], {"f(kept)"}) == [
+        "mod.py:1: f(c)", "mod.py:1: f(e)", "mod.py:8: C.__init__(v)"]

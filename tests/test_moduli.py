@@ -19,7 +19,6 @@ from lpsq.moduli import (
     dini_constant,
     dini_inequality_suite,
     dini_integral,
-    log_dini_integral,
     log_modulus,
     logsplit_moduli,
     parse_modulus,
@@ -133,7 +132,7 @@ class TestLogDini:
         # fails; the partial value is the integral through the body cut
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
-        res = log_dini_integral(log_modulus(3.0), 1e-8)
+        res = dini_integral(log_modulus(3.0), 1e-8, log_weight=True)
         assert res.diverged and not res.converged
         oracle = mp.quad(lambda u: u * mp.log(2 + mp.exp(u)) ** mp.mpf(-1.5),
                          mp.linspace(0, 40, 41))
@@ -173,7 +172,7 @@ class TestExactTails:
         if kappa > 4.0:  # the log-Dini integral, exact tail U^{2-p}/(p-2)
             body = mp.quad(lambda u: u * g(u), mp.linspace(0, U, 61))
             oracle = float(body + U ** (2 - p) / (p - 2))
-            res = log_dini_integral(log_modulus(kappa), 1e-8)
+            res = dini_integral(log_modulus(kappa), 1e-8, log_weight=True)
             assert res.converged and res.value == pytest.approx(oracle, abs=1e-8)
 
     def test_logsplit_matches_mpmath(self):
@@ -189,16 +188,16 @@ class TestExactTails:
     @pytest.mark.parametrize("delta", [1.0, 0.5, 0.3, 0.1])
     def test_power_is_exact(self, delta):
         assert dini_constant(power_modulus(delta), 1e-8) == 1.0 / delta + 1.0
-        res = log_dini_integral(power_modulus(delta))
+        res = dini_integral(power_modulus(delta), log_weight=True)
         assert res.converged and res.value == pytest.approx(1.0 / delta**2, rel=1e-15)
 
     def test_log_dini_verdicts(self):
-        res = log_dini_integral(log_modulus(4.0))
+        res = dini_integral(log_modulus(4.0), log_weight=True)
         assert res.diverged and not res.converged
-        res = log_dini_integral(log_modulus(4.5))
+        res = dini_integral(log_modulus(4.5), log_weight=True)
         assert res.converged and not res.diverged
         assert res.value == pytest.approx(3.9177785944053, abs=1e-8)
-        res = log_dini_integral(log_modulus(3.0))
+        res = dini_integral(log_modulus(3.0), log_weight=True)
         assert res.diverged and not res.converged
 
     @pytest.mark.parametrize("kappa", [2.0, 1.9, 1.2])
@@ -236,13 +235,13 @@ class TestExactTails:
         a = vs[:-1] - b * ts[:-1]
         exact = float(np.sum(a * np.log(ts[1:] / ts[:-1]) + b * np.diff(ts))) + 1.0
         assert dini_constant(w, 1e-8) == pytest.approx(exact, abs=1e-10)
-        assert log_dini_integral(w).converged
+        assert dini_integral(w, log_weight=True).converged
         # the same table over a (1e-12, 1e-6) floor is not Dini, nor log-Dini
         vs[0] = 1e-6
         floored = table_modulus(_write_table(tmp_path, zip(ts, vs), "f.csv"))
         with pytest.raises(DivergenceError):
             dini_constant(floored)
-        assert log_dini_integral(floored).diverged
+        assert dini_integral(floored, log_weight=True).diverged
 
     def test_table_with_zero_row_is_linear_below(self, tmp_path):
         # (0, 0) then w(t) = t: the law is e^{-v} from log(1e4) on, exact
@@ -273,8 +272,8 @@ class TestExactTails:
 
     def test_suite_root_verdict_is_exact(self):
         # e: the root of log:3 is log:1.5 (not Dini), of log:8 log:4 (Dini)
-        assert dini_inequality_suite(log_modulus(3.0), m_shift=2)["e"].reference == math.inf
-        rep = dini_inequality_suite(log_modulus(8.0), m_shift=2)["e"]
+        assert dini_inequality_suite(log_modulus(3.0))["e"].reference == math.inf
+        rep = dini_inequality_suite(log_modulus(8.0))["e"]
         assert rep.reference == pytest.approx(self.REFERENCE[4.0] ** 2, abs=1e-8)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -371,7 +370,7 @@ class TestSuite:
         assert rep["d"].lhs == pytest.approx(2.0, abs=1e-7)
 
     def test_item_e_linear_m2(self):
-        rep = dini_inequality_suite(power_modulus(1.0), alpha=1.0, m_shift=2)
+        rep = dini_inequality_suite(power_modulus(1.0), alpha=1.0)
         assert rep["e"].lhs == pytest.approx(2.0, abs=1e-7)
         assert rep["e"].reference == pytest.approx(9.0, abs=1e-6)
         assert rep["e"].lhs <= rep["e"].reference
@@ -415,10 +414,9 @@ class TestSuite:
             want = float(mp.sqrt(val) if name == "a" else val)
             assert rep[name].lhs == pytest.approx(want, abs=1e-9), name
 
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_item_e_inequality_all_moduli(self, m):
+    def test_item_e_inequality_all_moduli(self):
         for w in (power_modulus(1.0), power_modulus(0.5), log_modulus(3.0)):
-            rep = dini_inequality_suite(w, alpha=2.0, m_shift=m)
+            rep = dini_inequality_suite(w, alpha=2.0)
             assert rep["e"].lhs <= rep["e"].reference * (1 + 1e-9)
 
     def test_all_ratios_finite(self):

@@ -55,13 +55,21 @@ class TestPsiT:
 
     def test_fft_matches_direct(self, ex1, gauss_grid):
         d = psi_t_apply(ex1, gauss_grid, 0.7, method="direct")
-        f = psi_t_apply(ex1, gauss_grid, 0.7, method="fft")
+        f = psi_t_apply(ex1, gauss_grid, 0.7, method="auto")
         rel = np.max(np.abs(d.values - f.values)) / np.max(np.abs(d.values))
         assert rel <= 1e-12
 
     def test_unknown_method_rejected(self, ex1, gauss_grid):
         with pytest.raises(ParameterError, match="unknown method"):
             psi_t_apply(ex1, gauss_grid, 0.7, method="fast")
+
+    def test_fft_is_an_unknown_method(self, ex1, gauss_grid, cone_coarse):
+        """"auto" is the FFT path on a profiled kernel; "fft" is no method."""
+        for call in (lambda: psi_t_apply(ex1, gauss_grid, 0.7, method="fft"),
+                     lambda: square_function(ex1, gauss_grid, cone_coarse, method="fft"),
+                     lambda: SquareEvaluator.of(ex1, gauss_grid, cone_coarse, method="fft")):
+            with pytest.raises(ParameterError, match="unknown method 'fft'"):
+                call()
 
     def test_high_resolution_oracle(self, ex1):
         # direct fine-quadrature oracle evaluated at the same physical points
@@ -109,7 +117,7 @@ class TestPsiT:
         k = parse_kernel("ex1:kappa=3", 2)
         f = sample_function(lambda x, y: np.exp(-(x**2) - y**2), 2, 4.0, 1.0 / 4)
         d = psi_t_apply(k, f, 1.0, method="direct")
-        ff = psi_t_apply(k, f, 1.0, method="fft")
+        ff = psi_t_apply(k, f, 1.0, method="auto")
         rel = np.max(np.abs(d.values - ff.values)) / np.max(np.abs(d.values))
         assert rel <= 1e-12
 
@@ -212,12 +220,6 @@ class TestGStar:
         with pytest.raises(ParameterError, match="lambda"):
             g_star_cascade_bound(ex1, gauss_grid, lam, hs)
 
-    @pytest.mark.parametrize("n_terms", [0, -1, 2.5])
-    def test_cascade_n_terms_is_a_positive_int(self, ex1, gauss_grid, n_terms):
-        hs = build_halfspace(1, gauss_grid.h, 2 * gauss_grid.h, 4.0, 2, gauss_grid.R)
-        with pytest.raises(ParameterError, match="n_terms"):
-            g_star_cascade_bound(ex1, gauss_grid, 3.0, hs, n_terms=n_terms)
-
     def test_cone_lower_bound(self, ex1, gauss_grid):
         lam = 3.0
         hs = build_halfspace(1, gauss_grid.h, 2 * gauss_grid.h,
@@ -234,12 +236,12 @@ class TestGStar:
         hs = build_halfspace(1, gauss_grid.h, 2 * gauss_grid.h,
                              2 * gauss_grid.R, 4, gauss_grid.R)
         gs = g_star(ex1, gauss_grid, lam, hs)
-        cascade, _ = g_star_cascade_bound(ex1, gauss_grid, lam, hs, n_terms=9)
+        cascade, _ = g_star_cascade_bound(ex1, gauss_grid, lam, hs)
         ratio = gs.values / np.maximum(cascade.values, 1e-300)
         assert np.max(ratio) <= 1.0 + 1e-10
 
     def test_cascade_refuses_uncapped_cone(self, monkeypatch):
-        """An uncapped cone would pad each level by ~2^n_terms t / h cells
+        """An uncapped cone would pad each level by ~2^9 t / h cells
         (about 2 GB at 2-D N = 8); the refusal comes before any psi_t work."""
         import tracemalloc
 
@@ -391,19 +393,21 @@ class TestLernerMaximal:
 
 
 class TestMarcinkiewicz:
+    GRID = sample_function(lambda x: np.zeros_like(x), 1, 2.0, 0.5)  # centers +-0.25, ...
+
     def test_empty(self):
         w = power_modulus(1.0)
-        assert marcinkiewicz_fw(w, [], x=(0.0,)) == 0.0
+        assert np.all(marcinkiewicz_fw(w, [], self.GRID).values == 0.0)
 
     def test_single_cube_center(self):
         w = power_modulus(1.0)
-        val = marcinkiewicz_fw(w, [((0.0,), 1.0, 1.0)], x=(0.0,))
-        assert val == pytest.approx(1.0)
+        F = marcinkiewicz_fw(w, [((0.25,), 1.0, 1.0)], self.GRID)
+        assert F.values[list(self.GRID.axis_centers()).index(0.25)] == pytest.approx(1.0)
 
     def test_overlap_rejected(self):
         w = power_modulus(1.0)
         with pytest.raises(DisjointnessError):
-            marcinkiewicz_fw(w, [((0.0,), 1.0, 1.0), ((1.5,), 1.0, 1.0)], x=(0.0,))
+            marcinkiewicz_fw(w, [((0.0,), 1.0, 1.0), ((1.5,), 1.0, 1.0)], self.GRID)
 
     def test_l2_bound_fitted(self):
         w = power_modulus(1.0)
@@ -924,24 +928,25 @@ class TestEvaluatorLayout:
         pool = dyadic_cube_pool(root, f)
         with pytest.raises(GridError, match="spacing"):
             SquareEvaluator.of(k, f, coarse)
+        with pytest.raises(GridError, match="spacing"):
+            SquareEvaluator(k, f, coarse)
+        k2 = parse_kernel("ex1:kappa=3", 2)
+        cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
+        with pytest.raises(GridError, match="dimensions"):
+            SquareEvaluator(k2, f, cone)
         for m in (None, "direct"):
-            for call in (lambda: SquareEvaluator(k, f, coarse, method=m),
-                         lambda: lerner_maximal(k, f, coarse, "M_S", pool, method=m,
+            for call in (lambda: lerner_maximal(k, f, coarse, "M_S", pool, method=m,
                                                 domain=root.box()),
                          lambda: sparse_construct(k, f, root, 1.0, coarse, method=m)):
                 with pytest.raises(GridError, match="spacing"):
                     call()
-            k2 = parse_kernel("ex1:kappa=3", 2)
-            cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
-            with pytest.raises(GridError, match="dimensions"):
-                SquareEvaluator(k2, f, cone, method=m)
             with pytest.raises(GridError, match="dimensions"):
                 lerner_maximal(k2, f, cone, "M_S", pool, method=m, domain=root.box())
 
     @pytest.mark.parametrize("case", ["direct", "bilinear", "linear"])
     def test_no_evaluator_off_the_fast_path(self, case):
-        """`of` returns None, and the constructor refuses, for the direct
-        method, a bilinear kernel and a general linear kernel."""
+        """`of` returns None for the direct method, a bilinear kernel and a
+        general linear kernel, and the constructor refuses the two kernels."""
         k = parse_kernel("ex1:kappa=3", 1)
         method = "direct" if case == "direct" else None
         if case == "bilinear":
@@ -952,8 +957,9 @@ class TestEvaluatorLayout:
         f = _spikes(np.random.default_rng(4), 1, 4.0, 1.0 / 4)
         cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
         assert SquareEvaluator.of(k, f, cone, method=method) is None
-        with pytest.raises(ParameterError, match="fft path"):
-            SquareEvaluator(k, f, cone, method=method)
+        if case != "direct":
+            with pytest.raises(ParameterError, match="convolution kernel"):
+                SquareEvaluator(k, f, cone)
         assert not k._evaluator
 
 
@@ -1012,8 +1018,8 @@ class TestPointMassProfile:
             delta[corner] = 1.0
             # output cell o sits o - pad - y cells from the input cell y
             want = gamma[tuple(slice(M - 1 - pad - y, 2 * M - 1 - pad - y) for y in corner)]
-            direct = square_function(k, f.with_values(delta), cone, out_R=out_R,
-                                     method="direct").values
+            direct = square_function_multi(k, f.with_values(delta), cone, [cone.alpha],
+                                           out_R=out_R, method="direct")[cone.alpha].values
             for got in (ev.eval_values(np.pad(delta, pad)), direct):
                 assert np.max(np.abs(got - want)) <= tol
 
@@ -1069,8 +1075,14 @@ class TestLinearFFT:
         assert fast.shape == (N + 2 * pad,) * n
         TestLernerBatched._close(fast, direct)
         cone = build_cone(1.0, n, h, 2 * h, 2 * f.R, 2)
-        TestLernerBatched._close(*(square_function(k, f, cone, out_R=out_R, method=m).values
+        TestLernerBatched._close(*(_s_padded(k, f, cone, out_R, m)
                                    for m in ("auto", "direct")))
+
+
+def _s_padded(k, f, cone, out_R, method=None):
+    """S_alpha f, alpha the cone's, on the lattice of half-width out_R."""
+    return square_function_multi(k, f, cone, [cone.alpha], out_R=out_R,
+                                 method=method)[cone.alpha].values
 
 
 class TestBilinearFFT:
@@ -1093,11 +1105,9 @@ class TestBilinearFFT:
                      lambda m: square_function(k, (f, f), cone, method=m)):
             with pytest.raises(ParameterError, match="unknown method"):
                 call("bogus")
+            with pytest.raises(ParameterError, match="unknown method"):
+                call("fft")
         no_profile = replace(k, profile=None)
-        with pytest.raises(ParameterError, match="profile"):
-            psi_t_apply(no_profile, (f, f), 1.0, method="fft")
-        with pytest.raises(ParameterError, match="profile"):
-            square_function(no_profile, (f, f), cone, method="fft")
 
         def refuse(*args, **kwargs):
             raise AssertionError("wrong path")
@@ -1109,10 +1119,10 @@ class TestBilinearFFT:
             square_function(no_profile, (f, f), cone).values, direct)
         direct_u = psi_t_apply(no_profile, (f, f), 0.5).values
         monkeypatch.undo()
-        # ... and "auto" or "fft" with a profile never calls it
+        # ... and "auto" with a profile never calls it
         monkeypatch.setattr(ops, "_psi_t_bilinear", refuse)
         self._close(square_function(k, (f, f), cone).values, direct)
-        self._close(psi_t_apply(k, (f, f), 0.5, method="fft").values, direct_u)
+        self._close(psi_t_apply(k, (f, f), 0.5, method="auto").values, direct_u)
 
     def test_profile_matches_psi(self):
         k = bilinear_example_kernel(3.0, 1)
@@ -1156,10 +1166,10 @@ class TestBilinearFFT:
         f1 = GridFunction(1, 4.0, 0.125, _runs(rng, 64))
         f2 = GridFunction(1, 4.0, 0.125, rng.standard_normal(64))
         cone = build_cone(1.0, 1, f1.h, 2 * f1.h, 8.0, 4)
-        full = square_function(k, (f1, f2), cone, out_R=5.0).values
+        full = _s_padded(k, (f1, f2), cone, 5.0)
         monkeypatch.setattr(ops, "_LERNER_CHUNK", 256)
-        small = square_function(k, (f1, f2), cone, out_R=5.0).values
-        direct = square_function(k, (f1, f2), cone, out_R=5.0, method="direct").values
+        small = _s_padded(k, (f1, f2), cone, 5.0)
+        direct = _s_padded(k, (f1, f2), cone, 5.0, "direct")
         self._close(small, direct)
         self._close(full, direct)
         u = psi_t_apply(k, (f1, f2), 3.0, out_R=6.0).values
@@ -1188,13 +1198,13 @@ class TestBilinearFFT:
         self._close(fast, direct)
 
 
-def _g_star_by_loops(k, f, lam, hs, out_R):
+def _g_star_by_loops(k, f, lam, hs):
     """g* as a sum over the offsets m, |m| <= K per level (in n = 2 also
     |m| h < min(alpha t, max_radius)), of the weight times |psi_t f|^2 at
-    x + m, psi_t by direct summation on the output lattice padded by K."""
+    x + m, psi_t by direct summation on f's lattice padded by K."""
     base = f[0] if isinstance(f, tuple) else f
-    n, h = base.n, base.h
-    M = int(round(2.0 * out_R / h))
+    n, h, out_R = base.n, base.h, base.R
+    M = base.ncells
     acc = np.zeros((M,) * n)
     for t in map(float, hs.t_levels):
         lim = min(hs.alpha * t, hs.max_radius)
@@ -1216,11 +1226,11 @@ class TestGStarGate:
     cascade bound dominates it on the same inputs."""
 
     @pytest.mark.parametrize("case", ["1d", "2d", "bi1"])
-    @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=3),
+    @given(st.integers(min_value=2, max_value=24),
            st.booleans(), st.floats(min_value=4.5, max_value=8.0),
            st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=15)
-    def test_matches_offset_loops(self, case, N, pad, halfspace, lam, seed):
+    def test_matches_offset_loops(self, case, N, halfspace, lam, seed):
         n = 2 if case == "2d" else 1
         rng = np.random.default_rng(seed)
         h = 0.5
@@ -1238,11 +1248,10 @@ class TestGStarGate:
         else:  # a cone capped as the half-space: the levels' K differ
             hs = build_cone(1.0 + rng.uniform(0.0, 2.0), n, h, 2 * h, 4 * R, 2,
                             max_radius=2 * R * math.sqrt(n) + h)
-        out_R = R + pad * h
-        gs = g_star(k, f, lam, hs, out_R=out_R).values
-        assert gs.shape == (N + 2 * pad,) * n
-        TestLernerBatched._close(gs, _g_star_by_loops(k, f, lam, hs, out_R))
-        cascade, _ = g_star_cascade_bound(k, f, lam, hs, n_terms=9, out_R=out_R)
+        gs = g_star(k, f, lam, hs).values
+        assert gs.shape == (N,) * n
+        TestLernerBatched._close(gs, _g_star_by_loops(k, f, lam, hs))
+        cascade, _ = g_star_cascade_bound(k, f, lam, hs)
         ratio = gs / np.maximum(cascade.values, 1e-300)
         assert np.max(ratio) <= 1.0 + 1e-10
 
