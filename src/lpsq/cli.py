@@ -11,7 +11,9 @@ config or parameter error.
 ``verify weak`` re-samples ``--function`` at h/2, so it needs an analytic
 id (a ``csv:`` or ``bin:`` file is a ConfigError); ``verify weighted`` does
 not read ``--function``: its ten random inputs are drawn on the weight's
-lattice of the run's R and h.
+lattice of the run's R and h.  Its ``--weight power:a`` is |x|^a, an A_p
+weight in 1-D iff -1 < a < p - 1; an exponent outside that range is a
+ConfigError, as the weighted bound assumes A_p.
 
 `SCHEMA` is the one table of settings: each key's type and default.
 `_load_config` resolves a run's settings once, in the order defaults, JSON
@@ -359,12 +361,9 @@ def _campaign_verify(cfg, out_dir):
         rep = weak_type_profile(s, f.norm_l1(), 1.0, rho_grid,
                                 refined=(s2, f2.norm_l1()))
         _write_csv(os.path.join(out_dir, "verify_weak.csv"), list(rep.rows()))
-        return [
-            {"name": "weak_sup_finite", "pass": math.isfinite(rep.fitted["sup"]),
-             "value": rep.fitted["sup"]},
-            {"name": "weak_stability", "pass": rep.fitted["stability"] <= 2.0,
-             "value": rep.fitted["stability"]},
-        ]
+        checks = dict(rep.check_items())
+        return [{"name": name, "pass": checks[key], "value": rep.fitted[key]}
+                for name, key in (("weak_sup_finite", "sup"), ("weak_stability", "stability"))]
     if mode == "weighted":
         if n != 1:
             raise ConfigError("weighted verify is 1-D")
@@ -375,6 +374,9 @@ def _campaign_verify(cfg, out_dir):
             expo = None
         if expo is None:
             raise ConfigError(f"weighted verify takes a power:a weight id, not {arg!r}")
+        if not -1.0 < expo < cfg["p"] - 1.0:
+            raise ConfigError(f"|x|^{expo:g} is not an A_p weight at p = {cfg['p']:g}: "
+                              "power:a needs -1 < a < p - 1")
         wgrid = sample_function(lambda x: np.abs(x) ** expo + 1e-12, 1, R, h)
         wv = WeightVector([wgrid], [cfg["p"]])
         rng = np.random.default_rng(cfg["seed"])

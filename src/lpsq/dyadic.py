@@ -20,7 +20,6 @@ term cannot change its level set.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
@@ -99,13 +98,6 @@ class Cube:
     def parent(self) -> "Cube":
         return Cube(self.n, self.generation - 1, tuple(a >> 1 for a in self.anchor),
                     "standard", self.base)
-
-    def children(self) -> list:
-        return [
-            Cube(self.n, self.generation + 1,
-                 tuple(2 * a + d for a, d in zip(self.anchor, ds)), "standard", self.base)
-            for ds in itertools.product((0, 1), repeat=self.n)
-        ]
 
     def contains(self, other: "Cube") -> bool:
         """Whether other, a cube of this lattice, is this cube or lies in
@@ -361,7 +353,7 @@ def _cube_from_json(e, n: int, base: float, where: str) -> Cube:
     return Cube(n, gen, tuple(anchor), shift, base)
 
 
-def verify_sparse(family: SparseFamily, eta: float | None = None):
+def verify_sparse(family: SparseFamily, eta: float):
     """Exact lattice check of |union of strict subcubes| <= (1-eta)|Q|.
 
     Returns (ok, worst_ratio, worst_cube).  Dyadic cubes nest or are
@@ -371,7 +363,6 @@ def verify_sparse(family: SparseFamily, eta: float | None = None):
     A cube outside the root is a `ContainmentError`; eta must lie in
     (0, 1] (`ParameterError` otherwise).
     """
-    eta = family.eta if eta is None else eta
     if not 0 < eta <= 1:
         raise ParameterError(f"eta must lie in (0, 1], got {eta}")
     root = family.root
@@ -525,6 +516,9 @@ def sparse_construct(
 ) -> SparseFamily:
     """Iterative stopping-time sparse family for S_alpha on the root cube.
 
+    alpha must be the cone's own aperture (`ParameterError` otherwise): the
+    cone describes S_alpha, and alpha is recorded in the family's meta.
+
     At each node P the level set E is where max(S_alpha f', M_S f') exceeds
     thr = sqrt(gamma) * (dini(w) dini(phi) + s2) * <|f'|>_{3P} with
     f' = f 1_{3P}; maximal dyadic subcubes with |cell E share| > 2^{-n-1}
@@ -585,12 +579,13 @@ def sparse_construct(
             raise ParameterError(f"gamma must be 'auto' or a number, got {gamma!r}") from None
         if not (math.isfinite(gamma) and gamma > 0):
             raise ParameterError(f"gamma must be finite and positive, got {gamma}")
+    if alpha != cone.alpha:
+        raise ParameterError(f"alpha = {alpha} is not the cone's aperture {cone.alpha}")
     N = f.ncells
     _dyadic_root_cells(N)
-    cone_a = cone if cone.alpha == alpha else cone.with_alpha(alpha)
-    evaluator = ops.SquareEvaluator.of(k, f, cone_a, method=method)
+    evaluator = ops.SquareEvaluator.of(k, f, cone, method=method)
     s_of = (evaluator.eval_values if evaluator is not None else
-            lambda v: ops.square_function(k, f.with_values(v), cone_a, method=method).values)
+            lambda v: ops.square_function(k, f.with_values(v), cone, method=method).values)
     wd = dini_constant(k.w_mod, 1e-6)
     pd = dini_constant(k.phi_mod, 1e-6)
     l2 = f.norm_l2()
@@ -624,7 +619,7 @@ def sparse_construct(
             kept[:1] = True  # the node's own box, the cover
             lo, hi = lo[kept], hi[kept]
         ms = ops.lerner_maximal(
-            k, f.with_values(floc), cone_a, "M_S", _boxes(lo, hi), method=method,
+            k, f.with_values(floc), cone, "M_S", _boxes(lo, hi), method=method,
             domain=node.box(),
         )
         mtilde = np.maximum(s_vals, ms.values)
@@ -673,28 +668,21 @@ def sparse_construct(
 
 
 def sparse_rhs_eval(family: SparseFamily, f, dilate: int = 3) -> GridFunction:
-    """[ sum_P (prod_i <f_i>_{1, dP})^2 1_P ]^{1/2} on the grid."""
-    if isinstance(f, (tuple, list)):
-        fs = list(f)
-    else:
-        fs = [f]
+    """[ sum_P (prod_i <f_i>_{1, 3P})^2 1_P ]^{1/2} on the grid, for one
+    input or a pair.  ``dilate`` must be 3, the dilate of the sparse bound
+    (`ParameterError` otherwise)."""
+    if dilate != 3:
+        raise ParameterError(f"the sparse bound averages over 3P, got dilate {dilate!r}")
+    fs = list(f) if isinstance(f, (tuple, list)) else [f]
     base = fs[0]
     hn = base.h**base.n
     acc = np.zeros_like(base.values)
     for c in family.cubes:
         prod = 1.0
         for gf in fs:
-            if dilate == 1:
-                r = c.cell_range(gf)
-                sl = tuple(slice(i0, i1) for i0, i1 in r)
-                tot = float(np.sum(np.abs(gf.values[sl]))) * hn
-                avg = tot / c.side**gf.n
-            else:
-                b = c.box().dilate(float(dilate))
-                mask = ops._box_mask(gf, b, snap_outward=True)
-                tot = float(np.sum(np.abs(gf.values) * mask)) * hn
-                avg = tot / (dilate * c.side) ** gf.n
-            prod *= avg
+            mask = ops._box_mask(gf, c.box().dilate(3.0), snap_outward=True)
+            tot = float(np.sum(np.abs(gf.values) * mask)) * hn
+            prod *= tot / (3 * c.side) ** gf.n
         r = c.cell_range(base)
         sl = tuple(slice(i0, i1) for i0, i1 in r)
         acc[sl] += prod**2

@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -223,37 +223,42 @@ def _radial(fn):
 def parse_function(spec: str, n: int, R: float, h: float) -> GridFunction:
     """Named analytic functions and CSV inputs for configs.
 
-    ``gaussian[:sigma]``, ``bump:width``, ``hat[:width]``, ``box:halfwidth``,
-    ``const:c``, ``csv:path``, ``bin:path`` (a `save_binary` file, such as
-    the grid outputs of ``eval`` and ``cz``).
+    ``gaussian[:sigma]``, ``bump[:width]``, ``hat[:width]``,
+    ``box[:halfwidth]``, ``const[:c]`` (each argument 1 when left out),
+    ``csv:path``, ``bin:path`` (a `save_binary` file, such as the grid
+    outputs of ``eval`` and ``cz``).  An argument must be a finite number,
+    and a width (gaussian, bump, hat, box) must be > 0; anything else is a
+    ConfigError naming the id.
     """
     head, _, arg = spec.partition(":")
     if head == "csv":
         return load_csv(arg)
     if head == "bin":
         return load_binary(arg)
+    if head not in ("gaussian", "bump", "hat", "box", "const"):
+        raise ConfigError(f"unknown function id {spec!r}")
+    try:
+        a = float(arg) if arg else 1.0
+    except ValueError:
+        a = math.nan
+    if not math.isfinite(a) or not (head == "const" or a > 0):
+        need = "a finite number" if head == "const" else "a finite width > 0"
+        raise ConfigError(f"function id {spec!r}: the argument must be {need}")
     if head == "gaussian":
-        s = float(arg) if arg else 1.0
-        fn = lambda r: np.exp(-((r / s) ** 2))
+        fn = lambda r: np.exp(-((r / a) ** 2))
     elif head == "bump":
-        wdt = float(arg) if arg else 1.0
 
         def fn(r):
-            u = np.clip(r / wdt, 0.0, 1.0)
+            u = np.clip(r / a, 0.0, 1.0)
             with np.errstate(divide="ignore", over="ignore"):
                 v = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u**2, 1e-300)), 0.0)
             return v * math.e  # normalized to 1 at the center
     elif head == "hat":
-        wdt = float(arg) if arg else 1.0
-        fn = lambda r: np.maximum(0.0, 1.0 - r / wdt)
+        fn = lambda r: np.maximum(0.0, 1.0 - r / a)
     elif head == "box":
-        a = float(arg) if arg else 1.0
         fn = lambda r: np.where(r <= a, 1.0, 0.0)
-    elif head == "const":
-        cval = float(arg) if arg else 1.0
-        fn = lambda r: np.full_like(np.asarray(r, dtype=float), cval)
     else:
-        raise ConfigError(f"unknown function id {spec!r}")
+        fn = lambda r: np.full_like(np.asarray(r, dtype=float), a)
     f1, f2 = _radial(fn)
     return sample_function(f1 if n == 1 else f2, n, R, h)
 
@@ -403,11 +408,6 @@ class ConeGrid:
         lim = min(self.alpha * float(self.t_levels[j]), self.max_radius) / self.h
         return _stencil(self.n, lim)
 
-    def with_alpha(self, alpha: float) -> "ConeGrid":
-        """Same levels and spacing, different aperture."""
-        _check_aperture(alpha, self.h, self.t_levels)
-        return replace(self, alpha=alpha)
-
     def apertures(self, alphas) -> list:
         """The apertures of an S_alpha list on these levels, as floats: at
         least one, each finite and reaching past offset 0 at the lowest
@@ -433,13 +433,6 @@ def _stencil(n: int, radius_cells_limit: float) -> np.ndarray:
     MX, MY = np.meshgrid(g, g, indexing="ij")
     mask = MX**2 + MY**2 < radius_cells_limit**2
     return np.stack([MX[mask], MY[mask]], axis=-1)
-
-
-def _check_aperture(alpha: float, h: float, levels: np.ndarray) -> None:
-    """alpha >= 1, and the lowest level's stencil reaches past offset 0."""
-    if not alpha >= 1.0:
-        raise ParameterError(f"aperture alpha must be >= 1, got {alpha}")
-    _check_reach(alpha, h, levels)
 
 
 def _check_reach(alpha: float, h: float, levels: np.ndarray) -> None:
@@ -473,7 +466,9 @@ def build_cone(
     L = max(1, int(round(q * math.log2(t_max / t_min))))
     r = 2.0 ** (1.0 / q)
     levels = t_min * r ** (np.arange(L) + 0.5)
-    _check_aperture(alpha, h, levels)
+    if not alpha >= 1.0:
+        raise ParameterError(f"aperture alpha must be >= 1, got {alpha}")
+    _check_reach(alpha, h, levels)
     return ConeGrid(alpha, n, h, levels, math.log(2.0) / q, max_radius)
 
 

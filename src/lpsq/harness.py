@@ -17,7 +17,7 @@ import numpy as np
 from .errors import GridError, ParameterError
 from .grids import ConeGrid, GridFunction
 from .kernels import KernelSpec
-from .operators import square_function, square_function_multi
+from .operators import _cone_levels, square_function, square_function_multi
 from .weights import WeightVector
 
 __all__ = [
@@ -36,10 +36,6 @@ class FitReport:
     fitted: dict = field(default_factory=dict)
     samples: list = field(default_factory=list)  # rows of (label, value)
     tolerances: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.check_items())
 
     def check_items(self):
         """(label, ok) per declared tolerance; recomputed from stored data."""
@@ -122,15 +118,14 @@ def aperture_scaling_check(
     """norm "l2": ||S_a f||_2^2 / ||S_1 f||_2^2 against a^n (`_APERTURE_TOL`
     relative); "weak": the log-log slope of the weak sups over 24 heights
     from peak/200 to the peak, the max of S_a f over the apertures.  The
-    output lattice is padded by alpha_max * t_max (at most the cone's
-    max_radius), so every cone section is fully counted.
+    output lattice is padded by one cell past the stencil of the top level
+    at the widest aperture (its `_cone_levels` radius, alpha_max t_max or
+    the cone's max_radius), so every cone section is fully counted.
     """
     base = f[0] if isinstance(f, (tuple, list)) else f
     alphas = cone.apertures(alphas)
     want = sorted(set(alphas) | {1.0})
-    t_max = float(cone.t_levels[-1])
-    pad = min(max(want) * t_max, cone.max_radius)
-    out_R = base.R + int(math.ceil(pad / base.h)) * base.h
+    out_R = base.R + (_cone_levels(base, cone, max(want))[-1].K + 1) * base.h
     ss = square_function_multi(k, f, cone, want, out_R=out_R, method=method)
     rep = FitReport(f"aperture_{norm}")
     if norm == "l2":

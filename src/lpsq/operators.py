@@ -1,11 +1,17 @@
 """Discretized operator evaluations.
 
 psi_t is the t-dilated kernel integral (midpoint rule on the input grid);
-the square function integrates |psi_t f|^2 over the discrete cone
-(h^n / t^n times ln r per stored point), g* uses the polynomially weighted
-full half-space, and the maximal operators (Hardy-Littlewood and dyadic,
-and the localized square-function operator M_S of the sparse construction)
-run over grid-aligned cubes.
+the square function integrates |psi_t f|^2 over the discrete cone, g* uses
+the polynomially weighted full half-space, and the maximal operators
+(Hardy-Littlewood and dyadic, and the localized square-function operator
+M_S of the sparse construction) run over grid-aligned cubes.
+
+S, g* and the `SquareEvaluator` read one level table, `_cone_levels`: per
+cone level its t, its radius min(alpha t, max_radius), the pad K of the
+psi_t lattice, the stencil rows and the measure (h/t)^n ln r per stored
+point.  So g* and every S_alpha on one cone share levels, measure and
+stencils.  The oracle `square_function_at` keeps its own stencil
+(`ConeGrid.stencil`) and measure.
 
 The output lattice of psi_t and `square_function_multi` may be wider than
 the input box (``out_R``); inputs are always treated as zero outside their
@@ -308,11 +314,6 @@ def _psi_t_bilinear_fft(k, f1, f2, levels) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _radius_cells(alpha: float, t: float, h: float, max_radius: float) -> int:
-    lim = min(alpha * t, max_radius) / h
-    return max(int(math.ceil(lim)) - 1, 0)
-
-
 def _disc_rows(lim: float, n: int) -> list:
     """The strict stencil |m| < lim (cells) in n dimensions, the rule of
     `grids._stencil`, as rows (m', rx): the offsets m = (m1, *m') with
@@ -369,18 +370,64 @@ def _window_sum(p_ext: np.ndarray, rows: list) -> np.ndarray:
     return _row_differences(_row_cumsum(p_ext, len(rows[0][0]) - 1), rows)
 
 
-def _psi_levels(k, f, cone: ConeGrid, R_out: float, method, radii):
-    """Yield (j, t, u_ext values, K_j) with u on the lattice of half-width
-    R_out padded by K_j."""
+@dataclass(frozen=True)
+class _Level:
+    """One cone level on a layout: the one description of the cone that S,
+    g* and the evaluator read.
+
+    The level integrates over the offsets |m| h < ``radius`` =
+    min(alpha t, max_radius), the strict stencil whose `_disc_rows` are
+    ``disc`` (``size`` offsets) and whose `_window_rows` are ``rows``;
+    psi_t values are taken on the output lattice padded by K cells, K the
+    stencil's radius in cells (Mx cells per axis on the template's own
+    lattice).  ``meas`` is (h/t)^n ln r and ``nfft`` the `_fft_len` of the
+    linear convolution from the N input cells to the Mx output cells.
+    """
+
+    t: float
+    radius: float
+    K: int
+    Mx: int
+    nfft: int
+    disc: list
+    size: int
+    rows: list
+    meas: float
+
+
+def _cone_levels(template: GridFunction, cone: ConeGrid, alpha: float) -> list:
+    """The `_Level`s of the cone's t-levels at aperture alpha on the
+    template's lattice: the only place where a cone becomes per-level
+    radius, pad, stencil rows and measure.  No kernel is sampled."""
+    h, n, N = template.h, template.n, template.ncells
+    out = []
+    shared = {}  # radius -> (disc, size, rows): the capped levels share them
+    for t in cone.t_levels:
+        t = float(t)
+        radius = min(alpha * t, cone.max_radius)
+        K = max(math.ceil(radius / h) - 1, 0)
+        if radius not in shared:
+            disc = _disc_rows(radius / h, n)
+            shared[radius] = disc, sum(2 * rx + 1 for _, rx in disc), _window_rows(disc, K)
+        Mx = N + 2 * K
+        out.append(_Level(t, radius, K, Mx, _fft_len(Mx + N - 1), *shared[radius],
+                          (h / t) ** n * cone.log_weight))
+    return out
+
+
+def _psi_levels(k, f, levels: list, R_out: float, method):
+    """Yield (level, u) per `_Level`, u the psi_t f values on the lattice of
+    half-width R_out padded by the level's K cells: the contract of
+    `SquareEvaluator.level_values`."""
     pair = _as_pair(f)
     base = pair[0] if pair else f
-    levels = [(float(t), R_out + K * base.h) for t, K in zip(cone.t_levels, radii)]
+    outs = [(lv.t, R_out + lv.K * base.h) for lv in levels]
     # one pass over the offset rows serves every level of a bilinear pair
-    us = (_psi_t_bilinear_fft(k, *pair, levels)
+    us = (_psi_t_bilinear_fft(k, *pair, outs)
           if pair is not None and _pair_method(k, pair, method) == "fft" else None)
-    for j, (t, R_ext) in enumerate(levels):
+    for j, (lv, (t, R_ext)) in enumerate(zip(levels, outs)):
         u = us[j] if us else psi_t_apply(k, f, t, out_R=R_ext, method=method)
-        yield j, t, u.values, radii[j]
+        yield lv, u.values
 
 
 def square_function_multi(
@@ -393,10 +440,10 @@ def square_function_multi(
 ) -> dict:
     """S_alpha f for several apertures, sharing the psi_t evaluations.
 
-    The cone supplies the t-levels, spacing and stencil cap; stencil radii
-    per aperture are rebuilt from |offset| < alpha * t so every aperture
-    sees the same discretization otherwise.  The list must pass
-    `ConeGrid.apertures`.
+    The levels are the cone's `_cone_levels` at the widest aperture, whose
+    pad K every aperture shares; each aperture sums over its own stencil
+    |offset| < min(alpha t, max_radius) with the level's measure.  The list
+    must pass `ConeGrid.apertures`.
     """
     pair = _as_pair(f)
     base = pair[0] if pair else f
@@ -407,16 +454,13 @@ def square_function_multi(
     M = int(round(2.0 * R_out / base.h))
     alphas = cone.apertures(alphas)
     acc = {a: np.zeros((M,) * n) for a in alphas}
-    radii = [
-        max(_radius_cells(a, float(t), base.h, cone.max_radius) for a in alphas)
-        for t in cone.t_levels
-    ]
-    for j, t, u_ext, K in _psi_levels(k, f, cone, R_out, method, radii):
-        c = _row_cumsum(u_ext**2, n)  # all apertures pad by the same K
-        meas = base.h**n / t**n * cone.log_weight
+    widest = max(alphas)
+    for lv, u in _psi_levels(k, f, _cone_levels(base, cone, widest), R_out, method):
+        c = _row_cumsum(u**2, n)  # all apertures pad by the same K
         for a in alphas:
-            rows = _window_rows(_disc_rows(min(a * t, cone.max_radius) / base.h, n), K)
-            acc[a] += meas * _row_differences(c, rows)
+            rows = lv.rows if a == widest else _window_rows(
+                _disc_rows(min(a * lv.t, cone.max_radius) / base.h, n), lv.K)
+            acc[a] += lv.meas * _row_differences(c, rows)
     return {
         a: GridFunction(n, R_out, base.h, np.sqrt(acc[a])) for a in alphas
     }
@@ -484,45 +528,6 @@ def _psi_t_bilinear_point(k, f1, f2, t, y):
         return 0.0
     mat = k.psi(y / t, Z[nz1][:, None] / t, Z[nz2][None, :] / t)
     return float(f1.values[nz1] @ mat @ f2.values[nz2]) * f1.h**2 / t**2
-
-
-@dataclass(frozen=True)
-class _Level:
-    """One cone level on a layout.
-
-    psi_t values are taken on the output lattice padded by K cells (Mx
-    cells per axis) and the window sums run over the strict stencil of
-    radius min(alpha t, max_radius) / h cells, whose `_disc_rows` are
-    ``disc`` (``size`` offsets) and whose `_window_rows` are ``rows``;
-    ``meas`` is (h/t)^n ln r and ``nfft`` the `_fft_len` of the linear
-    convolution from the N input cells to the Mx output cells.
-    """
-
-    t: float
-    K: int
-    Mx: int
-    nfft: int
-    disc: list
-    size: int
-    rows: list
-    meas: float
-
-
-def _cone_levels(template: GridFunction, cone: ConeGrid) -> list:
-    h = template.h
-    n = template.n
-    N = template.ncells
-    out = []
-    for t in cone.t_levels:
-        t = float(t)
-        K = _radius_cells(cone.alpha, t, h, cone.max_radius)
-        Mx = N + 2 * K
-        disc = _disc_rows(min(cone.alpha * t, cone.max_radius) / h, n)
-        out.append(_Level(
-            t, K, Mx, _fft_len(Mx + N - 1), disc, sum(2 * rx + 1 for _, rx in disc),
-            _window_rows(disc, K), (h / t) ** n * cone.log_weight,
-        ))
-    return out
 
 
 def _gram_s_max(levels, n: int, N: int) -> int:
@@ -605,7 +610,7 @@ class SquareEvaluator:
         self.k = k
         self.template = template
         n = template.n
-        self.levels = _cone_levels(template, cone)
+        self.levels = _cone_levels(template, cone, cone.alpha)
         self._spectra = []
         gamma2 = 0.0
         for lv in self.levels:
@@ -624,9 +629,8 @@ class SquareEvaluator:
         """The evaluator of this layout, or None off the fast path: the one
         held on k if it has the same cone values (alpha, n, h, log_weight,
         max_radius, t_levels) and template n, R and h, else a new one.  k
-        holds one evaluator, the last one built here, so a
-        `ConeGrid.with_alpha` copy of equal values finds it and no state
-        outlives the kernel object."""
+        holds one evaluator, the last one built here, so an equal cone built
+        again finds it and no state outlives the kernel object."""
         if k.kind != "convolution" or _resolve_method(k, method) != "fft":
             return None
         key = (cone.alpha, cone.n, cone.h, cone.log_weight, cone.max_radius,
@@ -777,23 +781,23 @@ def g_star(
     on f's lattice.
 
     ``halfspace`` should be built with `build_halfspace` so each level's
-    stencil covers the lattice.  Per level, psi_t f on f's lattice
-    padded by K cells (one `psi_t_apply` call), then the weight sum over the
-    offsets |m| <= K (in n = 2 also |m| h < min(alpha t, max_radius)) as a
-    product of spectra of length `_fft_len(M + 2K)`.  The products of levels
-    with the same K are summed in frequency space and take one irfftn.
+    stencil covers the lattice.  The levels are the half-space's
+    `_cone_levels`, as for S: per level, psi_t f on f's lattice padded by
+    K cells (one `psi_t_apply` call), then the weight sum over the offsets
+    |m| <= K (in n = 2 also |m| h < the level's radius) with the level's
+    measure, as a product of spectra of length `_fft_len(M + 2K)`.  The
+    products of levels with the same K are summed in frequency space and
+    take one irfftn.
     """
     _check_lambda(k, lam)
     pair = _as_pair(f)
     base = pair[0] if pair else f
     n, h, M = base.n, base.h, base.ncells
     axes = tuple(range(n))
-    radii = [
-        _radius_cells(halfspace.alpha, float(t), h, halfspace.max_radius)
-        for t in halfspace.t_levels
-    ]
     specs = {}  # K -> summed spectrum of the level weight sums
-    for j, t, u_ext, K in _psi_levels(k, f, halfspace, base.R, method, radii):
+    levels = _cone_levels(base, halfspace, halfspace.alpha)
+    for lv, u in _psi_levels(k, f, levels, base.R, method):
+        t, K = lv.t, lv.K
         P = (_fft_len(M + 2 * K),) * n
         g1 = np.arange(-K, K + 1)
         if n == 1:
@@ -802,9 +806,8 @@ def g_star(
             MX, MY = np.meshgrid(g1, g1, indexing="ij")
             dist = np.hypot(MX, MY) * h
             wgt = (t / (t + dist)) ** (n * lam)
-            wgt[dist >= min(halfspace.alpha * t, halfspace.max_radius)] = 0.0
-        meas = h**n / t**n * halfspace.log_weight
-        term = meas * np.fft.rfftn(u_ext**2, P, axes=axes) * np.fft.rfftn(wgt, P, axes=axes)
+            wgt[dist >= lv.radius] = 0.0
+        term = lv.meas * np.fft.rfftn(u**2, P, axes=axes) * np.fft.rfftn(wgt, P, axes=axes)
         if K in specs:
             specs[K] += term
         else:

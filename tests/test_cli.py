@@ -482,6 +482,37 @@ class TestConfigAndErrors:
         assert rc == 2
         assert "power:a weight id, not 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["power:1", "power:-3", "power:-1", "power:nan"])
+    def test_weighted_weight_outside_a_p_exits_2(self, tmp_path, capsys, weight):
+        """|x|^a is an A_2 weight in 1-D iff -1 < a < 1."""
+        rc = run_main(["--out-dir", str(tmp_path), "verify", "weighted",
+                       "--weight", weight, "--h", "0.25"])
+        assert rc == 2
+        assert "not an A_p weight at p = 2" in capsys.readouterr().err
+        assert "A_p" in json.loads((tmp_path / "summary.json").read_text())["error"]
+
+    @pytest.mark.parametrize("weight", ["power:0.99", "power:-0.99"])
+    def test_weighted_weight_inside_a_p_passes(self, tmp_path, weight):
+        assert run_main(["--out-dir", str(tmp_path), "verify", "weighted",
+                         "--weight", weight]) == 0
+
+    @pytest.mark.parametrize("spec", [
+        "gaussian:abc", "bump:abc", "hat:abc", "box:abc", "const:abc",
+        "gaussian:0", "bump:0", "hat:0", "box:0",
+        "bump:-1", "hat:-2", "gaussian:-1", "gaussian:inf", "const:inf", "const:nan",
+    ])
+    def test_malformed_function_id_exits_2(self, tmp_path, capsys, spec):
+        rc = run_main(["--out-dir", str(tmp_path), "eval", "--function", spec, "--h", "0.25"])
+        assert rc == 2
+        assert repr(spec) in capsys.readouterr().err
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert not summary["passed"] and repr(spec) in summary["error"]
+
+    @pytest.mark.parametrize("spec", ["gaussian:", "hat:0.5", "const:-2", "const:0"])
+    def test_function_id_arguments_in_range_run(self, tmp_path, spec):
+        assert run_main(["--out-dir", str(tmp_path), "eval", "--function", spec,
+                         "--h", "0.25"]) == 0
+
     def test_cz_rho_zero_exits_2(self, tmp_path, capsys):
         rc = run_main(["--out-dir", str(tmp_path), "cz", "--rho", "0", "--h", "0.125"])
         assert rc == 2

@@ -30,6 +30,12 @@ from lpsq.operators import square_function
 BASE = 16.0  # box [-8, 8)
 
 
+def _children(q):
+    """The 2^n dyadic cubes one generation below q, inside it."""
+    return [Cube(q.n, q.generation + 1, tuple(2 * a + d for a, d in zip(q.anchor, ds)),
+                 "standard", q.base) for ds in itertools.product((0, 1), repeat=q.n)]
+
+
 def grid_1d(N=4096, fn=None):
     h = BASE / N
     if fn is None:
@@ -45,7 +51,7 @@ class TestCube:
 
     def test_children_partition_parent(self):
         q = Cube(1, 2, (-1,), "standard", BASE)
-        ch = q.children()
+        ch = _children(q)
         assert [c.lo[0] for c in ch] == [-4.0, -2.0]
         assert sum(c.side for c in ch) == q.side
         for c in ch:
@@ -53,7 +59,7 @@ class TestCube:
 
     def test_children_2d(self):
         q = Cube(2, 1, (0, -1), "standard", BASE)
-        ch = q.children()
+        ch = _children(q)
         assert len(ch) == 4
         assert all(c.parent() == q for c in ch)
 
@@ -212,7 +218,7 @@ class TestVerifySparse:
         root = Cube(1, 1, (0,), "standard", BASE)
         sub = Cube(1, 3, (0,), "standard", BASE)  # [0, 2): a quarter of [0, 8)
         fam = SparseFamily(0.5, root, [root, sub], {sub: root})
-        ok, worst, _ = verify_sparse(fam)
+        ok, worst, _ = verify_sparse(fam, fam.eta)
         assert ok and worst == 0.25
 
     def test_full_cover_fails(self):
@@ -220,7 +226,7 @@ class TestVerifySparse:
         a = Cube(1, 2, (0,), "standard", BASE)
         b = Cube(1, 2, (1,), "standard", BASE)
         fam = SparseFamily(0.5, root, [root, a, b], {a: root, b: root})
-        ok, worst, wc = verify_sparse(fam)
+        ok, worst, wc = verify_sparse(fam, fam.eta)
         assert not ok and worst == 1.0 and wc == root
 
     def test_eta_outside_unit_interval_rejected(self):
@@ -230,8 +236,9 @@ class TestVerifySparse:
         for eta in (0.0, -0.5, 1.5, 2.0, math.nan):
             with pytest.raises(ParameterError, match="eta"):
                 verify_sparse(fam, eta)
+        wide = SparseFamily(2.0, root, [root, sub], {sub: root})
         with pytest.raises(ParameterError, match="eta"):
-            verify_sparse(SparseFamily(2.0, root, [root, sub], {sub: root}))
+            verify_sparse(wide, wide.eta)
         assert verify_sparse(fam, 1.0)[0] is False  # worst 0.25 > 1 - 1
 
     def test_outside_root_rejected(self):
@@ -239,7 +246,7 @@ class TestVerifySparse:
         stray = Cube(1, 1, (-1,), "standard", BASE)
         fam = SparseFamily(0.5, root, [root, stray], {})
         with pytest.raises(ContainmentError):
-            verify_sparse(fam)
+            verify_sparse(fam, fam.eta)
 
     @given(st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=2**31),
            st.sampled_from([0.25, 0.5, 0.75]))
@@ -274,7 +281,7 @@ class TestVerifySparse:
                     for r in cubes)
                 for cell in cells)
             ref = max(ref, covered / len(cells))
-        ok, worst, _ = verify_sparse(fam)
+        ok, worst, _ = verify_sparse(fam, fam.eta)
         assert worst == ref
         assert ok == (ref <= 1.0 - eta)
 
@@ -312,7 +319,7 @@ class TestVerifySparse:
                               "standard", BASE))
         cubes += cubes[1:4]
         fam = SparseFamily(0.5, root, cubes, {})
-        assert verify_sparse(fam)[1:] == self._mask_count(fam)
+        assert verify_sparse(fam, fam.eta)[1:] == self._mask_count(fam)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sparse_families_match_the_mask_count(self, seed):
@@ -323,7 +330,7 @@ class TestVerifySparse:
         for g in (f, f.with_values(spikes)):
             fam = sparse_construct(k, g, q0, 1.0, cone)
             assert len(fam.cubes) > 1
-            assert verify_sparse(fam)[1:] == self._mask_count(fam)
+            assert verify_sparse(fam, fam.eta)[1:] == self._mask_count(fam)
 
     def test_deep_family_is_counted_exactly(self):
         """A cube 61 generations below the root: its share is 2^-61, with no
@@ -331,7 +338,7 @@ class TestVerifySparse:
         for n in (1, 2):
             root = Cube(n, 1, (0,) * n, "standard", BASE)
             deep = Cube(n, 62, (5,) * n, "standard", BASE)
-            ok, worst, wc = verify_sparse(SparseFamily(0.5, root, [root, deep], {deep: root}))
+            ok, worst, wc = verify_sparse(SparseFamily(0.5, root, [root, deep], {deep: root}), 0.5)
             assert ok and worst == 2.0 ** (-61 * n) and wc == root
 
     def test_json_roundtrip(self, tmp_path):
@@ -479,6 +486,12 @@ class TestSparseConstruct:
         cells = int(str(exc.value).split("|E| = ")[1].split()[0])
         assert cells > 0 and exc.value.residual == cells * f.h
 
+    def test_alpha_other_than_the_cones_is_refused(self, sparse_setup):
+        k, f, cone, q0 = sparse_setup
+        assert cone.alpha == 1.0
+        with pytest.raises(ParameterError, match="aperture"):
+            sparse_construct(k, f, q0, 2.0, cone)
+
     def test_bilinear_is_refused(self, sparse_setup):
         _, f, cone, q0 = sparse_setup
         bi = bilinear_example_kernel(3.0, 1)
@@ -496,21 +509,29 @@ class TestSparseRhs:
         assert np.all(out.values == 0.0)
 
     def test_constant_single_cube(self):
-        root = Cube(1, 1, (0,), "standard", BASE)
+        root = Cube(1, 1, (0,), "standard", BASE)  # [0, 8); 3P = [-8, 16)
         fam = SparseFamily(0.5, root, [root], {})
         f = grid_1d(256, lambda x: np.full_like(x, 0.7))
-        out = sparse_rhs_eval(fam, f, dilate=1)
+        out = sparse_rhs_eval(fam, f, dilate=3)
         (i0, i1), = root.cell_range(f)
-        assert np.allclose(out.values[i0:i1], 0.7)
+        assert np.allclose(out.values[i0:i1], 0.7 * 16 / 24)  # f covers 16 of 24
         assert np.all(out.values[:i0] == 0.0)
 
     def test_bilinear_indicator(self):
         root = Cube(1, 4, (0,), "standard", BASE)  # [0, 1)
         fam = SparseFamily(0.5, root, [root], {})
         f = grid_1d(256, lambda x: ((x >= 0) & (x < 1)).astype(float))
-        out = sparse_rhs_eval(fam, (f, f), dilate=1)
+        out = sparse_rhs_eval(fam, (f, f), dilate=3)
         (i0, i1), = root.cell_range(f)
-        assert np.allclose(out.values[i0:i1], 1.0)
+        assert np.allclose(out.values[i0:i1], 1.0 / 9)  # <f>_{3P} = 1/3 per input
+
+    def test_dilate_other_than_3_is_refused(self):
+        root = Cube(1, 1, (0,), "standard", BASE)
+        fam = SparseFamily(0.5, root, [root], {})
+        f = grid_1d(256, lambda x: np.full_like(x, 0.7))
+        for dilate in (1, 2, 5):
+            with pytest.raises(ParameterError, match="3P"):
+                sparse_rhs_eval(fam, f, dilate)
 
 
 class TestCubePool:
@@ -550,7 +571,7 @@ def _prefix(a):
 
 
 def _cz_by_stack(f, rho):
-    """CZ selection by a stack descent over `Cube.children`, one cube at a
+    """CZ selection by a stack descent over `_children`, one cube at a
     time: (sorted cubes, good values, bad values)."""
     n, N = f.n, f.ncells
     c = _prefix(np.abs(f.values))
@@ -576,7 +597,7 @@ def _cz_by_stack(f, rho):
         cube = stack.pop()
         if cube.generation >= gmax:
             continue
-        for ch in cube.children():
+        for ch in _children(cube):
             m = mean_abs(ch)
             if m > rho:
                 selected.append(ch)
@@ -628,7 +649,7 @@ def _walk_input(rng, n, N, kind):
 class TestGenerationWalk:
     """CZ, the share selection, the cube pool and the dyadic maximal
     function walk the tree one generation at a time; each is gated here by
-    a per-cube descent over `Cube.children`."""
+    a per-cube descent over `_children`."""
 
     @given(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=6),
            st.sampled_from(["noise", "ints", "zeros"]),
@@ -683,7 +704,7 @@ class TestGenerationWalk:
             i = rng.integers(0, N)
             e_mask[i:i + rng.integers(1, N // 2 + 2)] = False
         c = _prefix(e_mask.astype(float))
-        sel, stack = [], list(node.children())
+        sel, stack = [], _children(node)
         while stack:
             q = stack.pop()
             cnt, cells = int(round(_block_sum(c, q.cell_range(f)))), q.ncells_inside(f)
@@ -692,7 +713,7 @@ class TestGenerationWalk:
             if Fraction(cnt, cells) > Fraction(1, 2 ** (n + 1)):
                 sel.append(q)
             elif q.generation < gmax:
-                stack.extend(q.children())
+                stack.extend(_children(q))
         assert sorted(_share_cubes(f, e_mask, node)) == sorted(sel)
 
     @pytest.mark.parametrize("n, N", [(1, 2), (1, 64), (2, 2), (2, 16)])
@@ -715,7 +736,7 @@ class TestGenerationWalk:
                     continue
                 want += [q.box(), q.box().dilate(3.0)]
                 if q.generation < gmax:
-                    stack.extend(q.children())
+                    stack.extend(_children(q))
             assert Counter(dyadic_cube_pool(root, f)) == Counter(want), root
 
     def test_pool_refuses_other_lattices(self):
@@ -1078,7 +1099,7 @@ class TestSparsePlanReuse:
         assert len(inits) == 1 and profiles and grams.count(True) <= 1
         for seen in (inits, grams, profiles):
             seen.clear()
-        again = sparse_construct(k, fs[0], q0, 1.0, cone.with_alpha(1.0))
+        again = sparse_construct(k, fs[0], q0, 1.0, self._layout(n)[3])
         assert (inits, profiles, grams.count(True)) == ([], [], 0)
         assert _family_key(again) == _family_key(first[0])
 
@@ -1091,10 +1112,12 @@ class TestSparsePlanReuse:
         f = GridFunction(n, R, h, np.zeros((N,) * n))
         ev = SquareEvaluator.of(k, f, cone)
         assert ev is not None
-        assert SquareEvaluator.of(k, f.with_values(np.ones((N,) * n)), cone.with_alpha(1.0),
+        equal = build_cone(1.0, n, h, 2 * h, 2 * R, 4)
+        assert equal is not cone
+        assert SquareEvaluator.of(k, f.with_values(np.ones((N,) * n)), equal,
                                   method="auto") is ev
         wide = GridFunction(n, 2 * R, h, np.zeros((2 * N,) * n))
-        for other in (lambda: SquareEvaluator.of(k, f, cone.with_alpha(2.0)),
+        for other in (lambda: SquareEvaluator.of(k, f, build_cone(2.0, n, h, 2 * h, 2 * R, 4)),
                       lambda: SquareEvaluator.of(k, f, build_cone(1.0, n, h, 2 * h, 2 * R, 2)),
                       lambda: SquareEvaluator.of(k, f, build_cone(1.0, n, h, h, 2 * R, 4)),
                       lambda: SquareEvaluator.of(k, wide, build_cone(1.0, n, h, 2 * h, 4 * R, 4)),

@@ -180,22 +180,9 @@ class TestCone:
 
     def test_aperture_monotone(self):
         c1 = build_cone(1.0, 1, 0.25, 0.5, 8.0, 4)
-        c2 = c1.with_alpha(2.0)
+        c2 = build_cone(2.0, 1, 0.25, 0.5, 8.0, 4)
         for j in range(len(c1.t_levels)):
             assert set(c1.stencil(j).tolist()) <= set(c2.stencil(j).tolist())
-
-    def test_with_alpha_keeps_levels_and_weight(self):
-        for q in (1, 3, 4):
-            c1 = build_cone(1.0, 1, 0.25, 0.5, 8.0, q, max_radius=6.0)
-            c2 = c1.with_alpha(3.0)
-            ref = build_cone(3.0, 1, 0.25, 0.5, 8.0, q, max_radius=6.0)
-            assert c2.t_levels is c1.t_levels
-            assert c2.log_weight == c1.log_weight == ref.log_weight
-            assert (c2.alpha, c2.max_radius) == (3.0, 6.0)
-            assert all(np.array_equal(c2.stencil(j), ref.stencil(j))
-                       for j in range(len(ref.t_levels)))
-        with pytest.raises(ParameterError):
-            c1.with_alpha(0.5)
 
     def test_cardinality(self):
         c = _one_level(4.0, 1, 64.0)

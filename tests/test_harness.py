@@ -21,9 +21,9 @@ class TestFitReport:
     def test_self_verifying(self):
         rep = FitReport("demo", fitted={"x": 2.0})
         rep.tolerances["x"] = (2.0, 0.1)
-        assert rep.passed
+        assert rep.check_items() == [("x", True)]
         rep.fitted["x"] = 2.2
-        assert not rep.passed  # recomputed from stored values
+        assert rep.check_items() == [("x", False)]  # recomputed from stored values
 
     def test_rows_contain_pass_flags(self):
         rep = FitReport("demo", fitted={"x": 1.0})
@@ -88,13 +88,13 @@ class TestApertureScaling:
     def test_l2_alpha4(self, ex1, gauss_grid, cone_default):
         rep = aperture_scaling_check(ex1, gauss_grid, [4.0], "l2", cone_default)
         assert rep.fitted["ratio_alpha_4"] == pytest.approx(4.0, rel=0.05)
-        assert rep.passed
+        assert all(ok for _, ok in rep.check_items())
 
     def test_weak_exponent_bounded(self, ex1, gauss_grid, cone_default):
         rep = aperture_scaling_check(ex1, gauss_grid, [1.0, 2.0, 4.0, 8.0], "weak",
                                      cone_default)
         assert rep.fitted["exponent"] <= 1.5
-        assert rep.passed
+        assert all(ok for _, ok in rep.check_items())
 
 
 class TestWeightedNorm:

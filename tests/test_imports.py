@@ -9,12 +9,15 @@ annotation, quoted annotations included) or lists it in ``__all__``.  The
 relative imports of a package ``__init__`` are its exports.  Import lines
 marked ``# noqa`` are skipped.
 
-A module-level function or class, or a method other than a dunder, is
-reached when some file of src/lpsq or perfbench names it: as a name, as an
-attribute, or as a dotted part of a string constant outside ``__all__``
-(perfbench's span table names its targets as strings).  ``__all__`` and
-the package ``__init__``'s re-exports do not count, so a name only tests
-call is unreached.
+A module-level function or class is reached when some file of src/lpsq
+or perfbench names it: as a name, as an attribute, or as a dotted part of a
+string constant outside ``__all__`` (perfbench's span table names its
+targets as strings).  A method other than a dunder is reached only when
+some such file loads it as an attribute or names it in a string constant
+with a dot, such as ``"SquareEvaluator.eval_values"``: a local variable
+or a plain string of the same name does not count.  ``__all__`` and the
+package ``__init__``'s re-exports do not count, so a name only tests call
+is unreached.
 
 A field of a ``@dataclass`` in src/lpsq is read when some file of src/lpsq
 or perfbench loads it as an attribute or names it as a dotted part of a
@@ -191,46 +194,55 @@ def test_campaigns_load_no_heavy_scipy_module(tmp_path):
 
 
 def _definitions(tree):
-    """(line, name) of the module-level functions and classes and of the
-    non-dunder methods of module-level classes."""
+    """(line, name, is a method) of the module-level functions and classes
+    and of the non-dunder methods of module-level classes."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, funcs + (ast.ClassDef,)):
-            yield node.lineno, node.name
+            yield node.lineno, node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, funcs) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    yield item.lineno, item.name
+                    yield item.lineno, item.name, True
 
 
-def _references(tree) -> set:
-    """Names, attributes and the dotted parts of string constants outside
-    ``__all__``."""
+def _references(tree) -> tuple:
+    """(refs, attrs): the names, attributes and parts of string constants
+    outside ``__all__``, which reach a module-level definition; and the
+    attributes loaded and the parts of string constants with a dot outside
+    ``__all__``, which reach a method."""
     exported = set()
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             exported.update(map(id, ast.walk(node.value)))
-    refs = set()
+    refs, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in exported):
-            refs.update(node.value.split("."))
-    return refs
+            parts = node.value.split(".")
+            refs.update(parts)
+            if len(parts) > 1:
+                attrs.update(parts)
+    return refs, attrs
 
 
 def _unreached_definitions(sources, readers, allowed=()) -> list:
     """The definitions in the files ``sources`` that no file of ``readers``
-    names, other than ``allowed``."""
-    refs = set().union(*(_references(ast.parse(p.read_text())) for p in readers))
+    reaches, other than ``allowed``."""
+    found = [_references(ast.parse(p.read_text())) for p in readers]
+    refs = set().union(*(r for r, _ in found))
+    attrs = set().union(*(a for _, a in found))
     return [f"{p.name}:{line}: {name}" for p in sources
-            for line, name in _definitions(ast.parse(p.read_text()))
-            if name not in refs and name not in allowed]
+            for line, name, method in _definitions(ast.parse(p.read_text()))
+            if name not in (attrs if method else refs) and name not in allowed]
 
 
 def test_every_definition_is_reached():
@@ -253,6 +265,21 @@ def test_checker_finds_an_unreached_definition(tmp_path):
                  "x = Used()\n")
     assert _unreached_definitions([p], [p], {"kept"}) == [
         "mod.py:3: unused", "mod.py:19: orphan"]
+
+
+def test_checker_reaches_a_method_only_by_attribute(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text("class C:\n"
+                 "    def by_attr(self):\n        pass\n\n"
+                 "    def by_dotted(self):\n        pass\n\n"
+                 "    def by_local(self):\n        pass\n\n"
+                 "    def by_word(self):\n        pass\n\n"
+                 "def by_local_fn():\n    pass\n\n"
+                 "by_local = 1\n"
+                 "by_local_fn = 2\n"
+                 "C().by_attr()\n"
+                 "TARGETS = ['C.by_dotted', 'by_word']\n")
+    assert _unreached_definitions([p], [p]) == ["mod.py:8: by_local", "mod.py:11: by_word"]
 
 
 def _dataclass_fields(tree):

@@ -575,7 +575,7 @@ class TestLernerBatched:
             root = Cube(f.n, 1, (0,) * f.n, "standard", 2 * f.R)
             pool = dyadic_cube_pool(root, f)
             masked = f.with_values(f.values * (f.values > 0))
-            child = root.children()[0]
+            child = Cube(f.n, 2, (0,) * f.n, "standard", 2 * f.R)
             for m in (None, "direct"):
                 lerner_maximal(k, f, cone, "M_S", dyadic_cube_pool(child, f),
                                method=m, domain=child.box())
