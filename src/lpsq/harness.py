@@ -17,7 +17,7 @@ import numpy as np
 from .errors import GridError, ParameterError
 from .grids import ConeGrid, GridFunction
 from .kernels import KernelSpec
-from .operators import _cone_levels, square_function, square_function_multi
+from .operators import _cone_levels, _operands, square_function, square_function_multi
 from .weights import WeightVector
 
 __all__ = [
@@ -120,13 +120,15 @@ def aperture_scaling_check(
     from peak/200 to the peak, the max of S_a f over the apertures.  The
     output lattice is padded by one cell past the stencil of the top level
     at the widest aperture (its `_cone_levels` radius, alpha_max t_max or
-    the cone's max_radius), so every cone section is fully counted.
+    the cone's max_radius), so every cone section is fully counted.  A
+    pair's weak profile takes ||f1||_1 ||f2||_1 and the exponent 1/2.
     """
-    base = f[0] if isinstance(f, (tuple, list)) else f
+    fs = _operands(k, f, cone)
+    base = fs[0]
     alphas = cone.apertures(alphas)
     want = sorted(set(alphas) | {1.0})
     out_R = base.R + (_cone_levels(base, cone, max(want))[-1].K + 1) * base.h
-    ss = square_function_multi(k, f, cone, want, out_R=out_R, method=method)
+    ss = square_function_multi(k, fs, cone, want, out_R=out_R, method=method)
     rep = FitReport(f"aperture_{norm}")
     if norm == "l2":
         n1 = ss[1.0].norm_l2() ** 2
@@ -138,10 +140,8 @@ def aperture_scaling_check(
     if norm == "weak":
         peak = max(ss[a].norm_linf() for a in alphas)
         rho_grid = np.geomspace(peak / 200.0, peak, 24)
-        fnorm = base.norm_l1() if not isinstance(f, (tuple, list)) else (
-            f[0].norm_l1() * f[1].norm_l1()
-        )
-        expo = 1.0 if not isinstance(f, (tuple, list)) else 0.5
+        fnorm = math.prod(g.norm_l1() for g in fs)
+        expo = 1 / len(fs)
         sups = []
         for a in alphas:
             p = weak_type_profile(ss[a], fnorm, expo, rho_grid)
@@ -166,11 +166,11 @@ def weighted_norm_check(
     """||S_alpha f||_{L^p(nu)} / prod ||f_i||_{L^{p_i}(w_i)} (finiteness
     only), alpha the cone's.  S is on f's lattice, so every input must be
     on the weights' grid (`GridError` otherwise, before S is taken)."""
-    fs = list(f) if isinstance(f, (tuple, list)) else [f]
+    fs = _operands(k, f, cone)
     nu = wv.nu()
     if not all(gf.same_grid(nu) for gf in fs):
         raise GridError("weighted norm: inputs and weights are on different grids")
-    s = square_function(k, f if len(fs) > 1 else fs[0], cone, method=method)
+    s = square_function(k, fs, cone, method=method)
     lhs = s.norm_lp(wv.p, weight=nu.values)
     rhs = 1.0
     for gf, w, pi in zip(fs, wv.weights, wv.exponents):

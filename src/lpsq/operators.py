@@ -6,6 +6,12 @@ the polynomially weighted full half-space, and the maximal operators
 (Hardy-Littlewood and dyadic, and the localized square-function operator
 M_S of the sparse construction) run over grid-aligned cubes.
 
+Every entry point first reads its inputs through one gate, `_operands`: a
+grid function, or the pair (f1, f2) of a bilinear kernel, as a tuple of k.m
+inputs.  Before any work it refuses, each by a named error, a wrong number
+of inputs, inputs on different grids or of another dimension than the
+kernel, and a cone of another spacing or dimension than the grid.
+
 S, g* and the `SquareEvaluator` read one level table, `_cone_levels`: per
 cone level its t, its radius min(alpha t, max_radius), the pad K of the
 psi_t lattice, the stencil rows and the measure (h/t)^n ln r per stored
@@ -124,34 +130,33 @@ def _resolve_method(k: KernelSpec, method: str | None) -> str:
 def _out_centers(f: GridFunction, out_R: float | None):
     R_out = f.R if out_R is None else float(out_R)
     pad = (R_out - f.R) / f.h
-    pad_cells = int(round(pad))
+    pad_cells = int(round(pad)) if math.isfinite(pad) else -1
     if pad_cells < 0 or abs(pad - pad_cells) > 1e-9:
-        raise GridError("out_R must extend the box by a whole number of cells")
+        raise GridError(f"out_R must be finite and extend the box by whole cells, got {out_R}")
     M = f.ncells + 2 * pad_cells
     centers = -R_out + (np.arange(M) + 0.5) * f.h
     return R_out, M, centers
 
 
-def _as_pair(f):
-    if isinstance(f, (tuple, list)):
-        if len(f) != 2:
-            raise ParameterError("bilinear operators take a pair of inputs")
-        f1, f2 = f
-        if not f1.same_grid(f2):
-            raise GridError("bilinear inputs must share one grid")
-        return f1, f2
-    return None
-
-
-def _pair_method(k: KernelSpec, pair, method: str | None) -> str:
-    """Resolved method of a bilinear evaluation on a pair of inputs."""
-    if k.kind != "bilinear":
-        raise ParameterError("pair input needs a bilinear kernel")
-    if pair[0].n != k.n:
+def _operands(k: KernelSpec, f, cone: ConeGrid | None = None) -> tuple:
+    """The inputs of an operator with kernel k as a tuple of k.m grid
+    functions, (f,) or (f1, f2); a tuple of one is accepted for f.  Checks
+    the count and the bilinear n = 1 (`ParameterError`), one shared grid,
+    the kernel's dimension and the cone's spacing and n (`GridError`)."""
+    fs = tuple(f) if isinstance(f, (tuple, list)) else (f,)
+    if len(fs) != k.m:
+        raise ParameterError(f"a {k.kind} kernel takes {k.m} input(s), got {len(fs)}")
+    if not all(fs[0].same_grid(g) for g in fs[1:]):
+        raise GridError("the inputs must share one grid")
+    if fs[0].n != k.n:
         raise GridError("kernel and grid dimensions differ")
-    if k.n != 1:
+    if k.m == 2 and k.n != 1:
         raise ParameterError("bilinear evaluation is implemented for n = 1")
-    return _resolve_method(k, method)
+    if cone is not None and cone.h != fs[0].h:
+        raise GridError("cone and grid spacing differ")
+    if cone is not None and cone.n != fs[0].n:
+        raise GridError("cone and grid dimensions differ")
+    return fs
 
 
 def psi_t_apply(
@@ -161,25 +166,20 @@ def psi_t_apply(
     out_R: float | None = None,
     method: str | None = None,
 ) -> GridFunction:
-    """psi_t applied to f (or to a pair for bilinear kernels).
+    """psi_t applied to f (or to a pair for bilinear kernels) as read by
+    `_operands`, for finite t > 0 and an out_R past f's box by whole cells.
 
     Midpoint rule over the input lattice, evaluated at the output cell
     centers; prefactor 1/t^{n m} with the kernel arguments scaled by 1/t.
     """
-    if t <= 0:
-        raise ParameterError("t must be positive")
-    pair = _as_pair(f)
-    if pair is not None:
-        if _pair_method(k, pair, method) == "fft":
-            return _psi_t_bilinear_fft(k, *pair, [(t, out_R)])[0]
-        return _psi_t_bilinear(k, *pair, t, out_R)
-    if k.kind == "bilinear":
-        raise ParameterError("bilinear kernel needs a pair of inputs")
-    if f.n != k.n:
-        raise GridError("kernel and grid dimensions differ")
-    if _resolve_method(k, method) == "fft":
-        return _psi_t_conv_fft(k, f, t, out_R)
-    return _psi_t_direct(k, f, t, out_R)
+    fs = _operands(k, f)
+    if not (math.isfinite(t) and t > 0):
+        raise ParameterError(f"t must be finite and positive, got {t}")
+    fast = _resolve_method(k, method) == "fft"
+    if len(fs) == 2:
+        return (_psi_t_bilinear_fft(k, *fs, [(t, out_R)])[0] if fast
+                else _psi_t_bilinear(k, *fs, t, out_R))
+    return (_psi_t_conv_fft if fast else _psi_t_direct)(k, fs[0], t, out_R)
 
 
 def _psi_t_direct(k, f, t, out_R):
@@ -415,16 +415,16 @@ def _cone_levels(template: GridFunction, cone: ConeGrid, alpha: float) -> list:
     return out
 
 
-def _psi_levels(k, f, levels: list, R_out: float, method):
-    """Yield (level, u) per `_Level`, u the psi_t f values on the lattice of
-    half-width R_out padded by the level's K cells: the contract of
-    `SquareEvaluator.level_values`."""
-    pair = _as_pair(f)
-    base = pair[0] if pair else f
-    outs = [(lv.t, R_out + lv.K * base.h) for lv in levels]
+def _psi_levels(k, fs: tuple, levels: list, R_out: float, method):
+    """Yield (level, u) per `_Level`, u the psi_t values of the `_operands`
+    tuple fs on the lattice of half-width R_out padded by the level's K
+    cells: the contract of `SquareEvaluator.level_values`."""
+    outs = [(lv.t, R_out + lv.K * fs[0].h) for lv in levels]
     # one pass over the offset rows serves every level of a bilinear pair
-    us = (_psi_t_bilinear_fft(k, *pair, outs)
-          if pair is not None and _pair_method(k, pair, method) == "fft" else None)
+    us = (_psi_t_bilinear_fft(k, *fs, outs)
+          if len(fs) == 2 and _resolve_method(k, method) == "fft" else None)
+    # a single input goes bare: perfbench's span table reads a tuple as a pair
+    f = fs if len(fs) == 2 else fs[0]
     for j, (lv, (t, R_ext)) in enumerate(zip(levels, outs)):
         u = us[j] if us else psi_t_apply(k, f, t, out_R=R_ext, method=method)
         yield lv, u.values
@@ -440,30 +440,32 @@ def square_function_multi(
 ) -> dict:
     """S_alpha f for several apertures, sharing the psi_t evaluations.
 
+    The inputs pass `_operands`; out_R pads as for psi_t (`_out_centers`).
     The levels are the cone's `_cone_levels` at the widest aperture, whose
     pad K every aperture shares; each aperture sums over its own stencil
-    |offset| < min(alpha t, max_radius) with the level's measure.  The list
+    |offset| < min(alpha t, max_radius) with the level's measure.  Per
+    level, the apertures of one such radius share one window sum.  The list
     must pass `ConeGrid.apertures`.
     """
-    pair = _as_pair(f)
-    base = pair[0] if pair else f
-    if base.h != cone.h:
-        raise GridError("cone and grid spacing differ")
-    n = base.n
-    R_out = base.R if out_R is None else float(out_R)
-    M = int(round(2.0 * R_out / base.h))
+    fs = _operands(k, f, cone)
+    base = fs[0]
+    n, h = base.n, base.h
+    R_out, M, _ = _out_centers(base, out_R)
     alphas = cone.apertures(alphas)
     acc = {a: np.zeros((M,) * n) for a in alphas}
     widest = max(alphas)
-    for lv, u in _psi_levels(k, f, _cone_levels(base, cone, widest), R_out, method):
+    for lv, u in _psi_levels(k, fs, _cone_levels(base, cone, widest), R_out, method):
         c = _row_cumsum(u**2, n)  # all apertures pad by the same K
+        by_radius = {}
         for a in alphas:
-            rows = lv.rows if a == widest else _window_rows(
-                _disc_rows(min(a * lv.t, cone.max_radius) / base.h, n), lv.K)
-            acc[a] += lv.meas * _row_differences(c, rows)
-    return {
-        a: GridFunction(n, R_out, base.h, np.sqrt(acc[a])) for a in alphas
-    }
+            by_radius.setdefault(min(a * lv.t, cone.max_radius), []).append(a)
+        for radius, group in by_radius.items():
+            rows = (lv.rows if radius == lv.radius
+                    else _window_rows(_disc_rows(radius / h, n), lv.K))
+            term = lv.meas * _row_differences(c, rows)
+            for a in group:
+                acc[a] += term
+    return {a: GridFunction(n, R_out, h, np.sqrt(acc[a])) for a in alphas}
 
 
 def square_function(
@@ -481,29 +483,26 @@ def square_function_at(k: KernelSpec, f, x, cone: ConeGrid) -> float:
     """Direct triple-sum evaluation of S f at one point (oracle path).
 
     Loops over stored cone points and input cells explicitly; independent
-    of the window-sum/FFT machinery.
+    of the window-sum/FFT machinery.  x has one coordinate per dimension.
     """
-    pair = _as_pair(f)
-    base = pair[0] if pair else f
+    fs = _operands(k, f, cone)
+    base = fs[0]
     n = base.n
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (n,):
+        raise ParameterError(f"the point needs {n} coordinate(s), got shape {x.shape}")
     total = 0.0
     for j, t in enumerate(cone.t_levels):
         t = float(t)
-        offs = cone.stencil(j)
-        if n == 1 and pair is None:
-            ys = x[0] + offs * base.h
+        ys = x + cone.stencil(j).reshape(-1, n) * base.h  # (points, n)
+        if len(fs) == 2:
+            vals = np.array([_psi_t_bilinear_point(k, *fs, t, y) for y in ys[:, 0]])
+        elif n == 1:
             Z = base.axis_centers()
             nz = np.flatnonzero(base.values)
-            mat = k.two_point(ys[:, None] / t, Z[nz][None, :] / t)
+            mat = k.two_point(ys / t, Z[nz][None, :] / t)
             vals = (mat @ base.values[nz]) * base.h / t
-        elif n == 1:
-            ys = x[0] + offs * base.h
-            vals = np.array(
-                [_psi_t_bilinear_point(k, pair[0], pair[1], t, y) for y in ys]
-            )
         else:
-            ys = x[None, :] + offs * base.h
             vals = np.array([_psi_t_point(k, base, t, y) for y in ys])
         total += float(np.sum(vals**2)) * base.h**n / t**n * cone.log_weight
     return math.sqrt(total)
@@ -573,10 +572,10 @@ class SquareEvaluator:
     transcendental sampling) and keeps their spectra, in n = 1 and n = 2;
     each eval costs one forward FFT per distinct FFT size (`_fft_len` of
     the linear convolution) and one inverse FFT per level.  The constructor
-    refuses a cone whose spacing, or a kernel whose dimension, differs from
-    the template's (`GridError`, as square_function), and any other kind of
-    kernel (`ParameterError`); `of` returns None for those and for method
-    "direct".
+    refuses any other kind of kernel (`ParameterError`), then reads the
+    template through `_operands`, as square_function does: a cone or kernel
+    of another spacing or dimension is a `GridError`.  `of` returns None
+    for the other kernel kinds and for method "direct".
 
     The batched Lerner path (`_lerner_batched`) takes from it S f^2
     (`square_sum`), the level window sums (`cone_sum`), the Gram cutoff
@@ -601,12 +600,9 @@ class SquareEvaluator:
     """
 
     def __init__(self, k, template: GridFunction, cone: ConeGrid):
-        if template.h != cone.h:
-            raise GridError("cone and grid spacing differ")
-        if template.n != k.n:
-            raise GridError("kernel and grid dimensions differ")
         if k.kind != "convolution":
             raise ParameterError("the evaluator takes a convolution kernel")
+        _operands(k, template, cone)
         self.k = k
         self.template = template
         n = template.n
@@ -789,14 +785,14 @@ def g_star(
     products of levels with the same K are summed in frequency space and
     take one irfftn.
     """
+    fs = _operands(k, f, halfspace)
     _check_lambda(k, lam)
-    pair = _as_pair(f)
-    base = pair[0] if pair else f
+    base = fs[0]
     n, h, M = base.n, base.h, base.ncells
     axes = tuple(range(n))
     specs = {}  # K -> summed spectrum of the level weight sums
     levels = _cone_levels(base, halfspace, halfspace.alpha)
-    for lv, u in _psi_levels(k, f, levels, base.R, method):
+    for lv, u in _psi_levels(k, fs, levels, base.R, method):
         t, K = lv.t, lv.K
         P = (_fft_len(M + 2 * K),) * n
         g1 = np.arange(-K, K + 1)
@@ -841,18 +837,16 @@ def g_star_cascade_bound(
     infinite ``max_radius`` the aperture 2^9 would pad each level by about
     2^9 t / h cells, so that is a `ParameterError`.
     """
+    fs = _operands(k, f, halfspace)
     _check_lambda(k, lam)
     if not math.isfinite(halfspace.max_radius):
         raise ParameterError("cascade needs a capped half-space, see build_halfspace")
-    pair = _as_pair(f)
-    base = pair[0] if pair else f
-    n = base.n
     alphas = [2.0 ** (i + 1) for i in range(_CASCADE_TERMS)]
-    terms = square_function_multi(k, f, halfspace, alphas, method=method)
+    terms = square_function_multi(k, fs, halfspace, alphas, method=method)
     vals = sum(
-        2.0 ** (-i * lam * n / 2.0) * terms[a].values for i, a in enumerate(alphas)
+        2.0 ** (-i * lam * fs[0].n / 2.0) * terms[a].values for i, a in enumerate(alphas)
     )
-    return base.with_values(vals), terms
+    return fs[0].with_values(vals), terms
 
 
 # ---------------------------------------------------------------------------
@@ -1213,15 +1207,15 @@ def lerner_maximal(
     share its kernel spectra, Gram table and block spectra.  Anything else
     takes `_lerner_pool_loop`, one S per pool cube.
     """
+    fs = _operands(k, f, cone)
     if variant != "M_S":
         raise ParameterError(f"unknown variant {variant!r}; M_S is the one localized operator")
     if not cube_pool:
         raise CoverageError("empty cube pool")
-    pair = _as_pair(f)
-    base = pair[0] if pair else f
-    ev = None if pair is not None else SquareEvaluator.of(k, base, cone, method=method)
+    base = fs[0]
+    ev = SquareEvaluator.of(k, base, cone, method=method)
     out = (_lerner_batched(ev, base, cube_pool) if ev is not None
-           else _lerner_pool_loop(k, f, cone, cube_pool, method))
+           else _lerner_pool_loop(k, fs, cone, cube_pool, method))
     dom = _box_mask(base, base.box() if domain is None else domain).astype(bool)
     uncovered = np.argwhere(dom & (out == -np.inf))
     if uncovered.size:
@@ -1236,12 +1230,11 @@ def lerner_maximal(
 def _lerner_pool_loop(k, f, cone, cube_pool, method) -> np.ndarray:
     """M_S with one `square_function` call per pool cube, for a single
     input and a pair alike: the oracle of `_lerner_batched`."""
-    pair = _as_pair(f)
-    fs = pair or (f,)
+    fs = _operands(k, f, cone)
 
     def s_of(values):
         masked = tuple(g.with_values(v) for g, v in zip(fs, values))
-        return square_function(k, masked if pair else masked[0], cone, method=method).values
+        return square_function(k, masked, cone, method=method).values
 
     s_full2 = s_of([g.values for g in fs]) ** 2
     out = np.full(fs[0].values.shape, -np.inf)

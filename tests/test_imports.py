@@ -486,3 +486,48 @@ def test_checker_finds_an_unset_default(tmp_path):
                  "C().make(**{})\n")
     assert _unset_defaults([p], [p], {"f(kept)"}) == [
         "mod.py:1: f(c)", "mod.py:1: f(e)", "mod.py:8: C.__init__(v)"]
+
+
+# operator inputs pass one gate, which alone tells a single input from a
+# tuple of them; sparse_construct keeps its own refusal of pairs, and
+# sparse_rhs_eval takes no kernel to gate by
+OPERAND_GATE = ("operators.py", "_operands")
+TUPLE_TESTS_OK = {("dyadic.py", "sparse_construct"), ("dyadic.py", "sparse_rhs_eval")}
+
+
+def _tuple_tests(path: pathlib.Path, allowed=()) -> list:
+    """The ``isinstance`` calls whose classes are a tuple naming ``tuple``
+    or ``list``, named by the innermost enclosing function, other than
+    those of the (file, function) pairs in ``allowed``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, _FUNCS) else func
+            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
+                    and len(child.args) == 2 and isinstance(child.args[1], ast.Tuple)
+                    and {"tuple", "list"} & {getattr(e, "id", None)
+                                             for e in child.args[1].elts}):
+                found.append((child.lineno, func))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return [f"{path.name}:{line}: {func}" for line, func in found
+            if (path.name, func) not in allowed]
+
+
+def test_operand_gate_is_the_only_tuple_test():
+    allowed = TUPLE_TESTS_OK | {OPERAND_GATE}
+    assert [r for p in sorted(SRC.glob("*.py")) for r in _tuple_tests(p, allowed)] == []
+
+
+def test_checker_finds_a_tuple_test(tmp_path):
+    p = tmp_path / "operators.py"
+    p.write_text("def _operands(k, f):\n    return isinstance(f, (tuple, list))\n\n"
+                 "def psi(f):\n    return isinstance(f, (list, tuple))\n\n"
+                 "class E:\n    def m(self, f):\n"
+                 "        def inner():\n            return isinstance(f, (int, tuple))\n"
+                 "        return isinstance(f, tuple) or isinstance(f, (int, float))\n\n"
+                 "ok = isinstance(0, (tuple,))\n")
+    assert _tuple_tests(p, {OPERAND_GATE}) == [
+        "operators.py:5: psi", "operators.py:10: inner", "operators.py:13: <module>"]

@@ -1256,6 +1256,61 @@ class TestGStarGate:
         assert np.max(ratio) <= 1.0 + 1e-10
 
 
+def _gate_call(case: str):
+    """The call of one malformed-input case of `TestOperandGate`."""
+    k1, k2 = parse_kernel("ex1:kappa=3", 1), parse_kernel("ex1:kappa=3", 2)
+    kb = bilinear_example_kernel(3.0, 1)
+    h = 0.25
+    f = sample_function(lambda x: np.exp(-(x**2)), 1, 2.0, h)
+    g = sample_function(lambda x, y: np.exp(-(x**2) - y**2), 2, 1.0, h)
+    cone1, cone2 = build_cone(1.0, 1, h, 2 * h, 4.0, 2), build_cone(1.0, 2, h, 2 * h, 2.0, 2)
+    coarse1 = build_cone(1.0, 1, 2 * h, 4 * h, 4.0, 2)
+    coarse2 = build_cone(1.0, 2, 2 * h, 4 * h, 2.0, 2)
+    return {
+        "S_at-linear-pair-1d": lambda: square_function_at(k1, (f, f), 0.0, cone1),
+        "S_at-linear-pair-2d": lambda: square_function_at(k2, (g, g), [0.0, 0.0], cone2),
+        "S_at-point-length": lambda: square_function_at(k1, f, [0.0, 1.0], cone1),
+        "S_at-pair-cone-spacing": lambda: square_function_at(kb, (f, f), 0.0, coarse1),
+        "S_at-2d-cone-spacing": lambda: square_function_at(k2, g, [0.0, 0.0], coarse2),
+        "g_star-halfspace-spacing": lambda: g_star(
+            k1, f, 3.0, build_halfspace(1, 2 * h, 4 * h, 4.0, 2, 2.0)),
+        "S-cone-n2": lambda: square_function(k1, f, build_cone(1.0, 2, h, 2 * h, 4.0, 2)),
+        "S_at-kernel-2d-on-1d": lambda: square_function_at(k2, f, 0.0, cone1),
+        "psi-t-nan": lambda: psi_t_apply(k1, f, math.nan),
+        "psi-t-inf": lambda: psi_t_apply(k1, f, math.inf),
+        "psi-out_R-nan": lambda: psi_t_apply(k1, f, 1.0, out_R=math.nan),
+        "psi-out_R-inf": lambda: psi_t_apply(k1, f, 1.0, out_R=math.inf),
+        "S_multi-out_R-nan": lambda: square_function_multi(k1, f, cone1, [1.0], out_R=math.nan),
+        "S_multi-out_R-inf": lambda: square_function_multi(k1, f, cone1, [1.0], out_R=math.inf),
+    }[case]
+
+
+class TestOperandGate:
+    """Malformed inputs fail with a named error before any work: the
+    number of inputs, the point, the cone's spacing and dimension, the
+    kernel's dimension, t and out_R."""
+
+    @pytest.mark.parametrize("case, error, match", [
+        ("S_at-linear-pair-1d", ParameterError, "takes 1 input"),
+        ("S_at-linear-pair-2d", ParameterError, "takes 1 input"),
+        ("S_at-point-length", ParameterError, "coordinate"),
+        ("S_at-pair-cone-spacing", GridError, "spacing"),
+        ("S_at-2d-cone-spacing", GridError, "spacing"),
+        ("g_star-halfspace-spacing", GridError, "spacing"),
+        ("S-cone-n2", GridError, "cone and grid dimensions"),
+        ("S_at-kernel-2d-on-1d", GridError, "kernel and grid dimensions"),
+        ("psi-t-nan", ParameterError, "finite and positive"),
+        ("psi-t-inf", ParameterError, "finite and positive"),
+        ("psi-out_R-nan", GridError, "out_R must be finite"),
+        ("psi-out_R-inf", GridError, "out_R must be finite"),
+        ("S_multi-out_R-nan", GridError, "out_R must be finite"),
+        ("S_multi-out_R-inf", GridError, "out_R must be finite"),
+    ])
+    def test_malformed_input_is_a_named_error(self, case, error, match):
+        with pytest.raises(error, match=match):
+            _gate_call(case)()
+
+
 def _hl_input(rng, N: int, kind: str) -> np.ndarray:
     """Constant input, or noise or zeros with zero runs and signed spikes."""
     if kind == "const":
