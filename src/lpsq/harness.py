@@ -165,8 +165,12 @@ def weighted_norm_check(
 ) -> FitReport:
     """||S_alpha f||_{L^p(nu)} / prod ||f_i||_{L^{p_i}(w_i)} (finiteness
     only), alpha the cone's.  S is on f's lattice, so every input must be
-    on the weights' grid (`GridError` otherwise, before S is taken)."""
+    on the weights' grid (`GridError` otherwise, before S is taken), and
+    there must be one weight per input (`ParameterError`)."""
     fs = _operands(k, f, cone)
+    if len(wv.weights) != len(fs):
+        raise ParameterError(
+            f"weighted norm: {len(fs)} input(s) need as many weights, got {len(wv.weights)}")
     nu = wv.nu()
     if not all(gf.same_grid(nu) for gf in fs):
         raise GridError("weighted norm: inputs and weights are on different grids")

@@ -26,9 +26,14 @@ box, while psi_t values are computed honestly wherever the output needs them.
 Kernels with a profile have an FFT fast path, which the per-call ``method``
 "auto" takes; "direct" forces the direct-summation path (the oracle gate
 compares the two), and any other method is a `ParameterError`.  Every
-full-grid linear convolution (psi_t, the `SquareEvaluator` levels, g*'s
-weight sum) is a circular convolution by numpy's rfftn / irfftn of one
-length rule, `_fft_len`: the least 2^a 3^b 5^c that holds it.  Two paths
+full-grid linear convolution (psi_t, the cone levels, g*'s weight sum) is
+a circular convolution by numpy's rfftn / irfftn of one length rule,
+`_fft_len`: the least 2^a 3^b 5^c that holds it.  A single input's cone
+levels on a convolution kernel are one stream, `_level_values`: one rfftn
+of the input per distinct length, one irfftn per level.  The
+`SquareEvaluator` and one-shot g* read it; one-shot S still takes one
+`psi_t_apply` per level (`_psi_levels`), as perfbench's span table counts
+one psi_t call per level of `square_function`.  Two paths
 keep powers of two: the Lerner local-window blocks, on which the Gram
 cutoff `_gram_s_max` is tuned, and the bilinear diagonal sums, whose input
 spectra serve every level of one length, and powers of two leave the
@@ -48,7 +53,10 @@ fast path; `lerner_maximal` and `sparse_construct` take theirs from it, so
 a layout's kernels are sampled and transformed once per kernel object.
 
 g* sums, per level, the weight times |psi_t f|^2 over the offsets as a
-product of spectra; levels of one stencil radius share one irfftn.  The
+product of spectra, its offset geometry taken once per (K, radius);
+levels of one pad K share one irfftn.  It streams each level's kernel
+spectrum (`_kernel_spectra`) and drops it, where `SquareEvaluator.of` would
+keep them all on the kernel for a layout used once.  The
 1-D Hardy-Littlewood maximal function is the exact max over all windows,
 found as the bridge between two persistent hull chains of the prefix sums
 in O(N log N) (`_hl_max_1d`); the 2-D one takes, per window side, a
@@ -402,6 +410,7 @@ def _cone_levels(template: GridFunction, cone: ConeGrid, alpha: float) -> list:
     h, n, N = template.h, template.n, template.ncells
     out = []
     shared = {}  # radius -> (disc, size, rows): the capped levels share them
+    lens = {}  # Mx -> nfft
     for t in cone.t_levels:
         t = float(t)
         radius = min(alpha * t, cone.max_radius)
@@ -410,15 +419,53 @@ def _cone_levels(template: GridFunction, cone: ConeGrid, alpha: float) -> list:
             disc = _disc_rows(radius / h, n)
             shared[radius] = disc, sum(2 * rx + 1 for _, rx in disc), _window_rows(disc, K)
         Mx = N + 2 * K
-        out.append(_Level(t, radius, K, Mx, _fft_len(Mx + N - 1), *shared[radius],
+        if Mx not in lens:
+            lens[Mx] = _fft_len(Mx + N - 1)
+        out.append(_Level(t, radius, K, Mx, lens[Mx], *shared[radius],
                           (h / t) ** n * cone.log_weight))
     return out
 
 
+def _level_values(values: np.ndarray, levels: list, spectra):
+    """Yield (level, u) per `_Level`: u the psi_t values of the grid
+    function with these values on its lattice padded by the level's K
+    cells, by one rfftn of the values per distinct nfft and one irfftn per
+    level.  ``spectra`` yields each level's kernel spectrum
+    (`_kernel_spectra`): the evaluator passes its cached list, g* a
+    stream."""
+    n, N = values.ndim, values.shape[0]
+    axes = range(n)
+    spectra = iter(spectra)
+    vf_cache = {}
+    for lv in levels:
+        vf = vf_cache.get(lv.nfft)
+        if vf is None:
+            vf = vf_cache[lv.nfft] = np.fft.rfftn(values, (lv.nfft,) * n, axes=axes)
+        kf = next(spectra)
+        conv = np.fft.irfftn(vf * kf, (lv.nfft,) * n, axes=axes)
+        # no name holds a level's spectrum or transform past its use, so a
+        # stream of spectra keeps one level's at a time
+        del kf
+        yield lv, conv[(slice(N - 1, N - 1 + lv.Mx),) * n]
+        del conv
+
+
+def _kernel_spectra(k, template: GridFunction, levels: list):
+    """Yield each level's kernel spectrum for `_level_values`: the rfftn at
+    lv.nfft of its `_conv_kernel`, sampled when the stream reaches the
+    level; the `SquareEvaluator`'s spectra, without keeping them."""
+    n, h = template.n, template.h
+    for lv in levels:
+        yield np.fft.rfftn(_conv_kernel(k, template, lv.t, template.R + lv.K * h, lv.Mx),
+                           (lv.nfft,) * n, axes=range(n))
+
+
 def _psi_levels(k, fs: tuple, levels: list, R_out: float, method):
-    """Yield (level, u) per `_Level`, u the psi_t values of the `_operands`
-    tuple fs on the lattice of half-width R_out padded by the level's K
-    cells: the contract of `SquareEvaluator.level_values`."""
+    """Yield (level, u) as `_level_values` does, for the `_operands` tuple
+    fs on the lattice of half-width R_out, by one `psi_t_apply` per level
+    (one bilinear pass for a pair on the FFT path): the path of pairs,
+    method "direct" and one-shot S, which perfbench's span table pins to
+    one psi_t call per level."""
     outs = [(lv.t, R_out + lv.K * fs[0].h) for lv in levels]
     # one pass over the offset rows serves every level of a bilinear pair
     us = (_psi_t_bilinear_fft(k, *fs, outs)
@@ -483,7 +530,8 @@ def square_function_at(k: KernelSpec, f, x, cone: ConeGrid) -> float:
     """Direct triple-sum evaluation of S f at one point (oracle path).
 
     Loops over stored cone points and input cells explicitly; independent
-    of the window-sum/FFT machinery.  x has one coordinate per dimension.
+    of the window-sum/FFT machinery.  x has one finite coordinate per
+    dimension (`ParameterError` otherwise).
     """
     fs = _operands(k, f, cone)
     base = fs[0]
@@ -491,6 +539,8 @@ def square_function_at(k: KernelSpec, f, x, cone: ConeGrid) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (n,):
         raise ParameterError(f"the point needs {n} coordinate(s), got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"the point must be finite, got {x.tolist()}")
     total = 0.0
     for j, t in enumerate(cone.t_levels):
         t = float(t)
@@ -715,17 +765,9 @@ class SquareEvaluator:
 
     def level_values(self, values: np.ndarray):
         """Yield (level, u) per cone level, u = psi_t of the grid function
-        with these values on the output lattice padded by the level's K."""
-        n = self.template.n
-        N = self.template.ncells
-        axes = range(n)
-        vf_cache = {}
-        for lv, kf in zip(self.levels, self._spectra):
-            vf = vf_cache.get(lv.nfft)
-            if vf is None:
-                vf = vf_cache[lv.nfft] = np.fft.rfftn(values, (lv.nfft,) * n, axes=axes)
-            conv = np.fft.irfftn(vf * kf, (lv.nfft,) * n, axes=axes)
-            yield lv, conv[(slice(N - 1, N - 1 + lv.Mx),) * n]
+        with these values on the output lattice padded by the level's K
+        (`_level_values` on the cached kernel spectra)."""
+        return _level_values(values, self.levels, self._spectra)
 
     def cone_sum(self, lv: _Level, p: np.ndarray) -> np.ndarray:
         """Level lv's share of S^2: its measure times the window sums of p
@@ -779,38 +821,50 @@ def g_star(
     ``halfspace`` should be built with `build_halfspace` so each level's
     stencil covers the lattice.  The levels are the half-space's
     `_cone_levels`, as for S: per level, psi_t f on f's lattice padded by
-    K cells (one `psi_t_apply` call), then the weight sum over the offsets
-    |m| <= K (in n = 2 also |m| h < the level's radius) with the level's
-    measure, as a product of spectra of length `_fft_len(M + 2K)`.  The
-    products of levels with the same K are summed in frequency space and
-    take one irfftn.
+    K cells, then the weight sum over the offsets |m| <= K (in n = 2 also
+    |m| h < the level's radius) with the level's measure, as a product of
+    spectra of length `_fft_len(M + 2K)`.  The offset distances, the disc
+    mask and that length are taken once per (K, radius); the products of
+    levels with the same K are summed in frequency space and take one
+    irfftn.  A single input on the FFT path reads `_level_values`, each
+    level's kernel spectrum sampled when reached and then dropped, so
+    nothing is kept on k; pairs and method "direct" take `_psi_levels`.
     """
     fs = _operands(k, f, halfspace)
     _check_lambda(k, lam)
     base = fs[0]
     n, h, M = base.n, base.h, base.ncells
     axes = tuple(range(n))
-    specs = {}  # K -> summed spectrum of the level weight sums
     levels = _cone_levels(base, halfspace, halfspace.alpha)
-    for lv, u in _psi_levels(k, fs, levels, base.R, method):
+    if len(fs) == 1 and _resolve_method(k, method) == "fft":
+        stream = _level_values(base.values, levels, _kernel_spectra(k, base, levels))
+    else:
+        stream = _psi_levels(k, fs, levels, base.R, method)
+    geometry = {}  # (K, radius) -> (P, offset distances, outside the disc)
+    specs = {}  # K -> (P, summed spectrum of the level weight sums)
+    for lv, u in stream:
         t, K = lv.t, lv.K
-        P = (_fft_len(M + 2 * K),) * n
-        g1 = np.arange(-K, K + 1)
-        if n == 1:
-            wgt = (t / (t + np.abs(g1) * h)) ** (n * lam)
-        else:
-            MX, MY = np.meshgrid(g1, g1, indexing="ij")
-            dist = np.hypot(MX, MY) * h
-            wgt = (t / (t + dist)) ** (n * lam)
-            wgt[dist >= lv.radius] = 0.0
+        if (K, lv.radius) not in geometry:
+            g1 = np.arange(-K, K + 1)
+            if n == 1:
+                dist = np.abs(g1) * h
+            else:
+                MX, MY = np.meshgrid(g1, g1, indexing="ij")
+                dist = np.hypot(MX, MY) * h
+            geometry[K, lv.radius] = ((_fft_len(M + 2 * K),) * n, dist,
+                                      dist >= lv.radius if n == 2 else None)
+        P, dist, outside = geometry[K, lv.radius]
+        wgt = (t / (t + dist)) ** (n * lam)
+        if outside is not None:
+            wgt[outside] = 0.0
         term = lv.meas * np.fft.rfftn(u**2, P, axes=axes) * np.fft.rfftn(wgt, P, axes=axes)
+        del u  # before the stream makes the next level's
         if K in specs:
-            specs[K] += term
+            specs[K][1] += term
         else:
-            specs[K] = term
+            specs[K] = [P, term]
     acc = np.zeros((M,) * n)
-    for K, spec in specs.items():
-        P = (_fft_len(M + 2 * K),) * n
+    for K, (P, spec) in specs.items():
         acc += np.fft.irfftn(spec, P, axes=axes)[(slice(2 * K, 2 * K + M),) * n]
     acc = np.maximum(acc, 0.0)
     return base.with_values(np.sqrt(acc))

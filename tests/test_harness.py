@@ -153,6 +153,20 @@ class TestWeightedNorm:
         with pytest.raises(GridError, match="different grids"):
             weighted_norm_check(k, (g, g), WeightVector([one, one], [2.0, 2.0]), cone)
 
+    def test_one_weight_per_input(self, ex1, gauss_grid, cone_coarse):
+        """A weight vector of another length than the inputs is refused:
+        zipping them would drop an input's or a weight's factor."""
+        from lpsq.errors import ParameterError
+
+        one = sample_function(lambda x: np.ones_like(x), 1, gauss_grid.R, gauss_grid.h)
+        k = bilinear_example_kernel(3.0, 1)
+        with pytest.raises(ParameterError, match="weights"):
+            weighted_norm_check(k, (gauss_grid, gauss_grid), WeightVector([one], [2.0]),
+                                cone_coarse)
+        with pytest.raises(ParameterError, match="weights"):
+            weighted_norm_check(ex1, gauss_grid, WeightVector([one, one], [2.0, 2.0]),
+                                cone_coarse)
+
 
 class TestKolmogorov:
     def test_bound_with_fitted_weak_norm(self, ex1, gauss_grid, cone_coarse):

@@ -1256,6 +1256,46 @@ class TestGStarGate:
         assert np.max(ratio) <= 1.0 + 1e-10
 
 
+class TestGStarStream:
+    """One-shot g* of a single input on the FFT path reads the evaluator's
+    level stream without building an evaluator: the input is transformed
+    once per FFT length, and no spectra are kept on the kernel."""
+
+    @pytest.mark.parametrize("halfspace", [True, False])
+    # at 2-D N = 40 the spectra pass numpy's 256 KiB temporary-reuse size
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 40)])
+    def test_input_transformed_once_per_length(self, monkeypatch, n, N, halfspace):
+        from lpsq import operators as ops
+
+        h = 0.25
+        R = N * h / 2
+        f = GridFunction(n, R, h, np.random.default_rng(31 + n).standard_normal((N,) * n))
+        k = parse_kernel("ex1:kappa=3", n)
+        if halfspace:
+            hs = build_halfspace(n, h, 2 * h, 2 * R, 2, R)
+        else:  # a capped cone: the levels' K, and so their FFT lengths, differ
+            hs = build_cone(1.5, n, h, 2 * h, 4 * R, 2, max_radius=2 * R * math.sqrt(n) + h)
+        levels = ops._cone_levels(f, hs, hs.alpha)
+        lengths = len({lv.nfft for lv in levels})
+        assert (lengths == 1) if halfspace else (lengths > 1)
+        seen, rfftn = [], np.fft.rfftn
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "rfftn", lambda x, *a, **kw: seen.append(x) or rfftn(x, *a, **kw))
+            g_star(k, f, 5.0, hs)
+        inputs = sum(x is f.values for x in seen)
+        assert inputs == lengths
+        # per level: its kernel spectrum, |psi_t f|^2 and the weight
+        assert len(seen) == inputs + 3 * len(levels)
+        assert k._evaluator == {}
+        ev = SquareEvaluator(k, f, hs)
+        spectra = ops._kernel_spectra(k, f, levels)
+        streamed = list(ops._level_values(f.values, levels, spectra))
+        cached = list(ev.level_values(f.values))
+        assert len(streamed) == len(cached) == len(levels)
+        for (lv, u), (lv_ev, u_ev) in zip(streamed, cached):
+            assert lv == lv_ev and np.array_equal(u, u_ev)
+
+
 def _gate_call(case: str):
     """The call of one malformed-input case of `TestOperandGate`."""
     k1, k2 = parse_kernel("ex1:kappa=3", 1), parse_kernel("ex1:kappa=3", 2)
@@ -1270,6 +1310,8 @@ def _gate_call(case: str):
         "S_at-linear-pair-1d": lambda: square_function_at(k1, (f, f), 0.0, cone1),
         "S_at-linear-pair-2d": lambda: square_function_at(k2, (g, g), [0.0, 0.0], cone2),
         "S_at-point-length": lambda: square_function_at(k1, f, [0.0, 1.0], cone1),
+        "S_at-point-nan": lambda: square_function_at(k1, f, math.nan, cone1),
+        "S_at-point-inf": lambda: square_function_at(k2, g, [0.0, -math.inf], cone2),
         "S_at-pair-cone-spacing": lambda: square_function_at(kb, (f, f), 0.0, coarse1),
         "S_at-2d-cone-spacing": lambda: square_function_at(k2, g, [0.0, 0.0], coarse2),
         "g_star-halfspace-spacing": lambda: g_star(
@@ -1294,6 +1336,8 @@ class TestOperandGate:
         ("S_at-linear-pair-1d", ParameterError, "takes 1 input"),
         ("S_at-linear-pair-2d", ParameterError, "takes 1 input"),
         ("S_at-point-length", ParameterError, "coordinate"),
+        ("S_at-point-nan", ParameterError, "point must be finite"),
+        ("S_at-point-inf", ParameterError, "point must be finite"),
         ("S_at-pair-cone-spacing", GridError, "spacing"),
         ("S_at-2d-cone-spacing", GridError, "spacing"),
         ("g_star-halfspace-spacing", GridError, "spacing"),
