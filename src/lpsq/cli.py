@@ -20,7 +20,8 @@ ConfigError, as the weighted bound assumes A_p.
 config (--config), command-line flags, checks each value's type and its
 choices (a ConfigError names the key) and fills the defaults that depend on
 other keys: the cone's t_min = 2h and t_max = 2R, only where unset.  Ranges
-are checked by the library calls.  Unknown config keys are errors.
+are checked by the library calls.  Unknown config keys are errors.  The
+campaign is always the subcommand: a config file holds settings only.
 
 Identical config + seed produce byte-identical outputs.  --oracle (config
 ``"oracle": true``) sets the evaluation method to "direct", which every
@@ -77,7 +78,6 @@ _VERIFY_MODES = ("weak", "aperture", "weighted", "marcinkiewicz", "sparse")
 # list of that type, or a dict: the schema of a JSON object.  A key whose
 # default is None may be null.
 SCHEMA = {
-    "campaign": (str, None),  # the campaign a config file runs (cli_run)
     "out_dir": (str, "out"),
     "oracle": (bool, False),
     "n": (int, 1),
@@ -446,14 +446,6 @@ CAMPAIGNS = {
 }
 
 
-def cli_run(config_path: str) -> int:
-    """Run the campaign named in a config file; returns the exit status."""
-    cfg = _load_config(argparse.Namespace(config=config_path))
-    if cfg["campaign"] not in CAMPAIGNS:
-        raise ConfigError(f"unknown campaign {cfg['campaign']!r} in {config_path}")
-    return _execute(cfg)
-
-
 def _error_exit(out_dir: str, campaign: str, seed, exc: LpsqError) -> int:
     """Write the error summary and return exit status 2."""
     os.makedirs(out_dir, exist_ok=True)
@@ -464,8 +456,8 @@ def _error_exit(out_dir: str, campaign: str, seed, exc: LpsqError) -> int:
     return 2
 
 
-def _execute(cfg: dict) -> int:
-    campaign, out_dir = cfg["campaign"], cfg["out_dir"]
+def _execute(campaign: str, cfg: dict) -> int:
+    out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     try:
         items = CAMPAIGNS[campaign](cfg, out_dir)
@@ -538,7 +530,7 @@ def main(argv=None) -> int:
         # the settings did not load: the summary goes to the flags' out dir
         return _error_exit(args.out_dir or SCHEMA["out_dir"][1], args.campaign,
                            args.seed, exc)
-    return _execute(cfg)
+    return _execute(args.campaign, cfg)
 
 
 if __name__ == "__main__":

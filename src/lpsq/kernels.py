@@ -49,6 +49,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelSpec:
+    """A kernel with its size constant A and moduli w and phi.
+
+    A convolution kernel may declare its ``parity``, one sign s_i per axis
+    with profile(u) = s_i profile(u') for u' the point u with coordinate i
+    negated; the lattice sampler of `operators` (`_profile_block`) then
+    evaluates one quadrant and mirrors it.  The ``ex`` kernels are odd in x1
+    and even in the other coordinates; None (``csv:`` profiles, kernels
+    built by hand) declares nothing and is sampled everywhere.
+    """
+
     kind: str  # "convolution" | "linear" | "bilinear"
     n: int
     A: float
@@ -57,6 +67,7 @@ class KernelSpec:
     profile: Callable | None = None  # phi(u); bilinear: Phi(x - y1, x - y2)
     psi: Callable | None = None
     name: str = ""
+    parity: tuple | None = None  # one sign per axis, or None
     # the Lerner plan of the last fast-path layout this kernel evaluated:
     # layout key -> `operators.SquareEvaluator` (see `SquareEvaluator.of`)
     _evaluator: dict = field(default_factory=dict, init=False, compare=False,
@@ -75,6 +86,17 @@ class KernelSpec:
             raise ParameterError("a linear kernel takes psi, not a profile")
         if self.kind != "convolution" and self.psi is None:
             raise ParameterError(f"{self.kind} kernel needs psi")
+        if self.parity is not None:
+            if self.kind != "convolution":
+                raise ParameterError("only a convolution kernel declares a parity")
+            # a tuple keeps the kernel hashable
+            if not isinstance(self.parity, tuple) or len(self.parity) != self.n:
+                raise ParameterError(
+                    f"parity needs a tuple of {self.n} sign(s), got {self.parity!r}")
+            # a bool could be read as "odd", which is the sign -1, not True
+            if not all(type(s) is int and s in (-1, 1) for s in self.parity):
+                raise ParameterError(
+                    f"parity entries must be the ints -1 or 1, got {self.parity!r}")
 
     @property
     def m(self) -> int:
@@ -141,25 +163,29 @@ def example_kernel(kernel_id: str, params: dict, n: int) -> KernelSpec:
     ex2: the ex1 profile with the split moduli w = log^{b-k}(1+1/t),
          phi = log^{-b}(1+1/t); needs k > 2, b > 1, k - b > 1.
     ex3: the x1-derivative profile with the ex1 moduli; needs k > 2.
+
+    All three are odd in x1 and even in the other coordinates, which their
+    ``parity`` declares.
     """
     kappa = float(params.get("kappa", 0.0))
+    odd_x1 = (-1,) + (1,) * (n - 1)
     if kernel_id == "ex1":
         if not kappa > 1.0:
             raise ParameterError("ex1 requires kappa > 1")
         w = phi = log_modulus(kappa)
         return KernelSpec("convolution", n, 1.0, w, phi, profile=_sin_log_profile(kappa, n),
-                          name=f"ex1:kappa={kappa:g}")
+                          name=f"ex1:kappa={kappa:g}", parity=odd_x1)
     if kernel_id == "ex2":
         beta = float(params.get("beta", 0.0))
         w, phi = logsplit_moduli(kappa, beta)  # enforces the strict parameter set
         return KernelSpec("convolution", n, 1.0, w, phi, profile=_sin_log_profile(kappa, n),
-                          name=f"ex2:kappa={kappa:g},beta={beta:g}")
+                          name=f"ex2:kappa={kappa:g},beta={beta:g}", parity=odd_x1)
     if kernel_id == "ex3":
         if not kappa > 2.0:
             raise ParameterError("ex3 requires kappa > 2")
         w = phi = log_modulus(kappa)
         return KernelSpec("convolution", n, 1.0, w, phi, profile=_deriv_log_profile(kappa, n),
-                          name=f"ex3:kappa={kappa:g}")
+                          name=f"ex3:kappa={kappa:g}", parity=odd_x1)
     raise ConfigError(f"unknown example kernel id {kernel_id!r}")
 
 

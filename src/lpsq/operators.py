@@ -25,7 +25,15 @@ box, while psi_t values are computed honestly wherever the output needs them.
 
 Kernels with a profile have an FFT fast path, which the per-call ``method``
 "auto" takes; "direct" forces the direct-summation path (the oracle gate
-compares the two), and any other method is a `ParameterError`.  Every
+compares the two), and any other method is a `ParameterError`.  The linear
+FFT paths sample the profile through one lattice sampler, `_profile_block`,
+at the offsets j h / t, j = -c .. c per axis: a kernel that declares its
+parity (`KernelSpec.parity`) is evaluated on the quadrant j >= 0 once and
+mirrored with its signs (`_mirror`), so an ``ex`` kernel costs half the
+profile points in 1-D and a quarter in 2-D.  `_conv_kernel` (psi_t, S, g*
+and the evaluator's levels), the Gram table and the Lerner block spectra
+cut their offsets from that block.  The oracles (method "direct",
+`square_function_at`) sample the profile pointwise and never mirror.  Every
 full-grid linear convolution (psi_t, the cone levels, g*'s weight sum) is
 a circular convolution by numpy's rfftn / irfftn of one length rule,
 `_fft_len`: the least 2^a 3^b 5^c that holds it.  A single input's cone
@@ -53,7 +61,8 @@ fast path; `lerner_maximal` and `sparse_construct` take theirs from it, so
 a layout's kernels are sampled and transformed once per kernel object.
 
 g* sums, per level, the weight times |psi_t f|^2 over the offsets as a
-product of spectra, its offset geometry taken once per (K, radius);
+product of spectra, its offset geometry taken once per (K, radius) and its
+weight, even in each axis, on one quadrant of the offsets and mirrored;
 levels of one pad K share one irfftn.  It streams each level's kernel
 spectrum (`_kernel_spectra`) and drops it, where `SquareEvaluator.of` would
 keep them all on the kernel for a layout used once.  The
@@ -227,16 +236,46 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def _conv_kernel(k, f: GridFunction, t: float, R_out: float, M: int) -> np.ndarray:
-    """Profile samples times (h/t)^n at the cell offsets -(N-1) .. M-1 (per
-    axis) from the input cells of f to the M-cell output lattice of
-    [-R_out, R_out]^n."""
-    h = f.h
-    d = (np.arange(-(f.ncells - 1), M) * h + (f.R - R_out)) / t
-    scale = (h / t) ** f.n
-    if f.n == 1:
-        return k.profile(d) * scale
-    return k.profile(d[:, None], d[None, :]) * scale
+def _mirror(q: np.ndarray, signs) -> np.ndarray:
+    """The (2c+1)^n block on the offsets -c .. c per axis of a function
+    given on the quadrant q of offsets 0 .. c, with one sign per axis: the
+    value at an offset with coordinate i negated is signs[i] times the
+    value at the offset.  Offset 0 keeps its value from q.  The last axis
+    goes first, while the block is a quadrant high, so the reversed copies
+    within rows cover half the block and the others move whole rows."""
+    n, c = q.ndim, q.shape[0] - 1
+    out = np.empty((2 * c + 1,) * n)
+    out[(slice(c, None),) * n] = q
+    for ax in reversed(range(n)):
+        # the axes after ax are full, those before it still hold 0 .. c
+        head, tail = (slice(c, None),) * ax, (slice(None),) * (n - 1 - ax)
+        dst = out[head + (slice(None, c),) + tail]
+        src = out[head + (slice(2 * c, c, -1),) + tail]
+        if signs[ax] < 0:
+            np.negative(src, out=dst)
+        else:
+            dst[...] = src
+    return out
+
+
+def _profile_block(k, c: int, h: float, t: float) -> np.ndarray:
+    """k.profile at the offsets j h / t, j = -c .. c per axis, as a
+    (2c+1)^n array: the one lattice sampler of the FFT paths.  A kernel
+    with a declared parity is evaluated on the quadrant j >= 0 once and
+    mirrored (`_mirror`), any other on the whole block."""
+    if k.parity is None:
+        e = np.arange(-c, c + 1) * h / t
+        return k.profile(*np.ix_(*(e,) * k.n))
+    e = np.arange(c + 1) * h / t
+    return _mirror(k.profile(*np.ix_(*(e,) * k.n)), k.parity)
+
+
+def _conv_kernel(k, f: GridFunction, t: float, M: int) -> np.ndarray:
+    """Profile samples times (h/t)^n at the cell offsets from the N input
+    cells of f to the M-cell output lattice centred on f's box (M - N even):
+    -c .. c per axis with c = N - 1 + (M - N) / 2, by `_profile_block`."""
+    scale = (f.h / t) ** f.n
+    return _profile_block(k, f.ncells - 1 + (M - f.ncells) // 2, f.h, t) * scale
 
 
 def _psi_t_conv_fft(k, f, t, out_R):
@@ -246,7 +285,7 @@ def _psi_t_conv_fft(k, f, t, out_R):
     N, n = f.ncells, f.n
     P, axes = (_fft_len(M + N - 1),) * n, tuple(range(n))
     spec = (np.fft.rfftn(f.values, P, axes=axes)
-            * np.fft.rfftn(_conv_kernel(k, f, t, R_out, M), P, axes=axes))
+            * np.fft.rfftn(_conv_kernel(k, f, t, M), P, axes=axes))
     conv = np.fft.irfftn(spec, P, axes=axes)
     return GridFunction(n, R_out, f.h, conv[(slice(N - 1, N - 1 + M),) * n])
 
@@ -454,10 +493,10 @@ def _kernel_spectra(k, template: GridFunction, levels: list):
     """Yield each level's kernel spectrum for `_level_values`: the rfftn at
     lv.nfft of its `_conv_kernel`, sampled when the stream reaches the
     level; the `SquareEvaluator`'s spectra, without keeping them."""
-    n, h = template.n, template.h
+    n = template.n
     for lv in levels:
-        yield np.fft.rfftn(_conv_kernel(k, template, lv.t, template.R + lv.K * h, lv.Mx),
-                           (lv.nfft,) * n, axes=range(n))
+        yield np.fft.rfftn(_conv_kernel(k, template, lv.t, lv.Mx), (lv.nfft,) * n,
+                           axes=range(n))
 
 
 def _psi_levels(k, fs: tuple, levels: list, R_out: float, method):
@@ -619,7 +658,9 @@ class SquareEvaluator:
     on its own lattice: the FFT fast path of a convolution kernel, only.
 
     Samples the per-level convolution kernels once (the expensive
-    transcendental sampling) and keeps their spectra, in n = 1 and n = 2;
+    transcendental sampling, one quadrant per level for a kernel that
+    declares its parity: `_conv_kernel`) and keeps their spectra, in n = 1
+    and n = 2;
     each eval costs one forward FFT per distinct FFT size (`_fft_len` of
     the linear convolution) and one inverse FFT per level.  The constructor
     refuses any other kind of kernel (`ParameterError`), then reads the
@@ -660,7 +701,7 @@ class SquareEvaluator:
         self._spectra = []
         gamma2 = 0.0
         for lv in self.levels:
-            kern = _conv_kernel(k, template, lv.t, template.R + lv.K * template.h, lv.Mx)
+            kern = _conv_kernel(k, template, lv.t, lv.Mx)
             self._spectra.append(np.fft.rfftn(kern, (lv.nfft,) * n, axes=range(n)))
             gamma2 = gamma2 + lv.meas * _window_sum(kern**2, lv.rows)
         self.far_gain = _far_gain(np.sqrt(np.maximum(gamma2, 0.0)))
@@ -708,9 +749,11 @@ class SquareEvaluator:
             for lv in self.levels:
                 K = lv.K
                 # B[i] = k_j(i - K + lo) sqrt(meas_j) per axis, so that the
-                # window of W at m + K holds the row of offset m
-                e = np.arange(lo - K, lo + P + K) * h / lv.t
-                B = self.k.profile(*np.ix_(*(e,) * n)) * ((h / lv.t) ** n * math.sqrt(lv.meas))
+                # window of W at m + K holds the row of offset m; the
+                # offsets lo - K .. lo + P + K - 1 are 1 - c .. c
+                c = 2 * self.s_max + K
+                B = (_profile_block(self.k, c, h, lv.t)[(slice(1, None),) * n]
+                     * ((h / lv.t) ** n * math.sqrt(lv.meas)))
                 W = np.lib.stride_tricks.sliding_window_view(B, (P,) * n)
                 for rest, rx in lv.disc:
                     col = W[(slice(K - rx, K + rx + 1),) + tuple(K + d for d in rest)]
@@ -736,8 +779,9 @@ class SquareEvaluator:
         batched irfft that holds Q +- K_j.
 
         Plans are built on first sight of a key and kept: the keys not seen
-        before share one profile sample per level, on the union of their
-        offset ranges, and each block is a slice of it."""
+        before share one profile sample per level, the `_profile_block`
+        that holds the union of their offset ranges, and each block is a
+        slice of it."""
         new = [key for key in keys if key not in self._plans]
         if new:
             n, h = self.template.n, self.template.h
@@ -747,8 +791,12 @@ class SquareEvaluator:
             runs = {key: [] for key in new}
             for j, lv in enumerate(self.levels):
                 K = lv.K
-                es = (np.arange(l - K, u + K) * h / lv.t for l, u in zip(lo, hi))
-                prof = self.k.profile(*np.ix_(*es)) * (h / lv.t) ** n
+                # the offsets [lo - K, hi + K) per axis, cut from the block
+                # of the largest |offset| c
+                c = int(max(np.abs(lo - K).max(), np.abs(hi + K - 1).max()))
+                prof = (_profile_block(self.k, c, h, lv.t)[
+                    tuple(slice(l - K + c, u + K + c) for l, u in zip(lo, hi))]
+                    * (h / lv.t) ** n)
                 for key, plan in runs.items():
                     P = tuple(1 << (a + s + 2 * K - 2).bit_length() for a, s, _ in key)
                     block = prof[tuple(slice(d - a + 1 - l, d + s + 2 * K - l)
@@ -824,7 +872,9 @@ def g_star(
     K cells, then the weight sum over the offsets |m| <= K (in n = 2 also
     |m| h < the level's radius) with the level's measure, as a product of
     spectra of length `_fft_len(M + 2K)`.  The offset distances, the disc
-    mask and that length are taken once per (K, radius); the products of
+    mask and that length are taken once per (K, radius), on the quadrant of
+    offsets 0 .. K; each level's weight is computed there and mirrored
+    (`_mirror`, even in each axis).  The products of
     levels with the same K are summed in frequency space and take one
     irfftn.  A single input on the FFT path reads `_level_values`, each
     level's kernel spectrum sampled when reached and then dropped, so
@@ -845,18 +895,16 @@ def g_star(
     for lv, u in stream:
         t, K = lv.t, lv.K
         if (K, lv.radius) not in geometry:
-            g1 = np.arange(-K, K + 1)
-            if n == 1:
-                dist = np.abs(g1) * h
-            else:
-                MX, MY = np.meshgrid(g1, g1, indexing="ij")
-                dist = np.hypot(MX, MY) * h
+            # the weight is even in each axis: one quadrant, offsets 0 .. K
+            g1 = np.arange(K + 1)
+            dist = g1 * h if n == 1 else np.hypot(*np.ix_(g1, g1)) * h
             geometry[K, lv.radius] = ((_fft_len(M + 2 * K),) * n, dist,
                                       dist >= lv.radius if n == 2 else None)
         P, dist, outside = geometry[K, lv.radius]
         wgt = (t / (t + dist)) ** (n * lam)
         if outside is not None:
             wgt[outside] = 0.0
+        wgt = _mirror(wgt, (1,) * n)
         term = lv.meas * np.fft.rfftn(u**2, P, axes=axes) * np.fft.rfftn(wgt, P, axes=axes)
         del u  # before the stream makes the next level's
         if K in specs:

@@ -971,7 +971,7 @@ class TestLernerPoolPruning:
             ev = ops.SquareEvaluator(k, f, cone)
             c = math.sqrt(sum(
                 lv.meas * lv.size
-                * np.max(np.abs(ops._conv_kernel(k, f, lv.t, R + lv.K * h, lv.Mx))) ** 2
+                * np.max(np.abs(ops._conv_kernel(k, f, lv.t, lv.Mx))) ** 2
                 for lv in ev.levels))
             assert ev.far_gain[0] <= c
             i0, i1 = ops._box_ranges(f, dyadic_cube_pool(root, f), snap_outward=True,

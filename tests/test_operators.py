@@ -1296,6 +1296,91 @@ class TestGStarStream:
             assert lv == lv_ev and np.array_equal(u, u_ev)
 
 
+def _rel(fast, ref) -> float:
+    return float(np.max(np.abs(fast - ref)) / np.max(np.abs(ref)))
+
+
+def _csv_kernel(tmp_path):
+    """A 1-D ``csv:`` kernel with no symmetry, so no declared parity."""
+    path = tmp_path / "skew.csv"
+    xs = np.linspace(-3.0, 3.0, 121)
+    path.write_text("\n".join(f"{x},{math.exp(-(x - 0.4) ** 2) * (x + 0.7)}" for x in xs))
+    return parse_kernel(f"csv:{path}", 1)
+
+
+class TestProfileParity:
+    """The lattice sampler mirrors one quadrant of a kernel that declares
+    its parity, to the bit; a wrong declaration is caught by the direct
+    oracle, which samples the profile everywhere."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kid", ["ex1:kappa=3", "ex2:kappa=3,beta=1.5", "ex3:kappa=3"])
+    def test_mirrored_block_equals_full_sample(self, kid, n):
+        from dataclasses import replace
+
+        from lpsq import operators as ops
+
+        k = parse_kernel(kid, n)
+        for c, h, t in [(0, 0.25, 1.0), (1, 0.5, 0.5), (7, 0.1, 0.3), (40, 1 / 16, 2.5)]:
+            e = np.arange(-c, c + 1) * h / t
+            full = k.profile(*np.ix_(*(e,) * n)).tobytes()
+            assert ops._profile_block(k, c, h, t).tobytes() == full
+            assert ops._profile_block(replace(k, parity=None), c, h, t).tobytes() == full
+
+    @pytest.mark.parametrize("n, wrong", [(1, (1,)), (2, (1, 1)), (2, (-1, -1))])
+    def test_wrong_declaration_fails_the_oracle_gate(self, n, wrong):
+        from dataclasses import replace
+
+        h = 0.25
+        R = 2.0 if n == 1 else 1.0
+        N = int(2 * R / h)
+        f = GridFunction(n, R, h, np.random.default_rng(11).standard_normal((N,) * n))
+        cone = build_cone(1.0, n, h, 2 * h, 2 * R, 2)
+        k = parse_kernel("ex1:kappa=3", n)
+        ref = square_function(k, f, cone, method="direct").values
+        assert _rel(square_function(k, f, cone).values, ref) <= 1e-10
+        assert _rel(square_function(replace(k, parity=wrong), f, cone).values, ref) > 1e-3
+
+    def test_csv_kernel_samples_everywhere(self, tmp_path):
+        k = _csv_kernel(tmp_path)
+        assert k.parity is None
+        f = GridFunction(1, 2.0, 0.25, np.random.default_rng(12).standard_normal(16))
+        cone = build_cone(1.0, 1, 0.25, 0.5, 4.0, 2)
+        ref = square_function(k, f, cone, method="direct").values
+        assert _rel(square_function(k, f, cone).values, ref) <= 1e-10
+
+
+class TestProfileCensus:
+    """One S, one g* and one `SquareEvaluator` build sample the profile once
+    per level, c = N - 1 + K cells of offset per axis: on the quadrant,
+    (c + 1)^n points, for a kernel with a declared parity, and on the
+    whole block, 2c + 1 points, for a ``csv:`` kernel."""
+
+    @pytest.mark.parametrize("op", ["S", "g_star", "evaluator"])
+    @pytest.mark.parametrize("kid, n", [("ex1:kappa=3", 1), ("ex1:kappa=3", 2), ("csv", 1)])
+    def test_points_per_level(self, tmp_path, kid, n, op):
+        from dataclasses import replace
+
+        from lpsq import operators as ops
+
+        h = 0.25
+        R = 4.0 if n == 1 else 2.0
+        N = int(2 * R / h)
+        f = GridFunction(n, R, h, np.random.default_rng(13).standard_normal((N,) * n))
+        k0 = _csv_kernel(tmp_path) if kid == "csv" else parse_kernel(kid, n)
+        sizes = []
+        k = replace(k0, profile=lambda *a: sizes.append(np.broadcast(*a).size)
+                    or k0.profile(*a))
+        if op == "g_star":
+            layout = build_halfspace(n, h, 2 * h, 2 * R, 2, R)
+            g_star(k, f, 5.0, layout)
+        else:
+            layout = build_cone(1.0, n, h, 2 * h, 2 * R, 2)
+            (square_function if op == "S" else SquareEvaluator)(k, f, layout)
+        cs = [N - 1 + lv.K for lv in ops._cone_levels(f, layout, layout.alpha)]
+        assert sizes == [(c + 1) ** n if k0.parity else 2 * c + 1 for c in cs]
+
+
 def _gate_call(case: str):
     """The call of one malformed-input case of `TestOperandGate`."""
     k1, k2 = parse_kernel("ex1:kappa=3", 1), parse_kernel("ex1:kappa=3", 2)
