@@ -82,7 +82,6 @@ from .harness import (
     FitReport,
     aperture_scaling_check,
     kolmogorov_check,
-    lattice_superlevel_measure,
     weak_type_profile,
     weighted_norm_check,
 )

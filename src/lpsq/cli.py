@@ -8,10 +8,13 @@ aperture | weighted | marcinkiewicz | sparse).  Every run writes
 exits 0 when every check passes, 1 naming the failing items, and 2 on a
 config or parameter error.
 
-``verify weak`` re-samples ``--function`` at h/2, so it needs an analytic
-id (a ``csv:`` or ``bin:`` file is a ConfigError); ``verify weighted`` does
-not read ``--function``: its ten random inputs are drawn on the weight's
-lattice of the run's R and h.  Its ``--weight power:a`` is |x|^a, an A_p
+``verify weak`` reports the exact weak (1,1) sup over every height
+rho > 0, sup_rho rho |{Sf > rho}| / ||f||_1, and its stability against a
+re-sample of ``--function`` at h/2, so it needs an analytic id (a ``csv:``
+or ``bin:`` file is a ConfigError) and a nonzero input (a ParameterError
+otherwise, as for ``verify aperture``); ``verify weighted`` does not read
+``--function``: its ten random inputs are drawn on the weight's lattice of
+the run's R and h.  Its ``--weight power:a`` is |x|^a, an A_p
 weight in 1-D iff -1 < a < p - 1; an exponent outside that range is a
 ConfigError, as the weighted bound assumes A_p.
 
@@ -91,7 +94,6 @@ SCHEMA = {
     "function2": (str, None),
     # tmin and tmax left null are 2h and 2R
     "cone": ({"tmin": (float, None), "tmax": (float, None), "q": (int, 4)}, {}),
-    "rho_grid": ([float], None),
     "seed": (int, 0),
     "tol": (float, 1e-8),
     "gamma": ((str, float), "auto"),
@@ -354,12 +356,7 @@ def _campaign_verify(cfg, out_dir):
         c = cfg["cone"]  # the config's rule from tmin/2 keeps the original levels
         cone2 = build_cone(cfg["alpha"], n, h / 2.0, c["tmin"] / 2, c["tmax"], c["q"])
         s2 = square_function(k, f2, cone2, method=cfg["method"])
-        peak = s.norm_linf()
-        rho_grid = cfg["rho_grid"]
-        if rho_grid is None:
-            rho_grid = list(np.geomspace(peak / 100, peak * 0.99, 16))
-        rep = weak_type_profile(s, f.norm_l1(), 1.0, rho_grid,
-                                refined=(s2, f2.norm_l1()))
+        rep = weak_type_profile(s, f.norm_l1(), 1.0, refined=(s2, f2.norm_l1()))
         _write_csv(os.path.join(out_dir, "verify_weak.csv"), list(rep.rows()))
         checks = dict(rep.check_items())
         return [{"name": name, "pass": checks[key], "value": rep.fitted[key]}

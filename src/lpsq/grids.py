@@ -410,15 +410,13 @@ class ConeGrid:
 
     def apertures(self, alphas) -> list:
         """The apertures of an S_alpha list on these levels, as floats: at
-        least one, each finite and reaching past offset 0 at the lowest
-        level (`_check_reach`); apertures below 1 are allowed."""
+        least one, each passing `_check_reach`; apertures below 1 are
+        allowed."""
         alphas = [float(a) for a in alphas]
         if not alphas:
             raise ParameterError("S_alpha needs at least one alpha")
         for a in alphas:
-            if not math.isfinite(a):
-                raise ParameterError(f"aperture alpha must be finite, got {a}")
-            _check_reach(a, self.h, self.t_levels)
+            _check_reach(a, self.h, self.t_levels, self.max_radius)
         return alphas
 
 
@@ -435,8 +433,17 @@ def _stencil(n: int, radius_cells_limit: float) -> np.ndarray:
     return np.stack([MX[mask], MY[mask]], axis=-1)
 
 
-def _check_reach(alpha: float, h: float, levels: np.ndarray) -> None:
-    """The lowest level's stencil reaches past offset 0: alpha t_min >= h."""
+def _check_reach(alpha: float, h: float, levels: np.ndarray, max_radius: float) -> None:
+    """alpha is finite, so is the top level's radius min(alpha t_max,
+    max_radius) in cells, and the lowest level's stencil reaches past
+    offset 0: alpha t_min >= h.  A finite max_radius caps any finite alpha."""
+    if not math.isfinite(alpha):
+        raise ParameterError(f"aperture alpha must be finite, got {alpha}")
+    cells = min(alpha * float(levels[-1]), max_radius) / h
+    if not math.isfinite(cells):
+        raise ParameterError(
+            f"aperture alpha = {alpha:g} puts the top cone level's radius at {cells} "
+            "cells; it must be finite")
     if alpha * float(levels[0]) < h:
         raise ResolutionError(
             f"alpha*t_min = {alpha * float(levels[0]):g} < h = {h:g}: "
@@ -468,7 +475,7 @@ def build_cone(
     levels = t_min * r ** (np.arange(L) + 0.5)
     if not alpha >= 1.0:
         raise ParameterError(f"aperture alpha must be >= 1, got {alpha}")
-    _check_reach(alpha, h, levels)
+    _check_reach(alpha, h, levels, max_radius)
     return ConeGrid(alpha, n, h, levels, math.log(2.0) / q, max_radius)
 
 

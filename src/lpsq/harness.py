@@ -4,7 +4,9 @@ weighted bounds, and the self-verifying fit reports they produce.
 Inequalities with implicit constants are reported as fitted constants with
 stability criteria; only exact identities carry hard tolerances.  A
 FitReport stores the raw ratios next to the tolerances so pass/fail can be
-recomputed from the report alone.
+recomputed from the report alone.  A weak-type profile is the exact sup
+over every height rho > 0 on the lattice, read off one sort of Sf, not a
+sample over chosen heights.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .weights import WeightVector
 
 __all__ = [
     "FitReport",
-    "lattice_superlevel_measure",
     "weak_type_profile",
     "aperture_scaling_check",
     "weighted_norm_check",
@@ -60,43 +61,41 @@ class FitReport:
             yield (f"pass:{label}", int(ok))
 
 
-def lattice_superlevel_measure(gf: GridFunction, rho: float) -> float:
-    """|{x : f(x) > rho}| counting cells whose center value exceeds rho."""
-    return float(np.count_nonzero(gf.values > rho)) * gf.h**gf.n
+def _weak_sup(sf: GridFunction, f_norm: float, exponent: float) -> tuple:
+    """(sup, s_(k)): the exact sup over rho > 0 of
+    (rho / f_norm)^exponent |{Sf > rho}| on the lattice, and the sorted
+    value s_(k) that rho rises to.  With s_(1) >= s_(2) >= ... the sup is
+    h^n max_k k (s_(k) / f_norm)^exponent; the max takes the last index of
+    a tie group, as it should."""
+    if not (math.isfinite(f_norm) and f_norm > 0):
+        raise ParameterError(
+            f"the weak-type profile needs a finite positive input norm, got {f_norm}")
+    s = np.maximum(np.sort(sf.values, axis=None)[::-1], 0.0)
+    vals = np.arange(1, s.size + 1) * (s / f_norm) ** exponent * sf.h**sf.n
+    k = int(np.argmax(vals))
+    return float(vals[k]), float(s[k])
 
 
 def weak_type_profile(
     sf: GridFunction,
     f_norm: float,
     exponent: float,
-    rho_grid,
     refined: tuple | None = None,
 ) -> FitReport:
-    """sup over the rho grid of rho^exponent |{Sf > rho}| / f_norm.
+    """sup over all rho > 0 of (rho / f_norm)^exponent |{Sf > rho}|,
+    exactly (`_weak_sup`); ``argmax_rho`` is the value of Sf that rho rises
+    to.  f_norm must be finite and positive (`ParameterError`).  A product
+    of m input norms with exponent 1/m makes the ratio invariant under
+    scaling any one input.
 
     ``refined`` optionally supplies (Sf, f_norm) at a finer resolution; the
     report then carries the stability ratio between the two sups.
     """
-    rho_grid = np.asarray(rho_grid, dtype=float)
-    if (rho_grid.size == 0 or not np.all(np.isfinite(rho_grid)) or np.any(rho_grid <= 0)
-            or np.any(np.diff(rho_grid) <= 0)):
-        raise ParameterError("rho grid must be nonempty, finite, positive and increasing")
-    vals = np.array(
-        [r**exponent * lattice_superlevel_measure(sf, r) / f_norm for r in rho_grid]
-    )
-    i = int(np.argmax(vals))
-    rep = FitReport(
-        "weak_type_profile",
-        fitted={"sup": float(vals[i]), "argmax_rho": float(rho_grid[i])},
-        samples=[(f"rho={r:g}", float(v)) for r, v in zip(rho_grid, vals)],
-    )
+    s1, rho = _weak_sup(sf, f_norm, exponent)
+    rep = FitReport("weak_type_profile", fitted={"sup": s1, "argmax_rho": rho})
     rep.tolerances["sup"] = (None, None)  # finiteness
     if refined is not None:
-        sf2, f_norm2 = refined
-        vals2 = np.array(
-            [r**exponent * lattice_superlevel_measure(sf2, r) / f_norm2 for r in rho_grid]
-        )
-        s1, s2 = float(vals[i]), float(np.max(vals2))
+        s2, _ = _weak_sup(*refined, exponent)
         ratio = s2 / s1 if s1 > 0 else (1.0 if s2 == 0 else math.inf)
         rep.fitted["stability"] = max(ratio, 1.0 / ratio) if ratio > 0 else math.inf
         rep.tolerances["stability"] = (None, 2.0)
@@ -116,12 +115,13 @@ def aperture_scaling_check(
     method: str | None = None,
 ) -> FitReport:
     """norm "l2": ||S_a f||_2^2 / ||S_1 f||_2^2 against a^n (`_APERTURE_TOL`
-    relative); "weak": the log-log slope of the weak sups over 24 heights
-    from peak/200 to the peak, the max of S_a f over the apertures.  The
-    output lattice is padded by one cell past the stencil of the top level
-    at the widest aperture (its `_cone_levels` radius, alpha_max t_max or
-    the cone's max_radius), so every cone section is fully counted.  A
-    pair's weak profile takes ||f1||_1 ||f2||_1 and the exponent 1/2.
+    relative); "weak": the log-log slope of the exact weak sups
+    (`weak_type_profile`), whose ratio (rho / prod ||f_i||_1)^(1/m) |E| is
+    invariant under scaling any one of the m inputs.  The output lattice is
+    padded by one cell past the stencil of the top level at the widest
+    aperture (its `_cone_levels` radius, alpha_max t_max or the cone's
+    max_radius), so every cone section is fully counted.  S_1 f = 0 (a
+    zero input, say) leaves no ratio and is a `ParameterError`.
     """
     fs = _operands(k, f, cone)
     base = fs[0]
@@ -129,28 +129,21 @@ def aperture_scaling_check(
     want = sorted(set(alphas) | {1.0})
     out_R = base.R + (_cone_levels(base, cone, max(want))[-1].K + 1) * base.h
     ss = square_function_multi(k, fs, cone, want, out_R=out_R, method=method)
+    n1 = ss[1.0].norm_l2()
+    if n1 == 0:
+        raise ParameterError("aperture scaling: ||S_1 f||_2 = 0, so there is no ratio")
     rep = FitReport(f"aperture_{norm}")
     if norm == "l2":
-        n1 = ss[1.0].norm_l2() ** 2
         for a in alphas:
-            ratio = ss[a].norm_l2() ** 2 / n1
+            ratio = ss[a].norm_l2() ** 2 / n1**2
             rep.fitted[f"ratio_alpha_{a:g}"] = ratio
             rep.tolerances[f"ratio_alpha_{a:g}"] = (a**base.n, _APERTURE_TOL * a**base.n)
         return rep
     if norm == "weak":
-        peak = max(ss[a].norm_linf() for a in alphas)
-        rho_grid = np.geomspace(peak / 200.0, peak, 24)
         fnorm = math.prod(g.norm_l1() for g in fs)
-        expo = 1 / len(fs)
-        sups = []
-        for a in alphas:
-            p = weak_type_profile(ss[a], fnorm, expo, rho_grid)
-            sups.append(p.fitted["sup"])
-            rep.samples.append((f"profile_alpha_{a:g}", p.fitted["sup"]))
-        la = np.log(alphas)
-        ls = np.log(sups)
-        slope = float(np.polyfit(la, ls, 1)[0])
-        rep.fitted["exponent"] = slope
+        sups = [weak_type_profile(ss[a], fnorm, 1 / len(fs)).fitted["sup"] for a in alphas]
+        rep.samples += [(f"profile_alpha_{a:g}", sup) for a, sup in zip(alphas, sups)]
+        rep.fitted["exponent"] = float(np.polyfit(np.log(alphas), np.log(sups), 1)[0])
         rep.tolerances["exponent"] = (None, base.n + 0.5)
         return rep
     raise ParameterError(f"unknown norm {norm!r}")

@@ -211,7 +211,8 @@ class TestSubcommands:
         (["nan"], "alpha must be finite, got nan"),
         (["1", "inf"], "alpha must be finite, got inf"),
         (["-1"], "lowest cone level has no nonzero offsets"),
-    ], ids=["zero", "nan", "inf", "negative"])
+        (["1", "1e308"], "top cone level's radius at inf cells"),
+    ], ids=["zero", "nan", "inf", "negative", "overflow"])
     def test_verify_aperture_bad_alphas_exit_2(self, tmp_path, capsys, alphas, named):
         rc = run_main(["--out-dir", str(tmp_path), "verify", "aperture",
                        "--alphas", *alphas, "--h", "0.0625"])
@@ -347,7 +348,8 @@ class TestConfigAndErrors:
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         # the evaluation method is set by --oracle only
-        for key, val in (("alhpa", 2.0), ("method", "direct")):
+        # the weak sup is exact over every height: no height grid is set
+        for key, val in (("alhpa", 2.0), ("method", "direct"), ("rho_grid", [0.5, 1.0])):
             p.write_text(json.dumps({key: val, "out_dir": str(tmp_path / "o")}))
             rc = run_main(["--config", str(p), "--out-dir", str(tmp_path / "m"), "dini"])
             assert rc == 2
@@ -367,8 +369,6 @@ class TestConfigAndErrors:
         ("eval", {"kernel": 5}, "'kernel': 5 is not str"),
         ("eval", {"function": None}, "'function': None is not str"),
         ("cz", {"weight": 3}, "'weight': 3 is not str"),
-        ("dini", {"rho_grid": ["x"]}, "'rho_grid': 'x' is not float"),
-        ("dini", {"rho_grid": 5}, "'rho_grid': 5 is not a nonempty list"),
         ("dini", {"n": 1.5}, "'n': 1.5 is not int"),
         ("dini", {"n": True}, "'n': True is not int"),
         ("dini", {"seed": 2.7}, "'seed': 2.7 is not int"),
@@ -381,8 +381,7 @@ class TestConfigAndErrors:
         ("dini", {"campaign": "dini"}, "unknown config keys ['campaign']"),
     ], ids=["cz-rho", "sparse-eta", "eval-h", "tol-list", "n-text", "seed-inf",
             "alphas-entry", "alphas-scalar", "cone-q", "cone-tmin", "kernel-int",
-            "function-null", "weight-int", "rho-grid-entry", "rho-grid-scalar",
-            "n-float", "n-bool", "seed-float", "cone-q-float", "oracle-text",
+            "function-null", "weight-int", "n-float", "n-bool", "seed-float", "cone-q-float", "oracle-text",
             "kind-choice", "alphas-empty", "gamma-log", "campaign-key"])
     def test_bad_number_in_config_exits_2(self, tmp_path, capsys, campaign, edit, named):
         p = tmp_path / "cfg.json"
@@ -429,7 +428,11 @@ class TestConfigAndErrors:
         ({"cone": {"tmax": math.nan}}, ["sparse"], "need 0 < t_min <= t_max"),
         ({}, ["eval", "--alpha", "nan"], "alpha must be >= 1, got nan"),
         ({}, ["eval", "--alpha", "inf"], "alpha must be finite, got inf"),
-    ], ids=["cone-tmin", "cone-tmax", "alpha", "alpha-inf"])
+        ({}, ["sparse", "--alpha", "inf", "--R", "2", "--h", "0.25"],
+         "alpha must be finite, got inf"),
+        ({}, ["eval", "--alpha", "1e308"], "top cone level's radius at inf cells"),
+    ], ids=["cone-tmin", "cone-tmax", "alpha", "alpha-inf", "sparse-alpha-inf",
+            "alpha-overflow"])
     def test_nan_cone_parameter_exits_2(self, tmp_path, capsys, config, args, named):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(config))  # json writes NaN
@@ -441,8 +444,8 @@ class TestConfigAndErrors:
         ({"cone": {"tmin": 0}}, ["sparse"], "need 0 < t_min <= t_max"),
         ({"cone": {"q": 0}}, ["sparse"], "q (levels per octave) must be >= 1"),
         ({"cone": {"tmin": 0}}, ["eval", "--op", "gstar"], "need 0 < t_min <= t_max"),
-        ({"rho_grid": []}, ["verify", "weak"], "'rho_grid': [] is not a nonempty list"),
-    ], ids=["cone-tmin", "cone-q", "gstar-tmin", "rho-grid"])
+        ({"alphas": []}, ["verify", "aperture"], "'alphas': [] is not a nonempty list"),
+    ], ids=["cone-tmin", "cone-q", "gstar-tmin", "alphas-empty"])
     def test_explicit_value_is_not_replaced_by_default(self, tmp_path, capsys, config,
                                                        args, named):
         p = tmp_path / "cfg.json"
@@ -512,16 +515,17 @@ class TestConfigAndErrors:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert not summary["passed"] and "rho" in summary["error"]
 
-    @pytest.mark.parametrize("grid", [[0.5, math.nan], [math.inf]], ids=["nan", "inf"])
-    def test_verify_weak_non_finite_rho_grid_exits_2(self, tmp_path, capsys, grid):
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"rho_grid": grid}))  # json writes NaN and Infinity
-        rc = run_main(["--config", str(p), "--out-dir", str(tmp_path / "o"), "verify", "weak",
+    @pytest.mark.parametrize("mode, named", [
+        ("weak", "needs a finite positive input norm, got 0.0"),
+        ("aperture", "||S_1 f||_2 = 0, so there is no ratio"),
+    ], ids=["weak", "aperture"])
+    def test_verify_zero_input_exits_2(self, tmp_path, capsys, mode, named):
+        rc = run_main(["--out-dir", str(tmp_path), "verify", mode, "--function", "const:0",
                        "--R", "2", "--h", "0.25"])
         assert rc == 2
-        assert "rho grid must be nonempty, finite" in capsys.readouterr().err
-        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-        assert not summary["passed"] and "rho grid" in summary["error"]
+        assert named in capsys.readouterr().err
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert not summary["passed"] and named in summary["error"]
 
     def test_eta_outside_unit_interval_exits_2(self, tmp_path, capsys):
         rc = run_main(["--out-dir", str(tmp_path), "sparse", "--R", "2", "--h", "0.25",

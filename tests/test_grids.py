@@ -212,6 +212,20 @@ class TestCone:
         exact = 2 * al * (t_hi - t_lo)
         assert disc == pytest.approx(exact, rel=0.10)
 
+    def test_radius_must_be_finite_unless_capped(self):
+        """alpha t_max overflowing to inf is refused; a finite max_radius
+        caps any finite alpha, as the cascade's apertures on a half-space."""
+        with pytest.raises(ParameterError, match="must be finite, got inf"):
+            build_cone(math.inf, 1, 0.25, 0.5, 8.0, 2)
+        with pytest.raises(ParameterError, match="radius at inf cells"):
+            build_cone(1e308, 1, 0.25, 0.5, 8.0, 2)
+        with pytest.raises(ParameterError, match="radius at inf cells"):
+            build_cone(1.0, 1, 0.25, 0.5, 8.0, 2).apertures([1.0, 1e308])
+        capped = build_cone(1e308, 1, 0.25, 0.5, 8.0, 2, max_radius=10.0)
+        assert capped.apertures([2.0**9, 1e308]) == [2.0**9, 1e308]
+        with pytest.raises(ParameterError, match="must be finite, got inf"):
+            capped.apertures([math.inf])
+
     @pytest.mark.parametrize("t_min", [0.0, -1.0, math.nan])
     def test_halfspace_bad_t_min(self, t_min):
         with pytest.raises(ParameterError, match="need 0 < t_min <= t_max"):

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from lpsq.grids import build_cone, sample_function
+from lpsq.errors import ParameterError
+from lpsq.grids import GridFunction, build_cone, parse_function, sample_function
 from lpsq.harness import (
     FitReport,
     aperture_scaling_check,
     kolmogorov_check,
-    lattice_superlevel_measure,
     weak_type_profile,
     weighted_norm_check,
 )
-from lpsq.kernels import bilinear_example_kernel
+from lpsq.kernels import bilinear_example_kernel, parse_kernel
 from lpsq.operators import square_function
 from lpsq.weights import WeightVector
 
@@ -32,46 +32,65 @@ class TestFitReport:
         assert "fitted:x" in labels and "pass:x" in labels
 
 
+def _brute_weak_sup(values, h, f_norm, exponent):
+    """max of (rho / f_norm)^exponent h^n #{S > rho} over rho at each
+    distinct positive value of S and one ulp below it toward 0."""
+    v = values.ravel()
+    best = 0.0
+    for u in np.unique(v[v > 0]):
+        for rho in (u, np.nextafter(u, 0.0)):
+            best = max(best, (rho / f_norm) ** exponent * np.count_nonzero(v > rho)
+                       * h**values.ndim)
+    return best
+
+
 class TestWeakTypeProfile:
     def test_zero_operator_output(self, gauss_grid):
         z = gauss_grid.with_values(np.zeros_like(gauss_grid.values))
-        rep = weak_type_profile(z, 1.0, 1.0, [0.1, 1.0])
+        rep = weak_type_profile(z, 1.0, 1.0)
         assert rep.fitted["sup"] == 0.0
-        assert [v for _, v in rep.samples] == [0.0, 0.0]
+        assert rep.samples == []
 
     def test_scaling_invariance(self, ex1, gauss_grid, cone_coarse):
         s = square_function(ex1, gauss_grid, cone_coarse)
-        rho = list(np.geomspace(s.norm_linf() / 50, s.norm_linf() * 0.9, 12))
-        p1 = weak_type_profile(s, gauss_grid.norm_l1(), 1.0, rho)
+        p1 = weak_type_profile(s, gauss_grid.norm_l1(), 1.0)
         s2 = s.with_values(2.0 * s.values)
-        rho2 = [2.0 * r for r in rho]
-        p2 = weak_type_profile(s2, 2.0 * gauss_grid.norm_l1(), 1.0, rho2)
+        p2 = weak_type_profile(s2, 2.0 * gauss_grid.norm_l1(), 1.0)
         assert p1.fitted["sup"] == pytest.approx(p2.fitted["sup"], rel=1e-12)
+        assert p2.fitted["argmax_rho"] == 2.0 * p1.fitted["argmax_rho"]
 
-    def test_lattice_measure(self, gauss_grid):
-        m = lattice_superlevel_measure(gauss_grid, 0.5)
-        # e^{-x^2} > 0.5 iff |x| < sqrt(log 2)
-        assert m == pytest.approx(2.0 * math.sqrt(math.log(2.0)), abs=2 * gauss_grid.h)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("exponent", [1.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_brute_force_over_every_rho(self, n, exponent, seed):
+        """The closed form h^n max_k k (s_(k) / f_norm)^e is the sup over
+        every height, on random S with planted ties and zeros."""
+        rng = np.random.default_rng(seed)
+        M = 24 if n == 1 else 8
+        v = rng.exponential(size=M**n)
+        v[rng.choice(v.size, v.size // 3, replace=False)] = rng.choice(v[:4], v.size // 3)
+        v[rng.choice(v.size, v.size // 8, replace=False)] = 0.0
+        sf = GridFunction(n, M / 8, 0.25, v.reshape((M,) * n))
+        f_norm = float(rng.uniform(0.5, 3.0))
+        rep = weak_type_profile(sf, f_norm, exponent)
+        brute = _brute_weak_sup(sf.values, sf.h, f_norm, exponent)
+        assert rep.fitted["sup"] == pytest.approx(brute, rel=1e-12)
+        rho = rep.fitted["argmax_rho"]
+        assert rho in v and rep.fitted["sup"] == pytest.approx(
+            (rho / f_norm) ** exponent * np.count_nonzero(v >= rho) * sf.h**n, rel=1e-12)
 
-    def test_bad_rho_grid(self, gauss_grid):
-        from lpsq.errors import ParameterError
+    def test_refined_copy_is_stable(self, ex1, gauss_grid, cone_coarse):
+        s = square_function(ex1, gauss_grid, cone_coarse)
+        rep = weak_type_profile(s, gauss_grid.norm_l1(), 1.0, refined=(s, gauss_grid.norm_l1()))
+        assert rep.fitted["stability"] == 1.0
 
-        with pytest.raises(ParameterError):
-            weak_type_profile(gauss_grid, 1.0, 1.0, [1.0, 0.5])
-
-    @pytest.mark.parametrize("grid", [[0.5, math.nan], [math.inf], [0.5, math.inf]],
-                             ids=["nan", "inf", "inf-last"])
-    def test_non_finite_rho_grid(self, gauss_grid, grid):
-        from lpsq.errors import ParameterError
-
-        with pytest.raises(ParameterError, match="finite"):
-            weak_type_profile(gauss_grid, 1.0, 1.0, grid)
-
-    def test_empty_rho_grid(self, gauss_grid):
-        from lpsq.errors import ParameterError
-
-        with pytest.raises(ParameterError, match="nonempty"):
-            weak_type_profile(gauss_grid, 1.0, 1.0, [])
+    @pytest.mark.parametrize("f_norm", [math.nan, math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_bad_f_norm(self, gauss_grid, f_norm):
+        with pytest.raises(ParameterError, match="finite positive input norm"):
+            weak_type_profile(gauss_grid, f_norm, 1.0)
+        with pytest.raises(ParameterError, match="finite positive input norm"):
+            weak_type_profile(gauss_grid, 1.0, 1.0, refined=(gauss_grid, f_norm))
 
 
 class TestApertureScaling:
@@ -80,8 +99,6 @@ class TestApertureScaling:
         assert rep.fitted["ratio_alpha_1"] == pytest.approx(1.0)
 
     def test_no_alphas(self, ex1, gauss_grid, cone_default):
-        from lpsq.errors import ParameterError
-
         with pytest.raises(ParameterError, match="at least one alpha"):
             aperture_scaling_check(ex1, gauss_grid, [], "l2", cone_default)
 
@@ -95,6 +112,24 @@ class TestApertureScaling:
                                      cone_default)
         assert rep.fitted["exponent"] <= 1.5
         assert all(ok for _, ok in rep.check_items())
+
+    def test_bilinear_weak_ratio_is_scale_invariant(self):
+        """(rho / ||f1||_1 ||f2||_1)^(1/2) |E| does not move when one input
+        is scaled: S(10 f1, f2) = 10 S(f1, f2)."""
+        k = parse_kernel("bi1:kappa=3", 1)
+        f1, f2 = (parse_function(spec, 1, 4.0, 0.25) for spec in ("gaussian", "hat:2"))
+        cone = build_cone(1.0, 1, 0.25, 0.5, 8.0, 4)
+        reps = [aperture_scaling_check(k, (g, f2), [1.0, 2.0, 4.0], "weak", cone)
+                for g in (f1, f1.with_values(10.0 * f1.values))]
+        (l1, v1), (l10, v10) = (zip(*rep.samples) for rep in reps)
+        assert l1 == l10 and len(v1) == 3
+        np.testing.assert_allclose(v10, v1, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("norm", ["l2", "weak"])
+    def test_zero_input_is_parameter_error(self, ex1, gauss_grid, cone_default, norm):
+        z = gauss_grid.with_values(np.zeros_like(gauss_grid.values))
+        with pytest.raises(ParameterError, match=r"\|\|S_1 f\|\|_2 = 0"):
+            aperture_scaling_check(ex1, z, [1.0, 2.0], norm, cone_default)
 
 
 class TestWeightedNorm:
@@ -156,8 +191,6 @@ class TestWeightedNorm:
     def test_one_weight_per_input(self, ex1, gauss_grid, cone_coarse):
         """A weight vector of another length than the inputs is refused:
         zipping them would drop an input's or a weight's factor."""
-        from lpsq.errors import ParameterError
-
         one = sample_function(lambda x: np.ones_like(x), 1, gauss_grid.R, gauss_grid.h)
         k = bilinear_example_kernel(3.0, 1)
         with pytest.raises(ParameterError, match="weights"):
@@ -171,8 +204,7 @@ class TestWeightedNorm:
 class TestKolmogorov:
     def test_bound_with_fitted_weak_norm(self, ex1, gauss_grid, cone_coarse):
         s = square_function(ex1, gauss_grid, cone_coarse)
-        rho = np.geomspace(s.norm_linf() / 100, s.norm_linf(), 16)
-        prof = weak_type_profile(s, gauss_grid.norm_l1(), 1.0, rho)
+        prof = weak_type_profile(s, gauss_grid.norm_l1(), 1.0)
         weak_norm = prof.fitted["sup"] * gauss_grid.norm_l1()
         rng = np.random.default_rng(9)
         sets = [rng.uniform(size=s.values.shape) < q for q in (0.1, 0.5, 0.9)]
