@@ -379,10 +379,14 @@ class TestConfigAndErrors:
         ("kernel-check", {"gamma_log": 0}, "unknown config keys ['gamma_log']"),
         # the campaign is the subcommand, never a config key
         ("dini", {"campaign": "dini"}, "unknown config keys ['campaign']"),
+        # the weak sup is exact over every height: a height grid is refused whatever it holds
+        ("dini", {"rho_grid": ["x"]}, "unknown config keys ['rho_grid']"),
+        ("dini", {"rho_grid": 5}, "unknown config keys ['rho_grid']"),
     ], ids=["cz-rho", "sparse-eta", "eval-h", "tol-list", "n-text", "seed-inf",
             "alphas-entry", "alphas-scalar", "cone-q", "cone-tmin", "kernel-int",
             "function-null", "weight-int", "n-float", "n-bool", "seed-float", "cone-q-float", "oracle-text",
-            "kind-choice", "alphas-empty", "gamma-log", "campaign-key"])
+            "kind-choice", "alphas-empty", "gamma-log", "campaign-key",
+            "rho-grid-entry", "rho-grid-scalar"])
     def test_bad_number_in_config_exits_2(self, tmp_path, capsys, campaign, edit, named):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"out_dir": str(tmp_path / "o"), **edit}))
