@@ -1,6 +1,7 @@
 """Command-line verification campaigns.
 
-Subcommands: ``dini`` (--suite adds the inequality suite), ``kernel-check``
+Subcommands: ``dini`` (--suite adds the inequality suite; a modulus whose
+Dini integral diverges fails ``dini_finite``), ``kernel-check``
 (--mode size | smooth_x | smooth_y; all three by default), ``eval`` (--op s |
 gstar, --kind linear | bilinear), ``cz``, ``sparse`` and ``verify`` (weak |
 aperture | weighted | marcinkiewicz | sparse).  Every run writes
@@ -49,7 +50,7 @@ from .dyadic import (
     sparse_rhs_eval,
     verify_sparse,
 )
-from .errors import ConfigError, LpsqError
+from .errors import ConfigError, DivergenceError, LpsqError
 from .grids import (
     build_cone,
     build_halfspace,
@@ -211,12 +212,19 @@ def _function(cfg, key="function"):
 
 
 def _campaign_dini(cfg, out_dir):
+    """The Dini constant and, with ``suite``, the inequality suite.  A
+    modulus whose Dini integral diverges is a verdict, not an error: the
+    failed `dini_finite` item carries the truncated integral, and the suite
+    is skipped."""
     mod = parse_modulus(cfg["modulus"])
-    val = dini_constant(mod, cfg["tol"])
+    try:
+        val, finite = dini_constant(mod, cfg["tol"]), True
+    except DivergenceError as exc:
+        val, finite = exc.partial, False
     print(repr(round(val, 9)))
     rows = [("dini_constant", val)]
-    items = [{"name": "dini_finite", "pass": math.isfinite(val), "value": val}]
-    if cfg["suite"]:
+    items = [{"name": "dini_finite", "pass": finite, "value": val}]
+    if cfg["suite"] and finite:
         suite = dini_inequality_suite(mod, cfg["alpha"], cfg["n"])
         for name, item in suite.items():
             rows.append((f"suite_{name}_lhs", item.lhs))

@@ -15,6 +15,12 @@ and the sparse share selection are one stopping-time walk
 lists the cubes of every generation.  `sparse_construct` drops from that
 pool, as corner arrays and before any `Box` is built, the boxes whose M_S
 term cannot change its level set.
+
+Cubes reach their cells, and those of their 3-dilates, through
+`grids.cell_ranges` alone, and the pruning's far field groups its boxes by
+`grids.shape_groups`, as the Lerner pool does.  `sparse_construct` and
+`sparse_rhs_eval` refuse, before any work, cubes off f's lattice (of
+another dimension or of a base other than 2R) and pairs on two grids.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from .errors import (
     ParameterError,
 )
 from .grids import (
-    Box, ConeGrid, GridFunction, box_sums, prefix_sums, range_sums, read_json,
-    save_binary,
+    Box, ConeGrid, GridFunction, box_sums, cell_ranges, prefix_sums, range_sums, read_json,
+    save_binary, shape_groups, three_dilate,
 )
 from .moduli import dini_constant
 
@@ -87,11 +93,6 @@ class Cube:
         s = self.side
         return tuple(a + s for a in self.lo)
 
-    @property
-    def center(self) -> tuple:
-        s = self.side
-        return tuple(a + s / 2.0 for a in self.lo)
-
     def box(self) -> Box:
         return Box(self.lo, self.hi)
 
@@ -106,17 +107,12 @@ class Cube:
         return d >= 0 and tuple(a >> d for a in other.anchor) == self.anchor
 
     def cell_range(self, gf: GridFunction) -> tuple:
-        """Per-axis (start, stop) cell index ranges on gf's lattice; exact."""
-        out = []
-        for ax in range(self.n):
-            lo = (self.lo[ax] + gf.R) / gf.h
-            hi = (self.hi[ax] + gf.R) / gf.h
-            i0 = int(round(lo))
-            i1 = int(round(hi))
-            if abs(lo - i0) > 1e-9 or abs(hi - i1) > 1e-9:
-                raise GridError(f"cube {self} is not lattice-aligned at h={gf.h}")
-            out.append((max(i0, 0), min(i1, gf.ncells)))
-        return tuple(out)
+        """Per-axis (start, stop) cell index ranges on gf's lattice, clipped
+        to the grid: the `grids.cell_ranges` of the cube, whose corners must
+        lie on cell edges (`GridError` otherwise)."""
+        i0, i1 = cell_ranges(gf, [self.lo], [self.hi], aligned=True)
+        return tuple((max(a, 0), min(b, gf.ncells))
+                     for a, b in zip(i0[0].tolist(), i1[0].tolist()))
 
     def ncells_inside(self, gf: GridFunction) -> int:
         r = self.cell_range(gf)
@@ -388,30 +384,38 @@ def verify_sparse(family: SparseFamily, eta: float):
     return worst <= (1.0 - eta) + 1e-12, worst, worst_cube
 
 
+def _on_lattice(root: Cube, gf: GridFunction) -> None:
+    """root is a cube of gf's dyadic lattice: of gf's dimension and base 2R
+    (`GridError` otherwise)."""
+    if root.n != gf.n or len(root.anchor) != gf.n:
+        raise GridError(f"{root} is not a cube of the {gf.n}-D grid")
+    if root.base != 2.0 * gf.R:
+        raise GridError(f"{root} is not a cube of the dyadic lattice of base 2R = {2.0 * gf.R}")
+
+
 def dyadic_cube_pool(root: Cube, gf: GridFunction) -> list:
     """Every dyadic subcube of root that meets gf's box, down to single
     cells, as a Box, each followed by its 3-dilate (which may reach past the
     box).  Built one generation at a time from anchor arrays
     (`_generations`), with the float operations of `Cube.lo` / `Cube.hi`
-    and `Box.dilate`; the order is by generation."""
+    and `grids.three_dilate`; the order is by generation."""
     return _boxes(*_pool_corners(root, gf))
 
 
 def _pool_corners(root: Cube, gf: GridFunction) -> tuple:
     """The (nb, n) arrays lo, hi of the boxes of `dyadic_cube_pool`."""
     _dyadic_root_cells(gf.ncells)
-    if root.base != 2.0 * gf.R:
-        raise GridError(f"{root} is not a cube of the dyadic lattice of base 2R = {2.0 * gf.R}")
+    _on_lattice(root, gf)
     los, his = [], []
     for g, anchors, _ in _generations(gf, root.generation, root.anchor,
                                       [a + 1 for a in root.anchor]):
         side = root.base * 2.0 ** (-g)
         lo = np.stack(np.meshgrid(*anchors, indexing="ij"), axis=-1).reshape(-1, gf.n) * side
         hi = lo + side
-        c, half = 0.5 * (lo + hi), 3.0 * 0.5 * (hi[:, :1] - lo[:, :1])
+        lo3, hi3 = three_dilate(lo, hi)
         # each cube followed by its 3-dilate
-        los.append(np.stack([lo, c - half], axis=1).reshape(-1, gf.n))
-        his.append(np.stack([hi, c + half], axis=1).reshape(-1, gf.n))
+        los.append(np.stack([lo, lo3], axis=1).reshape(-1, gf.n))
+        his.append(np.stack([hi, hi3], axis=1).reshape(-1, gf.n))
     if not los:
         return np.empty((0, gf.n)), np.empty((0, gf.n))
     return np.concatenate(los), np.concatenate(his)
@@ -446,7 +450,7 @@ def _lerner_keep(f: GridFunction, floc: np.ndarray, lo: np.ndarray, hi: np.ndarr
     |floc|; since H_B <= gain[0] ||floc - g||_1, H_B is taken only for the
     boxes whose l^1 bound does not already drop them."""
     N = f.ncells
-    i0, i1 = ops._corner_ranges(f, lo, hi, snap_outward=True, factor=3.0)
+    i0, i1 = cell_ranges(f, lo, hi, dilate=True, snap_outward=True)
     a = np.abs(floc)
     table = prefix_sums(a)
     g1 = range_sums(table, np.clip(i0, 0, N), np.clip(i1, 0, N))
@@ -455,7 +459,7 @@ def _lerner_keep(f: GridFunction, floc: np.ndarray, lo: np.ndarray, hi: np.ndarr
     far = (math.sqrt(2.0) - 1.0) * cut
     keep = (gain[0] * g1 > cut) & (gain[0] * h1 > far)
     if keep.any():
-        j0, j1 = ops._corner_ranges(f, lo[keep], hi[keep])
+        j0, j1 = cell_ranges(f, lo[keep], hi[keep])
         keep[keep] = _far_field(a, gain, i0[keep], i1[keep], j0, j1) > far
     return keep
 
@@ -468,7 +472,7 @@ def _far_field(a: np.ndarray, gain: np.ndarray, i0: np.ndarray, i1: np.ndarray,
     (an index past the table reads its last entry, which is no smaller).
 
     Boxes of one shape (per axis: cells of 3B, cells of B, offset of B in
-    3B, the key of `operators._lerner_groups`) see one weight array w(y - i0),
+    3B, the key of `grids.shape_groups`) see one weight array w(y - i0),
     so their H_B are one correlation of a with w, taken by FFT at their 3B
     starts.  a is cropped to the hull of its nonzero cells, and its
     spectrum, of one length for every shape, serves all of them."""
@@ -483,8 +487,6 @@ def _far_field(a: np.ndarray, gain: np.ndarray, i0: np.ndarray, i1: np.ndarray,
     P = tuple(ops._fft_len(len(u)) for u in us)
     axes = tuple(range(n))
     spec = np.fft.rfftn(a[tuple(slice(y, y + m) for y, m in zip(y0, na))], P, axes=axes)
-    keys = np.concatenate([i1 - i0, j1 - j0, j0 - i0], axis=1)
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
 
     def dist(start, size):  # from each offset u to the cells [start, start + size)
         return functools.reduce(np.maximum, np.ix_(*[
@@ -492,8 +494,8 @@ def _far_field(a: np.ndarray, gain: np.ndarray, i0: np.ndarray, i1: np.ndarray,
             for u, b, m in zip(us, start, size)]))
 
     out = np.empty(len(I))
-    for key, sel in zip(uniq, (inv.ravel() == g for g in range(len(uniq)))):
-        A, S, D = key[:n], key[n : 2 * n], key[2 * n :]
+    for key, sel in shape_groups(i0, i1, j0, j1):
+        A, S, D = zip(*key)
         w = np.where(dist((0,) * n, A) == 0, 0.0,
                      gain[np.minimum(dist(D, S), len(gain) - 1)])
         conv = np.fft.irfftn(spec * np.fft.rfftn(w, P, axes=axes), P, axes=axes)
@@ -551,7 +553,7 @@ def sparse_construct(
     Both rules are implied by the plain l^1 rule on c^2 = sum_j meas_j
     |D_j| max |k_j|^2 >= far_gain[0]^2, so they keep no box that it drops.
     The l^1 norms come from one prefix table of |f'| over the 3B cells of
-    `operators._corner_ranges`, and H_B from one FFT correlation of |f'|
+    `grids.cell_ranges`, and H_B from one FFT correlation of |f'|
     per box shape (`_far_field`).  delta = `_PRUNE_DELTA` covers roundoff.
     Gamma^2 is a window sum of k_j^2 by cumulative sums, as S^2 is of
     psi_t^2; against extended precision its error is below
@@ -583,6 +585,7 @@ def sparse_construct(
         raise ParameterError(f"alpha = {alpha} is not the cone's aperture {cone.alpha}")
     N = f.ncells
     _dyadic_root_cells(N)
+    _on_lattice(q0, f)
     evaluator = ops.SquareEvaluator.of(k, f, cone, method=method)
     s_of = (evaluator.eval_values if evaluator is not None else
             lambda v: ops.square_function(k, f.with_values(v), cone, method=method).values)
@@ -605,7 +608,9 @@ def sparse_construct(
         cubes.append(node)
         if node.generation >= gmax:
             return
-        mask3 = ops._box_mask(f, node.box().dilate(3.0), snap_outward=True)
+        (i0,), (i1,) = cell_ranges(f, [node.lo], [node.hi], dilate=True, snap_outward=True)
+        mask3 = np.zeros(f.values.shape)
+        mask3[tuple(slice(max(a, 0), min(b, N)) for a, b in zip(i0.tolist(), i1.tolist()))] = 1.0
         floc = f.values * mask3
         if not np.any(floc):
             return
@@ -670,20 +675,30 @@ def sparse_construct(
 def sparse_rhs_eval(family: SparseFamily, f, dilate: int = 3) -> GridFunction:
     """[ sum_P (prod_i <f_i>_{1, 3P})^2 1_P ]^{1/2} on the grid, for one
     input or a pair.  ``dilate`` must be 3, the dilate of the sparse bound
-    (`ParameterError` otherwise)."""
+    (`ParameterError` otherwise).  Before any work the inputs must share one
+    grid and every cube must lie on its dyadic lattice, of its dimension
+    and base 2R (`GridError` otherwise).  The cells of 3P and P are the
+    `grids.cell_ranges` of the family's corners."""
     if dilate != 3:
         raise ParameterError(f"the sparse bound averages over 3P, got dilate {dilate!r}")
     fs = list(f) if isinstance(f, (tuple, list)) else [f]
     base = fs[0]
-    hn = base.h**base.n
-    acc = np.zeros_like(base.values)
+    if not all(base.same_grid(g) for g in fs[1:]):
+        raise GridError("the inputs must share one grid")
     for c in family.cubes:
+        _on_lattice(c, base)
+    N, hn = base.ncells, base.h**base.n
+    lo = np.array([c.lo for c in family.cubes], dtype=float).reshape(-1, base.n)
+    hi = np.array([c.hi for c in family.cubes], dtype=float).reshape(-1, base.n)
+    i0, i1 = cell_ranges(base, lo, hi, dilate=True, snap_outward=True)
+    j0, j1 = cell_ranges(base, lo, hi, aligned=True)
+    mags = [np.abs(gf.values) for gf in fs]
+    acc = np.zeros_like(base.values)
+    for c, a0, a1, b0, b1 in zip(family.cubes, i0.tolist(), i1.tolist(), j0.tolist(),
+                                 j1.tolist()):
+        w3 = tuple(slice(max(a, 0), min(b, N)) for a, b in zip(a0, a1))
         prod = 1.0
-        for gf in fs:
-            mask = ops._box_mask(gf, c.box().dilate(3.0), snap_outward=True)
-            tot = float(np.sum(np.abs(gf.values) * mask)) * hn
-            prod *= tot / (3 * c.side) ** gf.n
-        r = c.cell_range(base)
-        sl = tuple(slice(i0, i1) for i0, i1 in r)
-        acc[sl] += prod**2
+        for mag in mags:
+            prod *= float(np.sum(mag[w3])) * hn / (3 * c.side) ** base.n
+        acc[tuple(slice(max(a, 0), min(b, N)) for a, b in zip(b0, b1))] += prod**2
     return base.with_values(np.sqrt(acc))

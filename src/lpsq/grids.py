@@ -9,6 +9,15 @@ A ConeGrid discretizes the upper half-space with geometric t-levels
 (log-midpoint placement, ln r weight per level) and a radius rule: level j
 integrates over the offsets |offset| < min(alpha t_j, max_radius), built on
 demand by `ConeGrid.stencil`.
+
+Boxes reach the cells through one rule, `cell_ranges`: (nb, n) corner
+arrays become per-axis index ranges by the cell-center rule, optionally of
+their 3-dilates (`three_dilate`, the one dilate expression) snapped
+outward.  It is also the gate of every box: corners of another dimension
+are a GridError, and non-finite corners or sides, hi <= lo and pool boxes
+that are not cubes are ParameterErrors, all before any work.  The Lerner
+pool, the sparse pruning and A_S f group their boxes by the shape of those
+ranges through one function, `shape_groups`.
 """
 
 from __future__ import annotations
@@ -39,6 +48,9 @@ __all__ = [
     "prefix_sums",
     "box_sums",
     "range_sums",
+    "three_dilate",
+    "cell_ranges",
+    "shape_groups",
 ]
 
 _BIN_MAGIC = b"LPGF"
@@ -58,17 +70,6 @@ class Box:
     @property
     def side(self):
         return self.hi[0] - self.lo[0]
-
-    @property
-    def center(self):
-        return tuple(0.5 * (a + b) for a, b in zip(self.lo, self.hi))
-
-    def dilate(self, factor: float) -> "Box":
-        c = self.center
-        return Box(
-            tuple(ci - factor * 0.5 * self.side for ci in c),
-            tuple(ci + factor * 0.5 * self.side for ci in c),
-        )
 
 
 @dataclass(frozen=True)
@@ -184,6 +185,97 @@ def range_sums(c: np.ndarray, i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
         term = c[tuple((i1 if hi else i0)[:, ax] for ax, hi in enumerate(corner))]
         out = out - term if (c.ndim - sum(corner)) % 2 else out + term
     return out
+
+
+# ---------------------------------------------------------------------------
+# the cells of a box
+# ---------------------------------------------------------------------------
+
+
+def three_dilate(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The (nb, n) corners of the 3-dilates 3B of the boxes B = [lo, hi):
+    the center -+ 3/2 times the axis-0 side on every axis."""
+    c, half = 0.5 * (lo + hi), 3.0 * 0.5 * (hi[:, :1] - lo[:, :1])
+    return c - half, c + half
+
+
+def cell_ranges(gf: GridFunction, lo, hi, dilate: bool = False,
+                snap_outward: bool = False, aligned: bool = False) -> tuple:
+    """Per-axis [start, stop) index ranges, as (nb, n) integer arrays, of
+    the cells of gf's lattice that the boxes [lo, hi) select, lo and hi
+    (nb, n) corner arrays: the one rule from box corners to cells.
+
+    With ``dilate`` the boxes must be cubes, and their `three_dilate` is
+    taken first.  A cell counts when its center lies in [lo, hi) or, with
+    ``snap_outward`` (the convention for 3Q dilates), in
+    [lo - h/2, hi + h/2): for a lattice-aligned box, the cells inside plus
+    the left neighbour.  Coordinates are taken in cell units and rounded to
+    the lattice within 1e-9, so one box shape selects the same number of
+    cells wherever it sits; ``aligned`` requires every corner on a cell
+    edge within that margin (`GridError` otherwise).  Ranges are not
+    clipped to the grid, but a corner more than two box widths past it is
+    moved to that distance, which selects the same cells, before the
+    integer cast.
+
+    Refused before any work: corners of another shape than (nb, gf.n)
+    (`GridError`); a non-finite corner or side, hi <= lo on an axis and,
+    with ``dilate``, sides that differ by more than 1e-9 relative or a
+    3-dilate that overflows (`ParameterError`).
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.ndim != 2 or lo.shape[1] != gf.n or hi.shape != lo.shape:
+        raise GridError(f"box corners of shape {lo.shape} and {hi.shape} on a "
+                        f"{gf.n}-D grid; expected (boxes, {gf.n})")
+    nb, N = len(lo), gf.ncells
+    with np.errstate(over="ignore", invalid="ignore"):
+        side = hi - lo  # NaN or inf for a non-finite corner or side
+        if not (side.min(initial=math.inf) > 0 and side.max(initial=0.0) < math.inf):
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+                raise ParameterError("box corners must be finite")
+            if (side <= 0).any():
+                raise ParameterError("every box needs hi > lo on each axis")
+            raise ParameterError("a box side overflows")
+        if dilate:
+            if gf.n > 1 and (np.abs(side - side[:, :1]) > 1e-9 * side[:, :1]).any():
+                raise ParameterError("a box with unequal sides has no 3-dilate; "
+                                     "pool boxes must be cubes")
+            lo, hi = three_dilate(lo, hi)
+            if not (hi - lo).max(initial=0.0) < math.inf:
+                raise ParameterError("a box's 3-dilate overflows")
+        x = (np.concatenate((lo, hi)) + gf.R) / gf.h  # cell units, lo rows first
+    # a corner two box widths (2N cells) past the grid selects what any
+    # farther one does
+    np.maximum(x, -2.0 * N, out=x)
+    np.minimum(x, 3.0 * N, out=x)
+    if aligned and np.abs(x - np.round(x)).max(initial=0.0) > 1e-9:
+        raise GridError(f"a box is not lattice-aligned at h={gf.h}")
+    # cell i is selected for lo - pad <= i + 1/2 < hi + pad (cell units),
+    # pad = 1/2 with snap_outward
+    x -= 0.5
+    if snap_outward:
+        x[:nb] -= 0.5
+        x[nb:] += 0.5
+    x -= 1e-9
+    i = np.ceil(x, out=x).astype(np.intp)
+    return i[:nb], i[nb:]
+
+
+def shape_groups(i0: np.ndarray, i1: np.ndarray, j0: np.ndarray, j1: np.ndarray) -> list:
+    """The boxes grouped by shape, for an outer range [i0, i1) and an inner
+    one [j0, j1) per box ((nb, n) `cell_ranges`, unclipped, such as 3B and
+    B): (key, rows) pairs, the key per axis (cells of the outer range,
+    cells of the inner, offset of the inner in the outer) and rows the
+    ascending indices of the boxes of that shape."""
+    if not len(i0):
+        return []
+    keys = np.stack([i1 - i0, j1 - j0, j0 - i0], axis=-1).reshape(len(i0), -1)
+    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    inv = inv.ravel()
+    order = np.argsort(inv, kind="stable")
+    ends = np.cumsum(np.bincount(inv)).tolist()
+    keys = uniq.reshape(len(uniq), -1, 3).tolist()
+    return [(tuple(map(tuple, key)), order[start:end])
+            for key, start, end in zip(keys, [0] + ends, ends)]
 
 
 def sample_function(fn: Callable, n: int, R: float, h: float) -> GridFunction:

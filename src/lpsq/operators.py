@@ -10,7 +10,9 @@ Every entry point first reads its inputs through one gate, `_operands`: a
 grid function, or the pair (f1, f2) of a bilinear kernel, as a tuple of k.m
 inputs.  Before any work it refuses, each by a named error, a wrong number
 of inputs, inputs on different grids or of another dimension than the
-kernel, and a cone of another spacing or dimension than the grid.
+kernel, and a cone of another spacing or dimension than the grid.  Boxes
+(the pool and domain of `lerner_maximal`) pass the one box rule,
+`grids.cell_ranges`, which gates them the same way.
 
 S, g* and the `SquareEvaluator` read one level table, `_cone_levels`: per
 cone level its t, its radius min(alpha t, max_radius), the pad K of the
@@ -38,8 +40,8 @@ full-grid linear convolution (psi_t, the cone levels, g*'s weight sum) is
 a circular convolution by numpy's rfftn / irfftn of one length rule,
 `_fft_len`: the least 2^a 3^b 5^c that holds it.  A single input's cone
 levels on a convolution kernel are one stream, `_level_values`: one rfftn
-of the input per distinct length, one irfftn per level.  The
-`SquareEvaluator` and one-shot g* read it; one-shot S still takes one
+of the input per distinct length, held one at a time, and one irfftn per
+level.  The `SquareEvaluator` and one-shot g* read it; one-shot S still takes one
 `psi_t_apply` per level (`_psi_levels`), as perfbench's span table counts
 one psi_t call per level of `square_function`.  Two paths
 keep powers of two: the Lerner local-window blocks, on which the Gram
@@ -79,8 +81,9 @@ levels (`_psi_t_bilinear_fft`).  The per-output-cell direct sum
 `_psi_t_bilinear` is its oracle.
 
 `lerner_maximal` computes M_S f(x), the sup over the pool cubes Q
-containing x of |S f^2 - S(f 1_{3Q})^2|^{1/2}.  On a linear convolution
-kernel with method "auto" it evaluates every pool cube's
+containing x of |S f^2 - S(f 1_{3Q})^2|^{1/2}.  The cells of every Q and
+3Q are taken once (`_pool_cells`), and both paths read them.  On a linear
+convolution kernel with method "auto" it evaluates every pool cube's
 S(f 1_{3Q}) only on Q, cubes grouped by their cell shape, in n = 1 and
 n = 2 alike.  Small cubes take one quadratic form in f on 3Q per cube,
 with a level-summed Gram table cached on the
@@ -109,7 +112,9 @@ from .errors import (
     GridError,
     ParameterError,
 )
-from .grids import Box, ConeGrid, GridFunction, box_sums, prefix_sums
+from .grids import (
+    Box, ConeGrid, GridFunction, box_sums, cell_ranges, prefix_sums, shape_groups,
+)
 from .kernels import KernelSpec, unit_cube_maximal
 from .moduli import ModulusOfContinuity
 
@@ -468,20 +473,24 @@ def _cone_levels(template: GridFunction, cone: ConeGrid, alpha: float) -> list:
 def _level_values(values: np.ndarray, levels: list, spectra):
     """Yield (level, u) per `_Level`: u the psi_t values of the grid
     function with these values on its lattice padded by the level's K
-    cells, by one rfftn of the values per distinct nfft and one irfftn per
-    level.  ``spectra`` yields each level's kernel spectrum
-    (`_kernel_spectra`): the evaluator passes its cached list, g* a
-    stream."""
+    cells, by one irfftn per level.  ``spectra`` yields each level's kernel
+    spectrum (`_kernel_spectra`): the evaluator passes its cached list, g*
+    a stream.
+
+    One input spectrum is held, that of the last nfft: `build_cone` gives
+    the levels in ascending t, so nfft never decreases and each distinct
+    nfft takes one rfftn of the values.  Any other level order is served
+    as well, at one more rfftn per change of nfft."""
     n, N = values.ndim, values.shape[0]
     axes = range(n)
     spectra = iter(spectra)
-    vf_cache = {}
+    held = (None, None)  # (nfft, input spectrum)
     for lv in levels:
-        vf = vf_cache.get(lv.nfft)
-        if vf is None:
-            vf = vf_cache[lv.nfft] = np.fft.rfftn(values, (lv.nfft,) * n, axes=axes)
+        if held[0] != lv.nfft:
+            held = None  # the old spectrum goes before the new one is made
+            held = lv.nfft, np.fft.rfftn(values, (lv.nfft,) * n, axes=axes)
         kf = next(spectra)
-        conv = np.fft.irfftn(vf * kf, (lv.nfft,) * n, axes=axes)
+        conv = np.fft.irfftn(held[1] * kf, (lv.nfft,) * n, axes=axes)
         # no name holds a level's spectrum or transform past its use, so a
         # stream of spectra keeps one level's at a time
         del kf
@@ -1117,60 +1126,36 @@ def maximal(f: GridFunction, variant: str = "hl") -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _box_ranges(gf: GridFunction, boxes: Sequence[Box], snap_outward: bool = False,
-                factor: float | None = None) -> tuple:
-    """Per-axis (start, stop) index ranges of the cells each box selects, as
-    (nb, n) arrays: `_corner_ranges` of the boxes' corners."""
-    return _corner_ranges(gf, np.array([b.lo for b in boxes], dtype=float),
-                          np.array([b.hi for b in boxes], dtype=float), snap_outward, factor)
+def _corners(boxes: Sequence[Box], n: int) -> tuple:
+    """The (nb, n) corner arrays lo, hi of boxes; a box of another
+    dimension than n is a `GridError`."""
+    if any(len(b.lo) != n or len(b.hi) != n for b in boxes):
+        raise GridError(f"a box of another dimension than the {n}-D grid")
+    return (np.array([b.lo for b in boxes], dtype=float),
+            np.array([b.hi for b in boxes], dtype=float))
 
 
-def _corner_ranges(gf: GridFunction, lo: np.ndarray, hi: np.ndarray,
-                   snap_outward: bool = False, factor: float | None = None) -> tuple:
-    """Per-axis (start, stop) index ranges of the cells each box [lo, hi)
-    selects, lo and hi (nb, n) arrays, as (nb, n) arrays; boxes are dilated
-    first as `Box.dilate(factor)` when a factor is given, by the same float
-    operations.
-
-    A cell counts when its center lies in [lo, hi) or, with
-    ``snap_outward`` (the convention for 3Q dilates), in
-    [lo - h/2, hi + h/2): for a lattice-aligned box that is the cells inside
-    plus the left neighbour.  Coordinates are taken in cell units and
-    rounded to the lattice within 1e-9 (as `Cube.cell_range`), so one box
-    shape selects the same number of cells wherever it sits; ranges are not
-    clipped to the grid.
-    """
-    if factor is not None:  # the center -+ factor/2 times the axis-0 side
-        c, half = 0.5 * (lo + hi), factor * 0.5 * (hi[:, :1] - lo[:, :1])
-        lo, hi = c - half, c + half
-    # cell i is selected for lo - pad <= i + 1/2 < hi + pad (cell units)
-    pad = 0.5 if snap_outward else 0.0
-    i0 = np.ceil((lo + gf.R) / gf.h - 0.5 - pad - 1e-9).astype(np.intp)
-    i1 = np.ceil((hi + gf.R) / gf.h - 0.5 + pad - 1e-9).astype(np.intp)
-    return i0, i1
+def _pool_cells(f: GridFunction, cube_pool: Sequence[Box]) -> tuple:
+    """(i0, i1, j0, j1): per pool cube Q the `grids.cell_ranges` of 3Q,
+    snapped outward, and of Q, as (nb, n) arrays, unclipped."""
+    lo, hi = _corners(cube_pool, f.n)
+    return (*cell_ranges(f, lo, hi, dilate=True, snap_outward=True),
+            *cell_ranges(f, lo, hi))
 
 
-def _box_mask(gf: GridFunction, box: Box, snap_outward: bool = False) -> np.ndarray:
-    """Indicator of the grid cells `_box_ranges` selects for one box."""
-    i0, i1 = _box_ranges(gf, [box], snap_outward)
-    mask = np.zeros(gf.values.shape)
-    mask[tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(i0[0], i1[0]))] = 1.0
-    return mask
-
-
-def _lerner_groups(f: GridFunction, cube_pool: Sequence[Box], out: np.ndarray) -> dict:
+def _lerner_groups(f: GridFunction, cells: tuple, out: np.ndarray) -> dict:
     """The pool cubes of the batched paths, grouped by shape.
 
-    Keys hold per axis (cells of 3Q, cells of Q, offset of Q in 3Q); values
-    are the (nb, n) start cells of 3Q and of Q of the cubes of that shape.
-    The ranges run past the grid, so one box shape has one key wherever it
-    sits.  Cubes that select no grid cell are left out; where 3Q holds every
-    nonzero cell of f, M_S is exactly 0 on Q, which is written into out
-    here.
+    cells are the pool's `_pool_cells`.  Keys are those of
+    `grids.shape_groups`, per axis (cells of 3Q, cells of Q, offset of Q in
+    3Q); values are the (nb, n) start cells of 3Q and of Q of the cubes of
+    that shape.  The ranges run past the grid, so one box shape has one key
+    wherever it sits.  Cubes that select no grid cell are left out; where
+    3Q holds every nonzero cell of f, M_S is exactly 0 on Q, which is
+    written into out here.
     """
     N = f.ncells
-    i0, i1 = _box_ranges(f, cube_pool, snap_outward=True, factor=3.0)
-    j0, j1 = _box_ranges(f, cube_pool)
+    i0, i1, j0, j1 = cells
     live = np.all(np.maximum(j0, 0) < np.minimum(j1, N), axis=1)
     zero = live.copy()
     for ax, ix in enumerate(np.nonzero(f.values)):
@@ -1180,11 +1165,8 @@ def _lerner_groups(f: GridFunction, cube_pool: Sequence[Box], out: np.ndarray) -
         qin = tuple(slice(max(a, 0), min(b, N)) for a, b in zip(j0[c], j1[c]))
         out[qin] = np.maximum(out[qin], 0.0)
     rest = np.flatnonzero(live & ~zero)
-    keys = np.stack([i1 - i0, j1 - j0, j0 - i0], axis=-1)[rest]
-    uniq, inv = np.unique(keys.reshape(rest.size, 3 * f.n), axis=0, return_inverse=True)
-    sels = [rest[inv.ravel() == g] for g in range(len(uniq))]
-    return {tuple(map(tuple, key.reshape(-1, 3).tolist())): (i0[sel], j0[sel])
-            for key, sel in zip(uniq, sels)}
+    return {key: (i0[rest[sel]], j0[rest[sel]])
+            for key, sel in shape_groups(i0[rest], i1[rest], j0[rest], j1[rest])}
 
 
 def _lerner_sup(out: np.ndarray, s_full2: np.ndarray, batches) -> None:
@@ -1238,13 +1220,12 @@ def _gram_form(ev: SquareEvaluator, key, fp: np.ndarray, I: np.ndarray) -> np.nd
     return out.reshape(len(I), *(s for _, s, _ in key))
 
 
-def _lerner_batched(ev: SquareEvaluator, f: GridFunction,
-                    cube_pool: Sequence[Box]) -> np.ndarray:
-    """M_S of a convolution kernel, each cube's S(f 1_{3Q})^2 evaluated on
-    Q only.
+def _lerner_batched(ev: SquareEvaluator, f: GridFunction, cells: tuple) -> np.ndarray:
+    """M_S of a convolution kernel over the pool cubes of `_pool_cells`
+    cells, each cube's S(f 1_{3Q})^2 evaluated on Q only.
 
-    Cubes are grouped by their unclipped shape; f 1_{3Q} is read from a
-    zero-padded f.  Groups that `_gram_takes` go to `_gram_form`.  For
+    Cubes are grouped by their unclipped shape (`_lerner_groups`); f 1_{3Q}
+    is read from a zero-padded f.  Groups that `_gram_takes` go to `_gram_form`.  For
     every other group, psi_t(f 1_{3Q}) on Q +- K_j is the linear
     convolution of the stacked 3Q windows with level j's profile block,
     sampled at the cell offsets from 3Q to Q +- K_j; `SquareEvaluator.cone_sum`
@@ -1259,7 +1240,7 @@ def _lerner_batched(ev: SquareEvaluator, f: GridFunction,
     """
     n, N = f.n, f.ncells
     out = np.full((N,) * n, -np.inf)
-    groups = _lerner_groups(f, cube_pool, out)
+    groups = _lerner_groups(f, cells, out)
     if not groups:
         return out
     # a zero pad that holds every 3Q window of f
@@ -1300,10 +1281,14 @@ def lerner_maximal(
 
     ``variant`` must be "M_S", the one localized operator, else
     `ParameterError`.  The pool approximates the sup over all cubes;
-    callers should record the pool kind alongside results.  Every cell of
-    ``domain`` (default: f's own box) must lie in some pool cube, else
-    `CoverageError`; the output is zero outside it.  A linear convolution
-    kernel with method "auto" takes the batched path
+    callers should record the pool kind alongside results.  Before any
+    work the pool cubes and the domain pass `grids.cell_ranges` (the pool
+    with its 3-dilates): a box of another dimension than f is a
+    `GridError`; a non-finite corner or side, hi <= lo, a pool box that is
+    not a cube or whose 3-dilate overflows are `ParameterError`s.  Every
+    cell of ``domain`` (default: f's own box) must lie in some pool cube,
+    else `CoverageError`; the output is zero outside it.  A linear
+    convolution kernel with method "auto" takes the batched path
     (`_lerner_batched`), in n = 1 and n = 2, through the evaluator
     `SquareEvaluator.of` keeps on k, so that repeated calls on one layout
     share its kernel spectra, Gram table and block spectra.  Anything else
@@ -1315,10 +1300,14 @@ def lerner_maximal(
     if not cube_pool:
         raise CoverageError("empty cube pool")
     base = fs[0]
+    cells = _pool_cells(base, cube_pool)
+    (d0,), (d1,) = cell_ranges(base, *_corners([base.box() if domain is None else domain],
+                                               base.n))
+    dom = np.zeros(base.values.shape, dtype=bool)
+    dom[tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(d0.tolist(), d1.tolist()))] = True
     ev = SquareEvaluator.of(k, base, cone, method=method)
-    out = (_lerner_batched(ev, base, cube_pool) if ev is not None
-           else _lerner_pool_loop(k, fs, cone, cube_pool, method))
-    dom = _box_mask(base, base.box() if domain is None else domain).astype(bool)
+    out = (_lerner_batched(ev, base, cells) if ev is not None
+           else _lerner_pool_loop(k, fs, cone, cells, method))
     uncovered = np.argwhere(dom & (out == -np.inf))
     if uncovered.size:
         raise CoverageError(
@@ -1329,9 +1318,10 @@ def lerner_maximal(
     return base.with_values(out)
 
 
-def _lerner_pool_loop(k, f, cone, cube_pool, method) -> np.ndarray:
+def _lerner_pool_loop(k, f, cone, cells, method) -> np.ndarray:
     """M_S with one `square_function` call per pool cube, for a single
-    input and a pair alike: the oracle of `_lerner_batched`."""
+    input and a pair alike, the cubes given by their `_pool_cells` cells:
+    the oracle of `_lerner_batched`."""
     fs = _operands(k, f, cone)
 
     def s_of(values):
@@ -1340,11 +1330,19 @@ def _lerner_pool_loop(k, f, cone, cube_pool, method) -> np.ndarray:
 
     s_full2 = s_of([g.values for g in fs]) ** 2
     out = np.full(fs[0].values.shape, -np.inf)
-    for q in cube_pool:
-        mask3 = _box_mask(fs[0], q.dilate(3.0), snap_outward=True)
-        val = np.sqrt(np.abs(s_full2 - s_of([g.values * mask3 for g in fs]) ** 2))
-        sel = _box_mask(fs[0], q).astype(bool)
-        out[sel] = np.maximum(out[sel], val[sel])
+    i0, i1, j0, j1 = np.clip(cells, 0, fs[0].ncells)
+    for a0, a1, b0, b1 in zip(i0, i1, j0, j1):
+        if np.any(b1 <= b0):  # Q selects no grid cell
+            continue
+        w3 = tuple(slice(a, b) for a, b in zip(a0, a1))
+        q = tuple(slice(a, b) for a, b in zip(b0, b1))
+        masked = []
+        for g in fs:
+            v = np.zeros_like(g.values)
+            v[w3] = g.values[w3]
+            masked.append(v)
+        val = np.sqrt(np.abs(s_full2[q] - s_of(masked)[q] ** 2))
+        out[q] = np.maximum(out[q], val)
     return out
 
 

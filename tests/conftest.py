@@ -4,13 +4,30 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lpsq.grids import build_cone, sample_function
+from lpsq.grids import Box, build_cone, cell_ranges, sample_function
 from lpsq.kernels import parse_kernel
 
 # property tests: no per-example deadline (timings vary on small shared
 # hosts) and derandomized examples, so every run draws the same cases
 settings.register_profile("lpsq", deadline=None, derandomize=True)
 settings.load_profile("lpsq")
+
+
+def dilate3(box: Box) -> Box:
+    """The 3-dilate of a box by Python float operations, the center -+ 3/2
+    times the axis-0 side: an oracle for `grids.three_dilate`."""
+    c = [0.5 * (a + b) for a, b in zip(box.lo, box.hi)]
+    half = 3.0 * 0.5 * box.side
+    return Box(tuple(x - half for x in c), tuple(x + half for x in c))
+
+
+def box_mask(gf, box: Box, snap_outward: bool = False) -> np.ndarray:
+    """The 0/1 indicator of the grid cells `grids.cell_ranges` selects for
+    one box."""
+    i0, i1 = cell_ranges(gf, [box.lo], [box.hi], snap_outward=snap_outward)
+    mask = np.zeros(gf.values.shape)
+    mask[tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(i0[0], i1[0]))] = 1.0
+    return mask
 
 
 @pytest.fixture(scope="session")

@@ -37,7 +37,8 @@ class TestSubcommands:
 
     def test_dini_table_modulus_verdicts(self, tmp_path, capsys):
         """w(t) = t on a table with a (0, 0) row: the constant is the exact
-        segment sum, 2; over a positive floor the table is not Dini."""
+        segment sum, 2; over a positive floor the table is not Dini, a
+        failed check (exit 1) that carries the truncated integral."""
         ts = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 64)])
         dini_path, floored = tmp_path / "w.csv", tmp_path / "f.csv"
         dini_path.write_text("\n".join(f"{t},{t}" for t in ts))
@@ -49,9 +50,33 @@ class TestSubcommands:
         assert summary["items"] == [{"name": "dini_finite", "pass": True,
                                      "value": pytest.approx(2.0, abs=1e-10)}]
         out = tmp_path / "floored"
-        assert run_main(["--out-dir", str(out), "dini", "--modulus", f"csv:{floored}"]) == 2
+        assert run_main(["--out-dir", str(out), "dini", "--modulus", f"csv:{floored}"]) == 1
         summary = json.loads((out / "summary.json").read_text())
-        assert not summary["passed"] and "diverges" in summary["error"]
+        [item] = summary["items"]
+        assert not summary["passed"] and item["name"] == "dini_finite" and not item["pass"]
+        assert math.isfinite(item["value"]) and item["value"] > 0
+
+    def test_dini_divergence_is_a_failed_verdict(self, tmp_path, capsys):
+        """log:2 is not Dini: dini_finite fails with the truncated integral
+        that the DivergenceError carries, the suite is skipped, exit 1; a
+        tolerance the quadrature cannot meet stays an error (exit 2)."""
+        from lpsq.errors import DivergenceError
+        from lpsq.moduli import dini_constant, parse_modulus
+
+        with pytest.raises(DivergenceError) as exc:
+            dini_constant(parse_modulus("log:2"), 1e-8)
+        out = tmp_path / "log2"
+        assert run_main(["--out-dir", str(out), "dini", "--suite", "--modulus", "log:2"]) == 1
+        assert "FAIL: dini_finite" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["items"] == [{"name": "dini_finite", "pass": False,
+                                     "value": exc.value.partial}]
+        table = tmp_path / "w.csv"
+        ts = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 64)])
+        table.write_text("\n".join(f"{t},{t ** 0.5}" for t in ts))
+        rc = run_main(["--out-dir", str(tmp_path / "budget"), "dini",
+                       "--modulus", f"csv:{table}", "--tol", "1e-300"])
+        assert rc == 2 and "within budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["sparse", "--kernel", "ex1:kappa=2.2", "--h", "0.125"],

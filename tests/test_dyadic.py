@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dilate3
 from lpsq.dyadic import (
     Cube,
     SparseFamily,
@@ -21,7 +22,7 @@ from lpsq.errors import (
     ConfigError, ConstructionError, ContainmentError, GridError, ParameterError,
 )
 from lpsq.grids import (
-    GridFunction, box_sums, build_cone, load_binary, read_json, sample_function,
+    GridFunction, box_sums, build_cone, cell_ranges, load_binary, read_json, sample_function,
 )
 from lpsq.kernels import bilinear_example_kernel, parse_kernel
 from lpsq.operators import square_function
@@ -47,7 +48,7 @@ class TestCube:
     def test_geometry(self):
         q = Cube(1, 1, (0,), "standard", BASE)
         assert q.lo == (0.0,) and q.hi == (8.0,)
-        assert q.center == (4.0,) and q.side == 8.0
+        assert q.side == 8.0
 
     def test_children_partition_parent(self):
         q = Cube(1, 2, (-1,), "standard", BASE)
@@ -534,6 +535,57 @@ class TestSparseRhs:
                 sparse_rhs_eval(fam, f, dilate)
 
 
+def _lattice_gate_call(case: str):
+    """The call of one off-lattice case of `TestLatticeGate`."""
+    k1 = parse_kernel("ex1:kappa=3", 1)
+    f1 = GridFunction(1, 4.0, 0.25, np.random.default_rng(0).standard_normal(32))
+    f2 = GridFunction(2, 4.0, 1.0, np.random.default_rng(1).standard_normal((8, 8)))
+    k2 = parse_kernel("ex1:kappa=3", 2)
+    cone1 = build_cone(1.0, 1, f1.h, 2 * f1.h, 8.0, 4)
+    cone2 = build_cone(1.0, 2, f2.h, 2 * f2.h, 8.0, 4)
+
+    def fam(n, base=8.0):
+        root = Cube(n, 1, (0,) * n, "standard", base)
+        return SparseFamily(0.5, root, [root], {})
+
+    other = GridFunction(1, 2.0, 0.125, np.ones(32))  # 32 cells on another box
+    return {
+        "construct-2d-root-on-1d": lambda: sparse_construct(
+            k1, f1, Cube(2, 1, (0, 0), "standard", 8.0), 1.0, cone1),
+        "construct-1d-root-on-2d": lambda: sparse_construct(
+            k2, f2, Cube(1, 1, (0,), "standard", 8.0), 1.0, cone2),
+        "construct-base-4-on-R-4": lambda: sparse_construct(
+            k1, f1, Cube(1, 1, (0,), "standard", 4.0), 1.0, cone1),
+        "rhs-1d-family-on-2d": lambda: sparse_rhs_eval(fam(1), f2, 3),
+        "rhs-2d-family-on-1d": lambda: sparse_rhs_eval(fam(2), f1, 3),
+        "rhs-base-4-on-R-4": lambda: sparse_rhs_eval(fam(1, 4.0), f1, 3),
+        "rhs-pair-on-two-grids": lambda: sparse_rhs_eval(fam(1), (f1, other), 3),
+    }[case]
+
+
+class TestLatticeGate:
+    """sparse_construct and sparse_rhs_eval refuse cubes off f's lattice
+    (another dimension, a base other than 2R) and pairs on two grids with a
+    GridError, before the evaluator is built or any average is taken."""
+
+    @pytest.mark.parametrize("case", [
+        "construct-2d-root-on-1d", "construct-1d-root-on-2d", "construct-base-4-on-R-4",
+        "rhs-1d-family-on-2d", "rhs-2d-family-on-1d", "rhs-base-4-on-R-4",
+        "rhs-pair-on-two-grids",
+    ])
+    def test_off_lattice_is_a_grid_error(self, monkeypatch, case):
+        from lpsq import dyadic
+        from lpsq import operators as ops
+
+        def started(*a, **kw):
+            raise AssertionError("the work started before the lattice was checked")
+
+        monkeypatch.setattr(ops.SquareEvaluator, "of", started)
+        monkeypatch.setattr(dyadic, "cell_ranges", started, raising=False)
+        with pytest.raises(GridError):
+            _lattice_gate_call(case)()
+
+
 class TestCubePool:
     def test_pool_contains_root_and_dilates(self):
         g = grid_1d(64)
@@ -541,7 +593,7 @@ class TestCubePool:
         pool = dyadic_cube_pool(root, g)
         sides = sorted({b.side for b in pool})
         assert root.box() in pool
-        assert root.box().dilate(3.0) in pool
+        assert dilate3(root.box()) in pool
         assert min(sides) == g.h
 
 
@@ -734,7 +786,7 @@ class TestGenerationWalk:
                 q = stack.pop()
                 if q.ncells_inside(f) == 0:
                     continue
-                want += [q.box(), q.box().dilate(3.0)]
+                want += [q.box(), dilate3(q.box())]
                 if q.generation < gmax:
                     stack.extend(_children(q))
             assert Counter(dyadic_cube_pool(root, f)) == Counter(want), root
@@ -974,8 +1026,7 @@ class TestLernerPoolPruning:
                 * np.max(np.abs(ops._conv_kernel(k, f, lv.t, lv.Mx))) ** 2
                 for lv in ev.levels))
             assert ev.far_gain[0] <= c
-            i0, i1 = ops._box_ranges(f, dyadic_cube_pool(root, f), snap_outward=True,
-                                     factor=3.0)
+            i0, i1 = cell_ranges(f, *_pool_corners(root, f), dilate=True, snap_outward=True)
             a = np.abs(f.values)
             g1 = np.array([a[tuple(slice(max(p, 0), max(q, 0)) for p, q in zip(b0, b1))].sum()
                            for b0, b1 in zip(i0, i1)])

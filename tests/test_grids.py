@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import box_mask, dilate3
 from lpsq.errors import ConfigError, GridError, ParameterError, ResolutionError
 from lpsq.grids import (
     Box,
@@ -20,6 +21,7 @@ from lpsq.grids import (
     sample_function,
     save_binary,
     save_csv,
+    three_dilate,
 )
 
 
@@ -144,16 +146,19 @@ class TestGridFunction:
 
 class TestBox:
     def test_dilate(self):
-        b = Box((0.0,), (1.0,))
-        d = b.dilate(3.0)
-        assert d.lo == (-1.0,) and d.hi == (2.0,)
+        lo, hi = three_dilate(np.array([[0.0]]), np.array([[1.0]]))
+        assert lo.tolist() == [[-1.0]] and hi.tolist() == [[2.0]]
+        # the same floats as the oracle, in 2-D and off the lattice
+        rng = np.random.default_rng(0)
+        for a, w in zip(rng.uniform(-5, 5, (20, 2)), rng.uniform(0.01, 3, 20)):
+            b = Box(tuple(a), tuple(a + w))
+            lo, hi = three_dilate(np.array([b.lo]), np.array([b.hi]))
+            assert Box(tuple(lo[0].tolist()), tuple(hi[0].tolist())) == dilate3(b)
 
     def test_contains(self):
         """A box holds the cells whose centers lie in [lo, hi): right-open."""
-        from lpsq.operators import _box_mask
-
         g = GridFunction(2, 1.0, 0.5, np.zeros((4, 4)))  # centers -0.75 .. 0.75
-        mask = _box_mask(g, Box((-0.25, -0.75), (0.75, 0.25)))
+        mask = box_mask(g, Box((-0.25, -0.75), (0.75, 0.25)))
         assert mask.tolist() == [[0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]]
 
 

@@ -529,3 +529,77 @@ def test_checker_finds_a_tuple_test(tmp_path):
                  "ok = isinstance(0, (tuple,))\n")
     assert _tuple_tests(p, {OPERAND_GATE}) == [
         "operators.py:5: psi", "operators.py:10: inner", "operators.py:13: <module>"]
+
+
+# the private names of another module of src/lpsq that a module reads, as
+# (file, "module._name"); the set may only shrink, and every entry must
+# still be read
+PRIVATE_READS_OK = {
+    ("dyadic.py", "operators._fft_len"),
+    ("harness.py", "operators._cone_levels"),
+    ("harness.py", "operators._operands"),
+}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(path: pathlib.Path) -> list:
+    """(line, "module._name") of each private name (a leading underscore,
+    not a dunder) of another lpsq module that the file reads: imported by
+    ``from .module import _name`` (or ``lpsq.module``), or loaded as an
+    attribute of a module bound by ``from . import module [as alias]`` or
+    ``import lpsq.module [as alias]``, anywhere in the file."""
+    tree = ast.parse(path.read_text())
+    modules, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "lpsq":
+                continue
+            inner = [p for p in parts if p and p != "lpsq"]
+            for a in node.names:
+                if inner and _is_private(a.name):
+                    found.append((node.lineno, f"{inner[-1]}.{a.name}"))
+                elif not inner:
+                    modules[a.asname or a.name] = a.name
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "lpsq" and len(parts) > 1 and a.asname:
+                    modules[a.asname] = parts[-1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            v = node.value
+            if isinstance(v, ast.Name) and v.id in modules:
+                found.append((node.lineno, f"{modules[v.id]}.{node.attr}"))
+            elif (isinstance(v, ast.Attribute) and isinstance(v.value, ast.Name)
+                  and v.value.id == "lpsq"):
+                found.append((node.lineno, f"{v.attr}.{node.attr}"))
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_name():
+    reads = {(p.name, name): line for p in sorted(SRC.glob("*.py"))
+             for line, name in _private_reads(p)}
+    assert sorted(f"{f}:{line}: {name}" for (f, name), line in reads.items()
+                  if (f, name) not in PRIVATE_READS_OK) == []
+    assert sorted(PRIVATE_READS_OK - set(reads)) == []  # a stale entry leaves the list
+
+
+def test_checker_finds_a_private_read(tmp_path):
+    p = tmp_path / "dyadic.py"
+    p.write_text("from . import operators as ops\n"
+                 "from .grids import _stencil, box_sums\n"
+                 "import lpsq.moduli as mod\n"
+                 "import lpsq.kernels\n"
+                 "import numpy as np\n\n"
+                 "def f(self):\n"
+                 "    from lpsq.weights import _apvec, WeightVector\n"
+                 "    from lpsq import harness\n"
+                 "    return (ops._fft_len, ops.square_function, ops.__name__, mod._dini,\n"
+                 "            lpsq.kernels._eps, harness._rung, np._core, self._x)\n")
+    assert _private_reads(p) == [
+        (2, "grids._stencil"), (8, "weights._apvec"), (10, "moduli._dini"),
+        (10, "operators._fft_len"), (11, "harness._rung"), (11, "kernels._eps")]

@@ -13,7 +13,10 @@ from lpsq.errors import (
     ParameterError,
     ResolutionError,
 )
-from lpsq.grids import Box, GridFunction, build_cone, build_halfspace, sample_function
+from conftest import box_mask, dilate3
+from lpsq.grids import (
+    Box, GridFunction, build_cone, build_halfspace, cell_ranges, sample_function,
+)
 from lpsq.kernels import KernelSpec, bilinear_example_kernel, parse_kernel
 from lpsq.moduli import power_modulus
 from lpsq.operators import (
@@ -347,8 +350,6 @@ class TestLernerMaximal:
     def test_ms_arithmetic_bound(self, ex1, cone_coarse, gauss_grid):
         """M_S <= 2 sqrt(N_S (N_S + S)), N_S f(x) the sup over the pool
         cubes Q containing x of S(f 1_{outside 3Q})(x)."""
-        from lpsq.operators import _box_mask
-
         rng = np.random.default_rng(3)
         f = gauss_grid.with_values(rng.uniform(-1, 1, gauss_grid.ncells))
         pool = [Box((a,), (a + w,)) for a, w in
@@ -356,9 +357,9 @@ class TestLernerMaximal:
         ms = lerner_maximal(ex1, f, cone_coarse, "M_S", pool)
         ns = np.full(f.ncells, -np.inf)
         for q in pool:
-            outside = 1.0 - _box_mask(f, q.dilate(3.0), snap_outward=True)
+            outside = 1.0 - box_mask(f, dilate3(q), snap_outward=True)
             s_out = square_function(ex1, f.with_values(f.values * outside), cone_coarse)
-            sel = _box_mask(f, q).astype(bool)
+            sel = box_mask(f, q).astype(bool)
             ns[sel] = np.maximum(ns[sel], s_out.values[sel])
         s = square_function(ex1, f, cone_coarse)
         bound = 2.0 * np.sqrt(ns * (ns + s.values))
@@ -443,31 +444,28 @@ def _spikes(rng, n, R, h):
 
 class TestBoxRange:
     def test_one_shape_same_count_everywhere_at_h_tenth(self):
-        from lpsq.operators import _box_ranges
-
         g = GridFunction(1, 4.0, 0.1, np.zeros(80))
         for snap, want in ((False, 5), (True, 6)):
             boxes = []
             for m in range(10, 60):  # interior, lattice-aligned boxes
                 lo = -4.0 + 0.1 * m
                 boxes.append(Box((lo,), (lo + 0.5,)))
-            i0, i1 = _box_ranges(g, boxes, snap)
+            i0, i1 = cell_ranges(g, [b.lo for b in boxes], [b.hi for b in boxes],
+                                 snap_outward=snap)
             assert set((i1 - i0)[:, 0].tolist()) == {want}
 
     def test_dyadic_h_matches_center_rule(self):
-        from lpsq.operators import _box_mask
-
         g = GridFunction(1, 4.0, 1.0 / 8, np.zeros(64))
         c = g.axis_centers()
         rng = np.random.default_rng(0)
         boxes = [Box((a,), (a + w,)) for a, w in
                  zip(rng.integers(-40, 40, 60) / 8.0, rng.integers(1, 24, 60) / 8.0)]
-        boxes += [b.dilate(3.0) for b in boxes]
+        boxes += [dilate3(b) for b in boxes]
         for b in boxes:
             for snap in (False, True):
                 eps = g.h / 2 if snap else 0.0
                 want = ((c >= b.lo[0] - eps) & (c < b.hi[0] + eps)).astype(float)
-                assert np.array_equal(_box_mask(g, b, snap), want)
+                assert np.array_equal(box_mask(g, b, snap), want)
 
 
 class TestLernerBatched:
@@ -625,7 +623,8 @@ class TestLernerPlan:
         # per shape key: one window rfftn per (FFT length, chunk of cubes),
         # one block rfftn per level; level_values: one per distinct length
         windows = 0
-        groups = ops._lerner_groups(f, pool, np.full(f.values.shape, -np.inf))
+        groups = ops._lerner_groups(f, ops._pool_cells(f, pool),
+                                    np.full(f.values.shape, -np.inf))
         for key, (I, _) in groups.items():
             Ps = [tuple(1 << (a + s + 2 * lv.K - 2).bit_length() for a, s, _ in key)
                   for lv in ev.levels]
@@ -692,14 +691,14 @@ class TestLernerBatched2D:
     @pytest.mark.parametrize("variant", ["M_S"])
     def test_arbitrary_boxes(self, monkeypatch, variant):
         k, f, cone = self._setup(16, 3)
-        fixed = [Box((-2.0, 0.0), (0.0, 1.0)), Box((1.0, -3.0), (2.0, -1.0))]
-        # off-lattice boxes, several of one shape, some sticking out of the
+        fixed = [Box((-2.0, 0.0), (0.0, 2.0)), Box((1.0, -3.0), (2.0, -2.0))]
+        # off-lattice cubes, several of one shape, some sticking out of the
         # grid: on both sides, then only on the low side
         rng = np.random.default_rng(3)
-        for cover, lo_range in ((Box((-5.0, -4.5), (5.0, 4.5)), (-5.0, 4.0)),
+        for cover, lo_range in ((Box((-5.0, -5.0), (5.0, 5.0)), (-5.0, 4.0)),
                                 (Box((-4.0, -4.0), (4.0, 4.0)), (-5.5, 2.5))):
             lo = rng.uniform(*lo_range, (30, 2))
-            side = rng.choice([0.3, 1.7], (30, 2))
+            side = rng.choice([0.3, 1.7], (30, 1))
             odd = [Box(tuple(a), tuple(a + w)) for a, w in zip(lo, side)]
             self._close(*self._pair(monkeypatch, k, f, cone, variant,
                                     [cover] + fixed + odd))
@@ -716,11 +715,10 @@ class TestLernerBatched2D:
 
     @pytest.mark.parametrize("variant", ["M_S"])
     def test_one_cell_past_3q_is_not_zero(self, monkeypatch, variant):
-        from lpsq.operators import _box_ranges
-
         k, f, cone = self._setup(16, 5)
         q = Box((-0.5, -0.5), (0.5, 0.5))
-        (i0, j0), (i1, j1) = (r[0] for r in _box_ranges(f, [q], True, 3.0))
+        (i0, j0), (i1, j1) = (r[0] for r in cell_ranges(f, [q.lo], [q.hi], dilate=True,
+                                                         snap_outward=True))
         vals = np.zeros_like(f.values)
         vals[i0:i1, j0:j1] = f.values[i0:i1, j0:j1]
         vals[i1, j1 - 1] = 1.0  # the one cell of supp f outside 3Q
@@ -812,12 +810,12 @@ class TestLernerGram:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_off_lattice_and_out_of_table_shapes(self, monkeypatch, n):
-        from lpsq.operators import _gram_takes, _lerner_groups
+        from lpsq.operators import _gram_takes, _lerner_groups, _pool_cells
 
         k, f, cone = self._setup(n, 32 if n == 1 else 16, 3)
         rng = np.random.default_rng(3)
         lo = rng.uniform(-5.0, 4.0, (40, n))
-        sides = rng.choice([0.3, 0.7, 1.7], (40, n))
+        sides = rng.choice([0.3, 0.7, 1.7], (40, 1))
         odd = [Box(tuple(a), tuple(a + w)) for a, w in zip(lo, sides)]
         # Q clipped at the grid edge: 3Q reaches past the table's offsets
         edge = [Box((-4.5,) * n, (-3.5,) * n), Box((3.25,) * n, (4.25,) * n)]
@@ -827,7 +825,7 @@ class TestLernerGram:
         assert keys
         ev = SquareEvaluator(k, f, cone)
         monkeypatch.setattr(ev, "s_max", 2)
-        groups = _lerner_groups(f, pool, np.full(f.values.shape, -np.inf))
+        groups = _lerner_groups(f, _pool_cells(f, pool), np.full(f.values.shape, -np.inf))
         small = [key for key in groups if max(s for _, s, _ in key) <= 2]
         assert any(not _gram_takes(ev, key) for key in small)
 
@@ -1295,6 +1293,43 @@ class TestGStarStream:
         for (lv, u), (lv_ev, u_ev) in zip(streamed, cached):
             assert lv == lv_ev and np.array_equal(u, u_ev)
 
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+    def test_one_input_spectrum_alive_in_any_level_order(self, monkeypatch, n, N):
+        """The stream holds one input spectrum at a time; levels out of
+        ascending order give the same values, at one rfftn of the input per
+        change of FFT length."""
+        import weakref
+
+        from lpsq import operators as ops
+
+        h = 0.25
+        R = N * h / 2
+        f = GridFunction(n, R, h, np.random.default_rng(7).standard_normal((N,) * n))
+        k = parse_kernel("ex1:kappa=3", n)
+        hs = build_cone(1.5, n, h, 2 * h, 4 * R, 2, max_radius=2 * R * math.sqrt(n) + h)
+        levels = ops._cone_levels(f, hs, hs.alpha)
+        assert [lv.nfft for lv in levels] == sorted(lv.nfft for lv in levels)
+        want = {lv.t: u for lv, u in ops._level_values(
+            f.values, levels, ops._kernel_spectra(k, f, levels))}
+        mixed = levels[1::2] + levels[::2]
+        changes = sum(a.nfft != b.nfft for a, b in zip(mixed, mixed[1:])) + 1
+        assert changes > len({lv.nfft for lv in levels})
+        refs, rfftn = [], np.fft.rfftn
+
+        def spy(x, *a, **kw):
+            out = rfftn(x, *a, **kw)
+            if x is f.values:
+                refs.append(weakref.ref(out))
+            return out
+
+        alive = []
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "rfftn", spy)
+            for lv, u in ops._level_values(f.values, mixed, ops._kernel_spectra(k, f, mixed)):
+                assert np.array_equal(u, want[lv.t])
+                alive.append(sum(r() is not None for r in refs))
+        assert len(refs) == changes and max(alive) == 1
+
 
 def _rel(fast, ref) -> float:
     return float(np.max(np.abs(fast - ref)) / np.max(np.abs(ref)))
@@ -1438,6 +1473,94 @@ class TestOperandGate:
     def test_malformed_input_is_a_named_error(self, case, error, match):
         with pytest.raises(error, match=match):
             _gate_call(case)()
+
+
+def _box_gate_call(case: str, method: str):
+    """The `lerner_maximal` call of one malformed-box case of `TestBoxGate`:
+    a box of the pool or the domain of the other dimension, with a NaN or
+    inf corner, with hi <= lo, not a cube, or whose side or 3-dilate
+    overflows."""
+    k1, k2 = parse_kernel("ex1:kappa=3", 1), parse_kernel("ex1:kappa=3", 2)
+    h = 0.25
+    f = sample_function(lambda x: np.exp(-(x**2)), 1, 2.0, h)
+    g = sample_function(lambda x, y: np.exp(-(x**2) - y**2), 2, 1.0, h)
+    cone1, cone2 = build_cone(1.0, 1, h, 2 * h, 4.0, 2), build_cone(1.0, 2, h, 2 * h, 2.0, 2)
+    one, two = Box((-1.0,), (1.0,)), Box((-1.0, -1.0), (1.0, 1.0))
+
+    def on1(pool, domain=None):
+        return lambda: lerner_maximal(k1, f, cone1, "M_S", pool, method=method, domain=domain)
+
+    def on2(pool, domain=None):
+        return lambda: lerner_maximal(k2, g, cone2, "M_S", pool, method=method, domain=domain)
+
+    return {
+        "pool-2d-on-1d": on1([f.box(), two]),
+        "pool-1d-on-2d": on2([g.box(), one]),
+        "domain-2d-on-1d": on1([f.box()], two),
+        "domain-1d-on-2d": on2([g.box()], one),
+        "pool-nan": on1([f.box(), Box((math.nan,), (1.0,))]),
+        "pool-inf": on2([g.box(), Box((-1.0, -math.inf), (1.0, 1.0))]),
+        "domain-nan": on2([g.box()], Box((-1.0, -1.0), (1.0, math.nan))),
+        "domain-inf": on1([f.box()], Box((-math.inf,), (1.0,))),
+        "pool-hi-below-lo": on1([f.box(), Box((1.0,), (-1.0,))]),
+        "pool-empty-2d": on2([g.box(), Box((-1.0, 0.5), (1.0, 0.5))]),
+        "domain-hi-below-lo": on2([g.box()], Box((1.0, -1.0), (-1.0, 1.0))),
+        "pool-not-square": on2([g.box(), Box((-1.0, -0.5), (1.0, 0.5))]),
+        "pool-side-overflow": on1([f.box(), Box((-1e308,), (1e308,))]),
+        "domain-side-overflow": on2([g.box()], Box((-1e308, -1e308), (1e308, 1e308))),
+        "pool-dilate-overflow": on1([f.box(), Box((1e308,), (1.5e308,))]),
+    }[case]
+
+
+class TestBoxGate:
+    """Malformed pool and domain boxes of `lerner_maximal` fail with a named
+    error before the evaluator or the pool loop starts, on both methods."""
+
+    @pytest.mark.parametrize("method", ["auto", "direct"])
+    @pytest.mark.parametrize("case, error, match", [
+        ("pool-2d-on-1d", GridError, "another dimension"),
+        ("pool-1d-on-2d", GridError, "another dimension"),
+        ("domain-2d-on-1d", GridError, "another dimension"),
+        ("domain-1d-on-2d", GridError, "another dimension"),
+        ("pool-nan", ParameterError, "finite"),
+        ("pool-inf", ParameterError, "finite"),
+        ("domain-nan", ParameterError, "finite"),
+        ("domain-inf", ParameterError, "finite"),
+        ("pool-hi-below-lo", ParameterError, "hi > lo"),
+        ("pool-empty-2d", ParameterError, "hi > lo"),
+        ("domain-hi-below-lo", ParameterError, "hi > lo"),
+        ("pool-not-square", ParameterError, "cubes"),
+        ("pool-side-overflow", ParameterError, "side overflows"),
+        ("domain-side-overflow", ParameterError, "side overflows"),
+        ("pool-dilate-overflow", ParameterError, "3-dilate overflows"),
+    ])
+    def test_malformed_box_is_a_named_error(self, monkeypatch, case, error, match, method):
+        from lpsq import operators as ops
+
+        def started(*a, **kw):
+            raise AssertionError("the work started before the boxes were checked")
+
+        monkeypatch.setattr(ops.SquareEvaluator, "of", started)
+        monkeypatch.setattr(ops, "_lerner_pool_loop", started)
+        with pytest.raises(error, match=match):
+            _box_gate_call(case, method)()
+
+    @pytest.mark.parametrize("method", ["auto", "direct"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_huge_finite_box_covers_the_grid(self, n, method):
+        """A pool cube of side 2e30 holds the grid and its 3-dilate holds
+        supp f, so M_S is 0 on every cell, with no numpy warning."""
+        import warnings
+
+        k = parse_kernel("ex1:kappa=3", n)
+        h = 0.25 if n == 1 else 0.5
+        f = GridFunction(n, 2.0, h, np.random.default_rng(n).standard_normal((int(4 / h),) * n))
+        cone = build_cone(1.0, n, h, 2 * h, 4.0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lerner_maximal(k, f, cone, "M_S", [Box((-1e30,) * n, (1e30,) * n)],
+                                 method=method)
+        assert np.all(out.values == 0.0)
 
 
 def _hl_input(rng, N: int, kind: str) -> np.ndarray:
