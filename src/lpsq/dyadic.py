@@ -12,15 +12,17 @@ and 2 alike (`_generations`): the sums over all cubes of a generation are
 the block sums of one prefix table (`grids.box_sums`).  The CZ selection
 and the sparse share selection are one stopping-time walk
 (`_stopping_cubes`) with different stopping rules, and `dyadic_cube_pool`
-lists the cubes of every generation.  `sparse_construct` drops from that
-pool, as corner arrays and before any `Box` is built, the boxes whose M_S
-term cannot change its level set.
+lists the cubes of every generation.  `sparse_construct` takes each
+node's pool cells once (one dilated and one plain `grids.cell_ranges`
+call; row 0, the node, gives its 3P and P): the pruning reads them, and
+the kept rows go to `SquareEvaluator.lerner_values` with no `Box` between.
 
 Cubes reach their cells, and those of their 3-dilates, through
 `grids.cell_ranges` alone, and the pruning's far field groups its boxes by
 `grids.shape_groups`, as the Lerner pool does.  `sparse_construct` and
 `sparse_rhs_eval` refuse, before any work, cubes off f's lattice (of
-another dimension or of a base other than 2R) and pairs on two grids.
+another dimension or of a base other than 2R) and pairs on two grids;
+`sparse_construct` also refuses a root that holds no cell of the grid.
 """
 
 from __future__ import annotations
@@ -113,13 +115,6 @@ class Cube:
         i0, i1 = cell_ranges(gf, [self.lo], [self.hi], aligned=True)
         return tuple((max(a, 0), min(b, gf.ncells))
                      for a, b in zip(i0[0].tolist(), i1[0].tolist()))
-
-    def ncells_inside(self, gf: GridFunction) -> int:
-        r = self.cell_range(gf)
-        total = 1
-        for i0, i1 in r:
-            total *= max(0, i1 - i0)
-        return total
 
 
 def _dyadic_root_cells(N: int) -> None:
@@ -399,7 +394,8 @@ def dyadic_cube_pool(root: Cube, gf: GridFunction) -> list:
     box).  Built one generation at a time from anchor arrays
     (`_generations`), with the float operations of `Cube.lo` / `Cube.hi`
     and `grids.three_dilate`; the order is by generation."""
-    return _boxes(*_pool_corners(root, gf))
+    lo, hi = _pool_corners(root, gf)
+    return [Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def _pool_corners(root: Cube, gf: GridFunction) -> tuple:
@@ -421,10 +417,6 @@ def _pool_corners(root: Cube, gf: GridFunction) -> tuple:
     return np.concatenate(los), np.concatenate(his)
 
 
-def _boxes(lo: np.ndarray, hi: np.ndarray) -> list:
-    return [Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
-
-
 def _share_cubes(gf: GridFunction, e_mask: np.ndarray, node: Cube) -> list:
     """The maximal strict dyadic subcubes of node in which the cells of
     e_mask have a share above 2^{-n-1}, from an integer prefix table."""
@@ -440,27 +432,28 @@ def _share_cubes(gf: GridFunction, e_mask: np.ndarray, node: Cube) -> list:
 _PRUNE_DELTA = 1e-6
 
 
-def _lerner_keep(f: GridFunction, floc: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 gain: np.ndarray, thr0: float) -> np.ndarray:
-    """Which boxes B = [lo, hi) of a node's pool can change its level set,
-    as a boolean array: those with gain[0] ||g||_1 > (1 - delta) thr0 and
+def _lerner_keep(floc: np.ndarray, cells: tuple, gain: np.ndarray,
+                 thr0: float) -> np.ndarray:
+    """Which boxes B of a node's pool can change its level set, as a
+    boolean array: those with gain[0] ||g||_1 > (1 - delta) thr0 and
     H_B > (sqrt 2 - 1)(1 - delta) thr0, where g = floc on the 3B cells,
     gain is the evaluator's ``far_gain`` table and H_B is `_far_field`'s
-    (see `sparse_construct`).  The l^1 norms come from one prefix table of
-    |floc|; since H_B <= gain[0] ||floc - g||_1, H_B is taken only for the
-    boxes whose l^1 bound does not already drop them."""
-    N = f.ncells
-    i0, i1 = cell_ranges(f, lo, hi, dilate=True, snap_outward=True)
+    (see `sparse_construct`).  cells are the pool's (i0, i1, j0, j1): per
+    box the `grids.cell_ranges` of 3B, snapped outward, and of B.  The
+    l^1 norms come from one prefix table of |floc|; since
+    H_B <= gain[0] ||floc - g||_1, H_B is taken only for the boxes whose
+    l^1 bound does not already drop them."""
+    i0, i1, j0, j1 = cells
+    N = floc.shape[0]
     a = np.abs(floc)
     table = prefix_sums(a)
     g1 = range_sums(table, np.clip(i0, 0, N), np.clip(i1, 0, N))
-    h1 = table[(-1,) * f.n] - g1
+    h1 = table[(-1,) * floc.ndim] - g1
     cut = (1.0 - _PRUNE_DELTA) * thr0
     far = (math.sqrt(2.0) - 1.0) * cut
     keep = (gain[0] * g1 > cut) & (gain[0] * h1 > far)
     if keep.any():
-        j0, j1 = cell_ranges(f, lo[keep], hi[keep])
-        keep[keep] = _far_field(a, gain, i0[keep], i1[keep], j0, j1) > far
+        keep[keep] = _far_field(a, gain, i0[keep], i1[keep], j0[keep], j1[keep]) > far
     return keep
 
 
@@ -562,15 +555,16 @@ def sparse_construct(
     eps log2(P) far_gain[0] ||f'||_1.  Both stay below delta thr0 while
     ||f'||_1 far_gain[0] / thr0, at most far_gain[0] (3 side / h)^n /
     bracket, is below about 1e5; at the roots of those layouts it is
-    4-650.  The node's own box always stays, as the cover that
-    `lerner_maximal`'s domain check needs; its term is exactly 0, since 3P
-    holds f'.  S and the pruning come from the evaluator that
-    `SquareEvaluator.of` keeps on k, shared by constructions on one kernel
-    object and layout; off its fast path (general linear kernels,
-    ``method="direct"``) there is none: S is a `square_function` call and
-    M_S runs over the full pool.  Where 3P covers the grid, f' is f and
-    S f' is the S f taken for s2; M_S takes S f'^2 back from the evaluator
-    (`SquareEvaluator.square_sum`), so each node computes S f' once.
+    4-650.  The node's own box always stays, as the cover of the node's
+    cells; its term is exactly 0, since 3P holds f'.  S and the pruning
+    come from the evaluator that `SquareEvaluator.of` keeps on k, shared
+    by constructions on one kernel object and layout; off its fast path
+    (general linear kernels, ``method="direct"``) there is none: S is a
+    `square_function` call and M_S a `lerner_maximal` call over the full
+    pool.  Where 3P covers the grid, f' is f and S f' is the S f taken for
+    s2; M_S takes S f'^2 back from the evaluator
+    (`SquareEvaluator.square_sum`), so each node computes S f' once.  A
+    root that holds no cell of the grid is a `GridError`, before any work.
     """
     if isinstance(f, (tuple, list)) or k.kind == "bilinear":
         raise ParameterError("bilinear sparse families are not implemented")
@@ -586,6 +580,8 @@ def sparse_construct(
     N = f.ncells
     _dyadic_root_cells(N)
     _on_lattice(q0, f)
+    if not all(a < f.R and -f.R < b for a, b in zip(q0.lo, q0.hi)):
+        raise GridError(f"{q0} holds no cell of the grid [-{f.R}, {f.R}]^{f.n}")
     evaluator = ops.SquareEvaluator.of(k, f, cone, method=method)
     s_of = (evaluator.eval_values if evaluator is not None else
             lambda v: ops.square_function(k, f.with_values(v), cone, method=method).values)
@@ -608,30 +604,32 @@ def sparse_construct(
         cubes.append(node)
         if node.generation >= gmax:
             return
-        (i0,), (i1,) = cell_ranges(f, [node.lo], [node.hi], dilate=True, snap_outward=True)
+        lo, hi = _pool_corners(node, f)
+        # row 0 is the node itself: its 3P and P
+        cells = (*cell_ranges(f, lo, hi, dilate=True, snap_outward=True),
+                 *cell_ranges(f, lo, hi))
+        i0, i1, j0, j1 = (c[0].tolist() for c in cells)
+        w3 = tuple(slice(max(a, 0), min(b, N)) for a, b in zip(i0, i1))
+        nsl = tuple(slice(max(a, 0), min(b, N)) for a, b in zip(j0, j1))
         mask3 = np.zeros(f.values.shape)
-        mask3[tuple(slice(max(a, 0), min(b, N)) for a, b in zip(i0.tolist(), i1.tolist()))] = 1.0
+        mask3[w3] = 1.0
         floc = f.values * mask3
         if not np.any(floc):
             return
         avg3 = float(np.sum(np.abs(floc))) * hn / (3.0 * node.side) ** f.n
         # where 3P covers the grid, f' is f
         s_vals = s_all if mask3.all() else s_of(floc)
-        lo, hi = _pool_corners(node, f)
         if evaluator is not None:
-            kept = _lerner_keep(f, floc, lo, hi, evaluator.far_gain,
+            kept = _lerner_keep(floc, cells, evaluator.far_gain,
                                 math.sqrt(g_val) * bracket * avg3)
-            kept[:1] = True  # the node's own box, the cover
-            lo, hi = lo[kept], hi[kept]
-        ms = ops.lerner_maximal(
-            k, f.with_values(floc), cone, "M_S", _boxes(lo, hi), method=method,
-            domain=node.box(),
-        )
-        mtilde = np.maximum(s_vals, ms.values)
-        nr = node.cell_range(f)
-        nsl = tuple(slice(i0, i1) for i0, i1 in nr)
-        node_cells = node.ncells_inside(f)
-        target = node_cells // 2 ** (2 * f.n + 2)
+            kept[0] = True  # the node's own box, the cover
+            ms = evaluator.lerner_values(floc, tuple(c[kept] for c in cells))
+        else:
+            ms = ops.lerner_maximal(k, f.with_values(floc), cone, "M_S",
+                                    dyadic_cube_pool(node, f), method=method,
+                                    domain=node.box()).values
+        mtilde = np.maximum(s_vals, ms)
+        target = math.prod(sl.stop - sl.start for sl in nsl) // 2 ** (2 * f.n + 2)
         cur = g_val
         for _ in range(_GAMMA_BUDGET):
             thr = math.sqrt(cur) * bracket * avg3

@@ -4,6 +4,8 @@ A GridFunction samples a real function at the centers of the cells of step h
 tiling [-R, R]^n; sums against h^n give midpoint-rule integrals, and cells
 nest exactly inside the anchored dyadic cubes used by the decomposition
 machinery.  Functions are treated as identically zero outside the box.
+The cell count N = 2R / h has one rule, `_cell_count`: a non-finite or
+uneven grid, or one of more cells than an array index holds, is a GridError.
 
 A ConeGrid discretizes the upper half-space with geometric t-levels
 (log-midpoint placement, ln r weight per level) and a radius rule: level j
@@ -26,6 +28,7 @@ import itertools
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,13 +66,22 @@ class Box:
     lo: tuple
     hi: tuple
 
-    @property
-    def n(self):
-        return len(self.lo)
 
-    @property
-    def side(self):
-        return self.hi[0] - self.lo[0]
+def _cell_count(n: int, R: float, h: float) -> int:
+    """The cells per axis, N = 2R / h, of the n-D grid of half-width R and
+    step h: the one cell-count rule.  R and h must be finite and positive,
+    h must divide 2R within 1e-9 max(1, R), and the N^n cells must fit an
+    array index; anything else is a `GridError`."""
+    if not (math.isfinite(R) and R > 0 and math.isfinite(h) and h > 0):
+        raise GridError(f"box half-width R={R} and spacing h={h} must be positive and finite")
+    cells = 2.0 * R / h
+    if not cells < sys.maxsize ** (1.0 / n):  # inf for an overflowing 2R / h
+        raise GridError(f"the {n}-D grid of R={R}, h={h} has {cells:.6g} cells per "
+                        "axis, past the array index range")
+    N = int(round(cells))
+    if abs(N * h - 2.0 * R) > 1e-9 * max(1.0, R):
+        raise GridError(f"h={h} must divide 2R={2 * R} evenly")
+    return N
 
 
 @dataclass(frozen=True)
@@ -84,22 +96,17 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
         if self.n not in (1, 2):
             raise ParameterError(f"dimension must be 1 or 2, got {self.n}")
-        if self.h <= 0:
-            raise ParameterError("spacing h must be positive")
         ncells = self.ncells
-        if abs(ncells * self.h - 2.0 * self.R) > 1e-9 * max(1.0, self.R):
-            raise GridError(
-                f"h={self.h} does not evenly divide the box [-{self.R}, {self.R}]"
-            )
         if vals.shape != (ncells,) * self.n:
             raise GridError(f"values shape {vals.shape} != {(ncells,) * self.n}")
         if not np.all(np.isfinite(vals)):
             bad = np.argwhere(~np.isfinite(vals))[0]
-            raise GridError(f"non-finite value at cell index {tuple(bad)}")
+            raise GridError(f"non-finite value at cell index {tuple(bad.tolist())}, "
+                            f"center {tuple((-self.R + (bad + 0.5) * self.h).tolist())}")
 
     @property
     def ncells(self) -> int:
-        return int(round(2.0 * self.R / self.h))
+        return _cell_count(self.n, self.R, self.h)
 
     def axis_centers(self) -> np.ndarray:
         N = self.ncells
@@ -279,26 +286,17 @@ def shape_groups(i0: np.ndarray, i1: np.ndarray, j0: np.ndarray, j1: np.ndarray)
 
 
 def sample_function(fn: Callable, n: int, R: float, h: float) -> GridFunction:
-    """Pointwise evaluation at cell centers; raises on non-finite values."""
-    if not h > 0:
-        raise GridError(f"spacing h={h} must be positive")
-    if not R > 0:
-        raise GridError(f"box half-width R={R} must be positive")
-    N = int(round(2.0 * R / h))
-    if abs(N * h - 2.0 * R) > 1e-9 * max(1.0, R):
-        raise GridError(f"h={h} must divide 2R={2 * R} evenly")
-    c = -R + (np.arange(N) + 0.5) * h
+    """Pointwise evaluation at cell centers.  A grid that `_cell_count`
+    refuses is a GridError before any evaluation, and so, from
+    `GridFunction`, is a non-finite sample."""
+    if n not in (1, 2):
+        raise ParameterError("dimension must be 1 or 2")
+    c = -R + (np.arange(_cell_count(n, R, h)) + 0.5) * h
     if n == 1:
         vals = np.asarray(fn(c), dtype=float)
-    elif n == 2:
+    else:
         X, Y = np.meshgrid(c, c, indexing="ij")
         vals = np.asarray(fn(X, Y), dtype=float)
-    else:
-        raise ParameterError("dimension must be 1 or 2")
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(np.atleast_1d(vals)))[0]
-        loc = c[bad[0]] if n == 1 else (c[bad[0]], c[bad[1]])
-        raise GridError(f"non-finite sample at {loc}")
     return GridFunction(n, R, h, vals)
 
 
@@ -426,7 +424,8 @@ def save_binary(gf: GridFunction, path: str) -> None:
 
 def load_binary(path: str) -> GridFunction:
     """The grid function of a `save_binary` file; a file that cannot be
-    read or does not hold one is a ConfigError."""
+    read or does not hold one is a ConfigError, and a header grid that
+    `_cell_count` refuses a GridError."""
     head = struct.Struct("<i d d")
     try:
         with open(path, "rb") as fh:
@@ -439,9 +438,9 @@ def load_binary(path: str) -> GridFunction:
     if len(raw) != head.size:
         raise ConfigError(f"{path!r}: truncated header ({len(raw)} of {head.size} bytes)")
     n, R, h = head.unpack(raw)
-    if n not in (1, 2) or not (math.isfinite(R) and R > 0 and math.isfinite(h) and h > 0):
-        raise ConfigError(f"{path!r}: bad header n={n}, R={R}, h={h}")
-    N = int(round(2.0 * R / h))
+    if n not in (1, 2):
+        raise ConfigError(f"{path!r}: bad header n={n}")
+    N = _cell_count(n, R, h)
     if len(data) != 8 * N**n:
         raise ConfigError(
             f"{path!r}: {len(data)} value bytes, expected {8 * N**n} for "

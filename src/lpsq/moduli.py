@@ -441,8 +441,8 @@ def dini_constant(w: ModulusOfContinuity, tol: float = 1e-8) -> float:
     through the body cut), and QuadratureBudgetError (carrying the partial
     value) when the tolerance is not met within the refinement budget.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
     if tol in w._dini:
         return w._dini[tol]
     _check_monotone(w)

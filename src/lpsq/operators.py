@@ -82,14 +82,16 @@ levels (`_psi_t_bilinear_fft`).  The per-output-cell direct sum
 
 `lerner_maximal` computes M_S f(x), the sup over the pool cubes Q
 containing x of |S f^2 - S(f 1_{3Q})^2|^{1/2}.  The cells of every Q and
-3Q are taken once (`_pool_cells`), and both paths read them.  On a linear
-convolution kernel with method "auto" it evaluates every pool cube's
-S(f 1_{3Q}) only on Q, cubes grouped by their cell shape, in n = 1 and
-n = 2 alike.  Small cubes take one quadratic form in f on 3Q per cube,
-with a level-summed Gram table cached on the
-`SquareEvaluator`; other groups cost, per FFT length and chunk of cubes,
-one batched n-D rfft of the stacked 3Q windows, shared by the levels of
-that length, and per level one irfft (output on Q +- K_j) and window sums.
+3Q are taken once from its Box list (`_pool_cells`), and both paths read
+them.  On a linear convolution kernel with method "auto" the batched pass,
+`SquareEvaluator.lerner_values`, evaluates every pool cube's S(f 1_{3Q})
+only on Q, cubes grouped by their cell shape, in n = 1 and n = 2 alike;
+`sparse_construct` hands it the cells its pruning took, with no Box
+between.  Small cubes take one quadratic form in f on 3Q per cube, with a
+level-summed Gram table cached on the `SquareEvaluator`; other groups
+cost, per FFT length and chunk of cubes, one batched n-D rfft of the
+stacked 3Q windows, shared by the levels of that length, and per level one
+irfft (output on Q +- K_j) and window sums.
 ``method="direct"``, general linear kernels and bilinear pairs run S once
 per pool cube; that loop is the oracle of the batched path.
 """
@@ -677,15 +679,15 @@ class SquareEvaluator:
     of another spacing or dimension is a `GridError`.  `of` returns None
     for the other kernel kinds and for method "direct".
 
-    The batched Lerner path (`_lerner_batched`) takes from it S f^2
-    (`square_sum`), the level window sums (`cone_sum`), the Gram cutoff
-    ``s_max`` (`_gram_s_max`) and Gram table (`gram_table`, built from one
-    buffer of rows on first use) and the per-shape level block spectra
-    (`lerner_plans`, built once per cube shape).  Levels, table and block
-    spectra depend on the layout only and live as long as the evaluator;
-    `of` keeps the evaluator of a layout on the kernel object.  The last
-    S f^2 is held with a copy of its f, so M_S of the f whose S the caller
-    has just taken reuses it.
+    The batched M_S pass (`lerner_values`, over the pool cubes' cells)
+    reads S f^2 (`square_sum`), the level window sums (`cone_sum`), the
+    Gram cutoff ``s_max`` (`_gram_s_max`) and Gram table (`gram_table`,
+    built from one buffer of rows on first use) and the per-shape level
+    block spectra (`lerner_plans`, built once per cube shape).  Levels,
+    table and block spectra depend on the layout only and live as long as
+    the evaluator; `of` keeps the evaluator of a layout on the kernel
+    object.  The last S f^2 is held with a copy of its f, so M_S of the f
+    whose S the caller has just taken reuses it.
 
     ``far_gain`` bounds S through the point-mass profile Gamma of S:
     Gamma(v)^2 = sum_j meas_j sum_{m in D_j} k_j(v + m)^2 is
@@ -779,7 +781,7 @@ class SquareEvaluator:
         return self._gram
 
     def lerner_plans(self, keys) -> list:
-        """Per shape key of `_lerner_batched` (as `_lerner_groups`), its
+        """Per shape key of `lerner_values` (as `_lerner_groups`), its
         level plan: the runs (P, [(j, spectrum, crop)]) of consecutive
         levels j of one FFT length P, per axis the power of two of
         a + s + 2 K_j - 1.  The spectrum is the n-D rfft at P of level j's
@@ -851,6 +853,52 @@ class SquareEvaluator:
     def eval_values(self, values: np.ndarray) -> np.ndarray:
         """S_alpha of the grid function with these values; returns values."""
         return np.sqrt(self.square_sum(values))
+
+    def lerner_values(self, values: np.ndarray, cells: tuple) -> np.ndarray:
+        """M_S of the grid function with these values over the pool cubes
+        of cells (i0, i1, j0, j1), as `_pool_cells`; a cell that no cube
+        covers reads -inf.
+
+        Cubes are grouped by their unclipped shape (`_lerner_groups`); f
+        1_{3Q} is read from a zero-padded f.  Groups that `_gram_takes` go
+        to `_gram_form`.  For every other group, psi_t(f 1_{3Q}) on Q +- K_j
+        is the linear convolution of the stacked 3Q windows with level j's
+        profile block, sampled at the cell offsets from 3Q to Q +- K_j;
+        `cone_sum` then takes the window sums on Q.  The block spectra come
+        from `lerner_plans`, kept per shape key, so a shape seen by an
+        earlier call on the layout costs no profile sample and no block
+        transform.  The loops run group -> FFT length P -> chunk of cubes
+        -> level: per run of consecutive levels of one P and chunk, one
+        batched n-D rfft of the windows and one irfft per level, and each
+        cube's terms are added in level order.  S f^2 comes from
+        `square_sum`; cells outside the grid are dropped."""
+        n, N = self.template.n, self.template.ncells
+        out = np.full((N,) * n, -np.inf)
+        groups = _lerner_groups(values, cells, out)
+        if not groups:
+            return out
+        # a zero pad that holds every 3Q window of f
+        pf = 0
+        for key, (I, _) in groups.items():
+            a = np.array(key)[:, 0]
+            pf = max(pf, -I.min(), (I + a).max() - N)
+        fp = np.pad(values, pf)
+        levelled = {key: I for key, (I, _) in groups.items() if not _gram_takes(self, key)}
+        accs = {key: np.zeros((len(I),) + tuple(s for _, s, _ in key)) if key in levelled
+                else _gram_form(self, key, fp, I + pf) for key, (I, _) in groups.items()}
+        axes = tuple(range(1, n + 1))
+        for (key, I), plan in zip(levelled.items(), self.lerner_plans(list(levelled))):
+            fw = np.lib.stride_tricks.sliding_window_view(fp, tuple(a for a, _, _ in key))
+            for P, run in plan:
+                step = max(1, _LERNER_CHUNK // math.prod(P))
+                for b0 in range(0, len(I), step):
+                    wf = np.fft.rfftn(fw[tuple((I[b0 : b0 + step] + pf).T)], P, axes=axes)
+                    for j, kf, crop in run:
+                        U = np.fft.irfftn(wf * kf, P, axes=axes)[crop]
+                        accs[key][b0 : b0 + step] += self.cone_sum(self.levels[j], U**2)
+        _lerner_sup(out, self.square_sum(values),
+                    [(J, accs[key]) for key, (_, J) in groups.items()])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1143,22 +1191,22 @@ def _pool_cells(f: GridFunction, cube_pool: Sequence[Box]) -> tuple:
             *cell_ranges(f, lo, hi))
 
 
-def _lerner_groups(f: GridFunction, cells: tuple, out: np.ndarray) -> dict:
-    """The pool cubes of the batched paths, grouped by shape.
+def _lerner_groups(values: np.ndarray, cells: tuple, out: np.ndarray) -> dict:
+    """The pool cubes of `SquareEvaluator.lerner_values`, grouped by shape.
 
-    cells are the pool's `_pool_cells`.  Keys are those of
+    cells are the pool's (i0, i1, j0, j1), as `_pool_cells`.  Keys are those of
     `grids.shape_groups`, per axis (cells of 3Q, cells of Q, offset of Q in
     3Q); values are the (nb, n) start cells of 3Q and of Q of the cubes of
     that shape.  The ranges run past the grid, so one box shape has one key
     wherever it sits.  Cubes that select no grid cell are left out; where
-    3Q holds every nonzero cell of f, M_S is exactly 0 on Q, which is
-    written into out here.
+    3Q holds every nonzero cell of f (these values), M_S is exactly 0 on
+    Q, which is written into out here.
     """
-    N = f.ncells
+    N = values.shape[0]
     i0, i1, j0, j1 = cells
     live = np.all(np.maximum(j0, 0) < np.minimum(j1, N), axis=1)
     zero = live.copy()
-    for ax, ix in enumerate(np.nonzero(f.values)):
+    for ax, ix in enumerate(np.nonzero(values)):
         if ix.size:
             zero &= (i0[:, ax] <= ix.min()) & (ix.max() < i1[:, ax])
     for c in np.flatnonzero(zero):
@@ -1220,53 +1268,6 @@ def _gram_form(ev: SquareEvaluator, key, fp: np.ndarray, I: np.ndarray) -> np.nd
     return out.reshape(len(I), *(s for _, s, _ in key))
 
 
-def _lerner_batched(ev: SquareEvaluator, f: GridFunction, cells: tuple) -> np.ndarray:
-    """M_S of a convolution kernel over the pool cubes of `_pool_cells`
-    cells, each cube's S(f 1_{3Q})^2 evaluated on Q only.
-
-    Cubes are grouped by their unclipped shape (`_lerner_groups`); f 1_{3Q}
-    is read from a zero-padded f.  Groups that `_gram_takes` go to `_gram_form`.  For
-    every other group, psi_t(f 1_{3Q}) on Q +- K_j is the linear
-    convolution of the stacked 3Q windows with level j's profile block,
-    sampled at the cell offsets from 3Q to Q +- K_j; `SquareEvaluator.cone_sum`
-    then takes the window sums on Q.  The block spectra come from the
-    evaluator's `lerner_plans`, which keeps them per shape key, so a shape
-    seen by an earlier call on the layout costs no profile sample and no
-    block transform.  The loops run group -> FFT length P -> chunk of
-    cubes -> level: per run of consecutive levels of one P and chunk, one
-    batched n-D rfft of the windows and one irfft per level, and each
-    cube's terms are added in level order.  S f^2 comes from
-    `SquareEvaluator.square_sum`; cells outside the grid are dropped.
-    """
-    n, N = f.n, f.ncells
-    out = np.full((N,) * n, -np.inf)
-    groups = _lerner_groups(f, cells, out)
-    if not groups:
-        return out
-    # a zero pad that holds every 3Q window of f
-    pf = 0
-    for key, (I, _) in groups.items():
-        a = np.array(key)[:, 0]
-        pf = max(pf, -I.min(), (I + a).max() - N)
-    fp = np.pad(f.values, pf)
-    levelled = {key: I for key, (I, _) in groups.items() if not _gram_takes(ev, key)}
-    accs = {key: np.zeros((len(I),) + tuple(s for _, s, _ in key)) if key in levelled
-            else _gram_form(ev, key, fp, I + pf) for key, (I, _) in groups.items()}
-    axes = tuple(range(1, n + 1))
-    for (key, I), plan in zip(levelled.items(), ev.lerner_plans(list(levelled))):
-        fw = np.lib.stride_tricks.sliding_window_view(fp, tuple(a for a, _, _ in key))
-        for P, run in plan:
-            step = max(1, _LERNER_CHUNK // math.prod(P))
-            for b0 in range(0, len(I), step):
-                wf = np.fft.rfftn(fw[tuple((I[b0 : b0 + step] + pf).T)], P, axes=axes)
-                for j, kf, crop in run:
-                    U = np.fft.irfftn(wf * kf, P, axes=axes)[crop]
-                    accs[key][b0 : b0 + step] += ev.cone_sum(ev.levels[j], U**2)
-    _lerner_sup(out, ev.square_sum(f.values),
-                [(J, accs[key]) for key, (_, J) in groups.items()])
-    return out
-
-
 def lerner_maximal(
     k: KernelSpec,
     f,
@@ -1289,10 +1290,10 @@ def lerner_maximal(
     cell of ``domain`` (default: f's own box) must lie in some pool cube,
     else `CoverageError`; the output is zero outside it.  A linear
     convolution kernel with method "auto" takes the batched path
-    (`_lerner_batched`), in n = 1 and n = 2, through the evaluator
-    `SquareEvaluator.of` keeps on k, so that repeated calls on one layout
-    share its kernel spectra, Gram table and block spectra.  Anything else
-    takes `_lerner_pool_loop`, one S per pool cube.
+    (`SquareEvaluator.lerner_values`), in n = 1 and n = 2, through the
+    evaluator `SquareEvaluator.of` keeps on k, so that repeated calls on one
+    layout share its kernel spectra, Gram table and block spectra.
+    Anything else takes `_lerner_pool_loop`, one S per pool cube.
     """
     fs = _operands(k, f, cone)
     if variant != "M_S":
@@ -1306,7 +1307,7 @@ def lerner_maximal(
     dom = np.zeros(base.values.shape, dtype=bool)
     dom[tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(d0.tolist(), d1.tolist()))] = True
     ev = SquareEvaluator.of(k, base, cone, method=method)
-    out = (_lerner_batched(ev, base, cells) if ev is not None
+    out = (ev.lerner_values(base.values, cells) if ev is not None
            else _lerner_pool_loop(k, fs, cone, cells, method))
     uncovered = np.argwhere(dom & (out == -np.inf))
     if uncovered.size:
@@ -1321,7 +1322,7 @@ def lerner_maximal(
 def _lerner_pool_loop(k, f, cone, cells, method) -> np.ndarray:
     """M_S with one `square_function` call per pool cube, for a single
     input and a pair alike, the cubes given by their `_pool_cells` cells:
-    the oracle of `_lerner_batched`."""
+    the oracle of `SquareEvaluator.lerner_values`."""
     fs = _operands(k, f, cone)
 
     def s_of(values):

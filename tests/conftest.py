@@ -17,7 +17,7 @@ def dilate3(box: Box) -> Box:
     """The 3-dilate of a box by Python float operations, the center -+ 3/2
     times the axis-0 side: an oracle for `grids.three_dilate`."""
     c = [0.5 * (a + b) for a, b in zip(box.lo, box.hi)]
-    half = 3.0 * 0.5 * box.side
+    half = 3.0 * 0.5 * (box.hi[0] - box.lo[0])
     return Box(tuple(x - half for x in c), tuple(x + half for x in c))
 
 

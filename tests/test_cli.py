@@ -441,6 +441,32 @@ class TestConfigAndErrors:
         assert bad in capsys.readouterr().err
         assert bad in json.loads((tmp_path / "summary.json").read_text())["error"]
 
+    @pytest.mark.parametrize("args, bad", [
+        (["eval", "--R", "inf"], "R=inf and spacing h=0.0625 must be positive and finite"),
+        (["eval", "--R", "1e308"], "past the array index range"),
+        (["eval", "--R", "1e300"], "past the array index range"),
+        (["eval", "--h", "nan"], "h=nan must be positive and finite"),
+        (["cz", "--R", "inf"], "R=inf"),
+        (["sparse", "--R", "1e308"], "past the array index range"),
+        (["verify", "weak", "--R", "inf"], "R=inf"),
+        (["verify", "aperture", "--R", "1e308"], "past the array index range"),
+        (["verify", "weighted", "--R", "inf"], "R=inf"),
+    ], ids=["eval-inf", "eval-overflow", "eval-index", "eval-h-nan", "cz-inf",
+            "sparse-overflow", "weak-inf", "aperture-overflow", "weighted-inf"])
+    def test_nonfinite_or_overflowing_grid_exits_2(self, tmp_path, capsys, args, bad):
+        """The cell-count rule refuses the grid before any array is built:
+        exit 2 (a parameter error, not a failed check), named on stderr and
+        in summary.json."""
+        rc = run_main(["--out-dir", str(tmp_path), *args])
+        assert rc == 2
+        assert bad in capsys.readouterr().err
+        assert bad in json.loads((tmp_path / "summary.json").read_text())["error"]
+
+    def test_nan_tol_exits_2(self, tmp_path, capsys):
+        rc = run_main(["--out-dir", str(tmp_path), "dini", "--tol", "nan"])
+        assert rc == 2
+        assert "tol must be positive, got nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize("gamma, named", [
         ("-1", "finite and positive"), ("0", "finite and positive"),
         ("nan", "finite and positive"), ("abc", "'abc'"),

@@ -487,6 +487,32 @@ class TestSparseConstruct:
         cells = int(str(exc.value).split("|E| = ")[1].split()[0])
         assert cells > 0 and exc.value.residual == cells * f.h
 
+    @pytest.mark.parametrize("n, anchor", [(1, (5,)), (1, (-6,)), (2, (0, 1)), (2, (-2, -3))])
+    def test_root_with_no_cell_on_the_grid_is_refused(self, n, anchor):
+        """A root of the lattice that holds no cell of the grid is a
+        GridError before any work: no evaluator is built on k."""
+        k = parse_kernel("ex1:kappa=3", n)
+        f = GridFunction(n, 8.0, 1.0 if n == 2 else 1.0 / 16, np.ones((16 if n == 2 else 256,) * n))
+        cone = build_cone(1.0, n, f.h, 2 * f.h, 16.0, 4)
+        with pytest.raises(GridError, match="holds no cell of the grid"):
+            sparse_construct(k, f, Cube(n, 1, anchor, "standard", 16.0), 1.0, cone)
+        assert k._evaluator == {}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_root_partly_on_the_grid_is_built(self, n):
+        """A generation-0 root, half of it past the box, gives a family of
+        cubes that meet the grid."""
+        k, f, cone, _ = _spike_setup()
+        if n == 2:
+            k = parse_kernel("ex1:kappa=3", 2)
+            f = TestSparsePlanReuse._input(2, 5)
+            cone = TestSparsePlanReuse._layout(2)[3]
+        q0 = Cube(n, 0, (-1,) + (0,) * (n - 1), "standard", 2 * f.R)
+        fam = sparse_construct(k, f, q0, 1.0, cone)
+        assert len(fam.cubes) > 1 and verify_sparse(fam, 0.5)[0]
+        assert all(q0.contains(c) and all(b > a for a, b in c.cell_range(f))
+                   for c in fam.cubes)
+
     def test_alpha_other_than_the_cones_is_refused(self, sparse_setup):
         k, f, cone, q0 = sparse_setup
         assert cone.alpha == 1.0
@@ -591,7 +617,7 @@ class TestCubePool:
         g = grid_1d(64)
         root = Cube(1, 1, (0,), "standard", BASE)
         pool = dyadic_cube_pool(root, g)
-        sides = sorted({b.side for b in pool})
+        sides = sorted({b.hi[0] - b.lo[0] for b in pool})
         assert root.box() in pool
         assert dilate3(root.box()) in pool
         assert min(sides) == g.h
@@ -759,7 +785,8 @@ class TestGenerationWalk:
         sel, stack = [], _children(node)
         while stack:
             q = stack.pop()
-            cnt, cells = int(round(_block_sum(c, q.cell_range(f)))), q.ncells_inside(f)
+            r = q.cell_range(f)
+            cnt, cells = int(round(_block_sum(c, r))), math.prod(max(0, b - a) for a, b in r)
             if cells == 0 or cnt == 0:
                 continue
             if Fraction(cnt, cells) > Fraction(1, 2 ** (n + 1)):
@@ -784,7 +811,7 @@ class TestGenerationWalk:
             want, stack = [], [root]
             while stack:
                 q = stack.pop()
-                if q.ncells_inside(f) == 0:
+                if any(b <= a for a, b in q.cell_range(f)):
                     continue
                 want += [q.box(), dilate3(q.box())]
                 if q.generation < gmax:
@@ -866,21 +893,29 @@ def _family_key(fam):
 
 
 def _pool_sizes(monkeypatch):
-    """Record the pool size of every lerner_maximal call."""
+    """Record the pool size of every M_S call of sparse_construct: a
+    `SquareEvaluator.lerner_values` call on the fast path, a lerner_maximal
+    call off it."""
     from lpsq import operators
 
-    sizes, inner = [], operators.lerner_maximal
+    sizes = []
+    inner, batched = operators.lerner_maximal, operators.SquareEvaluator.lerner_values
 
     def counted(k, f, cone, variant, cube_pool, *args, **kwargs):
         sizes.append(len(cube_pool))
         return inner(k, f, cone, variant, cube_pool, *args, **kwargs)
 
+    def counted_cells(ev, values, cells):
+        sizes.append(len(cells[0]))
+        return batched(ev, values, cells)
+
     monkeypatch.setattr(operators, "lerner_maximal", counted)
+    monkeypatch.setattr(operators.SquareEvaluator, "lerner_values", counted_cells)
     return sizes
 
 
-def _keep_all(f, floc, lo, hi, gain, thr0):
-    return np.ones(len(lo), dtype=bool)
+def _keep_all(floc, cells, gain, thr0):
+    return np.ones(len(cells[0]), dtype=bool)
 
 
 class TestLernerPoolPruning:
@@ -955,10 +990,10 @@ class TestLernerPoolPruning:
         assert sum(sizes[: len(sizes) // 2]) < sum(sizes[len(sizes) // 2:])
         keep = dyadic._lerner_keep
 
-        def weaker(f, floc, lo, hi, gain, thr0):
+        def weaker(floc, cells, gain, thr0):
             gain = gain.copy()
             gain[slice(0, 1) if halved == "near" else slice(1, None)] /= 2.0
-            return keep(f, floc, lo, hi, gain, thr0)
+            return keep(floc, cells, gain, thr0)
 
         with mock.patch.object(dyadic, "_lerner_keep", weaker):
             assert _family_key(self._construct(1, N, vals, gamma)) != full
@@ -1026,7 +1061,10 @@ class TestLernerPoolPruning:
                 * np.max(np.abs(ops._conv_kernel(k, f, lv.t, lv.Mx))) ** 2
                 for lv in ev.levels))
             assert ev.far_gain[0] <= c
-            i0, i1 = cell_ranges(f, *_pool_corners(root, f), dilate=True, snap_outward=True)
+            lo, hi = _pool_corners(root, f)
+            cells = (*cell_ranges(f, lo, hi, dilate=True, snap_outward=True),
+                     *cell_ranges(f, lo, hi))
+            i0, i1 = cells[:2]
             a = np.abs(f.values)
             g1 = np.array([a[tuple(slice(max(p, 0), max(q, 0)) for p, q in zip(b0, b1))].sum()
                            for b0, b1 in zip(i0, i1)])
@@ -1034,7 +1072,7 @@ class TestLernerPoolPruning:
             for thr0 in c * a.sum() * np.geomspace(1e-3, 1.0, 7):
                 cut = (1.0 - _PRUNE_DELTA) * thr0
                 old = (c * g1 > cut) & (c * h1 > (math.sqrt(2.0) - 1.0) * cut)
-                new = _lerner_keep(f, f.values, *_pool_corners(root, f), ev.far_gain, thr0)
+                new = _lerner_keep(f.values, cells, ev.far_gain, thr0)
                 assert not np.any(new & ~old)
                 dropped += int(np.sum(old & ~new))
         assert dropped
@@ -1190,11 +1228,13 @@ class TestSparsePlanReuse:
     @pytest.mark.parametrize("n", [1, 2])
     def test_each_node_takes_s_f_once(self, monkeypatch, n):
         """M_S at a node takes S f'^2 from the S f' the node has just
-        evaluated: no psi_t f' is taken inside `_lerner_batched`."""
+        evaluated: no psi_t f' is taken inside
+        `SquareEvaluator.lerner_values`."""
         from lpsq import operators as ops
 
         inside, levels, calls = [False], [], []
-        batched, level_values = ops._lerner_batched, ops.SquareEvaluator.level_values
+        batched = ops.SquareEvaluator.lerner_values
+        level_values = ops.SquareEvaluator.level_values
 
         def recorded(*a):
             inside[0] = True
@@ -1204,7 +1244,7 @@ class TestSparsePlanReuse:
             finally:
                 inside[0] = False
 
-        monkeypatch.setattr(ops, "_lerner_batched", recorded)
+        monkeypatch.setattr(ops.SquareEvaluator, "lerner_values", recorded)
         monkeypatch.setattr(ops.SquareEvaluator, "level_values", lambda self, v:
                             levels.append(inside[0]) or level_values(self, v))
         *_, cone, q0 = self._layout(n)
@@ -1212,3 +1252,110 @@ class TestSparsePlanReuse:
         fam = sparse_construct(parse_kernel("ex1:kappa=3", n), f, q0, 1.0, cone)
         assert len(fam.cubes) > 1 and len(calls) > 1
         assert levels and not any(levels)
+
+
+def _census(monkeypatch):
+    """Count the calls of the box rule `grids.cell_ranges`, under every
+    name an lpsq module binds it to, and the `grids.Box` objects built."""
+    import sys
+
+    from lpsq import grids
+
+    seen = {"rule": 0, "box": 0}
+    rule, init = grids.cell_ranges, grids.Box.__init__
+
+    def counted_rule(*args, **kwargs):
+        seen["rule"] += 1
+        return rule(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        seen["box"] += 1
+        init(self, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "lpsq" and getattr(mod, "cell_ranges", None) is rule:
+            monkeypatch.setattr(mod, "cell_ranges", counted_rule)
+    monkeypatch.setattr(grids.Box, "__init__", counted_init)
+    return seen
+
+
+class TestNodeCells:
+    """Each fast-path node of sparse_construct takes its pool's cells once
+    (one dilated and one plain box rule) and hands them to the evaluator's
+    M_S pass, with no `Box` between."""
+
+    _layout = staticmethod(TestSparsePlanReuse._layout)
+    _input = TestSparsePlanReuse._input
+
+    def test_census_sees_the_rule_and_a_box(self, monkeypatch):
+        from lpsq import operators as ops
+
+        seen = _census(monkeypatch)
+        f = GridFunction(1, 2.0, 0.5, np.zeros(8))
+        Cube(1, 1, (0,), "standard", 4.0).cell_range(f)
+        assert seen == {"rule": 1, "box": 0}
+        ops._pool_cells(f, [f.box()])
+        assert seen == {"rule": 3, "box": 1}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_two_rule_calls_per_node_and_no_box(self, monkeypatch, n):
+        *_, cone, q0 = self._layout(n)
+        k = parse_kernel("ex1:kappa=3", n)
+        fs = [self._input(n, seed) for seed in range(4)]
+        seen = _census(monkeypatch)
+        nodes = 0
+        for f in fs:
+            fam = sparse_construct(k, f, q0, 1.0, cone)
+            nodes += len(fam.cubes)
+        assert nodes > len(fs)  # some family has more than its root
+        assert 0 < seen["rule"] <= 2 * nodes
+        assert seen["box"] == 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_node_m_s_equals_lerner_maximal_on_the_pruned_pool(self, monkeypatch, n):
+        """At every fast-path node, `SquareEvaluator.lerner_values` on the
+        node's kept cells is, on the node's cells, lerner_maximal over the
+        same pruned pool as Box objects with the node as its domain, bit for
+        bit."""
+        from lpsq import dyadic
+        from lpsq import operators as ops
+        from lpsq.grids import Box
+
+        *_, cone, q0 = self._layout(n)
+        k = parse_kernel("ex1:kappa=3", n)
+        corners, kept, compared = [], [], [0]
+        pool_corners, keep = dyadic._pool_corners, dyadic._lerner_keep
+        batched = ops.SquareEvaluator.lerner_values
+        inside = [False]
+
+        def recorded(ev, values, cells):
+            out = batched(ev, values, cells)
+            if inside[0]:  # the lerner_maximal call below
+                return out
+            lo, hi = corners[-1]
+            pool = [Box(tuple(a), tuple(b))
+                    for a, b in zip(lo[kept[-1]].tolist(), hi[kept[-1]].tolist())]
+            node = pool[0]
+            inside[0] = True
+            try:
+                want = ops.lerner_maximal(k, ev.template.with_values(values), cone, "M_S",
+                                          pool, domain=node).values
+            finally:
+                inside[0] = False
+            (j0,), (j1,) = cell_ranges(ev.template, [node.lo], [node.hi])
+            nsl = tuple(slice(max(a, 0), min(b, len(values))) for a, b in zip(j0, j1))
+            assert np.all(np.isfinite(out[nsl]))
+            assert np.array_equal(out[nsl], want[nsl])
+            compared[0] += 1
+            return out
+
+        monkeypatch.setattr(dyadic, "_pool_corners", lambda *a: corners.append(
+            pool_corners(*a)) or corners[-1])
+        monkeypatch.setattr(dyadic, "_lerner_keep", lambda *a: kept.append(keep(*a))
+                            or kept[-1])
+        monkeypatch.setattr(ops.SquareEvaluator, "lerner_values", recorded)
+        nodes = 0
+        for seed in range(6):
+            fam = sparse_construct(k, self._input(n, seed), q0, 1.0, cone)
+            nodes += len(fam.cubes)
+        assert compared[0] > 6 and nodes > 6

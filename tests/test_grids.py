@@ -40,8 +40,10 @@ class TestGridFunction:
         assert np.all(g.values[np.abs(c) > 1.0] == 0.0)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match=r"cell index \(4,\), center \(0.25,\)"):
             sample_function(lambda x: np.where(x > 0, np.inf, 1.0), 1, 2.0, 0.5)
+        with pytest.raises(GridError, match=r"cell index \(0, 1\), center \(-0.75, -0.25\)"):
+            sample_function(lambda x, y: np.where(x + y > -1.1, np.nan, 1.0), 2, 1.0, 0.5)
 
     def test_uneven_spacing_rejected(self):
         with pytest.raises(GridError):
@@ -52,6 +54,45 @@ class TestGridFunction:
     def test_nonpositive_spacing_or_extent_rejected(self, R, h, bad):
         with pytest.raises(GridError, match=bad):
             sample_function(lambda x: x, 1, R, h)
+
+    @pytest.mark.parametrize("R, h, bad", [
+        (math.inf, 0.5, "R=inf and spacing h=0.5 must be positive and finite"),
+        (math.nan, 0.5, "R=nan"),
+        (1.0, math.nan, "h=nan must be positive and finite"),
+        (1.0, math.inf, "h=inf"),
+        (1e308, 0.5, "past the array index range"),
+        (1.0, 1e-308, "past the array index range"),
+        (1e300, 0.5, "past the array index range"),
+    ], ids=["R-inf", "R-nan", "h-nan", "h-inf", "2R-overflow", "2R/h-overflow",
+            "index-range"])
+    def test_nonfinite_or_overflowing_grid_rejected(self, R, h, bad):
+        """One cell-count rule refuses these grids with a GridError, for
+        sample_function (before any evaluation) and GridFunction alike."""
+        calls = []
+        with pytest.raises(GridError, match=bad):
+            sample_function(lambda x: calls.append(1) or x, 1, R, h)
+        assert calls == []
+        with pytest.raises(GridError, match=bad):
+            GridFunction(1, R, h, np.zeros(2))
+
+    def test_2d_cell_count_past_the_index_range_rejected(self):
+        with pytest.raises(GridError, match="2-D grid .* past the array index range"):
+            GridFunction(2, 2.0**31, 0.5, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("n, R, h, error, bad", [
+        (3, 1.0, 0.5, ConfigError, "bad header n=3"),
+        (1, 1e308, 0.5, GridError, "past the array index range"),
+        (1, math.nan, 0.5, GridError, "R=nan"),
+        (2, 1.0, 0.3, GridError, "h=0.3 must divide 2R=2.0 evenly"),
+    ], ids=["n", "overflow", "R-nan", "uneven"])
+    def test_binary_bad_header_is_refused(self, tmp_path, n, R, h, error, bad):
+        """A header's grid passes the one cell-count rule."""
+        import struct
+
+        p = tmp_path / "g.bin"
+        p.write_bytes(b"LPGF" + struct.pack("<i d d", n, R, h))
+        with pytest.raises(error, match=bad):
+            load_binary(str(p))
 
     def test_norms_2d(self):
         g = sample_function(lambda x, y: np.exp(-(x**2) - y**2), 2, 6.0, 1.0 / 8)

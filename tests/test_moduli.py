@@ -48,6 +48,13 @@ class TestDiniConstant:
     def test_sqrt_modulus(self):
         assert dini_constant(power_modulus(0.5), 1e-8) == pytest.approx(3.0, abs=1e-8)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_tol_not_positive_is_refused(self, tol):
+        """NaN fails ``tol > 0`` as 0 and negatives do: refused before any
+        quadrature, not reported as a missed tolerance."""
+        with pytest.raises(ParameterError, match="tol must be positive"):
+            dini_constant(power_modulus(1.0), tol)
+
     @pytest.mark.parametrize("delta", [1.0, 0.5, 0.25, 0.1])
     def test_power_closed_form(self, delta):
         got = dini_constant(power_modulus(delta), 1e-8)

@@ -468,24 +468,30 @@ class TestBoxRange:
                 assert np.array_equal(box_mask(g, b, snap), want)
 
 
+def _pool_loop(cone):
+    """A stand-in for `SquareEvaluator.lerner_values` that runs the per-cube
+    oracle `_lerner_pool_loop` on the same cells."""
+    from lpsq import operators as ops
+
+    return lambda ev, values, cells: ops._lerner_pool_loop(
+        ev.k, ev.template.with_values(values), cone, cells, None)
+
+
 class TestLernerBatched:
     """The batched M_S path in 1-D against the per-cube pool loop, and
     what n = 1 and n = 2 share."""
 
     @staticmethod
     def _pair(monkeypatch, k, f, cone, variant, pool, domain=None):
-        from lpsq import operators as ops
-
-        batched = ops._lerner_batched
+        batched = SquareEvaluator.lerner_values
         calls = []
         with monkeypatch.context() as m:
-            m.setattr(ops, "_lerner_batched", lambda *a: calls.append(1) or batched(*a))
+            m.setattr(SquareEvaluator, "lerner_values",
+                      lambda *a: calls.append(1) or batched(*a))
             fast = lerner_maximal(k, f, cone, variant, pool, domain=domain).values
         assert calls  # the batched path ran
         with monkeypatch.context() as m:
-            m.setattr(ops, "_lerner_batched",
-                      lambda ev, f, pool: ops._lerner_pool_loop(
-                          ev.k, f, cone, pool, None))
+            m.setattr(SquareEvaluator, "lerner_values", _pool_loop(cone))
             slow = lerner_maximal(k, f, cone, variant, pool, domain=domain).values
         return fast, slow
 
@@ -588,8 +594,8 @@ class TestLernerBatched:
         from lpsq.dyadic import Cube, sparse_construct
 
         calls = []
-        batched = ops._lerner_batched
-        monkeypatch.setattr(ops, "_lerner_batched",
+        batched = SquareEvaluator.lerner_values
+        monkeypatch.setattr(SquareEvaluator, "lerner_values",
                             lambda *a: calls.append(1) or batched(*a))
         monkeypatch.setattr(ops, "_lerner_pool_loop", None)  # never reached
         k = parse_kernel("ex1:kappa=3", n)
@@ -623,7 +629,7 @@ class TestLernerPlan:
         # per shape key: one window rfftn per (FFT length, chunk of cubes),
         # one block rfftn per level; level_values: one per distinct length
         windows = 0
-        groups = ops._lerner_groups(f, ops._pool_cells(f, pool),
+        groups = ops._lerner_groups(f.values, ops._pool_cells(f, pool),
                                     np.full(f.values.shape, -np.inf))
         for key, (I, _) in groups.items():
             Ps = [tuple(1 << (a + s + 2 * lv.K - 2).bit_length() for a, s, _ in key)
@@ -651,9 +657,7 @@ class TestLernerPlan:
         assert (ndims.count(n + 1), len(ndims), len(profiles)) == (windows, windows, 0)
         assert np.array_equal(again, fast)
         with monkeypatch.context() as m:
-            m.setattr(ops, "_lerner_batched",
-                      lambda ev, f, pool: ops._lerner_pool_loop(
-                          ev.k, f, cone, pool, None))
+            m.setattr(SquareEvaluator, "lerner_values", _pool_loop(cone))
             slow = lerner_maximal(k0, f, cone, variant, pool, domain=root.box()).values
         TestLernerBatched._close(fast, slow)
 
@@ -780,9 +784,7 @@ class TestLernerGram:
             m.setattr(ops, "_gram_form", lambda ev, key, *a: keys.append(key) or gram(ev, key, *a))
             fast = lerner_maximal(k, f, cone, "M_S", pool, domain=domain).values
         with monkeypatch.context() as m:
-            m.setattr(ops, "_lerner_batched",
-                      lambda ev, f, pool: ops._lerner_pool_loop(
-                          ev.k, f, cone, pool, None))
+            m.setattr(SquareEvaluator, "lerner_values", _pool_loop(cone))
             slow = lerner_maximal(k, f, cone, "M_S", pool, domain=domain).values
         return fast, keys, slow
 
@@ -825,7 +827,8 @@ class TestLernerGram:
         assert keys
         ev = SquareEvaluator(k, f, cone)
         monkeypatch.setattr(ev, "s_max", 2)
-        groups = _lerner_groups(f, _pool_cells(f, pool), np.full(f.values.shape, -np.inf))
+        groups = _lerner_groups(f.values, _pool_cells(f, pool),
+                                np.full(f.values.shape, -np.inf))
         small = [key for key in groups if max(s for _, s, _ in key) <= 2]
         assert any(not _gram_takes(ev, key) for key in small)
 
@@ -878,8 +881,8 @@ class TestLernerGram:
         gram = ops._gram_form
         monkeypatch.setattr(ops, "_gram_form", lambda ev, key, *a: seen.append(
             (ev.s_max, key)) or gram(ev, key, *a))
-        monkeypatch.setattr(dyadic, "_lerner_keep", lambda f, floc, lo, hi, gain, thr0:
-                            np.ones(len(lo), dtype=bool))
+        monkeypatch.setattr(dyadic, "_lerner_keep", lambda floc, cells, gain, thr0:
+                            np.ones(len(cells[0]), dtype=bool))
         k = parse_kernel("ex1:kappa=3", 2)
         f = _spikes(np.random.default_rng(1), 2, 4.0, 0.5)  # 16 x 16
         cone = build_cone(1.0, 2, f.h, 2 * f.h, 2 * f.R, 4)
