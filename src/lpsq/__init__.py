@@ -33,7 +33,6 @@ from .moduli import (
     table_modulus,
 )
 from .grids import (
-    Box,
     ConeGrid,
     GridFunction,
     build_cone,

@@ -293,7 +293,10 @@ def _campaign_cz(cfg, out_dir):
     ]
     rows = [("rho", rho), ("n_cubes", len(d.bad)), ("residual", resid)]
     for i, (q, b) in enumerate(d.bad):
-        rows.append((f"cube_{i}_lo", q.lo[0]))
+        if q.n == 1:
+            rows.append((f"cube_{i}_lo", q.lo[0]))
+        else:
+            rows += [(f"cube_{i}_lo_{axis}", x) for axis, x in zip("xy", q.lo)]
         rows.append((f"cube_{i}_side", q.side))
         rows.append((f"cube_{i}_bmass", b.norm_l1()))
     _write_csv(os.path.join(out_dir, "cz.csv"), rows)

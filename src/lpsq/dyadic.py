@@ -12,14 +12,18 @@ and 2 alike (`_generations`): the sums over all cubes of a generation are
 the block sums of one prefix table (`grids.box_sums`).  The CZ selection
 and the sparse share selection are one stopping-time walk
 (`_stopping_cubes`) with different stopping rules, and `dyadic_cube_pool`
-lists the cubes of every generation.  `sparse_construct` takes each
-node's pool cells once (one dilated and one plain `grids.cell_ranges`
-call; row 0, the node, gives its 3P and P): the pruning reads them, and
-the kept rows go to `SquareEvaluator.lerner_values` with no `Box` between.
+lists the cubes of every generation, with their 3-dilates, as one
+(nb, 2, n) corner array.  A box is its (2, n) corners [lo, hi]
+(`Cube.box`).  `sparse_construct` takes each node's pool from
+`dyadic_cube_pool` and its cells once (one dilated and one plain
+`grids.cell_ranges` call; row 0, the node, gives its 3P and P): the
+pruning reads them, and the kept rows go to
+`SquareEvaluator.lerner_values`.
 
 Cubes reach their cells, and those of their 3-dilates, through
-`grids.cell_ranges` alone, and the pruning's far field groups its boxes by
-`grids.shape_groups`, as the Lerner pool does.  `sparse_construct` and
+`grids.cell_ranges` alone, and the pruning's far field
+(`SquareEvaluator.far_field`) groups its boxes by `grids.shape_groups`,
+as the Lerner pool does.  `sparse_construct` and
 `sparse_rhs_eval` refuse, before any work, cubes off f's lattice (of
 another dimension or of a base other than 2R) and pairs on two grids;
 `sparse_construct` also refuses a root that holds no cell of the grid.
@@ -44,8 +48,8 @@ from .errors import (
     ParameterError,
 )
 from .grids import (
-    Box, ConeGrid, GridFunction, box_sums, cell_ranges, prefix_sums, range_sums, read_json,
-    save_binary, shape_groups, three_dilate,
+    ConeGrid, GridFunction, box_sums, cell_ranges, prefix_sums, range_sums, read_json,
+    save_binary, three_dilate,
 )
 from .moduli import dini_constant
 
@@ -95,8 +99,9 @@ class Cube:
         s = self.side
         return tuple(a + s for a in self.lo)
 
-    def box(self) -> Box:
-        return Box(self.lo, self.hi)
+    def box(self) -> np.ndarray:
+        """The cube's (2, n) corner array [lo, hi]."""
+        return np.array([self.lo, self.hi], dtype=float)
 
     def parent(self) -> "Cube":
         return Cube(self.n, self.generation - 1, tuple(a >> 1 for a in self.anchor),
@@ -112,7 +117,7 @@ class Cube:
         """Per-axis (start, stop) cell index ranges on gf's lattice, clipped
         to the grid: the `grids.cell_ranges` of the cube, whose corners must
         lie on cell edges (`GridError` otherwise)."""
-        i0, i1 = cell_ranges(gf, [self.lo], [self.hi], aligned=True)
+        i0, i1 = cell_ranges(gf, [self.box()], aligned=True)
         return tuple((max(a, 0), min(b, gf.ncells))
                      for a, b in zip(i0[0].tolist(), i1[0].tolist()))
 
@@ -388,33 +393,23 @@ def _on_lattice(root: Cube, gf: GridFunction) -> None:
         raise GridError(f"{root} is not a cube of the dyadic lattice of base 2R = {2.0 * gf.R}")
 
 
-def dyadic_cube_pool(root: Cube, gf: GridFunction) -> list:
+def dyadic_cube_pool(root: Cube, gf: GridFunction) -> np.ndarray:
     """Every dyadic subcube of root that meets gf's box, down to single
-    cells, as a Box, each followed by its 3-dilate (which may reach past the
-    box).  Built one generation at a time from anchor arrays
-    (`_generations`), with the float operations of `Cube.lo` / `Cube.hi`
-    and `grids.three_dilate`; the order is by generation."""
-    lo, hi = _pool_corners(root, gf)
-    return [Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
-
-
-def _pool_corners(root: Cube, gf: GridFunction) -> tuple:
-    """The (nb, n) arrays lo, hi of the boxes of `dyadic_cube_pool`."""
+    cells, each followed by its 3-dilate (which may reach past the box), as
+    one (nb, 2, n) corner array.  Built one generation at a time from
+    anchor arrays (`_generations`), with the float operations of `Cube.lo`
+    / `Cube.hi` and `grids.three_dilate`; the order is by generation."""
     _dyadic_root_cells(gf.ncells)
     _on_lattice(root, gf)
-    los, his = [], []
+    pool = [np.empty((0, 2, gf.n))]
     for g, anchors, _ in _generations(gf, root.generation, root.anchor,
                                       [a + 1 for a in root.anchor]):
         side = root.base * 2.0 ** (-g)
         lo = np.stack(np.meshgrid(*anchors, indexing="ij"), axis=-1).reshape(-1, gf.n) * side
-        hi = lo + side
-        lo3, hi3 = three_dilate(lo, hi)
+        cubes = np.stack((lo, lo + side), axis=1)
         # each cube followed by its 3-dilate
-        los.append(np.stack([lo, lo3], axis=1).reshape(-1, gf.n))
-        his.append(np.stack([hi, hi3], axis=1).reshape(-1, gf.n))
-    if not los:
-        return np.empty((0, gf.n)), np.empty((0, gf.n))
-    return np.concatenate(los), np.concatenate(his)
+        pool.append(np.stack((cubes, three_dilate(cubes)), axis=1).reshape(-1, 2, gf.n))
+    return np.concatenate(pool)
 
 
 def _share_cubes(gf: GridFunction, e_mask: np.ndarray, node: Cube) -> list:
@@ -432,12 +427,12 @@ def _share_cubes(gf: GridFunction, e_mask: np.ndarray, node: Cube) -> list:
 _PRUNE_DELTA = 1e-6
 
 
-def _lerner_keep(floc: np.ndarray, cells: tuple, gain: np.ndarray,
+def _lerner_keep(floc: np.ndarray, cells: tuple, ev: ops.SquareEvaluator,
                  thr0: float) -> np.ndarray:
     """Which boxes B of a node's pool can change its level set, as a
     boolean array: those with gain[0] ||g||_1 > (1 - delta) thr0 and
     H_B > (sqrt 2 - 1)(1 - delta) thr0, where g = floc on the 3B cells,
-    gain is the evaluator's ``far_gain`` table and H_B is `_far_field`'s
+    gain is the evaluator's ``far_gain`` table and H_B is its `far_field`
     (see `sparse_construct`).  cells are the pool's (i0, i1, j0, j1): per
     box the `grids.cell_ranges` of 3B, snapped outward, and of B.  The
     l^1 norms come from one prefix table of |floc|; since
@@ -451,49 +446,11 @@ def _lerner_keep(floc: np.ndarray, cells: tuple, gain: np.ndarray,
     h1 = table[(-1,) * floc.ndim] - g1
     cut = (1.0 - _PRUNE_DELTA) * thr0
     far = (math.sqrt(2.0) - 1.0) * cut
-    keep = (gain[0] * g1 > cut) & (gain[0] * h1 > far)
+    gain0 = ev.far_gain[0]
+    keep = (gain0 * g1 > cut) & (gain0 * h1 > far)
     if keep.any():
-        keep[keep] = _far_field(a, gain, i0[keep], i1[keep], j0[keep], j1[keep]) > far
+        keep[keep] = ev.far_field(a, i0[keep], i1[keep], j0[keep], j1[keep]) > far
     return keep
-
-
-def _far_field(a: np.ndarray, gain: np.ndarray, i0: np.ndarray, i1: np.ndarray,
-               j0: np.ndarray, j1: np.ndarray) -> np.ndarray:
-    """H_B = sum over the cells y outside 3B of a(y) gain[d(y, B)] for each
-    box, 3B the cells [i0, i1) and B the cells [j0, j1) per axis ((nb, n)
-    arrays, unclipped), d the max-norm lattice distance from y to B's cells
-    (an index past the table reads its last entry, which is no smaller).
-
-    Boxes of one shape (per axis: cells of 3B, cells of B, offset of B in
-    3B, the key of `grids.shape_groups`) see one weight array w(y - i0),
-    so their H_B are one correlation of a with w, taken by FFT at their 3B
-    starts.  a is cropped to the hull of its nonzero cells, and its
-    spectrum, of one length for every shape, serves all of them."""
-    n = a.ndim
-    nz = np.nonzero(a)
-    y0 = np.array([ix.min() for ix in nz])
-    na = np.array([ix.max() + 1 for ix in nz]) - y0
-    I = i0 - y0
-    imin = I.min(axis=0)
-    # at index c of the convolution, w is taken at the offset u = y - i0
-    us = [m - 1 - b - np.arange(m + e - b) for m, b, e in zip(na, imin, I.max(axis=0))]
-    P = tuple(ops._fft_len(len(u)) for u in us)
-    axes = tuple(range(n))
-    spec = np.fft.rfftn(a[tuple(slice(y, y + m) for y, m in zip(y0, na))], P, axes=axes)
-
-    def dist(start, size):  # from each offset u to the cells [start, start + size)
-        return functools.reduce(np.maximum, np.ix_(*[
-            np.maximum(np.maximum(b - u, u - (b + m - 1)), 0)
-            for u, b, m in zip(us, start, size)]))
-
-    out = np.empty(len(I))
-    for key, sel in shape_groups(i0, i1, j0, j1):
-        A, S, D = zip(*key)
-        w = np.where(dist((0,) * n, A) == 0, 0.0,
-                     gain[np.minimum(dist(D, S), len(gain) - 1)])
-        conv = np.fft.irfftn(spec * np.fft.rfftn(w, P, axes=axes), P, axes=axes)
-        out[sel] = conv[tuple((I[sel] - imin + na - 1).T)]
-    return out
 
 
 # the gamma doublings sparse_construct allows per node
@@ -547,7 +504,7 @@ def sparse_construct(
     |D_j| max |k_j|^2 >= far_gain[0]^2, so they keep no box that it drops.
     The l^1 norms come from one prefix table of |f'| over the 3B cells of
     `grids.cell_ranges`, and H_B from one FFT correlation of |f'|
-    per box shape (`_far_field`).  delta = `_PRUNE_DELTA` covers roundoff.
+    per box shape (`SquareEvaluator.far_field`).  delta = `_PRUNE_DELTA` covers roundoff.
     Gamma^2 is a window sum of k_j^2 by cumulative sums, as S^2 is of
     psi_t^2; against extended precision its error is below
     1e-12 far_gain[0] on the 1-D layouts up to N = 16384 and the 2-D ones
@@ -604,10 +561,10 @@ def sparse_construct(
         cubes.append(node)
         if node.generation >= gmax:
             return
-        lo, hi = _pool_corners(node, f)
+        pool = dyadic_cube_pool(node, f)
         # row 0 is the node itself: its 3P and P
-        cells = (*cell_ranges(f, lo, hi, dilate=True, snap_outward=True),
-                 *cell_ranges(f, lo, hi))
+        cells = (*cell_ranges(f, pool, dilate=True, snap_outward=True),
+                 *cell_ranges(f, pool))
         i0, i1, j0, j1 = (c[0].tolist() for c in cells)
         w3 = tuple(slice(max(a, 0), min(b, N)) for a, b in zip(i0, i1))
         nsl = tuple(slice(max(a, 0), min(b, N)) for a, b in zip(j0, j1))
@@ -620,14 +577,12 @@ def sparse_construct(
         # where 3P covers the grid, f' is f
         s_vals = s_all if mask3.all() else s_of(floc)
         if evaluator is not None:
-            kept = _lerner_keep(floc, cells, evaluator.far_gain,
-                                math.sqrt(g_val) * bracket * avg3)
+            kept = _lerner_keep(floc, cells, evaluator, math.sqrt(g_val) * bracket * avg3)
             kept[0] = True  # the node's own box, the cover
             ms = evaluator.lerner_values(floc, tuple(c[kept] for c in cells))
         else:
-            ms = ops.lerner_maximal(k, f.with_values(floc), cone, "M_S",
-                                    dyadic_cube_pool(node, f), method=method,
-                                    domain=node.box()).values
+            ms = ops.lerner_maximal(k, f.with_values(floc), cone, "M_S", pool,
+                                    method=method, domain=node.box()).values
         mtilde = np.maximum(s_vals, ms)
         target = math.prod(sl.stop - sl.start for sl in nsl) // 2 ** (2 * f.n + 2)
         cur = g_val
@@ -686,10 +641,9 @@ def sparse_rhs_eval(family: SparseFamily, f, dilate: int = 3) -> GridFunction:
     for c in family.cubes:
         _on_lattice(c, base)
     N, hn = base.ncells, base.h**base.n
-    lo = np.array([c.lo for c in family.cubes], dtype=float).reshape(-1, base.n)
-    hi = np.array([c.hi for c in family.cubes], dtype=float).reshape(-1, base.n)
-    i0, i1 = cell_ranges(base, lo, hi, dilate=True, snap_outward=True)
-    j0, j1 = cell_ranges(base, lo, hi, aligned=True)
+    boxes = [c.box() for c in family.cubes]
+    i0, i1 = cell_ranges(base, boxes, dilate=True, snap_outward=True)
+    j0, j1 = cell_ranges(base, boxes, aligned=True)
     mags = [np.abs(gf.values) for gf in fs]
     acc = np.zeros_like(base.values)
     for c, a0, a1, b0, b1 in zip(family.cubes, i0.tolist(), i1.tolist(), j0.tolist(),

@@ -12,12 +12,14 @@ A ConeGrid discretizes the upper half-space with geometric t-levels
 integrates over the offsets |offset| < min(alpha t_j, max_radius), built on
 demand by `ConeGrid.stencil`.
 
-Boxes reach the cells through one rule, `cell_ranges`: (nb, n) corner
-arrays become per-axis index ranges by the cell-center rule, optionally of
-their 3-dilates (`three_dilate`, the one dilate expression) snapped
-outward.  It is also the gate of every box: corners of another dimension
-are a GridError, and non-finite corners or sides, hi <= lo and pool boxes
-that are not cubes are ParameterErrors, all before any work.  The Lerner
+A box is its (2, n) corner array [lo, hi], and a list of boxes (a pool)
+the (nb, 2, n) array of them.  Boxes reach the cells through one rule,
+`cell_ranges`, which turns such an array into per-axis index ranges by the
+cell-center rule, optionally of the 3-dilates (`three_dilate`, the one
+dilate expression) snapped outward.  It is also the gate of every box,
+before any work: input that is not an (nb, 2, n) array (ragged, of another
+dimension) is a GridError, and non-numeric, non-finite corners or sides,
+hi <= lo and pool boxes that are not cubes are ParameterErrors.  The Lerner
 pool, the sparse pruning and A_S f group their boxes by the shape of those
 ranges through one function, `shape_groups`.
 """
@@ -38,7 +40,6 @@ from .errors import ConfigError, GridError, ParameterError, ResolutionError
 
 __all__ = [
     "GridFunction",
-    "Box",
     "sample_function",
     "parse_function",
     "ConeGrid",
@@ -57,14 +58,6 @@ __all__ = [
 ]
 
 _BIN_MAGIC = b"LPGF"
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box, lo/hi as length-n float tuples."""
-
-    lo: tuple
-    hi: tuple
 
 
 def _cell_count(n: int, R: float, h: float) -> int:
@@ -145,9 +138,6 @@ class GridFunction:
             and abs(self.h - other.h) < 1e-12
         )
 
-    def box(self) -> Box:
-        return Box((-self.R,) * self.n, (self.R,) * self.n)
-
 
 def prefix_sums(a: np.ndarray) -> np.ndarray:
     """Cumulative sums of a along the axes 0, 1, ... in order, with a zero
@@ -199,18 +189,20 @@ def range_sums(c: np.ndarray, i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def three_dilate(lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """The (nb, n) corners of the 3-dilates 3B of the boxes B = [lo, hi):
-    the center -+ 3/2 times the axis-0 side on every axis."""
+def three_dilate(boxes: np.ndarray) -> np.ndarray:
+    """The 3-dilates 3B of the boxes B of an (nb, 2, n) corner array, as
+    one: the center -+ 3/2 times the axis-0 side on every axis."""
+    lo, hi = boxes[:, 0], boxes[:, 1]
     c, half = 0.5 * (lo + hi), 3.0 * 0.5 * (hi[:, :1] - lo[:, :1])
-    return c - half, c + half
+    return np.stack((c - half, c + half), axis=1)
 
 
-def cell_ranges(gf: GridFunction, lo, hi, dilate: bool = False,
+def cell_ranges(gf: GridFunction, boxes, dilate: bool = False,
                 snap_outward: bool = False, aligned: bool = False) -> tuple:
     """Per-axis [start, stop) index ranges, as (nb, n) integer arrays, of
-    the cells of gf's lattice that the boxes [lo, hi) select, lo and hi
-    (nb, n) corner arrays: the one rule from box corners to cells.
+    the cells of gf's lattice that the boxes select, ``boxes`` an (nb, 2, n)
+    corner array (any array-like; an empty sequence is no box): the one
+    rule from box corners to cells.
 
     With ``dilate`` the boxes must be cubes, and their `three_dilate` is
     taken first.  A cell counts when its center lies in [lo, hi) or, with
@@ -224,20 +216,30 @@ def cell_ranges(gf: GridFunction, lo, hi, dilate: bool = False,
     moved to that distance, which selects the same cells, before the
     integer cast.
 
-    Refused before any work: corners of another shape than (nb, gf.n)
-    (`GridError`); a non-finite corner or side, hi <= lo on an axis and,
-    with ``dilate``, sides that differ by more than 1e-9 relative or a
-    3-dilate that overflows (`ParameterError`).
+    Refused before any work: ragged input or an array of another shape
+    than (nb, 2, gf.n) (`GridError`); corners that are not real numbers, a
+    non-finite corner or side, hi <= lo on an axis and, with ``dilate``,
+    sides that differ by more than 1e-9 relative or a 3-dilate that
+    overflows (`ParameterError`).
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if lo.ndim != 2 or lo.shape[1] != gf.n or hi.shape != lo.shape:
-        raise GridError(f"box corners of shape {lo.shape} and {hi.shape} on a "
-                        f"{gf.n}-D grid; expected (boxes, {gf.n})")
-    nb, N = len(lo), gf.ncells
+    try:
+        b = np.asarray(boxes)
+    except ValueError:
+        raise GridError(f"ragged box corners; expected (boxes, 2, {gf.n}) on the "
+                        f"{gf.n}-D grid") from None
+    if b.ndim == 1 and b.size == 0:
+        b = b.reshape(0, 2, gf.n)
+    if b.ndim != 3 or b.shape[1:] != (2, gf.n):
+        raise GridError(f"box corners of shape {b.shape}; expected (boxes, 2, {gf.n}) on "
+                        f"the {gf.n}-D grid")
+    if b.dtype.kind not in "iuf":
+        raise ParameterError(f"box corners must be real numbers, got {b.dtype} values")
+    b = b.astype(float, copy=False)
+    N = gf.ncells
     with np.errstate(over="ignore", invalid="ignore"):
-        side = hi - lo  # NaN or inf for a non-finite corner or side
+        side = b[:, 1] - b[:, 0]  # NaN or inf for a non-finite corner or side
         if not (side.min(initial=math.inf) > 0 and side.max(initial=0.0) < math.inf):
-            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            if not np.isfinite(b).all():
                 raise ParameterError("box corners must be finite")
             if (side <= 0).any():
                 raise ParameterError("every box needs hi > lo on each axis")
@@ -246,10 +248,10 @@ def cell_ranges(gf: GridFunction, lo, hi, dilate: bool = False,
             if gf.n > 1 and (np.abs(side - side[:, :1]) > 1e-9 * side[:, :1]).any():
                 raise ParameterError("a box with unequal sides has no 3-dilate; "
                                      "pool boxes must be cubes")
-            lo, hi = three_dilate(lo, hi)
-            if not (hi - lo).max(initial=0.0) < math.inf:
+            b = three_dilate(b)
+            if not (b[:, 1] - b[:, 0]).max(initial=0.0) < math.inf:
                 raise ParameterError("a box's 3-dilate overflows")
-        x = (np.concatenate((lo, hi)) + gf.R) / gf.h  # cell units, lo rows first
+        x = (b + gf.R) / gf.h  # cell units
     # a corner two box widths (2N cells) past the grid selects what any
     # farther one does
     np.maximum(x, -2.0 * N, out=x)
@@ -260,11 +262,11 @@ def cell_ranges(gf: GridFunction, lo, hi, dilate: bool = False,
     # pad = 1/2 with snap_outward
     x -= 0.5
     if snap_outward:
-        x[:nb] -= 0.5
-        x[nb:] += 0.5
+        x[:, 0] -= 0.5
+        x[:, 1] += 0.5
     x -= 1e-9
     i = np.ceil(x, out=x).astype(np.intp)
-    return i[:nb], i[nb:]
+    return i[:, 0], i[:, 1]
 
 
 def shape_groups(i0: np.ndarray, i1: np.ndarray, j0: np.ndarray, j1: np.ndarray) -> list:

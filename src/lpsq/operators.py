@@ -11,8 +11,9 @@ grid function, or the pair (f1, f2) of a bilinear kernel, as a tuple of k.m
 inputs.  Before any work it refuses, each by a named error, a wrong number
 of inputs, inputs on different grids or of another dimension than the
 kernel, and a cone of another spacing or dimension than the grid.  Boxes
-(the pool and domain of `lerner_maximal`) pass the one box rule,
-`grids.cell_ranges`, which gates them the same way.
+(the pool and domain of `lerner_maximal`) are corner arrays, (nb, 2, n)
+and (2, n), and pass the one box rule, `grids.cell_ranges`, which gates
+them the same way.
 
 S, g* and the `SquareEvaluator` read one level table, `_cone_levels`: per
 cone level its t, its radius min(alpha t, max_radius), the pad K of the
@@ -82,12 +83,12 @@ levels (`_psi_t_bilinear_fft`).  The per-output-cell direct sum
 
 `lerner_maximal` computes M_S f(x), the sup over the pool cubes Q
 containing x of |S f^2 - S(f 1_{3Q})^2|^{1/2}.  The cells of every Q and
-3Q are taken once from its Box list (`_pool_cells`), and both paths read
-them.  On a linear convolution kernel with method "auto" the batched pass,
-`SquareEvaluator.lerner_values`, evaluates every pool cube's S(f 1_{3Q})
-only on Q, cubes grouped by their cell shape, in n = 1 and n = 2 alike;
-`sparse_construct` hands it the cells its pruning took, with no Box
-between.  Small cubes take one quadratic form in f on 3Q per cube, with a
+3Q are taken once from its corner array (`_pool_cells`), and both paths
+read them.  On a linear convolution kernel with method "auto" the batched
+pass, `SquareEvaluator.lerner_values`, evaluates every pool cube's
+S(f 1_{3Q}) only on Q, cubes grouped by their cell shape, in n = 1 and
+n = 2 alike; `sparse_construct` hands it the cells its pruning took.
+Small cubes take one quadratic form in f on 3Q per cube, with a
 level-summed Gram table cached on the `SquareEvaluator`; other groups
 cost, per FFT length and chunk of cubes, one batched n-D rfft of the
 stacked 3Q windows, shared by the levels of that length, and per level one
@@ -115,7 +116,7 @@ from .errors import (
     ParameterError,
 )
 from .grids import (
-    Box, ConeGrid, GridFunction, box_sums, cell_ranges, prefix_sums, shape_groups,
+    ConeGrid, GridFunction, box_sums, cell_ranges, prefix_sums, shape_groups,
 )
 from .kernels import KernelSpec, unit_cube_maximal
 from .moduli import ModulusOfContinuity
@@ -699,6 +700,8 @@ class SquareEvaluator:
     far_gain[l] = max{Gamma(v) : |v|_inf >= l} (`_far_gain`): S g <=
     far_gain[0] sum |g| everywhere, and S g(x) <= sum_y |g(y)|
     far_gain[|x - y|_inf], which shrinks as the mass of g moves away from x.
+    `far_field` takes that bound for the mass outside 3B on B's cells, the
+    term the sparse pruning of `dyadic.sparse_construct` reads.
     """
 
     def __init__(self, k, template: GridFunction, cone: ConeGrid):
@@ -853,6 +856,46 @@ class SquareEvaluator:
     def eval_values(self, values: np.ndarray) -> np.ndarray:
         """S_alpha of the grid function with these values; returns values."""
         return np.sqrt(self.square_sum(values))
+
+    def far_field(self, a: np.ndarray, i0: np.ndarray, i1: np.ndarray, j0: np.ndarray,
+                  j1: np.ndarray) -> np.ndarray:
+        """H_B = sum over the cells y outside 3B of a(y) far_gain[d(y, B)]
+        for each box, a >= 0 on the grid, 3B the cells [i0, i1) and B the
+        cells [j0, j1) per axis ((nb, n) arrays, unclipped), d the max-norm
+        lattice distance from y to B's cells (an index past the table reads
+        its last entry, which is no smaller).
+
+        Boxes of one shape (per axis: cells of 3B, cells of B, offset of B
+        in 3B, the key of `grids.shape_groups`) see one weight array
+        w(y - i0), so their H_B are one correlation of a with w, taken by
+        FFT at their 3B starts.  a is cropped to the hull of its nonzero
+        cells, and its spectrum, of one length for every shape, serves all
+        of them."""
+        gain, n = self.far_gain, a.ndim
+        nz = np.nonzero(a)
+        y0 = np.array([ix.min() for ix in nz])
+        na = np.array([ix.max() + 1 for ix in nz]) - y0
+        I = i0 - y0
+        imin = I.min(axis=0)
+        # at index c of the convolution, w is taken at the offset u = y - i0
+        us = [m - 1 - b - np.arange(m + e - b) for m, b, e in zip(na, imin, I.max(axis=0))]
+        P = tuple(_fft_len(len(u)) for u in us)
+        axes = tuple(range(n))
+        spec = np.fft.rfftn(a[tuple(slice(y, y + m) for y, m in zip(y0, na))], P, axes=axes)
+
+        def dist(start, size):  # from each offset u to the cells [start, start + size)
+            return functools.reduce(np.maximum, np.ix_(*[
+                np.maximum(np.maximum(b - u, u - (b + m - 1)), 0)
+                for u, b, m in zip(us, start, size)]))
+
+        out = np.empty(len(I))
+        for key, sel in shape_groups(i0, i1, j0, j1):
+            A, S, D = zip(*key)
+            w = np.where(dist((0,) * n, A) == 0, 0.0,
+                         gain[np.minimum(dist(D, S), len(gain) - 1)])
+            conv = np.fft.irfftn(spec * np.fft.rfftn(w, P, axes=axes), P, axes=axes)
+            out[sel] = conv[tuple((I[sel] - imin + na - 1).T)]
+        return out
 
     def lerner_values(self, values: np.ndarray, cells: tuple) -> np.ndarray:
         """M_S of the grid function with these values over the pool cubes
@@ -1174,21 +1217,12 @@ def maximal(f: GridFunction, variant: str = "hl") -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _corners(boxes: Sequence[Box], n: int) -> tuple:
-    """The (nb, n) corner arrays lo, hi of boxes; a box of another
-    dimension than n is a `GridError`."""
-    if any(len(b.lo) != n or len(b.hi) != n for b in boxes):
-        raise GridError(f"a box of another dimension than the {n}-D grid")
-    return (np.array([b.lo for b in boxes], dtype=float),
-            np.array([b.hi for b in boxes], dtype=float))
-
-
-def _pool_cells(f: GridFunction, cube_pool: Sequence[Box]) -> tuple:
-    """(i0, i1, j0, j1): per pool cube Q the `grids.cell_ranges` of 3Q,
-    snapped outward, and of Q, as (nb, n) arrays, unclipped."""
-    lo, hi = _corners(cube_pool, f.n)
-    return (*cell_ranges(f, lo, hi, dilate=True, snap_outward=True),
-            *cell_ranges(f, lo, hi))
+def _pool_cells(f: GridFunction, cube_pool) -> tuple:
+    """(i0, i1, j0, j1): per pool cube Q of the (nb, 2, n) corner array
+    the `grids.cell_ranges` of 3Q, snapped outward, and of Q, as (nb, n)
+    arrays, unclipped."""
+    return (*cell_ranges(f, cube_pool, dilate=True, snap_outward=True),
+            *cell_ranges(f, cube_pool))
 
 
 def _lerner_groups(values: np.ndarray, cells: tuple, out: np.ndarray) -> dict:
@@ -1273,37 +1307,39 @@ def lerner_maximal(
     f,
     cone: ConeGrid,
     variant: str,
-    cube_pool: Sequence[Box],
+    cube_pool,
     method: str | None = None,
-    domain: Box | None = None,
+    domain=None,
 ) -> GridFunction:
     """M_S f(x): the sup over the pool cubes Q containing x of
     sqrt(|S f(x)^2 - S(f 1_{3Q})(x)^2|).
 
     ``variant`` must be "M_S", the one localized operator, else
-    `ParameterError`.  The pool approximates the sup over all cubes;
-    callers should record the pool kind alongside results.  Before any
-    work the pool cubes and the domain pass `grids.cell_ranges` (the pool
-    with its 3-dilates): a box of another dimension than f is a
-    `GridError`; a non-finite corner or side, hi <= lo, a pool box that is
-    not a cube or whose 3-dilate overflows are `ParameterError`s.  Every
-    cell of ``domain`` (default: f's own box) must lie in some pool cube,
-    else `CoverageError`; the output is zero outside it.  A linear
-    convolution kernel with method "auto" takes the batched path
-    (`SquareEvaluator.lerner_values`), in n = 1 and n = 2, through the
-    evaluator `SquareEvaluator.of` keeps on k, so that repeated calls on one
-    layout share its kernel spectra, Gram table and block spectra.
+    `ParameterError`.  ``cube_pool`` is an (nb, 2, n) corner array (such
+    as `dyadic_cube_pool`) and ``domain`` one (2, n) box [lo, hi] (such as
+    `Cube.box`), any array-like.  The pool approximates the sup over all
+    cubes; callers should record the pool kind alongside results.  Before
+    any work the pool (with its 3-dilates) and the domain pass the box
+    rule `grids.cell_ranges`, whose named errors they raise, and an empty
+    pool is a `CoverageError`.  Every cell of ``domain`` (default: f's own
+    box) must lie in some pool cube, else `CoverageError`; the output is
+    zero outside it.  A linear convolution kernel with method "auto" takes
+    the batched path (`SquareEvaluator.lerner_values`), in n = 1 and
+    n = 2, through the evaluator `SquareEvaluator.of` keeps on k, so that
+    repeated calls on one layout share its kernel spectra, Gram table and
+    block spectra.
     Anything else takes `_lerner_pool_loop`, one S per pool cube.
     """
     fs = _operands(k, f, cone)
     if variant != "M_S":
         raise ParameterError(f"unknown variant {variant!r}; M_S is the one localized operator")
-    if not cube_pool:
-        raise CoverageError("empty cube pool")
     base = fs[0]
+    if domain is None:
+        domain = [(-base.R,) * base.n, (base.R,) * base.n]
     cells = _pool_cells(base, cube_pool)
-    (d0,), (d1,) = cell_ranges(base, *_corners([base.box() if domain is None else domain],
-                                               base.n))
+    (d0,), (d1,) = cell_ranges(base, [domain])
+    if not len(cells[0]):
+        raise CoverageError("empty cube pool")
     dom = np.zeros(base.values.shape, dtype=bool)
     dom[tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(d0.tolist(), d1.tolist()))] = True
     ev = SquareEvaluator.of(k, base, cone, method=method)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lpsq.grids import Box, build_cone, cell_ranges, sample_function
+from lpsq.grids import build_cone, cell_ranges, sample_function
 from lpsq.kernels import parse_kernel
 
 # property tests: no per-example deadline (timings vary on small shared
@@ -13,18 +13,35 @@ settings.register_profile("lpsq", deadline=None, derandomize=True)
 settings.load_profile("lpsq")
 
 
-def dilate3(box: Box) -> Box:
-    """The 3-dilate of a box by Python float operations, the center -+ 3/2
-    times the axis-0 side: an oracle for `grids.three_dilate`."""
-    c = [0.5 * (a + b) for a, b in zip(box.lo, box.hi)]
-    half = 3.0 * 0.5 * (box.hi[0] - box.lo[0])
-    return Box(tuple(x - half for x in c), tuple(x + half for x in c))
+def dilate3(box) -> np.ndarray:
+    """The 3-dilate of a (2, n) box [lo, hi] by Python float operations,
+    the center -+ 3/2 times the axis-0 side: an oracle for
+    `grids.three_dilate`."""
+    lo, hi = (list(map(float, v)) for v in box)
+    c = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    half = 3.0 * 0.5 * (hi[0] - lo[0])
+    return np.array([[x - half for x in c], [x + half for x in c]])
 
 
-def box_mask(gf, box: Box, snap_outward: bool = False) -> np.ndarray:
+def box(lo, hi) -> np.ndarray:
+    """The (2, n) corner array [lo, hi] of a box."""
+    return np.array([lo, hi], dtype=float)
+
+
+def grid_box(gf) -> np.ndarray:
+    """The (2, n) corners of a grid function's own box [-R, R]^n."""
+    return box((-gf.R,) * gf.n, (gf.R,) * gf.n)
+
+
+def box_key(box) -> tuple:
+    """A (2, n) box as a hashable ((lo...), (hi...)) tuple of floats."""
+    return tuple(tuple(map(float, v)) for v in box)
+
+
+def box_mask(gf, box, snap_outward: bool = False) -> np.ndarray:
     """The 0/1 indicator of the grid cells `grids.cell_ranges` selects for
-    one box."""
-    i0, i1 = cell_ranges(gf, [box.lo], [box.hi], snap_outward=snap_outward)
+    one (2, n) box."""
+    i0, i1 = cell_ranges(gf, [box], snap_outward=snap_outward)
     mask = np.zeros(gf.values.shape)
     mask[tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(i0[0], i1[0]))] = 1.0
     return mask

@@ -210,6 +210,30 @@ class TestSubcommands:
         assert rc == 0
         assert (tmp_path / "cz" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("n, rho", [(1, "0.2"), (2, "0.05")])
+    def test_cz_rows_match_the_manifest(self, tmp_path, n, rho):
+        """cz.csv gives each cube's lower corner on every axis (``_lo`` in
+        1-D, ``_lo_x`` and ``_lo_y`` in 2-D) and its side, as the cube of
+        cz/manifest.json."""
+        rc = run_main(["--out-dir", str(tmp_path), "cz", "--n", str(n), "--R", "4",
+                       "--h", "0.25", "--rho", rho])
+        assert rc == 0
+        rows = dict(line.split(",") for line in
+                    (tmp_path / "cz.csv").read_text().splitlines()[1:])
+        bad = json.loads((tmp_path / "cz" / "manifest.json").read_text())["bad"]
+        assert len(bad) > 1 and int(rows["n_cubes"]) == len(bad)
+        axes = [""] if n == 1 else ["_x", "_y"]
+        assert len(rows) == 3 + len(bad) * (len(axes) + 2)
+        for i, q in enumerate(bad):
+            side = q["base"] * 2.0 ** -q["generation"]
+            assert float(rows[f"cube_{i}_side"]) == side
+            for axis, a in zip(axes, q["anchor"]):
+                assert float(rows[f"cube_{i}_lo{axis}"]) == a * side
+        if n == 2:  # two cubes of one generation and x, with different y
+            los = {(rows[f"cube_{i}_lo_x"], rows[f"cube_{i}_lo_y"], rows[f"cube_{i}_side"])
+                   for i in range(len(bad))}
+            assert len(los) == len(bad) > len({(x, s) for x, _, s in los})
+
     def test_sparse_emits_verifiable_family(self, tmp_path):
         rc = run_main(["--out-dir", str(tmp_path), "sparse",
                        "--kernel", "ex1:kappa=3", "--alpha", "1",

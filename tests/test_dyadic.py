@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dilate3
+from conftest import box_key, dilate3
 from lpsq.dyadic import (
     Cube,
     SparseFamily,
@@ -617,10 +618,11 @@ class TestCubePool:
         g = grid_1d(64)
         root = Cube(1, 1, (0,), "standard", BASE)
         pool = dyadic_cube_pool(root, g)
-        sides = sorted({b.hi[0] - b.lo[0] for b in pool})
-        assert root.box() in pool
-        assert dilate3(root.box()) in pool
-        assert min(sides) == g.h
+        sides = pool[:, 1, 0] - pool[:, 0, 0]
+        boxes = set(map(box_key, pool))
+        assert box_key(root.box()) in boxes
+        assert box_key(dilate3(root.box())) in boxes
+        assert pool.shape == (len(pool), 2, 1) and sides.min() == g.h
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +818,8 @@ class TestGenerationWalk:
                 want += [q.box(), dilate3(q.box())]
                 if q.generation < gmax:
                     stack.extend(_children(q))
-            assert Counter(dyadic_cube_pool(root, f)) == Counter(want), root
+            assert Counter(map(box_key, dyadic_cube_pool(root, f))) == \
+                Counter(map(box_key, want)), root
 
     def test_pool_refuses_other_lattices(self):
         f = GridFunction(1, 2.0, 0.25, np.zeros(16))
@@ -914,7 +917,7 @@ def _pool_sizes(monkeypatch):
     return sizes
 
 
-def _keep_all(floc, cells, gain, thr0):
+def _keep_all(floc, cells, ev, thr0):
     return np.ones(len(cells[0]), dtype=bool)
 
 
@@ -990,10 +993,11 @@ class TestLernerPoolPruning:
         assert sum(sizes[: len(sizes) // 2]) < sum(sizes[len(sizes) // 2:])
         keep = dyadic._lerner_keep
 
-        def weaker(floc, cells, gain, thr0):
-            gain = gain.copy()
-            gain[slice(0, 1) if halved == "near" else slice(1, None)] /= 2.0
-            return keep(floc, cells, gain, thr0)
+        def weaker(floc, cells, ev, thr0):
+            ev = copy.copy(ev)
+            ev.far_gain = ev.far_gain.copy()
+            ev.far_gain[slice(0, 1) if halved == "near" else slice(1, None)] /= 2.0
+            return keep(floc, cells, ev, thr0)
 
         with mock.patch.object(dyadic, "_lerner_keep", weaker):
             assert _family_key(self._construct(1, N, vals, gamma)) != full
@@ -1002,11 +1006,10 @@ class TestLernerPoolPruning:
            st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=24)
     def test_far_field_bound(self, n, kind, seed):
-        """`_far_field` is the sum over the cells y outside 3B of
-        |f(y)| far_gain[d(y, B)], and bounds S h on B's cells, h = f off 3B,
-        for the evaluator and for the direct-summation square function; 3B
-        and B are random boxes that may reach past the grid."""
-        from lpsq.dyadic import _far_field
+        """`SquareEvaluator.far_field` is the sum over the cells y outside
+        3B of |f(y)| far_gain[d(y, B)], and bounds S h on B's cells,
+        h = f off 3B, for the evaluator and for the direct-summation square
+        function; 3B and B are random boxes that may reach past the grid."""
         from lpsq.operators import SquareEvaluator
 
         N = 32 if n == 1 else 8
@@ -1023,7 +1026,7 @@ class TestLernerPoolPruning:
         j1 = j0 + rng.integers(1, N // 2, (6, n))
         i0 = j0 - rng.integers(0, N // 2, (6, n))
         i1 = j1 + rng.integers(0, N // 2, (6, n))
-        H = _far_field(np.abs(f.values), gain, i0, i1, j0, j1)
+        H = ev.far_field(np.abs(f.values), i0, i1, j0, j1)
         y = np.indices(f.values.shape).reshape(n, -1).T
         a = np.abs(f.values).ravel()
         direct = lambda v: square_function(k, f.with_values(v), cone, method="direct").values
@@ -1045,7 +1048,7 @@ class TestLernerPoolPruning:
         evaluator's levels, at thresholds on either side of its cuts; over
         six inputs the rule drops some box the l^1 rule keeps."""
         from lpsq import operators as ops
-        from lpsq.dyadic import _PRUNE_DELTA, _lerner_keep, _pool_corners
+        from lpsq.dyadic import _PRUNE_DELTA, _lerner_keep
 
         N = 64 if n == 1 else 16
         R, h = 4.0, 8.0 / N
@@ -1061,9 +1064,9 @@ class TestLernerPoolPruning:
                 * np.max(np.abs(ops._conv_kernel(k, f, lv.t, lv.Mx))) ** 2
                 for lv in ev.levels))
             assert ev.far_gain[0] <= c
-            lo, hi = _pool_corners(root, f)
-            cells = (*cell_ranges(f, lo, hi, dilate=True, snap_outward=True),
-                     *cell_ranges(f, lo, hi))
+            pool = dyadic_cube_pool(root, f)
+            cells = (*cell_ranges(f, pool, dilate=True, snap_outward=True),
+                     *cell_ranges(f, pool))
             i0, i1 = cells[:2]
             a = np.abs(f.values)
             g1 = np.array([a[tuple(slice(max(p, 0), max(q, 0)) for p, q in zip(b0, b1))].sum()
@@ -1072,7 +1075,7 @@ class TestLernerPoolPruning:
             for thr0 in c * a.sum() * np.geomspace(1e-3, 1.0, 7):
                 cut = (1.0 - _PRUNE_DELTA) * thr0
                 old = (c * g1 > cut) & (c * h1 > (math.sqrt(2.0) - 1.0) * cut)
-                new = _lerner_keep(f.values, cells, ev.far_gain, thr0)
+                new = _lerner_keep(f.values, cells, ev, thr0)
                 assert not np.any(new & ~old)
                 dropped += int(np.sum(old & ~new))
         assert dropped
@@ -1256,49 +1259,44 @@ class TestSparsePlanReuse:
 
 def _census(monkeypatch):
     """Count the calls of the box rule `grids.cell_ranges`, under every
-    name an lpsq module binds it to, and the `grids.Box` objects built."""
+    name an lpsq module binds it to."""
     import sys
 
     from lpsq import grids
 
-    seen = {"rule": 0, "box": 0}
-    rule, init = grids.cell_ranges, grids.Box.__init__
+    seen = {"rule": 0}
+    rule = grids.cell_ranges
 
     def counted_rule(*args, **kwargs):
         seen["rule"] += 1
         return rule(*args, **kwargs)
 
-    def counted_init(self, *args, **kwargs):
-        seen["box"] += 1
-        init(self, *args, **kwargs)
-
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "lpsq" and getattr(mod, "cell_ranges", None) is rule:
             monkeypatch.setattr(mod, "cell_ranges", counted_rule)
-    monkeypatch.setattr(grids.Box, "__init__", counted_init)
     return seen
 
 
 class TestNodeCells:
     """Each fast-path node of sparse_construct takes its pool's cells once
     (one dilated and one plain box rule) and hands them to the evaluator's
-    M_S pass, with no `Box` between."""
+    M_S pass."""
 
     _layout = staticmethod(TestSparsePlanReuse._layout)
     _input = TestSparsePlanReuse._input
 
-    def test_census_sees_the_rule_and_a_box(self, monkeypatch):
+    def test_census_sees_the_rule(self, monkeypatch):
         from lpsq import operators as ops
 
         seen = _census(monkeypatch)
         f = GridFunction(1, 2.0, 0.5, np.zeros(8))
         Cube(1, 1, (0,), "standard", 4.0).cell_range(f)
-        assert seen == {"rule": 1, "box": 0}
-        ops._pool_cells(f, [f.box()])
-        assert seen == {"rule": 3, "box": 1}
+        assert seen == {"rule": 1}
+        ops._pool_cells(f, [[(-2.0,), (2.0,)]])
+        assert seen == {"rule": 3}
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_two_rule_calls_per_node_and_no_box(self, monkeypatch, n):
+    def test_two_rule_calls_per_node(self, monkeypatch, n):
         *_, cone, q0 = self._layout(n)
         k = parse_kernel("ex1:kappa=3", n)
         fs = [self._input(n, seed) for seed in range(4)]
@@ -1309,22 +1307,20 @@ class TestNodeCells:
             nodes += len(fam.cubes)
         assert nodes > len(fs)  # some family has more than its root
         assert 0 < seen["rule"] <= 2 * nodes
-        assert seen["box"] == 0
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_node_m_s_equals_lerner_maximal_on_the_pruned_pool(self, monkeypatch, n):
         """At every fast-path node, `SquareEvaluator.lerner_values` on the
         node's kept cells is, on the node's cells, lerner_maximal over the
-        same pruned pool as Box objects with the node as its domain, bit for
-        bit."""
+        same pruned pool of corner arrays with the node as its domain, bit
+        for bit."""
         from lpsq import dyadic
         from lpsq import operators as ops
-        from lpsq.grids import Box
 
         *_, cone, q0 = self._layout(n)
         k = parse_kernel("ex1:kappa=3", n)
-        corners, kept, compared = [], [], [0]
-        pool_corners, keep = dyadic._pool_corners, dyadic._lerner_keep
+        pools, kept, compared = [], [], [0]
+        cube_pool, keep = dyadic.dyadic_cube_pool, dyadic._lerner_keep
         batched = ops.SquareEvaluator.lerner_values
         inside = [False]
 
@@ -1332,9 +1328,7 @@ class TestNodeCells:
             out = batched(ev, values, cells)
             if inside[0]:  # the lerner_maximal call below
                 return out
-            lo, hi = corners[-1]
-            pool = [Box(tuple(a), tuple(b))
-                    for a, b in zip(lo[kept[-1]].tolist(), hi[kept[-1]].tolist())]
+            pool = pools[-1][kept[-1]]
             node = pool[0]
             inside[0] = True
             try:
@@ -1342,15 +1336,15 @@ class TestNodeCells:
                                           pool, domain=node).values
             finally:
                 inside[0] = False
-            (j0,), (j1,) = cell_ranges(ev.template, [node.lo], [node.hi])
+            (j0,), (j1,) = cell_ranges(ev.template, [node])
             nsl = tuple(slice(max(a, 0), min(b, len(values))) for a, b in zip(j0, j1))
             assert np.all(np.isfinite(out[nsl]))
             assert np.array_equal(out[nsl], want[nsl])
             compared[0] += 1
             return out
 
-        monkeypatch.setattr(dyadic, "_pool_corners", lambda *a: corners.append(
-            pool_corners(*a)) or corners[-1])
+        monkeypatch.setattr(dyadic, "dyadic_cube_pool", lambda *a: pools.append(
+            cube_pool(*a)) or pools[-1])
         monkeypatch.setattr(dyadic, "_lerner_keep", lambda *a: kept.append(keep(*a))
                             or kept[-1])
         monkeypatch.setattr(ops.SquareEvaluator, "lerner_values", recorded)

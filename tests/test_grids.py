@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from conftest import box_mask, dilate3
 from lpsq.errors import ConfigError, GridError, ParameterError, ResolutionError
 from lpsq.grids import (
-    Box,
     ConeGrid,
     GridFunction,
     build_cone,
     build_halfspace,
+    cell_ranges,
     load_binary,
     load_csv,
     parse_function,
@@ -187,19 +187,48 @@ class TestGridFunction:
 
 class TestBox:
     def test_dilate(self):
-        lo, hi = three_dilate(np.array([[0.0]]), np.array([[1.0]]))
-        assert lo.tolist() == [[-1.0]] and hi.tolist() == [[2.0]]
+        assert three_dilate(np.array([[[0.0], [1.0]]])).tolist() == [[[-1.0], [2.0]]]
         # the same floats as the oracle, in 2-D and off the lattice
         rng = np.random.default_rng(0)
         for a, w in zip(rng.uniform(-5, 5, (20, 2)), rng.uniform(0.01, 3, 20)):
-            b = Box(tuple(a), tuple(a + w))
-            lo, hi = three_dilate(np.array([b.lo]), np.array([b.hi]))
-            assert Box(tuple(lo[0].tolist()), tuple(hi[0].tolist())) == dilate3(b)
+            b = np.array([a, a + w])
+            assert np.array_equal(three_dilate(b[None])[0], dilate3(b))
+
+    @pytest.mark.parametrize("boxes, error, match", [
+        ([[[0.0], [1.0, 2.0]]], GridError, "ragged"),
+        ([[0.0], [1.0, 2.0]], GridError, "ragged"),
+        ([[["a", "b"], ["c", "d"]]], ParameterError, "real numbers"),
+        ([[["0", "0"], ["1", "1"]]], ParameterError, "real numbers"),
+        ([[[None, 0.0], [1.0, 1.0]]], ParameterError, "real numbers"),
+        ([[[1j, 0.0], [1.0, 1.0]]], ParameterError, "real numbers"),
+        (np.zeros((3, 2)), GridError, r"expected \(boxes, 2, 2\)"),
+        (np.zeros((3, 2, 1)), GridError, r"expected \(boxes, 2, 2\)"),
+        (np.zeros((3, 3, 2)), GridError, r"expected \(boxes, 2, 2\)"),
+        (np.zeros((1, 3, 2, 2)), GridError, r"expected \(boxes, 2, 2\)"),
+        ("box", GridError, r"shape \(\)"),
+        ([[[0.0, math.nan], [1.0, 1.0]]], ParameterError, "finite"),
+        ([[[0.0, 0.0], [1.0, -math.inf]]], ParameterError, "finite"),
+        ([[[0.0, 0.0], [1.0, 0.0]]], ParameterError, "hi > lo"),
+    ], ids=["ragged-box", "ragged-corners", "strings", "numeric-strings", "none",
+            "complex", "no-pair-axis", "other-n", "three-corners", "four-axes", "text",
+            "nan", "inf", "hi-equals-lo"])
+    def test_malformed_corners_are_named(self, boxes, error, match):
+        """`cell_ranges` refuses what is not a real (nb, 2, n) corner array
+        with a named error, never a numpy one."""
+        g = GridFunction(2, 1.0, 0.5, np.zeros((4, 4)))
+        with pytest.raises(error, match=match):
+            cell_ranges(g, boxes)
+
+    def test_empty_sequence_is_no_box(self):
+        g = GridFunction(2, 1.0, 0.5, np.zeros((4, 4)))
+        for boxes in ([], (), np.empty((0, 2, 2))):
+            i0, i1 = cell_ranges(g, boxes, dilate=True)
+            assert i0.shape == i1.shape == (0, 2)
 
     def test_contains(self):
         """A box holds the cells whose centers lie in [lo, hi): right-open."""
         g = GridFunction(2, 1.0, 0.5, np.zeros((4, 4)))  # centers -0.75 .. 0.75
-        mask = box_mask(g, Box((-0.25, -0.75), (0.75, 0.25)))
+        mask = box_mask(g, [(-0.25, -0.75), (0.75, 0.25)])
         assert mask.tolist() == [[0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]]
 
 

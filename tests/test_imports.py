@@ -535,7 +535,6 @@ def test_checker_finds_a_tuple_test(tmp_path):
 # (file, "module._name"); the set may only shrink, and every entry must
 # still be read
 PRIVATE_READS_OK = {
-    ("dyadic.py", "operators._fft_len"),
     ("harness.py", "operators._cone_levels"),
     ("harness.py", "operators._operands"),
 }

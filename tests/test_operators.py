@@ -13,9 +13,9 @@ from lpsq.errors import (
     ParameterError,
     ResolutionError,
 )
-from conftest import box_mask, dilate3
+from conftest import box, box_mask, dilate3, grid_box
 from lpsq.grids import (
-    Box, GridFunction, build_cone, build_halfspace, cell_ranges, sample_function,
+    GridFunction, build_cone, build_halfspace, cell_ranges, sample_function,
 )
 from lpsq.kernels import KernelSpec, bilinear_example_kernel, parse_kernel
 from lpsq.moduli import power_modulus
@@ -344,7 +344,7 @@ class TestMaximal:
 class TestLernerMaximal:
     def test_zero(self, ex1, cone_coarse, gauss_grid):
         z = gauss_grid.with_values(np.zeros_like(gauss_grid.values))
-        out = lerner_maximal(ex1, z, cone_coarse, "M_S", [gauss_grid.box()])
+        out = lerner_maximal(ex1, z, cone_coarse, "M_S", [grid_box(gauss_grid)])
         assert np.all(out.values == 0.0)
 
     def test_ms_arithmetic_bound(self, ex1, cone_coarse, gauss_grid):
@@ -352,7 +352,7 @@ class TestLernerMaximal:
         cubes Q containing x of S(f 1_{outside 3Q})(x)."""
         rng = np.random.default_rng(3)
         f = gauss_grid.with_values(rng.uniform(-1, 1, gauss_grid.ncells))
-        pool = [Box((a,), (a + w,)) for a, w in
+        pool = [box((a,), (a + w,)) for a, w in
                 [(-8.0, 16.0), (-2.0, 2.0), (0.0, 1.0), (-1.0, 3.0), (1.0, 2.0)]]
         ms = lerner_maximal(ex1, f, cone_coarse, "M_S", pool)
         ns = np.full(f.ncells, -np.inf)
@@ -368,7 +368,7 @@ class TestLernerMaximal:
     def test_other_variant_is_parameter_error(self, ex1, cone_coarse, gauss_grid):
         for variant in ("N_S", "m_s", None):
             with pytest.raises(ParameterError, match="M_S"):
-                lerner_maximal(ex1, gauss_grid, cone_coarse, variant, [gauss_grid.box()])
+                lerner_maximal(ex1, gauss_grid, cone_coarse, variant, [grid_box(gauss_grid)])
 
     def test_domain_defaults_to_own_box(self, ex1, cone_coarse, gauss_grid):
         """domain=None is f's box: the same bits, and the same coverage rule."""
@@ -376,19 +376,19 @@ class TestLernerMaximal:
 
         rng = np.random.default_rng(4)
         f = gauss_grid.with_values(rng.uniform(-1, 1, gauss_grid.ncells))
-        pool = [f.box(), Box((-2.0,), (2.0,)), Box((0.0,), (1.0,))]
+        pool = [grid_box(f), box((-2.0,), (2.0,)), box((0.0,), (1.0,))]
         for m in (None, "direct"):
             own, boxed = (lerner_maximal(ex1, f, cone_coarse, "M_S", pool, method=m,
-                                         domain=d).values for d in (None, f.box()))
+                                         domain=d).values for d in (None, grid_box(f)))
             assert np.array_equal(own, boxed)
-        for d in (None, f.box()):
+        for d in (None, grid_box(f)):
             with pytest.raises(CoverageError, match="domain cells"):
                 lerner_maximal(ex1, f, cone_coarse, "M_S", pool[1:], domain=d)
 
     def test_coverage_error(self, ex1, cone_coarse, gauss_grid):
         from lpsq.errors import CoverageError
 
-        pool = [Box((0.0,), (1.0,))]  # leaves most of the box uncovered
+        pool = [box((0.0,), (1.0,))]  # leaves most of the box uncovered
         with pytest.raises(CoverageError):
             lerner_maximal(ex1, gauss_grid, cone_coarse, "M_S", pool)
 
@@ -449,22 +449,21 @@ class TestBoxRange:
             boxes = []
             for m in range(10, 60):  # interior, lattice-aligned boxes
                 lo = -4.0 + 0.1 * m
-                boxes.append(Box((lo,), (lo + 0.5,)))
-            i0, i1 = cell_ranges(g, [b.lo for b in boxes], [b.hi for b in boxes],
-                                 snap_outward=snap)
+                boxes.append(box((lo,), (lo + 0.5,)))
+            i0, i1 = cell_ranges(g, boxes, snap_outward=snap)
             assert set((i1 - i0)[:, 0].tolist()) == {want}
 
     def test_dyadic_h_matches_center_rule(self):
         g = GridFunction(1, 4.0, 1.0 / 8, np.zeros(64))
         c = g.axis_centers()
         rng = np.random.default_rng(0)
-        boxes = [Box((a,), (a + w,)) for a, w in
+        boxes = [box((a,), (a + w,)) for a, w in
                  zip(rng.integers(-40, 40, 60) / 8.0, rng.integers(1, 24, 60) / 8.0)]
         boxes += [dilate3(b) for b in boxes]
         for b in boxes:
             for snap in (False, True):
                 eps = g.h / 2 if snap else 0.0
-                want = ((c >= b.lo[0] - eps) & (c < b.hi[0] + eps)).astype(float)
+                want = ((c >= b[0][0] - eps) & (c < b[1][0] + eps)).astype(float)
                 assert np.array_equal(box_mask(g, b, snap), want)
 
 
@@ -515,8 +514,8 @@ class TestLernerBatched:
         pool = dyadic_cube_pool(root, f)
         self._close(*self._pair(monkeypatch, ex1, f, cone, variant, pool,
                                 domain=root.box()))
-        whole = dyadic_cube_pool(Cube(1, 0, (-1,), "standard", 2 * f.R), f) + \
-            dyadic_cube_pool(Cube(1, 0, (0,), "standard", 2 * f.R), f)
+        whole = np.concatenate([dyadic_cube_pool(Cube(1, 0, (a,), "standard", 2 * f.R), f)
+                                for a in (-1, 0)])
         self._close(*self._pair(monkeypatch, ex1, f, cone, variant, whole))
 
     @pytest.mark.parametrize("variant", ["M_S"])
@@ -524,12 +523,12 @@ class TestLernerBatched:
                              variant):
         rng = np.random.default_rng(3)
         f = gauss_grid.with_values(rng.uniform(-1, 1, gauss_grid.ncells))
-        five = [Box((a,), (a + w,)) for a, w in
+        five = [box((a,), (a + w,)) for a, w in
                 [(-8.0, 16.0), (-2.0, 2.0), (0.0, 1.0), (-1.0, 3.0), (1.0, 2.0)]]
         self._close(*self._pair(monkeypatch, ex1, f, cone_coarse, variant, five))
         # off-lattice boxes, several of one shape, some sticking out of the grid
         lo = rng.uniform(-9.0, 7.0, 40)
-        odd = [Box((a,), (a + w,)) for a, w in zip(lo, rng.choice([0.3, 1.7], 40))]
+        odd = [box((a,), (a + w,)) for a, w in zip(lo, rng.choice([0.3, 1.7], 40))]
         self._close(*self._pair(monkeypatch, ex1, f, cone_coarse, variant,
                                 five + odd))
 
@@ -540,7 +539,7 @@ class TestLernerBatched:
         vals = np.where(np.abs(c) < 1.0, rng.standard_normal(128), 0.0)
         f = GridFunction(1, 4.0, 1.0 / 16, vals)
         cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
-        q = Box((-0.5,), (0.5,))  # 3Q = [-1.5, 1.5) holds supp f
+        q = box((-0.5,), (0.5,))  # 3Q = [-1.5, 1.5) holds supp f
         out = lerner_maximal(ex1, f, cone, variant, [q], domain=q)
         assert np.all(out.values == 0.0)
 
@@ -695,15 +694,15 @@ class TestLernerBatched2D:
     @pytest.mark.parametrize("variant", ["M_S"])
     def test_arbitrary_boxes(self, monkeypatch, variant):
         k, f, cone = self._setup(16, 3)
-        fixed = [Box((-2.0, 0.0), (0.0, 2.0)), Box((1.0, -3.0), (2.0, -2.0))]
+        fixed = [box((-2.0, 0.0), (0.0, 2.0)), box((1.0, -3.0), (2.0, -2.0))]
         # off-lattice cubes, several of one shape, some sticking out of the
         # grid: on both sides, then only on the low side
         rng = np.random.default_rng(3)
-        for cover, lo_range in ((Box((-5.0, -5.0), (5.0, 5.0)), (-5.0, 4.0)),
-                                (Box((-4.0, -4.0), (4.0, 4.0)), (-5.5, 2.5))):
+        for cover, lo_range in ((box((-5.0, -5.0), (5.0, 5.0)), (-5.0, 4.0)),
+                                (box((-4.0, -4.0), (4.0, 4.0)), (-5.5, 2.5))):
             lo = rng.uniform(*lo_range, (30, 2))
             side = rng.choice([0.3, 1.7], (30, 1))
-            odd = [Box(tuple(a), tuple(a + w)) for a, w in zip(lo, side)]
+            odd = [box(tuple(a), tuple(a + w)) for a, w in zip(lo, side)]
             self._close(*self._pair(monkeypatch, k, f, cone, variant,
                                     [cover] + fixed + odd))
 
@@ -713,15 +712,15 @@ class TestLernerBatched2D:
         c = f.axis_centers()
         inside = (np.abs(c)[:, None] < 1.0) & (np.abs(c)[None, :] < 1.0)
         f = f.with_values(np.where(inside, f.values, 0.0))
-        q = Box((-0.5, -0.5), (0.5, 0.5))  # 3Q = [-1.5, 1.5)^2 holds supp f
+        q = box((-0.5, -0.5), (0.5, 0.5))  # 3Q = [-1.5, 1.5)^2 holds supp f
         out = lerner_maximal(k, f, cone, variant, [q], domain=q)
         assert np.all(out.values == 0.0)
 
     @pytest.mark.parametrize("variant", ["M_S"])
     def test_one_cell_past_3q_is_not_zero(self, monkeypatch, variant):
         k, f, cone = self._setup(16, 5)
-        q = Box((-0.5, -0.5), (0.5, 0.5))
-        (i0, j0), (i1, j1) = (r[0] for r in cell_ranges(f, [q.lo], [q.hi], dilate=True,
+        q = box((-0.5, -0.5), (0.5, 0.5))
+        (i0, j0), (i1, j1) = (r[0] for r in cell_ranges(f, [q], dilate=True,
                                                          snap_outward=True))
         vals = np.zeros_like(f.values)
         vals[i0:i1, j0:j1] = f.values[i0:i1, j0:j1]
@@ -818,10 +817,10 @@ class TestLernerGram:
         rng = np.random.default_rng(3)
         lo = rng.uniform(-5.0, 4.0, (40, n))
         sides = rng.choice([0.3, 0.7, 1.7], (40, 1))
-        odd = [Box(tuple(a), tuple(a + w)) for a, w in zip(lo, sides)]
+        odd = [box(tuple(a), tuple(a + w)) for a, w in zip(lo, sides)]
         # Q clipped at the grid edge: 3Q reaches past the table's offsets
-        edge = [Box((-4.5,) * n, (-3.5,) * n), Box((3.25,) * n, (4.25,) * n)]
-        pool = [f.box()] + odd + edge
+        edge = [box((-4.5,) * n, (-3.5,) * n), box((3.25,) * n, (4.25,) * n)]
+        pool = [grid_box(f)] + odd + edge
         fast, keys, slow = self._forced(monkeypatch, k, f, cone, pool, 2)
         TestLernerBatched._close(fast, slow)
         assert keys
@@ -838,9 +837,9 @@ class TestLernerGram:
         c = f.axis_centers()
         inside = np.all(np.abs(np.stack(np.meshgrid(*(c,) * n, indexing="ij"))) < 1.0, axis=0)
         g = f.with_values(np.where(inside, f.values, 0.0))
-        q = Box((-0.5,) * n, (0.5,) * n)  # 3Q = [-1.5, 1.5)^n holds supp g
+        q = box((-0.5,) * n, (0.5,) * n)  # 3Q = [-1.5, 1.5)^n holds supp g
         z = f.with_values(np.zeros_like(f.values))
-        for h, pool in ((g, [q]), (z, [f.box(), q])):
+        for h, pool in ((g, [q]), (z, [grid_box(f), q])):
             fast, _, _ = self._forced(monkeypatch, k, h, cone, pool, 4, domain=q)
             assert np.all(fast == 0.0)
 
@@ -1482,13 +1481,15 @@ def _box_gate_call(case: str, method: str):
     """The `lerner_maximal` call of one malformed-box case of `TestBoxGate`:
     a box of the pool or the domain of the other dimension, with a NaN or
     inf corner, with hi <= lo, not a cube, or whose side or 3-dilate
-    overflows."""
+    overflows; a pool or domain that is ragged, not an (nb, 2, n) or (2, n)
+    array, given as an ndarray or a tuple, or whose corners are strings,
+    None or complex."""
     k1, k2 = parse_kernel("ex1:kappa=3", 1), parse_kernel("ex1:kappa=3", 2)
     h = 0.25
     f = sample_function(lambda x: np.exp(-(x**2)), 1, 2.0, h)
     g = sample_function(lambda x, y: np.exp(-(x**2) - y**2), 2, 1.0, h)
     cone1, cone2 = build_cone(1.0, 1, h, 2 * h, 4.0, 2), build_cone(1.0, 2, h, 2 * h, 2.0, 2)
-    one, two = Box((-1.0,), (1.0,)), Box((-1.0, -1.0), (1.0, 1.0))
+    one, two = box((-1.0,), (1.0,)), box((-1.0, -1.0), (1.0, 1.0))
 
     def on1(pool, domain=None):
         return lambda: lerner_maximal(k1, f, cone1, "M_S", pool, method=method, domain=domain)
@@ -1497,21 +1498,35 @@ def _box_gate_call(case: str, method: str):
         return lambda: lerner_maximal(k2, g, cone2, "M_S", pool, method=method, domain=domain)
 
     return {
-        "pool-2d-on-1d": on1([f.box(), two]),
-        "pool-1d-on-2d": on2([g.box(), one]),
-        "domain-2d-on-1d": on1([f.box()], two),
-        "domain-1d-on-2d": on2([g.box()], one),
-        "pool-nan": on1([f.box(), Box((math.nan,), (1.0,))]),
-        "pool-inf": on2([g.box(), Box((-1.0, -math.inf), (1.0, 1.0))]),
-        "domain-nan": on2([g.box()], Box((-1.0, -1.0), (1.0, math.nan))),
-        "domain-inf": on1([f.box()], Box((-math.inf,), (1.0,))),
-        "pool-hi-below-lo": on1([f.box(), Box((1.0,), (-1.0,))]),
-        "pool-empty-2d": on2([g.box(), Box((-1.0, 0.5), (1.0, 0.5))]),
-        "domain-hi-below-lo": on2([g.box()], Box((1.0, -1.0), (-1.0, 1.0))),
-        "pool-not-square": on2([g.box(), Box((-1.0, -0.5), (1.0, 0.5))]),
-        "pool-side-overflow": on1([f.box(), Box((-1e308,), (1e308,))]),
-        "domain-side-overflow": on2([g.box()], Box((-1e308, -1e308), (1e308, 1e308))),
-        "pool-dilate-overflow": on1([f.box(), Box((1e308,), (1.5e308,))]),
+        "pool-2d-on-1d": on1([grid_box(f), two]),
+        "pool-1d-on-2d": on2([grid_box(g), one]),
+        "domain-2d-on-1d": on1([grid_box(f)], two),
+        "domain-1d-on-2d": on2([grid_box(g)], one),
+        "pool-nan": on1([grid_box(f), box((math.nan,), (1.0,))]),
+        "pool-inf": on2([grid_box(g), box((-1.0, -math.inf), (1.0, 1.0))]),
+        "domain-nan": on2([grid_box(g)], box((-1.0, -1.0), (1.0, math.nan))),
+        "domain-inf": on1([grid_box(f)], box((-math.inf,), (1.0,))),
+        "pool-hi-below-lo": on1([grid_box(f), box((1.0,), (-1.0,))]),
+        "pool-empty-2d": on2([grid_box(g), box((-1.0, 0.5), (1.0, 0.5))]),
+        "domain-hi-below-lo": on2([grid_box(g)], box((1.0, -1.0), (-1.0, 1.0))),
+        "pool-not-square": on2([grid_box(g), box((-1.0, -0.5), (1.0, 0.5))]),
+        "pool-side-overflow": on1([grid_box(f), box((-1e308,), (1e308,))]),
+        "domain-side-overflow": on2([grid_box(g)], box((-1e308, -1e308), (1e308, 1e308))),
+        "pool-dilate-overflow": on1([grid_box(f), box((1e308,), (1.5e308,))]),
+        "pool-ragged": on1([[(-2.0,), (2.0, 1.0)]]),
+        "pool-ragged-tuple": on2((((-2.0, -2.0), (2.0, 2.0)), ((0.0,), (1.0, 1.0)))),
+        "pool-ndarray-flat": on1(np.array([-2.0, 2.0])),
+        "pool-ndarray-2d-on-1d": on1(np.zeros((3, 2, 2))),
+        "pool-ndarray-no-pair": on2(np.zeros((3, 3, 2))),
+        "pool-one-box-not-a-pool": on1(grid_box(f)),
+        "pool-strings": on1([[("a",), ("b",)]]),
+        "pool-numeric-strings": on1([[("-2",), ("2",)]]),
+        "pool-none": on1([[(None,), (2.0,)]]),
+        "pool-complex": on1([[(-2.0 + 0j,), (2.0,)]]),
+        "domain-tuple-2d-on-1d": on1([grid_box(f)], ((-1.0, -1.0), (1.0, 1.0))),
+        "domain-tuple-ragged": on2([grid_box(g)], ((-1.0,), (1.0, 1.0))),
+        "domain-ndarray-pool-shaped": on1([grid_box(f)], np.array([grid_box(f)])),
+        "domain-strings": on1([grid_box(f)], (("x",), ("y",))),
     }[case]
 
 
@@ -1521,10 +1536,10 @@ class TestBoxGate:
 
     @pytest.mark.parametrize("method", ["auto", "direct"])
     @pytest.mark.parametrize("case, error, match", [
-        ("pool-2d-on-1d", GridError, "another dimension"),
-        ("pool-1d-on-2d", GridError, "another dimension"),
-        ("domain-2d-on-1d", GridError, "another dimension"),
-        ("domain-1d-on-2d", GridError, "another dimension"),
+        ("pool-2d-on-1d", GridError, r"expected \(boxes, 2, "),
+        ("pool-1d-on-2d", GridError, r"expected \(boxes, 2, "),
+        ("domain-2d-on-1d", GridError, r"expected \(boxes, 2, "),
+        ("domain-1d-on-2d", GridError, r"expected \(boxes, 2, "),
         ("pool-nan", ParameterError, "finite"),
         ("pool-inf", ParameterError, "finite"),
         ("domain-nan", ParameterError, "finite"),
@@ -1536,6 +1551,20 @@ class TestBoxGate:
         ("pool-side-overflow", ParameterError, "side overflows"),
         ("domain-side-overflow", ParameterError, "side overflows"),
         ("pool-dilate-overflow", ParameterError, "3-dilate overflows"),
+        ("pool-ragged", GridError, "ragged"),
+        ("pool-ragged-tuple", GridError, "ragged"),
+        ("pool-ndarray-flat", GridError, r"shape \(2,\)"),
+        ("pool-ndarray-2d-on-1d", GridError, r"expected \(boxes, 2, 1\)"),
+        ("pool-ndarray-no-pair", GridError, r"expected \(boxes, 2, 2\)"),
+        ("pool-one-box-not-a-pool", GridError, r"shape \(2, 1\)"),
+        ("pool-strings", ParameterError, "real numbers"),
+        ("pool-numeric-strings", ParameterError, "real numbers"),
+        ("pool-none", ParameterError, "real numbers"),
+        ("pool-complex", ParameterError, "real numbers"),
+        ("domain-tuple-2d-on-1d", GridError, r"expected \(boxes, 2, 1\)"),
+        ("domain-tuple-ragged", GridError, "ragged"),
+        ("domain-ndarray-pool-shaped", GridError, r"shape \(1, 1, 2, 1\)"),
+        ("domain-strings", ParameterError, "real numbers"),
     ])
     def test_malformed_box_is_a_named_error(self, monkeypatch, case, error, match, method):
         from lpsq import operators as ops
@@ -1550,6 +1579,103 @@ class TestBoxGate:
 
     @pytest.mark.parametrize("method", ["auto", "direct"])
     @pytest.mark.parametrize("n", [1, 2])
+    def test_list_tuple_and_array_boxes_agree(self, n, method):
+        """A pool and a domain are corner arrays in any array-like form: a
+        list of (2, n) arrays, nested tuples and one ndarray give the same
+        bits."""
+        from lpsq.dyadic import Cube, dyadic_cube_pool
+
+        k = parse_kernel("ex1:kappa=3", n)
+        h = 0.5 if n == 1 else 1.0
+        f = GridFunction(n, 4.0, h, np.random.default_rng(n).standard_normal((int(8 / h),) * n))
+        cone = build_cone(1.0, n, h, 2 * h, 8.0, 2)
+        root = Cube(n, 1, (0,) * n, "standard", 2 * f.R)
+        pool, node = dyadic_cube_pool(root, f), root.box()
+        forms = [(pool, node), (list(pool), node.tolist()),
+                 (tuple(tuple(map(tuple, b)) for b in pool.tolist()),
+                  tuple(map(tuple, node.tolist())))]
+        outs = [lerner_maximal(k, f, cone, "M_S", p, method=method, domain=d).values
+                for p, d in forms]
+        assert all(np.array_equal(outs[0], o) for o in outs[1:])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("pool", [[], (), "array"])
+    def test_empty_pool_is_a_coverage_error(self, monkeypatch, n, pool):
+        from lpsq import operators as ops
+        from lpsq.errors import CoverageError
+
+        def started(*a, **kw):
+            raise AssertionError("the work started on an empty pool")
+
+        monkeypatch.setattr(ops.SquareEvaluator, "of", started)
+        f = GridFunction(n, 2.0, 0.5, np.ones((8,) * n))
+        cone = build_cone(1.0, n, 0.5, 1.0, 4.0, 2)
+        with pytest.raises(CoverageError, match="empty cube pool"):
+            lerner_maximal(parse_kernel("ex1:kappa=3", n), f, cone, "M_S",
+                           np.empty((0, 2, n)) if pool == "array" else pool)
+
+    @given(st.integers(min_value=1, max_value=2),
+           st.sampled_from(["cell_ranges", "pool", "domain"]),
+           st.sampled_from(["ndim", "n", "ragged", "string", "nonfinite", "hi<=lo",
+                            "unequal"]),
+           st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=120)
+    def test_malformed_boxes_never_reach_the_work(self, n, target, defect, nb, seed):
+        """Random malformed box arrays, fed to `grids.cell_ranges` and as the
+        pool or the domain of `lerner_maximal`, raise an `LpsqError` before
+        any evaluator is asked for: of the wrong ndim or n, ragged, with a
+        string, NaN or inf corner, hi <= lo on an axis, or (pool and
+        cell_ranges, with their 3-dilates) a box with unequal sides."""
+        from unittest import mock
+
+        from lpsq import operators as ops
+        from lpsq.errors import LpsqError
+
+        if defect == "unequal" and (n == 1 or target == "domain"):
+            defect = "hi<=lo"  # a 1-D box and a domain need not be cubes
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-3.0, 1.0, (nb, n))
+        boxes = np.stack((lo, lo + rng.uniform(0.25, 2.0, (nb, 1))), axis=1)
+        # the domain is box 0
+        b, ax = (0 if target == "domain" else int(rng.integers(nb))), int(rng.integers(n))
+        side = 1 if rng.integers(2) else 0
+        bad = boxes.tolist()
+        if defect == "ndim":
+            bad = boxes.reshape(nb, 2 * n) if rng.integers(2) else boxes[None]
+        elif defect == "n":
+            bad = np.concatenate((boxes, boxes[..., :1]), axis=2) if n == 1 else boxes[..., :1]
+        elif defect == "ragged":
+            bad[b][side] = bad[b][side] + [0.5]
+        elif defect == "string":
+            bad[b][side][ax] = rng.choice(["x", "1.0", "", "nan"])
+        elif defect == "nonfinite":
+            bad[b][side][ax] = float(rng.choice([math.nan, math.inf, -math.inf]))
+        elif defect == "hi<=lo":
+            bad[b][1][ax] = bad[b][0][ax] - float(rng.choice([0.0, 0.5]))
+        else:
+            bad[b][1][ax] = bad[b][0][ax] + (bad[b][1][0] - bad[b][0][0]) * float(
+                rng.uniform(1.001, 2.0))
+        k = parse_kernel("ex1:kappa=3", n)
+        f = GridFunction(n, 4.0, 0.5, rng.standard_normal((16,) * n))
+        cone = build_cone(1.0, n, 0.5, 1.0, 8.0, 2)
+        whole = [grid_box(f)]
+        call = {
+            "cell_ranges": lambda: cell_ranges(f, bad, dilate=True, snap_outward=True),
+            "pool": lambda: lerner_maximal(k, f, cone, "M_S", bad),
+            "domain": lambda: lerner_maximal(
+                k, f, cone, "M_S", whole,
+                domain=bad if defect == "ndim" else bad[0]),
+        }[target]
+
+        def started(*a, **kw):
+            raise AssertionError("the work started before the boxes were checked")
+
+        with mock.patch.object(ops.SquareEvaluator, "of", started):
+            with pytest.raises(LpsqError):
+                call()
+
+    @pytest.mark.parametrize("method", ["auto", "direct"])
+    @pytest.mark.parametrize("n", [1, 2])
     def test_huge_finite_box_covers_the_grid(self, n, method):
         """A pool cube of side 2e30 holds the grid and its 3-dilate holds
         supp f, so M_S is 0 on every cell, with no numpy warning."""
@@ -1561,7 +1687,7 @@ class TestBoxGate:
         cone = build_cone(1.0, n, h, 2 * h, 4.0, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = lerner_maximal(k, f, cone, "M_S", [Box((-1e30,) * n, (1e30,) * n)],
+            out = lerner_maximal(k, f, cone, "M_S", [box((-1e30,) * n, (1e30,) * n)],
                                  method=method)
         assert np.all(out.values == 0.0)
 
