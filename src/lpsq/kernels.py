@@ -51,12 +51,17 @@ __all__ = [
 class KernelSpec:
     """A kernel with its size constant A and moduli w and phi.
 
-    A convolution kernel may declare its ``parity``, one sign s_i per axis
-    with profile(u) = s_i profile(u') for u' the point u with coordinate i
-    negated; the lattice sampler of `operators` (`_profile_block`) then
-    evaluates one quadrant and mirrors it.  The ``ex`` kernels are odd in x1
-    and even in the other coordinates; None (``csv:`` profiles, kernels
-    built by hand) declares nothing and is sampled everywhere.
+    A convolution or bilinear kernel may declare its ``parity``, one sign
+    s_i per profile coordinate (n of them for a convolution profile, n m = 2n for a
+    bilinear Phi(u, v)) with profile(u) = s_i profile(u') for u' the point u
+    with coordinate i negated.  The lattice sampler of `operators`
+    (`_profile_block`) then evaluates one quadrant of a convolution profile
+    and mirrors it; the bilinear FFT path (`_pair_rows`) reads only the
+    point reflection Phi(-u, -v) = sigma Phi(u, v), sigma the product of the
+    signs, and samples each offset row of |d| once for both signs of d.
+    The ``ex`` kernels and ``bi1`` are odd in the first coordinate and even
+    in the others; None (``csv:`` profiles, kernels built by hand) declares
+    nothing and is sampled everywhere.
     """
 
     kind: str  # "convolution" | "linear" | "bilinear"
@@ -67,7 +72,7 @@ class KernelSpec:
     profile: Callable | None = None  # phi(u); bilinear: Phi(x - y1, x - y2)
     psi: Callable | None = None
     name: str = ""
-    parity: tuple | None = None  # one sign per axis, or None
+    parity: tuple | None = None  # one sign per profile coordinate, or None
     # the Lerner plan of the last fast-path layout this kernel evaluated:
     # layout key -> `operators.SquareEvaluator` (see `SquareEvaluator.of`)
     _evaluator: dict = field(default_factory=dict, init=False, compare=False,
@@ -87,12 +92,14 @@ class KernelSpec:
         if self.kind != "convolution" and self.psi is None:
             raise ParameterError(f"{self.kind} kernel needs psi")
         if self.parity is not None:
-            if self.kind != "convolution":
-                raise ParameterError("only a convolution kernel declares a parity")
-            # a tuple keeps the kernel hashable
-            if not isinstance(self.parity, tuple) or len(self.parity) != self.n:
+            if self.kind == "linear":
                 raise ParameterError(
-                    f"parity needs a tuple of {self.n} sign(s), got {self.parity!r}")
+                    "only a convolution kernel or a bilinear kernel declares a parity")
+            # a tuple keeps the kernel hashable
+            dims = self.n * self.m
+            if not isinstance(self.parity, tuple) or len(self.parity) != dims:
+                raise ParameterError(
+                    f"parity needs a tuple of {dims} sign(s), got {self.parity!r}")
             # a bool could be read as "odd", which is the sign -1, not True
             if not all(type(s) is int and s in (-1, 1) for s in self.parity):
                 raise ParameterError(
@@ -198,7 +205,8 @@ def bilinear_example_kernel(kappa: float = 3.0, n: int = 1) -> KernelSpec:
     smoothness envelope carries w phi ~ log^{-kappa}, the decay of the
     increments.  Needs kappa > 1 for integrability; the moduli are Dini only
     for kappa > 2.  It depends on x - y1 and x - y2 only: the profile is
-    Phi(u, v) = psi(x, x - u, x - v).
+    Phi(u, v) = psi(x, x - u, x - v), odd in u_1 and even in the other
+    coordinates, as its ``parity`` declares.
     """
     if not kappa > 1.0:
         raise ParameterError("bi1 requires kappa > 1")
@@ -219,7 +227,7 @@ def bilinear_example_kernel(kappa: float = 3.0, n: int = 1) -> KernelSpec:
 
     w = phi = log_modulus(kappa)
     return KernelSpec("bilinear", n, 1.0, w, phi, profile=profile, psi=psi,
-                      name=f"bi1:kappa={kappa:g}")
+                      name=f"bi1:kappa={kappa:g}", parity=(-1,) + (1,) * (2 * n - 1))
 
 
 def _csv_profile_kernel(path: str, n: int) -> KernelSpec:

@@ -30,13 +30,17 @@ Kernels with a profile have an FFT fast path, which the per-call ``method``
 "auto" takes; "direct" forces the direct-summation path (the oracle gate
 compares the two), and any other method is a `ParameterError`.  The linear
 FFT paths sample the profile through one lattice sampler, `_profile_block`,
-at the offsets j h / t, j = -c .. c per axis: a kernel that declares its
-parity (`KernelSpec.parity`) is evaluated on the quadrant j >= 0 once and
-mirrored with its signs (`_mirror`), so an ``ex`` kernel costs half the
-profile points in 1-D and a quarter in 2-D.  `_conv_kernel` (psi_t, S, g*
-and the evaluator's levels), the Gram table and the Lerner block spectra
-cut their offsets from that block.  The oracles (method "direct",
-`square_function_at`) sample the profile pointwise and never mirror.  Every
+at the offsets j h / t, j = -c .. c per axis, times a scale: a kernel that
+declares its parity (`KernelSpec.parity`) is evaluated on the quadrant
+j >= 0 once, scaled into the output array and mirrored there with its
+signs (`_mirror`, in place), so an ``ex`` kernel costs half the profile
+points in 1-D and a quarter in 2-D.  `_conv_kernel` (psi_t, S, g* and the
+evaluator's levels) takes the block in the leading corner of its level's
+zero-padded (nfft,)^n FFT buffer, which rfftn transforms as it is: per
+level one sample, and no mirrored, scaled or padded copy.  The Gram table
+and the Lerner block spectra cut their offsets from a block of their own.
+The oracles (method "direct", `square_function_at`) sample the profile
+pointwise and never mirror.  Every
 full-grid linear convolution (psi_t, the cone levels, g*'s weight sum) is
 a circular convolution by numpy's rfftn / irfftn of one length rule,
 `_fft_len`: the least 2^a 3^b 5^c that holds it.  A single input's cone
@@ -65,21 +69,25 @@ a layout's kernels are sampled and transformed once per kernel object.
 
 g* sums, per level, the weight times |psi_t f|^2 over the offsets as a
 product of spectra, its offset geometry taken once per (K, radius) and its
-weight, even in each axis, on one quadrant of the offsets and mirrored;
-levels of one pad K share one irfftn.  It streams each level's kernel
-spectrum (`_kernel_spectra`) and drops it, where `SquareEvaluator.of` would
-keep them all on the kernel for a layout used once.  The
-1-D Hardy-Littlewood maximal function is the exact max over all windows,
-found as the bridge between two persistent hull chains of the prefix sums
-in O(N log N) (`_hl_max_1d`); the 2-D one takes, per window side, a
-separable running max of the box means by doubling (`_window_max`).
+weight, even in each axis, on one quadrant of the offsets, mirrored in its
+own zero-padded FFT buffer; levels of one pad K share one irfftn.  It
+streams each level's kernel spectrum (`_kernel_spectra`) and drops it,
+where `SquareEvaluator.of` would keep them all on the kernel for a layout
+used once.  The 1-D Hardy-Littlewood maximal function is the exact max
+over all windows, found as the bridge between two persistent hull chains
+of the prefix sums in O(N log N) (`_hl_max_1d`); the 2-D one takes, per
+window side, a separable running max of the box means by doubling
+(`_window_max`).
 
 A bilinear kernel with profile Phi(x - y1, x - y2) on a pair (f1, f2) in
 1-D: psi_t is the sum over the input offsets d = a - b of the convolutions
 of the kernel diagonals Phi_d with g_d[a] = f1[a] f2[a - d], summed in
-frequency space; the g_d spectra are taken once per FFT length for all cone
-levels (`_psi_t_bilinear_fft`).  The per-output-cell direct sum
-`_psi_t_bilinear` is its oracle.
+frequency space; the g_d spectra are taken once per FFT length and chunk of
+|d| for all cone levels (`_psi_t_bilinear_fft`).  A kernel that declares
+its parity samples the rows Phi(j h / t, (j + |d|) h / t) once per chunk
+and level and reads row -d as the reflection of row +d (`_pair_rows`), so
+on a support that spans the box it samples about half the points of both
+rows.  The per-output-cell direct sum `_psi_t_bilinear` is its oracle.
 
 `lerner_maximal` computes M_S f(x), the sup over the pool cubes Q
 containing x of |S f^2 - S(f 1_{3Q})^2|^{1/2}.  The cells of every Q and
@@ -141,7 +149,8 @@ if "scipy.signal" not in sys.modules:  # lazy: see the module docstring
     _spec.loader.exec_module(sys.modules["scipy.signal"])
 
 # temporaries of the chunked paths (the batched Lerner FFTs and Gram form,
-# the Gram table, the bilinear FFT) hold at most this many doubles
+# the Gram table, the bilinear FFT's rows of d and its one profile sample
+# per chunk of |d| and level) hold at most about this many doubles
 _LERNER_CHUNK = 1 << 14
 
 
@@ -244,20 +253,18 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def _mirror(q: np.ndarray, signs) -> np.ndarray:
-    """The (2c+1)^n block on the offsets -c .. c per axis of a function
-    given on the quadrant q of offsets 0 .. c, with one sign per axis: the
-    value at an offset with coordinate i negated is signs[i] times the
-    value at the offset.  Offset 0 keeps its value from q.  The last axis
-    goes first, while the block is a quadrant high, so the reversed copies
-    within rows cover half the block and the others move whole rows."""
-    n, c = q.ndim, q.shape[0] - 1
-    out = np.empty((2 * c + 1,) * n)
-    out[(slice(c, None),) * n] = q
+def _mirror(out: np.ndarray, c: int, signs) -> np.ndarray:
+    """Fill the leading (2c+1)^n corner of out, the offsets -c .. c per
+    axis, from its quadrant of offsets 0 .. c, in place, with one sign per
+    axis: the value at an offset with coordinate i negated is signs[i]
+    times the value at the offset.  The last axis goes first, while the
+    block is a quadrant high, so the reversed copies within rows cover half
+    the block and the others move whole rows; nothing is allocated."""
+    n = out.ndim
     for ax in reversed(range(n)):
         # the axes after ax are full, those before it still hold 0 .. c
-        head, tail = (slice(c, None),) * ax, (slice(None),) * (n - 1 - ax)
-        dst = out[head + (slice(None, c),) + tail]
+        head, tail = (slice(c, 2 * c + 1),) * ax, (slice(2 * c + 1),) * (n - 1 - ax)
+        dst = out[head + (slice(c),) + tail]
         src = out[head + (slice(2 * c, c, -1),) + tail]
         if signs[ax] < 0:
             np.negative(src, out=dst)
@@ -266,24 +273,32 @@ def _mirror(q: np.ndarray, signs) -> np.ndarray:
     return out
 
 
-def _profile_block(k, c: int, h: float, t: float) -> np.ndarray:
-    """k.profile at the offsets j h / t, j = -c .. c per axis, as a
-    (2c+1)^n array: the one lattice sampler of the FFT paths.  A kernel
-    with a declared parity is evaluated on the quadrant j >= 0 once and
-    mirrored (`_mirror`), any other on the whole block."""
-    if k.parity is None:
-        e = np.arange(-c, c + 1) * h / t
-        return k.profile(*np.ix_(*(e,) * k.n))
-    e = np.arange(c + 1) * h / t
-    return _mirror(k.profile(*np.ix_(*(e,) * k.n)), k.parity)
+def _profile_block(k, c: int, h: float, t: float, scale: float = 1.0,
+                   size: int | None = None) -> np.ndarray:
+    """scale times k.profile at the offsets j h / t, j = -c .. c per axis:
+    the one lattice sampler of the linear FFT paths.  The block fills the
+    leading (2c+1)^n corner of a (size,)^n array, zero elsewhere (size
+    2c + 1 by default), so an FFT buffer is filled in place.  A kernel with
+    a declared parity is evaluated on the quadrant j >= 0 once, scaled into
+    the buffer and mirrored there (`_mirror`); any other on the whole
+    block."""
+    w = 2 * c + 1
+    size = w if size is None else size
+    out = (np.empty if size == w else np.zeros)((size,) * k.n)
+    lo = 0 if k.parity is None else c
+    e = np.arange(lo - c, c + 1) * h / t
+    np.multiply(k.profile(*np.ix_(*(e,) * k.n)), scale, out=out[(slice(lo, w),) * k.n])
+    return out if k.parity is None else _mirror(out, c, k.parity)
 
 
-def _conv_kernel(k, f: GridFunction, t: float, M: int) -> np.ndarray:
+def _conv_kernel(k, f: GridFunction, t: float, M: int, size: int | None = None) -> np.ndarray:
     """Profile samples times (h/t)^n at the cell offsets from the N input
     cells of f to the M-cell output lattice centred on f's box (M - N even):
-    -c .. c per axis with c = N - 1 + (M - N) / 2, by `_profile_block`."""
-    scale = (f.h / t) ** f.n
-    return _profile_block(k, f.ncells - 1 + (M - f.ncells) // 2, f.h, t) * scale
+    -c .. c per axis with c = N - 1 + (M - N) / 2, by `_profile_block`.
+    Given the FFT length ``size``, the block comes zero-padded to
+    (size,)^n, the buffer that rfftn transforms as it is."""
+    return _profile_block(k, f.ncells - 1 + (M - f.ncells) // 2, f.h, t,
+                          (f.h / t) ** f.n, size)
 
 
 def _psi_t_conv_fft(k, f, t, out_R):
@@ -293,7 +308,7 @@ def _psi_t_conv_fft(k, f, t, out_R):
     N, n = f.ncells, f.n
     P, axes = (_fft_len(M + N - 1),) * n, tuple(range(n))
     spec = (np.fft.rfftn(f.values, P, axes=axes)
-            * np.fft.rfftn(_conv_kernel(k, f, t, M), P, axes=axes))
+            * np.fft.rfftn(_conv_kernel(k, f, t, M, P[0]), P, axes=axes))
     conv = np.fft.irfftn(spec, P, axes=axes)
     return GridFunction(n, R_out, f.h, conv[(slice(N - 1, N - 1 + M),) * n])
 
@@ -319,15 +334,69 @@ def _psi_t_bilinear(k, f1, f2, t, out_R):
     return GridFunction(1, R_out, f1.h, scale * out)
 
 
+def _pair_rows(k, plus, minus, lo: int, hi: int, h: float, t: float) -> np.ndarray:
+    """The profile rows Phi(j h / t, (j + d) h / t), j = lo .. hi, of one
+    chunk of `_psi_t_bilinear_fft`: the offsets d = +D for D in plus, then
+    d = -D for D in minus.
+
+    A kernel that declares a parity samples each |d| once, at the columns j
+    of the hull of those its signs need: since Phi(-u, -v) = sigma Phi(u, v),
+    sigma the product of the parity, row -D at j is sigma times row +D at
+    -j, a reversed slice of the sample.  Any other kernel samples the rows
+    as they are, in the same order, so the two agree to the bit."""
+    if k.parity is None:
+        j = np.arange(lo, hi + 1)
+        return k.profile(j * h / t, (j + np.concatenate([plus, -minus])[:, None]) * h / t)
+    D = plus if plus.size else minus
+    cols = [(lo, hi)] * bool(plus.size) + [(-hi, -lo)] * bool(minus.size)
+    u0 = min(c0 for c0, _ in cols)
+    j = np.arange(u0, max(c1 for _, c1 in cols) + 1)
+    sample = k.profile(j * h / t, (j + D[:, None]) * h / t)
+    out = np.empty((plus.size + minus.size, hi - lo + 1))
+    if plus.size:
+        out[: plus.size] = sample[:, lo - u0 : hi - u0 + 1]
+    if minus.size:  # the rows of minus are the last ones of D
+        np.multiply(sample[D.size - minus.size :, -hi - u0 : -lo - u0 + 1][:, ::-1],
+                    math.prod(k.parity), out=out[plus.size :])
+    return out
+
+
+def _offset_groups(f1, f2, A0: int, L: int) -> list:
+    """The input offsets d = a - b at which some a in [A0, A0 + L) and b pair
+    a nonzero of f1 with one of f2, as groups (s, D) of |d|, D sorted: s = 3
+    holds the D whose +D and -D both pair, s = 2 those where only +D does
+    and s = 1 those where only -D does.  d = 0 reads as either sign, so it
+    joins a one-sign group if there is one, else the two-sign group when the
+    columns of +D and -D coincide (`_pair_rows`), else it stands alone."""
+    N = f1.ncells
+    # pairs[i]: whether the offset A0 - N + 1 + i pairs two nonzeros
+    pairs = np.convolve(f1.values[A0 : A0 + L] != 0, f2.values[::-1] != 0)
+
+    def pairing(d):
+        i = d + N - 1 - A0
+        return (i >= 0) & (i < pairs.size) & pairs[np.clip(i, 0, pairs.size - 1)]
+
+    D = np.arange(max(N - 1 - A0, A0 + L - 1) + 1)
+    signs = 2 * pairing(D) + (pairing(-D) & (D > 0))  # 2: +D pairs, 1: -D pairs
+    if signs[0]:
+        # the columns of +D and -D coincide iff the support is centred
+        taken = set(signs[1:].tolist())
+        signs[0] = 2 if 2 in taken else 1 if 1 in taken else 3 if N - L == 2 * A0 else 2
+    return [(s, D[signs == s]) for s in (3, 2, 1) if np.any(signs == s)]
+
+
 def _psi_t_bilinear_fft(k, f1, f2, levels) -> list:
     """psi_t(f1, f2) at each (t, out_R) of levels, as a sum over the input
     offsets d = a - b of the 1-D convolutions Phi_d * g_d.
 
     Input cells a run over the hull [A0, A0 + L) of supp f1;
-    g_d[a] = f1[a] f2[a - d] and Phi_d[p] = Phi(u_p, u_{p+d}) with
-    u_p = (x_i - z_a) / t at p = i - a.  The d rows go in chunks of
-    `_LERNER_CHUNK` doubles; the g_d spectra of a chunk serve every level of
-    the same FFT length P, and each level takes one irfft.
+    g_d[a] = f1[a] f2[a - d], and Phi_d at x_i - z_a = j h is
+    Phi(j h / t, (j + d) h / t).  The offsets with g_d not zero go in groups
+    by the signs of d they take (`_offset_groups`) and, within a group, in
+    chunks of |d| of at most `_LERNER_CHUNK` doubles of rows at FFT length
+    P.  The g_d spectra of a chunk serve every level of length P; per level
+    the chunk's rows are sampled once (`_pair_rows`) and take one rfft, and
+    each level takes one irfft in the end.
     """
     N, h = f1.ncells, f1.h
     outs = [_out_centers(f1, out_R)[:2] for _, out_R in levels]
@@ -336,28 +405,29 @@ def _psi_t_bilinear_fft(k, f1, f2, levels) -> list:
         return [GridFunction(1, R_out, h, np.zeros(M)) for R_out, M in outs]
     A0, L = int(nz1[0]), int(nz1[-1] + 1 - nz1[0])
     a = np.arange(A0, A0 + L)
-    ds = np.arange(A0 - N + 1, A0 + L)
+    groups = _offset_groups(f1, f2, A0, L)
     sizes = [1 << (L + M - 2).bit_length() for _, M in outs]
     accs = [np.zeros(P // 2 + 1, dtype=complex) for P in sizes]
     for P in sorted(set(sizes)):
         mine = [j for j, Pj in enumerate(sizes) if Pj == P]
-        step = max(1, _LERNER_CHUNK // P)
-        for r0 in range(0, ds.size, step):
-            d = ds[r0 : r0 + step, None]
-            b = a - d
-            g = np.where((b >= 0) & (b < N), f2.values[np.clip(b, 0, N - 1)], 0.0)
-            g *= f1.values[a]
-            live = np.any(g, axis=1)
-            if not live.any():
-                continue
-            d = d[live]
-            gf = np.fft.rfft(g[live], P)
-            for j in mine:
-                t, (R_out, M) = levels[j][0], outs[j]
-                q = np.arange(-(L - 1), M) - A0  # p - A0
-                shift = f1.R - R_out
-                phi = k.profile((q * h + shift) / t, ((q + d) * h + shift) / t)
-                accs[j] += np.sum(np.fft.rfft(phi, P) * gf, axis=0)
+        step = max(1, _LERNER_CHUNK // P)  # rows of d per chunk
+        for s, Ds in groups:
+            per = max(1, step // (1 + (s == 3)))  # |d| per chunk
+            for r0 in range(0, Ds.size, per):
+                Dc = Ds[r0 : r0 + per]
+                # the rows +D, then -D (d = 0 once)
+                cp = Dc if s & 2 else Dc[:0]
+                cm = (Dc[Dc > 0] if s & 2 else Dc) if s & 1 else Dc[:0]
+                d = np.concatenate([cp, -cm])[:, None]
+                b = a - d
+                g = np.where((b >= 0) & (b < N), f2.values[np.clip(b, 0, N - 1)], 0.0)
+                g *= f1.values[a]
+                gf = np.fft.rfft(g, P)
+                for lv in mine:
+                    t, M = levels[lv][0], outs[lv][1]
+                    pad = (M - N) // 2  # x_i - z_a = j h at the column j + L - 1 + A0 + pad
+                    phi = _pair_rows(k, cp, cm, -(L - 1 + A0 + pad), N - 1 - A0 + pad, h, t)
+                    accs[lv] += np.sum(np.fft.rfft(phi, P) * gf, axis=0)
     return [
         GridFunction(1, R_out, h, np.fft.irfft(acc, P)[L - 1 : L - 1 + M] * (h / t) ** 2)
         for acc, P, (t, _), (R_out, M) in zip(accs, sizes, levels, outs)
@@ -505,10 +575,9 @@ def _kernel_spectra(k, template: GridFunction, levels: list):
     """Yield each level's kernel spectrum for `_level_values`: the rfftn at
     lv.nfft of its `_conv_kernel`, sampled when the stream reaches the
     level; the `SquareEvaluator`'s spectra, without keeping them."""
-    n = template.n
     for lv in levels:
-        yield np.fft.rfftn(_conv_kernel(k, template, lv.t, lv.Mx), (lv.nfft,) * n,
-                           axes=range(n))
+        yield np.fft.rfftn(_conv_kernel(k, template, lv.t, lv.Mx, lv.nfft),
+                           (lv.nfft,) * template.n, axes=range(template.n))
 
 
 def _psi_levels(k, fs: tuple, levels: list, R_out: float, method):
@@ -671,8 +740,8 @@ class SquareEvaluator:
 
     Samples the per-level convolution kernels once (the expensive
     transcendental sampling, one quadrant per level for a kernel that
-    declares its parity: `_conv_kernel`) and keeps their spectra, in n = 1
-    and n = 2;
+    declares its parity, mirrored in the level's zero-padded FFT buffer:
+    `_conv_kernel`) and keeps their spectra, in n = 1 and n = 2;
     each eval costs one forward FFT per distinct FFT size (`_fft_len` of
     the linear convolution) and one inverse FFT per level.  The constructor
     refuses any other kind of kernel (`ParameterError`), then reads the
@@ -693,8 +762,9 @@ class SquareEvaluator:
     ``far_gain`` bounds S through the point-mass profile Gamma of S:
     Gamma(v)^2 = sum_j meas_j sum_{m in D_j} k_j(v + m)^2 is
     (S delta_y)^2 at an output cell x with x - y = v cells, taken by one
-    `_window_sum` of k_j^2 per level over the level's own kernel samples,
-    which hold every output-minus-input offset of the layout.  S is an l^2
+    `_window_sum` of k_j^2 per level over the level's own kernel samples
+    (the block in the corner of its FFT buffer), which hold every
+    output-minus-input offset of the layout.  S is an l^2
     sum of linear functionals of g, so Minkowski's inequality gives
     S g(x) <= sum_y |g(y)| Gamma(x - y).  The evaluator keeps only
     far_gain[l] = max{Gamma(v) : |v|_inf >= l} (`_far_gain`): S g <=
@@ -715,8 +785,10 @@ class SquareEvaluator:
         self._spectra = []
         gamma2 = 0.0
         for lv in self.levels:
-            kern = _conv_kernel(k, template, lv.t, lv.Mx)
-            self._spectra.append(np.fft.rfftn(kern, (lv.nfft,) * n, axes=range(n)))
+            buf = _conv_kernel(k, template, lv.t, lv.Mx, lv.nfft)
+            self._spectra.append(np.fft.rfftn(buf, (lv.nfft,) * n, axes=range(n)))
+            # the block is the buffer's leading (Mx + N - 1)^n corner
+            kern = buf[(slice(lv.Mx + template.ncells - 1),) * n]
             gamma2 = gamma2 + lv.meas * _window_sum(kern**2, lv.rows)
         self.far_gain = _far_gain(np.sqrt(np.maximum(gamma2, 0.0)))
         self.s_max = _gram_s_max(self.levels, n, template.ncells)
@@ -766,8 +838,8 @@ class SquareEvaluator:
                 # window of W at m + K holds the row of offset m; the
                 # offsets lo - K .. lo + P + K - 1 are 1 - c .. c
                 c = 2 * self.s_max + K
-                B = (_profile_block(self.k, c, h, lv.t)[(slice(1, None),) * n]
-                     * ((h / lv.t) ** n * math.sqrt(lv.meas)))
+                B = _profile_block(self.k, c, h, lv.t, (h / lv.t) ** n * math.sqrt(lv.meas))[
+                    (slice(1, None),) * n]
                 W = np.lib.stride_tricks.sliding_window_view(B, (P,) * n)
                 for rest, rx in lv.disc:
                     col = W[(slice(K - rx, K + rx + 1),) + tuple(K + d for d in rest)]
@@ -808,9 +880,8 @@ class SquareEvaluator:
                 # the offsets [lo - K, hi + K) per axis, cut from the block
                 # of the largest |offset| c
                 c = int(max(np.abs(lo - K).max(), np.abs(hi + K - 1).max()))
-                prof = (_profile_block(self.k, c, h, lv.t)[
+                prof = _profile_block(self.k, c, h, lv.t, (h / lv.t) ** n)[
                     tuple(slice(l - K + c, u + K + c) for l, u in zip(lo, hi))]
-                    * (h / lv.t) ** n)
                 for key, plan in runs.items():
                     P = tuple(1 << (a + s + 2 * K - 2).bit_length() for a, s, _ in key)
                     block = prof[tuple(slice(d - a + 1 - l, d + s + 2 * K - l)
@@ -973,7 +1044,8 @@ def g_star(
     |m| h < the level's radius) with the level's measure, as a product of
     spectra of length `_fft_len(M + 2K)`.  The offset distances, the disc
     mask and that length are taken once per (K, radius), on the quadrant of
-    offsets 0 .. K; each level's weight is computed there and mirrored
+    offsets 0 .. K; each level's weight is computed there, in the corner of
+    a zero-padded buffer of the FFT length, and mirrored in place
     (`_mirror`, even in each axis).  The products of
     levels with the same K are summed in frequency space and take one
     irfftn.  A single input on the FFT path reads `_level_values`, each
@@ -1001,16 +1073,22 @@ def g_star(
             geometry[K, lv.radius] = ((_fft_len(M + 2 * K),) * n, dist,
                                       dist >= lv.radius if n == 2 else None)
         P, dist, outside = geometry[K, lv.radius]
-        wgt = (t / (t + dist)) ** (n * lam)
+        # the weight's quadrant goes straight into its zero-padded FFT buffer
+        wgt = np.zeros(P)
+        quad = wgt[(slice(K, 2 * K + 1),) * n]
+        np.power(t / (t + dist), n * lam, out=quad)
         if outside is not None:
-            wgt[outside] = 0.0
-        wgt = _mirror(wgt, (1,) * n)
+            quad[outside] = 0.0
+        _mirror(wgt, K, (1,) * n)
         term = lv.meas * np.fft.rfftn(u**2, P, axes=axes) * np.fft.rfftn(wgt, P, axes=axes)
-        del u  # before the stream makes the next level's
+        # no name holds this level's arrays while the stream makes the next
+        # level's (as in `_level_values`)
+        del u, wgt, quad
         if K in specs:
             specs[K][1] += term
         else:
             specs[K] = [P, term]
+        del term
     acc = np.zeros((M,) * n)
     for K, (P, spec) in specs.items():
         acc += np.fft.irfftn(spec, P, axes=axes)[(slice(2 * K, 2 * K + M),) * n]

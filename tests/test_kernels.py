@@ -94,12 +94,14 @@ _MOD = power_modulus(1.0)
 
 
 class TestParity:
-    """A convolution kernel may declare one sign per axis; anything else
+    """A convolution kernel may declare one sign per axis, a bilinear one
+    one sign per coordinate of its profile Phi(u, v); anything else
     declared is a ParameterError."""
 
     @pytest.mark.parametrize("kind, n, parity, match", [
         ("linear", 1, (-1,), "only a convolution kernel"),
-        ("bilinear", 1, (-1,), "only a convolution kernel"),
+        ("bilinear", 1, (-1,), "tuple of 2 sign"),
+        ("bilinear", 2, (-1, 1), "tuple of 4 sign"),
         ("convolution", 1, (-1, 1), "tuple of 1 sign"),
         ("convolution", 2, (-1,), "tuple of 2 sign"),
         ("convolution", 2, (), "tuple of 2 sign"),
@@ -112,7 +114,7 @@ class TestParity:
         ("convolution", 1, (math.nan,), "-1 or 1"),
         ("convolution", 1, (True,), "-1 or 1"),
         ("convolution", 1, ("-1",), "-1 or 1"),
-    ], ids=["linear", "bilinear", "long-1d", "short-2d", "empty-2d", "list", "scalar",
+    ], ids=["linear", "bilinear", "bilinear-2d", "long-1d", "short-2d", "empty-2d", "list", "scalar",
             "zero", "two", "minus-two", "float", "nan", "bool", "text"])
     def test_bad_parity_is_parameter_error(self, kind, n, parity, match):
         fields = {"convolution": {"profile": lambda *u: u[0]},
@@ -125,23 +127,27 @@ class TestParity:
     def test_declared_parities(self, tmp_path, n):
         for kid in ("ex1:kappa=3", "ex2:kappa=3,beta=1.5", "ex3:kappa=3"):
             assert parse_kernel(kid, n).parity == (-1,) + (1,) * (n - 1)
-        assert bilinear_example_kernel(3.0, n).parity is None
+        assert bilinear_example_kernel(3.0, n).parity == (-1,) + (1,) * (2 * n - 1)
         path = tmp_path / "prof.csv"
         path.write_text("-1,0\n0,1\n1,0\n")
         assert parse_kernel(f"csv:{path}", 1).parity is None
 
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("kid", ["ex1:kappa=3", "ex2:kappa=3,beta=1.5", "ex3:kappa=3"])
+    @pytest.mark.parametrize("kid", ["ex1:kappa=3", "ex2:kappa=3,beta=1.5", "ex3:kappa=3",
+                                     "bi1:kappa=3"])
     def test_declaration_holds_exactly(self, kid, n):
-        """profile(u with coordinate i negated) is parity[i] profile(u), to
-        the bit, at random points: the mirror of `operators` relies on it."""
+        """profile(u with coordinate i negated) is parity[i] profile(u), and
+        profile(-u) is the product of the parity times profile(u), to the
+        bit, at random points: the mirror of `operators` and the bilinear
+        rows read by reflection rely on it."""
         k = parse_kernel(kid, n)
-        u = np.random.default_rng(5).uniform(-40.0, 40.0, (n, 200))
+        u = np.random.default_rng(5).uniform(-40.0, 40.0, (len(k.parity), 200))
         base = k.profile(*u)
         for i, s in enumerate(k.parity):
             flipped = u.copy()
             flipped[i] = -flipped[i]
             assert (s * base).tobytes() == k.profile(*flipped).tobytes()
+        assert (math.prod(k.parity) * base).tobytes() == k.profile(*-u).tobytes()
 
 
 class TestUnitCubeMaximal:

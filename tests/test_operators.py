@@ -1197,6 +1197,74 @@ class TestBilinearFFT:
                         for m in ("auto", "direct"))
         self._close(fast, direct)
 
+    # (first cell, length) of supp f1 on N cells: the whole box, one cell at
+    # either edge, a part at either edge and one inside
+    SUPPORTS = {"box": (0, None), "left-cell": (0, 1), "right-cell": (-1, 1),
+                "left-part": (0, 7), "right-part": (-9, 9), "inner": (5, 6)}
+
+    @staticmethod
+    def _pair(support, N, h, seed):
+        """f1 on the support (nonzero at its ends), f2 Gaussian on N cells."""
+        A0, L = TestBilinearFFT.SUPPORTS[support]
+        A0, L = A0 % N, L or N
+        rng = np.random.default_rng(seed)
+        v1 = np.zeros(N)
+        v1[A0 : A0 + L] = rng.standard_normal(L)
+        v1[[A0, A0 + L - 1]] = 1.5
+        return (GridFunction(1, N * h / 2, h, v1),
+                GridFunction(1, N * h / 2, h, rng.standard_normal(N)))
+
+    @pytest.mark.parametrize("chunk", [None, 256])
+    @pytest.mark.parametrize("h", [0.25, 0.1])
+    @pytest.mark.parametrize("support", list(SUPPORTS))
+    def test_parity_path_equals_unsigned_path(self, monkeypatch, support, h, chunk):
+        """bi1 reads row -d as the reflection of row +d; without its parity
+        it samples both rows, in the same order: the two agree to the bit,
+        and both match the direct sum."""
+        from dataclasses import replace
+
+        from lpsq import operators as ops
+
+        if chunk:
+            monkeypatch.setattr(ops, "_LERNER_CHUNK", chunk)
+        k = bilinear_example_kernel(3.0, 1)
+        N = 24
+        pair = self._pair(support, N, h, 37)
+        cone = build_cone(1.0, 1, h, 2 * h, N * h, 3)
+        out_R = pair[0].R + 2 * h
+        for call in (lambda kk, m: _s_padded(kk, pair, cone, out_R, m),
+                     lambda kk, m: psi_t_apply(kk, pair, 3 * h, out_R=out_R, method=m).values):
+            signed, unsigned = call(k, None), call(replace(k, parity=None), None)
+            assert signed.tobytes() == unsigned.tobytes()
+            self._close(signed, call(k, "direct"))
+
+    def test_small_chunk_straddles_d_zero(self, monkeypatch):
+        """At 256 doubles a level takes several chunks of |d|, the first
+        holding d = 0 and both signs of d = 1."""
+        from lpsq import operators as ops
+
+        monkeypatch.setattr(ops, "_LERNER_CHUNK", 256)
+        chunks, pair_rows = [], ops._pair_rows
+        monkeypatch.setattr(ops, "_pair_rows", lambda k, cp, cm, *a: chunks.append(
+            (cp.tolist(), cm.tolist())) or pair_rows(k, cp, cm, *a))
+        k = bilinear_example_kernel(3.0, 1)
+        pair = self._pair("box", 24, 0.25, 41)
+        u = psi_t_apply(k, pair, 0.75).values
+        self._close(u, psi_t_apply(k, pair, 0.75, method="direct").values)
+        assert len(chunks) > 1 and chunks[0] == ([0, 1], [1])
+        assert sorted(d for cp, cm in chunks for d in cp + [-d for d in cm]) == list(range(-23, 24))
+
+    @pytest.mark.parametrize("wrong", [(1, 1), (-1, -1)])
+    def test_wrong_parity_misses_the_direct_gate(self, wrong):
+        from dataclasses import replace
+
+        k = bilinear_example_kernel(3.0, 1)
+        pair = self._pair("box", 24, 0.25, 43)
+        cone = build_cone(1.0, 1, 0.25, 0.5, 6.0, 3)
+        ref = square_function(k, pair, cone, method="direct").values
+        assert _rel(square_function(k, pair, cone).values, ref) <= 1e-12
+        assert _rel(square_function(replace(k, parity=wrong), pair, cone).values, ref) > 1e-3
+
 
 def _g_star_by_loops(k, f, lam, hs):
     """g* as a sum over the offsets m, |m| <= K per level (in n = 2 also
@@ -1391,7 +1459,8 @@ class TestProfileCensus:
     """One S, one g* and one `SquareEvaluator` build sample the profile once
     per level, c = N - 1 + K cells of offset per axis: on the quadrant,
     (c + 1)^n points, for a kernel with a declared parity, and on the
-    whole block, 2c + 1 points, for a ``csv:`` kernel."""
+    whole block, 2c + 1 points, for a ``csv:`` kernel.  A bilinear S
+    samples each offset row |d| once per chunk and level."""
 
     @pytest.mark.parametrize("op", ["S", "g_star", "evaluator"])
     @pytest.mark.parametrize("kid, n", [("ex1:kappa=3", 1), ("ex1:kappa=3", 2), ("csv", 1)])
@@ -1416,6 +1485,49 @@ class TestProfileCensus:
             (square_function if op == "S" else SquareEvaluator)(k, f, layout)
         cs = [N - 1 + lv.K for lv in ops._cone_levels(f, layout, layout.alpha)]
         assert sizes == [(c + 1) ** n if k0.parity else 2 * c + 1 for c in cs]
+
+    @pytest.mark.parametrize("support", list(TestBilinearFFT.SUPPORTS))
+    def test_bilinear_points_per_call(self, support):
+        """One bilinear S samples at most the rows of every offset d at every
+        level, sum_levels (L + N - 1)(L + M - 1) points, and about half of
+        them on a support that spans the box, where each |d| serves both
+        signs of d; no profile call takes more than `_LERNER_CHUNK` points."""
+        from dataclasses import replace
+
+        from lpsq import operators as ops
+
+        k0 = bilinear_example_kernel(3.0, 1)
+        sizes = []
+        k = replace(k0, profile=lambda *a: sizes.append(np.broadcast(*a).size)
+                    or k0.profile(*a))
+        h, N = 0.25, 64
+        f1, f2 = TestBilinearFFT._pair(support, N, h, 47)
+        cone = build_cone(1.0, 1, h, 2 * h, N * h, 4)
+        square_function(k, (f1, f2), cone)
+        nz = np.flatnonzero(f1.values)
+        L = nz[-1] + 1 - nz[0]
+        rows = sum((L + N - 1) * (L + N + 2 * lv.K - 1)
+                   for lv in ops._cone_levels(f1, cone, cone.alpha))
+        assert sum(sizes) <= (0.55 if L == N else 1.0) * rows
+        assert max(sizes) <= ops._LERNER_CHUNK
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_conv_kernel_fills_its_fft_buffer(self, n):
+        """The `_conv_kernel` buffer is the block of the kernel sampled
+        everywhere, zero-padded to the FFT length, to the bit."""
+        from dataclasses import replace
+
+        from lpsq import operators as ops
+
+        k = parse_kernel("ex1:kappa=3", n)
+        h, N = (0.1, 20) if n == 1 else (0.25, 8)
+        f = GridFunction(n, N * h / 2, h, np.zeros((N,) * n))
+        for t, M in [(0.3, N), (1.7, N + 6)]:
+            nfft = ops._fft_len(M + N - 1)
+            full = ops._conv_kernel(replace(k, parity=None), f, t, M)
+            buf = ops._conv_kernel(k, f, t, M, nfft)
+            assert buf.shape == (nfft,) * n
+            assert buf.tobytes() == np.pad(full, (0, nfft - full.shape[0])).tobytes()
 
 
 def _gate_call(case: str):
