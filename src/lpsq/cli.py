@@ -21,8 +21,8 @@ ConfigError, as the weighted bound assumes A_p.
 
 `SCHEMA` is the one table of settings: each key's type and default.
 `_load_config` resolves a run's settings once, in the order defaults, JSON
-config (--config), command-line flags, checks each value's type and its
-choices (a ConfigError names the key) and fills the defaults that depend on
+config (--config), command-line flags, by `grids.resolve_schema` (a
+ConfigError names the key) and fills the defaults that depend on
 other keys: the cone's t_min = 2h and t_max = 2R, only where unset.  Ranges
 are checked by the library calls.  Unknown config keys are errors.  The
 campaign is always the subcommand: a config file holds settings only.
@@ -56,6 +56,7 @@ from .grids import (
     build_halfspace,
     parse_function,
     read_json,
+    resolve_schema,
     sample_function,
     save_binary,
     save_csv,
@@ -77,9 +78,7 @@ from .weights import WeightVector, apvec_constant
 _CHECK_MODES = ("size", "smooth_x", "smooth_y")
 _VERIFY_MODES = ("weak", "aperture", "weighted", "marcinkiewicz", "sparse")
 
-# key -> (type, default).  A type is a Python type (an int passes as a
-# float), a tuple of types, a set of string choices, [type] for a nonempty
-# list of that type, or a dict: the schema of a JSON object.  A key whose
+# key -> (type, default), as `grids.resolve_schema` reads it.  A key whose
 # default is None may be null.
 SCHEMA = {
     "out_dir": (str, "out"),
@@ -131,63 +130,12 @@ def _write_summary(out_dir: str, summary: dict) -> str:
     return path
 
 
-def _read_config(path: str) -> dict:
-    """The JSON object of a config file."""
-    user = read_json(path)
-    if not isinstance(user, dict):
-        raise ConfigError(f"{path!r}: the config must be a JSON object")
-    return user
-
-
-def _kind_name(kind) -> str:
-    if isinstance(kind, dict):
-        return "an object"
-    if isinstance(kind, list):
-        return f"a nonempty list of {kind[0].__name__}"
-    if isinstance(kind, set):
-        return f"one of {sorted(kind)}"
-    if isinstance(kind, tuple):
-        return " or ".join(t.__name__ for t in kind)
-    return kind.__name__
-
-
-def _typed(key: str, val, kind, nullable: bool = False):
-    """val checked against a SCHEMA type, or a ConfigError naming the key."""
-    if val is None and nullable:
-        return None
-    if isinstance(kind, dict):
-        if isinstance(val, dict):
-            return _resolve(kind, val, f"{key}.")
-    elif isinstance(kind, list):
-        if isinstance(val, list) and val:
-            return [_typed(key, v, kind[0]) for v in val]
-    elif isinstance(kind, set):
-        if isinstance(val, str) and val in kind:
-            return val
-    else:
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        if type(val) in kinds:
-            return val
-        if float in kinds and type(val) is int and abs(val) <= sys.float_info.max:
-            return float(val)
-    raise ConfigError(f"config key {key!r}: {val!r} is not {_kind_name(kind)}")
-
-
-def _resolve(schema: dict, given: dict, prefix: str = "") -> dict:
-    """Every key of the schema, typed, from the given values or its default."""
-    unknown = sorted(set(given) - set(schema))
-    if unknown:
-        raise ConfigError(f"unknown config keys {[prefix + key for key in unknown]}")
-    return {key: _typed(prefix + key, given.get(key, default), kind, default is None)
-            for key, (kind, default) in schema.items()}
-
-
 def _load_config(args) -> dict:
     """The settings of a run: defaults, then the config file, then the flags."""
-    given = _read_config(args.config) if args.config else {}
+    given = read_json(args.config) if args.config else {}
     given.update((key, val) for key, val in vars(args).items()
                  if key in SCHEMA and val is not None)
-    cfg = _resolve(SCHEMA, given)
+    cfg = resolve_schema(SCHEMA, given, "config")
     cone = cfg["cone"]
     if cone["tmin"] is None:
         cone["tmin"] = 2 * cfg["h"]

@@ -27,6 +27,8 @@ as the Lerner pool does.  `sparse_construct` and
 `sparse_rhs_eval` refuse, before any work, cubes off f's lattice (of
 another dimension or of a base other than 2R) and pairs on two grids;
 `sparse_construct` also refuses a root that holds no cell of the grid.
+A family file is read by `grids.read_json` and `grids.resolve_schema`;
+`SparseFamily.from_json` adds only the range checks.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import (
 )
 from .grids import (
     ConeGrid, GridFunction, box_sums, cell_ranges, prefix_sums, range_sums, read_json,
-    save_binary, three_dilate,
+    resolve_schema, save_binary, three_dilate,
 )
 from .moduli import dini_constant
 
@@ -281,27 +283,27 @@ class SparseFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "SparseFamily":
-        """Inverse of `to_json`; a missing or ill-typed key is a ConfigError."""
-        n = _json_field(data, "n", int, "family")
-        if n not in (1, 2):
-            raise ConfigError(f"family: n must be 1 or 2, got {n}")
-        base = float(_json_field(data, "base", float, "family"))
-        if not base > 0:
-            raise ConfigError(f"family: base must be positive, got {base}")
-        entries = _json_field(data, "cubes", list, "family")
-        cubes = [_cube_from_json(e, n, base, f"cube {i}") for i, e in enumerate(entries)]
-        root = _cube_from_json(_json_field(data, "root", dict, "family"), n, base, "root")
-        parent = {}
-        for i, (c, e) in enumerate(zip(cubes, entries)):
-            p = _json_field(e, "parent", int, f"cube {i}", optional=True)
-            if p is None:
-                continue
-            if not 0 <= p < len(cubes):
-                raise ConfigError(f"cube {i}: parent index {p} out of range")
-            parent[c] = cubes[p]
-        eta = float(_json_field(data, "eta", float, "family"))
-        meta = _json_field(data, "meta", dict, "family", optional=True)
-        return cls(eta, root, cubes, parent, meta or {})
+        """Inverse of `to_json`: the `grids.resolve_schema` of `_FAMILY`,
+        then n in (1, 2), a positive finite base, generations in [0, 64], n
+        anchor entries and parent indices in the list (ConfigError)."""
+        d = resolve_schema(_FAMILY, data, "family")
+        n, base = d["n"], d["base"]
+        if n not in (1, 2) or not 0 < base < math.inf:
+            raise ConfigError(f"family: need n = 1 or 2 and a positive finite base, "
+                              f"got n = {n}, base = {base}")
+        entries = [d["root"], *d["cubes"]]
+        for i, e in enumerate(entries):
+            if not (0 <= e["generation"] <= 64 and len(e["anchor"]) == n):
+                raise ConfigError(f"family {'root' if i == 0 else f'cube {i - 1}'}: "
+                                  f"generation must lie in [0, 64] and anchor hold {n} "
+                                  f"entries, got {e['generation']} and {e['anchor']}")
+        root, *cubes = (Cube(n, e["generation"], tuple(e["anchor"]), e["shift"], base)
+                        for e in entries)
+        links = [e["parent"] for e in d["cubes"]]
+        if any(p is not None and not 0 <= p < len(cubes) for p in links):
+            raise ConfigError(f"family: a parent index out of range in {links}")
+        parent = {c: cubes[p] for c, p in zip(cubes, links) if p is not None}
+        return cls(d["eta"], root, cubes, parent, d["meta"] or {})
 
     @classmethod
     def load(cls, path: str) -> "SparseFamily":
@@ -313,40 +315,11 @@ def _cube_to_json(c: Cube) -> dict:
     return {"generation": c.generation, "anchor": list(c.anchor), "shift": c.shift}
 
 
-def _json_field(obj, key: str, kind: type, where: str, optional: bool = False):
-    """obj[key] checked against kind (int: not bool; float: any number)."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    val = obj.get(key)
-    if val is None:
-        if optional:
-            return None
-        raise ConfigError(f"{where}: missing key {key!r}")
-    kinds = (int, float) if kind is float else kind
-    if not isinstance(val, kinds) or (kind in (int, float) and isinstance(val, bool)):
-        raise ConfigError(f"{where}: {key!r} must be of type {kind.__name__}, got {val!r}")
-    return val
-
-
-_CUBE_KEYS = frozenset({"generation", "anchor", "shift", "parent"})
-
-
-def _cube_from_json(e, n: int, base: float, where: str) -> Cube:
-    gen = _json_field(e, "generation", int, where)
-    if not 0 <= gen <= 64:
-        raise ConfigError(f"{where}: generation must lie in [0, 64], got {gen}")
-    anchor = _json_field(e, "anchor", list, where)
-    shift = _json_field(e, "shift", str, where, optional=True) or "standard"
-    unknown = sorted(set(e) - _CUBE_KEYS)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    if shift != "standard":
-        raise ConfigError(f"{where}: unknown lattice {shift!r}; only 'standard' exists")
-    if not all(isinstance(a, int) and not isinstance(a, bool) for a in anchor):
-        raise ConfigError(f"{where}: anchor entries must be integers")
-    if len(anchor) != n:
-        raise ConfigError(f"{where}: anchor needs {n} entries, got {len(anchor)}")
-    return Cube(n, gen, tuple(anchor), shift, base)
+# the schema of a family file; a listed cube also names its parent's index,
+# and "root" goes before "cubes", so a file missing both names the root
+_CUBE = {"generation": (int, ...), "anchor": ([int], ...), "shift": ({"standard"}, "standard")}
+_FAMILY = {"n": (int, ...), "base": (float, ...), "eta": (float, ...), "root": (_CUBE, ...),
+           "cubes": ([{**_CUBE, "parent": (int, None)}], ...), "meta": (dict, None)}
 
 
 def verify_sparse(family: SparseFamily, eta: float):
@@ -357,10 +330,12 @@ def verify_sparse(family: SparseFamily, eta: float):
     (no strict ancestor of r below Q is in the family): a share of
     sum_r 2^{n (gmax - g_r)} / 2^{n (gmax - g_Q)}, in integers at any depth.
     A cube outside the root is a `ContainmentError`; eta must lie in
-    (0, 1] (`ParameterError` otherwise).
+    (0, 1] and the family must hold a cube (`ParameterError` otherwise).
     """
     if not 0 < eta <= 1:
         raise ParameterError(f"eta must lie in (0, 1], got {eta}")
+    if not family.cubes:
+        raise ParameterError("a sparse family needs at least one cube")
     root = family.root
     for c in family.cubes:
         if not root.contains(c):

@@ -22,6 +22,19 @@ dimension) is a GridError, and non-numeric, non-finite corners or sides,
 hi <= lo and pool boxes that are not cubes are ParameterErrors.  The Lerner
 pool, the sparse pruning and A_S f group their boxes by the shape of those
 ranges through one function, `shape_groups`.
+
+Each input format has one reader here, and a malformed input is a
+ConfigError: `read_text` (any file), `load_binary`, `read_json` (a JSON
+object), `resolve_schema` (its typed keys) and `read_table` (every ``csv:``
+table: grid functions, kernel profiles, modulus tables).  The table rule:
+blank lines and whole-line ``#`` comments are skipped, and so is the first
+remaining line when a field is not a number (a header); every other line
+holds one of the allowed numbers of fields, the same in every line, each a
+finite float; the error names the path and the line.  The schema rule: a
+key maps to (type, default), a type being a Python type (an int passes as a
+float, a bool as neither), a tuple of types, a set of string choices,
+[type] for a nonempty list, or a dict, the schema of a nested object;
+unknown, missing required and ill-typed keys are named.
 """
 
 from __future__ import annotations
@@ -374,46 +387,33 @@ def save_csv(gf: GridFunction, path: str) -> None:
                     fh.write(f"{float(x)!r},{float(y)!r},{float(gf.values[i, j])!r}\n")
 
 
-def _csv_spacing(path: str, x: np.ndarray) -> float:
-    """Spacing of cell-center coordinates; raises unless uniform."""
-    if x.size < 2:
-        raise ConfigError(f"{path!r}: need at least two cell centers per axis")
-    steps = np.diff(x)
-    h = float(steps[0])
-    if not h > 0 or np.max(np.abs(steps - h)) > 1e-6 * h:
-        raise ConfigError(
-            f"{path!r}: cell centers are not uniformly spaced "
-            f"(steps between {np.min(steps):g} and {np.max(steps):g})"
-        )
-    return h
-
-
 def load_csv(path: str) -> GridFunction:
-    rows = np.genfromtxt(read_text(path).splitlines(), delimiter=",", skip_header=1)
-    rows = np.atleast_2d(rows)
-    if rows.shape[1] == 2:
-        x, v = rows[:, 0], rows[:, 1]
-        h = _csv_spacing(path, x)
-        R = float(x[-1] + h / 2.0)
-        return GridFunction(1, R, h, v)
-    if rows.shape[1] == 3:
-        x = np.unique(rows[:, 0])
-        N = x.size
-        h = _csv_spacing(path, x)
-        if rows.shape[0] != N * N:
-            raise ConfigError(f"{path!r}: {rows.shape[0]} rows for a {N}x{N} grid")
-        # each value goes to the cell of its (x, y), in any row order
+    """The grid function of a `read_table` CSV of (x, value) or (x, y,
+    value) rows in any order, as `save_csv` writes it: the x must be
+    uniformly spaced cell centers, and each row a distinct cell of them."""
+    rows = read_table(path, (2, 3))
+    n = rows.shape[1] - 1
+    x = np.unique(rows[:, 0])
+    N = x.size
+    steps = np.diff(x)
+    if N < 2 or np.max(np.abs(steps - steps[0])) > 1e-6 * steps[0]:
+        raise ConfigError(f"{path!r}: need at least two uniformly spaced cell centers "
+                          f"per axis, got {N} with steps between {np.min(steps, initial=0):g} "
+                          f"and {np.max(steps, initial=0):g}")
+    h = float(steps[0])
+    if rows.shape[0] != N**n:
+        raise ConfigError(f"{path!r}: {rows.shape[0]} rows for a {N}^{n} grid")
+    cell = np.searchsorted(x, rows[:, 0])
+    if n == 2:  # each value goes to the cell of its (x, y)
         j = np.minimum(np.searchsorted(x, rows[:, 1] - h / 2.0), N - 1)
         if not np.all(np.abs(rows[:, 1] - x[j]) <= 1e-6 * h):
             raise ConfigError(f"{path!r}: y values do not lie on the x cell centers")
-        cell = np.searchsorted(x, rows[:, 0]) * N + j
+        cell = cell * N + j
         if np.unique(cell).size != cell.size:
             raise ConfigError(f"{path!r}: a cell is listed twice")
-        vals = np.empty(N * N)
-        vals[cell] = rows[:, 2]
-        R = float(x[-1] + h / 2.0)
-        return GridFunction(2, R, h, vals.reshape(N, N))
-    raise ConfigError(f"{path!r}: expected 2 or 3 CSV columns")
+    vals = np.empty(N**n)
+    vals[cell] = rows[:, n]
+    return GridFunction(n, float(x[-1] + h / 2.0), h, vals.reshape((N,) * n))
 
 
 def save_binary(gf: GridFunction, path: str) -> None:
@@ -465,14 +465,98 @@ def read_text(path: str) -> str:
         raise ConfigError(f"cannot read {path!r}: not text ({exc.reason})") from None
 
 
-def read_json(path: str):
-    """The JSON value in a file (`read_text`); one that does not parse is a
-    ConfigError."""
-    text = read_text(path)
+def read_json(path: str) -> dict:
+    """The JSON object in a file (`read_text`); text that does not parse,
+    or holds another JSON value, is a ConfigError."""
     try:
-        return json.loads(text)
+        obj = json.loads(read_text(path))
     except ValueError as exc:
         raise ConfigError(f"{path!r} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path!r} does not hold a JSON object")
+    return obj
+
+
+def read_table(path: str, widths: tuple) -> np.ndarray:
+    """The rows of a CSV table of numbers, by the table rule (module
+    docstring), as a (rows, width) float array with width in ``widths``;
+    the meaning of the numbers is the caller's to check."""
+    rows, seen, line = [], False, 0
+    for line, text in enumerate(read_text(path).splitlines(), 1):
+        if not text.strip() or text.lstrip().startswith("#"):
+            continue
+        try:
+            row = [float(x) for x in text.split(",")]
+        except ValueError:
+            row = None
+        header, seen = not seen, True  # only the first line may be a header
+        if row is None and header:
+            continue
+        allowed = (len(rows[0]),) if rows else widths
+        if row is None or len(row) not in allowed:
+            need = " or ".join({2: "two", 3: "three"}[w] for w in allowed)
+            raise ConfigError(f"table {path!r} line {line}: expected {need} numbers, "
+                              f"got {text!r}")
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"table {path!r} line {line}: non-finite number in {text!r}")
+        rows.append(row)
+    if not rows:
+        raise ConfigError(f"table {path!r} line {line + 1}: expected a row of numbers, "
+                          "got the end of the file")
+    return np.array(rows)
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, dict):
+        return "an object"
+    if isinstance(kind, list):
+        inner = "objects" if isinstance(kind[0], dict) else _kind_name(kind[0])
+        return f"a nonempty list of {inner}"
+    if isinstance(kind, set):
+        return f"one of {sorted(kind)}"
+    if isinstance(kind, tuple):
+        return " or ".join(t.__name__ for t in kind)
+    return kind.__name__
+
+
+def _typed(what: str, key: str, val, kind, nullable: bool):
+    """val checked against a schema type, or a ConfigError naming the key."""
+    if val is None and nullable:
+        return None
+    if isinstance(kind, dict):
+        if isinstance(val, dict):
+            return resolve_schema(kind, val, what, f"{key}.")
+    elif isinstance(kind, list):
+        if isinstance(val, list) and val:
+            return [_typed(what, key, v, kind[0], False) for v in val]
+    elif isinstance(kind, set):
+        if isinstance(val, str) and val in kind:
+            return val
+    else:
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if type(val) in kinds:
+            return val
+        if float in kinds and type(val) is int and abs(val) <= sys.float_info.max:
+            return float(val)
+    raise ConfigError(f"{what} key {key!r}: {val!r} is not {_kind_name(kind)}")
+
+
+def resolve_schema(schema: dict, given, what: str, prefix: str = "") -> dict:
+    """Every key of a schema, typed, from a JSON object (of the kind
+    ``what``; ``prefix`` is the path of a nested object) or the key's
+    default, by the schema rule (module docstring).  A key whose default is
+    None may be null, and one whose default is ``...`` is required."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{what}: expected a JSON object, got {type(given).__name__}")
+    unknown = sorted(set(given) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {[prefix + key for key in unknown]}")
+    out = {}
+    for key, (kind, default) in schema.items():
+        if default is ... and key not in given:
+            raise ConfigError(f"{what}: missing key {prefix + key!r}")
+        out[key] = _typed(what, prefix + key, given.get(key, default), kind, default is None)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ factor times modulus factor, constant 1), and one loop divides the kernel, or
 its increment as x or the first y moves, by the envelope.  The max ratio is
 the empirically fitted constant A.
 
+A ``csv:`` profile is read by `grids.read_table`, the one CSV reader.
+
 Coordinate convention: callables take one positional array per coordinate,
 so a 1-D profile is phi(x), a 2-D one phi(x1, x2), a 1-D bilinear kernel
 psi(x, y1, y2), and so on.  All are vectorized over numpy arrays.
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .grids import read_text
+from .grids import read_table
 from .moduli import (
     ModulusOfContinuity,
     log_modulus,
@@ -231,20 +233,13 @@ def bilinear_example_kernel(kappa: float = 3.0, n: int = 1) -> KernelSpec:
 
 
 def _csv_profile_kernel(path: str, n: int) -> KernelSpec:
+    """The 1-D convolution kernel ``csv:path``: its `grids.read_table` rows
+    (x, k(x)) sorted by x, linear between them and 0 past them, with
+    ``power:1`` moduli."""
     if n != 1:
         raise ConfigError("CSV convolution profiles are 1-D")
-    bad = ConfigError(f"kernel profile {path!r}: rows must be two numbers (x, k(x))")
-    try:
-        rows = np.genfromtxt(read_text(path).splitlines(), delimiter=",", ndmin=2)
-    except ValueError:
-        raise bad from None
-    if rows.shape[1] != 2:
-        raise bad
-    rows = rows[~np.isnan(rows).any(axis=1)]
-    xs = rows[:, 0]
-    vs = rows[:, 1]
-    order = np.argsort(xs)
-    xs, vs = xs[order], vs[order]
+    rows = read_table(path, (2,))
+    xs, vs = rows[np.argsort(rows[:, 0])].T
     profile = lambda x: np.interp(x, xs, vs, left=0.0, right=0.0)
     mod = power_modulus(1.0)
     return KernelSpec("convolution", 1, 1.0, mod, mod, profile=profile, name=f"csv:{path}")
@@ -408,12 +403,15 @@ def kernel_condition_check(
     mode: ``size``, ``smooth_x`` or ``smooth_y``.  Reports the max of
     |kernel expression| / reference envelope (A = 1) over the plan and over
     the plan rerun with a 10x larger radius range; a growth of the max
-    beyond 1.2x between the two flags an unbounded ratio.
+    beyond 1.2x between the two flags an unbounded ratio, and so does a max
+    or a growth that is not finite (an inf or NaN kernel value).
     """
     if mode not in _MOVED:
         raise ParameterError(f"unknown mode {mode!r}")
     plan = plan or SamplePlan()
     mr, cnt = _max_ratio_once(k, mode, plan, plan.r_max)
     mr_ext, cnt_ext = _max_ratio_once(k, mode, plan, plan.r_max * 10.0)
+    top = float(np.max([mr, mr_ext]))  # NaN when either is
     growth = mr_ext / mr if mr > 0 else (math.inf if mr_ext > 0 else 1.0)
-    return ConditionReport(max(mr, mr_ext), cnt + cnt_ext, growth > 1.2, growth)
+    return ConditionReport(top, cnt + cnt_ext, not (growth <= 1.2 and math.isfinite(top)),
+                           growth)

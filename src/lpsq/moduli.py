@@ -16,8 +16,9 @@ bracketed error for v >= start, and its integrals past a cut come from it:
   and the ``logsplit`` pair is (v + eps)^{-q} with 0 < eps <= e^{-v}, from
   v = 0.  Past U the integrand lies between (v + eps_max(U))^{-p} and
   v^{-p}, whose integrals agree to about e^{-U} relative.
-- a ``csv:`` table, linear between its knots, is c + beta t below its least
-  positive knot t_lo, so c + beta e^{-v} exactly from v = log(1/t_lo).
+- a ``csv:`` table (`grids.read_table`), linear between its knots, is
+  c + beta t below its least positive knot t_lo, so c + beta e^{-v}
+  exactly from v = log(1/t_lo).
 
 There is one quadrature engine, `dini_integral`: a composite Simpson rule
 on the body [v0, U], U = max(v0 + 40, start) (one vectorised evaluation),
@@ -31,7 +32,6 @@ inequality suite.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -45,7 +45,7 @@ from .errors import (
     ParameterError,
     QuadratureBudgetError,
 )
-from .grids import read_text
+from .grids import read_table
 
 __all__ = [
     "ModulusOfContinuity",
@@ -273,7 +273,8 @@ def logsplit_moduli(kappa: float, beta: float):
 
 
 def table_modulus(path: str) -> ModulusOfContinuity:
-    """Modulus ``csv:<path>``, linear between the rows (t, w(t)) of a CSV.
+    """Modulus ``csv:<path>``, linear between the rows (t, w(t)) of a CSV
+    table (`grids.read_table`: finite numbers, an optional header).
 
     Knots need t > 0, but for a leading (0, w(0+)) row.  Below its least
     positive knot t_lo the table is c + beta t, with c = w(0+) (the first
@@ -282,23 +283,13 @@ def table_modulus(path: str) -> ModulusOfContinuity:
     values do not decrease, which is checked exactly.
     """
     name = f"csv:{path}"
-    rows = []
-    for line, row in enumerate(csv.reader(read_text(path).splitlines()), 1):
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        try:
-            t, v = map(float, row)
-        except ValueError:
-            raise ConfigError(
-                f"table modulus {path!r} line {line}: expected two numbers, got {row}"
-            ) from None
-        rows.append((t, v))
-    if len(rows) < 2:
+    table = read_table(path, (2,))
+    if len(table) < 2:
         raise ConfigError(f"table modulus {path!r} needs at least two rows")
-    ts, vs = np.array(sorted(rows)).T
-    if not np.isfinite([ts, vs]).all() or ts[0] < 0.0 or np.any(ts[1:] <= 0.0):
-        raise ConfigError(f"table modulus {path!r}: knots need finite values and "
-                          f"t > 0, but for a leading (0, w(0+)) row")
+    ts, vs = table[np.lexsort(table.T[::-1])].T  # by t, then by w
+    if ts[0] < 0.0 or np.any(ts[1:] <= 0.0):
+        raise ConfigError(f"table modulus {path!r}: knots need t > 0, but for a "
+                          f"leading (0, w(0+)) row")
     if vs[0] < 0.0:
         raise MonotonicityError(f"modulus {name!r} takes negative values")
     dv = np.diff(vs)

@@ -1,23 +1,35 @@
-"""The operators half of the committed output corpus: digests of S, g*, the
-cascade bound, the `SquareEvaluator`'s kernel spectra and ``far_gain``, and
-the bilinear S and g*, on perfbench's ``spikes`` inputs at two seeds.
+"""The committed output corpus, in two files.
 
-    PYTHONPATH=src python tests/golden/make_golden.py          # rewrite the file
-    PYTHONPATH=src python tests/golden/make_golden.py --check  # exit 1 if it differs
+``operators.json`` holds digests of S, g*, the cascade bound, the
+`SquareEvaluator`'s kernel spectra and ``far_gain``, and the bilinear S and
+g*, on perfbench's ``spikes`` inputs at two seeds.  ``campaigns.json`` holds
+the exit status and the digests of summary.json and of every CSV that
+``lpsq.cli.main`` writes, at seed 3, for each campaign of perfbench's
+``cli`` workload, for ``lpsq sparse`` and for the ``csv:`` routes: a table
+modulus for ``dini``, a kernel profile for ``kernel-check`` and ``eval``,
+and a 1-D and a 2-D grid function for ``eval``.
+
+    PYTHONPATH=src python tests/golden/make_golden.py          # rewrite both files
+    PYTHONPATH=src python tests/golden/make_golden.py --check  # exit 1 if one differs
 
 Each array gets two digests: ``exact`` hashes its bytes, ``rounded`` its
-values rounded as perfbench's `digest_array` rounds them (``%.9e``).  A
-reordered floating-point sum moves the first and, almost always, not the
-second.  A change that moves a digest regenerates the file with this
+values rounded as perfbench's `digest_array` rounds them (``%.9e``).  An
+output file's ``exact`` digest hashes its bytes, and its ``rounded`` one
+its text with every decimal fraction so rounded.  A reordered
+floating-point sum moves the first and, almost always, not the second.  A change that moves a digest regenerates the file with this
 script and names each moved digest in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import sys
+import tempfile
 
 import numpy as np
 
@@ -28,9 +40,14 @@ for _path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")):
         sys.path.insert(0, _path)
 
 import lpsq  # noqa: E402
-from workloads import digest_array, spikes  # noqa: E402
+from lpsq.cli import main as cli_main  # noqa: E402
+from workloads import CAMPAIGNS, Cli, digest_array, spikes  # noqa: E402
 
 CORPUS = os.path.join(HERE, "operators.json")
+CAMPAIGN_CORPUS = os.path.join(HERE, "campaigns.json")
+CAMPAIGN_SEED = 3
+# a decimal fraction or exponent form, not part of a word
+_FRACTION = re.compile(r"(?<![\w.])-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)(?![\w.])")
 SEEDS = (0, 7919)
 LAM = 3.0  # g* of one input; a pair needs lambda > 4
 LAM_PAIR = 5.0
@@ -80,19 +97,84 @@ def corpus() -> dict:
     return {name: digests(v) for name, v in out.items()}
 
 
+def file_digests(data: bytes) -> dict:
+    """The exact digest of a file's bytes and the rounded one of its text."""
+    text = _FRACTION.sub(lambda m: f"{float(m.group()):.9e}", data.decode())
+    return {"exact": hashlib.sha256(data).hexdigest()[:16],
+            "rounded": hashlib.sha256(text.encode()).hexdigest()[:16]}
+
+
+def _write_inputs(d: str) -> dict:
+    """The ``csv:`` input files, from exact float arithmetic: a table
+    modulus, a kernel profile with a header row, and 1-D and 2-D grid
+    functions as `save_csv` writes them."""
+    paths = {name: os.path.join(d, f"{name}.csv") for name in ("modulus", "profile", "f1", "f2")}
+    with open(paths["modulus"], "w") as fh:
+        fh.write("0,0\n0.125,0.25\n0.25,0.4\n0.5,0.7\n1,1\n")
+    with open(paths["profile"], "w") as fh:
+        fh.write("x,k\n" + "".join(f"{x!r},{x / (1 + x * x)!r}\n"
+                                    for x in (0.25 * i for i in range(-16, 17))))
+    lpsq.save_csv(lpsq.sample_function(lambda x: 1 / (1 + x * x), 1, 4.0, 0.25), paths["f1"])
+    lpsq.save_csv(lpsq.sample_function(lambda x, y: 1 / (1 + x * x + y * y), 2, 2.0, 0.25),
+                  paths["f2"])
+    return paths
+
+
+def _campaign_args(d: str) -> dict:
+    """Case name -> the arguments after ``--out-dir DIR``."""
+    paths = _write_inputs(d)
+    family = Cli().build(lpsq, CAMPAIGN_SEED, {"work": d})["family"]
+    cases = {f"cli/{slug}": list(args) for slug, args in CAMPAIGNS.items()}
+    cases["cli/verify-sparse"] += ["--family", family]
+    cases["sparse"] = ["sparse"]
+    cases["csv/dini"] = ["dini", "--modulus", f"csv:{paths['modulus']}"]
+    cases["csv/kernel-check"] = ["kernel-check", "--kernel", f"csv:{paths['profile']}"]
+    cases["csv/eval-kernel"] = ["eval", "--kernel", f"csv:{paths['profile']}"]
+    cases["csv/eval-1d"] = ["eval", "--function", f"csv:{paths['f1']}", "--R", "4",
+                            "--h", "0.25"]
+    cases["csv/eval-2d"] = ["eval", "--n", "2", "--function", f"csv:{paths['f2']}",
+                            "--R", "2", "--h", "0.25"]
+    return cases
+
+
+def campaign_corpus() -> dict:
+    """Case name -> the exit status and the digests of summary.json and
+    every CSV of one in-process ``lpsq.cli.main`` run."""
+    out = {}
+    with tempfile.TemporaryDirectory() as d:
+        for case, args in _campaign_args(d).items():
+            out_dir = os.path.join(d, case.replace("/", "-"))
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = cli_main(["--out-dir", out_dir, *args, "--seed", str(CAMPAIGN_SEED)])
+            entry = {"exit": code}
+            for base, _, files in os.walk(out_dir):
+                for name in files:
+                    if name == "summary.json" or name.endswith(".csv"):
+                        path = os.path.join(base, name)
+                        with open(path, "rb") as fh:
+                            entry[os.path.relpath(path, out_dir)] = file_digests(fh.read())
+            out[case] = entry
+    return out
+
+
 def render(table: dict) -> str:
     return json.dumps(table, indent=1, sort_keys=True) + "\n"
 
 
 def main(argv) -> int:
-    text = render(corpus())
+    files = ((CORPUS, render(corpus())), (CAMPAIGN_CORPUS, render(campaign_corpus())))
     if "--check" in argv:
-        with open(CORPUS) as fh:
-            same = fh.read() == text
-        print("corpus matches" if same else "corpus differs")
-        return 0 if same else 1
-    with open(CORPUS, "w") as fh:
-        fh.write(text)
+        differs = []
+        for path, text in files:
+            with open(path) as fh:
+                if fh.read() != text:
+                    differs.append(os.path.basename(path))
+        print(f"corpus differs: {', '.join(differs)}" if differs else "corpus matches")
+        return 1 if differs else 0
+    for path, text in files:
+        with open(path, "w") as fh:
+            fh.write(text)
     return 0
 
 

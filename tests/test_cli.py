@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from lpsq import cli
 from lpsq.cli import main
 from lpsq.dyadic import SparseFamily
 from lpsq.grids import load_binary
+from lpsq.kernels import KernelSpec, parse_kernel
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
 from workloads import CAMPAIGNS as CLI_CAMPAIGNS  # noqa: E402
@@ -124,14 +126,28 @@ class TestSubcommands:
         assert np.array_equal(vals[0][:, 0], vals[1][:, 0])
         assert np.max(np.abs(vals[0][:, 1] - vals[1][:, 1])) <= 1e-10 * np.max(vals[1][:, 1])
 
-    def test_verify_sparse_bad_family_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("root, named", [
+        ({}, "root"), ({"root": {"generation": 1, "anchor": [0]}}, "'cubes'"),
+    ], ids=["no-root", "no-cubes"])
+    def test_verify_sparse_bad_family_exits_2(self, tmp_path, capsys, root, named):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"eta": 0.5, "n": 1, "base": 16.0, "cubes": []}))
+        bad.write_text(json.dumps({"eta": 0.5, "n": 1, "base": 16.0, "cubes": [], **root}))
         out = tmp_path / "v"
         rc = run_main(["--out-dir", str(out), "verify", "sparse", "--family", str(bad)])
         assert rc == 2
         summary = json.loads((out / "summary.json").read_text())
-        assert not summary["passed"] and "root" in summary["error"]
+        assert not summary["passed"] and named in summary["error"]
+        assert named in capsys.readouterr().err
+
+    def test_nan_kernel_fails_kernel_check(self, tmp_path, monkeypatch):
+        """A kernel NaN at some radii fails every mode: exit 1."""
+        ex1 = parse_kernel("ex1:kappa=3", 1)
+        k = KernelSpec("convolution", 1, 1.0, ex1.w_mod, ex1.phi_mod, profile=lambda u: np.where(
+            (np.abs(u) > 2.0) & (np.abs(u) < 3.0), np.nan, ex1.profile(u)))
+        monkeypatch.setattr(cli, "parse_kernel", lambda spec, n: k)
+        assert run_main(["--out-dir", str(tmp_path), "kernel-check"]) == 1
+        items = json.loads((tmp_path / "summary.json").read_text())["items"]
+        assert [it["pass"] for it in items] == [False, False, False]
 
     @pytest.mark.parametrize("family", ["missing.json", "."],
                              ids=["missing-file", "directory"])
@@ -180,20 +196,24 @@ class TestSubcommands:
         assert not summary["passed"] and "do not lie on" in summary["error"]
         assert "do not lie on" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("campaign, flag", [
-        ("dini", "--modulus"), ("kernel-check", "--kernel"),
-    ])
-    def test_malformed_csv_id_exits_2(self, tmp_path, capsys, campaign, flag):
-        """A ``csv:`` table with a one-column row is a ConfigError: exit 2,
-        with the error in summary.json."""
+    @pytest.mark.parametrize("campaign, flag, text, named", [
+        ("dini", "--modulus", "0.1\n0.5,0.5\n1,1\n", "two numbers"),
+        ("kernel-check", "--kernel", "0.1\n0.5,0.5\n1,1\n", "two numbers"),
+        ("kernel-check", "--kernel", "x,k\n-1,0\n0,abc\n1,0\n", "line 3: expected two numbers"),
+        ("kernel-check", "--kernel", "-1,0\n0,inf\n1,0\n", "line 2: non-finite"),
+    ], ids=["dini---modulus", "kernel-check---kernel", "kernel-non-number", "kernel-inf"])
+    def test_malformed_csv_id_exits_2(self, tmp_path, capsys, campaign, flag, text, named):
+        """A ``csv:`` table with a one-column row, a field that is not a
+        number or a non-finite one is a ConfigError naming its line: exit
+        2, with the error in summary.json."""
         path, out = tmp_path / "bad.csv", tmp_path / "o"
-        path.write_text("0.1\n0.5,0.5\n1,1\n")
+        path.write_text(text)
         rc = run_main(["--out-dir", str(out), campaign, flag, f"csv:{path}"])
         assert rc == 2
         summary = json.loads((out / "summary.json").read_text())
-        assert not summary["passed"] and "two numbers" in summary["error"]
+        assert not summary["passed"] and named in summary["error"]
         assert summary["campaign"] == campaign
-        assert "two numbers" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_config_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"

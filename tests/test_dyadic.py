@@ -343,6 +343,11 @@ class TestVerifySparse:
             ok, worst, wc = verify_sparse(SparseFamily(0.5, root, [root, deep], {deep: root}), 0.5)
             assert ok and worst == 2.0 ** (-61 * n) and wc == root
 
+    def test_family_without_cubes_is_parameter_error(self):
+        root = Cube(1, 1, (0,), "standard", BASE)
+        with pytest.raises(ParameterError, match="at least one cube"):
+            verify_sparse(SparseFamily(0.5, root, []), 0.5)
+
     def test_json_roundtrip(self, tmp_path):
         root = Cube(1, 1, (0,), "standard", BASE)
         sub = Cube(1, 3, (2,), "standard", BASE)
@@ -402,6 +407,12 @@ class TestVerifySparse:
         lambda d: d["cubes"][1].update(generation=65),
         lambda d: d["cubes"][1].update(generation=-1),
         lambda d: d["root"].update(generation=10**9),
+        # a family holds a cube; every key is one to_json writes
+        lambda d: d.update(cubes=[]),
+        lambda d: d.update(gamma=4.0),
+        lambda d: d["root"].update(parent=None),
+        lambda d: d.update(meta=[]),
+        lambda d: d.update(base=math.inf),
     ])
     def test_malformed_json_is_config_error(self, edit):
         root = Cube(1, 1, (0,), "standard", BASE)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import box_mask, dilate3
 from lpsq.errors import ConfigError, GridError, ParameterError, ResolutionError
+from lpsq.kernels import parse_kernel
+from lpsq.moduli import parse_modulus
 from lpsq.grids import (
     ConeGrid,
     GridFunction,
@@ -179,6 +182,17 @@ class TestGridFunction:
         with pytest.raises(ConfigError, match="uniformly spaced"):
             load_csv(str(p))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_headerless_csv_loads_as_saved(self, tmp_path, n):
+        """The header of a grid CSV is optional: without it, the first row
+        is a cell like any other."""
+        g = sample_function(lambda *x: 1.0 + sum(x), n, 2.0, 0.5)
+        p, bare = tmp_path / "g.csv", tmp_path / "bare.csv"
+        save_csv(g, str(p))
+        bare.write_text("\n".join(p.read_text().splitlines()[1:]) + "\n")
+        g2 = load_csv(str(bare))
+        assert np.array_equal(g2.values, g.values) and (g2.n, g2.R, g2.h) == (n, g.R, g.h)
+
     def test_value_at(self):
         g = sample_function(lambda x: x, 1, 2.0, 0.5)
         # the cell of [0.25, 0.75) holds 0.3 and is sampled at its center
@@ -319,3 +333,43 @@ class TestCone:
         c2 = build_cone(float(a + 1), 1, 0.5, 1.0, 16.0, 2)
         lvl = min(lvl, len(c1.t_levels) - 1)
         assert set(c1.stencil(lvl).tolist()) <= set(c2.stencil(lvl).tolist())
+
+
+# the three readers of a CSV table: grid functions, kernel profiles and
+# modulus tables
+TABLE_CALLERS = {
+    "grid": lambda p: load_csv(p),
+    "kernel": lambda p: parse_kernel(f"csv:{p}", 1),
+    "modulus": lambda p: parse_modulus(f"csv:{p}"),
+}
+
+
+class TestReadTable:
+    @pytest.mark.parametrize("caller", sorted(TABLE_CALLERS))
+    @pytest.mark.parametrize("text, line", [
+        ("0,0\n0.5,abc\n1,1\n", 2),
+        ("0,0\nnan,0.5\n1,1\n", 2),
+        ("0,0\n0.5,inf\n1,1\n", 2),
+        ("0,0\n0.5,0.5,1\n1,1\n", 2),
+        ("# t, w\n\nx,value\n", 4),
+        ("", 1),
+        ("0,0\nx,value\n1,1\n", 2),
+    ], ids=["non-number", "nan", "inf", "ragged", "header-only", "empty", "header-mid"])
+    def test_malformed_table_names_path_and_line(self, tmp_path, caller, text, line):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{str(p)!r} line {line}:")):
+            TABLE_CALLERS[caller](str(p))
+
+    @pytest.mark.parametrize("caller", ["kernel", "modulus"])
+    def test_header_comments_and_blank_lines_are_skipped(self, tmp_path, caller):
+        rows = "0,0\n0.5,0.25\n1,1\n"
+        plain, headed = tmp_path / "plain.csv", tmp_path / "headed.csv"
+        plain.write_text(rows)
+        headed.write_text("# a table\n\nt,w\n" + rows.replace("\n", "\n\n", 1))
+        u = np.linspace(-0.5, 1.5, 41)
+        a, b = (TABLE_CALLERS[caller](str(q)) for q in (plain, headed))
+        if caller == "kernel":
+            assert np.array_equal(a.profile(u), b.profile(u))
+        else:
+            assert np.array_equal(a(u[u > 0]), b(u[u > 0]))

@@ -32,7 +32,11 @@ every definition named f, ``C(...)`` calls ``C.__init__``, and so does
 
 Files are read only by `grids.read_text` and `grids.load_binary`, which
 turn an unreadable file into a ConfigError: no other function of src/lpsq
-calls ``open`` in a read mode, and none calls ``json.load``.
+calls ``open`` in a read mode, and none calls ``json.load``.  Text is
+parsed only in grids.py (`grids.read_table` for CSV tables,
+`grids.read_json` for JSON): no other module of src/lpsq references the
+``csv`` module, ``genfromtxt``, ``loadtxt``, ``json.load`` or
+``json.loads``.
 """
 
 import ast
@@ -374,6 +378,52 @@ def test_checker_finds_a_file_read(tmp_path):
                  "data = open('x', mode='r').read()\n")
     assert _file_reads(p) == ["grids.py:14: load", "grids.py:15: load",
                               "grids.py:17: <module>"]
+
+
+# the modules that may parse a file format: CSV tables and JSON text
+FORMAT_READERS = {"grids.py"}
+_PARSERS = {"csv": None, "numpy": {"genfromtxt", "loadtxt"}, "json": {"load", "loads"}}
+
+
+def _format_parsers(path: pathlib.Path) -> list:
+    """The references to a format parser in a module outside
+    `FORMAT_READERS`: an import of the csv module or of a name from it,
+    ``genfromtxt`` or ``loadtxt`` as an attribute or imported name, and
+    ``json.load`` or ``json.loads``, as an attribute or imported name."""
+    if path.name in FORMAT_READERS:
+        return []
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "csv"]
+        elif isinstance(node, ast.ImportFrom) and node.module in _PARSERS:
+            names = _PARSERS[node.module]
+            found += [(node.lineno, f"{node.module}.{a.name}") for a in node.names
+                      if names is None or a.name in names]
+        elif isinstance(node, ast.Attribute):
+            if node.attr in _PARSERS["numpy"]:
+                found.append((node.lineno, node.attr))
+            elif (node.attr in _PARSERS["json"] and isinstance(node.value, ast.Name)
+                  and node.value.id == "json"):
+                found.append((node.lineno, f"json.{node.attr}"))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+def test_formats_are_parsed_only_in_grids():
+    assert [r for p in sorted(SRC.glob("*.py")) for r in _format_parsers(p)] == []
+
+
+def test_checker_finds_a_format_parser(tmp_path):
+    text = ("import csv\nimport json\nimport numpy as np\nfrom csv import reader\n"
+            "from json import loads, dumps\nfrom numpy import loadtxt, asarray\n\n"
+            "def f(path, fh):\n    json.dump({}, fh)\n"
+            "    return np.genfromtxt(path), json.load(fh), np.asarray(1), obj.load(fh)\n")
+    for name in ("mod.py", "grids.py"):
+        (tmp_path / name).write_text(text)
+    assert _format_parsers(tmp_path / "grids.py") == []
+    assert _format_parsers(tmp_path / "mod.py") == [
+        "mod.py:1: csv", "mod.py:4: csv.reader", "mod.py:5: json.loads",
+        "mod.py:6: numpy.loadtxt", "mod.py:10: genfromtxt", "mod.py:10: json.load"]
 
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -251,6 +251,24 @@ class TestConditionChecks:
             assert math.isfinite(rep.max_ratio)
             assert not rep.flagged, (mode, rep.growth_ratio)
 
+    @pytest.mark.parametrize("band", [(2.0, 3.0), (4e3, 6e3)], ids=["both-ranges", "extended"])
+    @pytest.mark.parametrize("mode", ["size", "smooth_x", "smooth_y"])
+    def test_nan_profile_flagged(self, mode, band):
+        """A profile that is NaN for |u| in a band of radii, in both radius
+        ranges or in the 10x extended one only, gives a NaN max ratio or
+        growth, and the check is flagged; without the band it passes."""
+        ex1 = parse_kernel("ex1:kappa=3", 1)
+        lo, hi = band
+
+        def profile(u):
+            return np.where((np.abs(u) > lo) & (np.abs(u) < hi), np.nan, ex1.profile(u))
+
+        k = KernelSpec("convolution", 1, 1.0, ex1.w_mod, ex1.phi_mod, profile=profile)
+        rep = kernel_condition_check(k, mode)
+        assert rep.flagged and not (math.isfinite(rep.max_ratio)
+                                    and math.isfinite(rep.growth_ratio))
+        assert not kernel_condition_check(ex1, mode).flagged
+
     def test_ex1_2d_size_stable(self):
         k = parse_kernel("ex1:kappa=3", 2)
         plan = SamplePlan(n_r=24, n_h=6, n_base=2, n_dir=4)

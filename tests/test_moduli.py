@@ -263,10 +263,13 @@ class TestExactTails:
                      [("x", 0), (1, 1)], [(1, 1)]):
             with pytest.raises(ConfigError):
                 table_modulus(_write_table(tmp_path, rows))
-        # finite knots, and t <= 0 only for one leading (0, w(0+)) row
-        for rows in ([(-0.1, 0), (1, 1)], [(0, 0), (0, 0.1), (1, 1)],
-                     [("nan", 0), (1, 1)], [(0.5, "inf"), (1, 1)]):
+        # t <= 0 only for one leading (0, w(0+)) row
+        for rows in ([(-0.1, 0), (1, 1)], [(0, 0), (0, 0.1), (1, 1)]):
             with pytest.raises(ConfigError, match="t > 0"):
+                table_modulus(_write_table(tmp_path, rows))
+        # finite knots: the table reader refuses the line
+        for rows in ([("nan", 0), (1, 1)], [(0.5, "inf"), (1, 1)]):
+            with pytest.raises(ConfigError, match="line 1: non-finite"):
                 table_modulus(_write_table(tmp_path, rows))
 
     def test_table_monotonicity_is_exact(self, tmp_path):
