@@ -50,7 +50,7 @@ from .dyadic import (
     sparse_rhs_eval,
     verify_sparse,
 )
-from .errors import ConfigError, DivergenceError, LpsqError
+from .errors import ConfigError, DivergenceError, GridError, LpsqError
 from .grids import (
     build_cone,
     build_halfspace,
@@ -357,6 +357,11 @@ def _campaign_verify(cfg, out_dir):
         rng = np.random.default_rng(cfg["seed"])
         w = parse_modulus(cfg["modulus"])
         f = _function(cfg)
+        # the cubes are drawn over the config's box and F integrated on f's
+        # grid, so a file input must be on the config's grid (as `same_grid`)
+        if f.n != n or abs(f.R - R) >= 1e-12 or abs(f.h - h) >= 1e-12:
+            raise GridError(f"--function {cfg['function']!r} is on the {f.n}-D grid "
+                            f"R={f.R}, h={f.h}, not the config's {n}-D R={R}, h={h}")
 
         def one(i):
             cubes = _random_disjoint_cubes(rng, n, R, 20)

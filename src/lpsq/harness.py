@@ -19,7 +19,9 @@ import numpy as np
 from .errors import GridError, ParameterError
 from .grids import ConeGrid, GridFunction
 from .kernels import KernelSpec
-from .operators import _cone_levels, _operands, square_function, square_function_multi
+from .operators import (
+    SquareEvaluator, _cone_levels, _operands, square_function, square_function_multi,
+)
 from .weights import WeightVector
 
 __all__ = [
@@ -159,7 +161,10 @@ def weighted_norm_check(
     """||S_alpha f||_{L^p(nu)} / prod ||f_i||_{L^{p_i}(w_i)} (finiteness
     only), alpha the cone's.  S is on f's lattice, so every input must be
     on the weights' grid (`GridError` otherwise, before S is taken), and
-    there must be one weight per input (`ParameterError`)."""
+    there must be one weight per input (`ParameterError`).  On the fast
+    path (a convolution kernel, method "auto") S comes from the evaluator
+    that `SquareEvaluator.of` keeps on k, so repeated checks on one layout
+    sample its kernels once; otherwise from `square_function`."""
     fs = _operands(k, f, cone)
     if len(wv.weights) != len(fs):
         raise ParameterError(
@@ -167,7 +172,9 @@ def weighted_norm_check(
     nu = wv.nu()
     if not all(gf.same_grid(nu) for gf in fs):
         raise GridError("weighted norm: inputs and weights are on different grids")
-    s = square_function(k, fs, cone, method=method)
+    ev = SquareEvaluator.of(k, fs[0], cone, method=method)  # None for a pair
+    s = (fs[0].with_values(ev.eval_values(fs[0].values)) if ev is not None
+         else square_function(k, fs, cone, method=method))
     lhs = s.norm_lp(wv.p, weight=nu.values)
     rhs = 1.0
     for gf, w, pi in zip(fs, wv.weights, wv.exponents):

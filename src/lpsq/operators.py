@@ -49,8 +49,9 @@ of the input per distinct length, held one at a time, and one irfftn per
 level.  The `SquareEvaluator` and one-shot g* read it; one-shot S still takes one
 `psi_t_apply` per level (`_psi_levels`), as perfbench's span table counts
 one psi_t call per level of `square_function`.  Two paths
-keep powers of two: the Lerner local-window blocks, on which the Gram
-cutoff `_gram_s_max` is tuned, and the bilinear diagonal sums, whose input
+keep powers of two: the Lerner local-window blocks, whose lengths the
+Lerner path choice models (`SquareEvaluator._fft_cost`), and the
+bilinear diagonal sums, whose input
 spectra serve every level of one length, and powers of two leave the
 levels fewer distinct lengths.
 Nothing here calls scipy.  perfbench's span table pins
@@ -96,8 +97,10 @@ read them.  On a linear convolution kernel with method "auto" the batched
 pass, `SquareEvaluator.lerner_values`, evaluates every pool cube's
 S(f 1_{3Q}) only on Q, cubes grouped by their cell shape, in n = 1 and
 n = 2 alike; `sparse_construct` hands it the cells its pruning took.
-Small cubes take one quadratic form in f on 3Q per cube, with a
-level-summed Gram table cached on the `SquareEvaluator`; other groups
+Groups of cubes that the level-summed Gram table on the `SquareEvaluator`
+covers take one quadratic form in f on 3Q per cube; each call chooses,
+from its own groups, whether the table grows to cover more
+(`SquareEvaluator._gram_choice`).  The other groups
 cost, per FFT length and chunk of cubes, one batched n-D rfft of the
 stacked 3Q windows, shared by the levels of that length, and per level one
 irfft (output on Q +- K_j) and window sums.
@@ -152,6 +155,21 @@ if "scipy.signal" not in sys.modules:  # lazy: see the module docstring
 # the Gram table, the bilinear FFT's rows of d and its one profile sample
 # per chunk of |d| and level) hold at most about this many doubles
 _LERNER_CHUNK = 1 << 14
+# the least rows of one Gram table panel: panel^T panel of 576 columns
+# costs 27 us a row at 28 rows and 9 us at 256 (one CPU)
+_GRAM_PANEL = 256
+# the two constants of the Lerner path model (`SquareEvaluator._gram_choice`),
+# in BLAS multiply-adds: one numpy call, and one FFT flop (a transform of P
+# points is 2.5 P log2 P of them).  Fitted by nonnegative least squares of
+# the relative error to 131 timed pieces: the FFT-path and Gram-form groups
+# of 6 sparse-1d and 6 sparse-2d calls and of the first 1-D N = 4096 and
+# 2-D N = 64 ladder calls, and 19 tables of sides 1-48; one CPU of a
+# 2-vCPU host, Python 3.11.7, numpy 2.4.6.  A multiply-add read 0.050 ns,
+# a call 4.6 us (93,000) and an FFT flop 0.24 ns (4.9).  With the rounded
+# constants below the modelled over measured time has quartiles 0.64 /
+# 0.84 / 1.10, and lies in 0.16-2.3 for every piece.
+_CALL = 90000.0
+_FFT_FLOP = 5.0
 
 
 def _resolve_method(k: KernelSpec, method: str | None) -> str:
@@ -699,30 +717,6 @@ def _psi_t_bilinear_point(k, f1, f2, t, y):
     return float(f1.values[nz1] @ mat @ f2.values[nz2]) * f1.h**2 / t**2
 
 
-def _gram_s_max(levels, n: int, N: int) -> int:
-    """The Q side (cells) up to which the batched M_S takes the Gram form:
-    of 0 and the sides s <= N/4, the one that minimises the modelled
-    multiply-adds of one M_S call on the layout's dyadic pool (the cubes of
-    side l = N, N/2, ... cells and their 3-dilates, (N/l)^n of each).  Per
-    cube (3Q side a = 3s + 1): s^n a^{2n} in the Gram form; per level,
-    2.5 P^n log2 P^n (an rfft / irfft pair of FFT side P) plus the window
-    sums in the FFT path.  The table costs sum_j |D_j| (4 s_max)^{2n} once."""
-    disc = sum(lv.size for lv in levels)
-
-    def per_level(s, a):
-        KP = ((lv.K, 1 << (a + s + 2 * lv.K - 2).bit_length()) for lv in levels)
-        return sum(2.5 * n * P**n * math.log2(P) + (s + 2 * K) ** n
-                   + 2 * (2 * K + 1) ** (n - 1) * s**n for K, P in KP)
-
-    shapes = [(s, (N // l) ** n) for l in (N >> g for g in range(N.bit_length()))
-              for s in (l, 3 * l)]
-    costs = [(s, c * s**n * (3 * s + 1) ** (2 * n), c * per_level(s, 3 * s + 1))
-             for s, c in shapes]
-    return min({0} | {s for s, _ in shapes if 4 * s <= N},
-               key=lambda m: (disc * (4 * m) ** (2 * n)
-                              + sum(g if s <= m else t for s, g, t in costs), m))
-
-
 def _far_gain(gamma: np.ndarray) -> np.ndarray:
     """far[l] = max{gamma(v) : |v|_inf >= l} for l = 0, 1, ..., the offsets
     v (cells) centred in gamma's array: the max of each shell |v|_inf = l,
@@ -751,13 +745,21 @@ class SquareEvaluator:
 
     The batched M_S pass (`lerner_values`, over the pool cubes' cells)
     reads S f^2 (`square_sum`), the level window sums (`cone_sum`), the
-    Gram cutoff ``s_max`` (`_gram_s_max`) and Gram table (`gram_table`,
-    built from one buffer of rows on first use) and the per-shape level
-    block spectra (`lerner_plans`, built once per cube shape).  Levels,
+    Gram table (`gram_table`) and the per-shape level block spectra
+    (`lerner_plans`, built once per cube shape).  Each call picks its
+    path per group of one cube shape: a group whose least table side
+    (`_gram_side`) the held table covers takes the Gram form, and the
+    table grows, built anew at a larger side, only when this call's
+    modelled saving on the groups it would add pays for the new table
+    (`_gram_choice`); the other groups take the FFT path.  The held table
+    never shrinks, so after a full-pool call the pruned pools of
+    `dyadic.sparse_construct` find their small cubes covered.  Levels,
     table and block spectra depend on the layout only and live as long as
     the evaluator; `of` keeps the evaluator of a layout on the kernel
-    object.  The last S f^2 is held with a copy of its f, so M_S of the f
-    whose S the caller has just taken reuses it.
+    object, so the table side that serves a group, and with it the last
+    bits of M_S, depends on the calls made before on that kernel.  The
+    last S f^2 is held with a copy of its f, so M_S of the f whose S the
+    caller has just taken reuses it.
 
     ``far_gain`` bounds S through the point-mass profile Gamma of S:
     Gamma(v)^2 = sum_j meas_j sum_{m in D_j} k_j(v + m)^2 is
@@ -791,9 +793,9 @@ class SquareEvaluator:
             kern = buf[(slice(lv.Mx + template.ncells - 1),) * n]
             gamma2 = gamma2 + lv.meas * _window_sum(kern**2, lv.rows)
         self.far_gain = _far_gain(np.sqrt(np.maximum(gamma2, 0.0)))
-        self.s_max = _gram_s_max(self.levels, n, template.ncells)
         self._gram = None
         self._plans = {}
+        self._fft_model = {}
         self._held = None
 
     @classmethod
@@ -816,28 +818,35 @@ class SquareEvaluator:
             k._evaluator[key] = ev
         return ev
 
-    def gram_table(self):
-        """(A, lo, P): the level-summed Gram table of the M_S form, built on
-        first use.  A[p, q] = sum_j meas_j sum_{m in D_j} k_j(m + p) k_j(m + q)
-        over the offsets p, q in [lo, lo + P)^n (flat, C order), with
-        lo = 1 - 2 s_max and P = 4 s_max; k_j(v) = Phi(v h / t_j) (h / t_j)^n
-        and D_j is the window of `cone_sum`.
+    def gram_side(self) -> int:
+        """The side of the Gram table held, 0 before the first is built."""
+        return 0 if self._gram is None else self._gram[2] // 4
+
+    def gram_table(self, side: int):
+        """(A, lo, P): the level-summed Gram table of the M_S form, of at
+        least this side.  A[p, q] = sum_j meas_j sum_{m in D_j} k_j(m + p)
+        k_j(m + q) over the offsets p, q in [lo, lo + P)^n (flat, C order),
+        with lo = 1 - 2 m and P = 4 m for a table of side m; k_j(v) =
+        Phi(v h / t_j) (h / t_j)^n and D_j is the window of `cone_sum`.
+        A held table of a smaller side is dropped and the table built anew
+        at this side; a larger one is returned as it is.
 
         The rows k_j(m + .) sqrt(meas_j), of every level j and offset m in
-        D_j, fill one buffer of about `_LERNER_CHUNK` doubles; each full
-        buffer adds buf^T buf to A."""
-        if self._gram is None:
+        D_j, fill one panel of at least `_GRAM_PANEL` rows; each full
+        panel adds panel^T panel to A."""
+        if self.gram_side() < side:
+            self._gram = None  # the old table goes before the new one is made
             n, h = self.template.n, self.template.h
-            lo, P = 1 - 2 * self.s_max, 4 * self.s_max
+            lo, P = 1 - 2 * side, 4 * side
             A = np.zeros((P**n, P**n))
-            buf = np.empty((max(1, _LERNER_CHUNK // P**n), P**n))
+            buf = np.empty((max(_GRAM_PANEL, _LERNER_CHUNK // P**n), P**n))
             used = 0
             for lv in self.levels:
                 K = lv.K
                 # B[i] = k_j(i - K + lo) sqrt(meas_j) per axis, so that the
                 # window of W at m + K holds the row of offset m; the
                 # offsets lo - K .. lo + P + K - 1 are 1 - c .. c
-                c = 2 * self.s_max + K
+                c = 2 * side + K
                 B = _profile_block(self.k, c, h, lv.t, (h / lv.t) ** n * math.sqrt(lv.meas))[
                     (slice(1, None),) * n]
                 W = np.lib.stride_tricks.sliding_window_view(B, (P,) * n)
@@ -854,6 +863,72 @@ class SquareEvaluator:
             A += buf[:used].T @ buf[:used]
             self._gram = A, lo, P
         return self._gram
+
+    def _table_cost(self, side: int) -> float:
+        """Modelled cost of `gram_table` at this side: every row of every
+        level's window copied into a panel (a pass over its P^n entries)
+        and multiplied into panel^T panel (P^n (P^n + 1) multiply-adds),
+        and a call per panel, per window row and per level's profile
+        sample."""
+        P = (4 * side) ** self.template.n
+        rows = sum(lv.size for lv in self.levels)
+        calls = (2 * -(-rows // max(_GRAM_PANEL, _LERNER_CHUNK // P))
+                 + sum(len(lv.disc) + 8 for lv in self.levels))
+        return calls * _CALL + rows * P * (_FFT_FLOP + P + 1)
+
+    def _fft_cost(self, key, nb: int) -> float:
+        """Modelled cost of a group of nb cubes of this shape key on the
+        FFT path of `lerner_values`, as it runs: per FFT length P and chunk
+        of cubes one batched window rfft, per level and chunk one batched
+        irfft, the spectrum product, the squares and one `cone_sum` (a call
+        per stencil row), and, for a key that `lerner_plans` has not seen,
+        one block rfft per level and a share of its profile sample.  A
+        transform of P points costs 2.5 P log2 P FFT flops, and an
+        elementwise pass one FFT flop per entry."""
+        model = self._fft_model.get(key)
+        if model is None:
+            runs, plan = {}, 0.0
+            q = math.prod(s for _, s, _ in key)
+            for lv in self.levels:
+                P = math.prod(1 << (a + s + 2 * lv.K - 2).bit_length() for a, s, _ in key)
+                fft = 2.5 * P * math.log2(P)
+                # per run (chunk size, calls per chunk, FFT flops per cube)
+                step, calls, flops = runs.get(P, (max(1, _LERNER_CHUNK // P), 1, fft))
+                U = math.prod(s + 2 * lv.K for _, s, _ in key)
+                runs[P] = (step, calls + 6 + len(lv.rows),
+                           flops + fft + P + 3 * U + 2 * len(lv.rows) * q)
+                plan += 4 * _CALL + _FFT_FLOP * fft
+            model = self._fft_model[key] = list(runs.values()), plan
+        runs, plan = model
+        return (sum(-(-nb // step) * calls * _CALL + nb * flops * _FFT_FLOP
+                    for step, calls, flops in runs)
+                + (plan if key not in self._plans else 0.0))
+
+    def _gram_choice(self, groups: dict) -> int:
+        """The Gram table side that this `lerner_values` call runs with.
+
+        A group whose `_gram_side` the held table covers takes the Gram
+        form.  Among the larger sides s with 4 s <= N that some group
+        needs, the one whose modelled saving on this call's groups (their
+        `_fft_cost` less their `_gram_cost`, for every group that a table
+        of side s covers and the held one does not) most exceeds its
+        `_table_cost` is built; if none pays for its table, the held side
+        stays.  The choice reads only the layout, this call's groups and
+        the held side, so calls made in a fixed order repeat it."""
+        held = self.gram_side()
+        gain = {}
+        for key, (I, _) in groups.items():
+            side = _gram_side(key)
+            if held < side and 4 * side <= self.template.ncells:
+                gain[side] = (gain.get(side, 0.0) + self._fft_cost(key, len(I))
+                              - _gram_cost(key, len(I)))
+        best, best_net, saved = held, 0.0, 0.0
+        for side in sorted(gain):
+            saved += gain[side]
+            net = saved - self._table_cost(side)
+            if net > best_net:
+                best, best_net = side, net
+        return best
 
     def lerner_plans(self, keys) -> list:
         """Per shape key of `lerner_values` (as `_lerner_groups`), its
@@ -974,8 +1049,9 @@ class SquareEvaluator:
         covers reads -inf.
 
         Cubes are grouped by their unclipped shape (`_lerner_groups`); f
-        1_{3Q} is read from a zero-padded f.  Groups that `_gram_takes` go
-        to `_gram_form`.  For every other group, psi_t(f 1_{3Q}) on Q +- K_j
+        1_{3Q} is read from a zero-padded f.  `_gram_choice` sets the table
+        side of the call, growing the table if it pays, and the groups that
+        side covers go to `_gram_form`.  For every other group, psi_t(f 1_{3Q}) on Q +- K_j
         is the linear convolution of the stacked 3Q windows with level j's
         profile block, sampled at the cell offsets from 3Q to Q +- K_j;
         `cone_sum` then takes the window sums on Q.  The block spectra come
@@ -997,7 +1073,10 @@ class SquareEvaluator:
             a = np.array(key)[:, 0]
             pf = max(pf, -I.min(), (I + a).max() - N)
         fp = np.pad(values, pf)
-        levelled = {key: I for key, (I, _) in groups.items() if not _gram_takes(self, key)}
+        side = self._gram_choice(groups)
+        if side:
+            self.gram_table(side)
+        levelled = {key: I for key, (I, _) in groups.items() if _gram_side(key) > side}
         accs = {key: np.zeros((len(I),) + tuple(s for _, s, _ in key)) if key in levelled
                 else _gram_form(self, key, fp, I + pf) for key, (I, _) in groups.items()}
         axes = tuple(range(1, n + 1))
@@ -1344,11 +1423,22 @@ def _lerner_sup(out: np.ndarray, s_full2: np.ndarray, batches) -> None:
         np.maximum.at(out, cells, np.sqrt(np.abs(s_full2[cells] - acc[keep])))
 
 
-def _gram_takes(ev: SquareEvaluator, key) -> bool:
-    """Whether a group of this shape key takes the Gram form: Q at most
-    s_max cells per axis and every offset d + e - c inside the table."""
-    lo, hi = 1 - 2 * ev.s_max, 2 * ev.s_max
-    return all(s <= ev.s_max and d - a + 1 >= lo and d + s - 1 <= hi for a, s, d in key)
+def _gram_side(key) -> int:
+    """The least Gram table side that serves a group of this shape key:
+    per axis, the table's offsets 1 - 2 side .. 2 side hold every offset
+    d + e - c from a cell c of 3Q to a cell e of Q."""
+    return max(max(-(-(a - d) // 2), -(-(d + s - 1) // 2)) for a, s, d in key)
+
+
+def _gram_cost(key, nb: int) -> float:
+    """Modelled cost of `_gram_form` on nb cubes of this shape key: the
+    strided copy of G (one FFT flop per entry), F @ G and the row dots of
+    every cube (multiply-adds), and the calls of its chunk loops."""
+    last, ns = key[-1][1], math.prod(s for _, s, _ in key)
+    na = math.prod(a for a, _, _ in key)
+    ce = min(last, max(1, _LERNER_CHUNK // (na * na)))
+    calls = 4 + ns // last * -(-last // ce) * (4 + 5 * -(-nb // max(1, _LERNER_CHUNK // (ce * na))))
+    return calls * _CALL + ns * na * (na * _FFT_FLOP + nb * (na + 1))
 
 
 def _gram_form(ev: SquareEvaluator, key, fp: np.ndarray, I: np.ndarray) -> np.ndarray:
@@ -1356,28 +1446,39 @@ def _gram_form(ev: SquareEvaluator, key, fp: np.ndarray, I: np.ndarray) -> np.nd
     of fp start at the cells I (nb, n).
 
     At x = j0 + e the value is F^T A[p(e, .), p(e, .)] F with F = f on 3Q,
-    p(e, c) = d + e - c per axis and A the evaluator's Gram table; the rows
-    of several e go in one (nb, a^n) @ (a^n, ce a^n) matmul and a row dot.
+    p(e, c) = d + e - c per axis and A the evaluator's Gram table.  Per
+    axis p moves by +1 with e and by -1 with c, so G[e, c, c'] =
+    A[p(e, c), p(e, c')] is a strided view of A, and a chunk of it is
+    copied out by strides, not gathered by index; the rows of several e go
+    in one (nb, a^n) @ (a^n, ce a^n) matmul and a row dot.
     """
-    A, lo, P = ev.gram_table()
-    # r[e, c]: flat table index of the offset p(e, c)
-    r = np.zeros((1, 1), dtype=np.intp)
-    for a, s, d in key:
-        ax = d - lo + np.arange(s)[:, None] - np.arange(a)[None, :]
-        r = (r[:, None, :, None] * P + ax[None, :, None, :]).reshape(r.shape[0] * s, -1)
-    ns, na = r.shape
-    fw = np.lib.stride_tricks.sliding_window_view(fp, tuple(a for a, _, _ in key))
-    out = np.empty((len(I), ns))
+    A, lo, P = ev.gram_table(_gram_side(key))
+    n = len(key)
+    a, s = tuple(x for x, _, _ in key), tuple(x for _, x, _ in key)
+    na = math.prod(a)
+    T = A.reshape((P,) * (2 * n))
+    sp, sq = T.strides[:n], T.strides[n:]
+    # the view starts at p(0, 0) = d - lo on both sides; _gram_side keeps
+    # every p(e, c) inside the table
+    G = np.lib.stride_tricks.as_strided(
+        T[tuple(slice(d - lo, None) for _, _, d in key) * 2], s + a + a,
+        tuple(x + y for x, y in zip(sp, sq)) + tuple(-x for x in sp) + tuple(-y for y in sq),
+        writeable=False)
+    # a chunk: one run of e along the last axis, its c axes first
+    order = tuple(range(1, n + 1)) + (0,) + tuple(range(n + 1, 2 * n + 1))
+    fw = np.lib.stride_tricks.sliding_window_view(fp, a)
+    out = np.empty((len(I),) + s)
     ce = max(1, _LERNER_CHUNK // (na * na))
-    for e0 in range(0, ns, ce):
-        re = r[e0 : e0 + ce]
-        G = A[re.T[:, :, None], re[None, :, :]].reshape(na, -1)
-        step = max(1, _LERNER_CHUNK // G.shape[1])
-        for b0 in range(0, len(I), step):
-            F = fw[tuple(I[b0 : b0 + step].T)].reshape(-1, na)
-            Y = (F @ G).reshape(len(F), -1, na)
-            out[b0 : b0 + step, e0 : e0 + ce] = np.einsum("bec,bc->be", Y, F)
-    return out.reshape(len(I), *(s for _, s, _ in key))
+    for lead in np.ndindex(s[:-1]):
+        for e0 in range(0, s[-1], ce):
+            Gc = G[lead + (slice(e0, e0 + ce),)].transpose(order).reshape(na, -1)
+            step = max(1, _LERNER_CHUNK // Gc.shape[1])
+            for b0 in range(0, len(I), step):
+                F = fw[tuple(I[b0 : b0 + step].T)].reshape(-1, na)
+                Y = (F @ Gc).reshape(len(F), -1, na)
+                out[(slice(b0, b0 + step),) + lead + (slice(e0, e0 + ce),)] = np.einsum(
+                    "bec,bc->be", Y, F)
+    return out
 
 
 def lerner_maximal(

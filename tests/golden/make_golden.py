@@ -1,15 +1,20 @@
-"""The committed output corpus, in two files.
+"""The committed output corpus, in three files.
 
 ``operators.json`` holds digests of S, g*, the cascade bound, the
 `SquareEvaluator`'s kernel spectra and ``far_gain``, and the bilinear S and
-g*, on perfbench's ``spikes`` inputs at two seeds.  ``campaigns.json`` holds
+g*, on perfbench's ``spikes`` inputs at two seeds.  ``sparse.json`` holds
+digests of the families (cubes, parent links and meta) that
+`sparse_construct` builds on the inputs of perfbench's ``sparse-1d`` and
+``sparse-2d`` workloads at two seeds and salts 0-3, and of the full-pool
+M_S and the Gram table it leaves on the evaluator, at the reduced sizes of
+those workloads' oracles.  ``campaigns.json`` holds
 the exit status and the digests of summary.json and of every CSV that
 ``lpsq.cli.main`` writes, at seed 3, for each campaign of perfbench's
 ``cli`` workload, for ``lpsq sparse`` and for the ``csv:`` routes: a table
 modulus for ``dini``, a kernel profile for ``kernel-check`` and ``eval``,
 and a 1-D and a 2-D grid function for ``eval``.
 
-    PYTHONPATH=src python tests/golden/make_golden.py          # rewrite both files
+    PYTHONPATH=src python tests/golden/make_golden.py          # rewrite the files
     PYTHONPATH=src python tests/golden/make_golden.py --check  # exit 1 if one differs
 
 Each array gets two digests: ``exact`` hashes its bytes, ``rounded`` its
@@ -41,10 +46,12 @@ for _path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")):
 
 import lpsq  # noqa: E402
 from lpsq.cli import main as cli_main  # noqa: E402
-from workloads import CAMPAIGNS, Cli, digest_array, spikes  # noqa: E402
+from workloads import CAMPAIGNS, KERNEL, WORKLOADS, Cli, digest_array, spikes  # noqa: E402
 
 CORPUS = os.path.join(HERE, "operators.json")
+SPARSE_CORPUS = os.path.join(HERE, "sparse.json")
 CAMPAIGN_CORPUS = os.path.join(HERE, "campaigns.json")
+SALTS = range(4)  # the sparse families per seed; the full-pool M_S takes salt 100
 CAMPAIGN_SEED = 3
 # a decimal fraction or exponent form, not part of a word
 _FRACTION = re.compile(r"(?<![\w.])-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)(?![\w.])")
@@ -95,6 +102,36 @@ def corpus() -> dict:
         out[f"bilinear/seed{seed}/S"] = lpsq.square_function(kb, pair, cone).values
         out[f"bilinear/seed{seed}/g_star"] = lpsq.g_star(kb, pair, LAM_PAIR, hs).values
     return {name: digests(v) for name, v in out.items()}
+
+
+def sparse_corpus() -> dict:
+    """Case name -> digests of a sparse family or of a full-pool M_S and
+    Gram table.  Per workload and seed one kernel object serves the salts
+    in order, as a perfbench pass does, so the evaluator and its Gram
+    table carry over from one construction to the next."""
+    out = {}
+    for name in ("sparse-1d", "sparse-2d"):
+        wl = WORKLOADS[name]
+        n = wl.n
+        for seed in SEEDS:
+            st = wl.build(lpsq, seed, {})
+            for salt in SALTS:
+                fam = lpsq.sparse_construct(st["k"], spikes(lpsq, seed, salt, n, wl.R, wl.h),
+                                            st["q0"], 1.0, st["cone"], "auto", method="auto")
+                text = json.dumps(fam.to_json(), sort_keys=True)
+                out[f"{name}/seed{seed}/salt{salt}/family"] = file_digests(text.encode())
+            R, h = wl.small
+            k = lpsq.parse_kernel(KERNEL, n)
+            f = spikes(lpsq, seed, 100, n, R, h)
+            cone = lpsq.build_cone(1.0, n, h, 2 * h, 2 * R, 4)
+            q0 = wl.root(lpsq, R)
+            ms = lpsq.lerner_maximal(k, f, cone, "M_S", lpsq.dyadic_cube_pool(q0, f),
+                                     domain=q0.box()).values
+            out[f"{name}/seed{seed}/full_pool_M_S"] = digests(ms)
+            table = lpsq.SquareEvaluator.of(k, f, cone)._gram
+            out[f"{name}/seed{seed}/gram_table"] = digests(
+                table[0] if table is not None else np.zeros(0))
+    return out
 
 
 def file_digests(data: bytes) -> dict:
@@ -163,7 +200,8 @@ def render(table: dict) -> str:
 
 
 def main(argv) -> int:
-    files = ((CORPUS, render(corpus())), (CAMPAIGN_CORPUS, render(campaign_corpus())))
+    files = ((CORPUS, render(corpus())), (SPARSE_CORPUS, render(sparse_corpus())),
+             (CAMPAIGN_CORPUS, render(campaign_corpus())))
     if "--check" in argv:
         differs = []
         for path, text in files:

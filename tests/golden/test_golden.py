@@ -1,6 +1,6 @@
-"""The committed output corpus: every digest in operators.json and
-campaigns.json equals the digest of the same output computed now, and the
-generator reproduces both files byte for byte."""
+"""The committed output corpus: every digest in operators.json,
+sparse.json and campaigns.json equals the digest of the same output
+computed now, and the generator reproduces each file byte for byte."""
 
 import json
 import os
@@ -15,6 +15,7 @@ import make_golden  # noqa: E402
 
 
 CORPORA = {"operators": (make_golden.CORPUS, make_golden.corpus),
+           "sparse": (make_golden.SPARSE_CORPUS, make_golden.sparse_corpus),
            "campaigns": (make_golden.CAMPAIGN_CORPUS, make_golden.campaign_corpus)}
 
 

@@ -404,6 +404,26 @@ class TestSubcommands:
                        "--modulus", "power:1", "--h", "0.125"])
         assert rc == 0
 
+    @pytest.mark.parametrize("grid, code", [([], 2), (["--R", "4", "--h", "0.25"], 0)],
+                             ids=["default-grid", "file-grid"])
+    def test_verify_marcinkiewicz_file_on_another_grid_exits_2(self, tmp_path, capsys,
+                                                                grid, code):
+        """The cubes are drawn over the config's R and F integrated on the
+        file's grid: a file on R = 4, h = 1/4 run at the default R = 8 is a
+        GridError (exit 2), and on its own grid it runs."""
+        from lpsq.grids import sample_function, save_csv
+
+        path, out = tmp_path / "f.csv", tmp_path / "o"
+        save_csv(sample_function(lambda x: 1 / (1 + x * x), 1, 4.0, 0.25), str(path))
+        rc = run_main(["--out-dir", str(out), "verify", "marcinkiewicz",
+                       "--function", f"csv:{path}", *grid])
+        assert rc == code
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] == (code == 0)
+        if code:
+            assert "not the config's" in summary["error"]
+            assert "not the config's" in capsys.readouterr().err
+
 
 class TestConfigAndErrors:
     def test_config_file_run(self, tmp_path):

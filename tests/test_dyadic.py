@@ -1195,8 +1195,8 @@ class TestSparsePlanReuse:
         init, gram = SquareEvaluator.__init__, SquareEvaluator.gram_table
         monkeypatch.setattr(SquareEvaluator, "__init__", lambda self, *a, **kw:
                             inits.append(1) or init(self, *a, **kw))
-        monkeypatch.setattr(SquareEvaluator, "gram_table", lambda self:
-                            grams.append(self._gram is None) or gram(self))
+        monkeypatch.setattr(SquareEvaluator, "gram_table", lambda self, side:
+                            grams.append(self.gram_side() < side) or gram(self, side))
         fs = [self._input(n, self.DEEP[n]), self._input(n, 4)]
         first = [sparse_construct(k, f, q0, 1.0, cone) for f in fs]
         assert len(inits) == 1 and profiles and grams.count(True) <= 1

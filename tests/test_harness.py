@@ -133,6 +133,30 @@ class TestApertureScaling:
 
 
 class TestWeightedNorm:
+    def test_one_evaluator_per_layout(self, monkeypatch, gauss_grid, cone_coarse):
+        """On the fast path the checks of one layout share the evaluator
+        that `SquareEvaluator.of` keeps on the kernel (one kernel sample),
+        and S is the bits of `square_function`; method "direct" builds
+        none."""
+        from lpsq.operators import SquareEvaluator
+
+        k = parse_kernel("ex1:kappa=3", 1)
+        w = sample_function(lambda x: np.abs(x) ** 0.5 + 1e-12, 1, gauss_grid.R,
+                            gauss_grid.h)
+        wv = WeightVector([w], [2.0])
+        inits, init = [], SquareEvaluator.__init__
+        monkeypatch.setattr(SquareEvaluator, "__init__", lambda self, *a, **kw:
+                            inits.append(1) or init(self, *a, **kw))
+        rng = np.random.default_rng(4)
+        gs = [gauss_grid.with_values(rng.standard_normal(gauss_grid.ncells)) for _ in range(3)]
+        reps = [weighted_norm_check(k, g, wv, cone_coarse) for g in gs]
+        assert len(inits) == 1
+        for g, rep in zip(gs, reps):
+            lhs = square_function(k, g, cone_coarse).norm_lp(2.0, weight=wv.nu().values)
+            assert rep.fitted["lhs"] == lhs
+        weighted_norm_check(k, gs[0], wv, cone_coarse, method="direct")
+        assert len(inits) == 1
+
     def test_zero_input(self, ex1, gauss_grid, cone_coarse):
         w = sample_function(lambda x: np.abs(x) ** 0.5 + 1e-12, 1, gauss_grid.R,
                             gauss_grid.h)

@@ -467,6 +467,18 @@ class TestBoxRange:
                 assert np.array_equal(box_mask(g, b, snap), want)
 
 
+def _force_path(monkeypatch, gram: bool):
+    """Force the path choice of `SquareEvaluator.lerner_values` through its
+    model: with ``gram`` every table costs nothing and the Gram form
+    nothing, so the table grows to the largest side that some group needs
+    (4 side <= N); without, the Gram form costs more than any saving, so
+    no table grows."""
+    from lpsq import operators as ops
+
+    monkeypatch.setattr(ops, "_gram_cost", lambda key, nb: 0.0 if gram else math.inf)
+    monkeypatch.setattr(SquareEvaluator, "_table_cost", lambda self, side: 0.0)
+
+
 def _pool_loop(cone):
     """A stand-in for `SquareEvaluator.lerner_values` that runs the per-cube
     oracle `_lerner_pool_loop` on the same cells."""
@@ -565,10 +577,12 @@ class TestLernerBatched:
                         for m in ("auto", "direct"))
         self._close(fast, direct)
 
-    def test_shared_evaluator(self):
-        """M_S through a kernel whose layout plan is warm (Gram table
-        and the block spectra of other shapes built by an earlier call) are
-        the bits of a freshly parsed kernel's."""
+    def test_shared_evaluator(self, monkeypatch):
+        """M_S through a kernel whose layout plan is warm (a Gram table
+        that an earlier call grew, and the block spectra of other shapes)
+        and through a freshly parsed kernel both match the pool loop to
+        1e-10; the table side that served a group may differ, so the bits
+        may.  Off the fast path the two are the same bits."""
         from lpsq.dyadic import Cube, dyadic_cube_pool
 
         for n, f in ((1, _spikes(np.random.default_rng(9), 1, 2.0, 1.0 / 16)),
@@ -582,10 +596,20 @@ class TestLernerBatched:
             for m in (None, "direct"):
                 lerner_maximal(k, f, cone, "M_S", dyadic_cube_pool(child, f),
                                method=m, domain=child.box())
+                if m is None:
+                    assert SquareEvaluator.of(k, f, cone).gram_side() > 0
                 warm, fresh = (lerner_maximal(kk, masked, cone, "M_S", pool,
                                               method=m, domain=root.box()).values
                                for kk in (k, parse_kernel("ex1:kappa=3", n)))
-                assert np.array_equal(warm, fresh)
+                if m == "direct":
+                    assert np.array_equal(warm, fresh)
+                    continue
+                with monkeypatch.context() as mp:
+                    mp.setattr(SquareEvaluator, "lerner_values", _pool_loop(cone))
+                    slow = lerner_maximal(k, masked, cone, "M_S", pool,
+                                          domain=root.box()).values
+                self._close(warm, slow)
+                self._close(fresh, slow)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_sparse_construct_takes_batched_path(self, monkeypatch, n):
@@ -606,7 +630,8 @@ class TestLernerBatched:
 
 class TestLernerPlan:
     """The transforms and profile samples of one batched Lerner call, with
-    every group on the FFT path (s_max forced to 0) and a small chunk."""
+    every group on the FFT path (forced through the path choice,
+    `_force_path`) and a small chunk."""
 
     @pytest.mark.parametrize("variant", ["M_S"])
     @pytest.mark.parametrize("n, N", [(1, 128), (2, 16)])
@@ -624,7 +649,7 @@ class TestLernerPlan:
         root = Cube(n, 1, (0,) * n, "standard", 2 * f.R)
         pool = dyadic_cube_pool(root, f)
         ev = SquareEvaluator.of(k, f, cone)
-        monkeypatch.setattr(ev, "s_max", 0)
+        _force_path(monkeypatch, gram=False)
         # per shape key: one window rfftn per (FFT length, chunk of cubes),
         # one block rfftn per level; level_values: one per distinct length
         windows = 0
@@ -757,7 +782,8 @@ class TestLernerBatched2D:
 
 class TestLernerGram:
     """The level-summed Gram form of the batched M_S against the per-cube
-    pool loop, each branch forced through the evaluator's s_max."""
+    pool loop, each branch forced through the path choice (`_force_path`),
+    and the choice itself."""
 
     @staticmethod
     def _setup(n, N, seed, R=4.0):
@@ -767,20 +793,20 @@ class TestLernerGram:
         return k, f, build_cone(1.0, n, h, 2 * h, 2 * R, 4)
 
     @staticmethod
-    def _forced(monkeypatch, k, f, cone, pool, s_max, domain=None):
-        """M_S with the evaluator's s_max forced, the shape keys that took
-        the Gram form, and the pool-loop oracle."""
+    def _forced(monkeypatch, k, f, cone, pool, gram, domain=None):
+        """M_S with the Gram form forced on or off (`_force_path`), the
+        shape keys that took the Gram form, and the pool-loop oracle."""
         from dataclasses import replace
 
         from lpsq import operators as ops
 
         k = replace(k)  # a kernel object of its own, so the plan is cold
-        ev = SquareEvaluator.of(k, f, cone)
-        monkeypatch.setattr(ev, "s_max", s_max)
         keys = []
-        gram = ops._gram_form
+        gram_form = ops._gram_form
         with monkeypatch.context() as m:
-            m.setattr(ops, "_gram_form", lambda ev, key, *a: keys.append(key) or gram(ev, key, *a))
+            _force_path(m, gram)
+            m.setattr(ops, "_gram_form",
+                      lambda ev, key, *a: keys.append(key) or gram_form(ev, key, *a))
             fast = lerner_maximal(k, f, cone, "M_S", pool, domain=domain).values
         with monkeypatch.context() as m:
             m.setattr(SquareEvaluator, "lerner_values", _pool_loop(cone))
@@ -803,15 +829,17 @@ class TestLernerGram:
                                                 2 * g.R), g)]
         for f, cone, pool, domain in ((f, cone, dyadic_cube_pool(root, f), root.box()),
                                       (g, g_cone, whole, None)):
-            for s_max in (0, large):
-                fast, keys, slow = self._forced(monkeypatch, k, f, cone, pool, s_max, domain)
+            for gram in (False, True):
+                fast, keys, slow = self._forced(monkeypatch, k, f, cone, pool, gram, domain)
                 TestLernerBatched._close(fast, slow)
                 sides = {s for key in keys for _, s, _ in key}
-                assert {1, 2, 3} <= sides <= set(range(1, large + 1)) if s_max else not keys
+                top = large * f.ncells // N  # the largest side, N / 4
+                assert {1, 2} <= sides <= set(range(1, top + 1)) if gram else not keys
+                assert not gram or top < 3 or 3 in sides
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_off_lattice_and_out_of_table_shapes(self, monkeypatch, n):
-        from lpsq.operators import _gram_takes, _lerner_groups, _pool_cells
+        from lpsq.operators import _gram_side, _lerner_groups, _pool_cells
 
         k, f, cone = self._setup(n, 32 if n == 1 else 16, 3)
         rng = np.random.default_rng(3)
@@ -821,15 +849,61 @@ class TestLernerGram:
         # Q clipped at the grid edge: 3Q reaches past the table's offsets
         edge = [box((-4.5,) * n, (-3.5,) * n), box((3.25,) * n, (4.25,) * n)]
         pool = [grid_box(f)] + odd + edge
-        fast, keys, slow = self._forced(monkeypatch, k, f, cone, pool, 2)
+        fast, keys, slow = self._forced(monkeypatch, k, f, cone, pool, True)
         TestLernerBatched._close(fast, slow)
-        assert keys
-        ev = SquareEvaluator(k, f, cone)
-        monkeypatch.setattr(ev, "s_max", 2)
         groups = _lerner_groups(f.values, _pool_cells(f, pool),
                                 np.full(f.values.shape, -np.inf))
-        small = [key for key in groups if max(s for _, s, _ in key) <= 2]
-        assert any(not _gram_takes(ev, key) for key in small)
+        # off-lattice and clipped shapes need a table wider than their Q
+        wide = [key for key in keys if _gram_side(key) > max(s for _, s, _ in key)]
+        assert wide
+        assert {key for key in groups if 4 * _gram_side(key) <= f.ncells} == set(keys)
+
+    def test_covered_call_grows_nothing(self, monkeypatch):
+        """After a full-pool call has grown the table, a call whose groups
+        it covers builds no table and samples no profile, and matches the
+        pool loop."""
+        from dataclasses import replace
+
+        from lpsq.dyadic import Cube, dyadic_cube_pool
+
+        k0, f, cone = self._setup(1, 128, 11)
+        profiles = []
+        k = replace(k0, profile=lambda *a: profiles.append(1) or k0.profile(*a))
+        root = Cube(1, 1, (0,), "standard", 2 * f.R)
+        pool = dyadic_cube_pool(root, f)
+        lerner_maximal(k, f, cone, "M_S", pool, domain=root.box())
+        ev = SquareEvaluator.of(k, f, cone)
+        side, table = ev.gram_side(), ev._gram
+        assert side > 0
+        # the dyadic cubes of at most `side` cells, whose keys need that side
+        small = [b for b in pool if (b[1][0] - b[0][0]) / f.h <= side]
+        g = f.with_values(np.random.default_rng(12).standard_normal(f.values.shape))
+        profiles.clear()
+        fast = lerner_maximal(k, g, cone, "M_S", small, domain=root.box()).values
+        assert profiles == [] and ev._gram is table
+        with monkeypatch.context() as m:
+            m.setattr(SquareEvaluator, "lerner_values", _pool_loop(cone))
+            slow = lerner_maximal(k0, g, cone, "M_S", small, domain=root.box()).values
+        TestLernerBatched._close(fast, slow)
+
+    def test_full_pool_grows_where_sparse_does_not(self):
+        """On one layout the full dyadic pool holds many cubes per shape and
+        grows the table further than the pruned pools of `sparse_construct`,
+        which keep a few."""
+        from lpsq.dyadic import Cube, dyadic_cube_pool, sparse_construct
+
+        f = _spikes(np.random.default_rng(0), 1, 8.0, 1.0 / 8)  # N = 128
+        cone = build_cone(1.0, 1, f.h, 2 * f.h, 2 * f.R, 4)
+        root = Cube(1, 1, (0,), "standard", 2 * f.R)
+        sides = []
+        for run in ("sparse", "full"):
+            k = parse_kernel("ex1:kappa=3", 1)
+            if run == "sparse":
+                sparse_construct(k, f, root, 1.0, cone)
+            else:
+                lerner_maximal(k, f, cone, "M_S", dyadic_cube_pool(root, f), domain=root.box())
+            sides.append(SquareEvaluator.of(k, f, cone).gram_side())
+        assert 0 < sides[0] < sides[1] <= f.ncells // 4
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_exact_zero(self, monkeypatch, n):
@@ -840,24 +914,34 @@ class TestLernerGram:
         q = box((-0.5,) * n, (0.5,) * n)  # 3Q = [-1.5, 1.5)^n holds supp g
         z = f.with_values(np.zeros_like(f.values))
         for h, pool in ((g, [q]), (z, [grid_box(f), q])):
-            fast, _, _ = self._forced(monkeypatch, k, h, cone, pool, 4, domain=q)
+            fast, _, _ = self._forced(monkeypatch, k, h, cone, pool, True, domain=q)
             assert np.all(fast == 0.0)
 
-    @pytest.mark.parametrize("rows", [None, 7])
-    @pytest.mark.parametrize("s_max", [1, 2])
+    @pytest.mark.parametrize("rows", [256, 7])
+    @pytest.mark.parametrize("sides", [(1,), (2,), (1, 2)])
     @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
-    def test_gram_table_matches_explicit_sums(self, monkeypatch, n, N, s_max, rows):
+    def test_gram_table_matches_explicit_sums(self, monkeypatch, n, N, sides, rows):
         """A[p, q] = sum_j meas_j sum_{m in D_j} k_j(m + p) k_j(m + q), with
-        D_j the level's `ConeGrid.stencil`, summed offset by offset."""
+        D_j the level's `ConeGrid.stencil`, summed offset by offset: built
+        at one side, or grown from a smaller one, in panels of 256 rows
+        (the least that `_GRAM_PANEL` allows) or of 7 rows; both straddle
+        stencil rows."""
         from lpsq import operators as ops
 
         k, f, cone = self._setup(n, N, 0)
-        if rows is not None:  # a 7-row buffer: stencil rows straddle its flushes
-            monkeypatch.setattr(ops, "_LERNER_CHUNK", rows * (4 * s_max) ** n)
+        monkeypatch.setattr(ops, "_GRAM_PANEL", rows)
+        monkeypatch.setattr(ops, "_LERNER_CHUNK", rows)
         ev = SquareEvaluator(k, f, cone)
-        monkeypatch.setattr(ev, "s_max", s_max)
-        A, lo, P = ev.gram_table()
-        assert (lo, P) == (1 - 2 * s_max, 4 * s_max)
+        total = sum(lv.size for lv in ev.levels)
+        # several panels, the last one part full, and a panel edge inside
+        # a stencil row
+        ends = set(np.cumsum([2 * rx + 1 for lv in ev.levels for _, rx in lv.disc]).tolist())
+        assert total > rows and total % rows
+        assert any(e not in ends for e in range(rows, total, rows))
+        for side in sides:
+            A, lo, P = ev.gram_table(side)
+        assert ev.gram_side() == sides[-1] and ev.gram_table(1)[0] is A
+        assert (lo, P) == (1 - 2 * sides[-1], 4 * sides[-1])
         p = np.stack(np.meshgrid(*(np.arange(lo, lo + P),) * n, indexing="ij"),
                      axis=-1).reshape(-1, n)
         want = np.zeros((P**n, P**n))
@@ -879,14 +963,14 @@ class TestLernerGram:
         seen = []
         gram = ops._gram_form
         monkeypatch.setattr(ops, "_gram_form", lambda ev, key, *a: seen.append(
-            (ev.s_max, key)) or gram(ev, key, *a))
+            (ev.gram_side(), key)) or gram(ev, key, *a))
         monkeypatch.setattr(dyadic, "_lerner_keep", lambda floc, cells, gain, thr0:
                             np.ones(len(cells[0]), dtype=bool))
         k = parse_kernel("ex1:kappa=3", 2)
         f = _spikes(np.random.default_rng(1), 2, 4.0, 0.5)  # 16 x 16
         cone = build_cone(1.0, 2, f.h, 2 * f.h, 2 * f.R, 4)
         sparse_construct(k, f, Cube(2, 1, (0, 0), "standard", 2 * f.R), 1.0, cone)
-        assert {s_max for s_max, _ in seen} == {3}
+        assert {side for side, _ in seen} == {3}
         assert {s for _, key in seen for _, s, _ in key} == {1, 2, 3}
 
 
