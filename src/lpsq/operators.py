@@ -1074,8 +1074,7 @@ class SquareEvaluator:
             pf = max(pf, -I.min(), (I + a).max() - N)
         fp = np.pad(values, pf)
         side = self._gram_choice(groups)
-        if side:
-            self.gram_table(side)
+        self.gram_table(side)  # builds only when the choice grew the side
         levelled = {key: I for key, (I, _) in groups.items() if _gram_side(key) > side}
         accs = {key: np.zeros((len(I),) + tuple(s for _, s, _ in key)) if key in levelled
                 else _gram_form(self, key, fp, I + pf) for key, (I, _) in groups.items()}
