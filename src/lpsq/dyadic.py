@@ -453,9 +453,10 @@ def sparse_construct(
     continues on their (deduplicated, maximal) parents.  In auto
     mode gamma doubles per node until |E| <= 2^{-2n-2}|P| cells, which
     forces 1/2-sparseness of the output combinatorially.  gamma is "auto"
-    or a finite positive number (the starting value), anything else a
-    `ParameterError`.  A node that needs more than `_GAMMA_BUDGET`
-    doublings is a `ConstructionError` carrying the residual |E|.
+    or a finite positive number (the starting value), anything else, a
+    bool included, a `ParameterError`.  A node that needs more than
+    `_GAMMA_BUDGET` doublings is a `ConstructionError` carrying the
+    residual |E|.
 
     M_S runs over the node's `dyadic_cube_pool` less the boxes whose term
     cannot change E for any thr >= thr0, the first thr of the node (the
@@ -493,13 +494,21 @@ def sparse_construct(
     by constructions on one kernel object and layout; off its fast path
     (general linear kernels, ``method="direct"``) there is none: S is a
     `square_function` call and M_S a `lerner_maximal` call over the full
-    pool.  Where 3P covers the grid, f' is f and S f' is the S f taken for
-    s2; M_S takes S f'^2 back from the evaluator
-    (`SquareEvaluator.square_sum`), so each node computes S f' once.  A
+    pool.  S f' is read on P's cells alone, the only cells E reads.  Where
+    3P covers the grid, f' is f and S f' is the S f taken for s2.  Any
+    other node reads it after its M_S call, through
+    `SquareEvaluator.box_square_sum`: the S f'^2 that M_S has just taken,
+    else, f' vanishing off 3P, the Gram form of P's shape where the held
+    table covers it, else one `square_sum`.  So each node computes S f' at
+    most once, and a child whose kept pool leaves M_S nothing to take on
+    the grid and whose shape the table covers takes no full-grid S.  A
     root that holds no cell of the grid is a `GridError`, before any work.
     """
     if isinstance(f, (tuple, list)) or k.kind == "bilinear":
         raise ParameterError("bilinear sparse families are not implemented")
+    if isinstance(gamma, (bool, np.bool_)):
+        # float(True) is 1.0, which would start the doubling from a flag
+        raise ParameterError(f"gamma must be 'auto' or a number, got {gamma!r}")
     if gamma != "auto":
         try:
             gamma = float(gamma)
@@ -549,8 +558,6 @@ def sparse_construct(
         if not np.any(floc):
             return
         avg3 = float(np.sum(np.abs(floc))) * hn / (3.0 * node.side) ** f.n
-        # where 3P covers the grid, f' is f
-        s_vals = s_all if mask3.all() else s_of(floc)
         if evaluator is not None:
             kept = _lerner_keep(floc, cells, evaluator, math.sqrt(g_val) * bracket * avg3)
             kept[0] = True  # the node's own box, the cover
@@ -558,13 +565,20 @@ def sparse_construct(
         else:
             ms = ops.lerner_maximal(k, f.with_values(floc), cone, "M_S", pool,
                                     method=method, domain=node.box()).values
-        mtilde = np.maximum(s_vals, ms)
+        # where 3P covers the grid, f' is f
+        if mask3.all():
+            s_node = s_all[nsl]
+        elif evaluator is not None:
+            s_node = np.sqrt(evaluator.box_square_sum(floc, tuple(c[0] for c in cells)))
+        else:
+            s_node = s_of(floc)[nsl]
+        mtilde = np.maximum(s_node, ms[nsl])
         target = math.prod(sl.stop - sl.start for sl in nsl) // 2 ** (2 * f.n + 2)
         cur = g_val
         for _ in range(_GAMMA_BUDGET):
             thr = math.sqrt(cur) * bracket * avg3
             e_mask = np.zeros_like(f.values, dtype=bool)
-            e_mask[nsl] = mtilde[nsl] > thr
+            e_mask[nsl] = mtilde > thr
             ne = int(e_mask.sum())
             if ne <= target:
                 break

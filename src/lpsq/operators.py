@@ -29,16 +29,19 @@ box, while psi_t values are computed honestly wherever the output needs them.
 Kernels with a profile have an FFT fast path, which the per-call ``method``
 "auto" takes; "direct" forces the direct-summation path (the oracle gate
 compares the two), and any other method is a `ParameterError`.  The linear
-FFT paths sample the profile through one lattice sampler, `_profile_block`,
-at the offsets j h / t, j = -c .. c per axis, times a scale: a kernel that
-declares its parity (`KernelSpec.parity`) is evaluated on the quadrant
-j >= 0 once, scaled into the output array and mirrored there with its
-signs (`_mirror`, in place), so an ``ex`` kernel costs half the profile
-points in 1-D and a quarter in 2-D.  `_conv_kernel` (psi_t, S, g* and the
-evaluator's levels) takes the block in the leading corner of its level's
+FFT paths sample the profile through one lattice sampler,
+`_profile_sample`, at the offsets j h / t, j = -c .. c per axis, and
+`_place` scales that sample into a block: a kernel that declares its
+parity (`KernelSpec.parity`) is evaluated on the quadrant j >= 0 once,
+scaled into the output array and mirrored there with its signs
+(`_mirror`, in place), so an ``ex`` kernel costs half the profile points
+in 1-D and a quarter in 2-D.  `_conv_kernel` (psi_t, S, g*) takes the
+block, by `_profile_block`, in the leading corner of its level's
 zero-padded (nfft,)^n FFT buffer, which rfftn transforms as it is: per
-level one sample, and no mirrored, scaled or padded copy.  The Gram table
-and the Lerner block spectra cut their offsets from a block of their own.
+level one sample, and no mirrored, scaled or padded copy.  The
+`SquareEvaluator` keeps each level's sample, so its FFT buffers, the Gram
+table and the Lerner block spectra are all placed from one sample per
+level.
 The oracles (method "direct", `square_function_at`) sample the profile
 pointwise and never mirror.  Every
 full-grid linear convolution (psi_t, the cone levels, g*'s weight sum) is
@@ -61,12 +64,13 @@ through `importlib.util.LazyLoader`: finding its spec imports only the
 top-level `scipy` package, and the module's own code runs when one of its
 attributes is first read, which no lpsq code does.
 `SquareEvaluator` is the FFT fast path of S on one layout (a convolution
-kernel, method "auto"): its per-level kernel spectra in n = 1 and n = 2 and,
-once used, its Gram table and the Lerner block spectra of every cube shape
-it has seen.  `SquareEvaluator.of` keeps the evaluator of the last layout
-on the kernel object (no state is process-global), or returns None off the
-fast path; `lerner_maximal` and `sparse_construct` take theirs from it, so
-a layout's kernels are sampled and transformed once per kernel object.
+kernel, method "auto"): its per-level profile samples and kernel spectra in
+n = 1 and n = 2 and, once used, its Gram table and the Lerner block spectra
+of every cube shape it has seen.  `SquareEvaluator.of` keeps the evaluator
+of the last layout on the kernel object (no state is process-global), or
+returns None off the fast path; `lerner_maximal` and `sparse_construct`
+take theirs from it, so a layout's kernels are sampled and transformed once
+per kernel object.
 
 g* sums, per level, the weight times |psi_t f|^2 over the offsets as a
 product of spectra, its offset geometry taken once per (K, radius) and its
@@ -291,22 +295,42 @@ def _mirror(out: np.ndarray, c: int, signs) -> np.ndarray:
     return out
 
 
+def _profile_sample(k, c: int, h: float, t: float) -> np.ndarray:
+    """k.profile, unscaled, at the offsets j h / t per axis: the one lattice
+    sampler of the linear FFT paths.  j runs over the quadrant 0 .. c for a
+    kernel with a declared parity, which `_place` mirrors, and over the
+    whole block -c .. c for any other."""
+    e = np.arange(-c if k.parity is None else 0, c + 1) * h / t
+    return k.profile(*np.ix_(*(e,) * k.n))
+
+
+def _place(sample: np.ndarray, parity, c: int, scale: float = 1.0,
+           size: int | None = None) -> np.ndarray:
+    """scale times the block of offsets -c .. c per axis of a
+    `_profile_sample` of half-width at least c, in the leading (2c+1)^n
+    corner of a (size,)^n array, zero elsewhere (size 2c + 1 by default),
+    so an FFT buffer is filled in place.  A quadrant sample is cut to
+    0 .. c, scaled into the buffer and mirrored there (`_mirror`); a whole
+    one is cut to its middle -c .. c.  Cutting a wider sample of the same
+    offsets gives the same bits."""
+    n, w = sample.ndim, 2 * c + 1
+    size = w if size is None else size
+    out = (np.empty if size == w else np.zeros)((size,) * n)
+    if parity is None:
+        mid = sample.shape[0] // 2
+        np.multiply(sample[(slice(mid - c, mid + c + 1),) * n], scale,
+                    out=out[(slice(w),) * n])
+        return out
+    np.multiply(sample[(slice(c + 1),) * n], scale, out=out[(slice(c, w),) * n])
+    return _mirror(out, c, parity)
+
+
 def _profile_block(k, c: int, h: float, t: float, scale: float = 1.0,
                    size: int | None = None) -> np.ndarray:
-    """scale times k.profile at the offsets j h / t, j = -c .. c per axis:
-    the one lattice sampler of the linear FFT paths.  The block fills the
-    leading (2c+1)^n corner of a (size,)^n array, zero elsewhere (size
-    2c + 1 by default), so an FFT buffer is filled in place.  A kernel with
-    a declared parity is evaluated on the quadrant j >= 0 once, scaled into
-    the buffer and mirrored there (`_mirror`); any other on the whole
-    block."""
-    w = 2 * c + 1
-    size = w if size is None else size
-    out = (np.empty if size == w else np.zeros)((size,) * k.n)
-    lo = 0 if k.parity is None else c
-    e = np.arange(lo - c, c + 1) * h / t
-    np.multiply(k.profile(*np.ix_(*(e,) * k.n)), scale, out=out[(slice(lo, w),) * k.n])
-    return out if k.parity is None else _mirror(out, c, k.parity)
+    """scale times k.profile at the offsets j h / t, j = -c .. c per axis,
+    in the leading corner of a (size,)^n buffer: `_place` of a fresh
+    `_profile_sample`, the one-shot paths' block."""
+    return _place(_profile_sample(k, c, h, t), k.parity, c, scale, size)
 
 
 def _conv_kernel(k, f: GridFunction, t: float, M: int, size: int | None = None) -> np.ndarray:
@@ -733,14 +757,22 @@ class SquareEvaluator:
     on its own lattice: the FFT fast path of a convolution kernel, only.
 
     Samples the per-level convolution kernels once (the expensive
-    transcendental sampling, one quadrant per level for a kernel that
-    declares its parity, mirrored in the level's zero-padded FFT buffer:
-    `_conv_kernel`) and keeps their spectra, in n = 1 and n = 2;
-    each eval costs one forward FFT per distinct FFT size (`_fft_len` of
-    the linear convolution) and one inverse FFT per level.  The constructor
-    refuses any other kind of kernel (`ParameterError`), then reads the
-    template through `_operands`, as square_function does: a cone or kernel
-    of another spacing or dimension is a `GridError`.  `of` returns None
+    transcendental sampling, `_profile_sample` at the offsets of
+    `_conv_kernel`: one quadrant per level for a kernel that declares its
+    parity, the whole block otherwise) and keeps, in n = 1 and n = 2, each
+    level's unscaled sample and the spectrum of its zero-padded FFT
+    buffer, placed and mirrored from that sample (`_place`); each eval
+    costs one forward FFT per distinct FFT size (`_fft_len` of the linear
+    convolution) and one inverse FFT per level.  Every other block the
+    evaluator uses, its Gram table rows and its Lerner block spectra, is
+    placed from a slice of the same samples (`_block`), so after the
+    constructor no call on the layout samples the profile again; a level's
+    sample is taken anew, wider, only for offsets past it, which a user
+    pool of `lerner_maximal` with cubes above half the grid's side can ask
+    for.  Slices of one sample are the bits of a sample of their own.  The
+    constructor refuses any other kind of kernel (`ParameterError`), then
+    reads the template through `_operands`, as square_function does: a cone
+    or kernel of another spacing or dimension is a `GridError`.  `of` returns None
     for the other kernel kinds and for method "direct".
 
     The batched M_S pass (`lerner_values`, over the pool cubes' cells)
@@ -759,7 +791,10 @@ class SquareEvaluator:
     object, so the table side that serves a group, and with it the last
     bits of M_S, depends on the calls made before on that kernel.  The
     last S f^2 is held with a copy of its f, so M_S of the f whose S the
-    caller has just taken reuses it.
+    caller has just taken reuses it.  `box_square_sum` reads S f^2 on one
+    box from that held S f^2, or from the Gram form where the held table
+    covers the box and f vanishes off 3B, before it takes a full-grid
+    `square_sum`.
 
     ``far_gain`` bounds S through the point-mass profile Gamma of S:
     Gamma(v)^2 = sum_j meas_j sum_{m in D_j} k_j(v + m)^2 is
@@ -784,10 +819,12 @@ class SquareEvaluator:
         self.template = template
         n = template.n
         self.levels = _cone_levels(template, cone, cone.alpha)
-        self._spectra = []
+        # per level the unscaled `_profile_sample` that every block is cut from
+        self._samples, self._spectra = [None] * len(self.levels), []
         gamma2 = 0.0
-        for lv in self.levels:
-            buf = _conv_kernel(k, template, lv.t, lv.Mx, lv.nfft)
+        for j, lv in enumerate(self.levels):
+            # the block of `_conv_kernel`, in its zero-padded FFT buffer
+            buf = self._block(j, template.ncells - 1 + lv.K, (template.h / lv.t) ** n, lv.nfft)
             self._spectra.append(np.fft.rfftn(buf, (lv.nfft,) * n, axes=range(n)))
             # the block is the buffer's leading (Mx + N - 1)^n corner
             kern = buf[(slice(lv.Mx + template.ncells - 1),) * n]
@@ -818,6 +855,19 @@ class SquareEvaluator:
             k._evaluator[key] = ev
         return ev
 
+    def _block(self, j: int, c: int, scale: float, size: int | None = None) -> np.ndarray:
+        """Level j's profile block of offsets -c .. c per axis, times scale,
+        in the leading corner of a (size,)^n buffer: `_place` of the level's
+        kept `_profile_sample`.  The sample is taken anew, wider, only when
+        it holds less than c, which no block of the evaluator's own layout
+        asks for."""
+        held = self._samples[j]
+        if held is None or (held.shape[0] // 2 if self.k.parity is None
+                            else held.shape[0] - 1) < c:
+            held = self._samples[j] = _profile_sample(self.k, c, self.template.h,
+                                                      self.levels[j].t)
+        return _place(held, self.k.parity, c, scale, size)
+
     def gram_side(self) -> int:
         """The side of the Gram table held, 0 before the first is built."""
         return 0 if self._gram is None else self._gram[2] // 4
@@ -832,8 +882,11 @@ class SquareEvaluator:
         at this side; a larger one is returned as it is.
 
         The rows k_j(m + .) sqrt(meas_j), of every level j and offset m in
-        D_j, fill one panel of at least `_GRAM_PANEL` rows; each full
-        panel adds panel^T panel to A."""
+        D_j, are windows of level j's block of offsets 1 - 2 m - K_j ..
+        2 m + K_j (`_block`, placed from the constructor's sample, which
+        holds them for every side m < N / 2); they fill one panel of at
+        least `_GRAM_PANEL` rows, and each full panel adds panel^T panel to
+        A."""
         if self.gram_side() < side:
             self._gram = None  # the old table goes before the new one is made
             n, h = self.template.n, self.template.h
@@ -841,13 +894,13 @@ class SquareEvaluator:
             A = np.zeros((P**n, P**n))
             buf = np.empty((max(_GRAM_PANEL, _LERNER_CHUNK // P**n), P**n))
             used = 0
-            for lv in self.levels:
+            for j, lv in enumerate(self.levels):
                 K = lv.K
                 # B[i] = k_j(i - K + lo) sqrt(meas_j) per axis, so that the
                 # window of W at m + K holds the row of offset m; the
                 # offsets lo - K .. lo + P + K - 1 are 1 - c .. c
                 c = 2 * side + K
-                B = _profile_block(self.k, c, h, lv.t, (h / lv.t) ** n * math.sqrt(lv.meas))[
+                B = self._block(j, c, (h / lv.t) ** n * math.sqrt(lv.meas))[
                     (slice(1, None),) * n]
                 W = np.lib.stride_tricks.sliding_window_view(B, (P,) * n)
                 for rest, rx in lv.disc:
@@ -868,8 +921,7 @@ class SquareEvaluator:
         """Modelled cost of `gram_table` at this side: every row of every
         level's window copied into a panel (a pass over its P^n entries)
         and multiplied into panel^T panel (P^n (P^n + 1) multiply-adds),
-        and a call per panel, per window row and per level's profile
-        sample."""
+        and a call per panel, per window row and per level's block."""
         P = (4 * side) ** self.template.n
         rows = sum(lv.size for lv in self.levels)
         calls = (2 * -(-rows // max(_GRAM_PANEL, _LERNER_CHUNK // P))
@@ -882,9 +934,12 @@ class SquareEvaluator:
         of cubes one batched window rfft, per level and chunk one batched
         irfft, the spectrum product, the squares and one `cone_sum` (a call
         per stencil row), and, for a key that `lerner_plans` has not seen,
-        one block rfft per level and a share of its profile sample.  A
-        transform of P points costs 2.5 P log2 P FFT flops, and an
-        elementwise pass one FFT flop per entry."""
+        one block rfft per level.  A transform of P points costs
+        2.5 P log2 P FFT flops, and an elementwise pass one FFT flop per
+        entry.  The cold-plan charge, four calls and one block transform
+        per level, covers the block transforms alone: the blocks are
+        placed from the samples the constructor kept, so a new key samples
+        no profile."""
         model = self._fft_model.get(key)
         if model is None:
             runs, plan = {}, 0.0
@@ -935,14 +990,16 @@ class SquareEvaluator:
         level plan: the runs (P, [(j, spectrum, crop)]) of consecutive
         levels j of one FFT length P, per axis the power of two of
         a + s + 2 K_j - 1.  The spectrum is the n-D rfft at P of level j's
-        profile block, sampled at the cell offsets d - a + 1 - K_j ..
-        d + s - 1 + K_j from 3Q to Q +- K_j, and crop the slice of a
-        batched irfft that holds Q +- K_j.
+        profile block at the cell offsets d - a + 1 - K_j .. d + s - 1 + K_j
+        from 3Q to Q +- K_j, and crop the slice of a batched irfft that
+        holds Q +- K_j.
 
         Plans are built on first sight of a key and kept: the keys not seen
-        before share one profile sample per level, the `_profile_block`
-        that holds the union of their offset ranges, and each block is a
-        slice of it."""
+        before share one block per level, placed from the level's kept
+        sample (`_block`) over the union of their offset ranges, and each
+        key's block is a slice of it.  The sample holds every offset of a
+        cube of at most half the grid's side; a wider cube's offsets grow
+        it once."""
         new = [key for key in keys if key not in self._plans]
         if new:
             n, h = self.template.n, self.template.h
@@ -955,7 +1012,7 @@ class SquareEvaluator:
                 # the offsets [lo - K, hi + K) per axis, cut from the block
                 # of the largest |offset| c
                 c = int(max(np.abs(lo - K).max(), np.abs(hi + K - 1).max()))
-                prof = _profile_block(self.k, c, h, lv.t, (h / lv.t) ** n)[
+                prof = self._block(j, c, (h / lv.t) ** n)[
                     tuple(slice(l - K + c, u + K + c) for l, u in zip(lo, hi))]
                 for key, plan in runs.items():
                     P = tuple(1 << (a + s + 2 * K - 2).bit_length() for a, s, _ in key)
@@ -998,6 +1055,38 @@ class SquareEvaluator:
         acc.setflags(write=False)
         self._held = (np.array(values, dtype=float), acc)
         return acc
+
+    def box_square_sum(self, values: np.ndarray, box) -> np.ndarray:
+        """S_alpha^2 of the grid function with these values on one box B's
+        cells within the grid.  box is (i0, i1, j0, j1), one row of
+        `_pool_cells`: the cells of 3B, snapped outward, and of B per axis,
+        unclipped.  By the first route that applies:
+          - the S f^2 that `square_sum` holds for these values, such as the
+            one a `lerner_values` call has just taken;
+          - the Gram form of B's shape key (`_gram_form`), when the values
+            vanish off 3B and the held table covers the key, so that S f^2
+            is S(f 1_{3B})^2 on B; tiny negative values of the form, which
+            roundoff leaves, read 0;
+          - `square_sum`.
+        No route grows the Gram table."""
+        N = self.template.ncells
+        i0, i1, j0, j1 = (np.asarray(c) for c in box)
+        lo, hi = np.maximum(j0, 0), np.minimum(j1, N)
+        inner = tuple(map(slice, lo.tolist(), hi.tolist()))
+        held = self._held
+        if held is not None and np.array_equal(held[0], values):
+            return held[1][inner]
+        key = tuple(zip(*(x.tolist() for x in (i1 - i0, j1 - j0, j0 - i0))))
+        if _gram_side(key) <= self.gram_side():
+            # a zero pad that holds 3B, as in `lerner_values`
+            pad = max(0, -int(i0.min()), int((i1 - N).max()))
+            fp = np.pad(values, pad)
+            w3 = tuple(map(slice, (i0 + pad).tolist(), (i1 + pad).tolist()))
+            if np.count_nonzero(fp[w3]) == np.count_nonzero(values):
+                form = _gram_form(self, key, fp, (i0 + pad)[None])[0]
+                return np.maximum(form[tuple(map(slice, (lo - j0).tolist(),
+                                                 (hi - j0).tolist()))], 0.0)
+        return self.square_sum(values)[inner]
 
     def eval_values(self, values: np.ndarray) -> np.ndarray:
         """S_alpha of the grid function with these values; returns values."""
@@ -1051,17 +1140,18 @@ class SquareEvaluator:
         Cubes are grouped by their unclipped shape (`_lerner_groups`); f
         1_{3Q} is read from a zero-padded f.  `_gram_choice` sets the table
         side of the call, growing the table if it pays, and the groups that
-        side covers go to `_gram_form`.  For every other group, psi_t(f 1_{3Q}) on Q +- K_j
-        is the linear convolution of the stacked 3Q windows with level j's
-        profile block, sampled at the cell offsets from 3Q to Q +- K_j;
-        `cone_sum` then takes the window sums on Q.  The block spectra come
-        from `lerner_plans`, kept per shape key, so a shape seen by an
-        earlier call on the layout costs no profile sample and no block
-        transform.  The loops run group -> FFT length P -> chunk of cubes
-        -> level: per run of consecutive levels of one P and chunk, one
-        batched n-D rfft of the windows and one irfft per level, and each
-        cube's terms are added in level order.  S f^2 comes from
-        `square_sum`; cells outside the grid are dropped."""
+        side covers go to `_gram_form`.  For every other group,
+        psi_t(f 1_{3Q}) on Q +- K_j is the linear convolution of the stacked
+        3Q windows with level j's profile block at the cell offsets from 3Q
+        to Q +- K_j; `cone_sum` then takes the window sums on Q.  The block
+        spectra come from `lerner_plans`, kept per shape key, so a shape
+        seen by an earlier call on the layout costs no block transform.
+        The loops run group -> FFT length P -> chunk of cubes -> level: per
+        run of consecutive levels of one P and chunk, one batched n-D rfft
+        of the windows and one irfft per level, and each cube's terms are
+        added in level order.  S f^2 comes from `square_sum`, which the
+        call takes only if some group is left; cells outside the grid are
+        dropped."""
         n, N = self.template.n, self.template.ncells
         out = np.full((N,) * n, -np.inf)
         groups = _lerner_groups(values, cells, out)

@@ -5,9 +5,10 @@
 g*, on perfbench's ``spikes`` inputs at two seeds.  ``sparse.json`` holds
 digests of the families (cubes, parent links and meta) that
 `sparse_construct` builds on the inputs of perfbench's ``sparse-1d`` and
-``sparse-2d`` workloads at two seeds and salts 0-3, and of the full-pool
-M_S and the Gram table it leaves on the evaluator, at the reduced sizes of
-those workloads' oracles.  ``campaigns.json`` holds
+``sparse-2d`` workloads at two seeds and salts 0-3, and on the larger 1-D
+N = 1024 and 2-D N = 32 layouts whose families hold child nodes, and of
+the full-pool M_S and the Gram table it leaves on the evaluator, at the
+reduced sizes of those workloads' oracles.  ``campaigns.json`` holds
 the exit status and the digests of summary.json and of every CSV that
 ``lpsq.cli.main`` writes, at seed 3, for each campaign of perfbench's
 ``cli`` workload, for ``lpsq sparse`` and for the ``csv:`` routes: a table
@@ -61,6 +62,9 @@ LAM_PAIR = 5.0
 # (R, h) per case: reduced sizes of perfbench's operators workload
 LINEAR = {1: (8.0, 1 / 16), 2: (4.0, 1 / 4)}
 BILINEAR = (8.0, 1 / 4)
+# (R, h) per n: sparse layouts larger than the workloads', 1-D N = 1024 and
+# 2-D N = 32, whose families hold child nodes of several sides
+LARGE_SPARSE = {1: (8.0, 1 / 64), 2: (4.0, 1 / 4)}
 
 
 def digests(values) -> dict:
@@ -131,6 +135,18 @@ def sparse_corpus() -> dict:
             table = lpsq.SquareEvaluator.of(k, f, cone)._gram
             out[f"{name}/seed{seed}/gram_table"] = digests(
                 table[0] if table is not None else np.zeros(0))
+    for n, (R, h) in LARGE_SPARSE.items():
+        N = round(2 * R / h)
+        cone = lpsq.build_cone(1.0, n, h, 2 * h, 2 * R, 4)
+        q0 = lpsq.Cube(n, 1, (0,) * n, "standard", 2 * R)
+        for seed in SEEDS:
+            k = lpsq.parse_kernel(KERNEL, n)
+            for salt in SALTS:
+                fam = lpsq.sparse_construct(k, spikes(lpsq, seed, salt, n, R, h), q0, 1.0,
+                                            cone, "auto", method="auto")
+                text = json.dumps(fam.to_json(), sort_keys=True)
+                out[f"sparse-{n}d-N{N}/seed{seed}/salt{salt}/family"] = file_digests(
+                    text.encode())
     return out
 
 

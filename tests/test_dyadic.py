@@ -481,7 +481,8 @@ class TestSparseConstruct:
             assert p in fam.cubes
             assert p.contains(c)
 
-    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf, "abc", None])
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf, "abc", None,
+                                       True, False])
     def test_bad_gamma_is_parameter_error(self, sparse_setup, gamma):
         k, f, cone, q0 = sparse_setup
         with pytest.raises(ParameterError, match="gamma"):
@@ -1266,6 +1267,82 @@ class TestSparsePlanReuse:
         fam = sparse_construct(parse_kernel("ex1:kappa=3", n), f, q0, 1.0, cone)
         assert len(fam.cubes) > 1 and len(calls) > 1
         assert levels and not any(levels)
+
+
+def _workload(name):
+    """The state perfbench's workload of this name builds at seed 0, and
+    its inputs of salts 0-3."""
+    import os
+    import sys
+
+    import lpsq
+
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from workloads import WORKLOADS, spikes
+
+    wl = WORKLOADS[name]
+    return wl.build(lpsq, 0, {}), [spikes(lpsq, 0, salt, wl.n, wl.R, wl.h) for salt in range(4)]
+
+
+class TestEvaluatorSamples:
+    """The evaluator samples each level once, in its constructor, and a
+    child node of `sparse_construct` reads S f' on its own box."""
+
+    @pytest.mark.parametrize("name", ["sparse-1d", "sparse-2d"])
+    def test_no_profile_call_after_the_constructor(self, name):
+        """Sparse constructions of perfbench's inputs, a full-pool M_S and a
+        Gram table grown past the held side cut every block from the
+        constructor's samples."""
+        from dataclasses import replace
+
+        from lpsq.operators import SquareEvaluator, lerner_maximal
+
+        st, fs = _workload(name)
+        k0, cone, q0 = st["k"], st["cone"], st["q0"]
+        profiles = []
+        k = replace(k0, profile=lambda *a: profiles.append(1) or k0.profile(*a))
+        ev = SquareEvaluator.of(k, fs[0], cone)
+        assert len(profiles) == len(ev.levels)
+        profiles.clear()
+        for f in fs:
+            sparse_construct(k, f, q0, 1.0, cone, "auto", method="auto")
+        lerner_maximal(k, fs[0], cone, "M_S", dyadic_cube_pool(q0, fs[0]), domain=q0.box())
+        side = ev.gram_side()
+        assert side > 0
+        ev.gram_table(side + 1)
+        assert ev.gram_side() == side + 1 and profiles == []
+
+    def test_covered_child_takes_no_full_grid_s(self):
+        """A child node whose box the held Gram table covers reads S f'
+        without a `square_sum` of its own; the others fall back to one."""
+        from lpsq import operators as ops
+
+        st, fs = _workload("sparse-1d")
+        k, cone, q0 = st["k"], st["cone"], st["q0"]
+        ev = ops.SquareEvaluator.of(k, fs[0], cone)
+        full, by_box = [], []  # square_sum calls; per box call (covered, square_sums)
+        square_sum, box_square_sum = ev.square_sum, ev.box_square_sum
+
+        def counted(values):
+            full.append(1)
+            return square_sum(values)
+
+        def recorded(values, box):
+            i0, i1, j0, j1 = (np.asarray(c) for c in box)
+            key = tuple(zip((i1 - i0).tolist(), (j1 - j0).tolist(), (j0 - i0).tolist()))
+            covered, before = ops._gram_side(key) <= ev.gram_side(), len(full)
+            out = box_square_sum(values, box)
+            by_box.append((covered, len(full) - before))
+            return out
+
+        ev.square_sum, ev.box_square_sum = counted, recorded
+        fams = [sparse_construct(k, f, q0, 1.0, cone, "auto", method="auto") for f in fs]
+        assert sum(len(fam.cubes) - 1 for fam in fams) == len(by_box)
+        assert any(covered for covered, _ in by_box)
+        assert all(calls == 0 for covered, calls in by_box if covered)
 
 
 def _census(monkeypatch):

@@ -669,7 +669,8 @@ class TestLernerPlan:
             fast = lerner_maximal(k, f, cone, variant, pool, domain=root.box()).values
         assert (ndims.count(n + 1), ndims.count(n), len(ndims)) == (
             windows, blocks, windows + blocks)
-        assert len(profiles) == len(ev.levels)
+        # the block spectra are cut from the samples the evaluator kept
+        assert len(profiles) == 0
         # warm: no profile sample and no block transform, and the S f^2
         # just held is taken again
         ndims.clear()
@@ -972,6 +973,84 @@ class TestLernerGram:
         sparse_construct(k, f, Cube(2, 1, (0, 0), "standard", 2 * f.R), 1.0, cone)
         assert {side for side, _ in seen} == {3}
         assert {s for _, key in seen for _, s, _ in key} == {1, 2, 3}
+
+
+class TestBoxSquareSum:
+    """`SquareEvaluator.box_square_sum` against `square_sum` cropped to the
+    box on each of its routes, and the level samples that grow for a wide
+    user box."""
+
+    @staticmethod
+    def _boxes(f):
+        """A box inside the grid and one at its corner, whose 3B runs past
+        the edge, of 4 cells per axis in 1-D and 2 in 2-D."""
+        s = (4 if f.n == 1 else 2) * f.h
+        return [box((s,) * f.n, (2 * s,) * f.n), box((-f.R,) * f.n, (s - f.R,) * f.n)]
+
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+    def test_every_route_equals_square_sum(self, monkeypatch, n, N):
+        from lpsq import operators as ops
+
+        k, f, cone = TestLernerGram._setup(n, N, 5)
+        forms = []
+        gram_form = ops._gram_form
+        monkeypatch.setattr(ops, "_gram_form", lambda *a: forms.append(1) or gram_form(*a))
+        for b in self._boxes(f):
+            row = tuple(c[0] for c in ops._pool_cells(f, [b]))
+            i0, i1, j0, j1 = (c.tolist() for c in row)
+            w3 = tuple(slice(max(a, 0), min(z, N)) for a, z in zip(i0, i1))
+            inner = tuple(slice(max(a, 0), min(z, N)) for a, z in zip(j0, j1))
+            assert any(a < 0 for a in i0) == (b[0][0] < 0)
+            g = np.zeros_like(f.values)
+            g[w3] = f.values[w3]
+            ref = SquareEvaluator(k, f, cone).square_sum(g)[inner]
+            key = tuple(zip(np.subtract(i1, i0).tolist(), np.subtract(j1, j0).tolist(),
+                            np.subtract(j0, i0).tolist()))
+            # held: the S f^2 just taken
+            ev = SquareEvaluator(k, f, cone)
+            ev.square_sum(g)
+            forms.clear()
+            assert np.array_equal(ev.box_square_sum(g, row), ref) and forms == []
+            # Gram: the held table covers the key, and no square_sum runs
+            ev = SquareEvaluator(k, f, cone)
+            ev.gram_table(ops._gram_side(key))
+            with monkeypatch.context() as m:
+                m.setattr(SquareEvaluator, "square_sum", None)
+                got = ev.box_square_sum(g, row)
+            assert forms == [1] and got.shape == ref.shape and np.all(got >= 0)
+            TestLernerBatched._close(got, ref, tol=1e-12)
+            # fallback: values that do not vanish off 3B, and no table
+            forms.clear()
+            assert np.array_equal(ev.box_square_sum(f.values, row),
+                                  SquareEvaluator(k, f, cone).square_sum(f.values)[inner])
+            ev = SquareEvaluator(k, f, cone)
+            assert np.array_equal(ev.box_square_sum(g, row), ref) and forms == []
+
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+    def test_wide_user_box_grows_the_level_samples(self, monkeypatch, n, N):
+        """A user pool box of 5/8 of the grid's side whose 3Q misses part of
+        the grid asks the block spectra for offsets past the constructor's
+        samples: each level's sample grows once, the level spectra stay, and
+        M_S matches the pool loop."""
+        from dataclasses import replace
+
+        k0, f, cone = TestLernerGram._setup(n, N, 7)
+        profiles = []
+        k = replace(k0, profile=lambda *a: profiles.append(1) or k0.profile(*a))
+        ev = SquareEvaluator.of(k, f, cone)
+        spectra = [s.tobytes() for s in ev._spectra]
+        pool = [grid_box(f), box((-2 * f.R,) * n, (-0.75 * f.R,) * n)]
+        profiles.clear()
+        fast = lerner_maximal(k, f, cone, "M_S", pool).values
+        assert len(profiles) == len(ev.levels)
+        assert [s.tobytes() for s in ev._spectra] == spectra
+        profiles.clear()
+        assert np.array_equal(lerner_maximal(k, f, cone, "M_S", pool).values, fast)
+        assert profiles == []
+        with monkeypatch.context() as m:
+            m.setattr(SquareEvaluator, "lerner_values", _pool_loop(cone))
+            slow = lerner_maximal(k0, f, cone, "M_S", pool).values
+        TestLernerBatched._close(fast, slow)
 
 
 class TestWindowSum:
@@ -1537,6 +1616,23 @@ class TestProfileParity:
         cone = build_cone(1.0, 1, 0.25, 0.5, 4.0, 2)
         ref = square_function(k, f, cone, method="direct").values
         assert _rel(square_function(k, f, cone).values, ref) <= 1e-10
+
+    @pytest.mark.parametrize("kid, n", [("ex1:kappa=3", 1), ("ex1:kappa=3", 2), ("csv", 1)])
+    def test_evaluator_blocks_equal_fresh_samples(self, tmp_path, kid, n):
+        """Every block the evaluator cuts from its kept samples, within them
+        and past them (which grows the sample), is the bits of a fresh
+        `_profile_block`, quadrant and whole samples alike."""
+        from lpsq import operators as ops
+
+        k = _csv_kernel(tmp_path) if kid == "csv" else parse_kernel(kid, n)
+        h, N = 0.25, (16 if n == 1 else 8)
+        f = GridFunction(n, N * h / 2, h, np.zeros((N,) * n))
+        ev = SquareEvaluator(k, f, build_cone(1.0, n, h, 2 * h, N * h, 2))
+        for j, lv in enumerate(ev.levels):
+            scale = (h / lv.t) ** n * 0.7
+            for c in (0, 3, N - 1 + lv.K, 2 * N + lv.K):
+                assert ev._block(j, c, scale).tobytes() == ops._profile_block(
+                    k, c, h, lv.t, scale).tobytes()
 
 
 class TestProfileCensus:
