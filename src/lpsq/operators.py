@@ -159,8 +159,9 @@ if "scipy.signal" not in sys.modules:  # lazy: see the module docstring
 # the Gram table, the bilinear FFT's rows of d and its one profile sample
 # per chunk of |d| and level) hold at most about this many doubles
 _LERNER_CHUNK = 1 << 14
-# the least rows of one Gram table panel: panel^T panel of 576 columns
-# costs 27 us a row at 28 rows and 9 us at 256 (one CPU)
+# the least rows of one Gram table panel (`_Panels`), and the most
+# columns of one product of the table's Delta: a panel product of 576
+# columns costs 27 us a row at 28 rows and 9 us at 256 (one CPU)
 _GRAM_PANEL = 256
 # the two constants of the Lerner path model (`SquareEvaluator._gram_choice`),
 # in BLAS multiply-adds: one numpy call, and one FFT flop (a transform of P
@@ -752,6 +753,34 @@ def _far_gain(gamma: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(far[::-1])[::-1]
 
 
+class _Panels:
+    """Rows of ``width`` entries stacked into one reused panel of
+    max(`_GRAM_PANEL`, `_LERNER_CHUNK` // width) rows, each with a sign:
+    ``add`` copies a block of rows in, and each full panel, and at
+    ``close`` the part-full last one, goes to ``take(rows, signs)`` before
+    the panel is filled again."""
+
+    def __init__(self, width: int, take):
+        self.buf = np.empty((max(_GRAM_PANEL, _LERNER_CHUNK // width), width))
+        self.signs = np.empty(len(self.buf))
+        self.used, self.take = 0, take
+
+    def add(self, block: np.ndarray, sign: float = 1.0) -> None:
+        r0 = 0
+        while r0 < len(block):
+            rows = block[r0 : r0 + len(self.buf) - self.used]
+            self.buf[self.used : self.used + len(rows)].reshape(rows.shape)[...] = rows
+            self.signs[self.used : self.used + len(rows)] = sign
+            self.used, r0 = self.used + len(rows), r0 + len(rows)
+            if self.used == len(self.buf):
+                self.close()
+
+    def close(self) -> None:
+        if self.used:
+            self.take(self.buf[: self.used], self.signs[: self.used])
+            self.used = 0
+
+
 class SquareEvaluator:
     """Repeated S_alpha evaluations of masked variants of one grid layout,
     on its own lattice: the FFT fast path of a convolution kernel, only.
@@ -777,13 +806,15 @@ class SquareEvaluator:
 
     The batched M_S pass (`lerner_values`, over the pool cubes' cells)
     reads S f^2 (`square_sum`), the level window sums (`cone_sum`), the
-    Gram table (`gram_table`) and the per-shape level block spectra
-    (`lerner_plans`, built once per cube shape).  Each call picks its
-    path per group of one cube shape: a group whose least table side
-    (`_gram_side`) the held table covers takes the Gram form, and the
-    table grows, built anew at a larger side, only when this call's
+    Gram table (`gram_table`, exact sums on one face of the table and two
+    boundary terms per disc row for the rest) and the per-shape level
+    block spectra (`lerner_plans`, built once per cube shape).  Each call
+    picks its path per group of one cube shape: a group whose least table
+    side (`_gram_side`) the held table covers takes the Gram form, and
+    the table grows, built anew at a larger side, only when this call's
     modelled saving on the groups it would add pays for the new table
-    (`_gram_choice`); the other groups take the FFT path.  The held table
+    (`_gram_choice`, which reads `_table_cost`, `_fft_cost` and
+    `_gram_cost`); the other groups take the FFT path.  The held table
     never shrinks, so after a full-pool call the pruned pools of
     `dyadic.sparse_construct` find their small cubes covered.  Levels,
     table and block spectra depend on the layout only and live as long as
@@ -881,19 +912,55 @@ class SquareEvaluator:
         A held table of a smaller side is dropped and the table built anew
         at this side; a larger one is returned as it is.
 
-        The rows k_j(m + .) sqrt(meas_j), of every level j and offset m in
-        D_j, are windows of level j's block of offsets 1 - 2 m - K_j ..
-        2 m + K_j (`_block`, placed from the constructor's sample, which
-        holds them for every side m < N / 2); they fill one panel of at
-        least `_GRAM_PANEL` rows, and each full panel adds panel^T panel to
-        A."""
+        Built by the shift identity along axis 0, the axis of the disc
+        rows: moving p and q together by one cell e_0 moves each row of D_j
+        by one cell, so A[p + e_0, q + e_0] = A[p, q] + Delta[p, q] with
+        Delta[p, q] = sum_j meas_j sum_rows (k_j(r+ + p) k_j(r+ + q) -
+        k_j(r- + p) k_j(r- + q)), r+ = (rx + 1, d) and r- = (-rx, d) the
+        cells that enter and leave the row (d, rx) of D_j.  The rows
+        sqrt(meas_j) k_j(m + .) are windows of level j's block of offsets
+        1 - 2 m - K_j .. 2 m + K_j (`_block`, placed from the constructor's
+        sample, which holds them for every side m < N / 2).  Three steps:
+          - the face p_0 = lo, exactly: in 1-D one `np.correlate` per
+            level; in 2-D the window rows stacked in `_Panels`, and each
+            panel's P^{n-1} columns of p_0 = lo times the panel;
+          - Delta as U^T (s U) over the panels of end rows U with signs s,
+            in blocks of q_0 for the p_0 <= q_0 that the steps read, added
+            into A shifted by e_0 on both sides;
+          - P - 1 steps A[p_0 + 1, :, q_0 + 1, :] += A[p_0, :, q_0, :] over
+            q_0 >= p_0, in the (P, P^{n-1}, P, P^{n-1}) view of A, which
+            fill A on and above its diagonal; the entries below it are
+            copied from those above, so A is exactly symmetric.
+        Besides A, the build holds panels of at most max(`_GRAM_PANEL`,
+        `_LERNER_CHUNK` // width) rows and a product of at most
+        max(`_GRAM_PANEL`, P^{n-1}) columns."""
         if self.gram_side() < side:
             self._gram = None  # the old table goes before the new one is made
             n, h = self.template.n, self.template.h
             lo, P = 1 - 2 * side, 4 * side
-            A = np.zeros((P**n, P**n))
-            buf = np.empty((max(_GRAM_PANEL, _LERNER_CHUNK // P**n), P**n))
-            used = 0
+            F = P ** (n - 1)  # the entries of a face p_0 = const
+            A = np.zeros((P * F, P * F))
+            T = A.reshape(P, F, P, F)
+            face = np.zeros((F, P * F))
+            # Delta lands on A[p + e_0, q + e_0]; an end row holds the
+            # p_0 < lo + P - 1 that the steps read, and a product w values
+            # of q_0
+            inner = T[1:, :, 1:, :]
+            w = max(1, _GRAM_PANEL // F)
+
+            def delta(U, s):
+                S = np.multiply(U, s[:, None], out=signed[: len(U)])
+                for q0 in range(0, P - 1, w):
+                    q1 = min(q0 + w, P - 1)
+                    X = np.matmul(U[:, : q1 * F].T, S[:, q0 * F : q1 * F],
+                                  out=prod[: q1 * F * (q1 - q0) * F].reshape(q1 * F, -1))
+                    np.add(inner[:q1, :, q0:q1], X.reshape(q1, F, q1 - q0, F),
+                           out=inner[:q1, :, q0:q1])
+
+            ends = _Panels((P - 1) * F, delta)
+            signed, prod = np.empty_like(ends.buf), np.empty((P - 1) * F * w * F)
+            if n > 1:  # the window rows of the face
+                rows = _Panels(P * F, lambda U, s: np.add(face, U[:, :F].T @ U, out=face))
             for j, lv in enumerate(self.levels):
                 K = lv.K
                 # B[i] = k_j(i - K + lo) sqrt(meas_j) per axis, so that the
@@ -902,31 +969,74 @@ class SquareEvaluator:
                 c = 2 * side + K
                 B = self._block(j, c, (h / lv.t) ** n * math.sqrt(lv.meas))[
                     (slice(1, None),) * n]
+                # the end rows at m_0 = rx + 1 and m_0 = -rx, at p_0 < lo + P - 1
+                if n == 1:
+                    (_, rx), = lv.disc
+                    face[0] += np.correlate(B[K - rx : K + rx + P], B[K - rx : K + rx + 1],
+                                            "valid")
+                    ends.add(B[None, K + rx + 1 : K + rx + P], 1.0)
+                    ends.add(B[None, K - rx : K - rx + P - 1], -1.0)
+                    continue
                 W = np.lib.stride_tricks.sliding_window_view(B, (P,) * n)
                 for rest, rx in lv.disc:
-                    col = W[(slice(K - rx, K + rx + 1),) + tuple(K + d for d in rest)]
-                    r0 = 0
-                    while r0 < len(col):
-                        rows = col[r0 : r0 + len(buf) - used]
-                        buf[used : used + len(rows)].reshape(rows.shape)[...] = rows
-                        used, r0 = used + len(rows), r0 + len(rows)
-                        if used == len(buf):
-                            A += buf.T @ buf
-                            used = 0
-            A += buf[:used].T @ buf[:used]
+                    rows.add(W[(slice(K - rx, K + rx + 1),) + tuple(K + d for d in rest)])
+                # every disc row's ends at once: the row of m_0 = rx + 1 is
+                # the window at m_0 = rx moved one cell
+                rests, rx = zip(*lv.disc)
+                at = tuple(K + np.array(d) for d in zip(*rests))
+                ends.add(W[(K + np.array(rx),) + at][:, 1:], 1.0)
+                ends.add(W[(K - np.array(rx),) + at][:, :-1], -1.0)
+            if n > 1:
+                rows.close()
+            ends.close()
+            T[0] = face.reshape(F, P, F)
+            # the steps fill q_0 >= p_0, which holds every entry on or above
+            # the diagonal of A
+            for p0 in range(1, P):
+                T[p0, :, p0:] += T[p0 - 1, :, p0 - 1 : -1]
+            # the entries below the diagonal from those above it, by blocks
+            # of 64 rows; a diagonal block keeps its upper triangle
+            for i in range(0, P * F, 64):
+                A[i : i + 64, :i] = A[:i, i : i + 64].T
+                D = A[i : i + 64, i : i + 64]
+                D[...] = np.triu(D) + np.triu(D, 1).T
             self._gram = A, lo, P
         return self._gram
 
     def _table_cost(self, side: int) -> float:
-        """Modelled cost of `gram_table` at this side: every row of every
-        level's window copied into a panel (a pass over its P^n entries)
-        and multiplied into panel^T panel (P^n (P^n + 1) multiply-adds),
-        and a call per panel, per window row and per level's block."""
-        P = (4 * side) ** self.template.n
+        """Modelled cost of `gram_table` at this side, as it builds, in the
+        units of the path model:
+          - the face: in 1-D one correlation per level ((2 rx + 1) P
+            multiply-adds, at 3 each); in 2-D every window row copied into
+            a panel (P^n entries, at 3 FFT flops each) and multiplied by its
+            face (P^{n-1} P^n multiply-adds);
+          - Delta: the entries of its products above the diagonal, in
+            blocks of q_0 (`gram_table`), at 0.5 multiply-adds an end row
+            and 20 FFT flops a panel, for the add into A; two calls per
+            panel and block;
+          - the P^{2n} entries of A that the steps and the mirror write (4
+            FFT flops each), and half a call per step and mirror block;
+          - two calls per level and, in 2-D, one per disc row.
+        The rates were fitted to 36 timed builds of sides 1-192 (1-D
+        N = 512, 4096 and 16384, 2-D N = 8-128; one CPU): the modelled over
+        measured times lie in 0.70-1.03, quartiles 0.82 / 0.89 / 0.94."""
+        n = self.template.n
+        P = 4 * side
+        F = P ** (n - 1)
+        w = max(1, _GRAM_PANEL // F)
+        blocks = [min(q0 + w, P - 1) for q0 in range(0, P - 1, w)]
+        upper = sum(q1 * (q1 - q0) for q0, q1 in zip(range(0, P - 1, w), blocks)) * F * F
         rows = sum(lv.size for lv in self.levels)
-        calls = (2 * -(-rows // max(_GRAM_PANEL, _LERNER_CHUNK // P))
-                 + sum(len(lv.disc) + 8 for lv in self.levels))
-        return calls * _CALL + rows * P * (_FFT_FLOP + P + 1)
+        ends = 2 * sum(len(lv.disc) for lv in self.levels)
+        panels = -(-ends // max(_GRAM_PANEL, _LERNER_CHUNK // ((P - 1) * F)))
+        calls = 2 * len(self.levels) + 2 * panels * len(blocks) + (P + P * F / 64) / 2
+        cost = (0.5 * ends + 20 * _FFT_FLOP * panels) * upper + 4 * _FFT_FLOP * (P * F) ** 2
+        if n == 1:
+            cost += 3 * rows * P
+        else:
+            cost += rows * P * F * (F + 3 * _FFT_FLOP)
+            calls += ends // 2
+        return calls * _CALL + cost
 
     def _fft_cost(self, key, nb: int) -> float:
         """Modelled cost of a group of nb cubes of this shape key on the
@@ -1521,13 +1631,23 @@ def _gram_side(key) -> int:
 
 def _gram_cost(key, nb: int) -> float:
     """Modelled cost of `_gram_form` on nb cubes of this shape key: the
-    strided copy of G (one FFT flop per entry), F @ G and the row dots of
-    every cube (multiply-adds), and the calls of its chunk loops."""
+    strided copy of G, F @ G and the row dots of every cube
+    (multiply-adds), and the calls of its chunk loops.  A chunk of G that
+    fits `_LERNER_CHUNK` is copied at one FFT flop an entry and read from
+    cache.  A larger one, one e row of a^{2n} entries (2-D sides >= 4), is
+    memory-bound: its copy costs 8 FFT flops an entry and every chunk of
+    cubes reads it again at 4 (about 2 and 1 ns an entry, timed on one
+    CPU with the 2-D N = 128 ladder groups of sides 6-16, whose modelled
+    over measured times then lie in 0.74-1.14)."""
     last, ns = key[-1][1], math.prod(s for _, s, _ in key)
     na = math.prod(a for a, _, _ in key)
     ce = min(last, max(1, _LERNER_CHUNK // (na * na)))
-    calls = 4 + ns // last * -(-last // ce) * (4 + 5 * -(-nb // max(1, _LERNER_CHUNK // (ce * na))))
-    return calls * _CALL + ns * na * (na * _FFT_FLOP + nb * (na + 1))
+    chunks = ns // last * -(-last // ce)  # of G, each read by `passes` chunks of cubes
+    passes = -(-nb // max(1, _LERNER_CHUNK // (ce * na)))
+    calls = 4 + chunks * (4 + 5 * passes)
+    big = na * na > _LERNER_CHUNK
+    return (calls * _CALL + ns * na * nb * (na + 1)
+            + ns * na * na * _FFT_FLOP * ((8 + 4 * passes) if big else 1))
 
 
 def _gram_form(ev: SquareEvaluator, key, fp: np.ndarray, I: np.ndarray) -> np.ndarray:

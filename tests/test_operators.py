@@ -953,6 +953,52 @@ class TestLernerGram:
                 want += scale * cone.log_weight * np.outer(kv, kv)
         assert np.max(np.abs(A - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @staticmethod
+    def _brute_gram(k, f, cone, side):
+        """sum_j meas_j sum_{m in D_j} k_j(m + p) k_j(m + q) over the table's
+        offsets p, q in [1 - 2 side, 2 side]^n, a row per disc cell m: the
+        disc from `_disc_rows`, k_j from a whole-block `_profile_sample`
+        (no parity, so nothing is mirrored), meas_j = (h/t_j)^n ln r."""
+        from dataclasses import replace
+
+        from lpsq.operators import _disc_rows, _profile_sample
+
+        n, h = f.n, f.h
+        lo, P = 1 - 2 * side, 4 * side
+        p = np.stack(np.meshgrid(*(np.arange(lo, lo + P),) * n, indexing="ij"),
+                     axis=-1).reshape(-1, n)
+        A = np.zeros((P**n, P**n))
+        for t in cone.t_levels:
+            disc = _disc_rows(min(cone.alpha * t, cone.max_radius) / h, n)
+            c = max(rx for _, rx in disc) + 2 * side  # the largest |m + p|
+            sample = _profile_sample(replace(k, parity=None), c, h, t) * (h / t) ** n
+            cells = np.array([(m0, *rest) for rest, rx in disc for m0 in range(-rx, rx + 1)])
+            V = sample[tuple((cells[:, None, :] + p[None] + c).transpose(2, 0, 1))]
+            A += (h / t) ** n * cone.log_weight * (V.T @ V)
+        return A
+
+    @pytest.mark.parametrize("one_cell", [False, True])
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+    def test_gram_table_equals_brute_force(self, n, N, one_cell):
+        """Every side 1 .. N / 4 (4 side = N included), grown one side at a
+        time from the held table, equals `_brute_gram` to 1e-13 of max |A|
+        and is exactly symmetric; a fresh build at the last side gives the
+        grown table's bits.  ``one_cell`` puts a level t = h first in the
+        cone, whose disc |m| < 1 is one cell (K = 0, rx = 0)."""
+        from dataclasses import replace
+
+        k, f, cone = self._setup(n, N, 0)
+        if one_cell:
+            cone = replace(cone, t_levels=np.concatenate([[f.h], cone.t_levels]))
+        ev = SquareEvaluator(k, f, cone)
+        assert (ev.levels[0].K == 0 and ev.levels[0].disc == [((0,) * (n - 1), 0)]) == one_cell
+        for side in range(1, N // 4 + 1):
+            A, lo, P = ev.gram_table(side)
+            want = self._brute_gram(k, f, cone, side)
+            assert (lo, P) == (1 - 2 * side, 4 * side) and np.array_equal(A, A.T)
+            assert np.max(np.abs(A - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(SquareEvaluator(k, f, cone).gram_table(N // 4)[0], A)
+
     def test_sparse_construct_takes_gram_for_small_cubes(self, monkeypatch):
         """Gram dispatch inside sparse_construct, on the full pool: the
         pruning is kept out, since on this input it drops every box small
