@@ -160,9 +160,10 @@ if "scipy.signal" not in sys.modules:  # lazy: see the module docstring
 # per chunk of |d| and level) hold at most about this many doubles
 _LERNER_CHUNK = 1 << 14
 # the least rows of one Gram table panel (`_Panels`), and the most
-# columns of one product of the table's Delta: a panel product of 576
-# columns costs 27 us a row at 28 rows and 9 us at 256 (one CPU)
-_GRAM_PANEL = 256
+# columns of one product of the table's Delta: builds time the same at
+# 128 as at 256 or less (2-D N = 128 side 8: 0.44 against 0.48 s, one
+# CPU) and hold half the temporaries
+_GRAM_PANEL = 128
 # the two constants of the Lerner path model (`SquareEvaluator._gram_choice`),
 # in BLAS multiply-adds: one numpy call, and one FFT flop (a transform of P
 # points is 2.5 P log2 P of them).  Fitted by nonnegative least squares of
@@ -1018,8 +1019,9 @@ class SquareEvaluator:
             FFT flops each), and half a call per step and mirror block;
           - two calls per level and, in 2-D, one per disc row.
         The rates were fitted to 36 timed builds of sides 1-192 (1-D
-        N = 512, 4096 and 16384, 2-D N = 8-128; one CPU): the modelled over
-        measured times lie in 0.70-1.03, quartiles 0.82 / 0.89 / 0.94."""
+        N = 512, 4096 and 16384, 2-D N = 8-128; one CPU); the modelled over
+        measured times of 35 of them lie in 0.55-1.07, quartiles 0.84 /
+        0.94 / 0.96."""
         n = self.template.n
         P = 4 * side
         F = P ** (n - 1)

@@ -924,9 +924,8 @@ class TestLernerGram:
     def test_gram_table_matches_explicit_sums(self, monkeypatch, n, N, sides, rows):
         """A[p, q] = sum_j meas_j sum_{m in D_j} k_j(m + p) k_j(m + q), with
         D_j the level's `ConeGrid.stencil`, summed offset by offset: built
-        at one side, or grown from a smaller one, in panels of 256 rows
-        (the least that `_GRAM_PANEL` allows) or of 7 rows; both straddle
-        stencil rows."""
+        at one side, or grown from a smaller one, in panels of 256 or of 7
+        rows; both straddle stencil rows."""
         from lpsq import operators as ops
 
         k, f, cone = self._setup(n, N, 0)
