@@ -329,7 +329,7 @@ def _campaign_verify(cfg, out_dir):
         except ValueError:
             expo = None
         if expo is None:
-            raise ConfigError(f"weighted verify takes a power:a weight id, not {arg!r}")
+            raise ConfigError(f"weighted verify takes a power:a weight id, not {cfg['weight']!r}")
         if not -1.0 < expo < cfg["p"] - 1.0:
             raise ConfigError(f"|x|^{expo:g} is not an A_p weight at p = {cfg['p']:g}: "
                               "power:a needs -1 < a < p - 1")

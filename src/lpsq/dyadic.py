@@ -15,10 +15,11 @@ and the sparse share selection are one stopping-time walk
 lists the cubes of every generation, with their 3-dilates, as one
 (nb, 2, n) corner array.  A box is its (2, n) corners [lo, hi]
 (`Cube.box`).  `sparse_construct` takes each node's pool from
-`dyadic_cube_pool` and its cells once (one dilated and one plain
-`grids.cell_ranges` call; row 0, the node, gives its 3P and P): the
-pruning reads them, and the kept rows go to
-`SquareEvaluator.lerner_values`.
+`dyadic_cube_pool` and its cells once (`operators.pool_cells`: one
+dilated and one plain `grids.cell_ranges` call; row 0, the node, gives
+its 3P and P): the pruning reads them, the kept rows go to
+`SquareEvaluator.lerner_values`, and row 0 to
+`SquareEvaluator.box_square_sum`.
 
 Cubes reach their cells, and those of their 3-dilates, through
 `grids.cell_ranges` alone, and the pruning's far field
@@ -496,12 +497,10 @@ def sparse_construct(
     `square_function` call and M_S a `lerner_maximal` call over the full
     pool.  S f' is read on P's cells alone, the only cells E reads.  Where
     3P covers the grid, f' is f and S f' is the S f taken for s2.  Any
-    other node reads it after its M_S call, through
-    `SquareEvaluator.box_square_sum`: the S f'^2 that M_S has just taken,
-    else, f' vanishing off 3P, the Gram form of P's shape where the held
-    table covers it, else one `square_sum`.  So each node computes S f' at
-    most once, and a child whose kept pool leaves M_S nothing to take on
-    the grid and whose shape the table covers takes no full-grid S.  A
+    other node reads it through `SquareEvaluator.box_square_sum`, which is
+    S(f' 1_{3P})^2 = S f'^2 on P, f' vanishing off 3P: the engine of the
+    M_S pass on P's one cube, the Gram form where the table covers P's
+    shape, else the FFT path on 3P's window, never a full-grid S.  A
     root that holds no cell of the grid is a `GridError`, before any work.
     """
     if isinstance(f, (tuple, list)) or k.kind == "bilinear":
@@ -547,8 +546,7 @@ def sparse_construct(
             return
         pool = dyadic_cube_pool(node, f)
         # row 0 is the node itself: its 3P and P
-        cells = (*cell_ranges(f, pool, dilate=True, snap_outward=True),
-                 *cell_ranges(f, pool))
+        cells = ops.pool_cells(f, pool)
         i0, i1, j0, j1 = (c[0].tolist() for c in cells)
         w3 = tuple(slice(max(a, 0), min(b, N)) for a, b in zip(i0, i1))
         nsl = tuple(slice(max(a, 0), min(b, N)) for a, b in zip(j0, j1))

@@ -96,11 +96,13 @@ rows.  The per-output-cell direct sum `_psi_t_bilinear` is its oracle.
 
 `lerner_maximal` computes M_S f(x), the sup over the pool cubes Q
 containing x of |S f^2 - S(f 1_{3Q})^2|^{1/2}.  The cells of every Q and
-3Q are taken once from its corner array (`_pool_cells`), and both paths
+3Q are taken once from its corner array (`pool_cells`), and both paths
 read them.  On a linear convolution kernel with method "auto" the batched
 pass, `SquareEvaluator.lerner_values`, evaluates every pool cube's
 S(f 1_{3Q}) only on Q, cubes grouped by their cell shape, in n = 1 and
-n = 2 alike; `sparse_construct` hands it the cells its pruning took.
+n = 2 alike; `sparse_construct` hands it the cells its pruning took, and
+reads S f' on a node's own box from the same engine
+(`SquareEvaluator.box_square_sum`, one group of one cube).
 Groups of cubes that the level-summed Gram table on the `SquareEvaluator`
 covers take one quadratic form in f on 3Q per cube; each call chooses,
 from its own groups, whether the table grows to cover more
@@ -805,28 +807,27 @@ class SquareEvaluator:
     or kernel of another spacing or dimension is a `GridError`.  `of` returns None
     for the other kernel kinds and for method "direct".
 
-    The batched M_S pass (`lerner_values`, over the pool cubes' cells)
-    reads S f^2 (`square_sum`), the level window sums (`cone_sum`), the
-    Gram table (`gram_table`, exact sums on one face of the table and two
-    boundary terms per disc row for the rest) and the per-shape level
-    block spectra (`lerner_plans`, built once per cube shape).  Each call
-    picks its path per group of one cube shape: a group whose least table
-    side (`_gram_side`) the held table covers takes the Gram form, and
-    the table grows, built anew at a larger side, only when this call's
-    modelled saving on the groups it would add pays for the new table
-    (`_gram_choice`, which reads `_table_cost`, `_fft_cost` and
-    `_gram_cost`); the other groups take the FFT path.  The held table
-    never shrinks, so after a full-pool call the pruned pools of
-    `dyadic.sparse_construct` find their small cubes covered.  Levels,
-    table and block spectra depend on the layout only and live as long as
-    the evaluator; `of` keeps the evaluator of a layout on the kernel
-    object, so the table side that serves a group, and with it the last
-    bits of M_S, depends on the calls made before on that kernel.  The
-    last S f^2 is held with a copy of its f, so M_S of the f whose S the
-    caller has just taken reuses it.  `box_square_sum` reads S f^2 on one
-    box from that held S f^2, or from the Gram form where the held table
-    covers the box and f vanishes off 3B, before it takes a full-grid
-    `square_sum`.
+    S(f 1_{3Q})^2 on Q has one engine, `_box_sums`, over groups of cubes of
+    one shape: the batched M_S pass (`lerner_values`, over the pool cubes'
+    cells) compares its values with S f^2 (`square_sum`), and
+    `box_square_sum` runs it on one box's group.  It reads the level window
+    sums (`cone_sum`), the Gram table (`gram_table`, exact sums on one face
+    of the table and two boundary terms per disc row for the rest) and the
+    per-shape level block spectra (`lerner_plans`, built once per cube
+    shape).  Each call picks its path per group of one cube shape: a group
+    whose least table side (`_gram_side`) the held table covers takes the
+    Gram form, and the table grows, built anew at a larger side, only when
+    this call's modelled saving on the groups it would add pays for the new
+    table (`_gram_choice`, which reads `_table_cost`, `_fft_cost` and
+    `_gram_cost`); the other groups take the FFT path.  The held table never
+    shrinks, so after a full-pool call the pruned pools of
+    `dyadic.sparse_construct` find their small cubes covered.  Levels, table
+    and block spectra depend on the layout only and live as long as the
+    evaluator; `of` keeps the evaluator of a layout on the kernel object, so
+    the table side that serves a group, and with it the last bits of M_S,
+    depends on the calls made before on that kernel.  The last S f^2 is held
+    with a copy of its f, so M_S of the f whose S the caller has just taken
+    reuses it.
 
     ``far_gain`` bounds S through the point-mass profile Gamma of S:
     Gamma(v)^2 = sum_j meas_j sum_{m in D_j} k_j(v + m)^2 is
@@ -1169,36 +1170,18 @@ class SquareEvaluator:
         return acc
 
     def box_square_sum(self, values: np.ndarray, box) -> np.ndarray:
-        """S_alpha^2 of the grid function with these values on one box B's
-        cells within the grid.  box is (i0, i1, j0, j1), one row of
-        `_pool_cells`: the cells of 3B, snapped outward, and of B per axis,
-        unclipped.  By the first route that applies:
-          - the S f^2 that `square_sum` holds for these values, such as the
-            one a `lerner_values` call has just taken;
-          - the Gram form of B's shape key (`_gram_form`), when the values
-            vanish off 3B and the held table covers the key, so that S f^2
-            is S(f 1_{3B})^2 on B; tiny negative values of the form, which
-            roundoff leaves, read 0;
-          - `square_sum`.
-        No route grows the Gram table."""
+        """S_alpha(f 1_{3B})^2 on one box B's cells within the grid, f the
+        grid function with these values: `_box_sums` of B's shape group
+        alone, tiny negative values, which roundoff leaves, read 0.  That
+        is S f^2 on B wherever f vanishes off 3B.  box is (i0, i1, j0, j1),
+        one row of `pool_cells`: the cells of 3B, snapped outward, and of
+        B per axis, unclipped."""
         N = self.template.ncells
         i0, i1, j0, j1 = (np.asarray(c) for c in box)
-        lo, hi = np.maximum(j0, 0), np.minimum(j1, N)
-        inner = tuple(map(slice, lo.tolist(), hi.tolist()))
-        held = self._held
-        if held is not None and np.array_equal(held[0], values):
-            return held[1][inner]
         key = tuple(zip(*(x.tolist() for x in (i1 - i0, j1 - j0, j0 - i0))))
-        if _gram_side(key) <= self.gram_side():
-            # a zero pad that holds 3B, as in `lerner_values`
-            pad = max(0, -int(i0.min()), int((i1 - N).max()))
-            fp = np.pad(values, pad)
-            w3 = tuple(map(slice, (i0 + pad).tolist(), (i1 + pad).tolist()))
-            if np.count_nonzero(fp[w3]) == np.count_nonzero(values):
-                form = _gram_form(self, key, fp, (i0 + pad)[None])[0]
-                return np.maximum(form[tuple(map(slice, (lo - j0).tolist(),
-                                                 (hi - j0).tolist()))], 0.0)
-        return self.square_sum(values)[inner]
+        acc = self._box_sums(values, {key: (i0[None], j0[None])})[key][0]
+        inner = tuple(map(slice, np.maximum(-j0, 0).tolist(), (np.minimum(j1, N) - j0).tolist()))
+        return np.maximum(acc[inner], 0.0)
 
     def eval_values(self, values: np.ndarray) -> np.ndarray:
         """S_alpha of the grid function with these values; returns values."""
@@ -1244,15 +1227,14 @@ class SquareEvaluator:
             out[sel] = conv[tuple((I[sel] - imin + na - 1).T)]
         return out
 
-    def lerner_values(self, values: np.ndarray, cells: tuple) -> np.ndarray:
-        """M_S of the grid function with these values over the pool cubes
-        of cells (i0, i1, j0, j1), as `_pool_cells`; a cell that no cube
-        covers reads -inf.
+    def _box_sums(self, values: np.ndarray, groups: dict) -> dict:
+        """S(f 1_{3Q})^2 on Q's cells, per group of `_lerner_groups` (shape
+        key -> the (nb, n) start cells of 3Q and of Q): key -> an (nb, cells
+        of Q per axis) array, cells outside the grid included.
 
-        Cubes are grouped by their unclipped shape (`_lerner_groups`); f
-        1_{3Q} is read from a zero-padded f.  `_gram_choice` sets the table
-        side of the call, growing the table if it pays, and the groups that
-        side covers go to `_gram_form`.  For every other group,
+        f 1_{3Q} is read from a zero-padded f.  `_gram_choice` sets the
+        table side of the call, growing the table if it pays, and the groups
+        that side covers go to `_gram_form`.  For every other group,
         psi_t(f 1_{3Q}) on Q +- K_j is the linear convolution of the stacked
         3Q windows with level j's profile block at the cell offsets from 3Q
         to Q +- K_j; `cone_sum` then takes the window sums on Q.  The block
@@ -1261,14 +1243,8 @@ class SquareEvaluator:
         The loops run group -> FFT length P -> chunk of cubes -> level: per
         run of consecutive levels of one P and chunk, one batched n-D rfft
         of the windows and one irfft per level, and each cube's terms are
-        added in level order.  S f^2 comes from `square_sum`, which the
-        call takes only if some group is left; cells outside the grid are
-        dropped."""
+        added in level order."""
         n, N = self.template.n, self.template.ncells
-        out = np.full((N,) * n, -np.inf)
-        groups = _lerner_groups(values, cells, out)
-        if not groups:
-            return out
         # a zero pad that holds every 3Q window of f
         pf = 0
         for key, (I, _) in groups.items():
@@ -1290,8 +1266,23 @@ class SquareEvaluator:
                     for j, kf, crop in run:
                         U = np.fft.irfftn(wf * kf, P, axes=axes)[crop]
                         accs[key][b0 : b0 + step] += self.cone_sum(self.levels[j], U**2)
-        _lerner_sup(out, self.square_sum(values),
-                    [(J, accs[key]) for key, (_, J) in groups.items()])
+        return accs
+
+    def lerner_values(self, values: np.ndarray, cells: tuple) -> np.ndarray:
+        """M_S of the grid function with these values over the pool cubes
+        of cells (i0, i1, j0, j1), as `pool_cells`; a cell that no cube
+        covers reads -inf.  Cubes are grouped by their unclipped shape
+        (`_lerner_groups`), their S(f 1_{3Q})^2 on Q taken by `_box_sums`
+        and compared with S f^2 (`square_sum`, which the call takes only if
+        some group is left) by `_lerner_sup`; cells outside the grid are
+        dropped."""
+        n, N = self.template.n, self.template.ncells
+        out = np.full((N,) * n, -np.inf)
+        groups = _lerner_groups(values, cells, out)
+        if groups:
+            accs = self._box_sums(values, groups)
+            _lerner_sup(out, self.square_sum(values),
+                        [(J, accs[key]) for key, (_, J) in groups.items()])
         return out
 
 
@@ -1575,10 +1566,11 @@ def maximal(f: GridFunction, variant: str = "hl") -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _pool_cells(f: GridFunction, cube_pool) -> tuple:
+def pool_cells(f: GridFunction, cube_pool) -> tuple:
     """(i0, i1, j0, j1): per pool cube Q of the (nb, 2, n) corner array
     the `grids.cell_ranges` of 3Q, snapped outward, and of Q, as (nb, n)
-    arrays, unclipped."""
+    arrays, unclipped: the cells of `lerner_maximal`'s pool and of each
+    node's pool in `dyadic.sparse_construct`."""
     return (*cell_ranges(f, cube_pool, dilate=True, snap_outward=True),
             *cell_ranges(f, cube_pool))
 
@@ -1586,7 +1578,7 @@ def _pool_cells(f: GridFunction, cube_pool) -> tuple:
 def _lerner_groups(values: np.ndarray, cells: tuple, out: np.ndarray) -> dict:
     """The pool cubes of `SquareEvaluator.lerner_values`, grouped by shape.
 
-    cells are the pool's (i0, i1, j0, j1), as `_pool_cells`.  Keys are those of
+    cells are the pool's (i0, i1, j0, j1), as `pool_cells`.  Keys are those of
     `grids.shape_groups`, per axis (cells of 3Q, cells of Q, offset of Q in
     3Q); values are the (nb, n) start cells of 3Q and of Q of the cubes of
     that shape.  The ranges run past the grid, so one box shape has one key
@@ -1726,7 +1718,7 @@ def lerner_maximal(
     base = fs[0]
     if domain is None:
         domain = [(-base.R,) * base.n, (base.R,) * base.n]
-    cells = _pool_cells(base, cube_pool)
+    cells = pool_cells(base, cube_pool)
     (d0,), (d1,) = cell_ranges(base, [domain])
     if not len(cells[0]):
         raise CoverageError("empty cube pool")
@@ -1747,7 +1739,7 @@ def lerner_maximal(
 
 def _lerner_pool_loop(k, f, cone, cells, method) -> np.ndarray:
     """M_S with one `square_function` call per pool cube, for a single
-    input and a pair alike, the cubes given by their `_pool_cells` cells:
+    input and a pair alike, the cubes given by their `pool_cells` cells:
     the oracle of `SquareEvaluator.lerner_values`."""
     fs = _operands(k, f, cone)
 

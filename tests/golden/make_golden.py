@@ -1,8 +1,10 @@
 """The committed output corpus, in three files.
 
-``operators.json`` holds digests of S, g*, the cascade bound, the
-`SquareEvaluator`'s kernel spectra and ``far_gain``, and the bilinear S and
-g*, on perfbench's ``spikes`` inputs at two seeds.  ``sparse.json`` holds
+``operators.json`` holds digests of S, g*, the cascade bound, the CZ
+decomposition (its bad cubes, as generation and anchor, and the
+reconstruction good + sum of b_j), the `SquareEvaluator`'s kernel spectra
+and ``far_gain``, and the bilinear S and g*, on perfbench's ``spikes``
+inputs at two seeds.  ``sparse.json`` holds
 digests of the families (cubes, parent links and meta) that
 `sparse_construct` builds on the inputs of perfbench's ``sparse-1d`` and
 ``sparse-2d`` workloads at two seeds and salts 0-3, and on the larger 1-D
@@ -94,6 +96,10 @@ def corpus() -> dict:
             out[f"{tag}/S"] = lpsq.square_function(k, f, cone).values
             out[f"{tag}/g_star"] = lpsq.g_star(k, f, LAM, hs).values
             out[f"{tag}/cascade"] = lpsq.g_star_cascade_bound(k, f, LAM, hs)[0].values
+            # rho as perfbench's cz case: twice the mean of |f| over the box
+            cz = lpsq.cz_decompose(f, 2.0 * f.norm_l1() / (2.0 * R) ** n)
+            out[f"{tag}/cz/bad_cubes"] = np.array([[q.generation, *q.anchor] for q, _ in cz.bad])
+            out[f"{tag}/cz/reconstruction"] = cz.reconstruct()
         # the evaluator's arrays depend on the layout only
         ev = lpsq.SquareEvaluator(k, f, cone)
         out[f"n{n}/evaluator/spectra"] = np.concatenate([s.ravel() for s in ev._spectra])

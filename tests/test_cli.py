@@ -584,11 +584,13 @@ class TestConfigAndErrors:
             run_main(["--out-dir", str(tmp_path), *args])
         assert exc.value.code == 2
 
-    def test_weighted_weight_id_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("weight", ["power:x", "exp:2", "power"])
+    def test_weighted_weight_id_exits_2(self, tmp_path, capsys, weight):
+        """The error names the whole weight id, not the text after its colon."""
         rc = run_main(["--out-dir", str(tmp_path), "verify", "weighted",
-                       "--weight", "power:x", "--h", "0.25"])
+                       "--weight", weight, "--h", "0.25"])
         assert rc == 2
-        assert "power:a weight id, not 'x'" in capsys.readouterr().err
+        assert f"power:a weight id, not {weight!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("weight", ["power:1", "power:-3", "power:-1", "power:nan"])
     def test_weighted_weight_outside_a_p_exits_2(self, tmp_path, capsys, weight):

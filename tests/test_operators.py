@@ -653,7 +653,7 @@ class TestLernerPlan:
         # per shape key: one window rfftn per (FFT length, chunk of cubes),
         # one block rfftn per level; level_values: one per distinct length
         windows = 0
-        groups = ops._lerner_groups(f.values, ops._pool_cells(f, pool),
+        groups = ops._lerner_groups(f.values, ops.pool_cells(f, pool),
                                     np.full(f.values.shape, -np.inf))
         for key, (I, _) in groups.items():
             Ps = [tuple(1 << (a + s + 2 * lv.K - 2).bit_length() for a, s, _ in key)
@@ -840,7 +840,7 @@ class TestLernerGram:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_off_lattice_and_out_of_table_shapes(self, monkeypatch, n):
-        from lpsq.operators import _gram_side, _lerner_groups, _pool_cells
+        from lpsq.operators import _gram_side, _lerner_groups, pool_cells
 
         k, f, cone = self._setup(n, 32 if n == 1 else 16, 3)
         rng = np.random.default_rng(3)
@@ -852,7 +852,7 @@ class TestLernerGram:
         pool = [grid_box(f)] + odd + edge
         fast, keys, slow = self._forced(monkeypatch, k, f, cone, pool, True)
         TestLernerBatched._close(fast, slow)
-        groups = _lerner_groups(f.values, _pool_cells(f, pool),
+        groups = _lerner_groups(f.values, pool_cells(f, pool),
                                 np.full(f.values.shape, -np.inf))
         # off-lattice and clipped shapes need a table wider than their Q
         wide = [key for key in keys if _gram_side(key) > max(s for _, s, _ in key)]
@@ -1021,9 +1021,9 @@ class TestLernerGram:
 
 
 class TestBoxSquareSum:
-    """`SquareEvaluator.box_square_sum` against `square_sum` cropped to the
-    box on each of its routes, and the level samples that grow for a wide
-    user box."""
+    """`SquareEvaluator.box_square_sum` against `square_sum` of f 1_{3B}
+    cropped to the box, and the level samples that grow for a wide user
+    box."""
 
     @staticmethod
     def _boxes(f):
@@ -1032,44 +1032,44 @@ class TestBoxSquareSum:
         s = (4 if f.n == 1 else 2) * f.h
         return [box((s,) * f.n, (2 * s,) * f.n), box((-f.R,) * f.n, (s - f.R,) * f.n)]
 
+    @pytest.mark.parametrize("gram", [True, False])
     @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
-    def test_every_route_equals_square_sum(self, monkeypatch, n, N):
+    def test_one_route_equals_square_sum_on_3b(self, monkeypatch, n, N, gram):
+        """With the key covered by the held table (the Gram form) and not
+        (the FFT path; `_force_path` keeps the table from growing), on
+        values that do not vanish off 3B: S(f 1_{3B})^2 on B, and no
+        `square_sum` call."""
         from lpsq import operators as ops
 
         k, f, cone = TestLernerGram._setup(n, N, 5)
+        if not gram:
+            _force_path(monkeypatch, gram=False)
         forms = []
         gram_form = ops._gram_form
         monkeypatch.setattr(ops, "_gram_form", lambda *a: forms.append(1) or gram_form(*a))
         for b in self._boxes(f):
-            row = tuple(c[0] for c in ops._pool_cells(f, [b]))
+            row = tuple(c[0] for c in ops.pool_cells(f, [b]))
             i0, i1, j0, j1 = (c.tolist() for c in row)
             w3 = tuple(slice(max(a, 0), min(z, N)) for a, z in zip(i0, i1))
             inner = tuple(slice(max(a, 0), min(z, N)) for a, z in zip(j0, j1))
             assert any(a < 0 for a in i0) == (b[0][0] < 0)
             g = np.zeros_like(f.values)
             g[w3] = f.values[w3]
+            assert np.any(f.values != g)
             ref = SquareEvaluator(k, f, cone).square_sum(g)[inner]
             key = tuple(zip(np.subtract(i1, i0).tolist(), np.subtract(j1, j0).tolist(),
                             np.subtract(j0, i0).tolist()))
-            # held: the S f^2 just taken
             ev = SquareEvaluator(k, f, cone)
-            ev.square_sum(g)
+            if gram:
+                ev.gram_table(ops._gram_side(key))
             forms.clear()
-            assert np.array_equal(ev.box_square_sum(g, row), ref) and forms == []
-            # Gram: the held table covers the key, and no square_sum runs
-            ev = SquareEvaluator(k, f, cone)
-            ev.gram_table(ops._gram_side(key))
             with monkeypatch.context() as m:
                 m.setattr(SquareEvaluator, "square_sum", None)
-                got = ev.box_square_sum(g, row)
-            assert forms == [1] and got.shape == ref.shape and np.all(got >= 0)
+                got = ev.box_square_sum(f.values, row)
+            assert (ops._gram_side(key) <= ev.gram_side()) == gram
+            assert forms == ([1] if gram else [])
+            assert got.shape == ref.shape and np.all(got >= 0)
             TestLernerBatched._close(got, ref, tol=1e-12)
-            # fallback: values that do not vanish off 3B, and no table
-            forms.clear()
-            assert np.array_equal(ev.box_square_sum(f.values, row),
-                                  SquareEvaluator(k, f, cone).square_sum(f.values)[inner])
-            ev = SquareEvaluator(k, f, cone)
-            assert np.array_equal(ev.box_square_sum(g, row), ref) and forms == []
 
     @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
     def test_wide_user_box_grows_the_level_samples(self, monkeypatch, n, N):
