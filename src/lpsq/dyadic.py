@@ -489,19 +489,20 @@ def sparse_construct(
     eps log2(P) far_gain[0] ||f'||_1.  Both stay below delta thr0 while
     ||f'||_1 far_gain[0] / thr0, at most far_gain[0] (3 side / h)^n /
     bracket, is below about 1e5; at the roots of those layouts it is
-    4-650.  The node's own box always stays, as the cover of the node's
-    cells; its term is exactly 0, since 3P holds f'.  S and the pruning
-    come from the evaluator that `SquareEvaluator.of` keeps on k, shared
-    by constructions on one kernel object and layout; off its fast path
-    (general linear kernels, ``method="direct"``) there is none: S is a
-    `square_function` call and M_S a `lerner_maximal` call over the full
-    pool.  S f' is read on P's cells alone, the only cells E reads.  Where
-    3P covers the grid, f' is f and S f' is the S f taken for s2.  Any
-    other node reads it through `SquareEvaluator.box_square_sum`, which is
-    S(f' 1_{3P})^2 = S f'^2 on P, f' vanishing off 3P: the engine of the
-    M_S pass on P's one cube, the Gram form where the table covers P's
-    shape, else the FFT path on 3P's window, never a full-grid S.  A
-    root that holds no cell of the grid is a `GridError`, before any work.
+    4-650.  A cell of P that no kept box covers reads M_S f' = -inf, and E
+    reads S f' there, as with the node's own box, whose term is exactly 0
+    since 3P holds f'.  S and the pruning come from the evaluator that
+    `SquareEvaluator.of` keeps on k, shared by constructions on one kernel
+    object and layout; off its fast path (general linear kernels,
+    ``method="direct"``) there is none: S is a `square_function` call and
+    M_S a `lerner_maximal` call over the full pool.  On the evaluator each
+    node takes S f'^2 on P's cells, the only cells that E and its M_S pass
+    (`SquareEvaluator.lerner_values`) read, once and first.  Where 3P
+    covers the grid, f' is f and it is the root's S f^2, of the bracket;
+    elsewhere it is `SquareEvaluator.box_square_sum`, S(f' 1_{3P})^2 =
+    S f'^2 on P, f' vanishing off 3P: the engine of the M_S pass on P's
+    one cube, never a full-grid S.  A root that holds no cell of the grid
+    is a `GridError`, before any work.
     """
     if isinstance(f, (tuple, list)) or k.kind == "bilinear":
         raise ParameterError("bilinear sparse families are not implemented")
@@ -523,13 +524,15 @@ def sparse_construct(
     if not all(a < f.R and -f.R < b for a, b in zip(q0.lo, q0.hi)):
         raise GridError(f"{q0} holds no cell of the grid [-{f.R}, {f.R}]^{f.n}")
     evaluator = ops.SquareEvaluator.of(k, f, cone, method=method)
-    s_of = (evaluator.eval_values if evaluator is not None else
-            lambda v: ops.square_function(k, f.with_values(v), cone, method=method).values)
     wd = dini_constant(k.w_mod, 1e-6)
     pd = dini_constant(k.phi_mod, 1e-6)
     l2 = f.norm_l2()
     if l2 > 0:
-        s_all = s_of(f.values)
+        if evaluator is not None:
+            s2_all = evaluator.square_sum(f.values)
+            s_all = np.sqrt(s2_all)
+        else:
+            s_all = ops.square_function(k, f, cone, method=method).values
         s2_est = f.with_values(s_all).norm_l2() / l2
     else:
         s_all, s2_est = None, 1.0
@@ -557,19 +560,18 @@ def sparse_construct(
             return
         avg3 = float(np.sum(np.abs(floc))) * hn / (3.0 * node.side) ** f.n
         if evaluator is not None:
+            s2 = s2_all  # where 3P covers the grid, f' is f
+            if not mask3.all():
+                s2 = np.zeros(f.values.shape)
+                s2[nsl] = evaluator.box_square_sum(floc, tuple(c[0] for c in cells))
             kept = _lerner_keep(floc, cells, evaluator, math.sqrt(g_val) * bracket * avg3)
-            kept[0] = True  # the node's own box, the cover
-            ms = evaluator.lerner_values(floc, tuple(c[kept] for c in cells))
+            ms = evaluator.lerner_values(floc, tuple(c[kept] for c in cells), s2)
+            s_node = np.sqrt(s2[nsl])
         else:
             ms = ops.lerner_maximal(k, f.with_values(floc), cone, "M_S", pool,
                                     method=method, domain=node.box()).values
-        # where 3P covers the grid, f' is f
-        if mask3.all():
-            s_node = s_all[nsl]
-        elif evaluator is not None:
-            s_node = np.sqrt(evaluator.box_square_sum(floc, tuple(c[0] for c in cells)))
-        else:
-            s_node = s_of(floc)[nsl]
+            s_node = (s_all if mask3.all() else ops.square_function(
+                k, f.with_values(floc), cone, method=method).values)[nsl]
         mtilde = np.maximum(s_node, ms[nsl])
         target = math.prod(sl.stop - sl.start for sl in nsl) // 2 ** (2 * f.n + 2)
         cur = g_val
@@ -629,7 +631,7 @@ def sparse_rhs_eval(family: SparseFamily, f, dilate: int = 3) -> GridFunction:
         _on_lattice(c, base)
     N, hn = base.ncells, base.h**base.n
     boxes = [c.box() for c in family.cubes]
-    i0, i1 = cell_ranges(base, boxes, dilate=True, snap_outward=True)
+    i0, i1 = cell_ranges(base, boxes, dilate=True)
     j0, j1 = cell_ranges(base, boxes, aligned=True)
     mags = [np.abs(gf.values) for gf in fs]
     acc = np.zeros_like(base.values)

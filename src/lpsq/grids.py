@@ -210,24 +210,23 @@ def three_dilate(boxes: np.ndarray) -> np.ndarray:
     return np.stack((c - half, c + half), axis=1)
 
 
-def cell_ranges(gf: GridFunction, boxes, dilate: bool = False,
-                snap_outward: bool = False, aligned: bool = False) -> tuple:
+def cell_ranges(gf: GridFunction, boxes, dilate: bool = False, aligned: bool = False) -> tuple:
     """Per-axis [start, stop) index ranges, as (nb, n) integer arrays, of
     the cells of gf's lattice that the boxes select, ``boxes`` an (nb, 2, n)
     corner array (any array-like; an empty sequence is no box): the one
     rule from box corners to cells.
 
-    With ``dilate`` the boxes must be cubes, and their `three_dilate` is
-    taken first.  A cell counts when its center lies in [lo, hi) or, with
-    ``snap_outward`` (the convention for 3Q dilates), in
-    [lo - h/2, hi + h/2): for a lattice-aligned box, the cells inside plus
-    the left neighbour.  Coordinates are taken in cell units and rounded to
-    the lattice within 1e-9, so one box shape selects the same number of
-    cells wherever it sits; ``aligned`` requires every corner on a cell
-    edge within that margin (`GridError` otherwise).  Ranges are not
-    clipped to the grid, but a corner more than two box widths past it is
-    moved to that distance, which selects the same cells, before the
-    integer cast.
+    A cell counts when its center lies in [lo, hi).  With ``dilate`` the
+    boxes must be cubes, and the cells are those of their `three_dilate`
+    3Q snapped outward, the convention for 3Q dilates: a cell counts when
+    its center lies in [lo - h/2, hi + h/2) of 3Q, which for a
+    lattice-aligned 3Q is the cells inside plus the left neighbour.
+    Coordinates are taken in cell units and rounded to the lattice within
+    1e-9, so one box shape selects the same number of cells wherever it
+    sits; ``aligned`` requires every corner on a cell edge within that
+    margin (`GridError` otherwise).  Ranges are not clipped to the grid,
+    but a corner more than two box widths past it is moved to that
+    distance, which selects the same cells, before the integer cast.
 
     Refused before any work: ragged input or an array of another shape
     than (nb, 2, gf.n) (`GridError`); corners that are not real numbers, a
@@ -272,9 +271,9 @@ def cell_ranges(gf: GridFunction, boxes, dilate: bool = False,
     if aligned and np.abs(x - np.round(x)).max(initial=0.0) > 1e-9:
         raise GridError(f"a box is not lattice-aligned at h={gf.h}")
     # cell i is selected for lo - pad <= i + 1/2 < hi + pad (cell units),
-    # pad = 1/2 with snap_outward
+    # pad = 1/2 with dilate
     x -= 0.5
-    if snap_outward:
+    if dilate:
         x[:, 0] -= 0.5
         x[:, 1] += 0.5
     x -= 1e-9
@@ -390,7 +389,8 @@ def save_csv(gf: GridFunction, path: str) -> None:
 def load_csv(path: str) -> GridFunction:
     """The grid function of a `read_table` CSV of (x, value) or (x, y,
     value) rows in any order, as `save_csv` writes it: the x must be
-    uniformly spaced cell centers, and each row a distinct cell of them."""
+    uniformly spaced cell centers, symmetric about 0 (the grid is
+    [-R, R]^n), and each row a distinct cell of them."""
     rows = read_table(path, (2, 3))
     n = rows.shape[1] - 1
     x = np.unique(rows[:, 0])
@@ -401,6 +401,9 @@ def load_csv(path: str) -> GridFunction:
                           f"per axis, got {N} with steps between {np.min(steps, initial=0):g} "
                           f"and {np.max(steps, initial=0):g}")
     h = float(steps[0])
+    if abs(x[0] + x[-1]) > 1e-6 * h:
+        raise ConfigError(f"{path!r}: cell centers {x[0]:g} .. {x[-1]:g} are not symmetric "
+                          f"about 0; the grid is [-R, R]^{n}")
     if rows.shape[0] != N**n:
         raise ConfigError(f"{path!r}: {rows.shape[0]} rows for a {N}^{n} grid")
     cell = np.searchsorted(x, rows[:, 0])

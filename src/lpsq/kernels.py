@@ -75,8 +75,8 @@ class KernelSpec:
     psi: Callable | None = None
     name: str = ""
     parity: tuple | None = None  # one sign per profile coordinate, or None
-    # the Lerner plan of the last fast-path layout this kernel evaluated:
-    # layout key -> `operators.SquareEvaluator` (see `SquareEvaluator.of`)
+    # the `operators.SquareEvaluator` of the last fast-path layout this
+    # kernel evaluated, by layout key (see `SquareEvaluator.of`)
     _evaluator: dict = field(default_factory=dict, init=False, compare=False,
                              hash=False, repr=False)
 

@@ -100,8 +100,9 @@ containing x of |S f^2 - S(f 1_{3Q})^2|^{1/2}.  The cells of every Q and
 read them.  On a linear convolution kernel with method "auto" the batched
 pass, `SquareEvaluator.lerner_values`, evaluates every pool cube's
 S(f 1_{3Q}) only on Q, cubes grouped by their cell shape, in n = 1 and
-n = 2 alike; `sparse_construct` hands it the cells its pruning took, and
-reads S f' on a node's own box from the same engine
+n = 2 alike, against the S f^2 its caller passes.  `sparse_construct`
+hands it the cells its pruning took and S f'^2 on the node, which it takes
+first, from the same engine below the root
 (`SquareEvaluator.box_square_sum`, one group of one cube).
 Groups of cubes that the level-summed Gram table on the `SquareEvaluator`
 covers take one quadratic form in f on 3Q per cube; each call chooses,
@@ -809,7 +810,7 @@ class SquareEvaluator:
 
     S(f 1_{3Q})^2 on Q has one engine, `_box_sums`, over groups of cubes of
     one shape: the batched M_S pass (`lerner_values`, over the pool cubes'
-    cells) compares its values with S f^2 (`square_sum`), and
+    cells) compares its values with the S f^2 its caller passes, and
     `box_square_sum` runs it on one box's group.  It reads the level window
     sums (`cone_sum`), the Gram table (`gram_table`, exact sums on one face
     of the table and two boundary terms per disc row for the rest) and the
@@ -825,9 +826,8 @@ class SquareEvaluator:
     and block spectra depend on the layout only and live as long as the
     evaluator; `of` keeps the evaluator of a layout on the kernel object, so
     the table side that serves a group, and with it the last bits of M_S,
-    depends on the calls made before on that kernel.  The last S f^2 is held
-    with a copy of its f, so M_S of the f whose S the caller has just taken
-    reuses it.
+    depends on the calls made before on that kernel.  No state of the
+    evaluator depends on an input f.
 
     ``far_gain`` bounds S through the point-mass profile Gamma of S:
     Gamma(v)^2 = sum_j meas_j sum_{m in D_j} k_j(v + m)^2 is
@@ -866,7 +866,6 @@ class SquareEvaluator:
         self._gram = None
         self._plans = {}
         self._fft_model = {}
-        self._held = None
 
     @classmethod
     def of(cls, k, template: GridFunction, cone: ConeGrid,
@@ -1154,19 +1153,10 @@ class SquareEvaluator:
 
     def square_sum(self, values: np.ndarray) -> np.ndarray:
         """S_alpha^2 of the grid function with these values (fast path):
-        the `cone_sum`s of the levels, added in level order, read-only.  The
-        result is held with a copy of the values and returned again, not
-        recomputed, for equal values.  Equal is `np.array_equal`, which
-        takes -0.0 for 0.0; the two inputs give psi_t values that differ at
-        most in the signs of zeros, so their S^2 are the same bits."""
-        held = self._held
-        if held is not None and np.array_equal(held[0], values):
-            return held[1]
+        the `cone_sum`s of the levels, added in level order."""
         acc = np.zeros((self.template.ncells,) * self.template.n)
         for lv, u in self.level_values(values):
             acc += self.cone_sum(lv, u**2)
-        acc.setflags(write=False)
-        self._held = (np.array(values, dtype=float), acc)
         return acc
 
     def box_square_sum(self, values: np.ndarray, box) -> np.ndarray:
@@ -1268,21 +1258,20 @@ class SquareEvaluator:
                         accs[key][b0 : b0 + step] += self.cone_sum(self.levels[j], U**2)
         return accs
 
-    def lerner_values(self, values: np.ndarray, cells: tuple) -> np.ndarray:
-        """M_S of the grid function with these values over the pool cubes
+    def lerner_values(self, values: np.ndarray, cells: tuple, s2: np.ndarray) -> np.ndarray:
+        """M_S of the grid function f with these values over the pool cubes
         of cells (i0, i1, j0, j1), as `pool_cells`; a cell that no cube
-        covers reads -inf.  Cubes are grouped by their unclipped shape
-        (`_lerner_groups`), their S(f 1_{3Q})^2 on Q taken by `_box_sums`
-        and compared with S f^2 (`square_sum`, which the call takes only if
-        some group is left) by `_lerner_sup`; cells outside the grid are
-        dropped."""
+        covers reads -inf.  s2 is S f^2 on the grid (such as `square_sum`
+        of the values), read only on the cubes' cells within it.  Cubes are
+        grouped by their unclipped shape (`_lerner_groups`), their
+        S(f 1_{3Q})^2 on Q taken by `_box_sums` and compared with s2 by
+        `_lerner_sup`; cells outside the grid are dropped."""
         n, N = self.template.n, self.template.ncells
         out = np.full((N,) * n, -np.inf)
         groups = _lerner_groups(values, cells, out)
         if groups:
             accs = self._box_sums(values, groups)
-            _lerner_sup(out, self.square_sum(values),
-                        [(J, accs[key]) for key, (_, J) in groups.items()])
+            _lerner_sup(out, s2, [(J, accs[key]) for key, (_, J) in groups.items()])
         return out
 
 
@@ -1571,8 +1560,7 @@ def pool_cells(f: GridFunction, cube_pool) -> tuple:
     the `grids.cell_ranges` of 3Q, snapped outward, and of Q, as (nb, n)
     arrays, unclipped: the cells of `lerner_maximal`'s pool and of each
     node's pool in `dyadic.sparse_construct`."""
-    return (*cell_ranges(f, cube_pool, dilate=True, snap_outward=True),
-            *cell_ranges(f, cube_pool))
+    return (*cell_ranges(f, cube_pool, dilate=True), *cell_ranges(f, cube_pool))
 
 
 def _lerner_groups(values: np.ndarray, cells: tuple, out: np.ndarray) -> dict:
@@ -1725,7 +1713,7 @@ def lerner_maximal(
     dom = np.zeros(base.values.shape, dtype=bool)
     dom[tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(d0.tolist(), d1.tolist()))] = True
     ev = SquareEvaluator.of(k, base, cone, method=method)
-    out = (ev.lerner_values(base.values, cells) if ev is not None
+    out = (ev.lerner_values(base.values, cells, ev.square_sum(base.values)) if ev is not None
            else _lerner_pool_loop(k, fs, cone, cells, method))
     uncovered = np.argwhere(dom & (out == -np.inf))
     if uncovered.size:

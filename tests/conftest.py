@@ -38,10 +38,10 @@ def box_key(box) -> tuple:
     return tuple(tuple(map(float, v)) for v in box)
 
 
-def box_mask(gf, box, snap_outward: bool = False) -> np.ndarray:
+def box_mask(gf, box, dilate: bool = False) -> np.ndarray:
     """The 0/1 indicator of the grid cells `grids.cell_ranges` selects for
-    one (2, n) box."""
-    i0, i1 = cell_ranges(gf, [box], snap_outward=snap_outward)
+    one (2, n) box, or with ``dilate`` for its 3-dilate."""
+    i0, i1 = cell_ranges(gf, [box], dilate=dilate)
     mask = np.zeros(gf.values.shape)
     mask[tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(i0[0], i1[0]))] = 1.0
     return mask

@@ -201,11 +201,14 @@ class TestSubcommands:
         ("kernel-check", "--kernel", "0.1\n0.5,0.5\n1,1\n", "two numbers"),
         ("kernel-check", "--kernel", "x,k\n-1,0\n0,abc\n1,0\n", "line 3: expected two numbers"),
         ("kernel-check", "--kernel", "-1,0\n0,inf\n1,0\n", "line 2: non-finite"),
-    ], ids=["dini---modulus", "kernel-check---kernel", "kernel-non-number", "kernel-inf"])
+        ("eval", "--function", "0.5,1\n1.5,1\n2.5,1\n3.5,1\n", "not symmetric about 0"),
+    ], ids=["dini---modulus", "kernel-check---kernel", "kernel-non-number", "kernel-inf",
+            "eval-off-centre"])
     def test_malformed_csv_id_exits_2(self, tmp_path, capsys, campaign, flag, text, named):
         """A ``csv:`` table with a one-column row, a field that is not a
-        number or a non-finite one is a ConfigError naming its line: exit
-        2, with the error in summary.json."""
+        number or a non-finite one is a ConfigError naming its line, and a
+        grid function whose cell centers are not symmetric about 0 one
+        naming their range: exit 2, with the error in summary.json."""
         path, out = tmp_path / "bad.csv", tmp_path / "o"
         path.write_text(text)
         rc = run_main(["--out-dir", str(out), campaign, flag, f"csv:{path}"])

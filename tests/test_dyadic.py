@@ -920,9 +920,9 @@ def _pool_sizes(monkeypatch):
         sizes.append(len(cube_pool))
         return inner(k, f, cone, variant, cube_pool, *args, **kwargs)
 
-    def counted_cells(ev, values, cells):
+    def counted_cells(ev, values, cells, s2):
         sizes.append(len(cells[0]))
-        return batched(ev, values, cells)
+        return batched(ev, values, cells, s2)
 
     monkeypatch.setattr(operators, "lerner_maximal", counted)
     monkeypatch.setattr(operators.SquareEvaluator, "lerner_values", counted_cells)
@@ -1077,8 +1077,7 @@ class TestLernerPoolPruning:
                 for lv in ev.levels))
             assert ev.far_gain[0] <= c
             pool = dyadic_cube_pool(root, f)
-            cells = (*cell_ranges(f, pool, dilate=True, snap_outward=True),
-                     *cell_ranges(f, pool))
+            cells = (*cell_ranges(f, pool, dilate=True), *cell_ranges(f, pool))
             i0, i1 = cells[:2]
             a = np.abs(f.values)
             g1 = np.array([a[tuple(slice(max(p, 0), max(q, 0)) for p, q in zip(b0, b1))].sum()
@@ -1138,17 +1137,18 @@ class TestLernerPoolPruning:
             assert np.all(np.abs(sf**2 - sg**2) <= sh * (2 * sf + sh) * (1 + 1e-9) + tol * tol)
 
     def test_root_takes_s_f_once(self, monkeypatch):
-        """Where the root's 3-dilate covers the grid, S f' is the S f taken
-        for the bracket: no two evaluations see the same input."""
+        """Where the root's 3-dilate covers the grid, S f'^2 is the S f^2
+        taken for the bracket: no two full-grid evaluations see the same
+        input."""
         from lpsq.operators import SquareEvaluator
 
-        seen, inner = [], SquareEvaluator.eval_values
+        seen, inner = [], SquareEvaluator.square_sum
 
         def recorded(self, values):
             seen.append(np.array(values))
             return inner(self, values)
 
-        monkeypatch.setattr(SquareEvaluator, "eval_values", recorded)
+        monkeypatch.setattr(SquareEvaluator, "square_sum", recorded)
         vals = _prune_input(np.random.default_rng(0), 1, 128, "spike")
         self._construct(1, 128, vals, "auto")
         assert seen and np.array_equal(seen[0], vals)
@@ -1242,31 +1242,37 @@ class TestSparsePlanReuse:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_each_node_takes_s_f_once(self, monkeypatch, n):
-        """M_S at a node takes S f'^2 from the S f' the node has just
-        evaluated: no psi_t f' is taken inside
-        `SquareEvaluator.lerner_values`."""
+        """Each node takes S f'^2 once, before its M_S pass: the root's
+        `square_sum`, or a `box_square_sum` where 3P does not cover the
+        grid.  `SquareEvaluator.lerner_values` takes no S and gets exactly
+        the boxes that the pruning kept, no forced cover."""
+        from lpsq import dyadic
         from lpsq import operators as ops
 
-        inside, levels, calls = [False], [], []
-        batched = ops.SquareEvaluator.lerner_values
-        level_values = ops.SquareEvaluator.level_values
+        events, kept = [], []
+        ev_cls, keep = ops.SquareEvaluator, dyadic._lerner_keep
 
-        def recorded(*a):
-            inside[0] = True
-            calls.append(1)
-            try:
-                return batched(*a)
-            finally:
-                inside[0] = False
+        def spy(name, inner):
+            def call(self, *a):
+                events.append(name)
+                out = inner(self, *a)
+                if name == "M_S":
+                    assert len(a[1][0]) == int(kept[-1].sum())
+                    events.append("end")
+                return out
+            return call
 
-        monkeypatch.setattr(ops.SquareEvaluator, "lerner_values", recorded)
-        monkeypatch.setattr(ops.SquareEvaluator, "level_values", lambda self, v:
-                            levels.append(inside[0]) or level_values(self, v))
+        for name, attr in (("S", "square_sum"), ("S", "box_square_sum"),
+                           ("M_S", "lerner_values")):
+            monkeypatch.setattr(ev_cls, attr, spy(name, getattr(ev_cls, attr)))
+        monkeypatch.setattr(dyadic, "_lerner_keep", lambda *a: kept.append(keep(*a))
+                            or kept[-1])
         *_, cone, q0 = self._layout(n)
-        f = self._input(n, self.DEEP[n])
-        fam = sparse_construct(parse_kernel("ex1:kappa=3", n), f, q0, 1.0, cone)
-        assert len(fam.cubes) > 1 and len(calls) > 1
-        assert levels and not any(levels)
+        fam = sparse_construct(parse_kernel("ex1:kappa=3", n), self._input(n, self.DEEP[n]),
+                               q0, 1.0, cone)
+        assert len(fam.cubes) > 1 and events.count("M_S") > 1
+        assert "".join(e[0] for e in events) == "SMe" * events.count("M_S")
+        assert any(not k[0] for k in kept)  # a node whose own box was pruned
 
 
 def _workload(name):
@@ -1399,9 +1405,10 @@ class TestNodeCells:
     @pytest.mark.parametrize("n", [1, 2])
     def test_node_m_s_equals_lerner_maximal_on_the_pruned_pool(self, monkeypatch, n):
         """At every fast-path node, `SquareEvaluator.lerner_values` on the
-        node's kept cells is, on the node's cells, lerner_maximal over the
-        same pruned pool of corner arrays with the node as its domain, bit
-        for bit."""
+        node's kept cells is, on the node's cells and raised to 0 where no
+        kept cube covers one, lerner_maximal over the node and the same
+        pruned pool of corner arrays with the node as its domain, bit for
+        bit."""
         from lpsq import dyadic
         from lpsq import operators as ops
 
@@ -1412,11 +1419,13 @@ class TestNodeCells:
         batched = ops.SquareEvaluator.lerner_values
         inside = [False]
 
-        def recorded(ev, values, cells):
-            out = batched(ev, values, cells)
+        def recorded(ev, values, cells, s2):
+            out = batched(ev, values, cells, s2)
             if inside[0]:  # the lerner_maximal call below
                 return out
-            pool = pools[-1][kept[-1]]
+            rows = kept[-1].copy()
+            rows[0] = True  # the node, the cover of lerner_maximal's domain
+            pool = pools[-1][rows]
             node = pool[0]
             inside[0] = True
             try:
@@ -1426,8 +1435,7 @@ class TestNodeCells:
                 inside[0] = False
             (j0,), (j1,) = cell_ranges(ev.template, [node])
             nsl = tuple(slice(max(a, 0), min(b, len(values))) for a, b in zip(j0, j1))
-            assert np.all(np.isfinite(out[nsl]))
-            assert np.array_equal(out[nsl], want[nsl])
+            assert np.array_equal(np.maximum(out[nsl], 0.0), want[nsl])
             compared[0] += 1
             return out
 

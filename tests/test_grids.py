@@ -183,6 +183,20 @@ class TestGridFunction:
             load_csv(str(p))
 
     @pytest.mark.parametrize("n", [1, 2])
+    def test_csv_off_centre_is_config_error(self, tmp_path, n):
+        """Cell centers that are not symmetric about 0 hold no grid
+        [-R, R]^n: a ConfigError naming the file and the center range."""
+        c = [0.5, 1.5, 2.5, 3.5] if n == 1 else [0.5, 1.5]
+        p = tmp_path / "g.csv"
+        if n == 1:
+            p.write_text("x,value\n" + "".join(f"{x},1.0\n" for x in c))
+        else:
+            self._csv_2d(p, [(x, y, 1.0) for x in c for y in c])
+        with pytest.raises(ConfigError, match=rf"g\.csv.*centers 0\.5 \.\. {c[-1]} are not "
+                           "symmetric about 0"):
+            load_csv(str(p))
+
+    @pytest.mark.parametrize("n", [1, 2])
     def test_headerless_csv_loads_as_saved(self, tmp_path, n):
         """The header of a grid CSV is optional: without it, the first row
         is a cell like any other."""

@@ -37,6 +37,10 @@ parsed only in grids.py (`grids.read_table` for CSV tables,
 `grids.read_json` for JSON): no other module of src/lpsq references the
 ``csv`` module, ``genfromtxt``, ``loadtxt``, ``json.load`` or
 ``json.loads``.
+
+`operators.SquareEvaluator` holds state that depends on its layout only:
+outside ``__init__`` no method binds an attribute of self, save
+``gram_table`` binding ``_gram``, the table that grows.
 """
 
 import ast
@@ -652,3 +656,58 @@ def test_checker_finds_a_private_read(tmp_path):
     assert _private_reads(p) == [
         (2, "grids._stencil"), (8, "weights._apvec"), (10, "moduli._dini"),
         (10, "operators._fft_len"), (11, "harness._rung"), (11, "kernels._eps")]
+
+
+# the (method, attribute) pairs of `SquareEvaluator` that a method other
+# than __init__ may bind: the Gram table, which grows with the calls
+EVALUATOR_BINDINGS_OK = {("gram_table", "_gram")}
+
+
+def _self_bindings(path: pathlib.Path, cls: str, allowed=()) -> list:
+    """The bindings of an attribute of self in the methods other than
+    ``__init__`` of the module-level class cls, self a method's first
+    parameter: an attribute of it stored (assigned, augmented, a ``for`` or
+    ``with`` target) or deleted, or named by a ``setattr`` call on it,
+    anywhere in the method, nested functions included.  Each as
+    "file:line: method.attribute", other than the (method, attribute)
+    pairs in ``allowed``."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, _FUNCS) or fn.name == "__init__" or not fn.args.args:
+                continue
+            me = fn.args.args[0].arg
+            for sub in ast.walk(fn):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, (ast.Store, ast.Del))
+                        and getattr(sub.value, "id", None) == me):
+                    found.append((sub.lineno, fn.name, sub.attr))
+                elif (isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "setattr"
+                      and sub.args and getattr(sub.args[0], "id", None) == me):
+                    name = getattr(sub.args[1], "value", "?") if len(sub.args) > 1 else "?"
+                    found.append((sub.lineno, fn.name, name))
+    return [f"{path.name}:{line}: {fn}.{attr}" for line, fn, attr in sorted(found)
+            if (fn, attr) not in allowed]
+
+
+def test_evaluator_binds_layout_state_only():
+    assert _self_bindings(SRC / "operators.py", "SquareEvaluator", EVALUATOR_BINDINGS_OK) == []
+
+
+def test_checker_finds_a_self_binding(tmp_path):
+    p = tmp_path / "operators.py"
+    p.write_text("class SquareEvaluator:\n"
+                 "    def __init__(self):\n        self.a = 0\n\n"
+                 "    def gram_table(self, side):\n"
+                 "        self._gram = side\n        self.b += 1\n\n"
+                 "    def m(this, v):\n"
+                 "        this.c, x = v, this.d\n        this.e[0] = v\n"
+                 "        for this.f in v:\n            pass\n"
+                 "        def inner():\n"
+                 "            del this.g\n            setattr(this, 'h', 1)\n"
+                 "        return inner\n\n"
+                 "class Other:\n    def m(self):\n        self.i = 0\n")
+    assert _self_bindings(p, "SquareEvaluator", EVALUATOR_BINDINGS_OK) == [
+        "operators.py:7: gram_table.b", "operators.py:10: m.c", "operators.py:12: m.f",
+        "operators.py:15: m.g", "operators.py:16: m.h"]

@@ -357,7 +357,7 @@ class TestLernerMaximal:
         ms = lerner_maximal(ex1, f, cone_coarse, "M_S", pool)
         ns = np.full(f.ncells, -np.inf)
         for q in pool:
-            outside = 1.0 - box_mask(f, dilate3(q), snap_outward=True)
+            outside = 1.0 - box_mask(f, q, dilate=True)
             s_out = square_function(ex1, f.with_values(f.values * outside), cone_coarse)
             sel = box_mask(f, q).astype(bool)
             ns[sel] = np.maximum(ns[sel], s_out.values[sel])
@@ -445,12 +445,13 @@ def _spikes(rng, n, R, h):
 class TestBoxRange:
     def test_one_shape_same_count_everywhere_at_h_tenth(self):
         g = GridFunction(1, 4.0, 0.1, np.zeros(80))
-        for snap, want in ((False, 5), (True, 6)):
+        # 5 cells, and the 15 of the 3-dilate plus the left neighbour
+        for dilate, want in ((False, 5), (True, 16)):
             boxes = []
             for m in range(10, 60):  # interior, lattice-aligned boxes
                 lo = -4.0 + 0.1 * m
                 boxes.append(box((lo,), (lo + 0.5,)))
-            i0, i1 = cell_ranges(g, boxes, snap_outward=snap)
+            i0, i1 = cell_ranges(g, boxes, dilate=dilate)
             assert set((i1 - i0)[:, 0].tolist()) == {want}
 
     def test_dyadic_h_matches_center_rule(self):
@@ -461,10 +462,10 @@ class TestBoxRange:
                  zip(rng.integers(-40, 40, 60) / 8.0, rng.integers(1, 24, 60) / 8.0)]
         boxes += [dilate3(b) for b in boxes]
         for b in boxes:
-            for snap in (False, True):
-                eps = g.h / 2 if snap else 0.0
-                want = ((c >= b[0][0] - eps) & (c < b[1][0] + eps)).astype(float)
-                assert np.array_equal(box_mask(g, b, snap), want)
+            for dilate in (False, True):
+                d, eps = (dilate3(b), g.h / 2) if dilate else (b, 0.0)
+                want = ((c >= d[0][0] - eps) & (c < d[1][0] + eps)).astype(float)
+                assert np.array_equal(box_mask(g, b, dilate), want)
 
 
 def _force_path(monkeypatch, gram: bool):
@@ -481,10 +482,10 @@ def _force_path(monkeypatch, gram: bool):
 
 def _pool_loop(cone):
     """A stand-in for `SquareEvaluator.lerner_values` that runs the per-cube
-    oracle `_lerner_pool_loop` on the same cells."""
+    oracle `_lerner_pool_loop` on the same cells; it takes its own S f^2."""
     from lpsq import operators as ops
 
-    return lambda ev, values, cells: ops._lerner_pool_loop(
+    return lambda ev, values, cells, s2: ops._lerner_pool_loop(
         ev.k, ev.template.with_values(values), cone, cells, None)
 
 
@@ -651,7 +652,7 @@ class TestLernerPlan:
         ev = SquareEvaluator.of(k, f, cone)
         _force_path(monkeypatch, gram=False)
         # per shape key: one window rfftn per (FFT length, chunk of cubes),
-        # one block rfftn per level; level_values: one per distinct length
+        # one block rfftn per level; S f^2: one per distinct length
         windows = 0
         groups = ops._lerner_groups(f.values, ops.pool_cells(f, pool),
                                     np.full(f.values.shape, -np.inf))
@@ -660,7 +661,8 @@ class TestLernerPlan:
                   for lv in ev.levels]
             assert Ps == sorted(Ps) and len(set(Ps)) < len(Ps)
             windows += sum(-(-len(I) // max(1, chunk // math.prod(P))) for P in set(Ps))
-        blocks = len(groups) * len(ev.levels) + len({lv.nfft for lv in ev.levels})
+        nffts = len({lv.nfft for lv in ev.levels})
+        blocks = len(groups) * len(ev.levels) + nffts
         ndims, rfftn = [], np.fft.rfftn
         profiles.clear()
         with monkeypatch.context() as m:
@@ -671,15 +673,15 @@ class TestLernerPlan:
             windows, blocks, windows + blocks)
         # the block spectra are cut from the samples the evaluator kept
         assert len(profiles) == 0
-        # warm: no profile sample and no block transform, and the S f^2
-        # just held is taken again
+        # warm: no profile sample and no block transform; S f^2 is taken
+        # again
         ndims.clear()
         profiles.clear()
         with monkeypatch.context() as m:
             m.setattr(np.fft, "rfftn", lambda x, *a, **kw: ndims.append(np.ndim(x))
                       or rfftn(x, *a, **kw))
             again = lerner_maximal(k, f, cone, variant, pool, domain=root.box()).values
-        assert (ndims.count(n + 1), len(ndims), len(profiles)) == (windows, windows, 0)
+        assert (ndims.count(n + 1), len(ndims), len(profiles)) == (windows, windows + nffts, 0)
         assert np.array_equal(again, fast)
         with monkeypatch.context() as m:
             m.setattr(SquareEvaluator, "lerner_values", _pool_loop(cone))
@@ -746,8 +748,7 @@ class TestLernerBatched2D:
     def test_one_cell_past_3q_is_not_zero(self, monkeypatch, variant):
         k, f, cone = self._setup(16, 5)
         q = box((-0.5, -0.5), (0.5, 0.5))
-        (i0, j0), (i1, j1) = (r[0] for r in cell_ranges(f, [q], dilate=True,
-                                                         snap_outward=True))
+        (i0, j0), (i1, j1) = (r[0] for r in cell_ranges(f, [q], dilate=True))
         vals = np.zeros_like(f.values)
         vals[i0:i1, j0:j1] = f.values[i0:i1, j0:j1]
         vals[i1, j1 - 1] = 1.0  # the one cell of supp f outside 3Q
@@ -813,6 +814,33 @@ class TestLernerGram:
             m.setattr(SquareEvaluator, "lerner_values", _pool_loop(cone))
             slow = lerner_maximal(k, f, cone, "M_S", pool, domain=domain).values
         return fast, keys, slow
+
+    @pytest.mark.parametrize("gram", [True, False])
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+    def test_s2_is_read_on_the_cubes_cells_only(self, monkeypatch, n, N, gram):
+        """`SquareEvaluator.lerner_values` reads s2 only on its cubes' Q
+        cells: NaN on every other cell leaves M_S bit-identical, on a
+        Gram-form group and on an FFT-path group alike."""
+        from lpsq import operators as ops
+
+        k, f, cone = self._setup(n, N, 31)
+        _force_path(monkeypatch, gram)
+        keys, gram_form = [], ops._gram_form
+        monkeypatch.setattr(ops, "_gram_form",
+                            lambda ev, key, *a: keys.append(key) or gram_form(ev, key, *a))
+        ev = SquareEvaluator(k, f, cone)
+        # three cubes of two cells a side: one shape group
+        pool = [box((m * f.h,) * n, ((m + 2) * f.h,) * n) for m in (2 - N // 2, -1, N // 4)]
+        cells = ops.pool_cells(f, pool)
+        on = np.zeros(f.values.shape, dtype=bool)
+        for b0, b1 in zip(cells[2], cells[3]):
+            on[tuple(slice(a, b) for a, b in zip(b0, b1))] = True
+        s2 = ev.square_sum(f.values)
+        out = ev.lerner_values(f.values, cells, s2)
+        assert len(keys) == (1 if gram else 0)  # the path the one group took
+        assert np.isfinite(out[on]).all() and not on.all()
+        holed = np.where(on, s2, np.nan)
+        assert np.array_equal(ev.lerner_values(f.values, cells, holed), out)
 
     @pytest.mark.parametrize("chunk", [None, 256])
     @pytest.mark.parametrize("n, N, large", [(1, 128, 32), (2, 16, 4)])
@@ -1997,7 +2025,7 @@ class TestBoxGate:
         cone = build_cone(1.0, n, 0.5, 1.0, 8.0, 2)
         whole = [grid_box(f)]
         call = {
-            "cell_ranges": lambda: cell_ranges(f, bad, dilate=True, snap_outward=True),
+            "cell_ranges": lambda: cell_ranges(f, bad, dilate=True),
             "pool": lambda: lerner_maximal(k, f, cone, "M_S", bad),
             "domain": lambda: lerner_maximal(
                 k, f, cone, "M_S", whole,
